@@ -8,18 +8,20 @@
 //! ([`SemanticState`]): the initial machine is captured, every
 //! reachable state is expanded under a finite input alphabet (the
 //! empty event set plus each external event alone), and successors are
-//! deduplicated by a canonical, injective byte encoding
-//! ([`encode_state`]) in an FNV-hashed table.
+//! deduplicated by state equality in a visited table keyed by the
+//! states themselves, hashed by a seedless word-at-a-time hasher.
 //!
 //! Expansion rides the existing simulation fabric: a frontier layer is
-//! flattened into `(state, symbol)` jobs and fanned out through
-//! [`SimPool`] — the scalar path restores-and-steps one
+//! flattened into `(frontier index, symbol index)` jobs that reference
+//! the layer instead of copying it, and fanned out through [`SimPool`]
+//! — the scalar path restores-and-steps one
 //! [`PscpMachine`](crate::machine::PscpMachine) per worker, wider gang
 //! widths pack up to 64 jobs into one [`crate::gang::GangRig`] pass
-//! whose bit-sliced SLA routes every lane at once. Results are merged
-//! *sequentially in job order*, so the report is byte-identical for
-//! any worker count and gang width; the explore differential suite
-//! pins the whole grid against the one-worker scalar oracle.
+//! whose bit-sliced SLA routes every lane at once. Results stream back
+//! and are merged *sequentially in job order* while the workers expand
+//! ahead, so the report is byte-identical for any worker count and gang
+//! width; the explore differential suite pins the whole grid against
+//! the one-worker scalar oracle.
 //!
 //! The report covers:
 //!
@@ -33,9 +35,12 @@
 //! * **routine faults** reached during expansion.
 //!
 //! Every witness is a trace of injected event sets from the initial
-//! state plus the canonical encoding of the state it claims to reach;
-//! [`replay`] re-executes the trace on a fresh machine and returns the
-//! key it actually lands on, so witnesses are checkable byte-for-byte.
+//! state plus the canonical encoding ([`encode_state`]) of the state it
+//! claims to reach; [`replay`] re-executes the trace on a fresh machine
+//! and returns the key it actually lands on, so witnesses are checkable
+//! byte-for-byte. Canonical keys are built only for witnesses (and so
+//! for the wire), never per edge: `encode_state` is injective, so
+//! deduplicating on state equality is deduplicating on key equality.
 //! This is sound because [`SemanticState`] captures *everything* the
 //! next cycle's behaviour depends on — clock and statistics are
 //! excluded precisely because they cannot influence it.
@@ -47,21 +52,22 @@ use crate::serve::wire::{Dec, Enc, WireError};
 use pscp_statechart::semantics::ControlState;
 use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
 
 /// Version prefix of the canonical state encoding; bumped when the
 /// layout changes.
 pub const STATE_KEY_VERSION: u8 = 1;
 
-// --- FNV dedup hashing -------------------------------------------------------
+// --- Hashing -------------------------------------------------------------------
 
 const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// 64-bit FNV-1a streaming hasher — the dedup table's hash function.
-/// Deterministic (no per-process seed), dependency-free, and byte-fair
-/// over the canonical state encoding.
+/// 64-bit FNV-1a streaming hasher. Deterministic (no per-process
+/// seed), dependency-free and byte-at-a-time, so its digests are a
+/// stable function of the bytes alone — suitable for pinning golden
+/// values and digesting canonical encodings.
 #[derive(Debug, Clone)]
 pub struct FnvHasher(u64);
 
@@ -83,14 +89,102 @@ impl Hasher for FnvHasher {
     }
 }
 
-/// [`BuildHasher`] for the FNV dedup table.
-#[derive(Debug, Clone, Default)]
-pub struct BuildFnv;
+/// Odd multiplier of the word fold (the FxHash constant).
+const WORD_K: u64 = 0x517c_c1b7_2722_0a95;
 
-impl BuildHasher for BuildFnv {
-    type Hasher = FnvHasher;
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
+/// Independent fold chains a long [`WordHasher::write`] interleaves, so
+/// consecutive multiplies overlap instead of each waiting on the last.
+const LANES: usize = 4;
+
+/// One rotate-xor-multiply step: a bijection of `h` for a fixed `word`.
+#[inline]
+fn fold(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(WORD_K)
+}
+
+#[inline]
+fn le_word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
+}
+
+/// The visited table's hasher: seedless and word-at-a-time — every
+/// 8 bytes cost one rotate-xor-multiply, so hashing a state's `i64`
+/// memory planes costs one multiply per word instead of one per byte,
+/// and long writes spread their words over [`LANES`] chains that run
+/// in parallel. Each fold is a bijection of its chain for a fixed word
+/// and the chains fold back into the running state in order, so inputs
+/// differing in one word never collide; `finish` avalanches the result
+/// so the table's bucket (low) and tag (high) bits both depend on
+/// every word.
+#[derive(Debug, Clone, Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = fold(self.0, word);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        // murmur3's 64-bit finaliser.
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        let mut blocks = bytes.chunks_exact(8 * LANES);
+        if bytes.len() >= 8 * LANES {
+            let mut lanes: [u64; LANES] = std::array::from_fn(|i| self.0.wrapping_add(i as u64));
+            for block in &mut blocks {
+                for (i, lane) in lanes.iter_mut().enumerate() {
+                    *lane = fold(*lane, le_word(&block[8 * i..8 * i + 8]));
+                }
+            }
+            for lane in lanes {
+                self.fold(lane);
+            }
+        }
+        let mut words = blocks.remainder().chunks_exact(8);
+        for w in &mut words {
+            self.fold(le_word(w));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.fold(u64::from_le_bytes(w));
+        }
+        // Zero-padding the tail would let `[0]` and `[0, 0]` share a
+        // word; folding the length keeps them apart.
+        self.fold(bytes.len() as u64);
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.fold(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.fold(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.fold(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.fold(v as u64);
+    }
+}
+
+/// [`BuildHasher`] for the visited table.
+#[derive(Debug, Clone, Default)]
+struct BuildWordHasher;
+
+impl BuildHasher for BuildWordHasher {
+    type Hasher = WordHasher;
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher::default()
     }
 }
 
@@ -119,10 +213,14 @@ fn dec_bitmap(d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
     Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
+/// Writes a length-prefixed `i64` plane in one pass over a reserved
+/// region instead of one `extend_from_slice` per word.
 fn enc_i64s(e: &mut Enc, vs: &[i64]) {
     e.u32(vs.len() as u32);
-    for &v in vs {
-        e.i64(v);
+    let start = e.buf.len();
+    e.buf.resize(start + 8 * vs.len(), 0);
+    for (dst, v) in e.buf[start..].chunks_exact_mut(8).zip(vs) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
@@ -136,12 +234,26 @@ fn dec_i64s(d: &mut Dec<'_>) -> Result<Vec<i64>, WireError> {
 }
 
 /// Canonical, injective serialisation of a [`SemanticState`] — the
-/// *state key* the explorer dedups and byte-compares on. Injective by
+/// *state key* witnesses carry and the wire transports. Injective by
 /// construction: every field is length-prefixed and decoded
 /// unambiguously, so [`decode_state`]∘`encode_state` is the identity
-/// (pinned by proptest), and distinct states can never share bytes.
+/// (pinned by proptest), and distinct states can never share bytes —
+/// which is why the explorer may dedup on state equality instead.
+/// The output is allocated once at its exact length.
 pub fn encode_state(s: &SemanticState) -> Vec<u8> {
-    let mut e = Enc::new();
+    let c = &s.control;
+    let d = &s.data;
+    let len = 1
+        + (4 + c.active.len().div_ceil(8))
+        + (4 + c.conditions.len().div_ceil(8))
+        + (4 + 4 * c.pending_internal.len())
+        + (4 + 4 * c.history.len())
+        + (4 + s.timers.iter().map(|t| if t.is_some() { 9 } else { 1 }).sum::<usize>())
+        + (4 + 4 * s.pending_timer_events.len())
+        + 8
+        + 8
+        + (12 + 8 * (d.regs.len() + d.iram.len() + d.xram.len()));
+    let mut e = Enc { buf: Vec::with_capacity(len) };
     e.u8(STATE_KEY_VERSION);
     enc_bitmap(&mut e, &s.control.active);
     enc_bitmap(&mut e, &s.control.conditions);
@@ -172,6 +284,7 @@ pub fn encode_state(s: &SemanticState) -> Vec<u8> {
     enc_i64s(&mut e, &s.data.regs);
     enc_i64s(&mut e, &s.data.iram);
     enc_i64s(&mut e, &s.data.xram);
+    debug_assert_eq!(e.buf.len(), len, "reserved length must be exact");
     e.buf
 }
 
@@ -380,9 +493,16 @@ impl ExploreOptions {
 
 // --- The explorer --------------------------------------------------------------
 
-/// Reconstructs the trace to `idx` by walking the parent chain.
-fn trace_to(parents: &[(u32, u32)], alphabet: &[Vec<EventId>], mut idx: u32) -> Vec<Vec<u32>> {
-    let mut rev = Vec::new();
+/// Reconstructs the trace to `idx` by walking the parent chain, then
+/// appends the alphabet symbol `then` when given — the trace of the
+/// edge `idx --then-->`.
+fn trace_to(
+    parents: &[(u32, u32)],
+    alphabet: &[Vec<EventId>],
+    mut idx: u32,
+    then: Option<usize>,
+) -> Vec<Vec<u32>> {
+    let mut rev: Vec<u32> = then.map(|sym| sym as u32).into_iter().collect();
     while idx != 0 {
         let (parent, sym) = parents[idx as usize];
         rev.push(sym);
@@ -392,6 +512,13 @@ fn trace_to(parents: &[(u32, u32)], alphabet: &[Vec<EventId>], mut idx: u32) -> 
     rev.into_iter()
         .map(|sym| alphabet[sym as usize].iter().map(|e| e.index() as u32).collect())
         .collect()
+}
+
+/// Folds a state's active-state bitmap into the running union.
+fn mark_active(union: &mut [bool], state: &SemanticState) {
+    for (u, &a) in union.iter_mut().zip(&state.control.active) {
+        *u |= a;
+    }
 }
 
 /// The exploration input alphabet: the empty event set plus each
@@ -415,7 +542,10 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let pool = SimPool::with_threads(opts.threads.max(1)).with_gang(opts.gang.max(1));
 
     let mut report = ExploreReport::default();
-    let mut visited: HashMap<Vec<u8>, u32, BuildFnv> = HashMap::with_hasher(BuildFnv);
+    // Every visited state, deduplicated by state equality — a set that
+    // uses the map's entry API so an edge costs one hash. Canonical
+    // keys are encoded only where a witness needs one.
+    let mut visited: HashMap<SemanticState, (), BuildWordHasher> = HashMap::default();
     // Parent pointers: `parents[i]` = (parent state index, alphabet
     // symbol index) of the BFS tree edge that discovered state `i`.
     let mut parents: Vec<(u32, u32)> = Vec::new();
@@ -426,25 +556,23 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let mut violations: Vec<(usize, Witness)> = Vec::new();
 
     let root = PscpMachine::new(system).capture();
-    let root_key = encode_state(&root);
-    visited.insert(root_key.clone(), 0);
     parents.push((0, 0));
-    for s in chart.state_ids() {
-        if root.control.active[s.index()] {
-            active_union[s.index()] = true;
-        }
-    }
+    mark_active(&mut active_union, &root);
     for (pi, p) in opts.predicates.iter().enumerate() {
         if let Predicate::StateNeverActive(name) = p {
             if chart.state_by_name(name).is_some_and(|s| root.control.active[s.index()]) {
                 violated[pi] = true;
                 violations
-                    .push((pi, Witness { state_key: root_key.clone(), trace: Vec::new() }));
+                    .push((pi, Witness { state_key: encode_state(&root), trace: Vec::new() }));
             }
         }
     }
+    visited.insert(root.clone(), ());
 
-    let mut frontier: Vec<(u32, Vec<u8>, SemanticState)> = vec![(0, root_key, root)];
+    // The BFS layer being expanded: its states carry the consecutive
+    // discovery indices `base..base + frontier.len()`.
+    let mut frontier: Vec<SemanticState> = vec![root];
+    let mut base: u32 = 0;
     let mut layer: u32 = 0;
 
     while !frontier.is_empty() {
@@ -454,117 +582,105 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
         }
         pscp_obs::metrics::EXPLORE_FRONTIER.record(frontier.len() as u64);
 
-        // Flatten the layer into jobs: every frontier state × every
-        // alphabet symbol, in order — the merge below consumes results
-        // in this exact order, which is what pins determinism.
-        let jobs: Vec<(SemanticState, Vec<EventId>)> = frontier
-            .iter()
-            .flat_map(|(_, _, st)| alphabet.iter().map(move |sym| (st.clone(), sym.clone())))
+        // Flatten the layer into `(frontier index, symbol index)` jobs:
+        // every frontier state × every alphabet symbol, in order — the
+        // merge below consumes results in this exact order, which is
+        // what pins determinism.
+        let jobs: Vec<(u32, u32)> = (0..frontier.len() as u32)
+            .flat_map(|f| (0..alphabet.len() as u32).map(move |si| (f, si)))
             .collect();
-        let results = pool.expand_states(system, &jobs);
 
-        let mut next: Vec<(u32, Vec<u8>, SemanticState)> = Vec::new();
-        for (f, (src_idx, src_key, _)) in frontier.iter().enumerate() {
-            let mut all_self = true;
-            for (si, result) in
-                results[f * alphabet.len()..(f + 1) * alphabet.len()].iter().enumerate()
-            {
-                report.edges += 1;
-                let (succ, cycle) = match result {
-                    Ok(ok) => ok,
-                    Err(e) => {
+        let next_base = visited.len() as u32;
+        let mut next: Vec<SemanticState> = Vec::new();
+        let mut merged = 0usize;
+        let mut all_self = true;
+        pool.expand_states(system, &frontier, &alphabet, &jobs, |result| {
+            let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
+            merged += 1;
+            let src = &frontier[f];
+            let src_idx = base + f as u32;
+            if si == 0 {
+                all_self = true;
+            }
+            report.edges += 1;
+            match result {
+                Err(e) => {
+                    all_self = false;
+                    if (report.faults.len() as u32) < opts.max_witnesses {
+                        report.faults.push((
+                            e.to_string(),
+                            Witness {
+                                state_key: encode_state(src),
+                                trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
+                            },
+                        ));
+                    }
+                }
+                Ok((succ, cycle)) => {
+                    for &t in &cycle.fired {
+                        fired_union[t.index()] = true;
+                    }
+                    if all_self && succ != *src {
                         all_self = false;
-                        if (report.faults.len() as u32) < opts.max_witnesses {
-                            let mut trace = trace_to(&parents, &alphabet, *src_idx);
-                            trace.push(
-                                alphabet[si].iter().map(|ev| ev.index() as u32).collect(),
-                            );
-                            report.faults.push((
-                                e.to_string(),
-                                Witness { state_key: src_key.clone(), trace },
+                    }
+                    // Predicates see every edge, including ones into
+                    // truncated or already-visited states; BFS order
+                    // makes this edge the end of a minimal trace either
+                    // way.
+                    for (pi, p) in opts.predicates.iter().enumerate() {
+                        if violated[pi] {
+                            continue;
+                        }
+                        let hit = match p {
+                            Predicate::EventNeverRaised(name) => chart
+                                .event_by_name(name)
+                                .is_some_and(|e| cycle.raised.contains(&e)),
+                            Predicate::StateNeverActive(name) => chart
+                                .state_by_name(name)
+                                .is_some_and(|s| succ.control.active[s.index()]),
+                        };
+                        if hit {
+                            violated[pi] = true;
+                            violations.push((
+                                pi,
+                                Witness {
+                                    state_key: encode_state(&succ),
+                                    trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
+                                },
                             ));
                         }
-                        continue;
                     }
-                };
-                for &t in &cycle.fired {
-                    fired_union[t.index()] = true;
-                }
-                let key = encode_state(succ);
-                if key != *src_key {
-                    all_self = false;
-                }
-                let succ_idx = match visited.get(&key) {
-                    Some(&idx) => {
-                        report.dedup_hits += 1;
-                        Some(idx)
-                    }
-                    None if (visited.len() as u64) < opts.max_states.max(1) => {
-                        let idx = visited.len() as u32;
-                        visited.insert(key.clone(), idx);
-                        parents.push((*src_idx, si as u32));
-                        for s in chart.state_ids() {
-                            if succ.control.active[s.index()] {
-                                active_union[s.index()] = true;
-                            }
+                    // The successor moves into the table; only a newly
+                    // discovered state is cloned, into the next layer.
+                    let room = (visited.len() as u64) < opts.max_states.max(1);
+                    match visited.entry(succ) {
+                        Entry::Occupied(_) => report.dedup_hits += 1,
+                        Entry::Vacant(slot) if room => {
+                            parents.push((src_idx, si as u32));
+                            mark_active(&mut active_union, slot.key());
+                            next.push(slot.key().clone());
+                            slot.insert(());
                         }
-                        next.push((idx, key.clone(), succ.clone()));
-                        Some(idx)
-                    }
-                    None => {
-                        report.truncated = true;
-                        None
-                    }
-                };
-                // Predicates see every edge, including ones into
-                // truncated or already-visited states.
-                for (pi, p) in opts.predicates.iter().enumerate() {
-                    if violated[pi] {
-                        continue;
-                    }
-                    let hit = match p {
-                        Predicate::EventNeverRaised(name) => chart
-                            .event_by_name(name)
-                            .is_some_and(|e| cycle.raised.contains(&e)),
-                        Predicate::StateNeverActive(name) => chart
-                            .state_by_name(name)
-                            .is_some_and(|s| succ.control.active[s.index()]),
-                    };
-                    if hit {
-                        violated[pi] = true;
-                        let trace = match succ_idx {
-                            Some(idx) if idx as usize == parents.len() - 1 => {
-                                trace_to(&parents, &alphabet, idx)
-                            }
-                            _ => {
-                                // Edge into an old or truncated state:
-                                // the minimal trace is via this edge.
-                                let mut t = trace_to(&parents, &alphabet, *src_idx);
-                                t.push(
-                                    alphabet[si]
-                                        .iter()
-                                        .map(|ev| ev.index() as u32)
-                                        .collect(),
-                                );
-                                t
-                            }
-                        };
-                        violations.push((pi, Witness { state_key: key.clone(), trace }));
+                        Entry::Vacant(_) => report.truncated = true,
                     }
                 }
             }
-            if all_self && (report.deadlocks.len() as u32) < opts.max_witnesses {
+            if si + 1 == alphabet.len()
+                && all_self
+                && (report.deadlocks.len() as u32) < opts.max_witnesses
+            {
                 report.deadlocks.push(Witness {
-                    state_key: src_key.clone(),
-                    trace: trace_to(&parents, &alphabet, *src_idx),
+                    state_key: encode_state(src),
+                    trace: trace_to(&parents, &alphabet, src_idx, None),
                 });
             }
-        }
+        });
         if !next.is_empty() {
             layer += 1;
             report.depth = layer;
         }
         frontier = next;
+        base = next_base;
     }
 
     report.states = visited.len() as u64;
@@ -631,6 +747,53 @@ mod tests {
         let chart = b.build().unwrap();
         compile_system(&chart, "", &PscpArch::dual_md16(true), &CodegenOptions::default())
             .unwrap()
+    }
+
+    fn word_hash(bytes: &[u8]) -> u64 {
+        let mut h = BuildWordHasher.build_hasher();
+        h.write(bytes);
+        h.finish()
+    }
+
+    #[test]
+    fn word_hasher_folds_a_short_tail() {
+        // One full word plus a 3-byte tail; only the very last byte
+        // differs, so the tail fold alone must tell them apart.
+        let a = *b"state-key-a";
+        let mut b = a;
+        b[10] ^= 1;
+        assert_ne!(word_hash(&a), word_hash(&b));
+        assert_ne!(word_hash(&[1]), word_hash(&[2]));
+    }
+
+    #[test]
+    fn word_hasher_folds_the_length() {
+        assert_ne!(word_hash(&[0]), word_hash(&[0, 0]));
+        assert_ne!(word_hash(&[]), word_hash(&[0; 8]));
+        assert_ne!(word_hash(&[0; 8]), word_hash(&[0; 16]));
+    }
+
+    #[test]
+    fn word_hasher_is_pinned() {
+        // Seedless: the same bytes hash the same in every process.
+        assert_eq!(word_hash(b"PSCP semantic state"), 0xe739_3625_9fe8_2540);
+    }
+
+    #[test]
+    fn word_hasher_lanes_keep_word_order() {
+        // 40 bytes: one four-lane block plus a serial word. Swapping
+        // two words of the block moves them between lanes, and a
+        // change to either part must reach the result.
+        let a: Vec<u8> = (0..40).collect();
+        let mut swapped = a.clone();
+        swapped[..16].rotate_left(8);
+        assert_ne!(word_hash(&a), word_hash(&swapped));
+        for i in [0, 31, 32, 39] {
+            let mut b = a.clone();
+            b[i] ^= 0x80;
+            assert_ne!(word_hash(&a), word_hash(&b), "byte {i}");
+        }
+        assert_eq!(word_hash(&a), 0x3f00_3f12_2f03_5721);
     }
 
     #[test]

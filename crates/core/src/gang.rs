@@ -42,6 +42,10 @@ use crate::pool::{BatchOptions, BatchOutcome};
 use pscp_statechart::EventId;
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
 
+/// One exploration job's outcome: the successor state and the cycle
+/// that produced it, or the routine fault the cycle hit.
+pub(crate) type Expansion = Result<(SemanticState, CycleReport), MachineError>;
+
 /// A reusable gang of scalar machines with a shared bit-sliced SLA.
 /// Build once per worker, feed it successive job chunks via
 /// [`GangRig::run`].
@@ -229,17 +233,20 @@ impl<'s> GangRig<'s> {
     }
 
     /// Expands up to [`GANG_WIDTH`] exploration jobs in one shared SLA
-    /// pass: each job restores a captured [`SemanticState`] into its
-    /// lane machine, injects the given external events, and runs
-    /// exactly one configuration cycle against a
+    /// pass. Each job is a `(state, symbol)` index pair into `states`
+    /// and `symbols`, borrowed from the explorer's frontier: the lane
+    /// machine restores that [`SemanticState`], injects that event set,
+    /// and runs exactly one configuration cycle against a
     /// [`NullEnvironment`]. Returns `(successor state, report)` per job
     /// in job order — byte-identical to a scalar
     /// [`PscpMachine::step_injected`] on the restored state, by the
     /// same any-enable ⟺ any-fire routing the scripted path uses.
     pub(crate) fn expand(
         &mut self,
-        jobs: &[(SemanticState, Vec<EventId>)],
-    ) -> Vec<Result<(SemanticState, CycleReport), MachineError>> {
+        states: &[SemanticState],
+        symbols: &[Vec<EventId>],
+        jobs: &[(u32, u32)],
+    ) -> Vec<Expansion> {
         assert!(jobs.len() <= GANG_WIDTH, "at most {GANG_WIDTH} lanes per gang");
         let n = jobs.len();
         while self.machines.len() < n {
@@ -255,11 +262,11 @@ impl<'s> GangRig<'s> {
         // Restore + inject every lane, then build the lane words from
         // scratch (restored configurations invalidate any state columns
         // a previous call left behind).
-        for (l, (state, events)) in jobs.iter().enumerate() {
+        for (l, &(st, sym)) in jobs.iter().enumerate() {
             let lane_bit = 1u64 << l;
             let m = &mut self.machines[l];
-            m.restore(state);
-            m.inject_phase(events);
+            m.restore(&states[st as usize]);
+            m.inject_phase(&symbols[sym as usize]);
             let bits = layout.encode(chart, m.executor().configuration());
             write_column(&mut self.words[..state_width], &bits, l);
             for &e in m.sampled_events() {

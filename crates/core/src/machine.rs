@@ -279,14 +279,14 @@ impl VcdProbe {
     }
 }
 
-/// The PSCP machine.
 /// A complete semantic snapshot of a [`PscpMachine`]: chart control
 /// state, hardware timers, pending timer expiries, and TEP data
 /// memory. Everything the next cycle's behaviour depends on — and
 /// nothing else (clock, statistics and probes are excluded). Captured
 /// by [`PscpMachine::capture`], reinstated by [`PscpMachine::restore`],
-/// canonically serialised by [`crate::explore::encode_state`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// canonically serialised by [`crate::explore::encode_state`]. `Hash`
+/// and `Eq` are what the explorer's visited table dedups on.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SemanticState {
     /// Chart control state (configuration, conditions, pending
     /// internal events, history memory).
@@ -299,6 +299,7 @@ pub struct SemanticState {
     pub data: pscp_tep::TepDataState,
 }
 
+/// The PSCP machine.
 pub struct PscpMachine<'s> {
     system: &'s CompiledSystem,
     exec: Executor<'s>,

@@ -24,7 +24,7 @@
 //! the differential oracle.
 
 use crate::compile::CompiledSystem;
-use crate::gang::GangRig;
+use crate::gang::{Expansion, GangRig};
 use crate::machine::{
     CycleReport, Environment, MachineError, MachineStats, NullEnvironment, PscpMachine,
     SemanticState,
@@ -32,7 +32,7 @@ use crate::machine::{
 use pscp_sla::gang::GANG_WIDTH;
 use pscp_statechart::EventId;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
 /// back to the machine's available parallelism.
@@ -384,118 +384,188 @@ impl SimPool {
             .collect()
     }
 
-    /// Expands state-exploration jobs — `(captured state, injected
-    /// events)` pairs, each one configuration cycle — across the pool,
-    /// returning `(successor, report)` per job in job order. The
-    /// scalar path (`gang <= 1`) restores and steps one
-    /// [`PscpMachine`] per worker (the differential oracle); wider
-    /// gangs chunk jobs into [`GangRig::expand`] batches that share one
-    /// bit-sliced SLA pass. Byte-identical for any worker count and
-    /// gang width — each job is independent of its lane-mates, and the
-    /// explore differential suite pins the whole grid.
+    /// Expands state-exploration jobs across the pool and hands
+    /// `(successor, report)` per job to `consume` on the calling thread,
+    /// in job order. A job is a `(state, symbol)` index pair into
+    /// `states` and `symbols` — restore that state, inject that event
+    /// set, run one configuration cycle — so jobs reference the caller's
+    /// frontier and fanning a layer out copies no state. Results stream:
+    /// workers run at most [`EXPAND_AHEAD`] chunks each ahead of
+    /// `consume`, so the successors alive at once are bounded by the
+    /// pool, not by the layer. The scalar path (`gang <= 1`) restores and
+    /// steps one [`PscpMachine`] per worker (the differential oracle);
+    /// wider gangs expand each chunk in one [`GangRig::expand`] pass
+    /// that shares a bit-sliced SLA evaluation. Byte-identical for any
+    /// worker count and gang width — each job is independent of its
+    /// lane-mates, and the explore differential suite pins the whole
+    /// grid.
     pub(crate) fn expand_states(
         &self,
         system: &CompiledSystem,
-        jobs: &[(SemanticState, Vec<EventId>)],
-    ) -> Vec<Result<(SemanticState, CycleReport), MachineError>> {
-        type JobResult = Result<(SemanticState, CycleReport), MachineError>;
-        if jobs.is_empty() {
-            return Vec::new();
-        }
+        states: &[SemanticState],
+        symbols: &[Vec<EventId>],
+        jobs: &[(u32, u32)],
+        consume: impl FnMut(Expansion),
+    ) {
+        // Fixed-width chunks in job order (width independent of the
+        // worker count, so chunk composition is pinned by the job list
+        // alone).
         if self.gang <= 1 {
-            let threads = self.threads.min(jobs.len());
-            if threads <= 1 {
-                let mut machine = PscpMachine::new(system);
-                return jobs
-                    .iter()
-                    .map(|(state, events)| {
-                        machine.restore(state);
-                        machine
-                            .step_injected(events, &mut NullEnvironment)
-                            .map(|report| (machine.capture(), report))
-                    })
-                    .collect();
-            }
-            let queue = AtomicUsize::new(0);
-            let slots: Vec<Mutex<Option<JobResult>>> =
-                jobs.iter().map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|s| {
-                for w in 0..threads {
-                    let queue = &queue;
-                    let slots = &slots;
-                    s.spawn(move || {
-                        if pscp_obs::trace_enabled() {
-                            pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                        }
-                        let worker_span = pscp_obs::trace::span("worker.run");
-                        let mut machine = PscpMachine::new(system);
-                        loop {
-                            let i = queue.fetch_add(1, Ordering::Relaxed);
-                            let Some((state, events)) = jobs.get(i) else {
-                                pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                                break;
-                            };
-                            machine.restore(state);
-                            let r = machine
-                                .step_injected(events, &mut NullEnvironment)
-                                .map(|report| (machine.capture(), report));
-                            *slots[i].lock().unwrap() = Some(r);
-                        }
-                        drop(worker_span);
-                        pscp_obs::trace::flush_current_thread();
-                    });
-                }
-            });
-            return slots
-                .into_iter()
-                .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-                .collect();
+            stream_chunks(
+                jobs,
+                GANG_WIDTH,
+                self.threads,
+                || PscpMachine::new(system),
+                |machine, chunk| {
+                    chunk
+                        .iter()
+                        .map(|&(st, sym)| {
+                            machine.restore(&states[st as usize]);
+                            machine
+                                .step_injected(&symbols[sym as usize], &mut NullEnvironment)
+                                .map(|report| (machine.capture(), report))
+                        })
+                        .collect()
+                },
+                consume,
+            );
+        } else {
+            stream_chunks(
+                jobs,
+                self.gang,
+                self.threads,
+                || GangRig::new(system),
+                |rig, chunk| rig.expand(states, symbols, chunk),
+                consume,
+            );
         }
+    }
+}
 
-        // Gang path: fixed-width chunks in job order (width independent
-        // of the worker count, so chunk composition is pinned by the
-        // job list alone).
-        let bounds: Vec<(usize, usize)> = (0..jobs.len())
-            .step_by(self.gang)
-            .map(|a| (a, (a + self.gang).min(jobs.len())))
-            .collect();
-        let threads = self.threads.min(bounds.len());
-        if threads <= 1 {
-            let mut rig = GangRig::new(system);
-            return bounds.iter().flat_map(|&(a, b)| rig.expand(&jobs[a..b])).collect();
+/// Chunks a streaming worker may have expanded but the consumer not yet
+/// taken, per worker: enough to keep every worker busy while the
+/// consumer catches up, few enough that a chunk's results are still in
+/// cache when it is consumed.
+const EXPAND_AHEAD: usize = 4;
+
+/// A [`stream_chunks`] run never holds its lock while `expand` or
+/// `consume` runs, so no panic can poison it.
+const UNPOISONED: &str = "the stream lock is never held across user code";
+
+/// Shared state of one [`stream_chunks`] run.
+struct Stream<R> {
+    /// Next chunk a worker claims.
+    next: usize,
+    /// Chunks the consumer has taken.
+    taken: usize,
+    /// Finished chunks waiting for the consumer, by chunk index.
+    done: Vec<Option<Vec<R>>>,
+    /// Set when either side panics, so the other stops waiting.
+    stopped: bool,
+}
+
+/// Stops a [`stream_chunks`] run when dropped during a panic: the
+/// other side wakes and unwinds instead of waiting forever.
+struct StopOnPanic<'a, R>(&'a (Mutex<Stream<R>>, Condvar));
+
+impl<R> Drop for StopOnPanic<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let (lock, cv) = self.0;
+            lock.lock().unwrap_or_else(PoisonError::into_inner).stopped = true;
+            cv.notify_all();
         }
-        let queue = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Vec<JobResult>>>> =
-            bounds.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let queue = &queue;
-                let slots = &slots;
-                let bounds = &bounds;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    let mut rig = GangRig::new(system);
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(a, b)) = bounds.get(i) else {
+    }
+}
+
+/// Runs `expand` over consecutive `width`-job chunks of `jobs` on up to
+/// `threads` scoped workers and feeds every result to `consume` on the
+/// calling thread, in job order, while the workers carry on. Workers
+/// stay at most [`EXPAND_AHEAD`] chunks each ahead of the consumer.
+/// With one worker (or one chunk) nothing is spawned and each chunk is
+/// consumed as soon as it is expanded. Each worker builds its own state
+/// with `make_worker`.
+fn stream_chunks<J, R, W>(
+    jobs: &[J],
+    width: usize,
+    threads: usize,
+    make_worker: impl Fn() -> W + Sync,
+    expand: impl Fn(&mut W, &[J]) -> Vec<R> + Sync,
+    mut consume: impl FnMut(R),
+) where
+    J: Sync,
+    R: Send,
+{
+    let chunks = jobs.len().div_ceil(width);
+    let threads = threads.min(chunks);
+    if threads <= 1 {
+        let mut worker = make_worker();
+        for chunk in jobs.chunks(width) {
+            expand(&mut worker, chunk).into_iter().for_each(&mut consume);
+        }
+        return;
+    }
+    let ahead = EXPAND_AHEAD * threads;
+    let shared = (
+        Mutex::new(Stream {
+            next: 0,
+            taken: 0,
+            done: (0..chunks).map(|_| None).collect(),
+            stopped: false,
+        }),
+        Condvar::new(),
+    );
+    let (lock, cv) = &shared;
+    std::thread::scope(|s| {
+        for w in 0..threads {
+            let shared = &shared;
+            let (make_worker, expand) = (&make_worker, &expand);
+            s.spawn(move || {
+                if pscp_obs::trace_enabled() {
+                    pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
+                }
+                let worker_span = pscp_obs::trace::span("worker.run");
+                let _stop = StopOnPanic(shared);
+                let mut worker = make_worker();
+                loop {
+                    let i = {
+                        let mut st = lock.lock().expect(UNPOISONED);
+                        while !st.stopped && st.next < chunks && st.next >= st.taken + ahead {
+                            st = cv.wait(st).expect(UNPOISONED);
+                        }
+                        if st.stopped || st.next >= chunks {
                             pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
                             break;
-                        };
-                        *slots[i].lock().unwrap() = Some(rig.expand(&jobs[a..b]));
+                        }
+                        st.next += 1;
+                        st.next - 1
+                    };
+                    let chunk = &jobs[i * width..((i + 1) * width).min(jobs.len())];
+                    let out = expand(&mut worker, chunk);
+                    lock.lock().expect(UNPOISONED).done[i] = Some(out);
+                    cv.notify_all();
+                }
+                drop(worker_span);
+                pscp_obs::trace::flush_current_thread();
+            });
+        }
+        let _stop = StopOnPanic(&shared);
+        for i in 0..chunks {
+            let out = {
+                let mut st = lock.lock().expect(UNPOISONED);
+                loop {
+                    if let Some(out) = st.done[i].take() {
+                        st.taken = i + 1;
+                        break out;
                     }
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .flat_map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
-    }
+                    assert!(!st.stopped, "an expansion worker panicked");
+                    st = cv.wait(st).expect(UNPOISONED);
+                }
+            };
+            cv.notify_all();
+            out.into_iter().for_each(&mut consume);
+        }
+    });
 }
 
 impl Default for SimPool {
@@ -826,5 +896,69 @@ mod tests {
             });
             assert_eq!(out, (0..37).map(|j| j * 10).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn stream_chunks_consumes_in_job_order_within_the_lookahead() {
+        let jobs: Vec<usize> = (0..203).collect();
+        for threads in [1, 2, 5] {
+            for width in [1, 4, 64] {
+                // Chunks expanded so far, against jobs consumed so far:
+                // a worker may only run `EXPAND_AHEAD` chunks per worker
+                // ahead of the consumer.
+                let expanded = AtomicUsize::new(0);
+                let mut out = Vec::new();
+                stream_chunks(
+                    &jobs,
+                    width,
+                    threads,
+                    || (),
+                    |_, chunk| {
+                        expanded.fetch_add(1, Ordering::SeqCst);
+                        chunk.iter().map(|j| j * 10).collect()
+                    },
+                    |r| {
+                        let taken = out.len() / width;
+                        assert!(
+                            expanded.load(Ordering::SeqCst) <= taken + 1 + EXPAND_AHEAD * threads,
+                            "workers ran past the lookahead"
+                        );
+                        out.push(r);
+                    },
+                );
+                assert_eq!(out, (0..203).map(|j| j * 10).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "an expansion worker panicked")]
+    fn stream_chunks_surfaces_a_worker_panic() {
+        let jobs: Vec<usize> = (0..64).collect();
+        stream_chunks(
+            &jobs,
+            4,
+            2,
+            || (),
+            |_, chunk| {
+                assert!(chunk[0] != 8, "boom");
+                chunk.to_vec()
+            },
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "consumer gave up")]
+    fn stream_chunks_releases_workers_when_the_consumer_panics() {
+        let jobs: Vec<usize> = (0..640).collect();
+        stream_chunks(
+            &jobs,
+            4,
+            2,
+            || (),
+            |_, chunk| chunk.to_vec(),
+            |j| assert!(j != 5, "consumer gave up"),
+        );
     }
 }

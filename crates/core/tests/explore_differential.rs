@@ -17,7 +17,8 @@ use proptest::prelude::*;
 use pscp_core::arch::{PscpArch, TimerSpec};
 use pscp_core::compile::{compile_system, CompiledSystem};
 use pscp_core::explore::{
-    alphabet, decode_state, encode_state, explore, replay, ExploreOptions, Predicate,
+    alphabet, decode_state, encode_state, explore, replay, ExploreOptions, FnvHasher, Predicate,
+    STATE_KEY_VERSION,
 };
 use pscp_core::machine::{NullEnvironment, PscpMachine, ScriptedEnvironment, SemanticState};
 use pscp_core::pool::{BatchOptions, SimPool};
@@ -27,6 +28,7 @@ use pscp_statechart::{ChartBuilder, EventId, StateId, StateKind};
 use pscp_tep::codegen::CodegenOptions;
 use pscp_tep::TepDataState;
 use std::collections::{HashSet, VecDeque};
+use std::hash::Hasher;
 
 /// Timer reload port address (must match the `TLOAD` data port).
 const TLOAD_ADDR: u16 = 0x40;
@@ -206,19 +208,31 @@ fn violation_witnesses_are_minimal_length() {
 // Brute-force enumeration oracle
 // ---------------------------------------------------------------------
 
+/// What the brute-force enumeration counts.
+#[derive(Debug, PartialEq)]
+struct BruteCounts {
+    states: u64,
+    edges: u64,
+    /// Successors whose canonical key was already seen.
+    dedup_hits: u64,
+    /// Trace length of the deepest state discovered.
+    depth: u32,
+}
+
 /// Independent worklist enumeration sharing no code with the explorer:
 /// a plain `HashSet` of canonical keys, one scalar machine, one
-/// restore-inject-step per edge.
-fn brute_force(system: &CompiledSystem) -> (u64, u64) {
+/// restore-inject-step per edge. It dedups on canonical bytes, so
+/// matching its dedup count checks the explorer's by-value dedup.
+fn brute_force(system: &CompiledSystem) -> BruteCounts {
     let alpha = alphabet(system);
     let mut machine = PscpMachine::new(system);
     let root = machine.capture();
     let mut seen: HashSet<Vec<u8>> = HashSet::new();
     let mut queue = VecDeque::new();
-    let mut edges = 0u64;
+    let (mut edges, mut dedup_hits, mut depth) = (0u64, 0u64, 0u32);
     seen.insert(encode_state(&root));
-    queue.push_back(root);
-    while let Some(state) = queue.pop_front() {
+    queue.push_back((root, 0u32));
+    while let Some((state, d)) = queue.pop_front() {
         for sym in &alpha {
             edges += 1;
             machine.restore(&state);
@@ -227,28 +241,60 @@ fn brute_force(system: &CompiledSystem) -> (u64, u64) {
             }
             let succ = machine.capture();
             if seen.insert(encode_state(&succ)) {
-                queue.push_back(succ);
+                depth = depth.max(d + 1);
+                queue.push_back((succ, d + 1));
+            } else {
+                dedup_hits += 1;
             }
         }
     }
-    (seen.len() as u64, edges)
+    BruteCounts { states: seen.len() as u64, edges, dedup_hits, depth }
 }
 
 #[test]
 fn exhaustive_count_matches_brute_force_enumeration() {
     for sys in [toggle_system(), timer_system()] {
-        let (states, edges) = brute_force(&sys);
+        let brute = brute_force(&sys);
         let report = explore(
             &sys,
             &ExploreOptions { threads: 4, gang: 64, ..ExploreOptions::default() },
         );
         assert!(!report.truncated);
-        assert_eq!(report.states, states, "state count diverged from brute force");
-        assert_eq!(report.edges, edges, "edge count diverged from brute force");
+        assert_eq!(report.states, brute.states, "state count diverged from brute force");
+        assert_eq!(report.edges, brute.edges, "edge count diverged from brute force");
+        assert_eq!(report.dedup_hits, brute.dedup_hits, "dedup hits diverged from brute force");
+        assert_eq!(report.depth, brute.depth, "BFS depth diverged from brute force");
         // Every visited state is expanded exactly once under the full
         // alphabet, so the edge/state ratio is the alphabet size.
-        assert_eq!(report.edges, states * alphabet(&sys).len() as u64);
+        assert_eq!(report.edges, brute.states * alphabet(&sys).len() as u64);
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden state keys
+// ---------------------------------------------------------------------
+
+/// Length and FNV-1a64 digest of a canonical state key.
+fn key_digest(key: &[u8]) -> (usize, u64) {
+    let mut h = FnvHasher::default();
+    h.write(key);
+    (key.len(), h.finish())
+}
+
+/// The state-key bytes are a format: witnesses and the wire carry
+/// them. Any change to them must bump `STATE_KEY_VERSION` and re-pin
+/// these values deliberately.
+#[test]
+fn state_key_bytes_are_pinned() {
+    assert_eq!(STATE_KEY_VERSION, 1);
+    let sys = timer_system();
+    let mut machine = PscpMachine::new(&sys);
+    let root = encode_state(&machine.capture());
+    assert_eq!(key_digest(&root), (10_444, 4_792_653_744_474_044_780), "root key");
+    let tick = sys.chart.event_by_name("TICK").unwrap();
+    machine.step_injected(&[tick], &mut NullEnvironment).unwrap();
+    let ticked = encode_state(&machine.capture());
+    assert_eq!(key_digest(&ticked), (10_448, 1_355_725_566_359_516_905), "post-TICK key");
 }
 
 // ---------------------------------------------------------------------

@@ -272,7 +272,7 @@ pub struct StepReport {
 /// [`Executor::control_state`], reinstated by
 /// [`Executor::restore_control_state`]; the cycle counter is excluded
 /// (it never influences behaviour).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ControlState {
     /// Active-state bitmap, indexed by [`StateId`] index.
     pub active: Vec<bool>,

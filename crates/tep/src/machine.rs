@@ -75,7 +75,7 @@ impl std::error::Error for TepError {}
 /// Captured by [`TepMachine::data_state`] and reinstated by
 /// [`TepMachine::restore_data_state`]; cycle/retired counters and the
 /// program itself are deliberately excluded.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TepDataState {
     /// Accumulator.
     pub acc: i64,

@@ -29,6 +29,11 @@ cargo test --release -p pscp-core --test gang_differential -q
 # enumeration.
 cargo test --release -p pscp-core --test explore_differential -q
 
+# The benchmark package sits outside the workspace, so nothing above
+# builds it; its tests keep it compiling against the crates' APIs and
+# smoke all six workloads (explore_wide checks wide == scalar).
+cargo test --release --offline --manifest-path pscp-benchmark/Cargo.toml -q
+
 # The incremental-compilation differential suite is the codegen cache's
 # spec: delta compiles must be byte-identical to full compiles across
 # random charts x random arch/placement perturbations, and a poisoned
