@@ -49,11 +49,12 @@ use crate::compile::CompiledSystem;
 use crate::machine::{MachineError, NullEnvironment, PscpMachine, SemanticState};
 use crate::pool::{configured_gang, configured_threads, SimPool};
 use crate::serve::wire::{Dec, Enc, WireError};
-use pscp_statechart::semantics::ControlState;
+use pscp_statechart::semantics::{ControlState, SelectionTables};
 use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
 use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
+use std::sync::Arc;
 
 /// Version prefix of the canonical state encoding; bumped when the
 /// layout changes.
@@ -540,6 +541,9 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let chart = &system.chart;
     let alphabet = alphabet(system);
     let pool = SimPool::with_threads(opts.threads.max(1)).with_gang(opts.gang.max(1));
+    // One set of selection tables for the whole run: every layer's
+    // workers and gang lanes share it.
+    let tables = Arc::new(SelectionTables::new(chart));
 
     let mut report = ExploreReport::default();
     // Every visited state, deduplicated by state equality — a set that
@@ -555,7 +559,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let mut violated = vec![false; opts.predicates.len()];
     let mut violations: Vec<(usize, Witness)> = Vec::new();
 
-    let root = PscpMachine::new(system).capture();
+    let root = PscpMachine::with_tables(system, Arc::clone(&tables)).capture();
     parents.push((0, 0));
     mark_active(&mut active_union, &root);
     for (pi, p) in opts.predicates.iter().enumerate() {
@@ -594,7 +598,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
         let mut next: Vec<SemanticState> = Vec::new();
         let mut merged = 0usize;
         let mut all_self = true;
-        pool.expand_states(system, &frontier, &alphabet, &jobs, |result| {
+        pool.expand_states(system, &tables, &frontier, &alphabet, &jobs, |result| {
             let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
             merged += 1;
             let src = &frontier[f];

@@ -39,8 +39,10 @@ use crate::machine::{
     CycleReport, Environment, MachineError, NullEnvironment, PscpMachine, SemanticState,
 };
 use crate::pool::{BatchOptions, BatchOutcome};
-use pscp_statechart::EventId;
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
+use pscp_statechart::semantics::SelectionTables;
+use pscp_statechart::EventId;
+use std::sync::Arc;
 
 /// One exploration job's outcome: the successor state and the cycle
 /// that produced it, or the routine fault the cycle hit.
@@ -51,6 +53,8 @@ pub(crate) type Expansion = Result<(SemanticState, CycleReport), MachineError>;
 /// [`GangRig::run`].
 pub(crate) struct GangRig<'s> {
     system: &'s CompiledSystem,
+    /// Selection tables every lane's executor runs on.
+    tables: Arc<SelectionTables>,
     sim: GangSim<'s>,
     machines: Vec<PscpMachine<'s>>,
     /// CR lane words: one `u64` per CR bit, bit `l` = lane `l`.
@@ -67,9 +71,11 @@ pub(crate) struct GangRig<'s> {
 }
 
 impl<'s> GangRig<'s> {
-    pub(crate) fn new(system: &'s CompiledSystem) -> Self {
+    /// A rig whose lanes share `tables` (built for `system.chart`).
+    pub(crate) fn new(system: &'s CompiledSystem, tables: &Arc<SelectionTables>) -> Self {
         GangRig {
             system,
+            tables: Arc::clone(tables),
             sim: GangSim::new(&system.chart, &system.layout, &system.sla),
             machines: Vec::new(),
             words: Vec::new(),
@@ -96,7 +102,7 @@ impl<'s> GangRig<'s> {
         let _span = pscp_obs::trace::span("gang.run");
         let n = jobs.len();
         while self.machines.len() < n {
-            self.machines.push(PscpMachine::new(self.system));
+            self.machines.push(PscpMachine::with_tables(self.system, Arc::clone(&self.tables)));
         }
         let layout = &self.system.layout;
         let chart = &self.system.chart;
@@ -250,7 +256,7 @@ impl<'s> GangRig<'s> {
         assert!(jobs.len() <= GANG_WIDTH, "at most {GANG_WIDTH} lanes per gang");
         let n = jobs.len();
         while self.machines.len() < n {
-            self.machines.push(PscpMachine::new(self.system));
+            self.machines.push(PscpMachine::with_tables(self.system, Arc::clone(&self.tables)));
         }
         let layout = &self.system.layout;
         let chart = &self.system.chart;

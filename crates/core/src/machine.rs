@@ -24,11 +24,12 @@ use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
 use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
-use pscp_statechart::semantics::{ActionEffects, ActionSite, Executor};
+use pscp_statechart::semantics::{ActionEffects, ActionSite, Executor, SelectionTables};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Scheduler overhead constants, in clock cycles.
 pub mod overhead {
@@ -331,11 +332,24 @@ impl fmt::Debug for PscpMachine<'_> {
 
 impl<'s> PscpMachine<'s> {
     /// Creates a machine in the chart's default configuration with data
-    /// memory at reset values.
+    /// memory at reset values, building the chart's selection tables.
     pub fn new(system: &'s CompiledSystem) -> Self {
+        PscpMachine::with_tables(system, Arc::new(SelectionTables::new(&system.chart)))
+    }
+
+    /// Like [`PscpMachine::new`], but the executor runs on `tables` —
+    /// built once for `system.chart` and shared — instead of building
+    /// its own. Anything that builds many machines for one system (gang
+    /// lanes, pool and explorer workers, server workers) builds the
+    /// tables once and hands each machine a clone of the `Arc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tables` were built for a different chart.
+    pub fn with_tables(system: &'s CompiledSystem, tables: Arc<SelectionTables>) -> Self {
         PscpMachine {
             system,
-            exec: Executor::new(&system.chart),
+            exec: Executor::with_tables(&system.chart, tables),
             tep: TepMachine::new(&system.program),
             now: 0,
             stats: MachineStats {
@@ -368,8 +382,8 @@ impl<'s> PscpMachine<'s> {
     /// Returns the machine to its power-on state — default chart
     /// configuration, data memory at reset values, clock and statistics
     /// at zero, timers disarmed — while reusing every allocation (the
-    /// executor's resolved-expression arenas, the TEP memory image, the
-    /// step scratch buffers). A reset machine is byte-identical in
+    /// executor's selection tables and scratch, the TEP memory image,
+    /// the step scratch buffers). A reset machine is byte-identical in
     /// behaviour to a freshly constructed one, which lets a
     /// [`SimPool`](crate::pool::SimPool) worker run many scenarios on
     /// one machine instead of reconstructing per scenario.

@@ -14,6 +14,7 @@
 //! version-mismatched file degrades to a cold start, never an error,
 //! and saving is best-effort (write to a temp file, then rename).
 
+use crate::serve::JSON_INFALLIBLE;
 use crate::timing::TimingReport;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -203,9 +204,9 @@ pub fn fingerprint(
     ir: &pscp_action_lang::ir::Program,
     timing: &crate::timing::TimingOptions,
 ) -> String {
-    let chart_json = serde_json::to_string(chart).unwrap_or_default();
-    let ir_json = serde_json::to_string(ir).unwrap_or_default();
-    let timing_json = serde_json::to_string(timing).unwrap_or_default();
+    let chart_json = serde_json::to_string(chart).expect(JSON_INFALLIBLE);
+    let ir_json = serde_json::to_string(ir).expect(JSON_INFALLIBLE);
+    let timing_json = serde_json::to_string(timing).expect(JSON_INFALLIBLE);
     stable_key(&[&chart_json, &ir_json, &timing_json])
 }
 
@@ -217,8 +218,8 @@ pub fn cache_key(
     arch: &crate::arch::PscpArch,
     codegen: &pscp_tep::codegen::CodegenOptions,
 ) -> String {
-    let arch_json = serde_json::to_string(arch).unwrap_or_default();
-    let codegen_json = serde_json::to_string(codegen).unwrap_or_default();
+    let arch_json = serde_json::to_string(arch).expect(JSON_INFALLIBLE);
+    let codegen_json = serde_json::to_string(codegen).expect(JSON_INFALLIBLE);
     stable_key(&[fingerprint, &arch_json, &codegen_json])
 }
 

@@ -30,9 +30,10 @@ use crate::machine::{
     SemanticState,
 };
 use pscp_sla::gang::GANG_WIDTH;
+use pscp_statechart::semantics::SelectionTables;
 use pscp_statechart::EventId;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
 /// back to the machine's available parallelism.
@@ -235,12 +236,15 @@ impl SimPool {
         if envs.is_empty() {
             return Vec::new();
         }
+        // One set of selection tables for the whole batch, shared by
+        // every worker's machines.
+        let tables = Arc::new(SelectionTables::new(&system.chart));
         if self.gang > 1 {
-            return self.run_batch_gang(system, envs, limits, &done);
+            return self.run_batch_gang(system, &tables, envs, limits, &done);
         }
         let threads = self.threads.min(envs.len());
         if threads <= 1 {
-            let mut machine = PscpMachine::new(system);
+            let mut machine = PscpMachine::with_tables(system, tables);
             return envs
                 .into_iter()
                 .map(|env| run_scenario(0, &mut machine, env, limits, &done))
@@ -258,6 +262,7 @@ impl SimPool {
                 let feed = &feed;
                 let slots = &slots;
                 let done = &done;
+                let tables = &tables;
                 s.spawn(move || {
                     if pscp_obs::trace_enabled() {
                         pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
@@ -266,7 +271,7 @@ impl SimPool {
                     // the trace, even one the queue starved.
                     let worker_span = pscp_obs::trace::span("worker.run");
                     // One machine per worker, reset between scenarios.
-                    let mut machine = PscpMachine::new(system);
+                    let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
                     loop {
                         let i = queue.fetch_add(1, Ordering::Relaxed);
                         let Some(slot) = feed.get(i) else {
@@ -300,6 +305,7 @@ impl SimPool {
     fn run_batch_gang<E, F>(
         &self,
         system: &CompiledSystem,
+        tables: &Arc<SelectionTables>,
         envs: Vec<E>,
         limits: &BatchOptions,
         done: &F,
@@ -330,7 +336,7 @@ impl SimPool {
 
         let threads = self.threads.min(chunks.len());
         if threads <= 1 {
-            let mut rig = GangRig::new(system);
+            let mut rig = GangRig::new(system, tables);
             let mut out = Vec::new();
             for chunk in chunks {
                 let jobs: Vec<(E, BatchOptions)> =
@@ -356,7 +362,7 @@ impl SimPool {
                     }
                     let worker_span = pscp_obs::trace::span("worker.run");
                     // One gang rig per worker, lanes reset per chunk.
-                    let mut rig = GangRig::new(system);
+                    let mut rig = GangRig::new(system, tables);
                     loop {
                         let i = queue.fetch_add(1, Ordering::Relaxed);
                         let Some(slot) = feed.get(i) else {
@@ -398,10 +404,12 @@ impl SimPool {
     /// that shares a bit-sliced SLA evaluation. Byte-identical for any
     /// worker count and gang width — each job is independent of its
     /// lane-mates, and the explore differential suite pins the whole
-    /// grid.
+    /// grid. Every worker's machines run on `tables`, built once by the
+    /// caller for `system.chart`.
     pub(crate) fn expand_states(
         &self,
         system: &CompiledSystem,
+        tables: &Arc<SelectionTables>,
         states: &[SemanticState],
         symbols: &[Vec<EventId>],
         jobs: &[(u32, u32)],
@@ -415,7 +423,7 @@ impl SimPool {
                 jobs,
                 GANG_WIDTH,
                 self.threads,
-                || PscpMachine::new(system),
+                || PscpMachine::with_tables(system, Arc::clone(tables)),
                 |machine, chunk| {
                     chunk
                         .iter()
@@ -434,7 +442,7 @@ impl SimPool {
                 jobs,
                 self.gang,
                 self.threads,
-                || GangRig::new(system),
+                || GangRig::new(system, tables),
                 |rig, chunk| rig.expand(states, symbols, chunk),
                 consume,
             );

@@ -110,11 +110,19 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Why fingerprints never fall back on a serialisation error: the JSON
+/// encoder builds a value tree and writes it into a `String`, and
+/// neither step can fail, so `to_string` always returns `Ok`. A
+/// fallback (an empty string, say) would silently give unrelated
+/// inputs one fingerprint; should encoding ever fail, stop instead.
+pub(crate) const JSON_INFALLIBLE: &str =
+    "JSON encoding into a String is infallible for the model types";
+
 /// A stable fingerprint of a compiled system, exchanged in the `Hello`
 /// handshake so a client can refuse to talk to a server built from a
 /// different design.
 pub fn system_fingerprint(system: &CompiledSystem) -> u64 {
-    let json = serde_json::to_string(system).unwrap_or_default();
+    let json = serde_json::to_string(system).expect(JSON_INFALLIBLE);
     fnv1a64(json.as_bytes())
 }
 

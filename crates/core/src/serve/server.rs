@@ -26,6 +26,7 @@ use crate::compile::CompiledSystem;
 use crate::gang::GangRig;
 use crate::machine::{PscpMachine, ScriptedEnvironment};
 use crate::pool::BatchOptions;
+use pscp_statechart::semantics::SelectionTables;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -317,14 +318,21 @@ fn next_event(
 /// different connections can share a gang, since every lane carries
 /// its own environment and limits. Outcomes are byte-identical either
 /// way (the differential suite pins it), so gang packing is purely a
-/// throughput choice.
-fn worker(w: usize, system: &CompiledSystem, shared: &Shared, gang: usize) {
+/// throughput choice. Every machine runs on the server's one set of
+/// selection `tables`.
+fn worker(
+    w: usize,
+    system: &CompiledSystem,
+    tables: &Arc<SelectionTables>,
+    shared: &Shared,
+    gang: usize,
+) {
     if pscp_obs::trace_enabled() {
         pscp_obs::trace::set_thread_lane_indexed("serve-worker", w);
     }
     let _worker_span = pscp_obs::trace::span("worker.run");
     if gang <= 1 {
-        let mut machine = PscpMachine::new(system);
+        let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
         while let Some(job) = shared.pop() {
             let dequeued = job.enqueued.map(|_| Instant::now());
             let queue_ns = elapsed_ns(job.enqueued, dequeued);
@@ -345,7 +353,7 @@ fn worker(w: usize, system: &CompiledSystem, shared: &Shared, gang: usize) {
         }
         return;
     }
-    let mut rig = GangRig::new(system);
+    let mut rig = GangRig::new(system, tables);
     let mut batch: Vec<Job> = Vec::with_capacity(gang);
     while let Some(job) = shared.pop() {
         batch.push(job);
@@ -716,10 +724,13 @@ pub fn serve(
     let stats = ServerStats::new(fingerprint);
     let threads = opts.threads.max(1);
     let gang = opts.gang.clamp(1, pscp_sla::gang::GANG_WIDTH);
+    // Every worker's machines share one set of selection tables.
+    let tables = Arc::new(SelectionTables::new(&system.chart));
     std::thread::scope(|s| {
         for w in 0..threads {
             let shared = &shared;
-            s.spawn(move || worker(w, system, shared, gang));
+            let tables = &tables;
+            s.spawn(move || worker(w, system, tables, shared, gang));
         }
         let mut next_conn = 0usize;
         let result = loop {

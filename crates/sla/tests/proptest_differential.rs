@@ -1,6 +1,9 @@
 //! Property-based differential test: for random charts and random event
 //! scripts, the synthesised SLA's fire set and next-state bits must
-//! agree with the reference executor, under both encodings.
+//! agree with the reference executor, under both encodings. Some random
+//! transitions leave or enter a composite region rather than a leaf, so
+//! outer-first preemption across nested scopes and default/history
+//! re-entry are checked on random charts, not only on the pickup head.
 
 use proptest::prelude::*;
 use pscp_motors::pickup_head_chart;
@@ -17,7 +20,23 @@ use std::sync::OnceLock;
 struct Spec {
     /// Per region: (leaf count, shallow history?).
     regions: Vec<(usize, bool)>,
-    edges: Vec<(usize, usize, usize, bool)>, // (from, to, event, negated)
+    edges: Vec<Edge>,
+}
+
+/// One random transition between leaves `from` and `to` (indices taken
+/// modulo the leaf count) on event `event`, possibly negated. Either
+/// endpoint may be lifted to the leaf's enclosing region: a region
+/// source is the composite-source case, whose Top-level scope must
+/// preempt every leaf transition inside it (outer-first priority); a
+/// region target re-enters the region by default or history.
+#[derive(Debug, Clone)]
+struct Edge {
+    from: usize,
+    to: usize,
+    event: usize,
+    negated: bool,
+    from_region: bool,
+    to_region: bool,
 }
 
 const N_EVENTS: usize = 3;
@@ -29,31 +48,47 @@ fn build(spec: &Spec) -> Chart {
     }
     let names: Vec<String> = (0..spec.regions.len()).map(|r| format!("R{r}")).collect();
     b.state("Top", StateKind::And).contains(names.iter().map(String::as_str));
-    let mut leaves = Vec::new();
+    let leaves: Vec<(usize, usize)> = spec
+        .regions
+        .iter()
+        .enumerate()
+        .flat_map(|(r, &(n, _))| (0..n).map(move |l| (r, l)))
+        .collect();
+    // Every edge as (source, target, label) state names, after lifting.
+    let edges: Vec<(String, String, String)> = spec
+        .edges
+        .iter()
+        .map(|e| {
+            let (fr, fl) = leaves[e.from % leaves.len()];
+            let (tr, tl) = leaves[e.to % leaves.len()];
+            let from = if e.from_region { format!("R{fr}") } else { format!("L{fr}_{fl}") };
+            let to = if e.to_region { format!("R{tr}") } else { format!("L{tr}_{tl}") };
+            let not = if e.negated { "not " } else { "" };
+            (from, to, format!("{not}E{}", e.event % N_EVENTS))
+        })
+        .collect();
+    let leaving = |source: &str| {
+        let source = source.to_string();
+        edges.iter().filter(move |(from, _, _)| *from == source)
+    };
     for (r, &(n, hist)) in spec.regions.iter().enumerate() {
         let children: Vec<String> = (0..n).map(|l| format!("L{r}_{l}")).collect();
-        let mut st = b.state(format!("R{r}"), StateKind::Or);
+        let name = format!("R{r}");
+        let mut st = b.state(&name, StateKind::Or);
         st.contains(children.iter().map(String::as_str))
             .default_child(children[0].clone());
         if hist {
             st.history();
         }
-        for l in 0..n {
-            leaves.push((r, l));
+        for (_, to, label) in leaving(&name) {
+            st.transition(to.as_str(), label);
         }
     }
-    for (li, &(r, l)) in leaves.iter().enumerate() {
-        let mut s = b.state(format!("L{r}_{l}"), StateKind::Basic);
-        for &(from, to, ev, neg) in &spec.edges {
-            if from % leaves.len() == li {
-                let (tr, tl) = leaves[to % leaves.len()];
-                let label = if neg {
-                    format!("not E{}", ev % N_EVENTS)
-                } else {
-                    format!("E{}", ev % N_EVENTS)
-                };
-                s.transition(format!("L{tr}_{tl}"), &label);
-            }
+    for &(r, l) in &leaves {
+        let name = format!("L{r}_{l}");
+        let mut st = b.state(&name, StateKind::Basic);
+        for (_, to, label) in leaving(&name) {
+            st.transition(to.as_str(), label);
         }
     }
     b.build().unwrap()
@@ -63,11 +98,26 @@ fn spec() -> impl Strategy<Value = Spec> {
     (
         proptest::collection::vec((1usize..=4, proptest::bool::ANY), 1..=3),
         proptest::collection::vec(
-            (0usize..32, 0usize..32, 0usize..N_EVENTS, any::<bool>()),
+            (0usize..32, 0usize..32, 0usize..N_EVENTS, any::<bool>(), 0u8..8),
             0..8,
         ),
     )
-        .prop_map(|(regions, edges)| Spec { regions, edges })
+        .prop_map(|(regions, edges)| Spec {
+            regions,
+            edges: edges
+                .into_iter()
+                // Mostly leaf-to-leaf; one edge in four has a composite
+                // endpoint (source, target or both).
+                .map(|(from, to, event, negated, kind)| Edge {
+                    from,
+                    to,
+                    event,
+                    negated,
+                    from_region: kind == 0 || kind == 2,
+                    to_region: kind == 1 || kind == 2,
+                })
+                .collect(),
+        })
 }
 
 /// The pickup-head chart of the paper, synthesised once for the whole

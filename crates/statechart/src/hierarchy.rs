@@ -1,7 +1,12 @@
 //! Structural queries over the state hierarchy.
 //!
-//! All queries are O(depth) or O(subtree); charts in this domain are small
-//! (tens to hundreds of states), so no preprocessing is needed.
+//! All queries are O(depth) or O(subtree) and walk the chart afresh on
+//! every call, some allocating — right for one-off passes (synthesis,
+//! encoding, timing analysis) over charts of tens to hundreds of
+//! states. The executor's per-cycle transition selection does not call
+//! them: [`SelectionTables`](crate::semantics::SelectionTables)
+//! precomputes scopes, preorder subtree spans and outgoing-transition
+//! ranges once per chart, and its tests pin them to these queries.
 
 use crate::model::{Chart, StateId, StateKind};
 

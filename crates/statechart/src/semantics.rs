@@ -18,20 +18,29 @@
 //! scope is closer to the root preempts inner ones — this is what lets
 //! `ERROR/Stop()` on `Operation` in Fig. 6 win over anything inside), and
 //! by declaration order between equals.
+//!
+//! Everything selection needs from the chart — resolved triggers and
+//! guards, priority keys, per-state outgoing transitions, transition
+//! scopes and the states inside each scope — is computed once per chart
+//! into [`SelectionTables`] and shared by every executor over it, so a
+//! cycle visits only the active states' outgoing transitions and
+//! resolves conflicts with a claimed-state bitmap, the software shadow
+//! of the SLA's single combinational pass.
 
 use crate::model::{ActionCall, Chart, ConditionId, EventId, StateId, StateKind, TransitionId};
 use crate::trigger::Expr;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One node of a resolved trigger/guard expression, stored in a flat
-/// arena shared by the whole executor.
+/// arena shared by the whole chart.
 ///
 /// [`Expr`] keeps atoms as names, so evaluating one means a name → id
 /// scan per atom — per transition, per cycle, on the hot path. The
-/// resolution happens once in [`Executor::new`]; evaluation is pure id
-/// lookups over the arena, and building it is a single `Vec` rather
-/// than a box per node. Atoms naming neither an event nor a condition
-/// evaluate to false, exactly like the unresolved path.
+/// resolution happens once in [`SelectionTables::new`]; evaluation is
+/// pure id lookups over the arena, and building it is a single `Vec`
+/// rather than a box per node. Atoms naming neither an event nor a
+/// condition evaluate to false, exactly like the unresolved path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResolvedOp {
     /// An atom naming a chart event.
@@ -80,16 +89,12 @@ fn resolve_expr(
     arena.len() as u32 - 1
 }
 
-/// Evaluates the arena node `root` against the current event set and
-/// condition values (indexed by [`ConditionId::index`]).
-fn eval_resolved(
-    arena: &[ResolvedOp],
-    root: u32,
-    events: &BTreeSet<EventId>,
-    conditions: &[bool],
-) -> bool {
+/// Evaluates the arena node `root` against the current event bitmap
+/// and condition values (indexed by [`EventId::index`] and
+/// [`ConditionId::index`]).
+fn eval_resolved(arena: &[ResolvedOp], root: u32, events: &[bool], conditions: &[bool]) -> bool {
     match arena[root as usize] {
-        ResolvedOp::Event(e) => events.contains(&e),
+        ResolvedOp::Event(e) => events[e.index()],
         ResolvedOp::Condition(c) => conditions[c.index()],
         ResolvedOp::Unknown => false,
         ResolvedOp::Not(x) => !eval_resolved(arena, x, events, conditions),
@@ -104,14 +109,238 @@ fn eval_resolved(
     }
 }
 
-/// Precomputed per-transition selection data: arena roots of the
-/// resolved trigger/guard and the priority key (scope depth,
-/// declaration index) the selection sorts by.
+/// Precomputed per-transition selection data.
 #[derive(Debug, Clone, Copy)]
 struct ResolvedTransition {
+    /// Arena root of the resolved trigger.
     trigger: Option<u32>,
+    /// Arena root of the resolved guard.
     guard: Option<u32>,
-    priority: (usize, usize),
+    /// The transition scope ([`Chart::transition_scope`]).
+    scope: StateId,
+    /// Outer-first priority key: scope depth in the high half,
+    /// declaration index in the low half.
+    priority: u64,
+}
+
+/// The per-chart tables transition selection and stepping run on,
+/// built once in O(states + transitions · depth) by
+/// [`SelectionTables::new`] and shared by `Arc` among every
+/// [`Executor`] over the chart (see [`Executor::with_tables`]).
+///
+/// Holds the resolved trigger/guard arena and priority keys, each
+/// state's outgoing transitions as a contiguous range, each
+/// transition's scope, and the chart in preorder with every state's
+/// subtree span — so the strict descendants of a scope are one slice,
+/// listed in exactly the order [`Chart::descendants_inclusive`] gives.
+#[derive(Debug, Clone)]
+pub struct SelectionTables {
+    /// Arena backing the resolved expressions.
+    arena: Vec<ResolvedOp>,
+    /// Per transition, indexed by [`TransitionId::index`].
+    transitions: Vec<ResolvedTransition>,
+    /// `outgoing[out_start[s]..out_start[s + 1]]` are the transitions
+    /// leaving state `s`, in declaration order.
+    out_start: Vec<u32>,
+    outgoing: Vec<TransitionId>,
+    /// Every state, preorder, children in declaration order.
+    preorder: Vec<StateId>,
+    /// Per state: its position in `preorder` and one past its subtree.
+    span: Vec<(u32, u32)>,
+    /// Number of declared events (the width of the event bitmap).
+    event_count: usize,
+}
+
+impl SelectionTables {
+    /// Builds the tables for `chart`.
+    pub fn new(chart: &Chart) -> Self {
+        let n = chart.state_count();
+        let root = chart.root();
+
+        // Preorder with depths and subtree spans. The root's tree comes
+        // first; any other parentless state (not produced by the
+        // builder) roots a tree of its own.
+        let mut preorder = Vec::with_capacity(n);
+        let mut depth = vec![0u32; n];
+        // (preorder position, subtree size) until the sizes are summed,
+        // then (position, end).
+        let mut span = vec![(0u32, 1u32); n];
+        let mut stack = Vec::new();
+        let tops = std::iter::once(root)
+            .chain(chart.state_ids().filter(|&s| s != root && chart.state(s).parent.is_none()));
+        for top in tops {
+            stack.push(top);
+            while let Some(s) = stack.pop() {
+                span[s.index()].0 = preorder.len() as u32;
+                preorder.push(s);
+                for &c in chart.state(s).children.iter().rev() {
+                    depth[c.index()] = depth[s.index()] + 1;
+                    stack.push(c);
+                }
+            }
+        }
+        // Subtree sizes bottom-up, then spans.
+        for &s in preorder.iter().rev() {
+            if let Some(p) = chart.state(s).parent {
+                span[p.index()].1 += span[s.index()].1;
+            }
+        }
+        for sp in &mut span {
+            sp.1 += sp.0;
+        }
+
+        // Outgoing ranges: a counting sort of transitions by source,
+        // stable in declaration order.
+        let mut out_start = vec![0u32; n + 1];
+        for t in chart.transitions() {
+            out_start[t.source.index() + 1] += 1;
+        }
+        for i in 0..n {
+            out_start[i + 1] += out_start[i];
+        }
+        let mut fill = out_start.clone();
+        let mut outgoing = vec![TransitionId::from_index(0); chart.transition_count()];
+        for tid in chart.transition_ids() {
+            let slot = &mut fill[chart.transition(tid).source.index()];
+            outgoing[*slot as usize] = tid;
+            *slot += 1;
+        }
+
+        let event_names = crate::intern::EventNamesRef::new(chart);
+        let condition_names = crate::intern::ConditionNamesRef::new(chart);
+        let mut arena = Vec::new();
+        let transitions = chart
+            .transition_ids()
+            .map(|tid| {
+                let t = chart.transition(tid);
+                let scope = scope_of(chart, &depth, t.source, t.target);
+                ResolvedTransition {
+                    trigger: t.trigger.as_ref().map(|e| {
+                        resolve_expr(&event_names, &condition_names, e, &mut arena)
+                    }),
+                    guard: t.guard.as_ref().map(|e| {
+                        resolve_expr(&event_names, &condition_names, e, &mut arena)
+                    }),
+                    scope,
+                    priority: u64::from(depth[scope.index()]) << 32 | tid.index() as u64,
+                }
+            })
+            .collect();
+
+        SelectionTables {
+            arena,
+            transitions,
+            out_start,
+            outgoing,
+            preorder,
+            span,
+            event_count: chart.event_ids().len(),
+        }
+    }
+
+    /// The scope of transition `t` — equal to
+    /// [`Chart::transition_scope`] of its endpoints.
+    fn scope(&self, t: TransitionId) -> StateId {
+        self.transitions[t.index()].scope
+    }
+
+    /// The states strictly inside `s`, in preorder — equal to
+    /// [`Chart::descendants_inclusive`] without `s` itself.
+    fn strict_descendants(&self, s: StateId) -> &[StateId] {
+        let (start, end) = self.span[s.index()];
+        &self.preorder[start as usize + 1..end as usize]
+    }
+
+    /// The transitions leaving `s`, in declaration order.
+    fn outgoing(&self, s: usize) -> &[TransitionId] {
+        &self.outgoing[self.out_start[s] as usize..self.out_start[s + 1] as usize]
+    }
+
+    /// True when these tables were built for a chart of `chart`'s shape.
+    fn fits(&self, chart: &Chart) -> bool {
+        self.span.len() == chart.state_count()
+            && self.transitions.len() == chart.transition_count()
+            && self.event_count == chart.event_ids().len()
+    }
+
+    /// The enabled, conflict-resolved transition set of one cycle,
+    /// written to `selected` (ascending priority). `events` is the
+    /// cycle's event bitmap; `enabled` and `claimed` are scratch.
+    fn select(
+        &self,
+        active: &[bool],
+        conditions: &[bool],
+        events: &[bool],
+        enabled: &mut Vec<TransitionId>,
+        claimed: &mut Vec<bool>,
+        selected: &mut Vec<TransitionId>,
+    ) {
+        let holds =
+            |root: Option<u32>| root.is_none_or(|r| eval_resolved(&self.arena, r, events, conditions));
+        enabled.clear();
+        for (s, _) in active.iter().enumerate().filter(|(_, &a)| a) {
+            enabled.extend(self.outgoing(s).iter().copied().filter(|&tid| {
+                let rt = &self.transitions[tid.index()];
+                holds(rt.trigger) && holds(rt.guard)
+            }));
+        }
+
+        // Outer-first priority: sort by scope depth, then declaration
+        // order; then greedily keep a transition iff none of the active
+        // states it would exit is already claimed by a kept one.
+        enabled.sort_unstable_by_key(|&tid| self.transitions[tid.index()].priority);
+        claimed.clear();
+        claimed.resize(active.len(), false);
+        selected.clear();
+        for &tid in enabled.iter() {
+            let exits = self.strict_descendants(self.transitions[tid.index()].scope);
+            // Only active states are ever claimed.
+            if exits.iter().any(|&s| claimed[s.index()]) {
+                continue;
+            }
+            for &s in exits {
+                if active[s.index()] {
+                    claimed[s.index()] = true;
+                }
+            }
+            selected.push(tid);
+        }
+    }
+}
+
+/// [`Chart::transition_scope`] over precomputed depths: the least
+/// common ancestor by walking the deeper endpoint up first, then both
+/// in step — no allocation — widened exactly as the chart query does.
+fn scope_of(chart: &Chart, depth: &[u32], src: StateId, dst: StateId) -> StateId {
+    let parent = |s: StateId| chart.state(s).parent;
+    let (mut a, mut b) = (src, dst);
+    while depth[a.index()] > depth[b.index()] {
+        a = parent(a).expect("a deeper state has a parent");
+    }
+    while depth[b.index()] > depth[a.index()] {
+        b = parent(b).expect("a deeper state has a parent");
+    }
+    while a != b {
+        match (parent(a), parent(b)) {
+            (Some(pa), Some(pb)) => (a, b) = (pa, pb),
+            // Separate trees: the chart query falls back to the root.
+            _ => {
+                a = chart.root();
+                break;
+            }
+        }
+    }
+    let mut scope = a;
+    while scope == src
+        || scope == dst
+        || chart.state(scope).kind == StateKind::And && scope != chart.root()
+    {
+        match parent(scope) {
+            Some(p) => scope = p,
+            None => break,
+        }
+    }
+    scope
 }
 
 /// A stable snapshot of which states are active.
@@ -242,31 +471,6 @@ pub struct StepReport {
     pub raised: Vec<EventId>,
 }
 
-/// The reference executor.
-///
-/// # Example
-///
-/// ```
-/// use pscp_statechart::{ChartBuilder, StateKind};
-/// use pscp_statechart::semantics::Executor;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = ChartBuilder::new("toggle");
-/// b.event("TICK", None);
-/// b.state("Top", StateKind::Or).contains(["Off", "On"]).default_child("Off");
-/// b.state("Off", StateKind::Basic).transition("On", "TICK");
-/// b.state("On", StateKind::Basic).transition("Off", "TICK");
-/// let chart = b.build()?;
-///
-/// let mut exec = Executor::new(&chart);
-/// let off = chart.state_by_name("Off").unwrap();
-/// let on = chart.state_by_name("On").unwrap();
-/// assert!(exec.configuration().is_active(off));
-/// exec.step_named(["TICK"], |_| Default::default());
-/// assert!(exec.configuration().is_active(on));
-/// # Ok(())
-/// # }
-/// ```
 /// A snapshot of an [`Executor`]'s semantic control state — everything
 /// transition selection depends on. Captured by
 /// [`Executor::control_state`], reinstated by
@@ -284,9 +488,85 @@ pub struct ControlState {
     pub history: Vec<Option<StateId>>,
 }
 
+/// Per-cycle scratch buffers, reused across steps.
+#[derive(Debug, Clone, Default)]
+struct StepScratch {
+    /// The cycle's event bitmap, indexed by [`EventId::index`].
+    events: Vec<bool>,
+    /// Enabled transitions before conflict resolution.
+    enabled: Vec<TransitionId>,
+    /// Per-state claimed bitmap of the conflict check.
+    claimed: Vec<bool>,
+    /// The selected transitions of the cycle.
+    selected: Vec<TransitionId>,
+    /// Entry path from a scope down to a target.
+    path: Vec<StateId>,
+}
+
+impl StepScratch {
+    /// Loads the event bitmap with `external` plus `pending`. Ids
+    /// beyond the chart's events match no trigger, as in a set lookup.
+    fn load_events(
+        &mut self,
+        event_count: usize,
+        external: &BTreeSet<EventId>,
+        pending: &BTreeSet<EventId>,
+    ) {
+        self.events.clear();
+        self.events.resize(event_count, false);
+        for e in external.iter().chain(pending) {
+            if let Some(bit) = self.events.get_mut(e.index()) {
+                *bit = true;
+            }
+        }
+    }
+}
+
+/// The reference executor.
+///
+/// Selection data lives in [`SelectionTables`] behind an `Arc`:
+/// [`Executor::new`] builds them for its chart, and
+/// [`Executor::with_tables`] takes a set built once and shared by many
+/// executors over the same chart — the gang lanes, pool workers and
+/// explorer workers of one system all run on one set. The executor's
+/// own state is the control state plus reusable scratch buffers, so a
+/// cycle allocates nothing for selection.
+///
+/// # Example
+///
+/// ```
+/// use pscp_statechart::{ChartBuilder, StateKind};
+/// use pscp_statechart::semantics::{Executor, SelectionTables};
+/// use std::sync::Arc;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = ChartBuilder::new("toggle");
+/// b.event("TICK", None);
+/// b.state("Top", StateKind::Or).contains(["Off", "On"]).default_child("Off");
+/// b.state("Off", StateKind::Basic).transition("On", "TICK");
+/// b.state("On", StateKind::Basic).transition("Off", "TICK");
+/// let chart = b.build()?;
+///
+/// let mut exec = Executor::new(&chart);
+/// let off = chart.state_by_name("Off").unwrap();
+/// let on = chart.state_by_name("On").unwrap();
+/// assert!(exec.configuration().is_active(off));
+/// exec.step_named(["TICK"], |_| Default::default());
+/// assert!(exec.configuration().is_active(on));
+///
+/// // Executors over one chart can share one set of tables.
+/// let tables = Arc::new(SelectionTables::new(&chart));
+/// let lanes: Vec<Executor> =
+///     (0..4).map(|_| Executor::with_tables(&chart, Arc::clone(&tables))).collect();
+/// assert!(lanes.iter().all(|lane| lane.configuration().is_active(off)));
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct Executor<'c> {
     chart: &'c Chart,
+    /// Selection tables, shared by every executor over the chart.
+    tables: Arc<SelectionTables>,
     config: Configuration,
     conditions: Vec<bool>,
     /// Events raised by actions during the previous cycle.
@@ -294,50 +574,39 @@ pub struct Executor<'c> {
     /// Shallow-history memory: last active child of each history
     /// OR-state.
     history_memory: Vec<Option<StateId>>,
-    /// Per-transition resolved triggers/guards and priority keys,
-    /// computed once so selection does no name resolution per cycle.
-    resolved: Vec<ResolvedTransition>,
-    /// Arena backing the resolved expressions.
-    expr_arena: Vec<ResolvedOp>,
+    scratch: StepScratch,
     cycle: u64,
 }
 
 impl<'c> Executor<'c> {
     /// Creates an executor in the default configuration with conditions
-    /// at their declared reset values.
+    /// at their declared reset values, building its chart's
+    /// [`SelectionTables`].
     pub fn new(chart: &'c Chart) -> Self {
+        Executor::with_tables(chart, Arc::new(SelectionTables::new(chart)))
+    }
+
+    /// Like [`Executor::new`], but runs on `tables` — built once by
+    /// [`SelectionTables::new`] for this chart and shared — instead of
+    /// building its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tables` were built for a chart with a different
+    /// number of states, transitions or events.
+    pub fn with_tables(chart: &'c Chart, tables: Arc<SelectionTables>) -> Self {
+        assert!(tables.fits(chart), "selection tables built for a different chart");
         let mut active = vec![false; chart.state_count()];
         let history_memory = vec![None; chart.state_count()];
         enter_with_defaults(chart, chart.root(), &mut active, &mut Vec::new(), &history_memory);
-        let event_names = crate::intern::EventNamesRef::new(chart);
-        let condition_names = crate::intern::ConditionNamesRef::new(chart);
-        let mut expr_arena = Vec::new();
-        let resolved = chart
-            .transition_ids()
-            .map(|tid| {
-                let t = chart.transition(tid);
-                ResolvedTransition {
-                    trigger: t.trigger.as_ref().map(|e| {
-                        resolve_expr(&event_names, &condition_names, e, &mut expr_arena)
-                    }),
-                    guard: t.guard.as_ref().map(|e| {
-                        resolve_expr(&event_names, &condition_names, e, &mut expr_arena)
-                    }),
-                    priority: (
-                        chart.depth(chart.transition_scope(t.source, t.target)),
-                        tid.index(),
-                    ),
-                }
-            })
-            .collect();
         Executor {
             chart,
+            tables,
             config: Configuration { active },
             conditions: chart.conditions().map(|c| c.initial).collect(),
             pending_internal: BTreeSet::new(),
             history_memory,
-            resolved,
-            expr_arena,
+            scratch: StepScratch::default(),
             cycle: 0,
         }
     }
@@ -345,9 +614,8 @@ impl<'c> Executor<'c> {
     /// Returns the executor to its post-construction state — default
     /// configuration, conditions at their declared reset values, no
     /// pending internal events, history memory cleared — while keeping
-    /// the resolved-expression arenas built by [`Executor::new`]. A
-    /// reset executor behaves byte-identically to a freshly constructed
-    /// one.
+    /// the shared selection tables and scratch buffers. A reset executor
+    /// behaves byte-identically to a freshly constructed one.
     pub fn reset(&mut self) {
         let chart = self.chart;
         self.config.active.iter_mut().for_each(|a| *a = false);
@@ -372,8 +640,8 @@ impl<'c> Executor<'c> {
 
     /// Snapshots the semantic control state: active configuration,
     /// condition values, pending internal events (sorted), and history
-    /// memory. The cycle counter and resolved-expression arenas are
-    /// excluded — they never influence transition selection.
+    /// memory. The cycle counter, selection tables and scratch buffers
+    /// are excluded — they never influence transition selection.
     pub fn control_state(&self) -> ControlState {
         ControlState {
             active: self.config.active.clone(),
@@ -424,44 +692,17 @@ impl<'c> Executor<'c> {
     /// event set without executing anything. This is exactly the set of
     /// addresses the SLA would emit into the Transition Address Table.
     pub fn select_transitions(&self, events: &BTreeSet<EventId>) -> Vec<TransitionId> {
-        let chart = self.chart;
-        let mut enabled: Vec<TransitionId> = chart
-            .transition_ids()
-            .filter(|&tid| {
-                let rt = self.resolved[tid.index()];
-                let holds = |root: Option<u32>| {
-                    root.is_none_or(|r| {
-                        eval_resolved(&self.expr_arena, r, events, &self.conditions)
-                    })
-                };
-                self.config.is_active(chart.transition(tid).source)
-                    && holds(rt.trigger)
-                    && holds(rt.guard)
-            })
-            .collect();
-
-        // Outer-first priority: sort by scope depth, then declaration
-        // order; then greedily keep non-conflicting transitions.
-        enabled.sort_by_key(|&tid| self.resolved[tid.index()].priority);
-
-        let mut selected: Vec<TransitionId> = Vec::new();
-        let mut claimed: Vec<BTreeSet<StateId>> = Vec::new();
-        for tid in enabled {
-            let t = chart.transition(tid);
-            let scope = chart.transition_scope(t.source, t.target);
-            let exits: BTreeSet<StateId> = chart
-                .descendants_inclusive(scope)
-                .into_iter()
-                .filter(|&s| s != scope && self.config.is_active(s))
-                .collect();
-            // A transition whose scope is the whole root with an exit set
-            // covering everything still conflicts correctly via overlap.
-            if claimed.iter().all(|c| c.is_disjoint(&exits)) {
-                claimed.push(exits);
-                selected.push(tid);
-            }
-        }
-        selected
+        let mut scratch = StepScratch::default();
+        scratch.load_events(self.tables.event_count, events, &BTreeSet::new());
+        self.tables.select(
+            &self.config.active,
+            &self.conditions,
+            &scratch.events,
+            &mut scratch.enabled,
+            &mut scratch.claimed,
+            &mut scratch.selected,
+        );
+        scratch.selected
     }
 
     /// Runs one configuration cycle with the given external events, using
@@ -482,29 +723,46 @@ impl<'c> Executor<'c> {
     where
         F: FnMut(ActionSite, &ActionCall) -> ActionEffects,
     {
-        let chart = self.chart;
-        let mut events = external.clone();
-        events.extend(self.pending_internal.iter().copied());
-        self.pending_internal.clear();
+        let Executor {
+            chart,
+            tables,
+            config,
+            conditions,
+            pending_internal,
+            history_memory,
+            scratch,
+            cycle,
+        } = self;
+        let chart: &Chart = chart;
+        let active = &mut config.active;
 
-        let selected = self.select_transitions(&events);
+        scratch.load_events(tables.event_count, external, pending_internal);
+        pending_internal.clear();
+        tables.select(
+            active,
+            conditions,
+            &scratch.events,
+            &mut scratch.enabled,
+            &mut scratch.claimed,
+            &mut scratch.selected,
+        );
         let mut report = StepReport::default();
         let mut cond_writes: Vec<(ConditionId, bool)> = Vec::new();
 
-        for tid in selected {
+        for &tid in &scratch.selected {
             let t = chart.transition(tid);
-            let scope = chart.transition_scope(t.source, t.target);
+            let scope = tables.scope(tid);
             let exit_start = report.exited.len();
             let entry_start = report.entered.len();
 
             // Exit: deactivate everything strictly inside the scope that
             // is on the active path, recording shallow-history memory.
-            for s in chart.descendants_inclusive(scope) {
-                if s != scope && self.config.active[s.index()] {
-                    self.config.active[s.index()] = false;
+            for &s in tables.strict_descendants(scope) {
+                if active[s.index()] {
+                    active[s.index()] = false;
                     if let Some(p) = chart.state(s).parent {
                         if chart.state(p).history {
-                            self.history_memory[p.index()] = Some(s);
+                            history_memory[p.index()] = Some(s);
                         }
                     }
                     report.exited.push(s);
@@ -514,7 +772,8 @@ impl<'c> Executor<'c> {
             // Enter: activate the path scope -> target, then default
             // completion below the target; sibling AND components entered
             // along the way get their defaults too.
-            let mut path: Vec<StateId> = Vec::new();
+            let path = &mut scratch.path;
+            path.clear();
             let mut cur = t.target;
             while cur != scope {
                 path.push(cur);
@@ -531,20 +790,14 @@ impl<'c> Executor<'c> {
             if scope_state.kind == StateKind::And {
                 let first_on_path = path.first().copied();
                 for &c in &scope_state.children {
-                    if Some(c) != first_on_path && !self.config.active[c.index()] {
-                        enter_with_defaults(
-                            chart,
-                            c,
-                            &mut self.config.active,
-                            &mut report.entered,
-                            &self.history_memory,
-                        );
+                    if Some(c) != first_on_path && !active[c.index()] {
+                        enter_with_defaults(chart, c, active, &mut report.entered, history_memory);
                     }
                 }
             }
             for (i, &s) in path.iter().enumerate() {
-                if !self.config.active[s.index()] {
-                    self.config.active[s.index()] = true;
+                if !active[s.index()] {
+                    active[s.index()] = true;
                     report.entered.push(s);
                 }
                 // When entering an AND-state on the way down, its other
@@ -553,52 +806,41 @@ impl<'c> Executor<'c> {
                 let st = chart.state(s);
                 if st.kind == StateKind::And {
                     for &c in &st.children {
-                        if Some(c) != next_on_path && !self.config.active[c.index()] {
+                        if Some(c) != next_on_path && !active[c.index()] {
                             enter_with_defaults(
                                 chart,
                                 c,
-                                &mut self.config.active,
+                                active,
                                 &mut report.entered,
-                                &self.history_memory,
+                                history_memory,
                             );
                         }
                     }
                 }
             }
             // Default completion below the target itself.
-            if !self.config.active[t.target.index()] {
-                enter_with_defaults(
-                    chart,
-                    t.target,
-                    &mut self.config.active,
-                    &mut report.entered,
-                    &self.history_memory,
-                );
+            if !active[t.target.index()] {
+                enter_with_defaults(chart, t.target, active, &mut report.entered, history_memory);
             } else {
                 let st = chart.state(t.target);
-                let completion: Vec<StateId> = match st.kind {
-                    StateKind::And => st.children.clone(),
+                let child;
+                let completion: &[StateId] = match st.kind {
+                    StateKind::And => &st.children,
                     StateKind::Or => {
-                        let child = if st.history {
-                            self.history_memory[t.target.index()]
+                        child = if st.history {
+                            history_memory[t.target.index()]
                                 .filter(|c| st.children.contains(c))
                                 .or(st.default)
                         } else {
                             st.default
                         };
-                        child.into_iter().collect()
+                        child.as_slice()
                     }
-                    StateKind::Basic => Vec::new(),
+                    StateKind::Basic => &[],
                 };
-                for c in completion {
-                    if !self.config.active[c.index()] {
-                        enter_with_defaults(
-                            chart,
-                            c,
-                            &mut self.config.active,
-                            &mut report.entered,
-                            &self.history_memory,
-                        );
+                for &c in completion {
+                    if !active[c.index()] {
+                        enter_with_defaults(chart, c, active, &mut report.entered, history_memory);
                     }
                 }
             }
@@ -634,14 +876,14 @@ impl<'c> Executor<'c> {
                 report.actions.push(call.clone());
             };
 
-            let exited_now: Vec<StateId> = report.exited[exit_start..].to_vec();
-            for s in exited_now {
+            for i in exit_start..report.exited.len() {
+                let s = report.exited[i];
                 for call in &chart.state(s).exit_actions {
                     apply(
                         ActionSite::Exit { state: s, transition: tid },
                         call,
                         &mut effects,
-                        &mut self.pending_internal,
+                        pending_internal,
                         &mut report,
                         &mut cond_writes,
                     );
@@ -652,19 +894,19 @@ impl<'c> Executor<'c> {
                     ActionSite::Transition { transition: tid },
                     call,
                     &mut effects,
-                    &mut self.pending_internal,
+                    pending_internal,
                     &mut report,
                     &mut cond_writes,
                 );
             }
-            let entered_now: Vec<StateId> = report.entered[entry_start..].to_vec();
-            for s in entered_now {
+            for i in entry_start..report.entered.len() {
+                let s = report.entered[i];
                 for call in &chart.state(s).entry_actions {
                     apply(
                         ActionSite::Entry { state: s, transition: tid },
                         call,
                         &mut effects,
-                        &mut self.pending_internal,
+                        pending_internal,
                         &mut report,
                         &mut cond_writes,
                     );
@@ -675,11 +917,11 @@ impl<'c> Executor<'c> {
 
         // Condition-cache write-back at end of cycle.
         for (c, v) in cond_writes {
-            self.conditions[c.index()] = v;
+            conditions[c.index()] = v;
         }
 
-        self.cycle += 1;
-        debug_assert!(self.config.is_consistent(chart), "inconsistent configuration after step");
+        *cycle += 1;
+        debug_assert!(config.is_consistent(chart), "inconsistent configuration after step");
         report
     }
 
@@ -788,6 +1030,95 @@ mod tests {
         b.state("MY", StateKind::Or).contains(["RunY"]).default_child("RunY");
         b.state("RunY", StateKind::Basic).transition("RunY", "Y_PULSE/DeltaT(MY)");
         b.build().unwrap()
+    }
+
+    /// A chart with every scope shape: an AND root crossed by a
+    /// transition, a composite source preempting its leaves, a
+    /// self-loop into an ancestor, and an AND-state on an entry path.
+    fn nested() -> Chart {
+        let mut b = ChartBuilder::new("nested");
+        b.event("E", None);
+        b.event("F", None);
+        b.state("Top", StateKind::And).contains(["L", "R"]);
+        b.state("L", StateKind::Or)
+            .contains(["Op", "Err", "Par"])
+            .default_child("Op")
+            .transition("Par", "F");
+        b.state("Op", StateKind::Or)
+            .contains(["A", "B"])
+            .default_child("A")
+            .transition("Err", "E");
+        b.state("A", StateKind::Basic).transition("B", "E").transition("Op", "F");
+        b.state("B", StateKind::Basic).transition("R2", "E");
+        b.state("Err", StateKind::Basic).transition("P1", "E");
+        b.state("Par", StateKind::And).contains(["P", "Q"]);
+        b.state("P", StateKind::Or).contains(["P1", "P2"]).default_child("P1");
+        b.basic("P1");
+        b.basic("P2");
+        b.state("Q", StateKind::Or).contains(["Q1"]).default_child("Q1");
+        b.basic("Q1");
+        b.state("R", StateKind::Or).contains(["R1", "R2"]).default_child("R1");
+        b.state("R1", StateKind::Basic).transition("R2", "E");
+        b.basic("R2");
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn tables_agree_with_chart_queries() {
+        for c in [motorish(), nested()] {
+            let tables = SelectionTables::new(&c);
+            for tid in c.transition_ids() {
+                let t = c.transition(tid);
+                assert_eq!(tables.scope(tid), c.transition_scope(t.source, t.target));
+            }
+            for s in c.state_ids() {
+                assert_eq!(tables.strict_descendants(s), &c.descendants_inclusive(s)[1..]);
+                let out: Vec<TransitionId> = c.outgoing(s).collect();
+                assert_eq!(tables.outgoing(s.index()), out.as_slice());
+            }
+        }
+    }
+
+    #[test]
+    fn outer_scope_claims_nested_exits() {
+        // E enables Op->Err (scope L), A->B (scope Op) and R1->R2 (scope
+        // R): the outer one preempts the inner, the orthogonal one fires.
+        let c = nested();
+        let mut e = Executor::new(&c);
+        let name = |t: TransitionId| {
+            let t = c.transition(t);
+            (c.state(t.source).name.as_str(), c.state(t.target).name.as_str())
+        };
+        let r = e.step_named(["E"], no_effects);
+        let fired: Vec<_> = r.fired.iter().map(|&t| name(t)).collect();
+        assert_eq!(fired, [("Op", "Err"), ("R1", "R2")]);
+        // Err->P1 enters the AND-state Par on the way down; its other
+        // component is default-entered before the path continues.
+        let r = e.step_named(["E"], no_effects);
+        let entered: Vec<&str> = r.entered.iter().map(|&s| c.state(s).name.as_str()).collect();
+        assert_eq!(entered, ["Par", "Q", "Q1", "P", "P1"]);
+        assert!(e.configuration().is_consistent(&c));
+    }
+
+    #[test]
+    fn shared_tables_step_identically() {
+        let c = nested();
+        let mut own = Executor::new(&c);
+        let mut shared = Executor::with_tables(&c, Arc::new(SelectionTables::new(&c)));
+        let mut seed = 0x5eed_u64;
+        for _ in 0..200 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let evs: Vec<&str> =
+                ["E", "F"].into_iter().enumerate().filter(|(i, _)| seed >> (40 + i) & 1 == 1).map(|(_, n)| n).collect();
+            assert_eq!(own.step_named(&evs, no_effects), shared.step_named(&evs, no_effects));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "different chart")]
+    fn foreign_tables_are_rejected() {
+        let tables = Arc::new(SelectionTables::new(&motorish()));
+        let _ = Executor::with_tables(&nested(), tables);
     }
 
     #[test]

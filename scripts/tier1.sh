@@ -29,6 +29,18 @@ cargo test --release -p pscp-core --test gang_differential -q
 # enumeration.
 cargo test --release -p pscp-core --test explore_differential -q
 
+# The selection-oracle suites are the executor's transition-selection
+# spec: the indexed selection (per-chart tables, claimed-state conflict
+# check) must equal the synthesised SLA's fire set, cycle by cycle,
+# under both encodings — on random charts whose transitions may leave
+# or enter composite regions, on history re-entry, and on the 560-
+# transition gang chart — and random walks must keep every
+# configuration consistent and conflict-free.
+cargo test --release -p pscp-sla --test proptest_differential -q
+cargo test --release -p pscp-statechart --test proptest_semantics -q
+cargo test --release --test history_states -q
+cargo test --release -p pscp-bench --test selection_differential -q
+
 # The benchmark package sits outside the workspace, so nothing above
 # builds it; its tests keep it compiling against the crates' APIs and
 # smoke all six workloads (explore_wide checks wide == scalar).
