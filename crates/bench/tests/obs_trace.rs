@@ -1,43 +1,43 @@
-//! With `PSCP_OBS=trace` a multi-worker batch must come back as a valid
-//! Chrome `trace_event` document with one named lane per worker. Runs
+//! With `PSCP_OBS=trace` multi-worker runs must come back as valid
+//! Chrome `trace_event` documents with one named lane per worker. Runs
 //! the pickup-head example across a 4-worker [`SimPool`] twice — once
 //! on the default gang-packed path, once pinned to the scalar path —
-//! and checks the exported JSON with the crate's own parser.
+//! then through a 2-shard loopback server and a 2-worker exploration,
+//! and checks each exported JSON with the crate's own parser.
 //!
 //! Single `#[test]`: the trace collector is process-global, and a
 //! sibling test running concurrently would add lanes of its own.
 
 use pscp_core::arch::PscpArch;
+use pscp_core::explore::{self, ExploreOptions};
 use pscp_core::machine::ScriptedEnvironment;
 use pscp_core::pool::{BatchOptions, SimPool};
+use pscp_core::serve::{self, ScenarioClient, ServeOptions};
 use pscp_obs::json;
+use std::sync::Arc;
 
-fn scenarios() -> Vec<ScriptedEnvironment> {
+fn scripts() -> Vec<Vec<Vec<String>>> {
     (0..8)
         .map(|i| {
-            let mut script = vec![vec!["POWER"]];
+            let mut script = vec![vec!["POWER".to_string()]];
             for _ in 0..=i {
-                script.push(vec!["DATA_VALID"]);
+                script.push(vec!["DATA_VALID".to_string()]);
                 script.push(vec![]);
             }
-            ScriptedEnvironment::new(script)
+            script
         })
         .collect()
 }
 
-/// Runs one traced 4-worker batch and returns (worker lane names,
-/// complete-span names) from the exported Chrome trace.
-fn traced_batch(pool: &SimPool) -> (Vec<String>, Vec<String>) {
+const LIMITS: BatchOptions = BatchOptions { deadline: u64::MAX, max_steps: 64 };
+
+/// Runs `work` with tracing on and returns (lane names, complete-span
+/// names) from the Chrome trace exported right after it.
+fn traced(work: impl FnOnce()) -> (Vec<String>, Vec<String>) {
     pscp_obs::set_flags(pscp_obs::TRACE);
     pscp_obs::trace::clear();
 
-    let system = pscp_bench::example_system(&PscpArch::md16_optimized());
-    let outcomes = pool.run_batch(
-        &system,
-        scenarios(),
-        &BatchOptions { deadline: u64::MAX, max_steps: 64 },
-    );
-    assert_eq!(outcomes.len(), 8);
+    work();
 
     let trace = pscp_obs::trace::export_chrome_trace();
     pscp_obs::set_flags(pscp_obs::env_flags());
@@ -63,6 +63,20 @@ fn traced_batch(pool: &SimPool) -> (Vec<String>, Vec<String>) {
     (lanes, spans)
 }
 
+/// Runs one traced 4-worker batch.
+fn traced_batch(pool: &SimPool) -> (Vec<String>, Vec<String>) {
+    traced(|| {
+        let system = pscp_bench::example_system(&PscpArch::md16_optimized());
+        let envs = scripts().into_iter().map(ScriptedEnvironment::new).collect();
+        let outcomes = pool.run_batch(&system, envs, &LIMITS);
+        assert_eq!(outcomes.len(), 8);
+    })
+}
+
+fn lanes_named(lanes: &[String], prefix: &str) -> usize {
+    lanes.iter().filter(|l| l.starts_with(prefix)).count()
+}
+
 #[test]
 fn batch_trace_exports_worker_lanes() {
     // Default pool: the gang-packed path. Workers still claim named
@@ -70,7 +84,7 @@ fn batch_trace_exports_worker_lanes() {
     // per-cycle `gang.step` children.
     let (lanes, spans) = traced_batch(&SimPool::with_threads(4));
     assert!(
-        lanes.iter().filter(|l| l.starts_with("sim-worker")).count() >= 2,
+        lanes_named(&lanes, "sim-worker") >= 2,
         "expected >= 2 sim-worker lanes under 4 gang workers, got {lanes:?}"
     );
     assert!(spans.len() >= 8, "expected >= 8 spans, got {}", spans.len());
@@ -82,12 +96,43 @@ fn batch_trace_exports_worker_lanes() {
     // Scalar path (gang width 1): one `scenario` span per scenario.
     let (lanes, spans) = traced_batch(&SimPool::with_threads(4).with_gang(1));
     assert!(
-        lanes.iter().filter(|l| l.starts_with("sim-worker")).count() >= 2,
+        lanes_named(&lanes, "sim-worker") >= 2,
         "expected >= 2 sim-worker lanes under 4 scalar workers, got {lanes:?}"
     );
     assert!(spans.len() >= 8, "expected >= 8 spans, got {}", spans.len());
     assert!(
         spans.iter().any(|s| s == "scenario"),
         "no `scenario` span in scalar-path trace"
+    );
+
+    // A 2-shard loopback server, stopped before the export: the shard
+    // workers' spans must be collected by the time `stop` has joined
+    // them.
+    let (lanes, _) = traced(|| {
+        let system = Arc::new(pscp_bench::example_system(&PscpArch::md16_optimized()));
+        let opts = ServeOptions { threads: 2, ..ServeOptions::default() };
+        let server = serve::spawn(system, "127.0.0.1:0", opts).expect("bind loopback");
+        let mut client = ScenarioClient::connect(server.addr()).expect("connect");
+        let outcomes = client.run_batch(&scripts(), LIMITS).expect("served batch");
+        assert_eq!(outcomes.len(), 8);
+        drop(client);
+        server.stop().expect("clean stop");
+    });
+    assert!(
+        lanes_named(&lanes, "serve-worker") >= 1,
+        "expected >= 1 serve-worker lane under 2 shards, got {lanes:?}"
+    );
+
+    // A 2-worker exploration of the pickup head: every layer wide
+    // enough for two chunks streams through two pool workers.
+    let (lanes, _) = traced(|| {
+        let system = pscp_bench::example_system(&PscpArch::dual_md16(true));
+        let report =
+            explore::explore(&system, &ExploreOptions { threads: 2, ..ExploreOptions::default() });
+        assert!(!report.truncated);
+    });
+    assert!(
+        lanes_named(&lanes, "sim-worker") >= 2,
+        "expected >= 2 sim-worker lanes under 2 explore workers, got {lanes:?}"
     );
 }

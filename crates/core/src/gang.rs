@@ -149,36 +149,13 @@ impl<'s> GangRig<'s> {
             while mask != 0 {
                 let l = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                let lane_bit = 1u64 << l;
                 let m = &mut self.machines[l];
                 m.sample_phase(&mut envs[l]);
-                for &e in m.sampled_events() {
-                    self.words[layout.event_bit(e) as usize] |= lane_bit;
-                }
-                for e in m.executor().pending_events() {
-                    self.words[layout.event_bit(e) as usize] |= lane_bit;
-                }
-                for c in chart.condition_ids() {
-                    if m.executor().condition(c) {
-                        self.words[layout.condition_bit(c) as usize] |= lane_bit;
-                    }
-                }
+                load_lane_inputs(&mut self.words, self.system, m, l);
             }
 
-            // One shared bit-sliced SLA pass for the whole gang —
-            // skipped entirely when the lane words are unchanged from
-            // the previous cycle (pure function, same output).
-            let raw = match self.prev_any {
-                Some(prev) if self.prev_words == self.words => prev,
-                _ => {
-                    let any = self.sim.any_fire_words(&self.words, &mut self.scratch);
-                    self.prev_words.clear();
-                    self.prev_words.extend_from_slice(&self.words);
-                    self.prev_any = Some(any);
-                    any
-                }
-            };
-            let any = raw & live;
+            // One shared bit-sliced SLA pass for the whole gang.
+            let any = self.any_fire() & live;
 
             let mut retired = 0u64;
             let mut mask = live;
@@ -238,6 +215,22 @@ impl<'s> GangRig<'s> {
         out
     }
 
+    /// The any-fire mask of the current lane words: one bit-sliced SLA
+    /// pass, skipped when the words equal the previous pass's (the net
+    /// is a pure function of them, so the memoised mask still holds).
+    fn any_fire(&mut self) -> u64 {
+        match self.prev_any {
+            Some(prev) if self.prev_words == self.words => prev,
+            _ => {
+                let any = self.sim.any_fire_words(&self.words, &mut self.scratch);
+                self.prev_words.clear();
+                self.prev_words.extend_from_slice(&self.words);
+                self.prev_any = Some(any);
+                any
+            }
+        }
+    }
+
     /// Expands up to [`GANG_WIDTH`] exploration jobs in one shared SLA
     /// pass. Each job is a `(state, symbol)` index pair into `states`
     /// and `symbols`, borrowed from the explorer's frontier: the lane
@@ -269,37 +262,17 @@ impl<'s> GangRig<'s> {
         // scratch (restored configurations invalidate any state columns
         // a previous call left behind).
         for (l, &(st, sym)) in jobs.iter().enumerate() {
-            let lane_bit = 1u64 << l;
             let m = &mut self.machines[l];
             m.restore(&states[st as usize]);
             m.inject_phase(&symbols[sym as usize]);
             let bits = layout.encode(chart, m.executor().configuration());
             write_column(&mut self.words[..state_width], &bits, l);
-            for &e in m.sampled_events() {
-                self.words[layout.event_bit(e) as usize] |= lane_bit;
-            }
-            for e in m.executor().pending_events() {
-                self.words[layout.event_bit(e) as usize] |= lane_bit;
-            }
-            for c in chart.condition_ids() {
-                if m.executor().condition(c) {
-                    self.words[layout.condition_bit(c) as usize] |= lane_bit;
-                }
-            }
+            load_lane_inputs(&mut self.words, self.system, m, l);
         }
 
         // One bit-sliced SLA pass routes every lane; the memo is a pure
         // function of the words, so it stays valid across `run`/`expand`.
-        let any = match self.prev_any {
-            Some(prev) if self.prev_words == self.words => prev,
-            _ => {
-                let any = self.sim.any_fire_words(&self.words, &mut self.scratch);
-                self.prev_words.clear();
-                self.prev_words.extend_from_slice(&self.words);
-                self.prev_any = Some(any);
-                any
-            }
-        };
+        let any = self.any_fire();
 
         let mut out = Vec::with_capacity(n);
         for l in 0..n {
@@ -312,6 +285,30 @@ impl<'s> GangRig<'s> {
             out.push(result.map(|report| (m.capture(), report)));
         }
         out
+    }
+}
+
+/// ORs one lane's inputs into the event and condition lane words: the
+/// events it sampled, its pending internal events and its true
+/// conditions.
+fn load_lane_inputs(
+    words: &mut [u64],
+    system: &CompiledSystem,
+    m: &PscpMachine<'_>,
+    lane: usize,
+) {
+    let layout = &system.layout;
+    let lane_bit = 1u64 << lane;
+    for &e in m.sampled_events() {
+        words[layout.event_bit(e) as usize] |= lane_bit;
+    }
+    for e in m.executor().pending_events() {
+        words[layout.event_bit(e) as usize] |= lane_bit;
+    }
+    for c in system.chart.condition_ids() {
+        if m.executor().condition(c) {
+            words[layout.condition_bit(c) as usize] |= lane_bit;
+        }
     }
 }
 

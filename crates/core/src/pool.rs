@@ -13,9 +13,13 @@
 //! Scenarios are fully independent (separate machine state, separate
 //! environment), so the batch output is byte-identical for any worker
 //! count — `PSCP_THREADS=1` and `PSCP_THREADS=16` produce the same
-//! bytes, only wall-clock differs. The same worker-queue primitive
-//! ([`run_indexed`]) backs the parallel candidate evaluation in
-//! [`optimize`](crate::optimize::optimize).
+//! bytes, only wall-clock differs. Every parallel loop of this module
+//! runs on one worker loop, [`stream_chunks`]: scoped workers claim
+//! fixed-width chunks of jobs in order, and the calling thread takes
+//! the results in job order. Batches and the parallel candidate
+//! evaluation in [`optimize`](crate::optimize::optimize)
+//! ([`run_indexed`]) collect every result; state exploration
+//! ([`SimPool::expand_states`]) streams them with a bounded lookahead.
 //!
 //! On top of the thread pool, each worker packs up to `PSCP_GANG`
 //! scenarios (default 64) into one bit-sliced gang ([`crate::gang`])
@@ -32,7 +36,6 @@ use crate::machine::{
 use pscp_sla::gang::GANG_WIDTH;
 use pscp_statechart::semantics::SelectionTables;
 use pscp_statechart::EventId;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -85,51 +88,27 @@ pub fn configured_gang() -> usize {
     gang_from(std::env::var("PSCP_GANG").ok().as_deref())
 }
 
-/// Runs `f` over every job index on up to `threads` scoped workers
-/// pulling from a shared queue, returning results in job order. With
-/// `threads <= 1` (or a single job) no thread is spawned and the jobs
-/// run inline, so a one-worker pool is *exactly* the sequential loop.
+/// Runs `f` over every job on up to `threads` workers, returning the
+/// results in job order: a collect over [`stream_chunks`]. With
+/// `threads <= 1` (or a single job) the jobs run inline, so a
+/// one-worker pool is *exactly* the sequential loop.
 pub(crate) fn run_indexed<T, R, F>(jobs: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().enumerate().map(|(i, job)| f(i, job)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for w in 0..threads.min(jobs.len()) {
-            let next = &next;
-            let slots = &slots;
-            let f = &f;
-            s.spawn(move || {
-                if pscp_obs::trace_enabled() {
-                    pscp_obs::trace::set_thread_lane_indexed("worker", w);
-                }
-                // Lifetime span so every spawned worker shows up in the
-                // trace, even one the queue starved (free when off).
-                let worker_span = pscp_obs::trace::span("worker.run");
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i) else { break };
-                    let r = f(i, job);
-                    *slots[i].lock().unwrap() = Some(r);
-                }
-                // Flush before the closure returns: the scope join can
-                // complete before this thread's TLS destructors run, so
-                // an exit-time flush may land after the caller exports.
-                drop(worker_span);
-                pscp_obs::trace::flush_current_thread();
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
+    let mut out = Vec::with_capacity(jobs.len());
+    stream_chunks(
+        jobs.iter().enumerate(),
+        1,
+        threads,
+        COLLECT_AHEAD,
+        |_| (),
+        |_, chunk| chunk.into_iter().map(|(i, job)| f(i, job)).collect(),
+        |r| out.push(r),
+    );
+    out
 }
 
 /// Run limits for one scenario of a batch.
@@ -239,155 +218,23 @@ impl SimPool {
         // One set of selection tables for the whole batch, shared by
         // every worker's machines.
         let tables = Arc::new(SelectionTables::new(&system.chart));
-        if self.gang > 1 {
-            return self.run_batch_gang(system, &tables, envs, limits, &done);
-        }
-        let threads = self.threads.min(envs.len());
-        if threads <= 1 {
-            let mut machine = PscpMachine::with_tables(system, tables);
-            return envs
-                .into_iter()
-                .map(|env| run_scenario(0, &mut machine, env, limits, &done))
-                .collect();
-        }
-
-        let queue = AtomicUsize::new(0);
-        let feed: Vec<Mutex<Option<E>>> =
-            envs.into_iter().map(|e| Mutex::new(Some(e))).collect();
-        let slots: Vec<Mutex<Option<BatchOutcome<E>>>> =
-            feed.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let queue = &queue;
-                let feed = &feed;
-                let slots = &slots;
-                let done = &done;
-                let tables = &tables;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    // Lifetime span so every spawned worker shows up in
-                    // the trace, even one the queue starved.
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    // One machine per worker, reset between scenarios.
-                    let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = feed.get(i) else {
-                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                            break;
-                        };
-                        let env = slot.lock().unwrap().take().expect("scenario taken once");
-                        let outcome = run_scenario(w, &mut machine, env, limits, &done);
-                        *slots[i].lock().unwrap() = Some(outcome);
-                    }
-                    // Flush before the closure returns: the scope join
-                    // can complete before this thread's TLS destructors
-                    // run, so an exit-time flush may land after the
-                    // caller exports.
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
-    }
-
-    /// Gang-packed batch: scenarios are chunked into gangs of
-    /// `self.gang` in submission order and each chunk runs lock-step on
-    /// a [`GangRig`] (one rig per worker, reused across chunks).
-    /// Byte-identical to the scalar path for any gang width and worker
-    /// count — the gang differential suite pins this.
-    fn run_batch_gang<E, F>(
-        &self,
-        system: &CompiledSystem,
-        tables: &Arc<SelectionTables>,
-        envs: Vec<E>,
-        limits: &BatchOptions,
-        done: &F,
-    ) -> Vec<BatchOutcome<E>>
-    where
-        E: Environment + Send,
-        F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool + Sync,
-    {
-        // Shrink the gang width when the batch is too small to keep
-        // every worker busy at the configured width: parallel workers
-        // beat wide gangs until each worker has a full gang of its own.
-        // Deterministic in (envs, threads), so outcomes stay pinned.
-        let gang = self
-            .gang
-            .min(envs.len().div_ceil(self.threads.max(1)))
-            .max(1);
-        let mut chunks: Vec<Vec<E>> = Vec::with_capacity(envs.len().div_ceil(gang));
-        let mut cur: Vec<E> = Vec::with_capacity(gang.min(envs.len()));
-        for env in envs {
-            cur.push(env);
-            if cur.len() == gang {
-                chunks.push(std::mem::take(&mut cur));
-            }
-        }
-        if !cur.is_empty() {
-            chunks.push(cur);
-        }
-
-        let threads = self.threads.min(chunks.len());
-        if threads <= 1 {
-            let mut rig = GangRig::new(system, tables);
-            let mut out = Vec::new();
-            for chunk in chunks {
-                let jobs: Vec<(E, BatchOptions)> =
-                    chunk.into_iter().map(|e| (e, *limits)).collect();
-                out.extend(rig.run(0, jobs, done));
-            }
-            return out;
-        }
-
-        let queue = AtomicUsize::new(0);
-        let feed: Vec<Mutex<Option<Vec<E>>>> =
-            chunks.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let slots: Vec<Mutex<Option<Vec<BatchOutcome<E>>>>> =
-            feed.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for w in 0..threads {
-                let queue = &queue;
-                let feed = &feed;
-                let slots = &slots;
-                s.spawn(move || {
-                    if pscp_obs::trace_enabled() {
-                        pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                    }
-                    let worker_span = pscp_obs::trace::span("worker.run");
-                    // One gang rig per worker, lanes reset per chunk.
-                    let mut rig = GangRig::new(system, tables);
-                    loop {
-                        let i = queue.fetch_add(1, Ordering::Relaxed);
-                        let Some(slot) = feed.get(i) else {
-                            pscp_obs::metrics::POOL_IDLE_POLLS.add(w, 1);
-                            break;
-                        };
-                        let chunk =
-                            slot.lock().unwrap().take().expect("chunk taken once");
-                        let jobs: Vec<(E, BatchOptions)> =
-                            chunk.into_iter().map(|e| (e, *limits)).collect();
-                        *slots[i].lock().unwrap() = Some(rig.run(w, jobs, done));
-                    }
-                    // Flush before the closure returns: the scope join
-                    // can complete before this thread's TLS destructors
-                    // run, so an exit-time flush may land after the
-                    // caller exports.
-                    drop(worker_span);
-                    pscp_obs::trace::flush_current_thread();
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .flat_map(|m| m.into_inner().unwrap().expect("worker filled every slot"))
-            .collect()
+        // Scenarios run in chunks of the gang width (1 on the scalar
+        // path), shrunk when the batch is too small to keep every worker
+        // busy at the configured width: parallel workers beat wide gangs
+        // until each worker has a full gang of its own. Deterministic in
+        // (envs, threads), so outcomes stay pinned.
+        let width = self.gang.min(envs.len().div_ceil(self.threads)).max(1);
+        let mut out = Vec::with_capacity(envs.len());
+        stream_chunks(
+            envs.into_iter().map(|env| (env, *limits)),
+            width,
+            self.threads,
+            COLLECT_AHEAD,
+            |w| (w, BatchRunner::new(system, &tables, self.gang)),
+            |(w, runner), chunk| runner.run(*w, chunk, &done),
+            |outcome| out.push(outcome),
+        );
+        out
     }
 
     /// Expands state-exploration jobs across the pool and hands
@@ -420,10 +267,11 @@ impl SimPool {
         // alone).
         if self.gang <= 1 {
             stream_chunks(
-                jobs,
+                jobs.iter().copied(),
                 GANG_WIDTH,
                 self.threads,
-                || PscpMachine::with_tables(system, Arc::clone(tables)),
+                EXPAND_AHEAD,
+                |_| PscpMachine::with_tables(system, Arc::clone(tables)),
                 |machine, chunk| {
                     chunk
                         .iter()
@@ -439,11 +287,12 @@ impl SimPool {
             );
         } else {
             stream_chunks(
-                jobs,
+                jobs.iter().copied(),
                 self.gang,
                 self.threads,
-                || GangRig::new(system, tables),
-                |rig, chunk| rig.expand(states, symbols, chunk),
+                EXPAND_AHEAD,
+                |_| GangRig::new(system, tables),
+                |rig, chunk| rig.expand(states, symbols, &chunk),
                 consume,
             );
         }
@@ -456,12 +305,19 @@ impl SimPool {
 /// cache when it is consumed.
 const EXPAND_AHEAD: usize = 4;
 
-/// A [`stream_chunks`] run never holds its lock while `expand` or
-/// `consume` runs, so no panic can poison it.
+/// The lookahead of a run whose consumer only collects: every result is
+/// kept anyway, so workers never wait on the consumer and a slow job
+/// stalls no other.
+const COLLECT_AHEAD: usize = usize::MAX;
+
+/// A [`stream_chunks`] run holds its lock only to claim jobs, never
+/// while `expand` or `consume` runs, so no panic there can poison it.
 const UNPOISONED: &str = "the stream lock is never held across user code";
 
 /// Shared state of one [`stream_chunks`] run.
-struct Stream<R> {
+struct Stream<I, R> {
+    /// Jobs not yet claimed, in job order.
+    jobs: I,
     /// Next chunk a worker claims.
     next: usize,
     /// Chunks the consumer has taken.
@@ -474,9 +330,9 @@ struct Stream<R> {
 
 /// Stops a [`stream_chunks`] run when dropped during a panic: the
 /// other side wakes and unwinds instead of waiting forever.
-struct StopOnPanic<'a, R>(&'a (Mutex<Stream<R>>, Condvar));
+struct StopOnPanic<'a, I, R>(&'a (Mutex<Stream<I, R>>, Condvar));
 
-impl<R> Drop for StopOnPanic<'_, R> {
+impl<I, R> Drop for StopOnPanic<'_, I, R> {
     fn drop(&mut self) {
         if std::thread::panicking() {
             let (lock, cv) = self.0;
@@ -486,36 +342,42 @@ impl<R> Drop for StopOnPanic<'_, R> {
     }
 }
 
-/// Runs `expand` over consecutive `width`-job chunks of `jobs` on up to
-/// `threads` scoped workers and feeds every result to `consume` on the
-/// calling thread, in job order, while the workers carry on. Workers
-/// stay at most [`EXPAND_AHEAD`] chunks each ahead of the consumer.
-/// With one worker (or one chunk) nothing is spawned and each chunk is
-/// consumed as soon as it is expanded. Each worker builds its own state
-/// with `make_worker`.
+/// The pool's one worker loop. Runs `expand` over consecutive
+/// `width`-job chunks of `jobs` on up to `threads` scoped workers and
+/// feeds every result to `consume` on the calling thread, in job order,
+/// while the workers carry on. Each job is taken exactly once, by the
+/// worker that claims its chunk, so jobs may be owned values. Workers
+/// stay at most `ahead` chunks each ahead of the consumer. Worker `w`
+/// builds its own state with `make_worker(w)`. A panic on either side
+/// stops the other and reaches the caller. With one worker (or one
+/// chunk) nothing is spawned and each chunk is consumed as soon as it
+/// is expanded.
 fn stream_chunks<J, R, W>(
-    jobs: &[J],
+    mut jobs: impl ExactSizeIterator<Item = J> + Send,
     width: usize,
     threads: usize,
-    make_worker: impl Fn() -> W + Sync,
-    expand: impl Fn(&mut W, &[J]) -> Vec<R> + Sync,
+    ahead: usize,
+    make_worker: impl Fn(usize) -> W + Sync,
+    expand: impl Fn(&mut W, Vec<J>) -> Vec<R> + Sync,
     mut consume: impl FnMut(R),
 ) where
-    J: Sync,
+    J: Send,
     R: Send,
 {
     let chunks = jobs.len().div_ceil(width);
     let threads = threads.min(chunks);
     if threads <= 1 {
-        let mut worker = make_worker();
-        for chunk in jobs.chunks(width) {
+        let mut worker = make_worker(0);
+        for _ in 0..chunks {
+            let chunk = jobs.by_ref().take(width).collect();
             expand(&mut worker, chunk).into_iter().for_each(&mut consume);
         }
         return;
     }
-    let ahead = EXPAND_AHEAD * threads;
+    let ahead = ahead.saturating_mul(threads);
     let shared = (
         Mutex::new(Stream {
+            jobs,
             next: 0,
             taken: 0,
             done: (0..chunks).map(|_| None).collect(),
@@ -529,16 +391,16 @@ fn stream_chunks<J, R, W>(
             let shared = &shared;
             let (make_worker, expand) = (&make_worker, &expand);
             s.spawn(move || {
-                if pscp_obs::trace_enabled() {
-                    pscp_obs::trace::set_thread_lane_indexed("sim-worker", w);
-                }
-                let worker_span = pscp_obs::trace::span("worker.run");
+                let _lane = pscp_obs::trace::worker_lane("sim-worker", w);
                 let _stop = StopOnPanic(shared);
-                let mut worker = make_worker();
+                let mut worker = make_worker(w);
                 loop {
-                    let i = {
+                    let (i, chunk) = {
                         let mut st = lock.lock().expect(UNPOISONED);
-                        while !st.stopped && st.next < chunks && st.next >= st.taken + ahead {
+                        while !st.stopped
+                            && st.next < chunks
+                            && st.next >= st.taken.saturating_add(ahead)
+                        {
                             st = cv.wait(st).expect(UNPOISONED);
                         }
                         if st.stopped || st.next >= chunks {
@@ -546,15 +408,12 @@ fn stream_chunks<J, R, W>(
                             break;
                         }
                         st.next += 1;
-                        st.next - 1
+                        (st.next - 1, st.jobs.by_ref().take(width).collect())
                     };
-                    let chunk = &jobs[i * width..((i + 1) * width).min(jobs.len())];
                     let out = expand(&mut worker, chunk);
                     lock.lock().expect(UNPOISONED).done[i] = Some(out);
                     cv.notify_all();
                 }
-                drop(worker_span);
-                pscp_obs::trace::flush_current_thread();
             });
         }
         let _stop = StopOnPanic(&shared);
@@ -582,11 +441,58 @@ impl Default for SimPool {
     }
 }
 
-/// Runs one scenario on a (dirty) machine after resetting it. Shared
-/// with the scenario server ([`crate::serve`]), whose shard workers
-/// must be byte-identical to an in-process [`SimPool`] run — both go
-/// through this one function.
-pub(crate) fn run_scenario<E, F>(
+/// One worker's scenario engine: a scalar [`PscpMachine`] at gang width
+/// 1 (the differential oracle), otherwise a [`GangRig`]. [`SimPool`]
+/// workers and the scenario server's shard workers ([`crate::serve`])
+/// both run their scenarios through it, which is what keeps served
+/// outcomes byte-identical to an in-process batch.
+pub(crate) enum BatchRunner<'s> {
+    Scalar(Box<PscpMachine<'s>>),
+    Gang(Box<GangRig<'s>>),
+}
+
+impl<'s> BatchRunner<'s> {
+    /// The engine for `gang`-wide batches of `system`, its machines on
+    /// `tables` (built for `system.chart`).
+    pub(crate) fn new(
+        system: &'s CompiledSystem,
+        tables: &Arc<SelectionTables>,
+        gang: usize,
+    ) -> Self {
+        if gang <= 1 {
+            BatchRunner::Scalar(Box::new(PscpMachine::with_tables(system, Arc::clone(tables))))
+        } else {
+            BatchRunner::Gang(Box::new(GangRig::new(system, tables)))
+        }
+    }
+
+    /// Runs every job — an environment and its limits — to completion
+    /// and returns the outcomes in job order, counting them against
+    /// `worker`. The scalar engine runs the jobs one after another; the
+    /// gang runs up to [`GANG_WIDTH`] of them in lock-step.
+    pub(crate) fn run<E, F>(
+        &mut self,
+        worker: usize,
+        jobs: Vec<(E, BatchOptions)>,
+        done: &F,
+    ) -> Vec<BatchOutcome<E>>
+    where
+        E: Environment,
+        F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool,
+    {
+        match self {
+            BatchRunner::Scalar(machine) => jobs
+                .into_iter()
+                .map(|(env, limits)| run_scenario(worker, machine, env, &limits, done))
+                .collect(),
+            BatchRunner::Gang(rig) => rig.run(worker, jobs, done),
+        }
+    }
+}
+
+/// Runs one scenario on a (dirty) machine after resetting it: the
+/// scalar [`BatchRunner`]'s loop.
+fn run_scenario<E, F>(
     worker: usize,
     machine: &mut PscpMachine<'_>,
     mut env: E,
@@ -647,6 +553,7 @@ mod tests {
     use crate::machine::ScriptedEnvironment;
     use pscp_statechart::{Chart, ChartBuilder, StateKind};
     use pscp_tep::codegen::CodegenOptions;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn counter_chart() -> Chart {
         let mut b = ChartBuilder::new("counter");
@@ -917,10 +824,11 @@ mod tests {
                 let expanded = AtomicUsize::new(0);
                 let mut out = Vec::new();
                 stream_chunks(
-                    &jobs,
+                    jobs.iter().copied(),
                     width,
                     threads,
-                    || (),
+                    EXPAND_AHEAD,
+                    |_| (),
                     |_, chunk| {
                         expanded.fetch_add(1, Ordering::SeqCst);
                         chunk.iter().map(|j| j * 10).collect()
@@ -944,10 +852,11 @@ mod tests {
     fn stream_chunks_surfaces_a_worker_panic() {
         let jobs: Vec<usize> = (0..64).collect();
         stream_chunks(
-            &jobs,
+            jobs.iter().copied(),
             4,
             2,
-            || (),
+            EXPAND_AHEAD,
+            |_| (),
             |_, chunk| {
                 assert!(chunk[0] != 8, "boom");
                 chunk.to_vec()
@@ -961,12 +870,46 @@ mod tests {
     fn stream_chunks_releases_workers_when_the_consumer_panics() {
         let jobs: Vec<usize> = (0..640).collect();
         stream_chunks(
-            &jobs,
+            jobs.iter().copied(),
             4,
             2,
-            || (),
+            EXPAND_AHEAD,
+            |_| (),
             |_, chunk| chunk.to_vec(),
             |j| assert!(j != 5, "consumer gave up"),
         );
+    }
+
+    /// Panics on its first sample when armed.
+    struct Tripwire(bool);
+
+    impl Environment for Tripwire {
+        fn sample_events(&mut self, _now: u64) -> Vec<String> {
+            assert!(!self.0, "tripwire scenario");
+            vec!["TICK".to_string()]
+        }
+    }
+
+    #[test]
+    fn a_panicking_scenario_panics_the_caller() {
+        // The batch collects through a Condvar wait: a worker's panic
+        // must wake the caller and unwind it, never leave it waiting.
+        for gang in [1, 64] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let sys = system();
+                let envs: Vec<_> = (0..8).map(|i| Tripwire(i == 5)).collect();
+                let limits = BatchOptions { deadline: u64::MAX, max_steps: 4 };
+                let pool = SimPool::with_threads(2).with_gang(gang);
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    pool.run_batch(&sys, envs, &limits).len()
+                }));
+                let _ = tx.send(result.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("gang={gang}: the batch hung"));
+            assert!(panicked, "gang={gang}: the batch swallowed a scenario panic");
+        }
     }
 }

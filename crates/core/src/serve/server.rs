@@ -2,11 +2,11 @@
 //!
 //! One loaded [`CompiledSystem`], many concurrent client connections.
 //! Work is sharded across a persistent pool of scenario workers — one
-//! [`PscpMachine`] per worker, reused across scenarios via
-//! [`PscpMachine::reset`] exactly like a
+//! [`PscpMachine`](crate::machine::PscpMachine) (or one gang rig) per
+//! worker, reused across scenarios exactly like a
 //! [`SimPool`](crate::pool::SimPool) worker. Every scenario runs
-//! through the same `run_scenario` function the in-process pool uses,
-//! which is what makes server round-trips byte-identical to
+//! through the same `BatchRunner` the in-process pool uses, which is
+//! what makes server round-trips byte-identical to
 //! `SimPool::run_batch` (the differential suite pins this).
 //!
 //! Per-connection flow control is credit-based: the handshake grants a
@@ -23,9 +23,8 @@ use super::wire::{
 };
 use super::ServeOptions;
 use crate::compile::CompiledSystem;
-use crate::gang::GangRig;
-use crate::machine::{PscpMachine, ScriptedEnvironment};
-use crate::pool::BatchOptions;
+use crate::machine::ScriptedEnvironment;
+use crate::pool::{BatchOptions, BatchRunner};
 use pscp_statechart::semantics::SelectionTables;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -310,16 +309,16 @@ fn next_event(
     }
 }
 
-/// One scenario worker serving the shared queue. With `gang <= 1` it
-/// is the classic scalar shard: one persistent machine, one scenario
-/// at a time. With a wider gang it pops one job (blocking), then
-/// opportunistically drains up to `gang - 1` more without waiting and
-/// runs the chunk lock-step on a [`GangRig`] — scenarios from
-/// different connections can share a gang, since every lane carries
-/// its own environment and limits. Outcomes are byte-identical either
-/// way (the differential suite pins it), so gang packing is purely a
-/// throughput choice. Every machine runs on the server's one set of
-/// selection `tables`.
+/// One scenario worker serving the shared queue. It pops one job
+/// (blocking), then opportunistically drains up to `gang - 1` more
+/// without waiting, and runs the batch on its [`BatchRunner`]: at
+/// `gang <= 1` the classic scalar shard, one persistent machine and one
+/// scenario at a time; wider, one lock-step [`GangRig`](crate::gang)
+/// pass — scenarios from different connections can share a gang, since
+/// every lane carries its own environment and limits. Outcomes are
+/// byte-identical either way (the differential suite pins it), so gang
+/// packing is purely a throughput choice. Every machine runs on the
+/// server's one set of selection `tables`.
 fn worker(
     w: usize,
     system: &CompiledSystem,
@@ -327,33 +326,8 @@ fn worker(
     shared: &Shared,
     gang: usize,
 ) {
-    if pscp_obs::trace_enabled() {
-        pscp_obs::trace::set_thread_lane_indexed("serve-worker", w);
-    }
-    let _worker_span = pscp_obs::trace::span("worker.run");
-    if gang <= 1 {
-        let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
-        while let Some(job) = shared.pop() {
-            let dequeued = job.enqueued.map(|_| Instant::now());
-            let queue_ns = elapsed_ns(job.enqueued, dequeued);
-            let outcome =
-                crate::pool::run_scenario(w, &mut machine, job.env, &job.limits, &|_, _, _| false);
-            let sim_end = dequeued.map(|_| Instant::now());
-            let sim_ns = elapsed_ns(dequeued, sim_end);
-            let builder = OutcomeFrame::begin(job.seq, &WireOutcome::from_batch(&outcome));
-            let encode_ns = elapsed_ns(sim_end, sim_end.map(|_| Instant::now()));
-            if pscp_obs::metrics_enabled() {
-                pscp_obs::metrics::SERVE_QUEUE_NS.record(w, queue_ns);
-                pscp_obs::metrics::SERVE_SIM_NS.record(w, sim_ns);
-                pscp_obs::metrics::SERVE_ENCODE_NS.record(encode_ns);
-            }
-            let latency =
-                job.conn.latency.then_some(OutcomeLatency { queue_ns, sim_ns, encode_ns });
-            job.conn.push(Msg::Outcome(builder.finish(latency)));
-        }
-        return;
-    }
-    let mut rig = GangRig::new(system, tables);
+    let _lane = pscp_obs::trace::worker_lane("serve-worker", w);
+    let mut runner = BatchRunner::new(system, tables, gang);
     let mut batch: Vec<Job> = Vec::with_capacity(gang);
     while let Some(job) = shared.pop() {
         batch.push(job);
@@ -366,11 +340,12 @@ fn worker(
             routes.push((job.conn, job.seq, elapsed_ns(job.enqueued, dequeued)));
             jobs.push((job.env, job.limits));
         }
-        let outcomes = rig.run(w, jobs, &|_, _, _| false);
+        let outcomes = runner.run(w, jobs, &|_, _, _| false);
         let sim_end = dequeued.map(|_| Instant::now());
-        // Gang lanes simulate lock-step, so every lane reports the
-        // rig's shared wall time — the honest decomposition of server
-        // residency for a ganged scenario.
+        // Every scenario of a batch reports the batch's shared wall
+        // time: gang lanes simulate lock-step, so this is the honest
+        // decomposition of server residency for a ganged scenario, and
+        // a one-job batch's own simulation time.
         let sim_ns = elapsed_ns(dequeued, sim_end);
         if pscp_obs::metrics_enabled() {
             pscp_obs::metrics::SERVE_SIM_NS.record(w, sim_ns);

@@ -3,9 +3,10 @@
 //! Recording is lock-free on the hot path: each thread owns a
 //! fixed-capacity ring buffer ([`RING_CAPACITY`] completed spans;
 //! oldest dropped on overflow) that is folded into a global collector
-//! when the thread exits — scoped pool workers therefore flush
-//! automatically — or when [`flush_current_thread`] /
-//! [`export_chrome_trace`] runs on the thread.
+//! when the thread exits, or when [`flush_current_thread`] /
+//! [`export_chrome_trace`] runs on the thread. Scoped workers hold a
+//! [`worker_lane`] guard, which flushes as the worker body ends — a
+//! scope join does not wait for the exit-time flush.
 //!
 //! Threads are grouped into *lanes* by name ([`set_thread_lane`]):
 //! lanes map to stable Chrome thread ids, so short-lived scoped
@@ -151,6 +152,36 @@ pub fn set_thread_lane(name: &str) {
 /// [`set_thread_lane`] with an indexed name (`"{prefix}-{index}"`).
 pub fn set_thread_lane_indexed(prefix: &str, index: usize) {
     set_thread_lane(&format!("{prefix}-{index}"));
+}
+
+/// A worker thread's trace presence for its lifetime; see
+/// [`worker_lane`].
+#[derive(Debug)]
+pub struct WorkerLane {
+    span: Option<Span>,
+}
+
+/// Names the calling worker thread's lane `"{prefix}-{index}"` (when
+/// tracing is on) and opens its `worker.run` lifetime span, so even a
+/// worker that never got a job shows up in the trace. Dropping the
+/// guard closes the span and flushes the thread's ring: a
+/// `thread::scope` join can complete before the worker's TLS
+/// destructors run, so without the flush its spans could reach the
+/// collector after the joining thread exported. Hold it for the whole
+/// worker body.
+#[must_use = "the span closes and the ring flushes when the guard drops"]
+pub fn worker_lane(prefix: &str, index: usize) -> WorkerLane {
+    if crate::trace_enabled() {
+        set_thread_lane_indexed(prefix, index);
+    }
+    WorkerLane { span: Some(span("worker.run")) }
+}
+
+impl Drop for WorkerLane {
+    fn drop(&mut self) {
+        drop(self.span.take());
+        flush_current_thread();
+    }
 }
 
 /// An in-flight span; records on drop. Disarmed (free) when tracing is
@@ -374,7 +405,7 @@ mod tests {
         std::thread::scope(|s| {
             for i in 0..2 {
                 s.spawn(move || {
-                    set_thread_lane_indexed("worker", i);
+                    let _lane = worker_lane("worker", i);
                     let _s = span("job");
                     std::thread::sleep(std::time::Duration::from_micros(50));
                 });

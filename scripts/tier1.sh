@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 gate: what CI runs on every PR. Build + facade tests, then the
-# full workspace suite, then clippy (warnings are errors) on the crates
-# the hot-path work touches.
+# full workspace suite, then clippy (warnings are errors) on every
+# workspace crate and on the benchmark package, which sits outside the
+# workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
 cargo test --workspace -q
-cargo clippy --all-targets -p pscp-statechart -p pscp-sla -p pscp-tep \
-    -p pscp-obs -p pscp-core -p pscp-bench -p pscp-serve -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --offline --all-targets --manifest-path pscp-benchmark/Cargo.toml -- -D warnings
 
 # The scenario-server differential suite is the serving layer's spec:
 # wire round-trips must be byte-identical to the in-process SimPool.
