@@ -211,7 +211,6 @@ fn dse_run(
     memo: MemoPersistence,
 ) -> OptimizationResult {
     let options = OptimizeOptions {
-        threads: Some(1),
         incremental,
         verify_incremental: false,
         memo,
@@ -657,7 +656,6 @@ fn obs_ledger(workers: usize) -> (f64, f64, f64, String) {
     pscp_obs::metrics::reset_all();
     let (chart, ir) = pickup_head_inputs();
     let options = OptimizeOptions {
-        threads: Some(workers),
         verify_incremental: false,
         memo: MemoPersistence::Disabled,
         ..OptimizeOptions::default()

@@ -34,12 +34,11 @@ fn main() {
     let dir = pscp_obs::obs_dir();
     std::fs::create_dir_all(&dir).expect("create obs dir");
 
-    // 1. A parallel design-space exploration: `optimize`, `candidate`,
-    // and `worker-N` spans land in the trace, the OPT_*/REVALIDATE_*
+    // 1. A design-space exploration: `optimize`, `optimize.step` and
+    // `candidate` spans land in the trace, the OPT_*/REVALIDATE_*
     // counters in the metrics.
     let (chart, ir) = pickup_head_inputs();
     let options = OptimizeOptions {
-        threads: Some(WORKERS),
         verify_incremental: false,
         memo: MemoPersistence::Disabled,
         ..OptimizeOptions::default()

@@ -18,7 +18,7 @@
 //!   (Tables 2 and 3).
 //! * [`optimize`] — the iterative architecture/instruction improvement
 //!   loop of §4, applied "in increasing order of difficulty" (Table 4),
-//!   with candidate evaluation fanned out across a worker pool.
+//!   evaluating only the candidate that order applies next.
 //! * [`pool`] — the batched multi-scenario co-simulation driver:
 //!   [`SimPool`](pool::SimPool) runs independent scenarios of one
 //!   compiled system across `PSCP_THREADS` workers, byte-identical to

@@ -100,6 +100,12 @@ impl MemoStore {
         }
     }
 
+    /// True when a file backs the store, so entries can come warm from
+    /// an earlier run.
+    pub fn is_persistent(&self) -> bool {
+        self.path.is_some()
+    }
+
     /// Looks up a candidate by key.
     pub fn get(&self, key: &str) -> Option<&MemoEntry> {
         let entry = self.entries.get(key);

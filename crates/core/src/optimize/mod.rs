@@ -20,21 +20,19 @@
 //! validation, and is recorded in the history that the Table 4 harness
 //! prints.
 //!
-//! ## Parallel exploration
+//! ## Lazy, in-order evaluation
 //!
-//! Each step evaluates *all* applicable improvements — its own
-//! `compile_system_from_ir` + `validate_timing` per candidate — across
-//! a scoped worker pool ([`OptimizeOptions::threads`], defaulting to
-//! `PSCP_THREADS`). The reduction is deterministic: the candidate
-//! first in the fixed difficulty order wins (the paper's
-//! increasing-difficulty policy), decided purely by candidate position,
-//! never by worker completion order — so the chosen improvement
-//! sequence is byte-identical to the sequential loop for any worker
-//! count, and the remaining evaluations ride along as a prefetched
-//! view of the whole candidate frontier. A content-keyed memo cache
-//! (architecture + storage placement → timing report + area) makes any
-//! repeated candidate content free of recompilation; see [`memo`] for
-//! the stable key derivation and the optional cross-run persistence.
+//! The paper's policy fixes the winner before anything is measured:
+//! each step applies the first applicable improvement in the difficulty
+//! order, and the shrink phase tries its removals one by one in a
+//! fixed order. So the loop evaluates exactly those candidates — its
+//! own `compile_system_from_ir` + `validate_timing` per candidate — on
+//! the calling thread, and nothing it would throw away. A content-keyed
+//! memo (architecture + storage placement → timing report + area) lets
+//! a file-backed store from an earlier run serve candidates without
+//! recompiling; see [`memo`] for the stable key derivation and the
+//! optional cross-run persistence. Within one run every candidate's
+//! content is new, so an in-memory store is never consulted.
 //!
 //! ## Incremental revalidation
 //!
@@ -70,7 +68,6 @@ use pscp_tep::timing::WcetReport;
 use pscp_tep::StorageClass;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 
 /// One improvement the optimiser can apply.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,10 +130,10 @@ pub struct OptimizeOptions {
     pub mutual_exclusion: Vec<BTreeSet<u32>>,
     /// Upper bound on optimisation steps (safety).
     pub max_steps: usize,
-    /// Worker threads for candidate evaluation. `None` resolves via
-    /// the `PSCP_THREADS` environment variable, falling back to the
-    /// available hardware parallelism. The chosen improvement sequence
-    /// is byte-identical for every worker count.
+    /// Not read by [`optimize`]: candidates are evaluated lazily, in
+    /// order, on the calling thread, so there is no worker pool to size.
+    /// Kept because existing callers set it; any value gives the same
+    /// result.
     pub threads: Option<usize>,
     /// Component catalog to draw from, in increasing order of
     /// difficulty. Defaults to [`Component::catalog`]; use
@@ -217,7 +214,6 @@ pub fn optimize(
     options: &OptimizeOptions,
 ) -> Result<OptimizationResult, SystemError> {
     let _opt_span = pscp_obs::trace::span("optimize");
-    let threads = options.threads.unwrap_or_else(crate::pool::configured_threads).max(1);
     let mut arch = start.clone();
     let mut codegen = CodegenOptions::default();
 
@@ -232,45 +228,50 @@ pub fn optimize(
     let compile_cache = CodegenCache::new();
     let cache: Option<&CodegenCache> =
         if options.incremental && compile_cache.is_enabled() { Some(&compile_cache) } else { None };
-    let mut system = compile_system_with(&artifacts, ir, &arch, &codegen, cache)?;
+    let system = compile_system_with(&artifacts, ir, &arch, &codegen, cache)?;
 
     // The timing IR: one structural build shared by every candidate.
     // Candidates never change the chart or the interrupt-event set, so
     // only the cost table and the TEP count vary per evaluation.
     let graph = TimingGraph::build(&system, &options.timing);
-    let mut base_wcet = wcet_report(&system, &options.timing);
-    let mut base_eval =
-        graph.evaluate(transition_costs(&system, &base_wcet), arch.n_teps);
+    let wcet = wcet_report(&system, &options.timing);
+    let eval = graph.evaluate(transition_costs(&system, &wcet), arch.n_teps);
     let mut timing = if options.incremental {
-        graph.report(&base_eval)
+        graph.report(&eval)
     } else {
         validate_timing_full(&system, &options.timing)
     };
     let mut history = vec![record(None, &arch, &system, &timing)];
+    let mut base = Base { system, wcet, eval };
 
-    // Content-keyed memo cache: a stable hash of (chart, IR, timing
-    // options, architecture, storage placement) → (timing report,
-    // area). Workers share it; a candidate whose content was already
-    // evaluated — this run or, with persistence, a previous one —
-    // never recompiles.
-    let store = Mutex::new(MemoStore::open(&options.memo));
-    let fingerprint = memo::fingerprint(chart, ir, &options.timing);
-    let evaluate = |cand_arch: &PscpArch,
-                    cand_codegen: &CodegenOptions,
-                    base: &TimingEval,
-                    base_sys: &CompiledSystem,
-                    base_wcet: &WcetReport|
+    // Content-keyed memo: a stable hash of (chart, IR, timing options,
+    // architecture, storage placement) → (timing report, area). Within
+    // one run every evaluated candidate's content is new, so only
+    // entries warm from a file written by an earlier run can hit; an
+    // in-memory store is skipped, and with it the key derivation.
+    let store = MemoStore::open(&options.memo);
+    let mut persisted = store
+        .is_persistent()
+        .then(|| (store, memo::fingerprint(chart, ir, &options.timing)));
+    let mut evaluate = |cand_arch: &PscpArch,
+                        cand_codegen: &CodegenOptions,
+                        base: &Base|
      -> Result<CandidateEval, SystemError> {
         let _cand_span = pscp_obs::trace::span("candidate");
-        let key = memo::cache_key(&fingerprint, cand_arch, cand_codegen);
-        if let Some(entry) = store.lock().unwrap().get(&key) {
-            return Ok(CandidateEval {
-                timing: entry.timing.clone(),
-                area: entry.area,
-                system: None,
-                eval: None,
-                wcet: None,
-            });
+        pscp_obs::metrics::OPT_CANDIDATES.inc();
+        let memo_slot = persisted.as_mut().map(|(store, fingerprint)| {
+            (store, memo::cache_key(fingerprint, cand_arch, cand_codegen))
+        });
+        if let Some((store, key)) = &memo_slot {
+            if let Some(entry) = store.get(key) {
+                return Ok(CandidateEval {
+                    timing: entry.timing.clone(),
+                    area: entry.area,
+                    system: None,
+                    eval: None,
+                    wcet: None,
+                });
+            }
         }
         let compile_watch = pscp_obs::StopWatch::start();
         let sys = compile_system_with(&artifacts, ir, cand_arch, cand_codegen, cache)?;
@@ -290,7 +291,7 @@ pub fn optimize(
         let validate_watch = pscp_obs::StopWatch::start();
         let use_incremental = options.incremental && graph.matches(&sys, &options.timing);
         let (timing, eval, cand_wcet) = if use_incremental {
-            let wcet = wcet_report_incremental(&sys, base_sys, base_wcet, &options.timing);
+            let wcet = wcet_report_incremental(&sys, &base.system, &base.wcet, &options.timing);
             if options.verify_incremental {
                 // Differential oracle: per-routine WCET reuse must be
                 // invisible in the report.
@@ -301,7 +302,7 @@ pub fn optimize(
                     cand_arch.label
                 );
             }
-            let ev = graph.revalidate(base, transition_costs(&sys, &wcet), cand_arch.n_teps);
+            let ev = graph.revalidate(&base.eval, transition_costs(&sys, &wcet), cand_arch.n_teps);
             let report = graph.report(&ev);
             (report, Some(ev), Some(wcet))
         } else {
@@ -319,78 +320,61 @@ pub fn optimize(
             );
         }
         let area = pscp_area(&sys).total().0;
-        store
-            .lock()
-            .unwrap()
-            .insert(key, MemoEntry { timing: timing.clone(), area });
+        if let Some((store, key)) = memo_slot {
+            store.insert(key, MemoEntry { timing: timing.clone(), area });
+        }
         Ok(CandidateEval { timing, area, system: Some(sys), eval, wcet: cand_wcet })
+    };
+
+    // Makes an evaluated candidate the new base and returns its timing.
+    // A memo hit carries no system, so the adopted configuration
+    // compiles here (it compiled when the entry was created). The
+    // incremental base rolls forward against the outgoing system before
+    // that system is replaced.
+    let adopt = |eval: CandidateEval,
+                 cand_arch: &mut PscpArch,
+                 cand_codegen: &CodegenOptions,
+                 base: &mut Base|
+     -> Result<TimingReport, SystemError> {
+        let system = match eval.system {
+            Some(s) => s,
+            None => compile_system_with(&artifacts, ir, cand_arch, cand_codegen, cache)?,
+        };
+        // Extraction (when enabled) ran inside the compile; pick up the
+        // registered fused ops for subsequent area accounting.
+        cand_arch.tep.custom_ops = system.arch.tep.custom_ops.clone();
+        if options.incremental {
+            let wcet = eval.wcet.unwrap_or_else(|| {
+                wcet_report_incremental(&system, &base.system, &base.wcet, &options.timing)
+            });
+            base.eval = eval.eval.unwrap_or_else(|| {
+                graph.evaluate(transition_costs(&system, &wcet), cand_arch.n_teps)
+            });
+            base.wcet = wcet;
+        }
+        base.system = system;
+        Ok(eval.timing)
     };
 
     let mut steps = 0usize;
     while !timing.ok() && steps < options.max_steps {
         let candidates = applicable_improvements(&arch, ir, options);
-        if candidates.is_empty() {
-            break;
-        }
+        // The paper's increasing-difficulty policy: the head of the list
+        // is the improvement applied next, and only it is evaluated.
+        let Some(improvement) = candidates.first() else { break };
         steps += 1;
         let _step_span = pscp_obs::trace::span("optimize.step");
         pscp_obs::metrics::OPT_STEPS.inc();
+        pscp_obs::metrics::OPT_STEP_CANDIDATES.record(candidates.len() as u64);
 
-        // Stage every applicable improvement against the current base
-        // and evaluate them all across the worker pool.
-        let mut staged: Vec<(Improvement, PscpArch, CodegenOptions)> = candidates
-            .into_iter()
-            .map(|imp| {
-                let mut cand_arch = arch.clone();
-                let mut cand_codegen = codegen.clone();
-                apply_improvement(&imp, &mut cand_arch, &mut cand_codegen, ir, options);
-                (imp, cand_arch, cand_codegen)
-            })
-            .collect();
-        pscp_obs::metrics::OPT_CANDIDATES.add(staged.len() as u64);
-        pscp_obs::metrics::OPT_STEP_CANDIDATES.record(staged.len() as u64);
-        let mut evals = crate::pool::run_indexed(&staged, threads, |_, (_, a, c)| {
-            evaluate(a, c, &base_eval, &system, &base_wcet)
-        });
-
-        // Deterministic reduction: the candidate first in the fixed
-        // difficulty order wins — the paper's increasing-difficulty
-        // policy, decided purely by candidate position, never by worker
-        // completion order. The parallel stage means every applicable
-        // alternative was timed against the same base for the
-        // wall-clock price of one compile.
-        let winner = 0;
-        let (improvement, cand_arch, cand_codegen) = staged.swap_remove(winner);
-        let mut eval = evals.swap_remove(winner)?;
-        let new_system = match eval.system {
-            Some(s) => s,
-            // Memo hit: the one compile the winner still needs.
-            None => compile_system_with(&artifacts, ir, &cand_arch, &cand_codegen, cache)?,
-        };
+        let mut cand_arch = arch.clone();
+        let mut cand_codegen = codegen.clone();
+        apply_improvement(improvement, &mut cand_arch, &mut cand_codegen, ir, options);
+        let eval = evaluate(&cand_arch, &cand_codegen, &base)?;
+        timing = adopt(eval, &mut cand_arch, &cand_codegen, &mut base)?;
         arch = cand_arch;
         codegen = cand_codegen;
-        // Extraction (when enabled) ran inside the compile; pick up the
-        // registered fused ops for subsequent area accounting.
-        arch.tep.custom_ops = new_system.arch.tep.custom_ops.clone();
-        // The winner's evaluation becomes the next round's dirty-set
-        // base; memo hits re-price from the recompiled system. The
-        // base WCET rolls forward incrementally against the previous
-        // base before the system is replaced.
-        if options.incremental {
-            let new_wcet = eval.wcet.take().unwrap_or_else(|| {
-                wcet_report_incremental(&new_system, &system, &base_wcet, &options.timing)
-            });
-            base_eval = match eval.eval {
-                Some(ev) => ev,
-                None => {
-                    graph.evaluate(transition_costs(&new_system, &new_wcet), arch.n_teps)
-                }
-            };
-            base_wcet = new_wcet;
-        }
-        system = new_system;
-        timing = eval.timing;
-        history.push(record(Some(improvement.to_string()), &arch, &system, &timing));
+        history.push(record(Some(improvement.to_string()), &arch, &base.system, &timing));
     }
 
     let budget_exhausted = !timing.ok() && steps >= options.max_steps;
@@ -407,7 +391,7 @@ pub fn optimize(
                 v.event,
                 v.worst,
                 v.period,
-                v.path_names(&system.chart)
+                v.path_names(&base.system.chart)
             );
             // Surface the surviving worst cycle itself, not just a log
             // line, so callers can act on the offending path.
@@ -424,74 +408,36 @@ pub fn optimize(
 
     // Shrink phase (§1): drop hardware the final code does not need, as
     // long as the constraints keep holding. One pass over a fixed
-    // candidate list, each removal tried once against whatever base is
-    // current when its turn comes — the sequential semantics — but the
-    // not-yet-tried tail is evaluated in parallel against the current
-    // base, and re-staged only when an acceptance changes that base.
+    // candidate list, in order: each removal is tried once against the
+    // base current when its turn comes, and kept when the constraints
+    // still hold and the area strictly shrinks.
     if options.shrink && timing.ok() {
-        let removals = shrink_candidates(&arch, ir);
-        let mut idx = 0;
-        while idx < removals.len() {
-            let staged: Vec<(usize, PscpArch)> = (idx..removals.len())
-                .map(|i| {
-                    let mut cand = arch.clone();
-                    (removals[i].apply)(&mut cand.tep);
-                    (i, cand)
-                })
-                .collect();
-            let evals = crate::pool::run_indexed(&staged, threads, |_, (_, cand)| {
-                evaluate(cand, &codegen, &base_eval, &system, &base_wcet)
-            });
-            // Scan in fixed order for the first removal that keeps the
-            // constraints and strictly shrinks area; candidates the
-            // scan rejects are spent (each is tried exactly once).
-            let current_area = pscp_area(&system).total().0;
-            let accepted = staged
-                .into_iter()
-                .zip(evals)
-                .find_map(|((i, cand), ev)| match ev {
-                    Ok(ev) if ev.timing.ok() && ev.area < current_area => {
-                        Some((i, cand, ev))
-                    }
-                    _ => None,
-                });
-            let Some((i, mut cand, mut eval)) = accepted else { break };
-            let new_system = match eval.system {
-                Some(s) => s,
-                // Memo hit: recompile the accepted configuration (the
-                // compile succeeded when the memo entry was created).
-                None => compile_system_with(&artifacts, ir, &cand, &codegen, cache)?,
+        for removal in shrink_candidates(&arch, ir) {
+            let mut cand = arch.clone();
+            (removal.apply)(&mut cand.tep);
+            let current_area = pscp_area(&base.system).total().0;
+            let eval = match evaluate(&cand, &codegen, &base) {
+                Ok(ev) if ev.timing.ok() && ev.area < current_area => ev,
+                // A failed compile is a rejection like any other.
+                _ => continue,
             };
-            let name = removals[i].name;
-            cand.label = format!("{} - {}", arch.label, name);
-            cand.tep.custom_ops = new_system.arch.tep.custom_ops.clone();
+            cand.label = format!("{} - {}", arch.label, removal.name);
+            timing = adopt(eval, &mut cand, &codegen, &mut base)?;
             arch = cand;
-            if options.incremental {
-                let new_wcet = eval.wcet.take().unwrap_or_else(|| {
-                    wcet_report_incremental(&new_system, &system, &base_wcet, &options.timing)
-                });
-                base_eval = match eval.eval {
-                    Some(ev) => ev,
-                    None => {
-                        graph.evaluate(transition_costs(&new_system, &new_wcet), arch.n_teps)
-                    }
-                };
-                base_wcet = new_wcet;
-            }
-            system = new_system;
-            timing = eval.timing;
-            history.push(record(Some(format!("remove {name}")), &arch, &system, &timing));
-            idx = i + 1;
+            let applied = format!("remove {}", removal.name);
+            history.push(record(Some(applied), &arch, &base.system, &timing));
         }
     }
 
-    store.into_inner().unwrap().save();
+    if let Some((store, _)) = persisted {
+        store.save();
+    }
 
     let satisfied = timing.ok();
     Ok(OptimizationResult {
         arch,
         codegen,
-        system,
+        system: base.system,
         timing,
         history,
         satisfied,
@@ -500,11 +446,20 @@ pub fn optimize(
     })
 }
 
+/// The configuration candidates are judged against: the current
+/// system, plus the WCET report and graph evaluation the incremental
+/// path re-prices from (the dirty-set base).
+struct Base {
+    system: CompiledSystem,
+    wcet: WcetReport,
+    eval: TimingEval,
+}
+
 /// One evaluated candidate: its timing report and area, plus the
 /// compiled system when this evaluation actually compiled (memo-cache
-/// hits return `None` and the winner recompiles its one system) and
-/// the graph evaluation when the incremental path priced it (the
-/// winner's becomes the next round's dirty-set base).
+/// hits return `None` and adoption recompiles) and the WCET report and
+/// graph evaluation when the incremental path priced it (an adopted
+/// candidate's become the next dirty-set base).
 struct CandidateEval {
     timing: TimingReport,
     area: u32,
@@ -640,8 +595,7 @@ fn record(
 
 /// All improvements applicable to an architecture, in increasing order
 /// of difficulty (the paper's §4 ordering). The head of this list is
-/// what the sequential loop would apply next; the parallel loop
-/// evaluates the whole list and reduces deterministically.
+/// what the loop applies next.
 fn applicable_improvements(
     arch: &PscpArch,
     ir: &Program,

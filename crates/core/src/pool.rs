@@ -16,9 +16,8 @@
 //! bytes, only wall-clock differs. Every parallel loop of this module
 //! runs on one worker loop, [`stream_chunks`]: scoped workers claim
 //! fixed-width chunks of jobs in order, and the calling thread takes
-//! the results in job order. Batches and the parallel candidate
-//! evaluation in [`optimize`](crate::optimize::optimize)
-//! ([`run_indexed`]) collect every result; state exploration
+//! the results in job order. Batches ([`SimPool::run_batch_until`])
+//! collect every result; state exploration
 //! ([`SimPool::expand_states`]) streams them with a bounded lookahead.
 //!
 //! On top of the thread pool, each worker packs up to `PSCP_GANG`
@@ -86,29 +85,6 @@ pub fn gang_from(var: Option<&str>) -> usize {
 /// (default: the full 64-lane word).
 pub fn configured_gang() -> usize {
     gang_from(std::env::var("PSCP_GANG").ok().as_deref())
-}
-
-/// Runs `f` over every job on up to `threads` workers, returning the
-/// results in job order: a collect over [`stream_chunks`]. With
-/// `threads <= 1` (or a single job) the jobs run inline, so a
-/// one-worker pool is *exactly* the sequential loop.
-pub(crate) fn run_indexed<T, R, F>(jobs: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let mut out = Vec::with_capacity(jobs.len());
-    stream_chunks(
-        jobs.iter().enumerate(),
-        1,
-        threads,
-        COLLECT_AHEAD,
-        |_| (),
-        |_, chunk| chunk.into_iter().map(|(i, job)| f(i, job)).collect(),
-        |r| out.push(r),
-    );
-    out
 }
 
 /// Run limits for one scenario of a batch.
@@ -798,18 +774,6 @@ mod tests {
                     assert!(a.error.is_none());
                 }
             }
-        }
-    }
-
-    #[test]
-    fn run_indexed_preserves_order() {
-        let jobs: Vec<usize> = (0..37).collect();
-        for threads in [1, 3, 8] {
-            let out = run_indexed(&jobs, threads, |i, &j| {
-                assert_eq!(i, j);
-                j * 10
-            });
-            assert_eq!(out, (0..37).map(|j| j * 10).collect::<Vec<_>>());
         }
     }
 

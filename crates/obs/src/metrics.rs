@@ -293,9 +293,11 @@ pub static REVALIDATE_DIRTY: Histogram = Histogram::new();
 
 /// Improvement steps taken by `optimize()`.
 pub static OPT_STEPS: Counter = Counter::new();
-/// Candidates evaluated across all optimisation steps.
+/// Candidates evaluated by `optimize()`: one per evaluation, improvement
+/// steps and shrink removals alike, memo hits included.
 pub static OPT_CANDIDATES: Counter = Counter::new();
-/// Staged candidate count per optimisation step.
+/// Applicable improvements per optimisation step (only the first is
+/// evaluated).
 pub static OPT_STEP_CANDIDATES: Histogram = Histogram::new();
 /// Wall-clock nanoseconds spent compiling candidate systems.
 pub static OPT_COMPILE_NS: Counter = Counter::new();

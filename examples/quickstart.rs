@@ -107,7 +107,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ir = pscp::action_lang::compile_with_env(ACTIONS, &chart_env(&tight))?;
     let options = OptimizeOptions {
         max_steps: 1,
-        threads: Some(1),
         memo: MemoPersistence::Disabled,
         ..OptimizeOptions::default()
     };

@@ -30,6 +30,14 @@ cargo test --release -p pscp-core --test gang_differential -q
 # enumeration.
 cargo test --release -p pscp-core --test explore_differential -q
 
+# The DSE golden suite is the optimiser's spec: the chosen history,
+# architecture, placement and timing must stay byte-identical to the
+# histories recorded before candidate evaluation became lazy, at one and
+# two workers, incremental and full; a file-backed memo must hold one
+# entry per evaluated candidate and serve a warm rerun without compiling.
+cargo test --release -p pscp-bench --test dse_golden -q
+cargo test --release -p pscp-bench --test dse_memo -q
+
 # The selection-oracle suites are the executor's transition-selection
 # spec: the indexed selection (per-chart tables, claimed-state conflict
 # check) must equal the synthesised SLA's fire set, cycle by cycle,
