@@ -2,7 +2,8 @@
 //!
 //! A [`GangRig`] owns one scalar [`PscpMachine`] per scenario lane plus
 //! a bit-sliced [`GangSim`] over the system's synthesised SLA. Each
-//! gang cycle it samples every live lane's environment, packs the
+//! gang cycle it samples every live lane's environment (after the
+//! lane's quiet stretch, see below), packs the
 //! lanes' CR bits into `u64` words (bit `l` = lane `l`), runs *one*
 //! word-parallel network pass, and uses the resulting any-fire mask to
 //! route each lane:
@@ -15,6 +16,14 @@
 //! * fire bit set → the lane runs the full scalar execute phase
 //!   ([`PscpMachine::execute_phase`]), TEP execution and all, then its
 //!   state-word column is re-encoded from the executor.
+//!
+//! A lane whose machine is quiet ([`PscpMachine::quiet_step`]: the last
+//! cycle fired nothing on an empty input and the environment's next
+//! sample is empty too) runs its whole quiet stretch, cycle by cycle,
+//! inside one gang iteration, applying its `done` predicate and limits
+//! after every cycle, and only then samples. Lanes that did not sample
+//! are masked out of the shared pass, and an iteration in which no lane
+//! sampled skips the pass.
 //!
 //! **Handoff invariant.** Every lane *is* a scalar machine; the gang
 //! only decides which of two bit-identical cycle completions runs.
@@ -30,15 +39,16 @@
 //! the lane's sampled/pending events and condition caches every cycle
 //! (events live one cycle; conditions are cheap to re-read); the state
 //! part is only re-encoded when a lane fires, because an idle cycle
-//! cannot change the configuration. Retired lanes leave stale columns
-//! behind — harmless, because bitwise lanes are independent and the
-//! fire mask is ANDed with the live mask.
+//! cannot change the configuration. Retired lanes, and lanes that did
+//! not sample this iteration, leave stale or empty columns behind —
+//! harmless, because bitwise lanes are independent and the fire mask is
+//! ANDed with the mask of lanes that sampled.
 
 use crate::compile::CompiledSystem;
 use crate::machine::{
     CycleReport, Environment, MachineError, NullEnvironment, PscpMachine, SemanticState,
 };
-use crate::pool::{BatchOptions, BatchOutcome};
+use crate::pool::{BatchOptions, BatchOutcome, CycleLog};
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
 use pscp_statechart::semantics::SelectionTables;
 use pscp_statechart::EventId;
@@ -114,7 +124,7 @@ impl<'s> GangRig<'s> {
             envs.push(env);
             limits.push(lim);
         }
-        let mut reports: Vec<Vec<CycleReport>> = (0..n).map(|_| Vec::new()).collect();
+        let mut reports: Vec<CycleLog> = (0..n).map(|_| CycleLog::new()).collect();
         let mut errors: Vec<Option<MachineError>> = (0..n).map(|_| None).collect();
         let mut steps = vec![0u64; n];
 
@@ -134,59 +144,73 @@ impl<'s> GangRig<'s> {
             }
         }
 
+        // Logs a lane's completed cycle and applies its `done` predicate
+        // and limits, exactly as the scalar loop does; true retires it.
+        let finish = |m: &PscpMachine<'_>,
+                      env: &E,
+                      report: CycleReport,
+                      log: &mut CycleLog,
+                      steps: &mut u64,
+                      lim: &BatchOptions| {
+            let stop = done(m, env, &report);
+            log.push(report);
+            if stop {
+                return true;
+            }
+            *steps += 1;
+            !(m.now() < lim.deadline && *steps < lim.max_steps)
+        };
+
         let mut gang_cycle = 0u64;
         while live != 0 {
             let _cycle_span = pscp_obs::trace::span_sampled("gang.step", gang_cycle);
             gang_cycle += 1;
 
-            // Sample every live lane, then rebuild the event and
-            // condition lane words (the state part persists between
-            // cycles and is only touched when a lane fires).
+            // Every live lane first runs its quiet stretch, cycle by
+            // cycle, then samples; the event and condition lane words
+            // are rebuilt from the lanes that sampled (the state part
+            // persists between cycles and is only touched when a lane
+            // fires).
             for w in &mut self.words[state_width..] {
                 *w = 0;
             }
+            let mut sampled = 0u64;
+            let mut retired = 0u64;
             let mut mask = live;
-            while mask != 0 {
+            'lanes: while mask != 0 {
                 let l = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let m = &mut self.machines[l];
+                while let Some(report) = m.quiet_step(&mut envs[l]) {
+                    if finish(m, &envs[l], report, &mut reports[l], &mut steps[l], &limits[l]) {
+                        retired |= 1 << l;
+                        continue 'lanes;
+                    }
+                }
                 m.sample_phase(&mut envs[l]);
                 load_lane_inputs(&mut self.words, self.system, m, l);
+                sampled |= 1 << l;
             }
 
-            // One shared bit-sliced SLA pass for the whole gang.
-            let any = self.any_fire() & live;
+            // One shared bit-sliced SLA pass for the lanes that sampled.
+            let any = if sampled == 0 { 0 } else { self.any_fire() & sampled };
 
-            let mut retired = 0u64;
-            let mut mask = live;
+            let mut mask = sampled;
             while mask != 0 {
                 let l = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
                 let lane_bit = 1u64 << l;
                 let fired = any & lane_bit != 0;
-                let result = if fired {
-                    self.machines[l].execute_phase(&mut envs[l])
-                } else {
-                    Ok(self.machines[l].idle_phase())
-                };
+                let m = &mut self.machines[l];
+                let result = if fired { m.execute_phase(&mut envs[l]) } else { Ok(m.idle_phase()) };
                 match result {
                     Ok(report) => {
                         if fired {
-                            let bits = layout
-                                .encode(chart, self.machines[l].executor().configuration());
+                            let bits = layout.encode(chart, m.executor().configuration());
                             write_column(&mut self.words[..state_width], &bits, l);
                         }
-                        let stop = done(&self.machines[l], &envs[l], &report);
-                        reports[l].push(report);
-                        if stop {
+                        if finish(m, &envs[l], report, &mut reports[l], &mut steps[l], &limits[l]) {
                             retired |= lane_bit;
-                        } else {
-                            steps[l] += 1;
-                            if !(self.machines[l].now() < limits[l].deadline
-                                && steps[l] < limits[l].max_steps)
-                            {
-                                retired |= lane_bit;
-                            }
                         }
                     }
                     Err(e) => {

@@ -63,6 +63,23 @@ pub trait Environment {
 
     /// A TEP writes the data port at `address`.
     fn port_write(&mut self, _address: u16, _value: i64, _now: u64) {}
+
+    /// Takes the sample for the configuration cycle starting at `now`
+    /// if it is empty. Returns `true` only when
+    /// [`sample_events`](Self::sample_events) and
+    /// [`sample_conditions`](Self::sample_conditions) at `now` would both
+    /// return nothing, and then leaves the environment exactly as that
+    /// sample would have. Returns `false` otherwise, leaving the
+    /// environment untouched; the machine then samples as usual.
+    ///
+    /// A quiet machine ([`PscpMachine::step`]) asks this before every
+    /// cycle, and on `true` completes the cycle without sampling or
+    /// transition selection. The default, `false`, keeps every cycle on
+    /// the sampling path — the oracle the quiet path is checked
+    /// against.
+    fn quiet_sample(&mut self, _now: u64) -> bool {
+        false
+    }
 }
 
 /// An environment that never produces events.
@@ -117,6 +134,14 @@ impl Environment for ScriptedEnvironment {
 
     fn port_write(&mut self, address: u16, value: i64, now: u64) {
         self.port_writes.push((address, value, now));
+    }
+
+    fn quiet_sample(&mut self, _now: u64) -> bool {
+        if self.script.get(self.cursor).is_some_and(|row| !row.is_empty()) {
+            return false;
+        }
+        self.cursor += 1;
+        true
     }
 }
 
@@ -185,7 +210,8 @@ struct StepScratch {
     events: BTreeSet<EventId>,
     /// Condition part of the CR at cycle start (the local caches).
     cond_snapshot: Vec<bool>,
-    /// Measured execution cycles per chart transition.
+    /// Measured execution cycles per chart transition. All zero between
+    /// cycles: a cycle resets exactly the entries it wrote.
     per_transition: Vec<u64>,
     /// Resolved arguments of the routine call being dispatched.
     args: Vec<i64>,
@@ -316,6 +342,13 @@ pub struct PscpMachine<'s> {
     event_names: EventNamesRef<'s>,
     condition_names: ConditionNamesRef<'s>,
     scratch: StepScratch,
+    /// Set after a cycle that started with no sampled or pending
+    /// internal events, fired nothing and left no timer expiry pending:
+    /// the chart's inputs are then unchanged, so an empty sample makes
+    /// the next cycle idle too ([`PscpMachine::quiet_step`]). Between
+    /// [`sample_phase`](Self::sample_phase) and the cycle's completion
+    /// it holds the first half of that test.
+    quiet: bool,
     /// Waveform probe; boxed so the detached (default) machine carries
     /// one pointer, and `None` costs one branch per step.
     vcd: Option<Box<VcdProbe>>,
@@ -361,6 +394,7 @@ impl<'s> PscpMachine<'s> {
             event_names: EventNamesRef::new(&system.chart),
             condition_names: ConditionNamesRef::new(&system.chart),
             scratch: StepScratch::default(),
+            quiet: false,
             vcd: None,
         }
     }
@@ -398,6 +432,7 @@ impl<'s> PscpMachine<'s> {
         self.stats.tep_busy.iter_mut().for_each(|b| *b = 0);
         self.timers.iter_mut().for_each(|t| *t = None);
         self.pending_timer_events.clear();
+        self.quiet = false;
         // A reset starts a new run at time zero; a probe's timestamps
         // must stay monotonic, so capture does not survive reset.
         self.vcd = None;
@@ -436,6 +471,7 @@ impl<'s> PscpMachine<'s> {
         self.pending_timer_events.clear();
         self.pending_timer_events.extend_from_slice(&s.pending_timer_events);
         self.tep.restore_data_state(&s.data);
+        self.quiet = false;
     }
 
     /// Phase 1 of a configuration cycle with an *injected* event set in
@@ -449,6 +485,7 @@ impl<'s> PscpMachine<'s> {
         set.clear();
         set.extend(events.iter().copied());
         set.extend(self.pending_timer_events.drain(..));
+        self.quiet = false;
     }
 
     /// Runs one configuration cycle with an injected external event set
@@ -495,8 +532,29 @@ impl<'s> PscpMachine<'s> {
     /// memory fault, cycle-limit).
     pub fn step<E: Environment>(&mut self, env: &mut E) -> Result<CycleReport, MachineError> {
         let _step_span = pscp_obs::trace::span_sampled("step", self.stats.config_cycles);
+        if let Some(report) = self.quiet_step(env) {
+            return Ok(report);
+        }
         self.sample_phase(env);
         self.execute_phase(env)
+    }
+
+    /// Runs the next configuration cycle as a quiet one, if it is: the
+    /// machine is quiet and `env` takes an empty sample
+    /// ([`Environment::quiet_sample`]). The chart then sees exactly the
+    /// inputs of the last cycle, which fired nothing, so the cycle is
+    /// idle and completes by [`idle_phase`](Self::idle_phase) without
+    /// sampling, name resolution or transition selection. Returns
+    /// `None`, having touched nothing, when the cycle must be sampled.
+    pub(crate) fn quiet_step<E: Environment>(&mut self, env: &mut E) -> Option<CycleReport> {
+        if !(self.quiet && env.quiet_sample(self.now)) {
+            return None;
+        }
+        // Quiet implies the last cycle's event set, which `idle_phase`
+        // re-reads for the VCD probe, was empty and nothing is pending.
+        debug_assert!(self.scratch.events.is_empty() && self.pending_timer_events.is_empty());
+        pscp_obs::metrics::MACHINE_QUIET_CYCLES.inc();
+        Some(self.idle_phase())
     }
 
     /// Phase 1 of a configuration cycle: sample external events,
@@ -521,6 +579,7 @@ impl<'s> PscpMachine<'s> {
                 self.exec.set_condition(c, v);
             }
         }
+        self.quiet = events.is_empty() && self.exec.pending_events().next().is_none();
     }
 
     /// The events sampled by the last [`sample_phase`](Self::sample_phase)
@@ -554,8 +613,10 @@ impl<'s> PscpMachine<'s> {
         cond_snapshot.clear();
         cond_snapshot.extend(chart.condition_ids().map(|c| self.exec.condition(c)));
         let cond_snapshot: &[bool] = cond_snapshot;
-        per_transition.clear();
+        // Sized once; the entries a cycle writes are reset as it reads
+        // them, so the buffer is all zero here.
         per_transition.resize(chart.transition_count(), 0);
+        debug_assert!(per_transition.iter().all(|&c| c == 0));
         timer_writes.clear();
         let tep = &mut self.tep;
         let now = self.now;
@@ -605,12 +666,16 @@ impl<'s> PscpMachine<'s> {
             }
         });
         if let Some(e) = fault {
+            for &tid in &step.fired {
+                per_transition[tid.index()] = 0;
+            }
+            self.quiet = false;
             return Err(e);
         }
 
         let mut report = CycleReport::default();
         for &tid in &step.fired {
-            let cost = per_transition[tid.index()];
+            let cost = std::mem::take(&mut per_transition[tid.index()]);
             report.transition_cycles.push(cost + overhead::DISPATCH + overhead::WRITEBACK);
             report.fired.push(tid);
         }
@@ -665,38 +730,14 @@ impl<'s> PscpMachine<'s> {
         //    them in the CR's event part).
         report.raised = step.raised;
 
-        // 6b. Hardware timers: apply arm/disarm writes, then advance by
-        //     the cycle just spent; expiries fire next cycle.
+        // 6b. Hardware timers: apply arm/disarm writes; closing the
+        //     cycle advances them.
         for &(i, v) in timer_writes.iter() {
             self.timers[i] = if v == 0 { None } else { Some(v) };
         }
-        for (i, t) in self.timers.iter_mut().enumerate() {
-            if let Some(rem) = t {
-                if *rem <= report.cycle_length {
-                    if let Some(e) = tables.timer_event[i] {
-                        self.pending_timer_events.push(e);
-                    }
-                    *t = None;
-                } else {
-                    *rem -= report.cycle_length;
-                }
-            }
-        }
 
         // 7. Book-keeping.
-        self.now += report.cycle_length;
-        self.stats.config_cycles += 1;
-        self.stats.transitions += report.fired.len() as u64;
-        self.stats.clock_cycles += report.cycle_length;
-        self.stats.max_cycle_length = self.stats.max_cycle_length.max(report.cycle_length);
-        for (i, &t) in report.assigned_tep.iter().enumerate() {
-            self.stats.tep_busy[t as usize] += report.transition_cycles[i];
-        }
-        pscp_obs::metrics::MACHINE_STEPS.inc();
-        pscp_obs::metrics::MACHINE_TRANSITIONS.add(report.fired.len() as u64);
-        if let Some(probe) = self.vcd.as_deref_mut() {
-            probe.record(self.now, &self.exec, events, tep_load, &self.timers, &report);
-        }
+        self.close_cycle(&report);
         Ok(report)
     }
 
@@ -708,7 +749,8 @@ impl<'s> PscpMachine<'s> {
     /// sample) but skips transition selection, the condition snapshot
     /// and the per-transition buffers entirely — the source of the
     /// gang speedup. The executor re-checks the idle claim in debug
-    /// builds (`Executor::step_idle`).
+    /// builds (`Executor::step_idle`). Quiet cycles
+    /// ([`quiet_step`](Self::quiet_step)) complete here too.
     pub(crate) fn idle_phase(&mut self) -> CycleReport {
         self.exec.step_idle(&self.scratch.events);
 
@@ -717,8 +759,16 @@ impl<'s> PscpMachine<'s> {
             ..Default::default()
         };
 
-        // Timers advance by the idle cycle just spent; no arm/disarm
-        // writes can have happened (no routine ran).
+        // No routine ran, so no timer was armed or disarmed.
+        self.close_cycle(&report);
+        report
+    }
+
+    /// Closes a completed cycle, whichever phase completed it: timers
+    /// advance by the cycle just spent (expiries fire next cycle), the
+    /// quiet flag, clock, statistics and counters take the cycle in,
+    /// and an attached VCD probe samples it.
+    fn close_cycle(&mut self, report: &CycleReport) {
         let tables = &self.system.tables;
         for (i, t) in self.timers.iter_mut().enumerate() {
             if let Some(rem) = t {
@@ -733,18 +783,26 @@ impl<'s> PscpMachine<'s> {
             }
         }
 
+        self.quiet &= report.fired.is_empty() && self.pending_timer_events.is_empty();
         self.now += report.cycle_length;
         self.stats.config_cycles += 1;
+        self.stats.transitions += report.fired.len() as u64;
         self.stats.clock_cycles += report.cycle_length;
         self.stats.max_cycle_length = self.stats.max_cycle_length.max(report.cycle_length);
+        for (i, &t) in report.assigned_tep.iter().enumerate() {
+            self.stats.tep_busy[t as usize] += report.transition_cycles[i];
+        }
         pscp_obs::metrics::MACHINE_STEPS.inc();
+        pscp_obs::metrics::MACHINE_TRANSITIONS.add(report.fired.len() as u64);
         if let Some(probe) = self.vcd.as_deref_mut() {
             let StepScratch { events, tep_load, .. } = &mut self.scratch;
-            tep_load.clear();
-            tep_load.resize(self.system.arch.n_teps.max(1) as usize, 0);
-            probe.record(self.now, &self.exec, events, tep_load, &self.timers, &report);
+            if report.fired.is_empty() {
+                // Every TEP idled; an idle phase never sized the loads.
+                tep_load.clear();
+                tep_load.resize(self.system.arch.n_teps.max(1) as usize, 0);
+            }
+            probe.record(self.now, &self.exec, events, tep_load, &self.timers, report);
         }
-        report
     }
 
     /// Runs configuration cycles until the clock passes `deadline`

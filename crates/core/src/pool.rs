@@ -10,6 +10,12 @@
 //! of reconstructing it per scenario, and returns the per-scenario
 //! [`CycleReport`] streams in submission order.
 //!
+//! A stream is a [`CycleLog`]: it reads as one report per cycle, but a
+//! run of idle cycles is stored as one report and a count, so a
+//! scenario that idles for millions of cycles between firings keeps
+//! memory proportional to its firings. The wire still encodes one
+//! report per cycle.
+//!
 //! Scenarios are fully independent (separate machine state, separate
 //! environment), so the batch output is byte-identical for any worker
 //! count — `PSCP_THREADS=1` and `PSCP_THREADS=16` produce the same
@@ -102,13 +108,154 @@ impl Default for BatchOptions {
     }
 }
 
+/// A scenario's per-configuration-cycle reports, run-length encoded.
+///
+/// It reads like a `Vec<CycleReport>` — one report per cycle in
+/// execution order through [`len`](CycleLog::len),
+/// [`iter`](CycleLog::iter) and indexing — but stores a run of equal
+/// idle reports (nothing fired, raised or interrupted, same cycle
+/// length) as one report and a count. Reports of cycles that fired are
+/// stored in full and never merged. A co-simulation that idles on
+/// almost every cycle then keeps a few bytes per idle stretch instead
+/// of a report per cycle.
+///
+/// Runs are merged by emptiness checks and the cycle length, never by
+/// comparing whole reports: `==` on an empty `Vec` is far slower than
+/// those checks on the hot path (see DESIGN.md, "Quiescent cycles").
+/// The merge rule is deterministic, so equal report sequences have
+/// equal runs and the derived equality is sequence equality.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct CycleLog {
+    /// `(report, count)` in execution order; `count > 1` only for idle
+    /// reports, and no two adjacent runs hold equal idle reports.
+    runs: Vec<(CycleReport, usize)>,
+    /// Total cycles: the sum of the counts.
+    len: usize,
+}
+
+impl CycleLog {
+    /// An empty log.
+    pub fn new() -> Self {
+        CycleLog::default()
+    }
+
+    /// Appends one cycle's report.
+    pub fn push(&mut self, report: CycleReport) {
+        self.len += 1;
+        if is_idle(&report) {
+            if let Some((last, count)) = self.runs.last_mut() {
+                if is_idle(last) && last.cycle_length == report.cycle_length {
+                    *count += 1;
+                    return;
+                }
+            }
+        }
+        self.runs.push((report, 1));
+    }
+
+    /// Cycles logged.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no cycle is logged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The reports, one per cycle, in execution order.
+    pub fn iter(&self) -> CycleLogIter<'_> {
+        CycleLogIter { runs: self.runs.iter(), current: None, repeat: 0, left: self.len }
+    }
+}
+
+/// Whether `r` is an idle cycle's report: only such reports merge.
+fn is_idle(r: &CycleReport) -> bool {
+    r.fired.is_empty()
+        && r.transition_cycles.is_empty()
+        && r.assigned_tep.is_empty()
+        && r.raised.is_empty()
+        && r.interrupt_latency.is_none()
+}
+
+impl std::fmt::Debug for CycleLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Index<usize> for CycleLog {
+    type Output = CycleReport;
+
+    /// The report of cycle `i`, found by a walk over the runs.
+    fn index(&self, i: usize) -> &CycleReport {
+        assert!(i < self.len, "cycle {i} out of range for a log of {} cycles", self.len);
+        let mut start = 0;
+        for (report, count) in &self.runs {
+            if i < start + count {
+                return report;
+            }
+            start += count;
+        }
+        unreachable!("the run counts sum to the length")
+    }
+}
+
+impl PartialEq<Vec<CycleReport>> for CycleLog {
+    fn eq(&self, other: &Vec<CycleReport>) -> bool {
+        self.len == other.len() && self.iter().eq(other)
+    }
+}
+
+impl<'a> IntoIterator for &'a CycleLog {
+    type Item = &'a CycleReport;
+    type IntoIter = CycleLogIter<'a>;
+
+    fn into_iter(self) -> CycleLogIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a [`CycleLog`]'s reports, one per cycle.
+#[derive(Debug, Clone)]
+pub struct CycleLogIter<'a> {
+    runs: std::slice::Iter<'a, (CycleReport, usize)>,
+    /// The run being repeated, and how many more times.
+    current: Option<&'a CycleReport>,
+    repeat: usize,
+    /// Reports still to yield.
+    left: usize,
+}
+
+impl<'a> Iterator for CycleLogIter<'a> {
+    type Item = &'a CycleReport;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a CycleReport> {
+        if self.repeat == 0 {
+            let (report, count) = self.runs.next()?;
+            self.current = Some(report);
+            self.repeat = *count;
+        }
+        self.repeat -= 1;
+        self.left -= 1;
+        self.current
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for CycleLogIter<'_> {}
+
 /// The outcome of one scenario: everything the simulation produced plus
 /// the environment handed back so callers can read its recorded
 /// outputs (port writes, fault logs, …).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome<E> {
     /// Per-configuration-cycle reports, in execution order.
-    pub reports: Vec<CycleReport>,
+    pub reports: CycleLog,
     /// The machine statistics at scenario end.
     pub stats: MachineStats,
     /// Final simulated clock.
@@ -491,7 +638,7 @@ where
     });
     let _span = pscp_obs::trace::span_sampled("scenario", seq);
     machine.reset();
-    let mut reports = Vec::new();
+    let mut reports = CycleLog::new();
     let mut error = None;
     let mut steps = 0u64;
     while machine.now() < limits.deadline && steps < limits.max_steps {
@@ -716,6 +863,77 @@ mod tests {
             assert_eq!(a.reports, b.reports);
             assert_eq!(a.stats, b.stats);
         }
+    }
+
+    /// An idle report of `len` clock cycles.
+    fn idle(len: u64) -> CycleReport {
+        CycleReport { cycle_length: len, ..Default::default() }
+    }
+
+    /// A fired report: transition `t` on TEP 0.
+    fn fired(t: usize, len: u64) -> CycleReport {
+        CycleReport {
+            fired: vec![pscp_statechart::TransitionId::from_index(t)],
+            transition_cycles: vec![len - 2],
+            assigned_tep: vec![0],
+            cycle_length: len,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn cycle_log_reads_like_the_vec_of_its_pushes() {
+        let pushes = [
+            idle(4),
+            idle(4),
+            idle(4),
+            fired(0, 30),
+            fired(0, 30),
+            idle(4),
+            idle(9),
+            idle(9),
+            CycleReport { raised: vec![pscp_statechart::EventId::from_index(1)], ..idle(9) },
+            idle(9),
+            CycleReport { interrupt_latency: Some(3), ..idle(9) },
+            fired(1, 12),
+            idle(4),
+        ];
+        let mut log = CycleLog::new();
+        let mut vec = Vec::new();
+        assert!(log.is_empty() && log == vec);
+        for r in pushes {
+            log.push(r.clone());
+            vec.push(r);
+            assert_eq!(log.len(), vec.len());
+            assert!(log == vec);
+            assert!(log.iter().eq(&vec));
+            assert_eq!(log.iter().len(), vec.len());
+            for (i, r) in vec.iter().enumerate() {
+                assert_eq!(&log[i], r, "cycle {i}");
+            }
+        }
+        assert_eq!((&log).into_iter().count(), vec.len());
+        let mut twin = CycleLog::new();
+        vec.iter().for_each(|r| twin.push(r.clone()));
+        assert_eq!(twin, log, "equal pushes give equal logs");
+        twin.push(idle(4));
+        assert_ne!(twin, log);
+        // Runs: idle(4)×3, the two equal fired reports apart, idle(4),
+        // idle(9)×2, the raising and the interrupted ones apart from
+        // the idle(9) between them, the last fired, idle(4).
+        assert_eq!(log.runs.len(), 10);
+        assert_eq!(log.runs[0].1, 3);
+        assert!(log.runs.iter().filter(|(r, _)| !is_idle(r)).all(|&(_, n)| n == 1));
+        assert!(log != vec[..12].to_vec(), "a shorter sequence differs");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn cycle_log_index_past_the_end_panics() {
+        let mut log = CycleLog::new();
+        log.push(idle(4));
+        log.push(idle(4));
+        let _ = &log[2];
     }
 
     #[test]

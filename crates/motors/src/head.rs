@@ -24,7 +24,7 @@ pub struct Move {
 }
 
 /// The plant model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmdHead {
     /// X axis (50 kHz, ramped).
     pub motor_x: StepperMotor,
@@ -204,6 +204,29 @@ impl Environment for SmdHead {
         events
     }
 
+    /// Takes an empty sample in place of [`sample_events`](Self::sample_events):
+    /// only when the head is powered, no completion event is pending,
+    /// no motor — the silent Z axis included — pulses within the time
+    /// since the last sample and no `DATA_VALID` is due. Without a
+    /// pulse, advancing every motor by the elapsed time is exactly what
+    /// the sample would have done.
+    fn quiet_sample(&mut self, now: u64) -> bool {
+        let elapsed = now.saturating_sub(self.last_sample);
+        let motors = [&self.motor_x, &self.motor_y, &self.motor_phi, &self.motor_z];
+        if !self.powered
+            || !self.pending_steps_events.is_empty()
+            || motors.iter().any(|m| m.pulses_within(elapsed))
+            || (now >= self.next_data_valid && self.byte_ready())
+        {
+            return false;
+        }
+        self.last_sample = now;
+        for m in [&mut self.motor_x, &mut self.motor_y, &mut self.motor_phi, &mut self.motor_z] {
+            m.advance(elapsed);
+        }
+        true
+    }
+
     fn port_read(&mut self, address: u16, _now: u64) -> i64 {
         if address == ports::BUFFER {
             let b = self.stream.get(self.cursor).copied().unwrap_or(opcodes::END);
@@ -335,6 +358,72 @@ mod tests {
         head.port_write(ports::STOPALL, 1, 0);
         assert!(head.all_idle());
         assert_eq!(head.stops, 1);
+    }
+
+    /// Asserts what `quiet_sample(now)` promises against a twin that
+    /// samples: on `true` the sample is empty and both heads are equal,
+    /// on `false` the head is untouched. Returns the verdict.
+    fn check_quiet(head: &mut SmdHead, now: u64) -> bool {
+        let before = head.clone();
+        let quiet = head.quiet_sample(now);
+        if quiet {
+            let mut sampled = before;
+            assert_eq!(sampled.sample_events(now), Vec::<String>::new(), "at {now}");
+            assert_eq!(*head, sampled, "quiet sample diverged from sample_events at {now}");
+        } else {
+            assert_eq!(*head, before, "a refused quiet sample changed the head at {now}");
+        }
+        quiet
+    }
+
+    #[test]
+    fn quiet_sample_refuses_before_power_up_and_with_pending_completions() {
+        let mut head = SmdHead::new();
+        assert!(!check_quiet(&mut head, 0), "the first sample raises POWER");
+        head.sample_events(0);
+        assert!(check_quiet(&mut head, 10));
+        head.port_write(ports::XSTEPS, 0, 10);
+        assert!(!check_quiet(&mut head, 20), "X_STEPS is pending");
+    }
+
+    #[test]
+    fn quiet_sample_refuses_when_any_motor_would_pulse() {
+        for steps_port in [ports::XSTEPS, ports::YSTEPS, ports::PHISTEPS, ports::ZSTEPS] {
+            let mut head = SmdHead::new();
+            head.sample_events(0);
+            head.port_write(ports::XPERIOD, 2_000, 0);
+            head.port_write(ports::YPERIOD, 2_000, 0);
+            head.port_write(ports::PHIPERIOD, 2_000, 0);
+            head.port_write(steps_port, 2, 0);
+            // Z runs at its fixed 1666-cycle period, the others at 2000.
+            let first = if steps_port == ports::ZSTEPS { 1_666 } else { 2_000 };
+            assert!(check_quiet(&mut head, 1_000), "port {steps_port:#x}");
+            assert!(check_quiet(&mut head, first - 1), "port {steps_port:#x}");
+            assert!(!check_quiet(&mut head, first), "port {steps_port:#x}: a pulse is due");
+            head.sample_events(first);
+            assert!(check_quiet(&mut head, first + 1), "port {steps_port:#x}");
+            // The second pulse ends the move; afterwards nothing is due.
+            assert!(!check_quiet(&mut head, 2 * first + 5), "port {steps_port:#x}");
+            head.sample_events(2 * first + 5);
+            assert!(check_quiet(&mut head, 1_000_000), "port {steps_port:#x}");
+        }
+    }
+
+    #[test]
+    fn quiet_sample_refuses_when_data_valid_is_due() {
+        let mut head = SmdHead::with_moves(&[Move { x: 1, y: 1, phi: 1 }]);
+        head.sample_events(0); // POWER + the first DATA_VALID
+        assert!(check_quiet(&mut head, 1_499));
+        assert!(!check_quiet(&mut head, 1_500), "the next byte is due");
+        assert!(head.sample_events(1_500).contains(&"DATA_VALID".to_string()));
+        // The stream's END waits for the STATUS handshake, so nothing
+        // is due once the frame is consumed until the move completes.
+        for _ in 0..7 {
+            head.port_read(ports::BUFFER, 1_500);
+        }
+        assert!(check_quiet(&mut head, 10_000));
+        head.port_write(ports::STATUS, 1, 10_000);
+        assert!(!check_quiet(&mut head, 10_001), "END is offered after the handshake");
     }
 
     #[test]

@@ -176,6 +176,13 @@ impl StepperMotor {
         }
     }
 
+    /// True when [`advance`](Self::advance)`(cycles)` would issue at
+    /// least one pulse. Without a pulse, advancing is additive:
+    /// `advance(a); advance(b)` leaves the motor as `advance(a + b)`.
+    pub fn pulses_within(&self, cycles: u64) -> bool {
+        self.running() && self.period != 0 && cycles > 0 && self.remaining <= cycles
+    }
+
     /// Advances the motor by `cycles` clock cycles; returns the number
     /// of pulses issued in that window. More than one pulse per window
     /// means the controller failed to service each pulse in time, which
@@ -295,6 +302,24 @@ mod tests {
         m.advance(5000);
         m.set_period(300); // 3 kHz -> 50 kHz in one step
         assert!(m.faults.contains(&MotorFault::Overaccel));
+    }
+
+    #[test]
+    fn pulses_within_predicts_advance() {
+        let mut m = StepperMotor::new(AxisLimits::xy(CLOCK));
+        assert!(!m.pulses_within(u64::MAX), "an idle motor never pulses");
+        m.start(2, 1, 500);
+        for window in [0, 1, 250, 499, 500, 501, 2_000] {
+            let mut probe = m.clone();
+            assert_eq!(m.pulses_within(window), probe.advance(window) > 0, "window {window}");
+        }
+        m.advance(499);
+        assert!(m.pulses_within(1));
+        assert!(!m.pulses_within(0));
+        m.advance(1);
+        m.advance(500);
+        assert!(!m.running());
+        assert!(!m.pulses_within(u64::MAX), "a finished move never pulses");
     }
 
     #[test]

@@ -319,6 +319,9 @@ pub static COMPILE_CACHE_INVALIDATIONS: Counter = Counter::new();
 pub static MACHINE_STEPS: Counter = Counter::new();
 /// Transitions fired across all machine steps.
 pub static MACHINE_TRANSITIONS: Counter = Counter::new();
+/// Configuration cycles completed on the quiet path (no sample, no
+/// transition selection); a subset of [`MACHINE_STEPS`].
+pub static MACHINE_QUIET_CYCLES: Counter = Counter::new();
 
 /// `CompiledNet` arena evaluations.
 pub static SLA_NET_EVALS: Counter = Counter::new();
@@ -514,6 +517,7 @@ const SCALARS: &[(&str, &Counter)] = &[
     ("compile_cache_invalidations", &COMPILE_CACHE_INVALIDATIONS),
     ("machine_steps", &MACHINE_STEPS),
     ("machine_transitions", &MACHINE_TRANSITIONS),
+    ("machine_quiet_cycles", &MACHINE_QUIET_CYCLES),
     ("sla_net_evals", &SLA_NET_EVALS),
     ("serve_connections", &SERVE_CONNECTIONS),
     ("serve_errors", &SERVE_ERRORS),

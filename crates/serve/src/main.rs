@@ -787,6 +787,12 @@ fn run_top(
                     ran as f64 / secs,
                     d.counter("serve_credit_stalls"),
                 );
+                let cycles = d.counter("machine_steps");
+                println!(
+                    "  {:>9.1} cycles/s      quiet {:.1}%",
+                    cycles as f64 / secs,
+                    100.0 * d.counter("machine_quiet_cycles") as f64 / cycles.max(1) as f64,
+                );
                 let q = d.histogram("serve_queue_ns");
                 let sim = d.histogram("serve_sim_ns");
                 println!(

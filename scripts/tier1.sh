@@ -23,6 +23,16 @@ cargo test --release -p pscp-core --test serve_backpressure -q
 # worker combination, including mid-scenario lane retirement.
 cargo test --release -p pscp-core --test gang_differential -q
 
+# The quiet-cycle differential suite is the quiet path's spec: a machine
+# that completes quiet configuration cycles without sampling or
+# transition selection must be byte-identical — reports, stats, clock,
+# faults and the plant's recorded run — to an oracle environment that
+# samples every cycle, on the pickup head against the SmdHead plant and
+# on sparse timer scripts, at every gang width × worker combination,
+# when a `done` predicate, step limit or deadline cuts a quiet stretch,
+# and in the VCD waveform.
+cargo test --release -p pscp-core --test quiet_differential -q
+
 # The explore differential suite is the reachability engine's spec:
 # reports must be byte-identical across worker counts × gang widths
 # against the scalar oracle, every witness must replay to its claimed
