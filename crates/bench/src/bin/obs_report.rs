@@ -1,7 +1,7 @@
-//! Pretty-prints a pscp-obs metrics snapshot (`metrics.json` /
-//! `serve_metrics.json` / `BENCH_9_metrics.json`) as tables: snapshot
-//! version, serve gauges (when the snapshot came from a wire scrape),
-//! scalar counters — including the `serve_*` telemetry family —
+//! Pretty-prints a pscp-obs metrics snapshot (`metrics.json` or a
+//! wire-scraped `serve_metrics.json`) as tables: snapshot version,
+//! serve gauges (when the snapshot came from a wire scrape), scalar
+//! counters — including the `serve_*` telemetry family —
 //! per-worker counters, TEP instruction mix, and histogram summaries.
 //!
 //! Usage: `obs_report [path-to-metrics.json]` (default:

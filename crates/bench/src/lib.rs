@@ -1,8 +1,8 @@
 //! Shared plumbing for the experiment harness.
 //!
-//! One binary per table/figure of the paper lives in `src/bin/`; the
-//! Criterion benches in `benches/` measure the toolchain itself. This
-//! library provides the example system builders they share.
+//! One binary per table/figure of the paper lives in `src/bin/`. This
+//! library provides the example system builders they share, which the
+//! tests and the `pscp-benchmark` package reuse as workload fixtures.
 
 use pscp_action_lang::ir::Program;
 use pscp_core::arch::PscpArch;

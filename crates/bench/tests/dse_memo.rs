@@ -4,11 +4,13 @@
 //! one improvement per step, then each shrink removal in turn. A cold
 //! file-backed run must therefore write exactly one memo entry per
 //! evaluation, and a warm rerun must serve every evaluation from the
-//! file without compiling a candidate. The key derivation is pinned by
-//! the keys of a memo file written before evaluation became lazy
-//! (`golden/dse/memo_keys_multi_head_2.txt`, recorded when every
-//! applicable candidate was still evaluated): every key this run writes
-//! must be one of them, so such a file keeps warm-starting the run.
+//! file without compiling a candidate. A file clobbered with garbage
+//! must degrade to a cold run with the same result. The key derivation
+//! is pinned by the keys of a memo file written before evaluation
+//! became lazy (`golden/dse/memo_keys_multi_head_2.txt`, recorded when
+//! every applicable candidate was still evaluated): every key this run
+//! writes must be one of them, so such a file keeps warm-starting the
+//! run.
 //!
 //! One `#[test]` in its own binary, because it reads process-wide
 //! metric counters.
@@ -101,6 +103,14 @@ fn memo_file_holds_one_entry_per_evaluation_and_serves_a_warm_rerun() {
     let (warm, warm_counts) = counted(|| solve(MemoPersistence::Path(path.clone())));
     assert_same(&warm, &reference);
     assert_eq!(warm_counts, Counts { candidates: n, compiled: 0, hits: n, misses: 0 });
+    assert_eq!(MemoStore::at(&path).len(), EVALUATIONS);
+
+    // Corrupt file: garbage on disk is a cold start, never a failure —
+    // every evaluation compiles again and the file is rewritten whole.
+    std::fs::write(&path, "definitely not json").expect("clobber memo file");
+    let (corrupt, corrupt_counts) = counted(|| solve(MemoPersistence::Path(path.clone())));
+    assert_same(&corrupt, &reference);
+    assert_eq!(corrupt_counts, Counts { candidates: n, compiled: n, hits: 0, misses: n });
     assert_eq!(MemoStore::at(&path).len(), EVALUATIONS);
     let _ = std::fs::remove_file(&path);
 }

@@ -59,19 +59,6 @@ pub fn configured_threads() -> usize {
     threads_from(std::env::var("PSCP_THREADS").ok().as_deref())
 }
 
-/// Clamps a *default* worker count to the host's available parallelism
-/// (never below 1). Explicit requests — a `PSCP_THREADS` value, an
-/// API-level `threads` argument — pass through [`threads_from`] /
-/// [`SimPool::with_threads`] unclamped; this helper is only for
-/// defaults a caller picked without looking at the host, so e.g. a
-/// 4-worker default on a 1-core box degrades to the pool's inline
-/// sequential path instead of spawning threads that contend for one
-/// core.
-pub fn default_workers(requested: usize) -> usize {
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    requested.clamp(1, hw)
-}
-
 /// Parses a `PSCP_GANG`-style value: the number of scenarios packed
 /// into one bit-sliced gang per worker. Unset, empty, `auto`,
 /// unparsable or zero select the full machine-word width
@@ -940,21 +927,12 @@ mod tests {
     fn threads_from_parses_env_shapes() {
         assert_eq!(threads_from(Some("3")), 3);
         assert_eq!(threads_from(Some(" 8 ")), 8);
+        // Explicit values pass through unclamped, even past the host.
+        assert_eq!(threads_from(Some("64")), 64);
         let fallback = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         assert_eq!(threads_from(Some("0")), fallback);
         assert_eq!(threads_from(Some("lots")), fallback);
         assert_eq!(threads_from(None), fallback);
-    }
-
-    #[test]
-    fn default_workers_clamps_to_host_parallelism() {
-        let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        assert_eq!(default_workers(0), 1);
-        assert_eq!(default_workers(1), 1);
-        assert_eq!(default_workers(hw), hw);
-        assert_eq!(default_workers(hw + 7), hw, "defaults never exceed the host");
-        // Explicit values keep passing through unclamped.
-        assert_eq!(threads_from(Some("64")), 64);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Pretty-prints a pscp-obs metrics snapshot — either the in-process
-# metrics.json or a wire-scraped one (serve_metrics.json,
-# BENCH_9_metrics.json), which additionally carry a snapshot version
-# and a "gauges" block with serve-level state (uptime, connections,
-# queue depth, workers).
+# metrics.json or a wire-scraped one (serve_metrics.json), which
+# additionally carries a snapshot version and a "gauges" block with
+# serve-level state (uptime, connections, queue depth, workers).
 #
 #   scripts/obs-report.sh [metrics.json]
 #

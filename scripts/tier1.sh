@@ -23,6 +23,12 @@ cargo test --release -p pscp-core --test serve_backpressure -q
 # worker combination, including mid-scenario lane retirement.
 cargo test --release -p pscp-core --test gang_differential -q
 
+# The determinism suite is the worker pools' spec: parallelism and gang
+# width never change results — DSE histories at every worker count,
+# SimPool batches at every worker count, and the 560-transition gang
+# system under sparse scripts at every gang width × worker combination.
+cargo test --release -p pscp-bench --test determinism -q
+
 # The quiet-cycle differential suite is the quiet path's spec: a machine
 # that completes quiet configuration cycles without sampling or
 # transition selection must be byte-identical — reports, stats, clock,
@@ -79,41 +85,6 @@ cargo test --release -p pscp-core --test compile_incremental -q
 cargo test --release -p pscp-statechart --test diagnostics -q
 cargo test --release -p pscp-action-lang --test diagnostics -q
 cargo test --release -p pscp-core --test diagnostics -q
-
-# Perf smoke: the bench binary must run and report the PR-3..PR-10
-# workloads. This asserts presence, not thresholds — speedups depend on
-# the host.
-cargo run --release -p pscp-bench --bin bench-smoke > /dev/null
-test -f BENCH_10.json
-grep -q '"dse_explore_incremental"' BENCH_10.json
-grep -q '"dse_explore_full"' BENCH_10.json
-grep -q '"compile_cache"' BENCH_10.json
-grep -q '"hit_rate"' BENCH_10.json
-grep -q '"results_identical": true' BENCH_10.json
-grep -q '"memo_store"' BENCH_10.json
-grep -q '"compile_diagnostics"' BENCH_10.json
-grep -q '"happy_failfast_us"' BENCH_10.json
-grep -q '"happy_sink_us"' BENCH_10.json
-grep -q '"error_report_us"' BENCH_10.json
-grep -q '"report_deterministic": true' BENCH_10.json
-grep -q '"batch_cosim"' BENCH_10.json
-grep -q '"gang_cosim"' BENCH_10.json
-grep -q '"speedup_w64"' BENCH_10.json
-grep -q '"serve_smoke"' BENCH_10.json
-grep -q '"latency_speedup_vs_bench5"' BENCH_10.json
-grep -q '"outputs_identical": true' BENCH_10.json
-grep -q '"stats_scrape"' BENCH_10.json
-grep -q '"scrape_overhead_pct"' BENCH_10.json
-grep -q '"obs_overhead_pct"' BENCH_10.json
-grep -q '"trace_overhead_pct"' BENCH_10.json
-grep -q '"trace_sampled_overhead_pct"' BENCH_10.json
-grep -q '"explore"' BENCH_10.json
-grep -q '"states_per_sec_scalar"' BENCH_10.json
-grep -q '"states_per_sec_wide"' BENCH_10.json
-grep -q '"dedup_rate"' BENCH_10.json
-grep -q '"truncated": false' BENCH_10.json
-test -f BENCH_10_metrics.json
-python3 -m json.tool BENCH_10_metrics.json > /dev/null
 
 # Serving smoke: a loopback server + 4-client pickup-head session. The
 # session now opens with a Compile → Diagnostics round-trip (wire
