@@ -8,20 +8,34 @@
 //! ([`SemanticState`]): the initial machine is captured, every
 //! reachable state is expanded under a finite input alphabet (the
 //! empty event set plus each external event alone), and successors are
-//! deduplicated by state equality in a visited table keyed by the
-//! states themselves, hashed by a seedless word-at-a-time hasher.
+//! deduplicated by state equality in a visited table hashed by a
+//! seedless word-at-a-time hasher.
 //!
-//! Expansion rides the existing simulation fabric: a frontier layer is
-//! flattened into `(frontier index, symbol index)` jobs that reference
-//! the layer instead of copying it, and fanned out through [`SimPool`]
-//! — the scalar path restores-and-steps one
-//! [`PscpMachine`](crate::machine::PscpMachine) per worker, wider gang
-//! widths pack up to 64 jobs into one [`crate::gang::GangRig`] pass
-//! whose bit-sliced SLA routes every lane at once. Results stream back
-//! and are merged *sequentially in job order* while the workers expand
-//! ahead, so the report is byte-identical for any worker count and gang
-//! width; the explore differential suite pins the whole grid against
-//! the one-worker scalar oracle.
+//! The table is collapse-compressed, as SPIN compresses its state
+//! vectors: a state's TEP data memory — the bulk of it, ~10 KB on a
+//! wide chart — is stored once per distinct content in a plane table,
+//! and the visited key holds the small control part (configuration,
+//! conditions, timers, pending events) plus that plane's id. Ids are
+//! assigned by content, so key equality is exactly state equality.
+//! Most cycles run no routine and leave the plane as it was; such a
+//! successor reuses its source's id without copying or hashing the
+//! plane, and only a cycle in which a routine ran has its plane
+//! interned by content.
+//!
+//! Expansion has one path. A frontier layer is flattened into
+//! `(frontier index, symbol index)` jobs that reference the layer
+//! instead of copying it, and the pool's worker loop
+//! (`pool::stream_chunks`) fans them out in `EXPAND_CHUNK`-job chunks
+//! to workers that each restore-and-step one scalar [`PscpMachine`]. A
+//! worker restores a data plane only when its TEP memory does not
+//! already hold it untouched ([`pscp_tep::TepMachine::data_touched`]),
+//! so the jobs of one source — consecutive in a chunk — load its plane
+//! once. Results stream back and are merged *sequentially in job order*
+//! while the workers expand at most `EXPAND_AHEAD` chunks each ahead,
+//! so the successors alive at once are bounded by the pool, not by the
+//! layer, and the report is byte-identical for any worker count; the
+//! explore differential suite pins that against the one-worker run and
+//! a brute-force enumeration. `ExploreOptions::gang` is ignored.
 //!
 //! The report covers:
 //!
@@ -38,16 +52,20 @@
 //! state plus the canonical encoding ([`encode_state`]) of the state it
 //! claims to reach; [`replay`] re-executes the trace on a fresh machine
 //! and returns the key it actually lands on, so witnesses are checkable
-//! byte-for-byte. Canonical keys are built only for witnesses (and so
-//! for the wire), never per edge: `encode_state` is injective, so
-//! deduplicating on state equality is deduplicating on key equality.
+//! byte-for-byte. Canonical keys — and the full states they encode,
+//! rebuilt from a visited key and its plane — are built only for
+//! witnesses (and so for the wire), never per edge: `encode_state` is
+//! injective, so deduplicating on state equality is deduplicating on
+//! key equality.
 //! This is sound because [`SemanticState`] captures *everything* the
 //! next cycle's behaviour depends on — clock and statistics are
 //! excluded precisely because they cannot influence it.
 
 use crate::compile::CompiledSystem;
-use crate::machine::{MachineError, NullEnvironment, PscpMachine, SemanticState};
-use crate::pool::{configured_gang, configured_threads, SimPool};
+use crate::machine::{
+    ControlPart, CycleReport, MachineError, NullEnvironment, PscpMachine, SemanticState,
+};
+use crate::pool::{configured_gang, configured_threads, stream_chunks};
 use crate::serve::wire::{Dec, Enc, WireError};
 use pscp_statechart::semantics::{ControlState, SelectionTables};
 use pscp_statechart::{EventId, StateId};
@@ -108,9 +126,9 @@ fn le_word(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes.try_into().expect("8-byte word"))
 }
 
-/// The visited table's hasher: seedless and word-at-a-time — every
-/// 8 bytes cost one rotate-xor-multiply, so hashing a state's `i64`
-/// memory planes costs one multiply per word instead of one per byte,
+/// The visited and plane tables' hasher: seedless and word-at-a-time —
+/// every 8 bytes cost one rotate-xor-multiply, so hashing an `i64`
+/// memory plane costs one multiply per word instead of one per byte,
 /// and long writes spread their words over [`LANES`] chains that run
 /// in parallel. Each fold is a bijection of its chain for a fixed word
 /// and the chains fold back into the running state in order, so inputs
@@ -178,7 +196,7 @@ impl Hasher for WordHasher {
     }
 }
 
-/// [`BuildHasher`] for the visited table.
+/// [`BuildHasher`] for the visited and plane tables.
 #[derive(Debug, Clone, Default)]
 struct BuildWordHasher;
 
@@ -450,7 +468,8 @@ pub struct ExploreOptions {
     pub max_witnesses: u32,
     /// Worker threads for frontier expansion.
     pub threads: usize,
-    /// Gang width (1 = scalar oracle path).
+    /// Ignored: exploration expands on scalar machines whatever its
+    /// value. Kept only because `pscp-benchmark` sets it.
     pub gang: usize,
     /// Safety predicates to check.
     pub predicates: Vec<Predicate>,
@@ -472,8 +491,8 @@ impl Default for ExploreOptions {
 impl ExploreOptions {
     /// Defaults overridden by `PSCP_EXPLORE_MAX_STATES`,
     /// `PSCP_EXPLORE_MAX_DEPTH` and `PSCP_EXPLORE_WITNESSES` (threads
-    /// and gang width follow `PSCP_THREADS`/`PSCP_GANG` as everywhere
-    /// else). Unparsable values keep the default.
+    /// follow `PSCP_THREADS` as everywhere else). Unparsable values
+    /// keep the default.
     pub fn from_env() -> Self {
         fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
             std::env::var(var).ok()?.trim().parse().ok()
@@ -493,6 +512,80 @@ impl ExploreOptions {
 }
 
 // --- The explorer --------------------------------------------------------------
+
+/// What the visited table is keyed on: a state's control part and the
+/// id of its interned data plane. Planes are interned by content, so
+/// two keys are equal exactly when their [`SemanticState`]s are.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct StateKey {
+    part: ControlPart,
+    data: u32,
+}
+
+/// A discovered state in a frontier layer: its key, plus the data plane
+/// the key's id stands for, shared with the plane table.
+struct Node {
+    key: StateKey,
+    plane: Arc<TepDataState>,
+}
+
+impl Node {
+    /// The full state, for a witness.
+    fn state(&self) -> SemanticState {
+        self.key.part.with_data(&self.plane)
+    }
+}
+
+/// One expanded edge: the successor's control part, its data plane
+/// when a routine ran (`None`: the source's plane, untouched), and the
+/// cycle's report.
+struct Successor {
+    part: ControlPart,
+    plane: Option<TepDataState>,
+    report: CycleReport,
+}
+
+/// Jobs per expansion chunk: a worker's unit of claiming and of handing
+/// results back. Fixed, so chunk composition is pinned by the job list
+/// alone, whatever the worker count.
+const EXPAND_CHUNK: usize = 64;
+
+/// Chunks an expansion worker may have expanded but the merge not yet
+/// taken, per worker: enough to keep every worker busy while the merge
+/// catches up, few enough that a chunk's results are still in cache
+/// when it is merged.
+const EXPAND_AHEAD: usize = 4;
+
+/// An expansion worker: one scalar machine that remembers which data
+/// plane its TEP memory holds, so consecutive jobs from one source —
+/// or from sources sharing a plane — restore it once.
+struct Expander<'s> {
+    machine: PscpMachine<'s>,
+    /// Id of the plane last restored into the TEP memory; the memory
+    /// still holds it while `data_touched` is clear.
+    loaded: Option<u32>,
+}
+
+impl<'s> Expander<'s> {
+    fn new(system: &'s CompiledSystem, tables: &Arc<SelectionTables>) -> Self {
+        Expander { machine: PscpMachine::with_tables(system, Arc::clone(tables)), loaded: None }
+    }
+
+    /// Restores `src`, injects `symbol` and runs one configuration
+    /// cycle. The data plane is restored only when the memory does not
+    /// already hold it untouched, and captured only when a routine ran.
+    fn expand(&mut self, src: &Node, symbol: &[EventId]) -> Result<Successor, MachineError> {
+        let m = &mut self.machine;
+        m.restore_control(&src.key.part);
+        if self.loaded != Some(src.key.data) || m.tep().data_touched() {
+            m.restore_data(&src.plane);
+            self.loaded = Some(src.key.data);
+        }
+        let report = m.step_injected(symbol, &mut NullEnvironment)?;
+        let plane = m.tep().data_touched().then(|| m.tep().data_state());
+        Ok(Successor { part: m.capture_control(), plane, report })
+    }
+}
 
 /// Reconstructs the trace to `idx` by walking the parent chain, then
 /// appends the alphabet symbol `then` when given — the trace of the
@@ -516,8 +609,8 @@ fn trace_to(
 }
 
 /// Folds a state's active-state bitmap into the running union.
-fn mark_active(union: &mut [bool], state: &SemanticState) {
-    for (u, &a) in union.iter_mut().zip(&state.control.active) {
+fn mark_active(union: &mut [bool], active: &[bool]) {
+    for (u, &a) in union.iter_mut().zip(active) {
         *u |= a;
     }
 }
@@ -534,22 +627,25 @@ pub fn alphabet(system: &CompiledSystem) -> Vec<Vec<EventId>> {
 /// Breadth-first reachability over the compiled system's semantic
 /// state space. Deterministic: the report is byte-identical (through
 /// [`crate::serve::wire::encode_explore_report`]) for any
-/// `opts.threads` and `opts.gang`.
+/// `opts.threads`; `opts.gang` is ignored.
 pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport {
     let started = std::time::Instant::now();
     let _span = pscp_obs::trace::span("explore");
     let chart = &system.chart;
     let alphabet = alphabet(system);
-    let pool = SimPool::with_threads(opts.threads.max(1)).with_gang(opts.gang.max(1));
+    let threads = opts.threads.max(1);
     // One set of selection tables for the whole run: every layer's
-    // workers and gang lanes share it.
+    // workers share it.
     let tables = Arc::new(SelectionTables::new(chart));
 
     let mut report = ExploreReport::default();
-    // Every visited state, deduplicated by state equality — a set that
+    // The data planes of the visited states, each interned once under
+    // an id assigned in discovery order.
+    let mut planes: HashMap<Arc<TepDataState>, u32, BuildWordHasher> = HashMap::default();
+    // Every visited state, deduplicated by key equality — a set that
     // uses the map's entry API so an edge costs one hash. Canonical
     // keys are encoded only where a witness needs one.
-    let mut visited: HashMap<SemanticState, (), BuildWordHasher> = HashMap::default();
+    let mut visited: HashMap<StateKey, (), BuildWordHasher> = HashMap::default();
     // Parent pointers: `parents[i]` = (parent state index, alphabet
     // symbol index) of the BFS tree edge that discovered state `i`.
     let mut parents: Vec<(u32, u32)> = Vec::new();
@@ -559,23 +655,29 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let mut violated = vec![false; opts.predicates.len()];
     let mut violations: Vec<(usize, Witness)> = Vec::new();
 
-    let root = PscpMachine::with_tables(system, Arc::clone(&tables)).capture();
+    let root = {
+        let machine = PscpMachine::with_tables(system, Arc::clone(&tables));
+        let key = StateKey { part: machine.capture_control(), data: 0 };
+        Node { key, plane: Arc::new(machine.tep().data_state()) }
+    };
+    planes.insert(Arc::clone(&root.plane), 0);
     parents.push((0, 0));
-    mark_active(&mut active_union, &root);
+    let root_active = &root.key.part.control.active;
+    mark_active(&mut active_union, root_active);
     for (pi, p) in opts.predicates.iter().enumerate() {
         if let Predicate::StateNeverActive(name) = p {
-            if chart.state_by_name(name).is_some_and(|s| root.control.active[s.index()]) {
+            if chart.state_by_name(name).is_some_and(|s| root_active[s.index()]) {
                 violated[pi] = true;
-                violations
-                    .push((pi, Witness { state_key: encode_state(&root), trace: Vec::new() }));
+                let state_key = encode_state(&root.state());
+                violations.push((pi, Witness { state_key, trace: Vec::new() }));
             }
         }
     }
-    visited.insert(root.clone(), ());
+    visited.insert(root.key.clone(), ());
 
     // The BFS layer being expanded: its states carry the consecutive
     // discovery indices `base..base + frontier.len()`.
-    let mut frontier: Vec<SemanticState> = vec![root];
+    let mut frontier: Vec<Node> = vec![root];
     let mut base: u32 = 0;
     let mut layer: u32 = 0;
 
@@ -595,10 +697,17 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
             .collect();
 
         let next_base = visited.len() as u32;
-        let mut next: Vec<SemanticState> = Vec::new();
+        let mut next: Vec<Node> = Vec::new();
         let mut merged = 0usize;
         let mut all_self = true;
-        pool.expand_states(system, &tables, &frontier, &alphabet, &jobs, |result| {
+        let expand = |expander: &mut Expander<'_>, chunk: Vec<(u32, u32)>| -> Vec<_> {
+            chunk
+                .into_iter()
+                .map(|(f, si)| expander.expand(&frontier[f as usize], &alphabet[si as usize]))
+                .collect()
+        };
+        let workers = |_| Expander::new(system, &tables);
+        let merge = |result: Result<Successor, MachineError>| {
             let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
             merged += 1;
             let src = &frontier[f];
@@ -614,17 +723,30 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
                         report.faults.push((
                             e.to_string(),
                             Witness {
-                                state_key: encode_state(src),
+                                state_key: encode_state(&src.state()),
                                 trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
                             },
                         ));
                     }
                 }
-                Ok((succ, cycle)) => {
+                Ok(Successor { part, plane, report: cycle }) => {
                     for &t in &cycle.fired {
                         fired_union[t.index()] = true;
                     }
-                    if all_self && succ != *src {
+                    // The successor's plane: the source's when no
+                    // routine ran, else the interned plane with the
+                    // content the routines left. A plane no visited
+                    // state holds is new; it is interned, under the
+                    // next id, only if the state is admitted.
+                    let (data, plane, new_plane) = match plane {
+                        None => (src.key.data, Arc::clone(&src.plane), false),
+                        Some(p) => match planes.get_key_value(&p) {
+                            Some((known, &id)) => (id, Arc::clone(known), false),
+                            None => (planes.len() as u32, Arc::new(p), true),
+                        },
+                    };
+                    let key = StateKey { part, data };
+                    if all_self && key != src.key {
                         all_self = false;
                     }
                     // Predicates see every edge, including ones into
@@ -641,28 +763,31 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
                                 .is_some_and(|e| cycle.raised.contains(&e)),
                             Predicate::StateNeverActive(name) => chart
                                 .state_by_name(name)
-                                .is_some_and(|s| succ.control.active[s.index()]),
+                                .is_some_and(|s| key.part.control.active[s.index()]),
                         };
                         if hit {
                             violated[pi] = true;
                             violations.push((
                                 pi,
                                 Witness {
-                                    state_key: encode_state(&succ),
+                                    state_key: encode_state(&key.part.with_data(&plane)),
                                     trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
                                 },
                             ));
                         }
                     }
-                    // The successor moves into the table; only a newly
+                    // The key moves into the table; only a newly
                     // discovered state is cloned, into the next layer.
                     let room = (visited.len() as u64) < opts.max_states.max(1);
-                    match visited.entry(succ) {
+                    match visited.entry(key) {
                         Entry::Occupied(_) => report.dedup_hits += 1,
                         Entry::Vacant(slot) if room => {
+                            if new_plane {
+                                planes.insert(Arc::clone(&plane), data);
+                            }
                             parents.push((src_idx, si as u32));
-                            mark_active(&mut active_union, slot.key());
-                            next.push(slot.key().clone());
+                            mark_active(&mut active_union, &slot.key().part.control.active);
+                            next.push(Node { key: slot.key().clone(), plane });
                             slot.insert(());
                         }
                         Entry::Vacant(_) => report.truncated = true,
@@ -674,11 +799,20 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
                 && (report.deadlocks.len() as u32) < opts.max_witnesses
             {
                 report.deadlocks.push(Witness {
-                    state_key: encode_state(src),
+                    state_key: encode_state(&src.state()),
                     trace: trace_to(&parents, &alphabet, src_idx, None),
                 });
             }
-        });
+        };
+        stream_chunks(
+            jobs.into_iter(),
+            EXPAND_CHUNK,
+            threads,
+            EXPAND_AHEAD,
+            workers,
+            expand,
+            merge,
+        );
         if !next.is_empty() {
             layer += 1;
             report.depth = layer;
@@ -708,6 +842,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     pscp_obs::metrics::EXPLORE_STATES.add(report.states);
     pscp_obs::metrics::EXPLORE_EDGES.add(report.edges);
     pscp_obs::metrics::EXPLORE_DEDUP_HITS.add(report.dedup_hits);
+    pscp_obs::metrics::EXPLORE_DATA_PLANES.add(planes.len() as u64);
     pscp_obs::metrics::EXPLORE_DEADLOCKS.add(report.deadlocks.len() as u64);
     pscp_obs::metrics::EXPLORE_VIOLATIONS.add(report.violations.len() as u64);
     pscp_obs::metrics::EXPLORE_DEPTH.record(u64::from(report.depth));

@@ -45,18 +45,11 @@
 //! ANDed with the mask of lanes that sampled.
 
 use crate::compile::CompiledSystem;
-use crate::machine::{
-    CycleReport, Environment, MachineError, NullEnvironment, PscpMachine, SemanticState,
-};
+use crate::machine::{CycleReport, Environment, MachineError, PscpMachine};
 use crate::pool::{BatchOptions, BatchOutcome, CycleLog};
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
 use pscp_statechart::semantics::SelectionTables;
-use pscp_statechart::EventId;
 use std::sync::Arc;
-
-/// One exploration job's outcome: the successor state and the cycle
-/// that produced it, or the routine fault the cycle hit.
-pub(crate) type Expansion = Result<(SemanticState, CycleReport), MachineError>;
 
 /// A reusable gang of scalar machines with a shared bit-sliced SLA.
 /// Build once per worker, feed it successive job chunks via
@@ -253,62 +246,6 @@ impl<'s> GangRig<'s> {
                 any
             }
         }
-    }
-
-    /// Expands up to [`GANG_WIDTH`] exploration jobs in one shared SLA
-    /// pass. Each job is a `(state, symbol)` index pair into `states`
-    /// and `symbols`, borrowed from the explorer's frontier: the lane
-    /// machine restores that [`SemanticState`], injects that event set,
-    /// and runs exactly one configuration cycle against a
-    /// [`NullEnvironment`]. Returns `(successor state, report)` per job
-    /// in job order — byte-identical to a scalar
-    /// [`PscpMachine::step_injected`] on the restored state, by the
-    /// same any-enable ⟺ any-fire routing the scripted path uses.
-    pub(crate) fn expand(
-        &mut self,
-        states: &[SemanticState],
-        symbols: &[Vec<EventId>],
-        jobs: &[(u32, u32)],
-    ) -> Vec<Expansion> {
-        assert!(jobs.len() <= GANG_WIDTH, "at most {GANG_WIDTH} lanes per gang");
-        let n = jobs.len();
-        while self.machines.len() < n {
-            self.machines.push(PscpMachine::with_tables(self.system, Arc::clone(&self.tables)));
-        }
-        let layout = &self.system.layout;
-        let chart = &self.system.chart;
-        let state_width = layout.state_width() as usize;
-
-        self.words.clear();
-        self.words.resize(self.sim.cr_width(), 0);
-
-        // Restore + inject every lane, then build the lane words from
-        // scratch (restored configurations invalidate any state columns
-        // a previous call left behind).
-        for (l, &(st, sym)) in jobs.iter().enumerate() {
-            let m = &mut self.machines[l];
-            m.restore(&states[st as usize]);
-            m.inject_phase(&symbols[sym as usize]);
-            let bits = layout.encode(chart, m.executor().configuration());
-            write_column(&mut self.words[..state_width], &bits, l);
-            load_lane_inputs(&mut self.words, self.system, m, l);
-        }
-
-        // One bit-sliced SLA pass routes every lane; the memo is a pure
-        // function of the words, so it stays valid across `run`/`expand`.
-        let any = self.any_fire();
-
-        let mut out = Vec::with_capacity(n);
-        for l in 0..n {
-            let m = &mut self.machines[l];
-            let result = if any & (1u64 << l) != 0 {
-                m.execute_phase(&mut NullEnvironment)
-            } else {
-                Ok(m.idle_phase())
-            };
-            out.push(result.map(|report| (m.capture(), report)));
-        }
-        out
     }
 }
 

@@ -24,9 +24,12 @@ use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
 use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
-use pscp_statechart::semantics::{ActionEffects, ActionSite, Executor, SelectionTables};
+use pscp_statechart::semantics::{
+    ActionEffects, ActionSite, ControlState, Executor, SelectionTables,
+};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
+use pscp_tep::TepDataState;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -326,6 +329,31 @@ pub struct SemanticState {
     pub data: pscp_tep::TepDataState,
 }
 
+/// A [`SemanticState`] without its TEP data memory: the part of a state
+/// that changes on almost every cycle, and what the explorer keys its
+/// visited table on next to an interned data-plane id.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ControlPart {
+    /// Chart control state.
+    pub(crate) control: ControlState,
+    /// Remaining cycles of each armed hardware timer.
+    pub(crate) timers: Vec<Option<u64>>,
+    /// Timer events that expired last cycle, pending delivery.
+    pub(crate) pending_timer_events: Vec<EventId>,
+}
+
+impl ControlPart {
+    /// The full state this part forms with the data memory `data`.
+    pub(crate) fn with_data(&self, data: &TepDataState) -> SemanticState {
+        SemanticState {
+            control: self.control.clone(),
+            timers: self.timers.clone(),
+            pending_timer_events: self.pending_timer_events.clone(),
+            data: data.clone(),
+        }
+    }
+}
+
 /// The PSCP machine.
 pub struct PscpMachine<'s> {
     system: &'s CompiledSystem,
@@ -454,43 +482,58 @@ impl<'s> PscpMachine<'s> {
     /// behaviour depends only on what `capture` records, which is what
     /// makes state-space exploration by capture/restore sound.
     pub fn capture(&self) -> SemanticState {
-        SemanticState {
-            control: self.exec.control_state(),
-            timers: self.timers.clone(),
-            pending_timer_events: self.pending_timer_events.clone(),
-            data: self.tep.data_state(),
-        }
+        let ControlPart { control, timers, pending_timer_events } = self.capture_control();
+        SemanticState { control, timers, pending_timer_events, data: self.tep.data_state() }
     }
 
     /// Restores a [`capture`](Self::capture) snapshot taken from a
     /// machine over the same system. Clock, statistics and probe state
     /// are left untouched.
     pub fn restore(&mut self, s: &SemanticState) {
-        self.exec.restore_control_state(&s.control);
-        self.timers.copy_from_slice(&s.timers);
-        self.pending_timer_events.clear();
-        self.pending_timer_events.extend_from_slice(&s.pending_timer_events);
+        self.restore_fields(&s.control, &s.timers, &s.pending_timer_events);
         self.tep.restore_data_state(&s.data);
+    }
+
+    /// [`capture`](Self::capture) without the TEP data memory.
+    pub(crate) fn capture_control(&self) -> ControlPart {
+        ControlPart {
+            control: self.exec.control_state(),
+            timers: self.timers.clone(),
+            pending_timer_events: self.pending_timer_events.clone(),
+        }
+    }
+
+    /// [`restore`](Self::restore) without the TEP data memory, which
+    /// keeps its contents; see [`TepMachine::data_touched`].
+    pub(crate) fn restore_control(&mut self, s: &ControlPart) {
+        self.restore_fields(&s.control, &s.timers, &s.pending_timer_events);
+    }
+
+    fn restore_fields(
+        &mut self,
+        control: &ControlState,
+        timers: &[Option<u64>],
+        pending_timer_events: &[EventId],
+    ) {
+        self.exec.restore_control_state(control);
+        self.timers.copy_from_slice(timers);
+        self.pending_timer_events.clear();
+        self.pending_timer_events.extend_from_slice(pending_timer_events);
         self.quiet = false;
     }
 
-    /// Phase 1 of a configuration cycle with an *injected* event set in
-    /// place of environment sampling: the given external events plus
-    /// any pending timer expiries land in the CR, exactly as
-    /// [`sample_phase`](Self::sample_phase) would deliver them. Used by
-    /// the state-space explorer ([`crate::explore`]) to expand a state
-    /// under a chosen input symbol.
-    pub(crate) fn inject_phase(&mut self, events: &[EventId]) {
-        let set = &mut self.scratch.events;
-        set.clear();
-        set.extend(events.iter().copied());
-        set.extend(self.pending_timer_events.drain(..));
-        self.quiet = false;
+    /// Restores only the TEP data memory.
+    pub(crate) fn restore_data(&mut self, data: &TepDataState) {
+        self.tep.restore_data_state(data);
     }
 
     /// Runs one configuration cycle with an injected external event set
-    /// instead of sampling `env` for events/conditions. `env` is still
-    /// consulted for port reads/writes during routine execution.
+    /// instead of sampling `env` for events/conditions: the given
+    /// external events plus any pending timer expiries land in the CR,
+    /// exactly as [`sample_phase`](Self::sample_phase) would deliver
+    /// them. `env` is still consulted for port reads/writes during
+    /// routine execution. The state-space explorer ([`crate::explore`])
+    /// expands a state under an input symbol this way.
     ///
     /// # Errors
     ///
@@ -500,7 +543,11 @@ impl<'s> PscpMachine<'s> {
         events: &[EventId],
         env: &mut E,
     ) -> Result<CycleReport, MachineError> {
-        self.inject_phase(events);
+        let set = &mut self.scratch.events;
+        set.clear();
+        set.extend(events.iter().copied());
+        set.extend(self.pending_timer_events.drain(..));
+        self.quiet = false;
         self.execute_phase(env)
     }
 

@@ -23,24 +23,22 @@
 //! runs on one worker loop, [`stream_chunks`]: scoped workers claim
 //! fixed-width chunks of jobs in order, and the calling thread takes
 //! the results in job order. Batches ([`SimPool::run_batch_until`])
-//! collect every result; state exploration
-//! ([`SimPool::expand_states`]) streams them with a bounded lookahead.
+//! collect every result; state exploration ([`crate::explore`])
+//! streams them with a bounded lookahead, one scalar machine per
+//! worker.
 //!
-//! On top of the thread pool, each worker packs up to `PSCP_GANG`
-//! scenarios (default 64) into one bit-sliced gang ([`crate::gang`])
-//! whose SLA/CR plane evaluates word-parallel — also byte-identical,
-//! for any gang width. `PSCP_GANG=1` keeps the scalar loop verbatim as
-//! the differential oracle.
+//! On top of the thread pool, each batch worker packs up to
+//! `PSCP_GANG` scenarios (default 64) into one bit-sliced gang
+//! ([`crate::gang`]) whose SLA/CR plane evaluates word-parallel — also
+//! byte-identical, for any gang width. `PSCP_GANG=1` keeps the scalar
+//! loop verbatim as the differential oracle. Exploration does not use
+//! the gang.
 
 use crate::compile::CompiledSystem;
-use crate::gang::{Expansion, GangRig};
-use crate::machine::{
-    CycleReport, Environment, MachineError, MachineStats, NullEnvironment, PscpMachine,
-    SemanticState,
-};
+use crate::gang::GangRig;
+use crate::machine::{CycleReport, Environment, MachineError, MachineStats, PscpMachine};
 use pscp_sla::gang::GANG_WIDTH;
 use pscp_statechart::semantics::SelectionTables;
-use pscp_statechart::EventId;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -346,74 +344,7 @@ impl SimPool {
         );
         out
     }
-
-    /// Expands state-exploration jobs across the pool and hands
-    /// `(successor, report)` per job to `consume` on the calling thread,
-    /// in job order. A job is a `(state, symbol)` index pair into
-    /// `states` and `symbols` — restore that state, inject that event
-    /// set, run one configuration cycle — so jobs reference the caller's
-    /// frontier and fanning a layer out copies no state. Results stream:
-    /// workers run at most [`EXPAND_AHEAD`] chunks each ahead of
-    /// `consume`, so the successors alive at once are bounded by the
-    /// pool, not by the layer. The scalar path (`gang <= 1`) restores and
-    /// steps one [`PscpMachine`] per worker (the differential oracle);
-    /// wider gangs expand each chunk in one [`GangRig::expand`] pass
-    /// that shares a bit-sliced SLA evaluation. Byte-identical for any
-    /// worker count and gang width — each job is independent of its
-    /// lane-mates, and the explore differential suite pins the whole
-    /// grid. Every worker's machines run on `tables`, built once by the
-    /// caller for `system.chart`.
-    pub(crate) fn expand_states(
-        &self,
-        system: &CompiledSystem,
-        tables: &Arc<SelectionTables>,
-        states: &[SemanticState],
-        symbols: &[Vec<EventId>],
-        jobs: &[(u32, u32)],
-        consume: impl FnMut(Expansion),
-    ) {
-        // Fixed-width chunks in job order (width independent of the
-        // worker count, so chunk composition is pinned by the job list
-        // alone).
-        if self.gang <= 1 {
-            stream_chunks(
-                jobs.iter().copied(),
-                GANG_WIDTH,
-                self.threads,
-                EXPAND_AHEAD,
-                |_| PscpMachine::with_tables(system, Arc::clone(tables)),
-                |machine, chunk| {
-                    chunk
-                        .iter()
-                        .map(|&(st, sym)| {
-                            machine.restore(&states[st as usize]);
-                            machine
-                                .step_injected(&symbols[sym as usize], &mut NullEnvironment)
-                                .map(|report| (machine.capture(), report))
-                        })
-                        .collect()
-                },
-                consume,
-            );
-        } else {
-            stream_chunks(
-                jobs.iter().copied(),
-                self.gang,
-                self.threads,
-                EXPAND_AHEAD,
-                |_| GangRig::new(system, tables),
-                |rig, chunk| rig.expand(states, symbols, &chunk),
-                consume,
-            );
-        }
-    }
 }
-
-/// Chunks a streaming worker may have expanded but the consumer not yet
-/// taken, per worker: enough to keep every worker busy while the
-/// consumer catches up, few enough that a chunk's results are still in
-/// cache when it is consumed.
-const EXPAND_AHEAD: usize = 4;
 
 /// The lookahead of a run whose consumer only collects: every result is
 /// kept anyway, so workers never wait on the consumer and a slow job
@@ -462,7 +393,7 @@ impl<I, R> Drop for StopOnPanic<'_, I, R> {
 /// stops the other and reaches the caller. With one worker (or one
 /// chunk) nothing is spawned and each chunk is consumed as soon as it
 /// is expanded.
-fn stream_chunks<J, R, W>(
+pub(crate) fn stream_chunks<J, R, W>(
     mut jobs: impl ExactSizeIterator<Item = J> + Send,
     width: usize,
     threads: usize,
@@ -664,6 +595,10 @@ mod tests {
     use pscp_statechart::{Chart, ChartBuilder, StateKind};
     use pscp_tep::codegen::CodegenOptions;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// Streaming lookahead of the `stream_chunks` tests, in chunks per
+    /// worker.
+    const AHEAD: usize = 4;
 
     fn counter_chart() -> Chart {
         let mut b = ChartBuilder::new("counter");
@@ -979,7 +914,7 @@ mod tests {
         for threads in [1, 2, 5] {
             for width in [1, 4, 64] {
                 // Chunks expanded so far, against jobs consumed so far:
-                // a worker may only run `EXPAND_AHEAD` chunks per worker
+                // a worker may only run `AHEAD` chunks per worker
                 // ahead of the consumer.
                 let expanded = AtomicUsize::new(0);
                 let mut out = Vec::new();
@@ -987,7 +922,7 @@ mod tests {
                     jobs.iter().copied(),
                     width,
                     threads,
-                    EXPAND_AHEAD,
+                    AHEAD,
                     |_| (),
                     |_, chunk| {
                         expanded.fetch_add(1, Ordering::SeqCst);
@@ -996,7 +931,7 @@ mod tests {
                     |r| {
                         let taken = out.len() / width;
                         assert!(
-                            expanded.load(Ordering::SeqCst) <= taken + 1 + EXPAND_AHEAD * threads,
+                            expanded.load(Ordering::SeqCst) <= taken + 1 + AHEAD * threads,
                             "workers ran past the lookahead"
                         );
                         out.push(r);
@@ -1015,7 +950,7 @@ mod tests {
             jobs.iter().copied(),
             4,
             2,
-            EXPAND_AHEAD,
+            AHEAD,
             |_| (),
             |_, chunk| {
                 assert!(chunk[0] != 8, "boom");
@@ -1033,7 +968,7 @@ mod tests {
             jobs.iter().copied(),
             4,
             2,
-            EXPAND_AHEAD,
+            AHEAD,
             |_| (),
             |_, chunk| chunk.to_vec(),
             |j| assert!(j != 5, "consumer gave up"),

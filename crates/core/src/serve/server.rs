@@ -446,18 +446,17 @@ fn handle_compile(system: &CompiledSystem, chart: &str, actions: &str) -> Frame 
 /// Runs a wire-requested exploration and chunks the canonical report
 /// into `ExploreResult` frames, each body slice sized so the complete
 /// frame (headers, length prefixes, checksum) stays under `max_frame`.
-/// Expansion fans out over the server's own worker configuration — the
-/// report is byte-identical for any `threads`/`gang` (the differential
-/// suite pins it), so the request never carries them.
+/// Expansion fans out over the server's own worker count — the report
+/// is byte-identical for any `threads` (the differential suite pins
+/// it), so the request never carries it.
 fn handle_explore(
     system: &CompiledSystem,
     req: &ExploreRequest,
     threads: usize,
-    gang: usize,
     max_frame: u32,
 ) -> Vec<Frame> {
     pscp_obs::metrics::SERVE_EXPLORES.inc();
-    let report = crate::explore::explore(system, &req.to_options(threads, gang));
+    let report = crate::explore::explore(system, &req.to_options(threads));
     // Leave generous headroom for the frame envelope: version, tag,
     // seq, flags, chunk length prefix, checksum.
     let max_chunk = (max_frame as usize).saturating_sub(64).max(1);
@@ -578,14 +577,9 @@ fn handle_connection(
                 // Exploration runs on this connection's reader thread
                 // (its own scenario submissions wait behind it; other
                 // connections are untouched) and fans out internally
-                // across the configured worker count and gang width.
-                let frames = handle_explore(
-                    system,
-                    &req,
-                    opts.threads.max(1),
-                    opts.gang.clamp(1, pscp_sla::gang::GANG_WIDTH),
-                    opts.max_frame,
-                );
+                // across the configured worker count.
+                let frames =
+                    handle_explore(system, &req, opts.threads.max(1), opts.max_frame);
                 for frame in frames {
                     conn.push(Msg::Frame(wire::encode_frame(&frame)));
                 }

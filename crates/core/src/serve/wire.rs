@@ -280,14 +280,15 @@ impl ExploreRequest {
     }
 
     /// Server-side [`ExploreOptions`]: the request's bounds and
-    /// predicates, expanded with the given worker configuration.
-    pub fn to_options(&self, threads: usize, gang: usize) -> ExploreOptions {
+    /// predicates, expanded with the given worker count. The inert
+    /// [`ExploreOptions::gang`] field is set to 1.
+    pub fn to_options(&self, threads: usize) -> ExploreOptions {
         ExploreOptions {
             max_states: self.max_states,
             max_depth: self.max_depth,
             max_witnesses: self.max_witnesses,
             threads,
-            gang,
+            gang: 1,
             predicates: self.predicates.clone(),
         }
     }

@@ -271,6 +271,111 @@ fn exhaustive_count_matches_brute_force_enumeration() {
 }
 
 // ---------------------------------------------------------------------
+// Data-plane interning
+// ---------------------------------------------------------------------
+
+/// `A --TICK/Keep()--> B` rewrites `level` with the value it already
+/// holds; `A --PING--> B` runs no routine. Both edges reach the same
+/// semantic state.
+fn rewrite_system() -> CompiledSystem {
+    let mut b = ChartBuilder::new("rewrite");
+    b.event("TICK", None);
+    b.event("PING", None);
+    b.state("Top", StateKind::Or).contains(["A", "B"]).default_child("A");
+    b.state("A", StateKind::Basic)
+        .transition("B", "TICK/Keep()")
+        .transition("B", "PING");
+    b.basic("B");
+    let chart = b.build().unwrap();
+    let actions = "int:16 level; void Keep() { level = 0; }";
+    compile_system(&chart, actions, &PscpArch::dual_md16(true), &CodegenOptions::default())
+        .unwrap()
+}
+
+/// A routine that rewrites a global with its current value leaves a
+/// plane equal to the source's, so its successor must dedup against the
+/// same configuration reached with no routine: planes are interned by
+/// content, not by which edge produced them.
+#[test]
+fn rewritten_plane_dedups_against_the_untouched_one() {
+    let sys = rewrite_system();
+    // The TICK edge does run a routine, so its plane goes through
+    // interning rather than the untouched-source shortcut.
+    let mut machine = PscpMachine::new(&sys);
+    let root = machine.capture();
+    machine.restore(&root);
+    assert!(!machine.tep().data_touched());
+    let tick = sys.chart.event_by_name("TICK").unwrap();
+    machine.step_injected(&[tick], &mut NullEnvironment).unwrap();
+    assert!(machine.tep().data_touched(), "Keep() must run on the TICK edge");
+    assert_eq!(machine.capture().data, root.data, "Keep() rewrites the value it read");
+
+    let brute = brute_force(&sys);
+    assert_eq!(brute.states, 2, "A and B, each with the one data plane");
+    for threads in [1usize, 4] {
+        let report =
+            explore(&sys, &ExploreOptions { threads, gang: 1, ..ExploreOptions::default() });
+        assert!(!report.truncated);
+        assert_eq!(
+            (report.states, report.edges, report.dedup_hits, report.depth),
+            (brute.states, brute.edges, brute.dedup_hits, brute.depth),
+            "threads={threads}: the rewritten plane was not interned by content"
+        );
+    }
+}
+
+/// From every `Run` state the alphabet `{}, E1, E2, E3, E4` alternates
+/// jobs that leave the data plane alone with jobs that write it, so a
+/// worker's chunk alternates them too — all from one source. A job
+/// after a writing one must reload the source's plane: reusing the
+/// written memory would carry `n` into `Side` wrongly and lose
+/// `(Side, 0)`.
+fn alternating_system() -> CompiledSystem {
+    let mut b = ChartBuilder::new("alternating");
+    for e in ["E1", "E2", "E3", "E4"] {
+        b.event(e, None);
+    }
+    b.state("Top", StateKind::Or).contains(["Run", "Side"]).default_child("Run");
+    b.state("Run", StateKind::Basic)
+        .transition("Run", "E1/Add(1)")
+        .transition("Side", "E2")
+        .transition("Run", "E3/Add(2)")
+        .transition("Side", "E4");
+    b.state("Side", StateKind::Basic).transition("Run", "E1");
+    let chart = b.build().unwrap();
+    let actions = "int:16 n; void Add(int:16 k) { n = (n + k) % 5; }";
+    compile_system(&chart, actions, &PscpArch::dual_md16(true), &CodegenOptions::default())
+        .unwrap()
+}
+
+#[test]
+fn alternating_writes_from_one_source_match_brute_force() {
+    let sys = alternating_system();
+    let brute = brute_force(&sys);
+    // Run and Side with each n in 0..5, at least; the plane also holds
+    // the argument `k`'s frame slot.
+    assert!(brute.states >= 10, "only {} states", brute.states);
+    let run = |threads| {
+        explore(&sys, &ExploreOptions { threads, gang: 1, ..ExploreOptions::default() })
+    };
+    let oracle = encode_explore_report(&run(1));
+    for threads in [1usize, 4] {
+        let report = run(threads);
+        assert!(!report.truncated);
+        assert_eq!(
+            (report.states, report.edges, report.dedup_hits, report.depth),
+            (brute.states, brute.edges, brute.dedup_hits, brute.depth),
+            "threads={threads}: a job reused a plane a previous job wrote"
+        );
+        assert_eq!(
+            encode_explore_report(&report),
+            oracle,
+            "threads={threads} diverged from the one-worker report"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Golden state keys
 // ---------------------------------------------------------------------
 

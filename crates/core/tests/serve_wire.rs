@@ -606,7 +606,7 @@ fn live_explore_is_byte_identical_to_in_process() {
 
     let mut client = ScenarioClient::connect(server.addr()).unwrap();
     let remote = client.explore(&req).unwrap();
-    let local = explore::explore(&sys, &req.to_options(1, 1));
+    let local = explore::explore(&sys, &req.to_options(1));
     assert_eq!(
         wire::encode_explore_report(&remote),
         wire::encode_explore_report(&local),

@@ -377,6 +377,10 @@ pub static EXPLORE_STATES: Counter = Counter::new();
 pub static EXPLORE_EDGES: Counter = Counter::new();
 /// Successor states already in the visited set (dedup hits).
 pub static EXPLORE_DEDUP_HITS: Counter = Counter::new();
+/// Distinct TEP data planes interned across all explorations: how many
+/// of the visited states' data memories differ (collapse compression
+/// stores each once).
+pub static EXPLORE_DATA_PLANES: Counter = Counter::new();
 /// Deadlocked states reported.
 pub static EXPLORE_DEADLOCKS: Counter = Counter::new();
 /// Safety-predicate violations reported.
@@ -530,6 +534,7 @@ const SCALARS: &[(&str, &Counter)] = &[
     ("explore_states", &EXPLORE_STATES),
     ("explore_edges", &EXPLORE_EDGES),
     ("explore_dedup_hits", &EXPLORE_DEDUP_HITS),
+    ("explore_data_planes", &EXPLORE_DATA_PLANES),
     ("explore_deadlocks", &EXPLORE_DEADLOCKS),
     ("explore_violations", &EXPLORE_VIOLATIONS),
 ];

@@ -642,7 +642,7 @@ fn explore_cmd(args: &[String]) -> ExitCode {
     let report = if args.iter().any(|a| a == "--loopback") {
         let system = Arc::new(pscp_bench::example_system(&PscpArch::dual_md16(true)));
         let opts = ServeOptions::from_env();
-        let (threads, gang) = (opts.threads.max(1), opts.gang);
+        let threads = opts.threads.max(1);
         let server = match serve::spawn(Arc::clone(&system), "127.0.0.1:0", opts) {
             Ok(s) => s,
             Err(e) => {
@@ -662,7 +662,7 @@ fn explore_cmd(args: &[String]) -> ExitCode {
         // The differential: the same request explored in-process, with
         // the server's worker configuration, must produce the same
         // canonical bytes.
-        let local = explore::explore(&system, &req.to_options(threads, gang));
+        let local = explore::explore(&system, &req.to_options(threads));
         if encode_explore_report(&wired) != encode_explore_report(&local) {
             eprintln!("pscp-serve explore: DIFFERENTIAL FAILURE (wire != in-process)");
             return ExitCode::FAILURE;

@@ -116,6 +116,10 @@ pub struct TepMachine<'p> {
     /// Whether this call sequence records kind counts (sampled from
     /// the obs flag word once per routine call).
     count_kinds: bool,
+    /// Set when data memory may differ from the last snapshot passed
+    /// to [`TepMachine::restore_data_state`]; see
+    /// [`TepMachine::data_touched`].
+    data_touched: bool,
 }
 
 impl<'p> TepMachine<'p> {
@@ -135,6 +139,7 @@ impl<'p> TepMachine<'p> {
             cycle_limit: 100_000_000,
             kind_counts: [0; pscp_obs::metrics::TEP_KINDS],
             count_kinds: false,
+            data_touched: true,
         };
         m.reset_globals();
         m
@@ -190,10 +195,24 @@ impl<'p> TepMachine<'p> {
         self.xram.copy_from_slice(&s.xram);
         self.cycles = 0;
         self.retired = 0;
+        self.data_touched = false;
+    }
+
+    /// Whether data memory may have changed since the last
+    /// [`restore_data_state`](TepMachine::restore_data_state): set by
+    /// every routine call (conservatively, whether or not the routine
+    /// writes), by [`reset`](TepMachine::reset) and
+    /// [`reset_globals`](TepMachine::reset_globals), and on a fresh
+    /// machine; cleared only by a restore. While it is clear, the data
+    /// memory still equals the restored snapshot, so a caller that
+    /// remembers which snapshot it restored may skip restoring it again.
+    pub fn data_touched(&self) -> bool {
+        self.data_touched
     }
 
     /// Reinitialises all globals to their reset values.
     pub fn reset_globals(&mut self) {
+        self.data_touched = true;
         for g in &self.program.globals {
             let v = g.init;
             match g.storage {
@@ -258,6 +277,7 @@ impl<'p> TepMachine<'p> {
         args: &[i64],
         host: &mut H,
     ) -> Result<i64, TepError> {
+        self.data_touched = true;
         // Spill arguments into the callee frame, as the calling sequence
         // does.
         let f = &self.program.functions[fi as usize];
@@ -585,6 +605,37 @@ mod tests {
         };
         m.call("Bump", &[3], &mut h).unwrap();
         assert_eq!((m.cycles(), m.global_by_name("total")), fresh_cost);
+    }
+
+    #[test]
+    fn data_touched_tracks_writes_since_the_last_restore() {
+        let src = r#"
+            int:16 total = 7;
+            void Bump(int:16 n) { total = total + n; }
+            void Nothing() { }
+        "#;
+        let ir = pscp_action_lang::compile(src).unwrap();
+        let p = compile_program(&ir, &TepArch::md16_optimized(), &CodegenOptions::default());
+        let mut h = RecordingHost::new();
+        let mut m = TepMachine::new(&p);
+        assert!(m.data_touched(), "a fresh machine matches no restored snapshot");
+        let snapshot = m.data_state();
+        m.restore_data_state(&snapshot);
+        assert!(!m.data_touched(), "a restore clears the flag");
+
+        m.call("Bump", &[3], &mut h).unwrap();
+        assert!(m.data_touched(), "a writing routine sets the flag");
+        m.restore_data_state(&snapshot);
+        m.call("Nothing", &[], &mut h).unwrap();
+        assert!(m.data_touched(), "any routine call sets the flag, even one that writes nothing");
+        assert_eq!(m.data_state(), snapshot);
+
+        m.restore_data_state(&snapshot);
+        m.reset();
+        assert!(m.data_touched(), "reset sets the flag");
+        m.restore_data_state(&snapshot);
+        m.reset_globals();
+        assert!(m.data_touched(), "reset_globals sets the flag");
     }
 
     fn differential(src: &str, func: &str, cases: &[Vec<i64>]) {

@@ -40,10 +40,14 @@ cargo test --release -p pscp-bench --test determinism -q
 cargo test --release -p pscp-core --test quiet_differential -q
 
 # The explore differential suite is the reachability engine's spec:
-# reports must be byte-identical across worker counts × gang widths
-# against the scalar oracle, every witness must replay to its claimed
-# state key, and the exhaustive state count must match a brute-force
-# enumeration.
+# reports must be byte-identical across worker counts against the
+# one-worker run (its grid still names gang widths, but exploration
+# ignores them), every witness must replay to its claimed state key,
+# and the exhaustive state count must match a brute-force enumeration.
+# It also pins data-plane interning: a routine that rewrites a global
+# with its own value must dedup against the routine-free edge, and a
+# worker must reload a plane that a previous job from the same source
+# wrote.
 cargo test --release -p pscp-core --test explore_differential -q
 
 # The DSE golden suite is the optimiser's spec: the chosen history,
