@@ -7,11 +7,10 @@
 //! operand widths) off it.
 
 use crate::types::Scalar;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VReg(pub u32);
 
 impl fmt::Display for VReg {
@@ -21,7 +20,7 @@ impl fmt::Display for VReg {
 }
 
 /// A branch target; resolved through [`Function::label_pos`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(pub u32);
 
 impl fmt::Display for Label {
@@ -31,7 +30,7 @@ impl fmt::Display for Label {
 }
 
 /// IR binary operators. Comparison results are `uint:1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -93,7 +92,7 @@ impl fmt::Display for BinOp {
 }
 
 /// IR unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnOp {
     /// Two's-complement negation.
     Neg,
@@ -111,7 +110,7 @@ impl fmt::Display for UnOp {
 }
 
 /// One IR instruction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = value`
     Const {
@@ -278,7 +277,7 @@ impl Inst {
 }
 
 /// A compiled function: linear instruction list plus label table.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -366,7 +365,7 @@ pub struct OpHistogram {
 }
 
 /// A complete compiled program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Program {
     /// Functions; indices match [`Inst::Call::func`].
     pub functions: Vec<Function>,
@@ -385,7 +384,7 @@ pub struct Program {
 }
 
 /// A flattened global slot.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GlobalInit {
     /// Diagnostic name.
     pub name: String,
@@ -396,7 +395,7 @@ pub struct GlobalInit {
 }
 
 /// An external data port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PortInfo {
     /// Port name.
     pub name: String,

@@ -6,11 +6,10 @@
 //! register sizes — straight off these types, which is why the paper
 //! stresses "careful range specification".
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A scalar type: width plus signedness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Scalar {
     /// Width in bits, 1..=32.
     pub width: u8,
@@ -83,7 +82,7 @@ impl fmt::Display for Scalar {
 }
 
 /// A full type: void, scalar, named enum, named struct, or array.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Type {
     /// No value (function returns only).
     Void,

@@ -1,12 +1,15 @@
 //! Golden regression test for the §4 design-space exploration.
 //!
-//! Runs `optimize` on a fixed set of inputs and compares the canonical
-//! serde JSON of everything a caller observes — the step history, the
-//! final architecture, the placement decisions, the timing report, and
-//! the `satisfied` / `budget_exhausted` / `exhausted_worst_cycles`
-//! verdicts — byte-for-byte against checked-in golden files. Each input
-//! runs at one and two workers and on both the incremental and the full
-//! revalidation path; all four runs must reproduce the same file.
+//! Runs `optimize` on a fixed set of inputs and compares the pretty
+//! `Debug` rendering of everything a caller observes — the step
+//! history, the final architecture, the placement decisions, the timing
+//! report, and the `satisfied` / `budget_exhausted` /
+//! `exhausted_worst_cycles` verdicts — byte-for-byte against checked-in
+//! golden files. Each input runs at one and two workers and on both the
+//! incremental and the full revalidation path; all four runs must
+//! reproduce the same file. The files were recorded in a run whose
+//! results also matched, byte for byte, the serialised JSON goldens
+//! they replace.
 //!
 //! The cases cover the multi-head beam (one to three heads) and the
 //! pickup head from the minimal architecture, a shrink-heavy chart on
@@ -24,26 +27,25 @@ use pscp_core::optimize::{optimize, MemoPersistence, OptimizationResult, Optimiz
 use pscp_statechart::{Chart, ChartBuilder, StateKind};
 use std::path::PathBuf;
 
-/// The canonical serialisation of one exploration outcome.
+/// The rendering of one exploration outcome.
 fn render(r: &OptimizationResult) -> String {
-    let json = |s: Result<String, serde_json::Error>| s.expect("optimizer results serialise");
     format!(
-        "{{\n\"history\": {},\n\"arch\": {},\n\"codegen\": {},\n\"timing\": {},\n\
-         \"satisfied\": {},\n\"budget_exhausted\": {},\n\"exhausted_worst_cycles\": {}\n}}\n",
-        json(serde_json::to_string(&r.history)),
-        json(serde_json::to_string(&r.arch)),
-        json(serde_json::to_string(&r.codegen)),
-        json(serde_json::to_string(&r.timing)),
+        "history: {:#?}\narch: {:#?}\ncodegen: {:#?}\ntiming: {:#?}\nsatisfied: {}\n\
+         budget_exhausted: {}\nexhausted_worst_cycles: {:#?}\n",
+        r.history,
+        r.arch,
+        r.codegen,
+        r.timing,
         r.satisfied,
         r.budget_exhausted,
-        json(serde_json::to_string(&r.exhausted_worst_cycles)),
+        r.exhausted_worst_cycles,
     )
 }
 
 fn golden_path(case: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden/dse")
-        .join(format!("{case}.json"))
+        .join(format!("{case}.txt"))
 }
 
 /// Runs `case` at one and two workers, incremental and full, checks

@@ -6,11 +6,12 @@
 //! evaluation, and a warm rerun must serve every evaluation from the
 //! file without compiling a candidate. A file clobbered with garbage
 //! must degrade to a cold run with the same result. The key derivation
-//! is pinned by the keys of a memo file written before evaluation
-//! became lazy (`golden/dse/memo_keys_multi_head_2.txt`, recorded when
-//! every applicable candidate was still evaluated): every key this run
-//! writes must be one of them, so such a file keeps warm-starting the
-//! run.
+//! is pinned by `golden/dse/memo_keys_multi_head_2.txt`, the keys of
+//! the 16 evaluations: every one must be in the file a cold run writes.
+//! The file was recorded in a run that also derived each evaluation's
+//! key the earlier way, from serialised JSON, and found every one of
+//! those among the keys of a memo file written when every applicable
+//! candidate was still evaluated.
 //!
 //! One `#[test]` in its own binary, because it reads process-wide
 //! metric counters.
@@ -69,7 +70,7 @@ fn assert_same(a: &OptimizationResult, b: &OptimizationResult) {
 fn memo_file_holds_one_entry_per_evaluation_and_serves_a_warm_rerun() {
     pscp_obs::set_flags(pscp_obs::METRICS);
     let (chart, ir) = multi_head_inputs(2);
-    let path = std::env::temp_dir().join(format!("pscp-dse-memo-{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!("pscp-dse-memo-{}.bin", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let solve = |memo: MemoPersistence| {
         let options = OptimizeOptions { memo, ..OptimizeOptions::default() };
@@ -86,17 +87,21 @@ fn memo_file_holds_one_entry_per_evaluation_and_serves_a_warm_rerun() {
     let (cold, cold_counts) = counted(|| solve(MemoPersistence::Path(path.clone())));
     assert_same(&cold, &reference);
     assert_eq!(cold_counts, Counts { candidates: n, compiled: n, hits: 0, misses: n });
-    assert_eq!(MemoStore::at(&path).len(), EVALUATIONS);
+    let store = MemoStore::at(&path);
+    assert_eq!(store.len(), EVALUATIONS);
 
-    // Every key written is one the pre-lazy run wrote too.
-    let text = std::fs::read_to_string(&path).unwrap();
+    // Every recorded key is in the file.
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/dse/memo_keys_multi_head_2.txt"
     ))
     .unwrap();
-    let shared = golden.lines().filter(|k| text.contains(&format!("\"{k}\""))).count();
-    assert_eq!(shared, EVALUATIONS, "memo keys diverged from the recorded derivation");
+    let keys: Vec<u128> =
+        golden.lines().map(|k| u128::from_str_radix(k, 16).expect("hex key")).collect();
+    assert_eq!(keys.len(), EVALUATIONS);
+    for k in keys {
+        assert!(store.get(k).is_some(), "memo key {k:032x} diverged from the recorded derivation");
+    }
 
     // Warm file: every evaluation hits, no candidate compiles, the
     // result is unchanged and the file gains nothing.
@@ -107,7 +112,7 @@ fn memo_file_holds_one_entry_per_evaluation_and_serves_a_warm_rerun() {
 
     // Corrupt file: garbage on disk is a cold start, never a failure —
     // every evaluation compiles again and the file is rewritten whole.
-    std::fs::write(&path, "definitely not json").expect("clobber memo file");
+    std::fs::write(&path, "definitely not a memo file").expect("clobber memo file");
     let (corrupt, corrupt_counts) = counted(|| solve(MemoPersistence::Path(path.clone())));
     assert_same(&corrupt, &reference);
     assert_eq!(corrupt_counts, Counts { candidates: n, compiled: n, hits: 0, misses: n });

@@ -7,15 +7,15 @@
 
 use pscp_statechart::encoding::EncodingStyle;
 use pscp_tep::TepArch;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
+use std::hash::{Hash, Hasher};
 
 /// A hardware down-counter timer (§6: "the addition of timers" is
 /// listed as future work; this implements it). A routine arms the timer
 /// by writing a cycle count to its port; when the counter reaches zero
 /// the timer raises its chart event at the next configuration cycle.
 /// Writing 0 disarms.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TimerSpec {
     /// Timer name (diagnostics).
     pub name: String,
@@ -27,7 +27,7 @@ pub struct TimerSpec {
 
 /// A complete PSCP configuration: the shared statechart hardware plus
 /// `n_teps` replicated transition execution processors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PscpArch {
     /// Number of TEPs (Fig. 1 shows two; "TEPs can be replicated to
     /// form PSCP versions with several processing elements in the style
@@ -54,6 +54,33 @@ pub struct PscpArch {
     pub interrupt_events: BTreeSet<String>,
     /// Human-readable label for reports ("1 minimal TEP", …).
     pub label: String,
+}
+
+/// Content hash for memo keys and system fingerprints. Written by hand
+/// because `clock_mhz` is a float: it hashes by its bits. The pattern
+/// names every field, so a new field fails to compile until it is
+/// hashed too.
+impl Hash for PscpArch {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let PscpArch {
+            n_teps,
+            tep,
+            encoding,
+            mutual_exclusion,
+            clock_mhz,
+            timers,
+            interrupt_events,
+            label,
+        } = self;
+        n_teps.hash(state);
+        tep.hash(state);
+        encoding.hash(state);
+        mutual_exclusion.hash(state);
+        clock_mhz.to_bits().hash(state);
+        timers.hash(state);
+        interrupt_events.hash(state);
+        label.hash(state);
+    }
 }
 
 impl PscpArch {

@@ -17,12 +17,11 @@ use pscp_statechart::{Chart, ConditionId, EventId, TransitionId};
 use pscp_tep::codegen::{
     compile_program, compile_program_cached, CodegenCache, CodegenOptions, TepProgram,
 };
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// How one textual action argument is produced at dispatch time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArgSpec {
     /// A literal or enum-variant constant.
     Const(i64),
@@ -31,7 +30,7 @@ pub enum ArgSpec {
 }
 
 /// One routine call bound to a transition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BoundCall {
     /// Routine index into the TEP program's function table.
     pub func: u32,
@@ -40,7 +39,7 @@ pub struct BoundCall {
 }
 
 /// All routine calls of one transition, in label order.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct TransitionBinding {
     /// The calls.
     pub calls: Vec<BoundCall>,
@@ -109,7 +108,7 @@ impl From<pscp_action_lang::CompileError> for SystemError {
 /// port indices — is resolved once here at compile time, so
 /// [`PscpMachine::step`](crate::machine::PscpMachine::step) runs without
 /// name lookups or expression scans.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct SchedulerTables {
     /// Per transition: does an interrupt-priority event (§6) appear
     /// positively in its trigger or guard?
@@ -183,9 +182,9 @@ impl SchedulerTables {
 /// once built and identical for every candidate of a DSE run, so they
 /// are `Arc`-shared: cloning a system (or building many candidates from
 /// one [`SystemArtifacts`]) copies three pointers, not three deep
-/// structures. Serialisation is transparent — the wire/JSON form is the
-/// same as when the fields were inline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// structures. `Arc<T>` hashes as `T`, so sharing never changes the
+/// system's fingerprint.
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct CompiledSystem {
     /// The chart.
     pub chart: Arc<Chart>,

@@ -9,11 +9,10 @@
 
 use pscp_fpga::area::{self, Clb};
 use pscp_tep::TepArch;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A library element the optimiser can add to an architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Widen the data bus / calculation unit to the given width.
     WidenBus(u8),

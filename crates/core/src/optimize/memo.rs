@@ -2,46 +2,48 @@
 //!
 //! The optimiser's candidate cache maps *content* — everything a
 //! candidate evaluation reads — to its result (timing report + area).
-//! The key is a stable hash over the serde serialisation of those
-//! inputs, never `Debug` output (which is not a stability contract):
-//! a [`fingerprint`] over the per-run-constant inputs (chart, IR,
-//! timing options) combined per candidate with the architecture and
-//! the storage placement ([`cache_key`]).
+//! The key is a 128-bit [`KeyHasher`] hash over the `Hash` impls of
+//! those inputs, never `Debug` output (which is not a stability
+//! contract): a [`fingerprint`] over the per-run-constant inputs
+//! (chart, IR, timing options) combined per candidate with the
+//! architecture and the storage placement ([`cache_key`]).
 //!
-//! [`MemoStore`] optionally persists the map to a versioned JSON file
-//! so repeated `optimize()` runs and the bench suite start warm. The
-//! file is strictly a cache: a missing, corrupt, truncated or
-//! version-mismatched file degrades to a cold start, never an error,
-//! and saving is best-effort (write to a temp file, then rename).
+//! [`MemoStore`] optionally persists the map to a versioned binary file
+//! so repeated `optimize()` runs start warm. The file is written with
+//! the wire codec: the magic `PSCPMEMO`, the `u32` format version, the
+//! `u32` entry count, then per entry the key as two `u64`s (high half
+//! first), the `u32` area and the timing report. Every count is bounded
+//! by the bytes left, so decoding never recurses and never allocates
+//! past the file. The file is strictly a cache: a missing, corrupt,
+//! truncated or version-mismatched file degrades to a cold start, never
+//! an error, and saving is best-effort (write to a temp file, then
+//! rename).
 
-use crate::serve::JSON_INFALLIBLE;
-use crate::timing::TimingReport;
-use serde::{Deserialize, Serialize};
+use crate::serve::wire::{Dec, Enc, WireError};
+use crate::timing::{EventCycle, TimingReport, Violation};
+use pscp_statechart::{StateId, TransitionId};
+use pscp_tep::KeyHasher;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Bumped whenever the entry layout or key derivation changes; files
+/// Bumped whenever the file layout or key derivation changes; files
 /// written by other versions are ignored (cold start).
-pub const MEMO_FORMAT_VERSION: u32 = 1;
+pub const MEMO_FORMAT_VERSION: u32 = 2;
+
+/// First bytes of every memo file.
+const MEMO_MAGIC: &[u8; 8] = b"PSCPMEMO";
 
 /// Environment variable controlling default persistence: unset, `off`
 /// or `0` keeps the memo in memory; any other value is the file path.
 pub const MEMO_ENV: &str = "PSCP_MEMO";
 
 /// One memoised candidate evaluation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoEntry {
     /// The candidate's timing report.
     pub timing: TimingReport,
     /// The candidate's total area in CLBs.
     pub area: u32,
-}
-
-/// The on-disk layout.
-#[derive(Debug, Serialize, Deserialize)]
-struct MemoFile {
-    version: u32,
-    entries: BTreeMap<String, MemoEntry>,
 }
 
 /// Where an optimiser run keeps its candidate memo.
@@ -61,7 +63,7 @@ pub enum MemoPersistence {
 #[derive(Debug)]
 pub struct MemoStore {
     path: Option<PathBuf>,
-    entries: BTreeMap<String, MemoEntry>,
+    entries: BTreeMap<u128, MemoEntry>,
     loaded: usize,
     dirty: bool,
 }
@@ -107,8 +109,8 @@ impl MemoStore {
     }
 
     /// Looks up a candidate by key.
-    pub fn get(&self, key: &str) -> Option<&MemoEntry> {
-        let entry = self.entries.get(key);
+    pub fn get(&self, key: u128) -> Option<&MemoEntry> {
+        let entry = self.entries.get(&key);
         match entry {
             Some(_) => pscp_obs::metrics::MEMO_HITS.inc(),
             None => pscp_obs::metrics::MEMO_MISSES.inc(),
@@ -117,7 +119,7 @@ impl MemoStore {
     }
 
     /// Records a candidate evaluation.
-    pub fn insert(&mut self, key: String, entry: MemoEntry) {
+    pub fn insert(&mut self, key: u128, entry: MemoEntry) {
         if self.entries.insert(key, entry).is_none() {
             self.dirty = true;
         }
@@ -146,60 +148,117 @@ impl MemoStore {
         if !self.dirty {
             return;
         }
-        let file =
-            MemoFile { version: MEMO_FORMAT_VERSION, entries: self.entries.clone() };
-        let Ok(json) = serde_json::to_string(&file) else { return };
+        let bytes = encode_entries(&self.entries);
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, json).is_ok() {
+        if std::fs::write(&tmp, bytes).is_ok() {
             let _ = std::fs::rename(&tmp, path);
         }
     }
 }
 
-fn load_entries(path: &Path) -> Option<BTreeMap<String, MemoEntry>> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let file: MemoFile = serde_json::from_str(&text).ok()?;
-    (file.version == MEMO_FORMAT_VERSION).then_some(file.entries)
+fn load_entries(path: &Path) -> Option<BTreeMap<u128, MemoEntry>> {
+    decode_entries(&std::fs::read(path).ok()?).ok()
 }
 
-/// The conventional memo location: `target/pscp-memo.json` under the
+fn encode_entries(entries: &BTreeMap<u128, MemoEntry>) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.buf.extend_from_slice(MEMO_MAGIC);
+    e.u32(MEMO_FORMAT_VERSION);
+    e.u32(entries.len() as u32);
+    for (&key, entry) in entries {
+        e.u64((key >> 64) as u64);
+        e.u64(key as u64);
+        e.u32(entry.area);
+        e.u32(entry.timing.cycles.len() as u32);
+        for c in &entry.timing.cycles {
+            e.str(&c.event);
+            enc_states(&mut e, &c.path);
+            e.u32(c.transitions.len() as u32);
+            for t in &c.transitions {
+                e.u32(t.index() as u32);
+            }
+            e.u64(c.length);
+        }
+        e.u32(entry.timing.violations.len() as u32);
+        for v in &entry.timing.violations {
+            e.str(&v.event);
+            e.u64(v.period);
+            e.u64(v.worst);
+            enc_states(&mut e, &v.path);
+        }
+    }
+    e.buf
+}
+
+fn decode_entries(bytes: &[u8]) -> Result<BTreeMap<u128, MemoEntry>, WireError> {
+    let mut d = Dec::new(bytes);
+    if d.take(MEMO_MAGIC.len())? != MEMO_MAGIC {
+        return Err(WireError::Malformed("not a memo file"));
+    }
+    if d.u32()? != MEMO_FORMAT_VERSION {
+        return Err(WireError::Malformed("memo format version"));
+    }
+    let mut entries = BTreeMap::new();
+    // Smallest entry: key, area and two empty counts.
+    for _ in 0..d.count(28)? {
+        let key = u128::from(d.u64()?) << 64 | u128::from(d.u64()?);
+        let area = d.u32()?;
+        // Smallest cycle: empty event, two empty lists and the length.
+        let n = d.count(20)?;
+        let cycles = (0..n).map(|_| dec_cycle(&mut d)).collect::<Result<_, _>>()?;
+        // Smallest violation: empty event, period, worst, empty path.
+        let n = d.count(24)?;
+        let violations = (0..n).map(|_| dec_violation(&mut d)).collect::<Result<_, _>>()?;
+        entries.insert(key, MemoEntry { timing: TimingReport { cycles, violations }, area });
+    }
+    d.finish()?;
+    Ok(entries)
+}
+
+fn dec_cycle(d: &mut Dec<'_>) -> Result<EventCycle, WireError> {
+    let event = d.str()?;
+    let path = dec_states(d)?;
+    let n = d.count(4)?;
+    let transitions = (0..n)
+        .map(|_| Ok(TransitionId::from_index(d.u32()? as usize)))
+        .collect::<Result<_, WireError>>()?;
+    Ok(EventCycle { event, path, transitions, length: d.u64()? })
+}
+
+fn dec_violation(d: &mut Dec<'_>) -> Result<Violation, WireError> {
+    let event = d.str()?;
+    let (period, worst) = (d.u64()?, d.u64()?);
+    Ok(Violation { event, period, worst, path: dec_states(d)? })
+}
+
+fn enc_states(e: &mut Enc, states: &[StateId]) {
+    e.u32(states.len() as u32);
+    for s in states {
+        e.u32(s.index() as u32);
+    }
+}
+
+fn dec_states(d: &mut Dec<'_>) -> Result<Vec<StateId>, WireError> {
+    let n = d.count(4)?;
+    (0..n).map(|_| Ok(StateId::from_index(d.u32()? as usize))).collect()
+}
+
+/// The conventional memo location: `target/pscp-memo.bin` under the
 /// enclosing workspace (found by walking up to `Cargo.lock`), falling
 /// back to the current directory.
 pub fn default_memo_path() -> PathBuf {
     let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
     loop {
         if dir.join("Cargo.lock").exists() {
-            return dir.join("target").join("pscp-memo.json");
+            return dir.join("target").join("pscp-memo.bin");
         }
         if !dir.pop() {
-            return PathBuf::from("target").join("pscp-memo.json");
+            return PathBuf::from("target").join("pscp-memo.bin");
         }
     }
-}
-
-/// 64-bit FNV-1a over `bytes`, mixed with `seed` so two independent
-/// passes give independent halves of a wider key.
-fn stable_hash64(bytes: &[u8], seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Stable 128-bit hex key over a sequence of serialised parts. Parts
-/// are length-prefixed so `["ab", "c"]` and `["a", "bc"]` differ.
-pub fn stable_key(parts: &[&str]) -> String {
-    let mut buf = Vec::with_capacity(parts.iter().map(|p| p.len() + 8).sum());
-    for p in parts {
-        buf.extend_from_slice(&(p.len() as u64).to_le_bytes());
-        buf.extend_from_slice(p.as_bytes());
-    }
-    format!("{:016x}{:016x}", stable_hash64(&buf, 0), stable_hash64(&buf, 1))
 }
 
 /// Hash of the per-run-constant evaluation inputs: chart, action IR,
@@ -209,30 +268,29 @@ pub fn fingerprint(
     chart: &pscp_statechart::Chart,
     ir: &pscp_action_lang::ir::Program,
     timing: &crate::timing::TimingOptions,
-) -> String {
-    let chart_json = serde_json::to_string(chart).expect(JSON_INFALLIBLE);
-    let ir_json = serde_json::to_string(ir).expect(JSON_INFALLIBLE);
-    let timing_json = serde_json::to_string(timing).expect(JSON_INFALLIBLE);
-    stable_key(&[&chart_json, &ir_json, &timing_json])
+) -> u128 {
+    KeyHasher::key(&(chart, ir, timing))
 }
 
 /// The memo key of one candidate: the run fingerprint plus everything
 /// that varies per candidate — the full architecture and the storage
 /// placement decisions.
 pub fn cache_key(
-    fingerprint: &str,
+    fingerprint: u128,
     arch: &crate::arch::PscpArch,
     codegen: &pscp_tep::codegen::CodegenOptions,
-) -> String {
-    let arch_json = serde_json::to_string(arch).expect(JSON_INFALLIBLE);
-    let codegen_json = serde_json::to_string(codegen).expect(JSON_INFALLIBLE);
-    stable_key(&[fingerprint, &arch_json, &codegen_json])
+) -> u128 {
+    KeyHasher::key(&(fingerprint, arch, codegen))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::{PscpArch, TimerSpec};
     use crate::timing::TimingReport;
+    use pscp_statechart::encoding::EncodingStyle;
+    use pscp_tep::codegen::CodegenOptions;
+    use pscp_tep::StorageClass;
 
     fn scratch(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pscp-memo-test-{}-{name}", std::process::id()))
@@ -247,83 +305,79 @@ mod tests {
 
     #[test]
     fn roundtrip_through_file() {
-        let path = scratch("roundtrip.json");
+        let path = scratch("roundtrip.bin");
         let _ = std::fs::remove_file(&path);
         let mut store = MemoStore::at(&path);
         assert_eq!(store.loaded(), 0, "missing file is a cold start");
-        store.insert("k1".into(), entry(100));
-        store.insert("k2".into(), entry(200));
+        store.insert(1, entry(100));
+        store.insert(u128::MAX, entry(200));
         store.save();
 
         let warm = MemoStore::at(&path);
         assert_eq!(warm.loaded(), 2);
-        assert_eq!(warm.get("k1").unwrap().area, 100);
-        assert_eq!(warm.get("k2").unwrap().area, 200);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn corrupt_file_is_cold_not_fatal() {
-        let path = scratch("corrupt.json");
-        std::fs::write(&path, "{not json at all").unwrap();
-        let store = MemoStore::at(&path);
-        assert_eq!(store.loaded(), 0);
-        assert!(store.is_empty());
-        // And a truncated-but-valid-prefix file.
-        std::fs::write(&path, r#"{"version":1,"entries":{"x""#).unwrap();
-        assert_eq!(MemoStore::at(&path).loaded(), 0);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn stale_version_is_ignored() {
-        let path = scratch("stale.json");
-        let json = format!(
-            r#"{{"version":{},"entries":{{}}}}"#,
-            MEMO_FORMAT_VERSION + 1
-        );
-        std::fs::write(&path, json).unwrap();
-        let store = MemoStore::at(&path);
-        assert_eq!(store.loaded(), 0, "future version must be ignored");
+        assert_eq!(warm.get(1).unwrap().area, 100);
+        assert_eq!(warm.get(u128::MAX).unwrap().area, 200);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn save_without_changes_is_a_noop() {
-        let path = scratch("noop.json");
+        let path = scratch("noop.bin");
         let _ = std::fs::remove_file(&path);
         let store = MemoStore::at(&path);
         store.save();
         assert!(!path.exists(), "nothing inserted, nothing written");
     }
 
-    #[test]
-    fn stable_key_separates_part_boundaries() {
-        assert_ne!(stable_key(&["ab", "c"]), stable_key(&["a", "bc"]));
-        assert_ne!(stable_key(&["x"]), stable_key(&["x", ""]));
-        assert_eq!(stable_key(&["x", "y"]), stable_key(&["x", "y"]));
+    /// The minimal architecture, then one variant per `PscpArch` field
+    /// and per `CodegenOptions` field.
+    fn candidates() -> Vec<(&'static str, (PscpArch, CodegenOptions))> {
+        let arch = |f: fn(&mut PscpArch)| {
+            let mut a = PscpArch::minimal();
+            f(&mut a);
+            (a, CodegenOptions::default())
+        };
+        let mut promoted = CodegenOptions::default();
+        promoted.global_promotions.insert(0, StorageClass::Register);
+        let timer = TimerSpec { name: "T".into(), event: "E".into(), port_address: 7 };
+        let mut timers = PscpArch::minimal();
+        timers.timers.push(timer);
+        vec![
+            ("minimal", arch(|_| {})),
+            ("n_teps", arch(|a| a.n_teps = 2)),
+            ("tep", arch(|a| a.tep.calc.comparator = !a.tep.calc.comparator)),
+            ("encoding", arch(|a| a.encoding = EncodingStyle::OneHot)),
+            ("mutual_exclusion", arch(|a| a.mutual_exclusion = vec![[0, 1].into()])),
+            ("clock_mhz", arch(|a| a.clock_mhz = 15.5)),
+            ("timers", (timers, CodegenOptions::default())),
+            ("interrupt_events", arch(|a| {
+                a.interrupt_events.insert("E".into());
+            })),
+            ("label", arch(|a| a.label.push('!'))),
+            ("global_promotions", (PscpArch::minimal(), promoted)),
+        ]
     }
 
     #[test]
-    fn stable_key_golden_value_is_pinned() {
+    fn cache_key_sees_every_field() {
+        let candidates = candidates();
+        for (i, (what, (arch, cg))) in candidates.iter().enumerate() {
+            let key = cache_key(7, arch, cg);
+            assert_eq!(key, cache_key(7, &arch.clone(), &cg.clone()), "{what}: not deterministic");
+            assert_ne!(key, cache_key(8, arch, cg), "{what}: fingerprint ignored");
+            for (other, (arch2, cg2)) in &candidates[..i] {
+                assert_ne!(key, cache_key(7, arch2, cg2), "{what} and {other} share a key");
+            }
+        }
+    }
+
+    #[test]
+    fn cache_key_golden_value_is_pinned() {
         // Golden pin: persisted memo files key on this exact derivation.
         // If this assertion ever fails, the key schema changed and
         // MEMO_FORMAT_VERSION must be bumped with it.
-        assert_eq!(stable_key(&["pscp", "memo"]), "62bd103d966eaad9b2f2947fae2bc648");
-    }
-
-    #[test]
-    fn arc_fields_serialize_transparently() {
-        // `CompiledSystem`'s chart/layout/sla are Arc-shared; the memo
-        // fingerprint and the serve-layer system fingerprint both hash
-        // serde output, so Arc must serialise exactly like the inline
-        // value.
-        let v = vec![1u32, 2, 3];
-        let arc = std::sync::Arc::new(v.clone());
-        assert_eq!(
-            serde_json::to_string(&arc).unwrap(),
-            serde_json::to_string(&v).unwrap()
-        );
+        let key = cache_key(0x5053_4350, &PscpArch::minimal(), &CodegenOptions::default());
+        assert_eq!(format!("{key:032x}"), "cdbe2fbbcf114cec5189fbcc7ee342f9");
     }
 
     #[test]

@@ -66,11 +66,10 @@ use pscp_action_lang::ir::{Inst as IrInst, Program};
 use pscp_tep::codegen::{CodegenCache, CodegenOptions};
 use pscp_tep::timing::WcetReport;
 use pscp_tep::StorageClass;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One improvement the optimiser can apply.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Improvement {
     /// Turn on microcode peephole + assembler cleanup.
     EnableCodeOptimization,
@@ -104,7 +103,7 @@ impl std::fmt::Display for Improvement {
 }
 
 /// A recorded optimisation step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimizationStep {
     /// What was applied (`None` for the initial compile).
     pub applied: Option<String>,
@@ -260,10 +259,10 @@ pub fn optimize(
         let _cand_span = pscp_obs::trace::span("candidate");
         pscp_obs::metrics::OPT_CANDIDATES.inc();
         let memo_slot = persisted.as_mut().map(|(store, fingerprint)| {
-            (store, memo::cache_key(fingerprint, cand_arch, cand_codegen))
+            (store, memo::cache_key(*fingerprint, cand_arch, cand_codegen))
         });
         if let Some((store, key)) = &memo_slot {
-            if let Some(entry) = store.get(key) {
+            if let Some(entry) = store.get(*key) {
                 return Ok(CandidateEval {
                     timing: entry.timing.clone(),
                     area: entry.area,

@@ -36,8 +36,9 @@ pub use wire::{
 };
 
 use crate::compile::CompiledSystem;
+use pscp_tep::KeyHasher;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -100,30 +101,11 @@ pub fn addr_from_env() -> String {
     std::env::var("PSCP_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:7971".to_string())
 }
 
-/// 64-bit FNV-1a — companion to [`wire::fnv1a32`] for fingerprints.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Why fingerprints never fall back on a serialisation error: the JSON
-/// encoder builds a value tree and writes it into a `String`, and
-/// neither step can fail, so `to_string` always returns `Ok`. A
-/// fallback (an empty string, say) would silently give unrelated
-/// inputs one fingerprint; should encoding ever fail, stop instead.
-pub(crate) const JSON_INFALLIBLE: &str =
-    "JSON encoding into a String is infallible for the model types";
-
 /// A stable fingerprint of a compiled system, exchanged in the `Hello`
 /// handshake so a client can refuse to talk to a server built from a
-/// different design.
+/// different design: the low half of its [`KeyHasher`] content key.
 pub fn system_fingerprint(system: &CompiledSystem) -> u64 {
-    let json = serde_json::to_string(system).expect(JSON_INFALLIBLE);
-    fnv1a64(json.as_bytes())
+    KeyHasher::key(system) as u64
 }
 
 /// The per-process system table: every system compiled over the wire
@@ -131,9 +113,15 @@ pub fn system_fingerprint(system: &CompiledSystem) -> u64 {
 /// its [`system_fingerprint`]. The `Diagnostics` reply hands the
 /// fingerprint back to the client, which can then pin it in a `Hello`
 /// or retrieve the compiled system in-process via [`lookup_system`].
-fn system_table() -> &'static Mutex<BTreeMap<u64, Arc<CompiledSystem>>> {
+fn system_table() -> MutexGuard<'static, BTreeMap<u64, Arc<CompiledSystem>>> {
     static TABLE: OnceLock<Mutex<BTreeMap<u64, Arc<CompiledSystem>>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
+    // A `BTreeMap` insert or lookup leaves no half-done state behind, so
+    // a thread that panicked while holding the lock cannot have broken
+    // the table: recover it instead of failing every later caller.
+    TABLE
+        .get_or_init(|| Mutex::new(BTreeMap::new()))
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Registers a compiled system in the per-process table and returns
@@ -141,16 +129,64 @@ fn system_table() -> &'static Mutex<BTreeMap<u64, Arc<CompiledSystem>>> {
 /// (same fingerprint, same key).
 pub fn register_system(system: Arc<CompiledSystem>) -> u64 {
     let fp = system_fingerprint(&system);
-    system_table().lock().unwrap().insert(fp, system);
+    system_table().insert(fp, system);
     fp
 }
 
 /// Looks up a registered compiled system by fingerprint.
 pub fn lookup_system(fingerprint: u64) -> Option<Arc<CompiledSystem>> {
-    system_table().lock().unwrap().get(&fingerprint).cloned()
+    system_table().get(&fingerprint).cloned()
 }
 
 /// Number of systems currently registered in the per-process table.
 pub fn registered_systems() -> usize {
-    system_table().lock().unwrap().len()
+    system_table().len()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arch::PscpArch;
+    use crate::compile::compile_system;
+    use pscp_statechart::{ChartBuilder, StateKind};
+    use pscp_tep::codegen::CodegenOptions;
+
+    fn toggle_system(period: u64) -> CompiledSystem {
+        let mut b = ChartBuilder::new("toggle");
+        b.event("TICK", Some(period));
+        b.state("Top", StateKind::Or).contains(["Off", "On"]).default_child("Off");
+        b.state("Off", StateKind::Basic).transition("On", "TICK");
+        b.state("On", StateKind::Basic).transition("Off", "TICK");
+        let chart = b.build().unwrap();
+        compile_system(&chart, "", &PscpArch::dual_md16(true), &CodegenOptions::default())
+            .unwrap()
+    }
+
+    #[test]
+    fn fingerprint_sees_content_not_sharing() {
+        let shared = toggle_system(100);
+        let deep = CompiledSystem {
+            chart: Arc::new((*shared.chart).clone()),
+            layout: Arc::new((*shared.layout).clone()),
+            sla: Arc::new((*shared.sla).clone()),
+            ..shared.clone()
+        };
+        assert!(!Arc::ptr_eq(&shared.chart, &deep.chart));
+        assert_eq!(system_fingerprint(&shared), system_fingerprint(&deep));
+        assert_eq!(system_fingerprint(&shared), system_fingerprint(&shared.clone()));
+        assert_ne!(system_fingerprint(&shared), system_fingerprint(&toggle_system(101)));
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_table() {
+        let poisoner = std::thread::spawn(|| {
+            let _guard = system_table();
+            panic!("poison the system table");
+        });
+        assert!(poisoner.join().is_err());
+        let system = Arc::new(toggle_system(102));
+        let fp = register_system(Arc::clone(&system));
+        assert!(Arc::ptr_eq(&lookup_system(fp).expect("registered"), &system));
+        assert!(registered_systems() >= 1);
+    }
 }

@@ -20,7 +20,6 @@ use crate::compile::CompiledSystem;
 use crate::timing::bounds::sibling_penalties;
 use crate::timing::TimingOptions;
 use pscp_statechart::{Chart, StateId, TransitionId};
-use serde::{Deserialize, Serialize};
 
 /// One event cycle, Table 3 style.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// at display time via [`EventCycle::path_names`] or
 /// [`EventCycle::display`] — the hot validation loop never touches
 /// strings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventCycle {
     /// The constrained event.
     pub event: String,

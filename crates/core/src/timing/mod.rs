@@ -31,10 +31,9 @@ use crate::machine::overhead;
 use pscp_statechart::{Chart, StateId, TransitionId};
 use pscp_tep::timing::WcetReport;
 use pscp_tep::WcetAnalysis;
-use serde::{Deserialize, Serialize};
 
 /// Options for the validation pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TimingOptions {
     /// Maximum DFS path length (transitions) when hunting event cycles.
     pub max_depth: usize,
@@ -49,7 +48,7 @@ impl Default for TimingOptions {
 }
 
 /// A detected timing violation.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// The event whose arrival period is violated.
     pub event: String,
@@ -70,7 +69,7 @@ impl Violation {
 }
 
 /// Result of validating a compiled system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingReport {
     /// All event cycles found, per constrained event.
     pub cycles: Vec<EventCycle>,

@@ -158,10 +158,6 @@ fn base_arch(which: u8) -> TepArch {
     }
 }
 
-fn json<T: serde::Serialize>(v: &T) -> String {
-    serde_json::to_string(v).expect("serialize")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -190,7 +186,7 @@ proptest! {
         );
         let full = compile_program(&ir, &arch1, &opts1);
 
-        prop_assert_eq!(json(&delta), json(&full), "program bytes diverged for {:?}", p);
+        prop_assert_eq!(delta, full, "program diverged for {:?}", p);
         prop_assert_eq!(
             WcetAnalysis::new(&arch1).analyze(&delta),
             WcetAnalysis::new(&arch1).analyze(&full),
@@ -242,7 +238,7 @@ proptest! {
         };
         cache.poison_for_tests(&bogus);
         let got = compile_program_cached(&ir, &arch, &opts, &cache);
-        prop_assert_eq!(json(&got), json(&want), "poisoned cache changed output");
+        prop_assert_eq!(got, want, "poisoned cache changed output");
         let stats = cache.stats();
         prop_assert!(stats.invalidations > 0, "poison went undetected: {:?}", stats);
     }
@@ -284,16 +280,16 @@ fn cached_system_compile_matches_full() {
         let cold = compile_system_with(&artifacts, &ir, &arch, &opts, Some(&cache)).unwrap();
         let full = compile_system_from_ir(&chart, &ir, &arch, &opts).unwrap();
         assert_eq!(
-            json(&cold),
-            json(&full),
+            cold,
+            full,
             "cached system compile diverged (cold) for {}",
             arch.label
         );
 
         let warm = compile_system_with(&artifacts, &ir, &arch, &opts, Some(&cache)).unwrap();
         assert_eq!(
-            json(&warm),
-            json(&full),
+            warm,
+            full,
             "cached system compile diverged (warm) for {}",
             arch.label
         );
@@ -329,7 +325,7 @@ fn dse_candidate_sweep_matches_oracle() {
     for cand in &candidates {
         let cached = compile_system_with(&artifacts, &ir, cand, &opts, Some(&cache)).unwrap();
         let oracle = compile_system_from_ir(&chart, &ir, cand, &opts).unwrap();
-        assert_eq!(json(&cached), json(&oracle), "candidate {} diverged", cand.label);
+        assert_eq!(cached, oracle, "candidate {} diverged", cand.label);
     }
     let stats = cache.stats();
     assert!(stats.hits > 0, "sweep shared no routines: {stats:?}");

@@ -7,12 +7,9 @@
 //! coefficients were calibrated so the paper's example lands near its
 //! published Table 4 areas (224 / 421 / 773 CLBs).
 
-use serde::{Deserialize, Serialize};
 
 /// A CLB count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Clb(pub u32);
 
 impl std::ops::Add for Clb {

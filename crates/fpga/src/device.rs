@@ -1,6 +1,5 @@
 //! XC4000-family device models.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One FPGA device: a square grid of configurable logic blocks.
@@ -8,7 +7,7 @@ use std::fmt;
 /// Each XC4000 CLB contains two 4-input function generators plus a
 /// third 3-input combiner, two flip-flops, and can alternatively act as
 /// 32 bits of LUT RAM.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     /// Device name, e.g. `XC4025`.
     pub name: String,

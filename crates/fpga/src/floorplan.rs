@@ -7,11 +7,10 @@
 
 use crate::area::Clb;
 use crate::device::Device;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A macro block to place.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// Block name (shown in the legend).
     pub name: String,
@@ -27,7 +26,7 @@ impl Block {
 }
 
 /// A placed block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Placement {
     /// The block.
     pub block: Block,
@@ -42,7 +41,7 @@ pub struct Placement {
 }
 
 /// A finished floorplan.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Floorplan {
     /// Target device.
     pub device: Device,

@@ -7,10 +7,9 @@
 //! routing; a clock frequency therefore admits a maximum number of gate
 //! levels between registers.
 
-use serde::{Deserialize, Serialize};
 
 /// Delay model for an XC4000-class part (-5 speed grade ballpark).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayModel {
     /// Combinational delay through one CLB function generator, ns.
     pub lut_delay_ns: f64,

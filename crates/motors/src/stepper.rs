@@ -7,10 +7,9 @@
 //! period, and checks the physical limits (maximum step frequency,
 //! maximum acceleration) the paper states for the SMD head's axes.
 
-use serde::{Deserialize, Serialize};
 
 /// Physical limits of one axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AxisLimits {
     /// Maximum step frequency in Hz (50 kHz for X/Y, 9 kHz for Z/φ).
     pub max_step_hz: u64,
@@ -48,7 +47,7 @@ impl AxisLimits {
 }
 
 /// Violations the plant can detect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MotorFault {
     /// Commanded period below the axis' minimum (overspeed).
     Overspeed,
@@ -60,7 +59,7 @@ pub enum MotorFault {
 }
 
 /// One stepper motor with its down-counter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StepperMotor {
     /// Axis limits.
     pub limits: AxisLimits,

@@ -1,11 +1,10 @@
 //! A minimal, dependency-free JSON writer and reader.
 //!
-//! The vendored `serde_json` stand-in only round-trips types with
-//! derive impls, so the observability exporters (metrics snapshots,
-//! Chrome traces) and the `obs_report` pretty-printer carry their own
-//! tiny JSON layer: [`JsonWriter`] emits with correct escaping and
-//! comma placement, [`parse`] reads any well-formed document into a
-//! [`JsonValue`] tree.
+//! The observability exporters (metrics snapshots, Chrome traces) and
+//! the `obs_report` pretty-printer carry their own tiny JSON layer:
+//! [`JsonWriter`] emits with correct escaping and comma placement,
+//! [`parse`] reads any well-formed document nested at most
+//! [`MAX_DEPTH`] deep into a [`JsonValue`] tree.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -208,10 +207,15 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so the bound keeps hostile input from overflowing
+/// the stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a JSON document. Returns a message with a byte offset on
-/// malformed input.
+/// malformed input or on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -224,6 +228,8 @@ pub fn parse(text: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -257,8 +263,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -419,5 +432,16 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} x").is_err());
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"));
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let too_deep = MAX_DEPTH + 1;
+        let objects = format!("{}1{}", "{\"a\":".repeat(too_deep), "}".repeat(too_deep));
+        assert!(parse(&objects).is_err());
     }
 }

@@ -197,8 +197,6 @@ pub struct GangSim<'a> {
     /// inhibitions. Some transition is enabled iff some transition
     /// fires (the highest-priority enabled one is never inhibited), so
     /// this evaluates the same any-fire mask at a fraction of the cost.
-    /// Falls back to the fire plane when the synthesis predates the
-    /// `enable` field (deserialised with an empty vec).
     enable_net: GangNet,
     enable_roots: Vec<u32>,
     /// CR bit index of every event (event lanes reset each cycle).
@@ -214,12 +212,7 @@ impl<'a> GangSim<'a> {
     pub fn new(chart: &'a Chart, layout: &'a CrLayout, sla: &'a SlaSynthesis) -> Self {
         let net = GangNet::compile(&sla.net);
         let (fire_net, fire_roots) = GangNet::compile_for_roots(&sla.net, &sla.fire);
-        let probe_roots = if sla.enable.len() == sla.fire.len() {
-            &sla.enable
-        } else {
-            &sla.fire
-        };
-        let (enable_net, enable_roots) = GangNet::compile_for_roots(&sla.net, probe_roots);
+        let (enable_net, enable_roots) = GangNet::compile_for_roots(&sla.net, &sla.enable);
         let event_bits = chart.event_ids().map(|e| layout.event_bit(e)).collect();
         let next_state = sla.next_state_bits.iter().map(|(&b, &n)| (b, n)).collect();
         GangSim {

@@ -4,15 +4,14 @@
 //! inputs (the CR bits). The network is the synthesis target for the
 //! SLA and the unit of area/depth accounting for the FPGA model.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Handle to a node in a [`LogicNet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 /// A logic node.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Node {
     /// Primary input with a diagnostic name.
     Input(String),
@@ -27,7 +26,7 @@ pub enum Node {
 }
 
 /// The network: a DAG of [`Node`]s, inputs first.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LogicNet {
     nodes: Vec<Node>,
     input_index: BTreeMap<String, NodeId>,

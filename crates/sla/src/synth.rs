@@ -23,7 +23,6 @@ use crate::net::{LogicNet, NodeId};
 use pscp_statechart::encoding::CrLayout;
 use pscp_statechart::trigger::Expr;
 use pscp_statechart::{Chart, StateId, StateKind, TransitionId};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Name of the CR-bit input `i` in the synthesised network.
@@ -34,7 +33,7 @@ pub fn cr_input_name(bit: u32) -> String {
 /// The transition address table: fire-signal order ↔ transition ids.
 /// "The SLA … produces a set of signals for the Transition Address
 /// Table" — the scheduler pops addresses from here.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TransitionAddressTable {
     /// `entries[i]` is the transition whose address lives in row `i`.
     pub entries: Vec<TransitionId>,
@@ -53,7 +52,7 @@ impl TransitionAddressTable {
 }
 
 /// The synthesised SLA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct SlaSynthesis {
     /// The logic network (inputs `cr0..crN`).
     pub net: LogicNet,

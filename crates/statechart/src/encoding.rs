@@ -17,10 +17,9 @@
 
 use crate::model::{Chart, ConditionId, EventId, StateId, StateKind};
 use crate::semantics::Configuration;
-use serde::{Deserialize, Serialize};
 
 /// State-encoding style.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EncodingStyle {
     /// Exclusivity sets: one binary field per OR-state (the paper's
     /// encoding).
@@ -30,7 +29,7 @@ pub enum EncodingStyle {
 }
 
 /// A binary field in the state part of the CR, owned by one OR-state.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateField {
     /// The OR-state whose active child this field encodes.
     pub owner: StateId,
@@ -43,7 +42,7 @@ pub struct StateField {
 }
 
 /// The complete configuration-register layout for a chart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CrLayout {
     style: EncodingStyle,
     /// Binary fields (exclusivity style) in hierarchy order.

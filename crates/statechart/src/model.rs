@@ -7,11 +7,10 @@
 //! makes graph algorithms cheap.
 
 use crate::trigger::Expr;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Handle to a [`State`] inside its owning [`Chart`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(pub(crate) u32);
 
 impl StateId {
@@ -33,7 +32,7 @@ impl fmt::Display for StateId {
 }
 
 /// Handle to a [`Transition`] inside its owning [`Chart`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TransitionId(pub(crate) u32);
 
 impl TransitionId {
@@ -55,7 +54,7 @@ impl fmt::Display for TransitionId {
 }
 
 /// Handle to an [`EventDecl`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventId(pub(crate) u32);
 
 impl EventId {
@@ -71,7 +70,7 @@ impl EventId {
 }
 
 /// Handle to a [`ConditionDecl`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConditionId(pub(crate) u32);
 
 impl ConditionId {
@@ -87,7 +86,7 @@ impl ConditionId {
 }
 
 /// The three flavours of a state in a statechart hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StateKind {
     /// A leaf state with no substructure.
     Basic,
@@ -108,7 +107,7 @@ impl fmt::Display for StateKind {
 }
 
 /// A state node in the chart hierarchy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct State {
     /// Unique state name.
     pub name: String,
@@ -145,7 +144,7 @@ impl State {
 }
 
 /// Direction of an external port.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {
     /// Into the chart.
     Input,
@@ -168,7 +167,7 @@ impl fmt::Display for PortDirection {
 /// Declaration of an event, with the PSCP extensions: bit width, the
 /// external port delivering it, and the arrival-period timing constraint
 /// (Table 2 of the paper) expressed in reference-clock cycles.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventDecl {
     /// Unique event name.
     pub name: String,
@@ -185,7 +184,7 @@ pub struct EventDecl {
 
 /// Declaration of a condition (a persistent boolean, unlike the
 /// single-cycle events).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConditionDecl {
     /// Unique condition name.
     pub name: String,
@@ -198,7 +197,7 @@ pub struct ConditionDecl {
 }
 
 /// Declaration of an external data port (Fig. 2b `Port` records).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DataPortDecl {
     /// Unique port name.
     pub name: String,
@@ -211,7 +210,7 @@ pub struct DataPortDecl {
 }
 
 /// A single action invocation on a transition label (`DeltaT(MX)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ActionCall {
     /// Routine name, resolved against the action-language program.
     pub function: String,
@@ -232,7 +231,7 @@ impl fmt::Display for ActionCall {
 /// expression over events, the *guard* a boolean expression over
 /// conditions, and the *actions* are calls into transition routines
 /// written in the extended-C action language.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Transition {
     /// Source state.
     pub source: StateId,
@@ -253,7 +252,7 @@ pub struct Transition {
 
 /// An extended statechart: the complete specification unit the PSCP flow
 /// consumes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Chart {
     pub(crate) name: String,
     pub(crate) states: Vec<State>,

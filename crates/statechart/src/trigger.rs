@@ -6,12 +6,11 @@
 //! names; the resolution against a concrete [`crate::Chart`] happens in
 //! [`crate::validate`] and in the evaluation helpers here.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A boolean expression over named atoms (events or conditions).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// An event or condition name.
     Atom(String),

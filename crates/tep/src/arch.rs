@@ -11,11 +11,10 @@
 //! iterative optimiser of the core crate mutates it.
 
 use crate::isa::AluOp;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Storage classes of the component library, ordered fastest-first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum StorageClass {
     /// Register file (fast, expensive).
     Register,
@@ -36,7 +35,7 @@ impl fmt::Display for StorageClass {
 }
 
 /// Calculation-unit configuration (the datapath core of Fig. 3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CalcUnit {
     /// Data-bus / ALU width in bits (the basic TEP is 8).
     pub width: u8,
@@ -97,7 +96,7 @@ impl Default for CalcUnit {
 /// assembler code. These instructions execute within one clock cycle.
 /// Care must be taken that such instructions do not become the critical
 /// paths inside the TEP." (§3.3)
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CustomOp {
     /// Human-readable pattern, e.g. `acc*4+op`.
     pub name: String,
@@ -110,7 +109,7 @@ pub struct CustomOp {
 }
 
 /// One step of a custom op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CustomStep {
     /// Apply an ALU op with OP as right operand.
     WithOp(AluOp),
@@ -119,7 +118,7 @@ pub enum CustomStep {
 }
 
 /// A complete TEP architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TepArch {
     /// The calculation unit.
     pub calc: CalcUnit,

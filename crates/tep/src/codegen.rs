@@ -25,13 +25,12 @@ use crate::arch::{StorageClass, TepArch};
 use crate::isa::{AluOp, AsmFunction, AsmInst, CmpOp, Instr, Storage};
 use pscp_action_lang::ir::{self, BinOp, Inst as IrInst, Program, VReg};
 use pscp_action_lang::types::Scalar;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 /// Placement overrides decided by the iterative optimiser.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct CodegenOptions {
     /// Global slots promoted to a faster storage class. Keys are IR
     /// global slot indices; arrays/structs must be promoted as whole
@@ -40,7 +39,7 @@ pub struct CodegenOptions {
 }
 
 /// A placed global slot.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct GlobalPlace {
     /// Diagnostic name from the IR.
     pub name: String,
@@ -53,7 +52,7 @@ pub struct GlobalPlace {
 }
 
 /// A fully-compiled TEP program: routines, global placement, ports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct TepProgram {
     /// Compiled routines; runtime routines are appended after the user's.
     pub functions: Vec<AsmFunction>,
@@ -344,35 +343,45 @@ fn lower_functions(
 const KEY_SEED1: u64 = 0xcbf2_9ce4_8422_2325;
 const KEY_SEED2: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// FNV-1a over `bytes` from an arbitrary seed. The cache is in-process
-/// only, so cross-run stability of `Debug` formatting is not required.
-/// Two independently-seeded FNV-1a streams fed from one
-/// [`std::hash::Hasher`] write stream, so structural `Hash` impls can
-/// produce a 128-bit content key in a single traversal with no
-/// intermediate buffer.
-struct KeyHasher {
+/// The repository's content hasher: two independently-seeded FNV-1a
+/// streams fed from one [`std::hash::Hasher`] write stream, so
+/// structural `Hash` impls produce a 128-bit content key in a single
+/// traversal with no intermediate buffer. Codegen's routine keys, the
+/// optimiser's memo keys and the serve layer's system fingerprints all
+/// hash through it.
+///
+/// A key depends on the `Hash` impls it traverses and on the compiler
+/// that derived them, so it is stable per build and source, not across
+/// them. Anything that persists keys carries a format version.
+pub struct KeyHasher {
     a: u64,
     b: u64,
 }
 
-impl KeyHasher {
-    fn new() -> Self {
+impl Default for KeyHasher {
+    fn default() -> Self {
         KeyHasher { a: KEY_SEED1, b: KEY_SEED2 }
-    }
-
-    fn pair(&self) -> (u64, u64) {
-        (self.a, self.b)
     }
 }
 
 impl KeyHasher {
+    /// The 128-bit key: both streams.
+    pub fn finish128(&self) -> u128 {
+        u128::from(self.a) << 64 | u128::from(self.b)
+    }
+
+    /// The 128-bit key of one value.
+    pub fn key<T: std::hash::Hash + ?Sized>(value: &T) -> u128 {
+        let mut h = KeyHasher::default();
+        value.hash(&mut h);
+        h.finish128()
+    }
+
     const P: u64 = 0x0000_0100_0000_01b3;
 
     /// One absorption round per stream. Feeding whole words instead of
     /// bytes keeps `#[derive(Hash)]` traversals (mostly u32/u64 writes)
-    /// at one multiply per word rather than one per byte; keys are
-    /// in-process only, so the word-level mixing needs no cross-version
-    /// stability.
+    /// at one multiply per word rather than one per byte.
     #[inline]
     fn round(&mut self, word: u64) {
         self.a = (self.a ^ word).wrapping_mul(Self::P);
@@ -427,13 +436,6 @@ impl std::hash::Hasher for KeyHasher {
     }
 }
 
-fn key_pair(buf: &str) -> (u64, u64) {
-    use std::hash::Hasher;
-    let mut h = KeyHasher::new();
-    h.write(buf.as_bytes());
-    h.pair()
-}
-
 /// Content key of one routine's compiled body.
 ///
 /// The key mirrors exactly what [`FnCodegen`] reads while lowering this
@@ -453,10 +455,10 @@ fn routine_key(
     f: &ir::Function,
     index: usize,
     loop_bound: Option<u64>,
-) -> (u64, u64) {
+) -> u128 {
     use std::hash::Hash;
     let call_offset = if index as u32 >= plan.runtime_base { plan.runtime_base } else { 0 };
-    let mut h = KeyHasher::new();
+    let mut h = KeyHasher::default();
     f.hash(&mut h);
     plan.frame_bases[index].hash(&mut h);
     call_offset.hash(&mut h);
@@ -522,7 +524,7 @@ fn routine_key(
     if has_neg {
         arch.calc.twos_complement.hash(&mut h);
     }
-    h.pair()
+    h.finish128()
 }
 
 /// Point-in-time hit/miss/invalidation counts of a [`CodegenCache`].
@@ -549,8 +551,8 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct CodegenCache {
     enabled: bool,
-    bodies: Mutex<HashMap<(u64, u64), AsmFunction>>,
-    runtimes: Mutex<HashMap<(u64, u64), Program>>,
+    bodies: Mutex<HashMap<u128, AsmFunction>>,
+    runtimes: Mutex<HashMap<u128, Program>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -616,7 +618,7 @@ impl CodegenCache {
         if !self.enabled {
             return set.compile();
         }
-        let key = key_pair(&format!("{set:?}"));
+        let key = KeyHasher::key(set);
         let mut map = self.runtimes.lock().unwrap();
         if let Some(p) = map.get(&key) {
             return Some(p.clone());
@@ -631,7 +633,7 @@ impl CodegenCache {
     /// Looks up `key`, validating the stored body against the routine's
     /// shape. A mismatch (stale or poisoned entry) is discarded and
     /// counted as an invalidation + miss, forcing a fresh compile.
-    fn cached_body(&self, key: (u64, u64), f: &ir::Function, frame_base: u16) -> Option<AsmFunction> {
+    fn cached_body(&self, key: u128, f: &ir::Function, frame_base: u16) -> Option<AsmFunction> {
         if !self.enabled {
             return None;
         }
@@ -664,7 +666,7 @@ impl CodegenCache {
         pscp_obs::metrics::COMPILE_CACHE_MISSES.inc();
     }
 
-    fn insert_body(&self, key: (u64, u64), body: &AsmFunction) {
+    fn insert_body(&self, key: u128, body: &AsmFunction) {
         if self.enabled {
             self.bodies.lock().unwrap().insert(key, body.clone());
         }
@@ -801,7 +803,7 @@ fn overlay_frames(
 }
 
 /// Which software-runtime routines an architecture needs for a program.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 struct RuntimeSet {
     /// Widths needing software multiply.
     mul_widths: Vec<u8>,

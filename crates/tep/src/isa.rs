@@ -15,16 +15,13 @@
 //! is executed over several bus-wide limbs, which multiplies its
 //! microprogram cost (see [`crate::timing::CostModel`]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where a value lives. The component library offers "fast, but more
 /// expensive registers, moderately fast and moderately expensive internal
 /// RAM, and slower, but cheaper external RAM" (§3.3); the storage
 /// promotion optimisation moves operands up this hierarchy.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Storage {
     /// A register-file register (fastest).
     Register(u8),
@@ -45,9 +42,7 @@ impl fmt::Display for Storage {
 }
 
 /// ALU operations (`ACC <- ACC op OP`, unary ops use `ACC` only).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AluOp {
     /// `ACC + OP`
     Add,
@@ -111,7 +106,7 @@ impl fmt::Display for AluOp {
 }
 
 /// Comparison kinds for [`Instr::Cmp`] (`ACC <- ACC cmp OP ? 1 : 0`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -137,7 +132,7 @@ impl fmt::Display for CmpOp {
 /// One assembler-level instruction. Branch targets are indices into the
 /// owning function's instruction vector; `func` operands index the
 /// program's function table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// No operation.
     Nop,
@@ -255,7 +250,7 @@ impl Instr {
 }
 
 /// An instruction together with its operand width and signedness.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AsmInst {
     /// The operation.
     pub instr: Instr,
@@ -287,7 +282,7 @@ impl AsmInst {
 }
 
 /// One compiled routine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AsmFunction {
     /// Routine name (matches the action-language function).
     pub name: String,

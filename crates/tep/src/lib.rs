@@ -36,7 +36,7 @@ pub mod timing;
 pub use arch::{CalcUnit, StorageClass, TepArch};
 pub use codegen::{
     compile_program, compile_program_cached, recompile_delta, CacheStats, CodegenCache,
-    CodegenDelta, CodegenOptions, TepProgram,
+    CodegenDelta, CodegenOptions, KeyHasher, TepProgram,
 };
 pub use machine::{TepDataState, TepMachine};
 pub use timing::{CostModel, WcetAnalysis};

@@ -16,12 +16,11 @@
 //! implemented by [`peephole`].
 
 use crate::isa::{AluOp, Instr, Storage};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// The five control-signal groups of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Group {
     /// Arithmetic ALU controls (group bits `001`, signals `01x00`).
     AluArith,
@@ -64,7 +63,7 @@ impl fmt::Display for Group {
 }
 
 /// One 16-bit microinstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MicroInstr {
     /// Control-signal group.
     pub group: Group,
@@ -84,7 +83,7 @@ impl MicroInstr {
 /// Instruction kinds for microprogram lookup (operands stripped; memory
 /// instructions split by storage class because their microprograms
 /// differ).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstrKind {
     /// No-op.
     Nop,
@@ -460,7 +459,7 @@ pub fn micro_len(kind: InstrKind, optimized: bool) -> u32 {
 /// determines the set of microinstructions needed for the application.
 /// The specific microprogram decoder for this application can therefore
 /// be easily synthesized." (§4)
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MicrocodeRom {
     /// Opcode → ROM entry address.
     pub entries: BTreeMap<InstrKind, u16>,

@@ -6,6 +6,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# No manifest may bring the serde stack back: content keys hash through
+# `KeyHasher`, and the memo file uses the wire codec.
+if grep -n 'serde' Cargo.toml crates/*/Cargo.toml; then
+    echo "tier1: a manifest names serde" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 cargo test --workspace -q
@@ -50,11 +57,13 @@ cargo test --release -p pscp-core --test quiet_differential -q
 # wrote.
 cargo test --release -p pscp-core --test explore_differential -q
 
-# The DSE golden suite is the optimiser's spec: the chosen history,
-# architecture, placement and timing must stay byte-identical to the
-# histories recorded before candidate evaluation became lazy, at one and
-# two workers, incremental and full; a file-backed memo must hold one
-# entry per evaluated candidate and serve a warm rerun without compiling.
+# The DSE golden suite is the optimiser's spec: the `Debug` rendering of
+# the chosen history, architecture, placement and timing must stay
+# byte-identical to the recorded goldens (re-recorded, when the serde
+# JSON goldens went, in a run that matched those byte for byte), at one
+# and two workers, incremental and full; a file-backed memo must hold
+# one entry per evaluated candidate under the recorded keys, serve a
+# warm rerun without compiling, and restart cold from a corrupt file.
 cargo test --release -p pscp-bench --test dse_golden -q
 cargo test --release -p pscp-bench --test dse_memo -q
 
