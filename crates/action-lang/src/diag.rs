@@ -3,15 +3,14 @@
 //!
 //! Every pass reports through an [`Emitter`]: the error is converted to
 //! a [`Diagnostic`] (stable codes `AL101`/`AL201`/`AL301` for
-//! lex/parse/sema) and pushed into the caller's sink, while the first
-//! typed error is kept verbatim so the legacy fail-fast entry points
-//! can return *exactly* what they always returned.
+//! lex/parse/sema) and pushed into the caller's sink, the one error
+//! path of the crate.
 
 use crate::error::{CompileError, Phase, Span};
 use pscp_diag::{Diagnostic, DiagnosticSink, Pos, Source};
 
 /// Stable diagnostic code for a compiler phase.
-pub fn phase_code(phase: Phase) -> &'static str {
+pub(crate) fn phase_code(phase: Phase) -> &'static str {
     match phase {
         Phase::Lex => "AL101",
         Phase::Parse => "AL201",
@@ -28,29 +27,25 @@ pub fn span_to_diag(s: Span) -> pscp_diag::Span {
 }
 
 /// Converts a typed compile error to a shared diagnostic.
-pub fn diagnostic_for(e: &CompileError) -> Diagnostic {
+pub(crate) fn diagnostic_for(e: &CompileError) -> Diagnostic {
     Diagnostic::error(Source::Action, phase_code(e.phase), e.message.clone())
         .with_span(span_to_diag(e.span))
 }
 
-/// Accumulates typed errors into a shared sink, remembering the first
-/// one for the legacy adapters.
+/// Converts typed errors to diagnostics in a shared sink, counting the
+/// errors it pushed.
 pub(crate) struct Emitter<'a> {
     sink: &'a mut DiagnosticSink,
-    first: Option<CompileError>,
     errors: usize,
 }
 
 impl<'a> Emitter<'a> {
     pub fn new(sink: &'a mut DiagnosticSink) -> Self {
-        Emitter { sink, first: None, errors: 0 }
+        Emitter { sink, errors: 0 }
     }
 
     /// Records an error and keeps going.
     pub fn emit(&mut self, e: CompileError) {
-        if self.first.is_none() {
-            self.first = Some(e.clone());
-        }
         self.errors += 1;
         self.sink.push(diagnostic_for(&e));
     }
@@ -63,10 +58,5 @@ impl<'a> Emitter<'a> {
     /// How many errors this emitter has seen.
     pub fn errors(&self) -> usize {
         self.errors
-    }
-
-    /// The first typed error, surrendering it to the adapter.
-    pub fn take_first(&mut self) -> Option<CompileError> {
-        self.first.take()
     }
 }

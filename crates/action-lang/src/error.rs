@@ -1,4 +1,5 @@
-//! Diagnostics for the action-language compiler.
+//! Source spans and the typed errors of the action-language passes,
+//! converted to diagnostics by [`crate::diag`].
 
 use std::fmt;
 
@@ -49,7 +50,7 @@ impl fmt::Display for Span {
 
 /// A compile error with phase, position and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CompileError {
+pub(crate) struct CompileError {
     /// Which compiler phase produced the error.
     pub phase: Phase,
     /// Source position, when known.
@@ -60,7 +61,7 @@ pub struct CompileError {
 
 /// Compiler phases, for diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Tokenisation.
     Lex,
     /// Parsing.
@@ -71,30 +72,17 @@ pub enum Phase {
 
 impl CompileError {
     /// Lexer error.
-    pub fn lex(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn lex(span: Span, message: impl Into<String>) -> Self {
         CompileError { phase: Phase::Lex, span, message: message.into() }
     }
 
     /// Parser error.
-    pub fn parse(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn parse(span: Span, message: impl Into<String>) -> Self {
         CompileError { phase: Phase::Parse, span, message: message.into() }
     }
 
     /// Semantic error.
-    pub fn sema(span: Span, message: impl Into<String>) -> Self {
+    pub(crate) fn sema(span: Span, message: impl Into<String>) -> Self {
         CompileError { phase: Phase::Sema, span, message: message.into() }
     }
 }
-
-impl fmt::Display for CompileError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let phase = match self.phase {
-            Phase::Lex => "lex",
-            Phase::Parse => "parse",
-            Phase::Sema => "semantic",
-        };
-        write!(f, "{phase} error at {}: {}", self.span, self.message)
-    }
-}
-
-impl std::error::Error for CompileError {}

@@ -383,10 +383,10 @@ impl<'p> Interp<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile;
+    use crate::{compile_with_env, ProgramEnv};
 
     fn run(src: &str, func: &str, args: &[i64]) -> Option<i64> {
-        let p = compile(src).unwrap();
+        let p = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         i.call(func, args, &mut h).unwrap()
@@ -443,7 +443,7 @@ mod tests {
     #[test]
     fn globals_persist_between_calls() {
         let src = "int:16 total = 5;\nvoid bump(int:16 n) { total += n; }";
-        let p = compile(src).unwrap();
+        let p = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         i.call("bump", &[3], &mut h).unwrap();
@@ -460,7 +460,7 @@ mod tests {
             int:16 f(int:8 i) { return p.x + p.y + tab[i]; }
             void set(int:8 i, int:16 v) { tab[i] = v; p.y = 9; }
         "#;
-        let p = compile(src).unwrap();
+        let p = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         assert_eq!(i.call("f", &[1], &mut h).unwrap(), Some(27));
@@ -482,7 +482,7 @@ mod tests {
                 raise FIN;
             }
         "#;
-        let p = compile(src).unwrap();
+        let p = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         h.queue_input(0, [21]);
@@ -494,7 +494,11 @@ mod tests {
 
     #[test]
     fn divide_by_zero_detected() {
-        let p = compile("int:16 f(int:16 a) { return 10 / a; }").unwrap();
+        let p = compile_with_env(
+            "int:16 f(int:16 a) { return 10 / a; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         assert!(matches!(
@@ -505,7 +509,7 @@ mod tests {
 
     #[test]
     fn step_limit_stops_runaway() {
-        let p = compile("void f() { while (1) { } }").unwrap();
+        let p = compile_with_env("void f() { while (1) { } }", &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&p).with_step_limit(1000);
         let mut h = RecordingHost::new();
         assert!(matches!(i.call("f", &[], &mut h), Err(InterpError::StepLimit { .. })));
@@ -513,7 +517,11 @@ mod tests {
 
     #[test]
     fn out_of_bounds_detected() {
-        let p = compile("int:8 t[2];\nint:8 f(int:8 i) { return t[i]; }").unwrap();
+        let p = compile_with_env(
+            "int:8 t[2];\nint:8 f(int:8 i) { return t[i]; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let mut i = Interp::new(&p);
         let mut h = RecordingHost::new();
         assert!(matches!(

@@ -69,25 +69,6 @@ const ONE_CHAR_SYMS: &[char] = &[
     ']', ';', ',', ':', '.', '@',
 ];
 
-/// Tokenises `src`, failing on the first lexical error.
-///
-/// Adapter over [`tokenize_into`]: the error returned is exactly the
-/// first diagnostic the recovering lexer emits.
-///
-/// # Errors
-///
-/// Returns a positioned error for characters outside the language or
-/// malformed literals.
-pub fn tokenize(src: &str) -> Result<Vec<SpannedTok>, CompileError> {
-    let mut sink = pscp_diag::DiagnosticSink::new();
-    let mut em = Emitter::new(&mut sink);
-    let toks = tokenize_into(src, &mut em);
-    match em.take_first() {
-        Some(e) => Err(e),
-        None => Ok(toks),
-    }
-}
-
 /// Tokenises `src`, recovering from lexical errors: every problem is
 /// reported through `em` and the scan keeps going (bad characters are
 /// skipped, malformed literals become `0`), so the parser always gets a
@@ -289,6 +270,13 @@ pub(crate) fn tokenize_into(src: &str, em: &mut Emitter) -> Vec<SpannedTok> {
 mod tests {
     use super::*;
 
+    /// Tokenises `src`, failing with the first lexical error.
+    fn tokenize(src: &str) -> Result<Vec<SpannedTok>, pscp_diag::Diagnostic> {
+        let mut sink = pscp_diag::DiagnosticSink::new();
+        let toks = tokenize_into(src, &mut Emitter::new(&mut sink));
+        sink.into_result(Some(toks))
+    }
+
     fn toks(src: &str) -> Vec<Tok> {
         tokenize(src).unwrap().into_iter().map(|t| t.tok).collect()
     }
@@ -335,7 +323,9 @@ mod tests {
 
     #[test]
     fn unterminated_comment_errors() {
-        assert!(tokenize("/* oops").is_err());
+        let err = tokenize("/* oops").unwrap_err();
+        assert_eq!(err.code, "AL101");
+        assert_eq!(err.message, "unterminated block comment");
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! # Example
 //!
 //! ```
-//! use pscp_action_lang::compile;
+//! use pscp_action_lang::{compile_with_env, ProgramEnv};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let src = r#"
@@ -46,7 +46,7 @@
 //!         if (total > 100) { XFINISH = 1; }
 //!     }
 //! "#;
-//! let program = compile(src)?;
+//! let program = compile_with_env(src, &ProgramEnv::default())?;
 //! assert!(program.function("SetDone").is_some());
 //! # Ok(())
 //! # }
@@ -63,33 +63,24 @@ pub mod parser;
 pub mod sema;
 pub mod types;
 
-pub use error::{CompileError, Span};
+pub use error::Span;
 pub use ir::{Function, Program};
 pub use sema::ProgramEnv;
 
-/// Compiles action-language source to IR with an empty chart environment.
-///
-/// # Errors
-///
-/// Returns the first lexical, syntactic or semantic error.
-pub fn compile(source: &str) -> Result<Program, CompileError> {
-    compile_with_env(source, &ProgramEnv::default())
-}
+use pscp_diag::{Diagnostic, DiagnosticSink};
 
 /// Compiles action-language source against a chart environment that
-/// supplies externally-declared events, conditions and data ports.
+/// supplies externally-declared events, conditions and data ports
+/// (`&ProgramEnv::default()` when there is no chart).
 ///
 /// # Errors
 ///
-/// Returns the first lexical, syntactic or semantic error — exactly the
-/// first diagnostic [`compile_diag`] would accumulate on the same input.
-pub fn compile_with_env(source: &str, env: &ProgramEnv) -> Result<Program, CompileError> {
-    let mut sink = pscp_diag::DiagnosticSink::new();
-    let mut em = diag::Emitter::new(&mut sink);
-    match compile_impl(source, env, &mut em) {
-        Some(p) => Ok(p),
-        None => Err(em.take_first().expect("failed compile must carry an error")),
-    }
+/// Returns the first lexical, syntactic or semantic error in emission
+/// order (codes `AL101`/`AL201`/`AL301`).
+pub fn compile_with_env(source: &str, env: &ProgramEnv) -> Result<Program, Diagnostic> {
+    let mut sink = DiagnosticSink::new();
+    let program = compile_diag(source, env, &mut sink);
+    sink.into_result(program)
 }
 
 /// Compiles with error recovery: every lexical, syntactic and semantic
@@ -99,28 +90,24 @@ pub fn compile_with_env(source: &str, env: &ProgramEnv) -> Result<Program, Compi
 pub fn compile_diag(
     source: &str,
     env: &ProgramEnv,
-    sink: &mut pscp_diag::DiagnosticSink,
+    sink: &mut DiagnosticSink,
 ) -> Option<Program> {
     let mut em = diag::Emitter::new(sink);
-    compile_impl(source, env, &mut em)
-}
-
-/// Syntax-checks only (lex + parse), accumulating every error into
-/// `sink`. For callers that have no chart environment (so semantic
-/// analysis would produce spurious unknown-name findings) but still
-/// want the action text's syntax covered by the same report.
-pub fn syntax_check_diag(source: &str, sink: &mut pscp_diag::DiagnosticSink) {
-    let mut em = diag::Emitter::new(sink);
-    let _ = parser::parse_into(source, &mut em);
-}
-
-fn compile_impl(source: &str, env: &ProgramEnv, em: &mut diag::Emitter) -> Option<Program> {
-    let items = parser::parse_into(source, em);
-    let checked = sema::analyze_into(&items, env, em)?;
+    let items = parser::parse_into(source, &mut em);
+    let checked = sema::analyze_into(&items, env, &mut em)?;
     // A recovered-but-broken token stream or item list can still reach
     // here shaped well enough to analyze; never lower it.
     if em.errored() {
         return None;
     }
     Some(lower::lower(&checked))
+}
+
+/// Syntax-checks only (lex + parse), accumulating every error into
+/// `sink`. For callers that have no chart environment (so semantic
+/// analysis would produce spurious unknown-name findings) but still
+/// want the action text's syntax covered by the same report.
+pub fn syntax_check_diag(source: &str, sink: &mut DiagnosticSink) {
+    let mut em = diag::Emitter::new(sink);
+    let _ = parser::parse_into(source, &mut em);
 }

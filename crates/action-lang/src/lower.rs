@@ -447,12 +447,16 @@ fn ast_binop(op: ast::BinOp) -> BinOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile;
+    use crate::{compile_with_env, ProgramEnv};
     use crate::ir::Inst;
 
     #[test]
     fn lowers_simple_function() {
-        let p = compile("int:16 add(int:16 a, int:16 b) { return a + b; }").unwrap();
+        let p = compile_with_env(
+            "int:16 add(int:16 a, int:16 b) { return a + b; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let f = p.function("add").unwrap();
         assert!(matches!(f.insts[0], Inst::Bin { op: BinOp::Add, .. }));
         assert!(matches!(f.insts[1], Inst::Ret { value: Some(_) }));
@@ -460,7 +464,11 @@ mod tests {
 
     #[test]
     fn while_loop_has_back_edge() {
-        let p = compile("void f() { int:8 i = 0; while (i < 4) { i += 1; } }").unwrap();
+        let p = compile_with_env(
+            "void f() { int:8 i = 0; while (i < 4) { i += 1; } }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let f = p.function("f").unwrap();
         let jumps: Vec<_> = f
             .insts
@@ -480,7 +488,11 @@ mod tests {
 
     #[test]
     fn condition_write_and_event_raise() {
-        let p = compile("condition C;\nevent E;\nvoid f() { C = 1; raise E; }").unwrap();
+        let p = compile_with_env(
+            "condition C;\nevent E;\nvoid f() { C = 1; raise E; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let f = p.function("f").unwrap();
         assert!(f.insts.iter().any(|i| matches!(i, Inst::SetCondition { .. })));
         assert!(f.insts.iter().any(|i| matches!(i, Inst::RaiseEvent { .. })));
@@ -488,7 +500,11 @@ mod tests {
 
     #[test]
     fn gt_swaps_to_lt() {
-        let p = compile("uint:1 f(int:8 a, int:8 b) { return a > b; }").unwrap();
+        let p = compile_with_env(
+            "uint:1 f(int:8 a, int:8 b) { return a > b; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let f = p.function("f").unwrap();
         assert!(matches!(
             f.insts[0],
@@ -498,8 +514,9 @@ mod tests {
 
     #[test]
     fn histogram_counts_operators() {
-        let p = compile(
+        let p = compile_with_env(
             "int:16 f(int:16 a) { int:16 x = a * 3; x = x / 2; return x + (a << 1); }",
+            &ProgramEnv::default(),
         )
         .unwrap();
         let h = p.function("f").unwrap().op_histogram();
@@ -511,7 +528,11 @@ mod tests {
 
     #[test]
     fn max_width_reflects_declarations() {
-        let p = compile("void f() { int:24 x = 0; x = x + 1; }").unwrap();
+        let p = compile_with_env(
+            "void f() { int:24 x = 0; x = x + 1; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         assert_eq!(p.function("f").unwrap().max_width(), 24);
     }
 }

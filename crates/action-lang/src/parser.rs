@@ -11,25 +11,6 @@ use crate::error::{CompileError, Span};
 use crate::lexer::{tokenize_into, SpannedTok, Tok};
 use crate::types::{Scalar, Type};
 
-/// Parses a complete program into top-level items, failing on the
-/// first error.
-///
-/// Adapter over [`parse_into`]: the error returned is exactly the
-/// first diagnostic the recovering parser emits.
-///
-/// # Errors
-///
-/// Returns the first lexical or syntactic error.
-pub fn parse(source: &str) -> Result<Vec<Item>, CompileError> {
-    let mut sink = pscp_diag::DiagnosticSink::new();
-    let mut em = Emitter::new(&mut sink);
-    let items = parse_into(source, &mut em);
-    match em.take_first() {
-        Some(e) => Err(e),
-        None => Ok(items),
-    }
-}
-
 /// Parses a complete program, recovering from syntax errors: a failed
 /// statement resynchronises at the next `;` or closing `}`, a failed
 /// item at the next plausible item start, and every problem lands in
@@ -679,6 +660,14 @@ fn expr_to_lvalue(e: Expr, span: Span) -> Result<LValue, CompileError> {
 mod tests {
     use super::*;
 
+    /// Parses `source`, failing with the first lexical or syntactic
+    /// error.
+    fn parse(source: &str) -> Result<Vec<Item>, pscp_diag::Diagnostic> {
+        let mut sink = pscp_diag::DiagnosticSink::new();
+        let items = parse_into(source, &mut Emitter::new(&mut sink));
+        sink.into_result(Some(items))
+    }
+
     #[test]
     fn parses_fig2b_preamble() {
         let src = r#"
@@ -792,7 +781,8 @@ mod tests {
     #[test]
     fn error_position() {
         let err = parse("void f() { int:16 = 3; }").unwrap_err();
-        assert_eq!(err.span.line, 1);
+        assert_eq!(err.code, "AL201");
+        assert_eq!(err.span.start.line, 1);
         assert!(err.message.contains("identifier"));
     }
 

@@ -143,23 +143,6 @@ pub struct CheckedProgram {
     pub topo_order: Vec<u32>,
 }
 
-/// Runs semantic analysis over parsed items.
-///
-/// # Errors
-///
-/// Returns the first semantic error: unknown or duplicate names, type
-/// mismatches, struct-typed locals/params, recursion, bad port
-/// directions, arity mismatches, and the rest documented on
-/// [`CompileError`].
-pub fn analyze(items: &[Item], env: &ProgramEnv) -> Result<CheckedProgram, CompileError> {
-    let mut sink = pscp_diag::DiagnosticSink::new();
-    let mut em = Emitter::new(&mut sink);
-    match analyze_into(items, env, &mut em) {
-        Some(p) => Ok(p),
-        None => Err(em.take_first().expect("failed analysis must carry an error")),
-    }
-}
-
 /// Runs semantic analysis, recovering from errors: every finding is
 /// reported through `em` and the passes keep going (unresolvable types
 /// degrade to a 16-bit placeholder, failed declarations get stand-in
@@ -992,10 +975,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::parser::parse_into;
+    use pscp_diag::{Diagnostic, DiagnosticSink};
 
-    fn check(src: &str) -> Result<CheckedProgram, CompileError> {
-        analyze(&parse(src).unwrap(), &ProgramEnv::default())
+    fn analyze(src: &str, env: &ProgramEnv) -> Result<CheckedProgram, Diagnostic> {
+        let mut sink = DiagnosticSink::new();
+        let mut em = Emitter::new(&mut sink);
+        let items = parse_into(src, &mut em);
+        assert!(!em.errored(), "fixture must parse: {src:?}");
+        let checked = analyze_into(&items, env, &mut em);
+        sink.into_result(checked)
+    }
+
+    fn check(src: &str) -> Result<CheckedProgram, Diagnostic> {
+        analyze(src, &ProgramEnv::default())
+    }
+
+    /// The message of the semantic error `src` fails with.
+    fn sema_err(src: &str) -> String {
+        let err = check(src).unwrap_err();
+        assert_eq!(err.code, "AL301", "{err}");
+        err.message
     }
 
     #[test]
@@ -1023,9 +1023,8 @@ mod tests {
     #[test]
     fn recursion_rejected() {
         let direct = "void f() { f(); }";
-        assert!(check(direct).unwrap_err().message.contains("recursion"));
-        let err = check("void f() { g(); }\nvoid g() { f(); }").unwrap_err();
-        assert!(err.message.contains("recursion"));
+        assert!(sema_err(direct).contains("recursion"));
+        assert!(sema_err("void f() { g(); }\nvoid g() { f(); }").contains("recursion"));
     }
 
     #[test]
@@ -1049,16 +1048,15 @@ mod tests {
 
     #[test]
     fn unknown_event_rejected() {
-        let err = check("void f() { raise NOPE; }").unwrap_err();
-        assert!(err.message.contains("NOPE"));
+        assert!(sema_err("void f() { raise NOPE; }").contains("NOPE"));
     }
 
     #[test]
     fn port_direction_enforced() {
         let src = "port In : 8 @ 1 in;\nvoid f() { In = 3; }";
-        assert!(check(src).unwrap_err().message.contains("input-only"));
+        assert!(sema_err(src).contains("input-only"));
         let src = "port Out : 8 @ 1 out;\nvoid f() { int:8 x = Out; }";
-        assert!(check(src).unwrap_err().message.contains("output-only"));
+        assert!(sema_err(src).contains("output-only"));
         let src = "port B : 8 @ 1 bidir;\nvoid f() { int:8 x = B; B = x; }";
         assert!(check(src).is_ok());
     }
@@ -1066,19 +1064,19 @@ mod tests {
     #[test]
     fn struct_params_rejected() {
         let src = "typedef struct s { int:8 a; } S;\nvoid f(S x) { }";
-        assert!(check(src).unwrap_err().message.contains("scalar"));
+        assert!(sema_err(src).contains("scalar"));
     }
 
     #[test]
     fn arity_checked() {
         let src = "void g(int:8 a) { }\nvoid f() { g(); }";
-        assert!(check(src).unwrap_err().message.contains("expects 1"));
+        assert!(sema_err(src).contains("expects 1"));
     }
 
     #[test]
     fn return_type_checked() {
-        assert!(check("void f() { return 1; }").is_err());
-        assert!(check("int:8 f() { return; }").is_err());
+        sema_err("void f() { return 1; }");
+        sema_err("int:8 f() { return; }");
         assert!(check("int:8 f() { return 1; }").is_ok());
     }
 
@@ -1095,8 +1093,7 @@ mod tests {
                 writable: true,
             }],
         };
-        let items = parse("void f() { C = P > 3; raise E; P = 1; }").unwrap();
-        assert!(analyze(&items, &env).is_ok());
+        assert!(analyze("void f() { C = P > 3; raise E; P = 1; }", &env).is_ok());
     }
 
     #[test]
@@ -1112,6 +1109,6 @@ mod tests {
             S g;
             int:16 f() { return g.nope; }
         "#;
-        assert!(check(bad).unwrap_err().message.contains("no field"));
+        assert!(sema_err(bad).contains("no field"));
     }
 }

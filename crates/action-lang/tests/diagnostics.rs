@@ -1,16 +1,15 @@
-//! The recovering action-language frontend against its legacy
-//! fail-fast face: differential pins (the first accumulated diagnostic
-//! IS the legacy error, field for field) and recovery properties
-//! (mutilated sources never panic, failures always diagnose, reports
-//! are deterministic and canonically sorted).
+//! The recovering action-language frontend: every error fixture is
+//! diagnosed, recovery reports more than the first error, mutilated
+//! sources never panic, failures always diagnose, and reports are
+//! deterministic and canonically sorted.
 
 use proptest::prelude::*;
 use pscp_action_lang::sema::ProgramEnv;
 use pscp_action_lang::{compile_diag, compile_with_env};
 use pscp_diag::DiagnosticSink;
 
-/// Error-path inputs, one per failure class the legacy suite
-/// exercises: lexical, syntactic and semantic.
+/// Error-path inputs, one per failure class: lexical, syntactic and
+/// semantic.
 const ERROR_INPUTS: &[&str] = &[
     // Lex: bad byte, malformed binary literal, unterminated comment.
     "int:16 x = `;",
@@ -31,33 +30,21 @@ const ERROR_INPUTS: &[&str] = &[
 ];
 
 #[test]
-fn legacy_error_is_the_first_accumulated_diagnostic() {
+fn every_error_fixture_is_diagnosed() {
     let env = ProgramEnv::default();
     for src in ERROR_INPUTS {
-        let legacy =
-            compile_with_env(src, &env).expect_err(&format!("fixture must fail: {src:?}"));
         let mut sink = DiagnosticSink::new();
-        let program = compile_diag(src, &env, &mut sink);
-        assert!(program.is_none(), "recovering compile must agree on failure: {src:?}");
-        let first = sink.first_error().expect("failed compile carries a diagnostic").clone();
-        assert_eq!(
-            first.code,
-            pscp_action_lang::diag::phase_code(legacy.phase),
-            "phase code differs on {src:?}"
-        );
-        assert_eq!(first.message, legacy.message, "message differs on {src:?}");
-        assert_eq!(
-            first.span,
-            pscp_action_lang::diag::span_to_diag(legacy.span),
-            "span differs on {src:?}"
-        );
+        assert!(compile_diag(src, &env, &mut sink).is_none(), "fixture must fail: {src:?}");
+        assert!(sink.has_errors(), "failed compile carries an error: {src:?}");
+        let err = compile_with_env(src, &env).expect_err(&format!("view must fail: {src:?}"));
+        assert!(["AL101", "AL201", "AL301"].contains(&err.code.as_str()), "{err}");
     }
 }
 
 #[test]
-fn recovery_reports_more_than_the_legacy_first_error() {
+fn recovery_reports_every_phase() {
     // One lexical, one syntactic and two semantic problems in a single
-    // source: fail-fast stops at the first, recovery reports them all.
+    // source: recovery reports them all.
     let src = "\
         int:16 a = `1;\n\
         void f() { a = b }\n\
@@ -71,8 +58,6 @@ fn recovery_reports_more_than_the_legacy_first_error() {
         sink.error_count(),
         sink.emitted()
     );
-    let legacy = compile_with_env(src, &env).unwrap_err();
-    assert_eq!(sink.first_error().unwrap().message, legacy.message);
 }
 
 fn action_soup() -> impl Strategy<Value = String> {
@@ -119,24 +104,12 @@ proptest! {
     #[test]
     fn mutilated_sources_never_panic_and_always_diagnose(src in action_soup()) {
         let env = ProgramEnv::default();
-        let legacy = compile_with_env(&src, &env);
         let mut sink = DiagnosticSink::new();
         let recovered = compile_diag(&src, &env, &mut sink);
 
-        prop_assert_eq!(legacy.is_ok(), recovered.is_some());
-
-        match legacy {
-            Ok(_) => prop_assert!(!sink.has_errors()),
-            Err(e) => {
-                prop_assert!(sink.error_count() >= 1);
-                let first = sink.first_error().unwrap();
-                prop_assert_eq!(&first.message, &e.message);
-                prop_assert_eq!(
-                    first.span,
-                    pscp_action_lang::diag::span_to_diag(e.span)
-                );
-            }
-        }
+        // A failed compile always yields >= 1 error diagnostic, and a
+        // successful one none.
+        prop_assert_eq!(recovered.is_none(), sink.has_errors());
 
         // Deterministic, canonically sorted report.
         let report = sink.finish();
@@ -153,8 +126,7 @@ proptest! {
     fn raw_bytes_never_panic(src in ".{0,160}") {
         let env = ProgramEnv::default();
         let mut sink = DiagnosticSink::new();
-        let _ = compile_diag(&src, &env, &mut sink);
-        if compile_with_env(&src, &env).is_err() {
+        if compile_diag(&src, &env, &mut sink).is_none() {
             prop_assert!(sink.error_count() >= 1);
         }
     }

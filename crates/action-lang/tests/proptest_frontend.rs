@@ -4,18 +4,24 @@
 
 use proptest::prelude::*;
 use pscp_action_lang::types::Scalar;
+use pscp_action_lang::{compile_diag, ProgramEnv};
+use pscp_diag::DiagnosticSink;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn lexer_never_panics(src in ".{0,200}") {
-        let _ = pscp_action_lang::lexer::tokenize(&src);
+        let mut sink = DiagnosticSink::new();
+        let _ = compile_diag(&src, &ProgramEnv::default(), &mut sink);
     }
 
     #[test]
-    fn parser_never_panics(src in ".{0,200}") {
-        let _ = pscp_action_lang::parser::parse(&src);
+    fn parser_never_panics(src in "[ -~\n]{0,200}") {
+        // Printable ASCII lexes cleanly far more often, so the parser
+        // sees real token streams.
+        let mut sink = DiagnosticSink::new();
+        let _ = compile_diag(&src, &ProgramEnv::default(), &mut sink);
     }
 
     #[test]
@@ -45,7 +51,7 @@ proptest! {
         )
     ) {
         let src = toks.join(" ");
-        let _ = pscp_action_lang::compile(&src);
+        let _ = pscp_action_lang::compile_with_env(&src, &ProgramEnv::default());
     }
 
     #[test]
@@ -53,8 +59,8 @@ proptest! {
         let src = format!(
             "int:16 g = {a};\nint:16 f(int:16 x) {{ return g * x + {a}; }}"
         );
-        let p1 = pscp_action_lang::compile(&src).unwrap();
-        let p2 = pscp_action_lang::compile(&src).unwrap();
+        let p1 = pscp_action_lang::compile_with_env(&src, &ProgramEnv::default()).unwrap();
+        let p2 = pscp_action_lang::compile_with_env(&src, &ProgramEnv::default()).unwrap();
         prop_assert_eq!(p1, p2);
     }
 

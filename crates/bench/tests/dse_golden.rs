@@ -21,6 +21,7 @@
 //! dse_golden` (only when a change to the chosen designs is intended).
 
 use pscp_action_lang::ir::Program;
+use pscp_action_lang::ProgramEnv;
 use pscp_bench::{multi_head_inputs, pickup_head_inputs};
 use pscp_core::arch::PscpArch;
 use pscp_core::optimize::{optimize, MemoPersistence, OptimizationResult, OptimizeOptions};
@@ -132,7 +133,11 @@ fn golden_shrink_plain() {
     b.state("A", StateKind::Basic).transition("B", "E/F()");
     b.state("B", StateKind::Basic).transition("A", "E/F()");
     let chart = b.build().unwrap();
-    let ir = pscp_action_lang::compile("int:16 g;\nvoid F() { g = g + 3; }").unwrap();
+    let ir = pscp_action_lang::compile_with_env(
+        "int:16 g;\nvoid F() { g = g + 3; }",
+        &ProgramEnv::default(),
+    )
+    .unwrap();
     let start = PscpArch::md16_optimized();
     let r = check("shrink_plain", &chart, &ir, &start, OptimizeOptions::default());
     // At least two acceptances, so a later removal is judged against

@@ -9,6 +9,7 @@
 use crate::arch::PscpArch;
 use pscp_action_lang::ir::Program;
 use pscp_action_lang::sema::{PortSpec, ProgramEnv};
+use pscp_diag::{Diagnostic, DiagnosticSink, Source};
 use pscp_sla::synth::{synthesize, SlaSynthesis};
 use pscp_sla::TransitionAddressTable;
 use pscp_statechart::encoding::{CrLayout, EncodingStyle};
@@ -17,7 +18,6 @@ use pscp_statechart::{Chart, ConditionId, EventId, TransitionId};
 use pscp_tep::codegen::{
     compile_program, compile_program_cached, CodegenCache, CodegenOptions, TepProgram,
 };
-use std::fmt;
 use std::sync::Arc;
 
 /// How one textual action argument is produced at dispatch time.
@@ -43,61 +43,6 @@ pub struct BoundCall {
 pub struct TransitionBinding {
     /// The calls.
     pub calls: Vec<BoundCall>,
-}
-
-/// Errors of the system compiler.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SystemError {
-    /// The action program failed to compile.
-    Action(pscp_action_lang::CompileError),
-    /// A transition label calls an unknown routine.
-    UnknownRoutine {
-        /// Routine name.
-        name: String,
-        /// Transition index.
-        transition: usize,
-    },
-    /// A label argument could not be resolved.
-    BadArgument {
-        /// The argument text.
-        text: String,
-        /// Routine name.
-        routine: String,
-    },
-    /// Wrong number of label arguments for the routine.
-    ArityMismatch {
-        /// Routine name.
-        routine: String,
-        /// Expected count.
-        expected: usize,
-        /// Provided count.
-        got: usize,
-    },
-}
-
-impl fmt::Display for SystemError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SystemError::Action(e) => write!(f, "action language: {e}"),
-            SystemError::UnknownRoutine { name, transition } => {
-                write!(f, "transition {transition} calls unknown routine `{name}`")
-            }
-            SystemError::BadArgument { text, routine } => {
-                write!(f, "argument `{text}` of `{routine}` is not a constant or global")
-            }
-            SystemError::ArityMismatch { routine, expected, got } => {
-                write!(f, "`{routine}` expects {expected} arguments, got {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SystemError {}
-
-impl From<pscp_action_lang::CompileError> for SystemError {
-    fn from(e: pscp_action_lang::CompileError) -> Self {
-        SystemError::Action(e)
-    }
 }
 
 /// Precomputed scheduler tables.
@@ -243,14 +188,16 @@ pub fn chart_env(chart: &Chart) -> ProgramEnv {
 ///
 /// # Errors
 ///
-/// Returns [`SystemError`] for action-language compile errors, unknown
-/// routines in labels, or unresolvable label arguments.
+/// Returns the first diagnostic: an action-language error
+/// (`AL101`/`AL201`/`AL301`), or a label-binding error — an unknown
+/// routine (`PS401`), an unresolvable argument (`PS402`) or an arity
+/// mismatch (`PS403`).
 pub fn compile_system(
     chart: &Chart,
     action_source: &str,
     arch: &PscpArch,
     options: &CodegenOptions,
-) -> Result<CompiledSystem, SystemError> {
+) -> Result<CompiledSystem, Diagnostic> {
     let env = chart_env(chart);
     let ir = pscp_action_lang::compile_with_env(action_source, &env)?;
     compile_system_from_ir(chart, &ir, arch, options)
@@ -302,7 +249,7 @@ pub fn compile_system_from_ir(
     ir: &Program,
     arch: &PscpArch,
     options: &CodegenOptions,
-) -> Result<CompiledSystem, SystemError> {
+) -> Result<CompiledSystem, Diagnostic> {
     let artifacts = SystemArtifacts::build(chart, arch.encoding);
     compile_system_with(&artifacts, ir, arch, options, None)
 }
@@ -327,26 +274,25 @@ pub fn compile_system_with(
     arch: &PscpArch,
     options: &CodegenOptions,
     cache: Option<&CodegenCache>,
-) -> Result<CompiledSystem, SystemError> {
-    let (sys, mut errors) = compile_system_collect(artifacts, ir, arch, options, cache);
-    if errors.is_empty() {
-        Ok(sys)
-    } else {
-        Err(errors.remove(0))
-    }
+) -> Result<CompiledSystem, Diagnostic> {
+    let mut sink = DiagnosticSink::new();
+    let sys = compile_system_collect(artifacts, ir, arch, options, cache, &mut sink);
+    sink.into_result(Some(sys))
 }
 
 /// Recovering core of [`compile_system_with`]: binds every transition
-/// and state reaction even after failures, returning the system
-/// together with *all* binding errors in check order (empty = success).
-/// Calls that failed to bind are omitted from their binding.
+/// and state reaction even after failures, pushing *every* binding
+/// error into `sink` in check order (`PS401` unknown routine, `PS402`
+/// unresolvable argument, `PS403` arity mismatch). Calls that failed to
+/// bind are omitted from their binding.
 pub(crate) fn compile_system_collect(
     artifacts: &SystemArtifacts,
     ir: &Program,
     arch: &PscpArch,
     options: &CodegenOptions,
     cache: Option<&CodegenCache>,
-) -> (CompiledSystem, Vec<SystemError>) {
+    sink: &mut DiagnosticSink,
+) -> CompiledSystem {
     let rebuilt;
     let artifacts = if arch.encoding == artifacts.encoding {
         artifacts
@@ -369,27 +315,28 @@ pub(crate) fn compile_system_collect(
     }
     let arch = &arch;
 
-    let mut errors: Vec<SystemError> = Vec::new();
     let bind = |actions: &[pscp_statechart::model::ActionCall],
                 site: usize,
-                errors: &mut Vec<SystemError>|
+                sink: &mut DiagnosticSink|
      -> TransitionBinding {
         let mut calls = Vec::new();
         for call in actions {
-            let Some(func) = program.function_index(&call.function) else {
-                errors.push(SystemError::UnknownRoutine {
-                    name: call.function.clone(),
-                    transition: site,
-                });
+            let routine = &call.function;
+            let Some(func) = program.function_index(routine) else {
+                sink.push(Diagnostic::error(
+                    Source::System,
+                    "PS401",
+                    format!("transition {site} calls unknown routine `{routine}`"),
+                ));
                 continue;
             };
             let params = program.functions[func as usize].param_count as usize;
             if params != call.args.len() {
-                errors.push(SystemError::ArityMismatch {
-                    routine: call.function.clone(),
-                    expected: params,
-                    got: call.args.len(),
-                });
+                sink.push(Diagnostic::error(
+                    Source::System,
+                    "PS403",
+                    format!("`{routine}` expects {params} arguments, got {}", call.args.len()),
+                ));
                 continue;
             }
             let mut args = Vec::with_capacity(call.args.len());
@@ -398,10 +345,11 @@ pub(crate) fn compile_system_collect(
                 match resolve_arg(text, ir) {
                     Some(a) => args.push(a),
                     None => {
-                        errors.push(SystemError::BadArgument {
-                            text: text.clone(),
-                            routine: call.function.clone(),
-                        });
+                        sink.push(Diagnostic::error(
+                            Source::System,
+                            "PS402",
+                            format!("argument `{text}` of `{routine}` is not a constant or global"),
+                        ));
                         ok = false;
                     }
                 }
@@ -415,19 +363,19 @@ pub(crate) fn compile_system_collect(
 
     let mut bindings = Vec::with_capacity(chart.transition_count());
     for (ti, t) in chart.transitions().enumerate() {
-        bindings.push(bind(&t.actions, ti, &mut errors));
+        bindings.push(bind(&t.actions, ti, sink));
     }
     let mut entry_bindings = Vec::with_capacity(chart.state_count());
     let mut exit_bindings = Vec::with_capacity(chart.state_count());
     for (si, s) in chart.states().enumerate() {
-        entry_bindings.push(bind(&s.entry_actions, si, &mut errors));
-        exit_bindings.push(bind(&s.exit_actions, si, &mut errors));
+        entry_bindings.push(bind(&s.entry_actions, si, sink));
+        exit_bindings.push(bind(&s.exit_actions, si, sink));
     }
 
     // Built last, against the post-custom-op program and architecture.
     let tables = SchedulerTables::build(chart, arch, &program);
 
-    let sys = CompiledSystem {
+    CompiledSystem {
         chart: Arc::clone(&artifacts.chart),
         layout: Arc::clone(&artifacts.layout),
         sla: Arc::clone(&artifacts.sla),
@@ -437,8 +385,7 @@ pub(crate) fn compile_system_collect(
         exit_bindings,
         arch: arch.clone(),
         tables,
-    };
-    (sys, errors)
+    }
 }
 
 /// Resolves a textual label argument: integer literal, enum variant, or
@@ -516,7 +463,8 @@ mod tests {
             &CodegenOptions::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, SystemError::UnknownRoutine { .. }));
+        assert_eq!(err.code, "PS401");
+        assert_eq!(err.message, "transition 0 calls unknown routine `Nope`");
     }
 
     #[test]
@@ -533,7 +481,8 @@ mod tests {
             &CodegenOptions::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, SystemError::ArityMismatch { expected: 1, got: 2, .. }));
+        assert_eq!(err.code, "PS403");
+        assert_eq!(err.message, "`F` expects 1 arguments, got 2");
     }
 
     #[test]
@@ -550,7 +499,8 @@ mod tests {
             &CodegenOptions::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, SystemError::BadArgument { .. }));
+        assert_eq!(err.code, "PS402");
+        assert_eq!(err.message, "argument `mystery` of `F` is not a constant or global");
     }
 
     #[test]

@@ -1,40 +1,19 @@
-//! Bridges system-level [`SystemError`]s onto the shared [`pscp_diag`]
-//! model and hosts the whole-pipeline [`compile_sources`] entry point.
+//! Hosts the whole-pipeline [`compile_sources`] entry point on the
+//! shared [`pscp_diag`] model.
 //!
-//! Stable codes: `PS401` (unknown routine in a label), `PS402`
+//! Stable system codes: `PS401` (unknown routine in a label), `PS402`
 //! (unresolvable label argument), `PS403` (label arity mismatch),
 //! `PS404` (TEP storage budget exceeded). Action-language errors keep
 //! their own `ALxxx` codes; chart errors their `SCxxx` codes — one
 //! report, three provenances.
 
 use crate::arch::PscpArch;
-use crate::compile::{chart_env, compile_system_collect, CompiledSystem, SystemArtifacts, SystemError};
+use crate::compile::{chart_env, compile_system_collect, CompiledSystem, SystemArtifacts};
 
 // Public re-exports so downstream crates (the `pscp-serve` binary,
 // tools) can drive `compile_sources` through this one module.
 pub use pscp_diag::{render_report, Diagnostic, DiagnosticSink, Severity, Source, Span};
 pub use pscp_tep::codegen::CodegenOptions;
-
-/// Stable diagnostic code for a system-level error.
-pub fn system_code(e: &SystemError) -> &'static str {
-    match e {
-        SystemError::Action(e) => pscp_action_lang::diag::phase_code(e.phase),
-        SystemError::UnknownRoutine { .. } => "PS401",
-        SystemError::BadArgument { .. } => "PS402",
-        SystemError::ArityMismatch { .. } => "PS403",
-    }
-}
-
-/// Converts a system error to a shared diagnostic. Action-language
-/// errors keep their `Action` provenance and span; binding errors are
-/// `System`-sourced and span-less (labels live in the chart text, whose
-/// positions the builder does not track).
-pub fn diagnostic_for_system(e: &SystemError) -> Diagnostic {
-    match e {
-        SystemError::Action(e) => pscp_action_lang::diag::diagnostic_for(e),
-        other => Diagnostic::error(Source::System, system_code(other), other.to_string()),
-    }
-}
 
 /// Compiles a full system from chart and action sources, accumulating
 /// every finding from every layer into `sink`: chart syntax and
@@ -54,17 +33,14 @@ pub fn compile_sources(
     sink: &mut DiagnosticSink,
 ) -> Option<CompiledSystem> {
     let errors_at_entry = sink.error_count();
-    let Some(chart) = pscp_statechart::parse::parse_chart_diag(chart_source, sink) else {
+    let Some(chart) = pscp_statechart::parse::parse_chart_pages(&[chart_source], sink) else {
         pscp_action_lang::syntax_check_diag(action_source, sink);
         return None;
     };
     let env = chart_env(&chart);
     let ir = pscp_action_lang::compile_diag(action_source, &env, sink)?;
     let artifacts = SystemArtifacts::build(&chart, arch.encoding);
-    let (sys, errors) = compile_system_collect(&artifacts, &ir, arch, options, None);
-    for e in &errors {
-        sink.push(diagnostic_for_system(e));
-    }
+    let sys = compile_system_collect(&artifacts, &ir, arch, options, None, sink);
     // TEP storage budget: the code generator itself never fails, so the
     // architecture fit is checked here, where it can land in the same
     // report as frontend findings.

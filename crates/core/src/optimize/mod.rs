@@ -55,7 +55,7 @@ pub use memo::{MemoEntry, MemoPersistence, MemoStore};
 use crate::arch::PscpArch;
 use crate::area::pscp_area;
 use crate::compile::{
-    compile_system_from_ir, compile_system_with, CompiledSystem, SystemArtifacts, SystemError,
+    compile_system_from_ir, compile_system_with, CompiledSystem, SystemArtifacts,
 };
 use crate::library::Component;
 use crate::timing::{
@@ -63,6 +63,7 @@ use crate::timing::{
     EventCycle, TimingEval, TimingGraph, TimingOptions, TimingReport,
 };
 use pscp_action_lang::ir::{Inst as IrInst, Program};
+use pscp_diag::Diagnostic;
 use pscp_tep::codegen::{CodegenCache, CodegenOptions};
 use pscp_tep::timing::WcetReport;
 use pscp_tep::StorageClass;
@@ -205,13 +206,14 @@ pub struct OptimizationResult {
 ///
 /// # Errors
 ///
-/// Returns [`SystemError`] when a compile fails (label/action errors).
+/// Returns the first diagnostic of a failed compile (label binding,
+/// `PS401`..`PS403`).
 pub fn optimize(
     chart: &pscp_statechart::Chart,
     ir: &Program,
     start: &PscpArch,
     options: &OptimizeOptions,
-) -> Result<OptimizationResult, SystemError> {
+) -> Result<OptimizationResult, Diagnostic> {
     let _opt_span = pscp_obs::trace::span("optimize");
     let mut arch = start.clone();
     let mut codegen = CodegenOptions::default();
@@ -255,7 +257,7 @@ pub fn optimize(
     let mut evaluate = |cand_arch: &PscpArch,
                         cand_codegen: &CodegenOptions,
                         base: &Base|
-     -> Result<CandidateEval, SystemError> {
+     -> Result<CandidateEval, Diagnostic> {
         let _cand_span = pscp_obs::trace::span("candidate");
         pscp_obs::metrics::OPT_CANDIDATES.inc();
         let memo_slot = persisted.as_mut().map(|(store, fingerprint)| {
@@ -334,7 +336,7 @@ pub fn optimize(
                  cand_arch: &mut PscpArch,
                  cand_codegen: &CodegenOptions,
                  base: &mut Base|
-     -> Result<TimingReport, SystemError> {
+     -> Result<TimingReport, Diagnostic> {
         let system = match eval.system {
             Some(s) => s,
             None => compile_system_with(&artifacts, ir, cand_arch, cand_codegen, cache)?,
@@ -711,6 +713,7 @@ pub fn hottest_scalar_globals(ir: &Program, limit: usize) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pscp_action_lang::ProgramEnv;
     use pscp_statechart::{Chart, ChartBuilder, StateKind};
 
     fn demanding_chart(period: u64) -> Chart {
@@ -733,7 +736,7 @@ mod tests {
     "#;
 
     fn ir() -> Program {
-        pscp_action_lang::compile(CRUNCH).unwrap()
+        pscp_action_lang::compile_with_env(CRUNCH, &ProgramEnv::default()).unwrap()
     }
 
     #[test]
@@ -792,7 +795,7 @@ mod tests {
                 tab[i] = 0;
             }
         "#;
-        let p = pscp_action_lang::compile(src).unwrap();
+        let p = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let ranked = hottest_scalar_globals(&p, 2);
         assert_eq!(ranked[0], 0, "hot is slot 0");
         // Array slots never ranked.

@@ -6,6 +6,7 @@
 //! the system-level cached == full differential.
 
 use proptest::prelude::*;
+use pscp_action_lang::ProgramEnv;
 use pscp_core::arch::PscpArch;
 use pscp_core::compile::{chart_env, compile_system_from_ir, compile_system_with, SystemArtifacts};
 use pscp_statechart::{Chart, ChartBuilder, StateKind};
@@ -170,7 +171,11 @@ proptest! {
         which_arch in 0u8..3,
         p in perturb(),
     ) {
-        let ir = pscp_action_lang::compile(&spec.source()).unwrap();
+        let ir = pscp_action_lang::compile_with_env(
+            &spec.source(),
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let arch0 = base_arch(which_arch);
         let opts0 = CodegenOptions::default();
         let prev = compile_program(&ir, &arch0, &opts0);
@@ -223,7 +228,11 @@ proptest! {
         spec in prog_spec(),
         which_arch in 0u8..3,
     ) {
-        let ir = pscp_action_lang::compile(&spec.source()).unwrap();
+        let ir = pscp_action_lang::compile_with_env(
+            &spec.source(),
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let arch = base_arch(which_arch);
         let opts = CodegenOptions::default();
         let cache = CodegenCache::with_enabled(true);

@@ -5,9 +5,10 @@
 //! [`Diagnostic`] shape: a severity, a stable code, a start/end
 //! [`Span`], a message, and optional notes. Passes push into a
 //! [`DiagnosticSink`] and *keep going* instead of returning on the
-//! first error; the sink remembers emission order (the legacy fail-fast
-//! adapters surface exactly the first emitted error) and
-//! [`DiagnosticSink::finish`] produces the user-facing report:
+//! first error. The sink is the only error path: a fail-fast entry
+//! point runs its stage into a fresh sink and returns
+//! [`DiagnosticSink::into_result`] (the first error in emission order),
+//! while [`DiagnosticSink::finish`] produces the full report:
 //! span-sorted and deduplicated, so the same source always yields the
 //! same list regardless of which pass found what first.
 //!
@@ -218,6 +219,10 @@ impl Diagnostic {
     /// Multi-line rendering with the offending source line and a caret
     /// underline from the span's start to its end (clamped to the
     /// line). Used by `pscp-serve check`.
+    ///
+    /// Span columns count bytes; the caret is padded in characters, so
+    /// a multi-byte character earlier on the line does not push it off
+    /// its target.
     pub fn render_with_source(&self, source: &str) -> String {
         let mut out = self.render();
         if !self.span.is_known() {
@@ -227,10 +232,10 @@ impl Diagnostic {
         let Some(line) = source.lines().nth(line_no - 1) else {
             return out;
         };
-        let start_col = self.span.start.column.max(1) as usize;
+        let start_col = char_column(line, self.span.start.column);
         let width = line.chars().count().max(start_col);
         let end_col = if self.span.end.line == self.span.start.line {
-            (self.span.end.column as usize).clamp(start_col, width + 1)
+            char_column(line, self.span.end.column).clamp(start_col, width + 1)
         } else {
             width + 1
         };
@@ -244,11 +249,24 @@ impl Diagnostic {
     }
 }
 
+/// Maps a 1-based byte column on `line` to the 1-based column of the
+/// character holding that byte. Columns past the end of the line keep
+/// their distance from it.
+fn char_column(line: &str, byte_column: u32) -> usize {
+    let byte = byte_column.max(1) as usize - 1;
+    if byte >= line.len() {
+        return line.chars().count() + 1 + (byte - line.len());
+    }
+    line.char_indices().take_while(|&(i, _)| i <= byte).count()
+}
+
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.render())
     }
 }
+
+impl std::error::Error for Diagnostic {}
 
 /// Sorts a diagnostic list by span/severity/code/message and removes
 /// exact duplicates. This is the canonical report order: every path to
@@ -261,9 +279,9 @@ pub fn sort_dedup(diags: &mut Vec<Diagnostic>) {
 
 /// Accumulates diagnostics across passes.
 ///
-/// Emission order is preserved (the legacy single-error adapters return
-/// exactly the first emitted error); [`DiagnosticSink::finish`] hands
-/// out the sorted, deduplicated report.
+/// Emission order is preserved: [`DiagnosticSink::into_result`] turns
+/// a sink into a fail-fast result carrying the first emitted error, and
+/// [`DiagnosticSink::finish`] hands out the sorted, deduplicated report.
 #[derive(Debug, Default, Clone)]
 pub struct DiagnosticSink {
     diags: Vec<Diagnostic>,
@@ -312,8 +330,8 @@ impl DiagnosticSink {
         self.diags.is_empty()
     }
 
-    /// The first *error* in emission order — what the legacy fail-fast
-    /// entry points would have returned.
+    /// The first *error* in emission order — what
+    /// [`DiagnosticSink::into_result`] returns.
     pub fn first_error(&self) -> Option<&Diagnostic> {
         self.first_error.map(|i| &self.diags[i])
     }
@@ -321,6 +339,21 @@ impl DiagnosticSink {
     /// Diagnostics in emission order (pre-sort).
     pub fn emitted(&self) -> &[Diagnostic] {
         &self.diags
+    }
+
+    /// Consumes the sink as the result of a fail-fast entry point: the
+    /// first error in emission order when there is one, else the
+    /// stage's `value`. Warnings never fail the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the sink holds no error but `value` is `None`: a
+    /// stage that produces nothing must say why.
+    pub fn into_result<T>(mut self, value: Option<T>) -> Result<T, Diagnostic> {
+        match self.first_error {
+            Some(i) => Err(self.diags.swap_remove(i)),
+            None => Ok(value.expect("a stage that produced nothing must report an error")),
+        }
     }
 
     /// Consumes the sink and returns the canonical report: span-sorted,
@@ -367,6 +400,19 @@ mod tests {
     }
 
     #[test]
+    fn into_result_returns_the_first_error_in_emission_order() {
+        let mut sink = DiagnosticSink::new();
+        sink.push(Diagnostic::warning(Source::Chart, "SC304", "lint"));
+        sink.push(d("SC205", 9, 1));
+        sink.push(d("SC101", 2, 3));
+        assert_eq!(sink.into_result(Some(7)).unwrap_err().code, "SC205");
+
+        let mut warned = DiagnosticSink::new();
+        warned.push(Diagnostic::warning(Source::Chart, "SC304", "lint"));
+        assert_eq!(warned.into_result(Some(7)), Ok(7));
+    }
+
+    #[test]
     fn finish_sorts_by_span_and_dedups() {
         let mut sink = DiagnosticSink::new();
         sink.push(d("SC205", 9, 1));
@@ -397,6 +443,19 @@ mod tests {
         assert!(rendered.contains("badtoken here"));
         assert!(rendered.contains("^^^^^^^^"));
         assert!(!rendered.contains("^^^^^^^^^"));
+    }
+
+    #[test]
+    fn caret_counts_characters_not_bytes() {
+        // The lexers count columns in bytes: `é` is two of them.
+        let src = "basicstate A { transition { target B; label \"TICKé\"; } } $";
+        let byte_col = src.find('$').unwrap() as u32 + 1;
+        let diag = Diagnostic::error(Source::Chart, "SC101", "unexpected character `$`")
+            .with_span(Span::point(1, byte_col, byte_col - 1));
+        let rendered = diag.render_with_source(src);
+        let lines: Vec<&str> = rendered.lines().collect();
+        let column = |line: &str, c: char| line.chars().position(|x| x == c).unwrap();
+        assert_eq!(column(lines[2], '^'), column(lines[1], '$'), "{rendered}");
     }
 
     #[test]

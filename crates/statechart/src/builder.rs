@@ -5,7 +5,7 @@
 //! textual labels that are parsed with [`crate::trigger::parse_expr`].
 //! [`ChartBuilder::build`] resolves all names, infers undeclared children
 //! as basic states, attaches an implicit root when several top-level
-//! states exist, and runs the full validation suite.
+//! states exist, and runs the structural validation checks.
 
 use crate::error::ChartError;
 use crate::model::{
@@ -13,6 +13,7 @@ use crate::model::{
     StateKind, Transition,
 };
 use crate::trigger::{parse_expr, Expr};
+use pscp_diag::{Diagnostic, DiagnosticSink};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Name of the implicit root OR-state created when a chart declares
@@ -152,44 +153,25 @@ impl ChartBuilder {
     }
 
     /// Resolves names, infers implicit basic states, validates, and
-    /// produces the finished [`Chart`].
+    /// produces the finished [`Chart`]. Lint does not run.
     ///
     /// # Errors
     ///
     /// Returns the first structural error found: duplicate or unknown
-    /// names, containment cycles or multiple parents, missing OR defaults,
-    /// unresolvable label atoms, and the other cases in [`ChartError`] —
-    /// exactly the first diagnostic [`ChartBuilder::build_diag`] would
-    /// accumulate.
-    pub fn build(&self) -> Result<Chart, ChartError> {
-        let mut sink = pscp_diag::DiagnosticSink::new();
-        let mut em = crate::diag::Emitter::new(&mut sink);
-        match self.build_into(&mut em) {
-            Some(chart) => Ok(chart),
-            None => Err(em
-                .take_first_chart()
-                .expect("failed build must carry a chart error")),
-        }
+    /// names, containment cycles or multiple parents, missing OR
+    /// defaults, unresolvable label atoms, and the other `SC2xx` cases
+    /// [`crate::diag`] lists.
+    pub fn build(&self) -> Result<Chart, Diagnostic> {
+        let mut sink = DiagnosticSink::new();
+        let chart = self.build_into(&mut crate::diag::Emitter::new(&mut sink));
+        sink.into_result(chart)
     }
 
-    /// Builds with error recovery: every structural problem is
-    /// accumulated into `sink` (codes `SC2xx`) instead of stopping at
-    /// the first, and lint findings are appended as warnings (`SC3xx`).
-    /// Returns the chart only when this build added no errors.
-    pub fn build_diag(&self, sink: &mut pscp_diag::DiagnosticSink) -> Option<Chart> {
-        let mut em = crate::diag::Emitter::new(sink);
-        let chart = self.build_into(&mut em)?;
-        for w in crate::validate::lint(&chart) {
-            em.warn(&w);
-        }
-        Some(chart)
-    }
-
-    /// Recovering core of [`ChartBuilder::build`]: check order matches
-    /// the historical fail-fast sequence (so the first emitted error is
-    /// the legacy error), but each failure degrades locally — duplicate
-    /// definitions keep the first, a second parent is ignored, a bad
-    /// default falls back to the first child — and the walk continues.
+    /// Recovering core of [`ChartBuilder::build`]: each failure is
+    /// reported and degrades locally — duplicate definitions keep the
+    /// first, a second parent is ignored, a bad default falls back to
+    /// the first child — and the walk continues, so the first emitted
+    /// error is the one a fail-fast check in the same order would find.
     /// Containment cycles abort structure assembly (nothing downstream
     /// is meaningful on cyclic containment). Returns the chart only
     /// when nothing was emitted.
@@ -773,12 +755,18 @@ mod tests {
         assert_eq!(chart.state(chart.root()).children.len(), 2);
     }
 
+    /// Asserts that `b` fails to build with `code` and `message`.
+    fn assert_build_err(b: &ChartBuilder, code: &str, message: &str) {
+        let d = b.build().unwrap_err();
+        assert_eq!((d.code.as_str(), d.message.as_str()), (code, message));
+    }
+
     #[test]
     fn duplicate_state_rejected() {
         let mut b = ChartBuilder::new("c");
         b.basic("A");
         b.basic("A");
-        assert_eq!(b.build().unwrap_err(), ChartError::DuplicateName("A".into()));
+        assert_build_err(&b, "SC204", "duplicate name `A`");
     }
 
     #[test]
@@ -786,7 +774,7 @@ mod tests {
         let mut b = ChartBuilder::new("c");
         b.state("P1", StateKind::Or).contains(["X"]);
         b.state("P2", StateKind::Or).contains(["X", "Y"]);
-        assert_eq!(b.build().unwrap_err(), ChartError::MultipleParents("X".into()));
+        assert_build_err(&b, "SC205", "state `X` is contained in more than one parent");
     }
 
     #[test]
@@ -794,14 +782,14 @@ mod tests {
         let mut b = ChartBuilder::new("c");
         b.state("A", StateKind::Or).contains(["B"]);
         b.state("B", StateKind::Or).contains(["A"]);
-        assert!(matches!(b.build().unwrap_err(), ChartError::ContainmentCycle(_)));
+        assert_build_err(&b, "SC206", "containment cycle through state `A`");
     }
 
     #[test]
     fn self_containment_rejected() {
         let mut b = ChartBuilder::new("c");
         b.state("A", StateKind::Or).contains(["A"]);
-        assert!(matches!(b.build().unwrap_err(), ChartError::ContainmentCycle(_)));
+        assert_build_err(&b, "SC206", "containment cycle through state `A`");
     }
 
     #[test]
@@ -809,12 +797,12 @@ mod tests {
         let mut b = ChartBuilder::new("c");
         b.state("Top", StateKind::Or).contains(["A"]).default_child("Elsewhere");
         b.basic("Elsewhere");
-        assert!(matches!(b.build().unwrap_err(), ChartError::DefaultNotChild { .. }));
+        assert_build_err(&b, "SC208", "default `Elsewhere` is not a child of or-state `Top`");
     }
 
     #[test]
     fn empty_chart_rejected() {
-        assert_eq!(ChartBuilder::new("c").build().unwrap_err(), ChartError::Empty);
+        assert_build_err(&ChartBuilder::new("c"), "SC214", "chart contains no states");
     }
 
     #[test]
@@ -822,6 +810,10 @@ mod tests {
         let mut b = ChartBuilder::new("c");
         b.state("A", StateKind::Basic).transition("B", "NO_SUCH_EVENT");
         b.basic("B");
-        assert!(matches!(b.build().unwrap_err(), ChartError::UnresolvedAtom(_)));
+        assert_build_err(
+            &b,
+            "SC213",
+            "label atom `NO_SUCH_EVENT` is neither an event nor a condition",
+        );
     }
 }

@@ -1,33 +1,27 @@
 //! Bridges the statechart's typed errors onto the shared
 //! [`pscp_diag`] model.
 //!
-//! Stable codes: `SC101` for textual-format syntax errors, `SC201`..
-//! `SC214` for the structural [`ChartError`] variants (one code per
-//! variant), and `SC301`..`SC304` for the non-fatal lint
-//! [`Warning`]s. The recovering pipeline reports every finding through
-//! an [`Emitter`] that also keeps the *first* typed error verbatim, so
-//! the legacy fail-fast entry points return exactly what they always
-//! returned.
+//! Stable codes: `SC101` for textual-format syntax errors; one code per
+//! structural [`ChartError`] variant — `SC201`, `SC204`..`SC209`,
+//! `SC213` and `SC214` (the gaps belong to retired variants and are not
+//! reused); and `SC301`..`SC304` for the non-fatal lint [`Warning`]s.
+//! Every pass reports through an [`Emitter`] into the caller's
+//! [`DiagnosticSink`], the one error path of the crate.
 
 use crate::error::{ChartError, ParseError};
 use crate::validate::Warning;
-use pscp_diag::{Diagnostic, DiagnosticSink, Pos, Source};
+use pscp_diag::{Diagnostic, DiagnosticSink, Source, Span};
 
 /// Stable diagnostic code for a structural chart error.
-pub fn chart_code(e: &ChartError) -> &'static str {
+pub(crate) fn chart_code(e: &ChartError) -> &'static str {
     match e {
         ChartError::UnknownState(_) => "SC201",
-        ChartError::UnknownEvent(_) => "SC202",
-        ChartError::UnknownCondition(_) => "SC203",
         ChartError::DuplicateName(_) => "SC204",
         ChartError::MultipleParents(_) => "SC205",
         ChartError::ContainmentCycle(_) => "SC206",
         ChartError::MissingDefault(_) => "SC207",
         ChartError::DefaultNotChild { .. } => "SC208",
         ChartError::BasicWithChildren(_) => "SC209",
-        ChartError::DegenerateAnd(_) => "SC210",
-        ChartError::NoRoot => "SC211",
-        ChartError::DisconnectedTransition { .. } => "SC212",
         ChartError::UnresolvedAtom(_) => "SC213",
         ChartError::Empty => "SC214",
     }
@@ -45,18 +39,14 @@ pub fn warning_code(w: &Warning) -> &'static str {
 
 /// Converts a structural error to a shared diagnostic (chart errors
 /// carry no source position, so the span is unknown).
-pub fn diagnostic_for_chart(e: &ChartError) -> Diagnostic {
+pub(crate) fn diagnostic_for_chart(e: &ChartError) -> Diagnostic {
     Diagnostic::error(Source::Chart, chart_code(e), e.to_string())
 }
 
 /// Converts a positioned syntax error to a shared diagnostic.
-pub fn diagnostic_for_parse(e: &ParseError) -> Diagnostic {
-    let span = if e.line == 0 {
-        pscp_diag::Span::NONE
-    } else {
-        pscp_diag::Span::new(Pos::new(e.line, e.column, 0), Pos::new(e.line, e.column, 0))
-    };
-    Diagnostic::error(Source::Chart, "SC101", e.message.clone()).with_span(span)
+pub(crate) fn diagnostic_for_parse(e: &ParseError) -> Diagnostic {
+    Diagnostic::error(Source::Chart, "SC101", e.message.clone())
+        .with_span(Span::point(e.line, e.column, 0))
 }
 
 /// Converts a lint warning to a shared (warning-severity) diagnostic.
@@ -74,54 +64,27 @@ pub fn diagnostic_for_warning(w: &Warning) -> Diagnostic {
     Diagnostic::warning(Source::Chart, warning_code(w), message)
 }
 
-/// The first typed error an [`Emitter`] saw, preserving which legacy
-/// error type it was.
-pub(crate) enum FirstError {
-    /// A positioned syntax error.
-    Parse(ParseError),
-    /// A structural chart error.
-    Chart(ChartError),
-}
-
-impl FirstError {
-    /// Adapts to the parse entry points' error type (structural errors
-    /// become position-less parse errors, as they always did).
-    pub fn into_parse_error(self) -> ParseError {
-        match self {
-            FirstError::Parse(e) => e,
-            FirstError::Chart(e) => ParseError::from(e),
-        }
-    }
-}
-
-/// Accumulates typed chart errors into a shared sink, remembering the
-/// first one for the legacy adapters.
+/// Converts typed chart errors to diagnostics in a shared sink,
+/// counting the errors it pushed.
 pub(crate) struct Emitter<'a> {
     sink: &'a mut DiagnosticSink,
-    first: Option<FirstError>,
     errors: usize,
 }
 
 impl<'a> Emitter<'a> {
     pub fn new(sink: &'a mut DiagnosticSink) -> Self {
-        Emitter { sink, first: None, errors: 0 }
+        Emitter { sink, errors: 0 }
     }
 
     /// Records a syntax error and keeps going.
     pub fn emit_parse(&mut self, e: ParseError) {
         self.sink.push(diagnostic_for_parse(&e));
-        if self.first.is_none() {
-            self.first = Some(FirstError::Parse(e));
-        }
         self.errors += 1;
     }
 
     /// Records a structural error and keeps going.
     pub fn emit_chart(&mut self, e: ChartError) {
         self.sink.push(diagnostic_for_chart(&e));
-        if self.first.is_none() {
-            self.first = Some(FirstError::Chart(e));
-        }
         self.errors += 1;
     }
 
@@ -133,19 +96,5 @@ impl<'a> Emitter<'a> {
     /// How many errors this emitter has seen (warnings excluded).
     pub fn errors(&self) -> usize {
         self.errors
-    }
-
-    /// The first typed error, surrendering it to the adapter.
-    pub fn take_first(&mut self) -> Option<FirstError> {
-        self.first.take()
-    }
-
-    /// The first typed error as a [`ChartError`], for the build/validate
-    /// adapters (whose pipelines emit only structural errors).
-    pub fn take_first_chart(&mut self) -> Option<ChartError> {
-        match self.first.take() {
-            Some(FirstError::Chart(e)) => Some(e),
-            _ => None,
-        }
     }
 }

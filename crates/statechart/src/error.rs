@@ -1,4 +1,5 @@
-//! Error types for chart construction, parsing and analysis.
+//! Typed findings of chart construction and parsing, converted to
+//! diagnostics by [`crate::diag`].
 
 use std::fmt;
 
@@ -7,10 +8,6 @@ use std::fmt;
 pub enum ChartError {
     /// A state name was referenced but never declared or created.
     UnknownState(String),
-    /// An event name was referenced but never declared.
-    UnknownEvent(String),
-    /// A condition name was referenced but never declared.
-    UnknownCondition(String),
     /// Two states (or two events, …) share a name.
     DuplicateName(String),
     /// A state is contained in more than one parent.
@@ -23,12 +20,6 @@ pub enum ChartError {
     DefaultNotChild { state: String, default: String },
     /// A basic state was given children.
     BasicWithChildren(String),
-    /// An AND-state has fewer than two children.
-    DegenerateAnd(String),
-    /// The chart has no root (or several unrelated roots and autoroot off).
-    NoRoot,
-    /// A transition connects two states with no common ancestor scope.
-    DisconnectedTransition { source: String, target: String },
     /// A trigger/guard atom could not be resolved to an event or condition.
     UnresolvedAtom(String),
     /// The chart is empty.
@@ -39,8 +30,6 @@ impl fmt::Display for ChartError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ChartError::UnknownState(n) => write!(f, "unknown state `{n}`"),
-            ChartError::UnknownEvent(n) => write!(f, "unknown event `{n}`"),
-            ChartError::UnknownCondition(n) => write!(f, "unknown condition `{n}`"),
             ChartError::DuplicateName(n) => write!(f, "duplicate name `{n}`"),
             ChartError::MultipleParents(n) => {
                 write!(f, "state `{n}` is contained in more than one parent")
@@ -57,13 +46,6 @@ impl fmt::Display for ChartError {
             ChartError::BasicWithChildren(n) => {
                 write!(f, "basic state `{n}` must not contain children")
             }
-            ChartError::DegenerateAnd(n) => {
-                write!(f, "and-state `{n}` needs at least two children")
-            }
-            ChartError::NoRoot => write!(f, "chart has no unique root state"),
-            ChartError::DisconnectedTransition { source, target } => {
-                write!(f, "transition `{source}` -> `{target}` spans disconnected subtrees")
-            }
             ChartError::UnresolvedAtom(n) => {
                 write!(f, "label atom `{n}` is neither an event nor a condition")
             }
@@ -71,8 +53,6 @@ impl fmt::Display for ChartError {
         }
     }
 }
-
-impl std::error::Error for ChartError {}
 
 /// Error produced by the textual-format parser, with source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,19 +69,5 @@ impl ParseError {
     /// Creates a parse error at the given position.
     pub fn new(line: u32, column: u32, message: impl Into<String>) -> Self {
         ParseError { line, column, message: message.into() }
-    }
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at {}:{}: {}", self.line, self.column, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-impl From<ChartError> for ParseError {
-    fn from(e: ChartError) -> Self {
-        ParseError::new(0, 0, e.to_string())
     }
 }

@@ -26,7 +26,9 @@
 //!   and condition names without per-lookup scans.
 //! * [`encoding`] — exclusivity-set state encoding and the configuration
 //!   register (CR) layout used by the SLA and the PSCP hardware.
-//! * [`validate`] — static well-formedness checks.
+//! * [`validate`] — static well-formedness checks and the lint pass.
+//! * [`diag`] — the stable `SCxxx` diagnostic codes; every entry point
+//!   reports through a [`pscp_diag::DiagnosticSink`].
 //! * [`pretty`] — pretty-printer emitting the textual format back out.
 //!
 //! # Example
@@ -54,7 +56,7 @@
 pub mod builder;
 pub mod diag;
 pub mod encoding;
-pub mod error;
+mod error;
 pub mod hierarchy;
 pub mod intern;
 pub mod model;
@@ -65,7 +67,6 @@ pub mod trigger;
 pub mod validate;
 
 pub use builder::ChartBuilder;
-pub use error::{ChartError, ParseError};
 pub use model::{
     Chart, ConditionDecl, ConditionId, DataPortDecl, EventDecl, EventId, PortDirection, State,
     StateId, StateKind, Transition, TransitionId,

@@ -41,8 +41,7 @@ impl fmt::Display for TokenKind {
     }
 }
 
-/// Streaming tokeniser. Usually driven through
-/// [`crate::parse::parse_chart`]; exposed for tooling.
+/// Streaming tokeniser behind [`crate::parse::parse_chart_pages`].
 #[derive(Debug)]
 pub struct Lexer<'s> {
     src: &'s str,
@@ -56,24 +55,6 @@ impl<'s> Lexer<'s> {
     /// Creates a lexer over `src`.
     pub fn new(src: &'s str) -> Self {
         Lexer { src, bytes: src.as_bytes(), pos: 0, line: 1, column: 1 }
-    }
-
-    /// Tokenises the whole input, appending a final [`TokenKind::Eof`].
-    ///
-    /// Adapter over [`Lexer::tokenize_diag`]: the error returned is
-    /// exactly the first one the recovering scan reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns a positioned error for unterminated strings or characters
-    /// outside the language.
-    pub fn tokenize(self) -> Result<Vec<Token>, ParseError> {
-        let mut errs = Vec::new();
-        let toks = self.tokenize_diag(&mut errs);
-        match errs.into_iter().next() {
-            Some(e) => Err(e),
-            None => Ok(toks),
-        }
     }
 
     /// Tokenises the whole input, recovering from lexical errors: every
@@ -213,8 +194,18 @@ impl<'s> Lexer<'s> {
 mod tests {
     use super::*;
 
+    /// Tokenises `src`, failing with the first lexical error.
+    fn tokenize(src: &str) -> Result<Vec<Token>, ParseError> {
+        let mut errs = Vec::new();
+        let toks = Lexer::new(src).tokenize_diag(&mut errs);
+        match errs.into_iter().next() {
+            Some(e) => Err(e),
+            None => Ok(toks),
+        }
+    }
+
     fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src).tokenize().unwrap().into_iter().map(|t| t.kind).collect()
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -246,7 +237,7 @@ mod tests {
 
     #[test]
     fn strings_and_positions() {
-        let toks = Lexer::new("a\n  \"hello/world()\"").tokenize().unwrap();
+        let toks = tokenize("a\n  \"hello/world()\"").unwrap();
         assert_eq!(toks[1].kind, TokenKind::Str("hello/world()".into()));
         assert_eq!(toks[1].line, 2);
         assert_eq!(toks[1].column, 3);
@@ -263,13 +254,13 @@ mod tests {
 
     #[test]
     fn unterminated_string_errors() {
-        let e = Lexer::new("\"oops").tokenize().unwrap_err();
+        let e = tokenize("\"oops").unwrap_err();
         assert!(e.message.contains("unterminated"));
     }
 
     #[test]
     fn bad_character_errors() {
-        let e = Lexer::new("a $ b").tokenize().unwrap_err();
+        let e = tokenize("a $ b").unwrap_err();
         assert!(e.message.contains('$'));
         assert_eq!(e.column, 3);
     }

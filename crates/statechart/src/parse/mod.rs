@@ -31,73 +31,51 @@
 
 mod lexer;
 
-pub use lexer::{Lexer, Token, TokenKind};
+use lexer::{Lexer, Token, TokenKind};
 
 use crate::builder::ChartBuilder;
 use crate::diag::Emitter;
 use crate::error::ParseError;
 use crate::model::{Chart, ConditionDecl, EventDecl, PortDirection, StateKind};
-use pscp_diag::DiagnosticSink;
+use pscp_diag::{Diagnostic, DiagnosticSink};
 
-/// Parses a chart from the textual format.
+/// Parses a chart from the textual format, stopping at the first
+/// problem.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with position information for syntax errors,
-/// or a position-less one wrapping the structural [`crate::ChartError`]s
-/// detected while assembling the chart — exactly the first diagnostic
-/// [`parse_chart_diag`] would accumulate on the same input.
-pub fn parse_chart(source: &str) -> Result<Chart, ParseError> {
-    parse_chart_pages(&[source])
+/// Returns the first diagnostic in emission order: a positioned syntax
+/// error (`SC101`) or a structural error from chart assembly (`SC2xx`).
+/// Lint does not run.
+pub fn parse_chart(source: &str) -> Result<Chart, Diagnostic> {
+    let mut sink = DiagnosticSink::new();
+    let chart = parse_pages_into(&[source], &mut Emitter::new(&mut sink));
+    sink.into_result(chart)
 }
 
-/// Parses a chart with error recovery: every syntax error is
-/// accumulated into `sink` (code `SC101`) and parsing resumes at the
-/// next declaration; structural errors from chart assembly (`SC2xx`)
-/// and lint warnings (`SC3xx`) are appended. Returns the chart only
-/// when this parse added no errors to the sink.
-pub fn parse_chart_diag(source: &str, sink: &mut DiagnosticSink) -> Option<Chart> {
-    parse_chart_pages_diag(&[source], sink)
-}
-
-/// Multi-page variant of [`parse_chart_diag`].
-pub fn parse_chart_pages_diag(sources: &[&str], sink: &mut DiagnosticSink) -> Option<Chart> {
+/// Parses a chart split across one or more diagram *pages*, with error
+/// recovery: every syntax error is accumulated into `sink` (code
+/// `SC101`) and parsing resumes at the next declaration; structural
+/// errors from chart assembly (`SC2xx`) and lint warnings (`SC3xx`) are
+/// appended. Returns the chart only when this parse added no errors to
+/// the sink.
+///
+/// The paper's figures reference states on other pages with `@Name`
+/// connectors (Fig. 5 is the motion page referenced by Fig. 6's
+/// `@MoveX`, `@MoveY`, `@MOVE_PHI`). Since the textual format declares
+/// states flat and connects them by name, composition is concatenation:
+/// all pages share one namespace, and a `reference;`-marked (or simply
+/// undeclared) state on one page binds to its definition on another.
+/// With more than one page, syntax errors name their page (`page 1:
+/// …`); structural errors (duplicate definitions across pages,
+/// unresolved names) come from the final assembly.
+pub fn parse_chart_pages(sources: &[&str], sink: &mut DiagnosticSink) -> Option<Chart> {
     let mut em = Emitter::new(sink);
     let chart = parse_pages_into(sources, &mut em)?;
     for w in crate::validate::lint(&chart) {
         em.warn(&w);
     }
     Some(chart)
-}
-
-/// Parses a chart split across several diagram *pages* — the paper's
-/// figures reference states on other pages with `@Name` connectors
-/// (Fig. 5 is the motion page referenced by Fig. 6's `@MoveX`,
-/// `@MoveY`, `@MOVE_PHI`). Since the textual format declares states flat
-/// and connects them by name, composition is concatenation: all pages
-/// share one namespace, and a `reference;`-marked (or simply undeclared)
-/// state on one page binds to its definition on another.
-///
-/// # Errors
-///
-/// Syntax errors carry the page index in the message; structural errors
-/// (duplicate definitions across pages, unresolved names) come from the
-/// final assembly.
-pub fn parse_chart_pages(sources: &[&str]) -> Result<Chart, ParseError> {
-    let mut sink = DiagnosticSink::new();
-    let mut em = Emitter::new(&mut sink);
-    match parse_pages_into(sources, &mut em) {
-        Some(chart) => Ok(chart),
-        None => Err(em
-            .take_first()
-            .expect("failed parse must carry an error")
-            .into_parse_error()),
-    }
-}
-
-/// Adds the page prefix legacy errors always carried.
-fn page_err(page: usize, e: ParseError) -> ParseError {
-    ParseError::new(e.line, e.column, format!("page {page}: {}", e.message))
 }
 
 /// Recovering core of the parse entry points: tokenises and parses
@@ -108,14 +86,15 @@ fn parse_pages_into(sources: &[&str], em: &mut Emitter) -> Option<Chart> {
     let errors_at_entry = em.errors();
     let mut builder = ChartBuilder::new("chart");
     let mut named = false;
+    let paged = sources.len() > 1;
     for (i, src) in sources.iter().enumerate() {
         let mut errs = Vec::new();
         let tokens = Lexer::new(src).tokenize_diag(&mut errs);
+        let mut p = Parser { tokens, pos: 0, page: paged.then_some(i) };
         for e in errs {
-            em.emit_parse(page_err(i, e));
+            p.emit(em, e);
         }
-        let mut p = Parser { tokens, pos: 0 };
-        p.parse_into_diag(&mut builder, &mut named, i, em);
+        p.parse_into_diag(&mut builder, &mut named, em);
     }
     let chart = builder.build_into(em);
     if em.errors() > errors_at_entry {
@@ -132,9 +111,18 @@ const TOPLEVEL_KWS: &[&str] =
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// The page index syntax errors carry, when there are several pages.
+    page: Option<usize>,
 }
 
 impl Parser {
+    /// Reports a syntax error, prefixed with its page when there is one.
+    fn emit(&self, em: &mut Emitter, mut e: ParseError) {
+        if let Some(page) = self.page {
+            e.message = format!("page {page}: {}", e.message);
+        }
+        em.emit_parse(e);
+    }
 
     fn peek(&self) -> &Token {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
@@ -209,17 +197,11 @@ impl Parser {
     /// Parses one page's declarations into a shared builder, recovering
     /// at declaration granularity: a syntax error is reported through
     /// `em` and parsing resumes at the next top-level keyword.
-    fn parse_into_diag(
-        &mut self,
-        builder: &mut ChartBuilder,
-        named: &mut bool,
-        page: usize,
-        em: &mut Emitter,
-    ) {
+    fn parse_into_diag(&mut self, builder: &mut ChartBuilder, named: &mut bool, em: &mut Emitter) {
         while !matches!(self.peek().kind, TokenKind::Eof) {
             let before = self.pos;
-            if let Err(e) = self.item(builder, named, page, em) {
-                em.emit_parse(page_err(page, e));
+            if let Err(e) = self.item(builder, named, em) {
+                self.emit(em, e);
                 self.sync_toplevel(before);
             }
         }
@@ -230,7 +212,6 @@ impl Parser {
         &mut self,
         builder: &mut ChartBuilder,
         named: &mut bool,
-        page: usize,
         em: &mut Emitter,
     ) -> Result<(), ParseError> {
         match self.peek().kind.clone() {
@@ -263,15 +244,15 @@ impl Parser {
                 }
                 "basicstate" => {
                     self.bump();
-                    self.parse_state(builder, StateKind::Basic, page, em)
+                    self.parse_state(builder, StateKind::Basic, em)
                 }
                 "orstate" => {
                     self.bump();
-                    self.parse_state(builder, StateKind::Or, page, em)
+                    self.parse_state(builder, StateKind::Or, em)
                 }
                 "andstate" => {
                     self.bump();
-                    self.parse_state(builder, StateKind::And, page, em)
+                    self.parse_state(builder, StateKind::And, em)
                 }
                 other => {
                     Err(self.error(format!("expected a declaration keyword, found `{other}`")))
@@ -421,7 +402,6 @@ impl Parser {
         &mut self,
         builder: &mut ChartBuilder,
         kind: StateKind,
-        page: usize,
         em: &mut Emitter,
     ) -> Result<(), ParseError> {
         let name = self.expect_ident()?;
@@ -443,7 +423,7 @@ impl Parser {
             }
             let before = self.pos;
             if let Err(e) = self.state_item(&mut scope) {
-                em.emit_parse(page_err(page, e));
+                self.emit(em, e);
                 self.sync_state_item(before);
             }
         }
@@ -624,21 +604,32 @@ mod tests {
     fn error_positions_reported() {
         let src = "basicstate A {\n  transition { label \"X\"; }\n}";
         let err = parse_chart(src).unwrap_err();
-        assert_eq!(err.line, 2);
-        assert!(err.message.contains("target"));
+        assert_eq!(err.code, "SC101");
+        assert_eq!((err.span.start.line, err.span.start.column), (2, 3));
+        assert_eq!(err.message, "transition is missing `target`");
     }
 
     #[test]
     fn rejects_unknown_toplevel() {
         let err = parse_chart("frobnicate A;").unwrap_err();
-        assert!(err.message.contains("frobnicate"));
+        assert_eq!(err.code, "SC101");
+        assert_eq!(err.message, "expected a declaration keyword, found `frobnicate`");
     }
 
     #[test]
     fn rejects_bad_label() {
         let src = r#"basicstate A { transition { target B; label "E or"; } }"#;
         let err = parse_chart(src).unwrap_err();
-        assert!(err.message.contains("invalid label"));
+        assert_eq!(err.code, "SC101");
+        assert!(err.message.starts_with("invalid label: "), "{err}");
+    }
+
+    #[test]
+    fn structural_errors_surface_with_their_code() {
+        let err = parse_chart("orstate Root { contains A; default Zed; }").unwrap_err();
+        assert_eq!(err.code, "SC201");
+        assert_eq!(err.message, "unknown state `Zed`");
+        assert!(!err.span.is_known());
     }
 
     #[test]

@@ -1,52 +1,19 @@
-//! Static well-formedness checks run by [`crate::ChartBuilder::build`]
-//! and available separately for deserialised charts.
+//! Static well-formedness checks run by [`crate::ChartBuilder::build`],
+//! and the non-fatal lint pass.
 
 use crate::error::ChartError;
 use crate::model::{Chart, StateKind};
 use crate::trigger::Expr;
 
-/// Validates structural invariants and name resolution of a chart.
-///
-/// Checks performed:
+/// Checks structural invariants and name resolution of a built chart,
+/// reporting every violation through `em`:
 ///
 /// * every OR-state with children has a default that is one of them;
 /// * basic states have no children;
 /// * every trigger atom resolves to a declared event, and every guard atom
 ///   to a declared event or condition (guards such as `[DATA_VALID]` in
 ///   Fig. 6 test the *presence* of an event, so events are legal in
-///   guards);
-/// * action argument names are syntactically identifiers or literals.
-///
-/// # Errors
-///
-/// Returns the first violated invariant — exactly the first diagnostic
-/// [`validate_diag`] would accumulate on the same chart.
-pub fn validate(chart: &Chart) -> Result<(), ChartError> {
-    let mut sink = pscp_diag::DiagnosticSink::new();
-    let mut em = crate::diag::Emitter::new(&mut sink);
-    validate_into(chart, &mut em);
-    match em.take_first_chart() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-/// Validates with error recovery: every violated invariant (codes
-/// `SC2xx`) is accumulated into `sink`, and the lint pass appends its
-/// findings as warnings (`SC3xx`). Returns whether the chart is
-/// structurally valid (warnings don't count).
-pub fn validate_diag(chart: &Chart, sink: &mut pscp_diag::DiagnosticSink) -> bool {
-    let mut em = crate::diag::Emitter::new(sink);
-    validate_into(chart, &mut em);
-    let ok = em.errors() == 0;
-    for w in lint(chart) {
-        em.warn(&w);
-    }
-    ok
-}
-
-/// Recovering core of [`validate`]: reports every violation through
-/// `em` instead of stopping at the first.
+///   guards).
 pub(crate) fn validate_into(chart: &Chart, em: &mut crate::diag::Emitter) {
     for s in chart.states() {
         match s.kind {

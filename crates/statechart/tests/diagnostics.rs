@@ -1,20 +1,15 @@
-//! The recovering chart frontend against its legacy fail-fast face.
-//!
-//! Differential pin: on every error-path input, the legacy
-//! `parse_chart` error must equal the *first* diagnostic the
-//! recovering `parse_chart_diag` accumulates on the same source — the
-//! adapters are thin shims, and these tests keep them honest.
-//! Property side: randomly mutilated sources must never panic either
-//! entry point, a failed parse always yields at least one error
-//! diagnostic, and the finished report is deterministic and
-//! canonically sorted.
+//! The recovering chart frontend: every error fixture is diagnosed,
+//! recovery reports more than the first error, randomly mutilated
+//! sources never panic, a failed parse always yields at least one error
+//! diagnostic, and the finished report is deterministic and canonically
+//! sorted.
 
 use proptest::prelude::*;
 use pscp_diag::DiagnosticSink;
-use pscp_statechart::parse::{parse_chart, parse_chart_diag};
+use pscp_statechart::parse::{parse_chart, parse_chart_pages};
 
 /// Error-path inputs covering the syntax and structural failure
-/// classes the legacy tests exercise.
+/// classes.
 const ERROR_INPUTS: &[&str] = &[
     // Syntax: bad token, missing `;`, truncated declaration.
     "orstate Root { contains A; default A; } @@@",
@@ -35,26 +30,20 @@ const ERROR_INPUTS: &[&str] = &[
 ];
 
 #[test]
-fn legacy_error_is_the_first_accumulated_diagnostic() {
+fn every_error_fixture_is_diagnosed() {
     for src in ERROR_INPUTS {
-        let legacy = parse_chart(src).expect_err(&format!("fixture must fail: {src:?}"));
         let mut sink = DiagnosticSink::new();
-        let chart = parse_chart_diag(src, &mut sink);
-        assert!(chart.is_none(), "recovering parse must agree on failure: {src:?}");
-        let first = sink.first_error().expect("failed parse carries a diagnostic").clone();
-        assert_eq!(
-            first.message, legacy.message,
-            "first diagnostic differs from legacy error on {src:?}"
-        );
-        assert_eq!(first.span.start.line, legacy.line, "line differs on {src:?}");
-        assert_eq!(first.span.start.column, legacy.column, "column differs on {src:?}");
+        assert!(parse_chart_pages(&[src], &mut sink).is_none(), "fixture must fail: {src:?}");
+        assert!(sink.has_errors(), "failed parse carries an error: {src:?}");
+        let err = parse_chart(src).expect_err(&format!("fail-fast view must fail: {src:?}"));
+        assert!(err.code.starts_with("SC1") || err.code.starts_with("SC2"), "{err}");
     }
 }
 
 #[test]
-fn recovery_reports_more_than_the_legacy_first_error() {
-    // Three independent syntax errors in one source: fail-fast sees
-    // one, the recovering parse reports all three.
+fn recovery_reports_every_syntax_error() {
+    // Three independent syntax errors in one source: the recovering
+    // parse reports all three.
     let src = "\
         event TICK period 100;\n\
         orstate Root { contains A, B; default A; }\n\
@@ -62,16 +51,13 @@ fn recovery_reports_more_than_the_legacy_first_error() {
         basicstate B { transition { target A; lbael \"TICK\"; } }\n\
         orstate Spare { contains ; }\n";
     let mut sink = DiagnosticSink::new();
-    assert!(parse_chart_diag(src, &mut sink).is_none());
+    assert!(parse_chart_pages(&[src], &mut sink).is_none());
     assert!(
         sink.error_count() >= 3,
         "expected >= 3 recovered errors, got {}: {:?}",
         sink.error_count(),
         sink.emitted()
     );
-    // And the fail-fast adapter still returns exactly the first.
-    let legacy = parse_chart(src).unwrap_err();
-    assert_eq!(sink.first_error().unwrap().message, legacy.message);
 }
 
 fn chart_soup() -> impl Strategy<Value = String> {
@@ -113,25 +99,12 @@ proptest! {
 
     #[test]
     fn mutilated_sources_never_panic_and_always_diagnose(src in chart_soup()) {
-        let legacy = parse_chart(&src);
         let mut sink = DiagnosticSink::new();
-        let recovered = parse_chart_diag(&src, &mut sink);
+        let recovered = parse_chart_pages(&[&src], &mut sink);
 
-        // The two entry points agree on success vs failure.
-        prop_assert_eq!(legacy.is_ok(), recovered.is_some());
-
-        match legacy {
-            Ok(_) => prop_assert!(!sink.has_errors()),
-            Err(e) => {
-                // A failed parse always yields >= 1 error diagnostic,
-                // and the first equals the legacy error.
-                prop_assert!(sink.error_count() >= 1);
-                let first = sink.first_error().unwrap();
-                prop_assert_eq!(&first.message, &e.message);
-                prop_assert_eq!(first.span.start.line, e.line);
-                prop_assert_eq!(first.span.start.column, e.column);
-            }
-        }
+        // A failed parse always yields >= 1 error diagnostic, and a
+        // successful one none.
+        prop_assert_eq!(recovered.is_none(), sink.has_errors());
 
         // Deterministic, canonically sorted report.
         let report = sink.finish();
@@ -140,15 +113,14 @@ proptest! {
         prop_assert_eq!(&report, &resorted);
 
         let mut sink2 = DiagnosticSink::new();
-        let _ = parse_chart_diag(&src, &mut sink2);
+        let _ = parse_chart_pages(&[&src], &mut sink2);
         prop_assert_eq!(report, sink2.finish());
     }
 
     #[test]
     fn raw_bytes_never_panic(src in ".{0,160}") {
         let mut sink = DiagnosticSink::new();
-        let _ = parse_chart_diag(&src, &mut sink);
-        if parse_chart(&src).is_err() {
+        if parse_chart_pages(&[&src], &mut sink).is_none() {
             prop_assert!(sink.error_count() >= 1);
         }
     }

@@ -79,11 +79,13 @@ mod tests {
     use super::*;
     use crate::arch::TepArch;
     use crate::codegen::{compile_program, CodegenOptions};
+    use pscp_action_lang::ProgramEnv;
 
     #[test]
     fn listing_contains_all_routines() {
-        let ir = pscp_action_lang::compile(
+        let ir = pscp_action_lang::compile_with_env(
             "int:16 g;\nint:16 f(int:16 a) { g = a * 2; return g; }",
+            &ProgramEnv::default(),
         )
         .unwrap();
         let p = compile_program(&ir, &TepArch::md16_unoptimized(), &CodegenOptions::default());

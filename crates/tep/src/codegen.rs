@@ -932,7 +932,8 @@ int:{w} __rems_{w}(int:{w} a, int:{w} b) {{
                 src.push_str(&unsigned_divmod_src(w));
             }
         }
-        Some(pscp_action_lang::compile(&src).expect("runtime library must compile"))
+        let env = pscp_action_lang::ProgramEnv::default();
+        Some(pscp_action_lang::compile_with_env(&src, &env).expect("runtime library must compile"))
     }
 }
 
@@ -1527,11 +1528,15 @@ pub fn peephole_asm(f: &mut AsmFunction) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pscp_action_lang::compile;
+    use pscp_action_lang::{compile_with_env, ProgramEnv};
 
     #[test]
     fn compiles_simple_function() {
-        let ir = compile("int:16 add(int:16 a, int:16 b) { return a + b; }").unwrap();
+        let ir = compile_with_env(
+            "int:16 add(int:16 a, int:16 b) { return a + b; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let p = compile_program(&ir, &TepArch::md16_unoptimized(), &CodegenOptions::default());
         let f = &p.functions[p.function_index("add").unwrap() as usize];
         assert!(f.code.iter().any(|i| matches!(i.instr, Instr::Alu(AluOp::Add))));
@@ -1540,7 +1545,11 @@ mod tests {
 
     #[test]
     fn muldiv_expands_on_minimal_arch() {
-        let ir = compile("int:16 f(int:16 a, int:16 b) { return a * b / 3; }").unwrap();
+        let ir = compile_with_env(
+            "int:16 f(int:16 a, int:16 b) { return a * b / 3; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let minimal = compile_program(&ir, &TepArch::minimal(), &CodegenOptions::default());
         assert!(minimal.function_index("__mulu_16").is_some());
         assert!(minimal.function_index("__divs_16").is_some());
@@ -1556,7 +1565,11 @@ mod tests {
 
     #[test]
     fn runtime_loop_bounds_recorded() {
-        let ir = compile("uint:8 f(uint:8 a) { return a * 3; }").unwrap();
+        let ir = compile_with_env(
+            "uint:8 f(uint:8 a) { return a * 3; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let p = compile_program(&ir, &TepArch::minimal(), &CodegenOptions::default());
         let rt = &p.functions[p.function_index("__mulu_8").unwrap() as usize];
         assert_eq!(rt.loop_bound, Some(8));
@@ -1564,7 +1577,11 @@ mod tests {
 
     #[test]
     fn globals_placed_by_class_and_promotion() {
-        let ir = compile("int:16 g;\nint:16 h;\nvoid f() { g = h + 1; }").unwrap();
+        let ir = compile_with_env(
+            "int:16 g;\nint:16 h;\nvoid f() { g = h + 1; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let ext = compile_program(&ir, &TepArch::md16_unoptimized(), &CodegenOptions::default());
         assert!(matches!(ext.globals[0].storage, Storage::External(_)));
 
@@ -1578,7 +1595,11 @@ mod tests {
 
     #[test]
     fn peephole_removes_store_load_pairs() {
-        let ir = compile("int:16 f(int:16 a) { int:16 x = a + 1; return x + 2; }").unwrap();
+        let ir = compile_with_env(
+            "int:16 f(int:16 a) { int:16 x = a + 1; return x + 2; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let unopt =
             compile_program(&ir, &TepArch::md16_unoptimized(), &CodegenOptions::default());
         let opt = compile_program(&ir, &TepArch::md16_optimized(), &CodegenOptions::default());
@@ -1596,7 +1617,7 @@ mod tests {
                 return s;
             }
         "#;
-        let ir = compile(src).unwrap();
+        let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         for arch in [TepArch::md16_optimized(), TepArch::md16_unoptimized(), TepArch::minimal()]
         {
             let p = compile_program(&ir, &arch, &CodegenOptions::default());
@@ -1621,7 +1642,7 @@ mod tests {
             int:16 f(int:16 a) { g = a * 3; return g + 1; }
             int:16 h(int:16 b) { return b - 2; }
         "#;
-        let ir = compile(src).unwrap();
+        let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let arch = TepArch::md16_optimized();
         let opts = CodegenOptions::default();
         let cache = CodegenCache::with_enabled(true);
@@ -1642,7 +1663,7 @@ mod tests {
             uint:1 f(int:16 a, int:16 b) { return a < b; }
             int:16 h(int:16 c) { return c + 7; }
         "#;
-        let ir = compile(src).unwrap();
+        let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut arch = TepArch::md16_optimized();
         let opts = CodegenOptions::default();
         let cache = CodegenCache::with_enabled(true);
@@ -1662,7 +1683,7 @@ mod tests {
             int:16 f(int:16 a) { g = a * g; return g; }
             uint:1 p(int:16 x) { return x < 0; }
         "#;
-        let ir = compile(src).unwrap();
+        let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let cache = CodegenCache::with_enabled(true);
         let base_arch = TepArch::md16_unoptimized();
         let prev = compile_program(&ir, &base_arch, &CodegenOptions::default());
@@ -1686,7 +1707,7 @@ mod tests {
     #[test]
     fn poisoned_entries_are_detected_and_recompiled() {
         let src = "int:16 f(int:16 a) { return a + 1; }\nint:16 h(int:16 b) { return b * 2; }";
-        let ir = compile(src).unwrap();
+        let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let arch = TepArch::md16_optimized();
         let opts = CodegenOptions::default();
         let cache = CodegenCache::with_enabled(true);
@@ -1707,7 +1728,11 @@ mod tests {
 
     #[test]
     fn disabled_cache_never_stores() {
-        let ir = compile("int:16 f(int:16 a) { return a + 1; }").unwrap();
+        let ir = compile_with_env(
+            "int:16 f(int:16 a) { return a + 1; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let cache = CodegenCache::with_enabled(false);
         let arch = TepArch::md16_optimized();
         let got = compile_program_cached(&ir, &arch, &CodegenOptions::default(), &cache);
@@ -1718,7 +1743,11 @@ mod tests {
 
     #[test]
     fn comparator_less_arch_avoids_cmp() {
-        let ir = compile("uint:1 f(int:8 a, int:8 b) { return a < b; }").unwrap();
+        let ir = compile_with_env(
+            "uint:1 f(int:8 a, int:8 b) { return a < b; }",
+            &ProgramEnv::default(),
+        )
+        .unwrap();
         let p = compile_program(&ir, &TepArch::minimal(), &CodegenOptions::default());
         let f = &p.functions[p.function_index("f").unwrap() as usize];
         assert!(!f.code.iter().any(|i| matches!(i.instr, Instr::Cmp { .. })));

@@ -561,9 +561,10 @@ mod tests {
     use crate::arch::TepArch;
     use crate::codegen::{compile_program, CodegenOptions};
     use pscp_action_lang::interp::{Interp, RecordingHost};
+    use pscp_action_lang::ProgramEnv;
 
     fn machine_result(src: &str, func: &str, args: &[i64], arch: &TepArch) -> i64 {
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let p = compile_program(&ir, arch, &CodegenOptions::default());
         let mut m = TepMachine::new(&p);
         let mut h = RecordingHost::new();
@@ -571,7 +572,7 @@ mod tests {
     }
 
     fn interp_result(src: &str, func: &str, args: &[i64]) -> i64 {
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut i = Interp::new(&ir);
         let mut h = RecordingHost::new();
         i.call(func, args, &mut h).unwrap().unwrap_or(0)
@@ -584,7 +585,7 @@ mod tests {
             int:16 scratch;
             void Bump(int:16 n) { scratch = scratch + n; total = total + scratch; }
         "#;
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let p = compile_program(&ir, &TepArch::md16_optimized(), &CodegenOptions::default());
         let mut m = TepMachine::new(&p);
         let mut h = RecordingHost::new();
@@ -614,7 +615,7 @@ mod tests {
             void Bump(int:16 n) { total = total + n; }
             void Nothing() { }
         "#;
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let p = compile_program(&ir, &TepArch::md16_optimized(), &CodegenOptions::default());
         let mut h = RecordingHost::new();
         let mut m = TepMachine::new(&p);
@@ -742,7 +743,7 @@ mod tests {
             int:16 total = 10;
             void add(int:16 n) { total = total + n; DONE = total > 20; }
         "#;
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         for arch in [TepArch::minimal(), TepArch::md16_optimized()] {
             let p = compile_program(&ir, &arch, &CodegenOptions::default());
             let mut m = TepMachine::new(&p);
@@ -767,7 +768,7 @@ mod tests {
             port Out : 16 @ 2 out;
             void pump() { Out = In * 3 + 1; }
         "#;
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         for arch in [TepArch::minimal(), TepArch::md16_unoptimized()] {
             let p = compile_program(&ir, &arch, &CodegenOptions::default());
             let mut m = TepMachine::new(&p);
@@ -781,7 +782,7 @@ mod tests {
     #[test]
     fn minimal_arch_is_much_slower_on_muldiv() {
         let src = "int:16 f(int:16 a, int:16 b) { return a * b / (b + 1); }";
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
 
         let run = |arch: &TepArch| {
             let p = compile_program(&ir, arch, &CodegenOptions::default());
@@ -801,7 +802,7 @@ mod tests {
     #[test]
     fn optimized_code_uses_fewer_cycles() {
         let src = "int:16 f(int:16 a) { int:16 x = a + 1; int:16 y = x * 2; return y - a; }";
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let run = |arch: &TepArch| {
             let p = compile_program(&ir, arch, &CodegenOptions::default());
             let mut m = TepMachine::new(&p);
@@ -824,7 +825,7 @@ mod tests {
     #[test]
     fn cycle_limit_enforced() {
         let src = "void f() { while (1) { } }";
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let p = compile_program(&ir, &TepArch::md16_optimized(), &CodegenOptions::default());
         let mut m = TepMachine::new(&p).with_cycle_limit(10_000);
         let mut h = RecordingHost::new();

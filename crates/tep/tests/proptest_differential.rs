@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 use pscp_action_lang::interp::{Interp, RecordingHost};
+use pscp_action_lang::ProgramEnv;
 use pscp_tep::codegen::{compile_program, CodegenOptions};
 use pscp_tep::machine::TepMachine;
 use pscp_tep::{TepArch, WcetAnalysis};
@@ -89,7 +90,7 @@ proptest! {
     #[test]
     fn machine_matches_interpreter(e in expr(), a in -100i64..100, b in -100i64..100) {
         let src = format!("int:16 f(int:16 a, int:16 b) {{ return {}; }}", e.to_src());
-        let ir = match pscp_action_lang::compile(&src) {
+        let ir = match pscp_action_lang::compile_with_env(&src, &ProgramEnv::default()) {
             Ok(ir) => ir,
             Err(err) => return Err(TestCaseError::fail(format!("compile: {err}\n{src}"))),
         };
@@ -120,7 +121,10 @@ proptest! {
     #[test]
     fn wcet_bounds_measured_cycles(e in expr(), a in -50i64..50, b in -50i64..50) {
         let src = format!("int:16 f(int:16 a, int:16 b) {{ return {}; }}", e.to_src());
-        let Ok(ir) = pscp_action_lang::compile(&src) else { return Ok(()) };
+        let Ok(ir) = pscp_action_lang::compile_with_env(
+            &src,
+            &ProgramEnv::default(),
+        ) else { return Ok(()) };
         for arch in archs() {
             let p = compile_program(&ir, &arch, &CodegenOptions::default());
             let report = WcetAnalysis::new(&arch).analyze(&p);
@@ -152,7 +156,7 @@ proptest! {
                 OVER = peak > 75;
             }
         "#;
-        let ir = pscp_action_lang::compile(src).unwrap();
+        let ir = pscp_action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
         let mut interp = Interp::new(&ir);
         let mut hi = RecordingHost::new();
         for &v in &vals {

@@ -91,10 +91,9 @@ cargo test --release --offline --manifest-path pscp-benchmark/Cargo.toml -q
 cargo test --release -p pscp-core --test compile_incremental -q
 
 # The diagnostics suites are the recovering frontends' spec: every
-# phase's findings land in one report, the legacy fail-fast adapters
-# return exactly the first accumulated diagnostic, mutilated sources
-# never panic, and a server's Diagnostics reply is byte-identical to
-# the in-process report.
+# phase's findings land in one report, every error fixture is
+# diagnosed, mutilated sources never panic, and a server's Diagnostics
+# reply is byte-identical to the in-process report.
 cargo test --release -p pscp-statechart --test diagnostics -q
 cargo test --release -p pscp-action-lang --test diagnostics -q
 cargo test --release -p pscp-core --test diagnostics -q

@@ -2,8 +2,17 @@
 //! references the motion page by name, exactly like Fig. 6 references
 //! Fig. 5 via `@MoveX` / `@MoveY` / `@MOVE_PHI`.
 
+use pscp::core::diag::{Diagnostic, DiagnosticSink};
 use pscp::statechart::parse::{parse_chart, parse_chart_pages};
 use pscp::statechart::semantics::{ActionEffects, Executor};
+use pscp::statechart::Chart;
+
+/// Parses `pages` into one chart, failing with the first error.
+fn parse_pages(pages: &[&str]) -> Result<Chart, Diagnostic> {
+    let mut sink = DiagnosticSink::new();
+    let chart = parse_chart_pages(pages, &mut sink);
+    sink.into_result(chart)
+}
 
 const TOP_PAGE: &str = r#"
     chart TwoPage;
@@ -39,7 +48,7 @@ const MOTION_PAGE: &str = r#"
 
 #[test]
 fn pages_compose_into_one_chart() {
-    let chart = parse_chart_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
+    let chart = parse_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
     assert_eq!(chart.name(), "TwoPage");
     // Page-2 states are children of the page-2 Motion definition...
     let motion = chart.state_by_name("Motion").unwrap();
@@ -54,7 +63,7 @@ fn pages_compose_into_one_chart() {
 
 #[test]
 fn composed_chart_executes_across_pages() {
-    let chart = parse_chart_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
+    let chart = parse_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
     let mut e = Executor::new(&chart);
     let no_fx = |_: &pscp::statechart::model::ActionCall| ActionEffects::default();
     e.step_named(["GO"], no_fx);
@@ -67,8 +76,13 @@ fn composed_chart_executes_across_pages() {
 
 #[test]
 fn page_errors_carry_page_index() {
-    let err = parse_chart_pages(&[TOP_PAGE, "orstate X {"]).unwrap_err();
-    assert!(err.message.contains("page 1"), "{err}");
+    let err = parse_pages(&[TOP_PAGE, "orstate X {"]).unwrap_err();
+    assert_eq!(err.code, "SC101");
+    assert!(err.message.starts_with("page 1: "), "{err}");
+    // A single page has no index to name.
+    let err = parse_chart("orstate X {").unwrap_err();
+    assert_eq!(err.code, "SC101");
+    assert!(!err.message.starts_with("page"), "{err}");
 }
 
 #[test]
@@ -78,14 +92,14 @@ fn pickup_head_splits_into_fig6_and_fig5_pages() {
     let src = pscp::motors::PICKUP_HEAD_SOURCE;
     let cut = src.find("orstate ReachPosition").expect("motion region present");
     let (top_page, motion_page) = src.split_at(cut);
-    let composed = parse_chart_pages(&[top_page, motion_page]).unwrap();
+    let composed = parse_pages(&[top_page, motion_page]).unwrap();
     assert_eq!(composed, pscp::motors::pickup_head_chart());
 }
 
 #[test]
 fn single_page_behaviour_unchanged() {
     let single = format!("{TOP_PAGE}\n{MOTION_PAGE}");
-    let via_pages = parse_chart_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
+    let via_pages = parse_pages(&[TOP_PAGE, MOTION_PAGE]).unwrap();
     let via_concat = parse_chart(&single).unwrap();
     assert_eq!(via_pages, via_concat);
 }

@@ -4,6 +4,7 @@
 //! the M/D calculation unit, and finally the second TEP — and end with
 //! every Table 2 constraint met on a design that fits the XC4025.
 
+use pscp::action_lang::ProgramEnv;
 use pscp::core::arch::PscpArch;
 use pscp::core::area::pscp_area;
 use pscp::core::compile::chart_env;
@@ -107,7 +108,7 @@ fn shrink_phase_removes_unnecessary_hardware() {
     let chart = b.build().unwrap();
     let src = "int:16 g;
 void F() { g = g + 3; }";
-    let ir = pscp::action_lang::compile(src).unwrap();
+    let ir = pscp::action_lang::compile_with_env(src, &ProgramEnv::default()).unwrap();
 
     let result = optimize(
         &chart,
