@@ -367,14 +367,21 @@ pub const GANG_PROBES: usize = 8;
 /// rotor carries a counting action so the TEP path is still exercised
 /// on firing cycles.
 pub fn gang_chart() -> Chart {
+    gang_chart_with(GANG_REGIONS)
+}
+
+/// [`gang_chart`] with `regions` rotors instead of [`GANG_REGIONS`]:
+/// `regions × 35` transitions, for scaling measurements. The probe
+/// events stay [`GANG_PROBES`]; only the `E{r}` region events grow.
+pub fn gang_chart_with(regions: usize) -> Chart {
     let mut b = ChartBuilder::new("gangload");
-    for r in 0..GANG_REGIONS {
+    for r in 0..regions {
         b.event(format!("E{r}"), None);
     }
     for p in 0..GANG_PROBES {
         b.event(format!("P{p}"), None);
     }
-    let regions: Vec<String> = (0..GANG_REGIONS).map(|r| format!("R{r}")).collect();
+    let regions: Vec<String> = (0..regions).map(|r| format!("R{r}")).collect();
     b.state("Top", StateKind::Or).contains(["Run"]).default_child("Run");
     b.state("Run", StateKind::And).contains(regions.clone());
     for (r, region) in regions.iter().enumerate() {

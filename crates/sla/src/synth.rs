@@ -21,6 +21,7 @@
 
 use crate::net::{LogicNet, NodeId};
 use pscp_statechart::encoding::CrLayout;
+use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
 use pscp_statechart::trigger::Expr;
 use pscp_statechart::{Chart, StateId, StateKind, TransitionId};
 use std::collections::BTreeMap;
@@ -84,104 +85,138 @@ impl SlaSynthesis {
 }
 
 /// Synthesises the SLA for a chart and CR layout.
+///
+/// Cost grows with the emitted network, not with the square of the
+/// transition count: each transition's scope is computed once,
+/// conflict is decided once per pair of distinct scopes, and a
+/// transition's inhibition chain visits only the earlier-placed
+/// transitions it actually conflicts with (DESIGN.md, "SLA synthesis
+/// cost").
 pub fn synthesize(chart: &Chart, layout: &CrLayout) -> SlaSynthesis {
     let mut net = LogicNet::new();
-    // Make every CR bit an input up front, in order.
-    for bit in 0..layout.width() {
-        net.input(cr_input_name(bit));
-    }
+    // Make every CR bit an input up front, in order; everything below
+    // indexes these instead of looking inputs up by name.
+    let cr: Vec<NodeId> = (0..layout.width()).map(|bit| net.input(cr_input_name(bit))).collect();
 
-    let atom_bit = |chart: &Chart, layout: &CrLayout, atom: &str| -> Option<u32> {
-        if let Some(e) = chart.event_by_name(atom) {
-            Some(layout.event_bit(e))
-        } else {
-            chart.condition_by_name(atom).map(|c| layout.condition_bit(c))
-        }
+    let events = EventNamesRef::new(chart);
+    let conditions = ConditionNamesRef::new(chart);
+    let atom_node = |atom: &str| -> NodeId {
+        let bit = match events.get(atom) {
+            Some(e) => layout.event_bit(e),
+            None => layout.condition_bit(conditions.get(atom).expect("validated atom")),
+        };
+        cr[bit as usize]
     };
 
     // enable_t for every transition.
     let mut enable: Vec<NodeId> = Vec::with_capacity(chart.transition_count());
-    for tid in chart.transition_ids() {
-        let t = chart.transition(tid);
+    for t in chart.transitions() {
         let mut conj: Vec<NodeId> = Vec::new();
         // Source activity literals.
         for (bit, val) in layout.activity_literals(chart, t.source) {
-            let inp = net.input(cr_input_name(bit));
+            let inp = cr[bit as usize];
             let lit = if val { inp } else { net.not(inp) };
             conj.push(lit);
         }
         // Trigger and guard as SOP over CR bits.
         for expr in [&t.trigger, &t.guard].into_iter().flatten() {
-            let node = expr_to_net(expr, &mut net, &|a| {
-                atom_bit(chart, layout, a).expect("validated atom")
-            });
-            conj.push(node);
+            conj.push(expr_to_net(expr, &mut net, &atom_node));
         }
         enable.push(net.and(conj));
     }
 
-    // Priority order identical to the executor: scope depth, then index.
-    let mut order: Vec<usize> = (0..chart.transition_count()).collect();
-    order.sort_by_key(|&i| {
-        let t = chart.transition(TransitionId::from_index(i));
-        (chart.depth(chart.transition_scope(t.source, t.target)), i)
-    });
+    // Each transition's scope, once, grouped into scope classes.
+    let scopes: Vec<StateId> =
+        chart.transitions().map(|t| chart.transition_scope(t.source, t.target)).collect();
+    let mut class_of_state: Vec<u32> = vec![u32::MAX; chart.state_count()];
+    let mut class_scopes: Vec<StateId> = Vec::new();
+    let class: Vec<usize> = scopes
+        .iter()
+        .map(|&s| {
+            let slot = &mut class_of_state[s.index()];
+            if *slot == u32::MAX {
+                *slot = class_scopes.len() as u32;
+                class_scopes.push(s);
+            }
+            *slot as usize
+        })
+        .collect();
 
-    // fire_t with inhibition by prior conflicting fires.
-    let mut fire: Vec<NodeId> = vec![NodeId(0); chart.transition_count()];
-    let mut placed: Vec<usize> = Vec::new();
-    for &i in &order {
-        let ti = TransitionId::from_index(i);
-        let t = chart.transition(ti);
-        let scope_i = chart.transition_scope(t.source, t.target);
-        let mut conj = vec![enable[i]];
-        for &h in &placed {
-            let th = chart.transition(TransitionId::from_index(h));
-            let scope_h = chart.transition_scope(th.source, th.target);
-            if !chart.orthogonal(scope_i, scope_h) {
-                let inhib = net.not(fire[h]);
-                conj.push(inhib);
+    // Priority order identical to the executor: scope depth, then index.
+    let class_depth: Vec<usize> = class_scopes.iter().map(|&s| chart.depth(s)).collect();
+    let mut order: Vec<usize> = (0..chart.transition_count()).collect();
+    order.sort_by_key(|&i| (class_depth[class[i]], i));
+
+    // Class-pair conflict: two scopes conflict unless orthogonal (the
+    // same scope, nested scopes, and exclusive scopes under an OR-state
+    // all conflict). One `orthogonal` query per pair of distinct scopes.
+    let k = class_scopes.len();
+    let mut conflicts: Vec<Vec<usize>> = (0..k).map(|c| vec![c]).collect();
+    for a in 0..k {
+        for b in a + 1..k {
+            if !chart.orthogonal(class_scopes[a], class_scopes[b]) {
+                conflicts[a].push(b);
+                conflicts[b].push(a);
             }
         }
+    }
+
+    // fire_t with inhibition by prior conflicting fires. `inhibitors[c]`
+    // lists the placed transitions that conflict with class `c`, in
+    // placement order: `net.not` pushes a node per literal, so that
+    // order fixes every later `NodeId` (and so the BLIF/VHDL bytes).
+    let mut fire: Vec<NodeId> = vec![NodeId(0); chart.transition_count()];
+    let mut inhibitors: Vec<Vec<usize>> = vec![Vec::new(); k];
+    for &i in &order {
+        let mut conj = vec![enable[i]];
+        for &h in &inhibitors[class[i]] {
+            conj.push(net.not(fire[h]));
+        }
         fire[i] = net.and(conj);
-        placed.push(i);
+        for &c in &conflicts[class[i]] {
+            inhibitors[c].push(i);
+        }
     }
 
     // Next-state equations.
     let mut next_state_bits = BTreeMap::new();
     if layout.style() == pscp_statechart::encoding::EncodingStyle::Exclusivity {
-        // For each field, collect (transition, code) writers.
-        let mut writers: BTreeMap<usize, Vec<(usize, u32)>> = BTreeMap::new();
-        for tid in chart.transition_ids() {
-            let entered = static_entry_set_kinds(chart, tid);
-            for (fi, field) in layout.fields().iter().enumerate() {
-                let owner = chart.state(field.owner);
-                for (ci, &child) in owner.children.iter().enumerate() {
-                    let hit = entered.iter().find(|(s, _)| *s == child);
-                    if let Some(&(_, explicit)) = hit {
-                        // History fields only latch on explicit entries.
-                        if explicit || !owner.history {
-                            writers
-                                .entry(fi)
-                                .or_default()
-                                .push((tid.index(), field.codes[ci]));
-                        }
-                    }
+        // Each field's (transition, code) writers, in transition order,
+        // found by walking every entry set once through a child →
+        // (field, code index) map.
+        let mut field_of_child: Vec<Option<(usize, usize)>> = vec![None; chart.state_count()];
+        for (fi, field) in layout.fields().iter().enumerate() {
+            for (ci, &child) in chart.state(field.owner).children.iter().enumerate() {
+                field_of_child[child.index()] = Some((fi, ci));
+            }
+        }
+        let mut writers: Vec<Vec<(usize, u32)>> = vec![Vec::new(); layout.fields().len()];
+        for (t, &scope) in scopes.iter().enumerate() {
+            let entered = entry_set_kinds(chart, TransitionId::from_index(t), scope);
+            for (j, &(s, explicit)) in entered.iter().enumerate() {
+                // A state entered both ways sorts `false` first; only
+                // that first entry counts.
+                if j > 0 && entered[j - 1].0 == s {
+                    continue;
+                }
+                let Some((fi, ci)) = field_of_child[s.index()] else { continue };
+                let field = &layout.fields()[fi];
+                // History fields only latch on explicit entries.
+                if explicit || !chart.state(field.owner).history {
+                    writers[fi].push((t, field.codes[ci]));
                 }
             }
         }
-        for (fi, field) in layout.fields().iter().enumerate() {
-            let ws = writers.get(&fi).cloned().unwrap_or_default();
+        for (field, ws) in layout.fields().iter().zip(&writers) {
             // any_write = Σ fire_t over writers.
             let any_ops: Vec<NodeId> = ws.iter().map(|&(t, _)| fire[t]).collect();
             let any_write = net.or(any_ops);
             let not_any = net.not(any_write);
             for b in 0..field.width {
                 let bit = field.offset + b;
-                let cur = net.input(cr_input_name(bit));
-                let hold = net.and(vec![cur, not_any]);
+                let hold = net.and(vec![cr[bit as usize], not_any]);
                 let mut set_ops: Vec<NodeId> = Vec::new();
-                for &(t, code) in &ws {
+                for &(t, code) in ws {
                     if code & (1 << b) != 0 {
                         set_ops.push(fire[t]);
                     }
@@ -196,10 +231,8 @@ pub fn synthesize(chart: &Chart, layout: &CrLayout) -> SlaSynthesis {
         // clears every other bit inside its scope.
         let mut setters: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
         let mut touchers: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-        for tid in chart.transition_ids() {
-            let t = chart.transition(tid);
-            let scope = chart.transition_scope(t.source, t.target);
-            let entered = static_entry_set_kinds(chart, tid);
+        for (t, &scope) in scopes.iter().enumerate() {
+            let entered = entry_set_kinds(chart, TransitionId::from_index(t), scope);
             let explicit_entry = |s: StateId| -> bool {
                 entered.iter().any(|&(x, e)| x == s && e)
             };
@@ -229,29 +262,28 @@ pub fn synthesize(chart: &Chart, layout: &CrLayout) -> SlaSynthesis {
                         })
                         .unwrap_or(false);
                     if explicit_entry(s) || sibling_explicit {
-                        touchers.entry(bit).or_default().push(tid.index());
+                        touchers.entry(bit).or_default().push(t);
                     }
                     if explicit_entry(s) {
-                        setters.entry(bit).or_default().push(tid.index());
+                        setters.entry(bit).or_default().push(t);
                     }
                 } else {
-                    touchers.entry(bit).or_default().push(tid.index());
+                    touchers.entry(bit).or_default().push(t);
                     if entry.is_some() {
-                        setters.entry(bit).or_default().push(tid.index());
+                        setters.entry(bit).or_default().push(t);
                     }
                 }
             }
         }
         for s in chart.state_ids() {
             if let Some(bit) = layout.onehot_bit(s) {
-                let cur = net.input(cr_input_name(bit));
                 let touch_ops: Vec<NodeId> = touchers
                     .get(&bit)
                     .map(|v| v.iter().map(|&t| fire[t]).collect())
                     .unwrap_or_default();
                 let any_touch = net.or(touch_ops);
                 let not_touch = net.not(any_touch);
-                let hold = net.and(vec![cur, not_touch]);
+                let hold = net.and(vec![cr[bit as usize], not_touch]);
                 let set_ops: Vec<NodeId> = setters
                     .get(&bit)
                     .map(|v| v.iter().map(|&t| fire[t]).collect())
@@ -279,14 +311,15 @@ pub fn synthesize(chart: &Chart, layout: &CrLayout) -> SlaSynthesis {
     SlaSynthesis { net, fire, enable, next_state_bits, table, cr_width: layout.width() }
 }
 
-/// Lowers a trigger/guard expression into the network via SOP.
-fn expr_to_net<F: Fn(&str) -> u32>(expr: &Expr, net: &mut LogicNet, bit_of: &F) -> NodeId {
+/// Lowers a trigger/guard expression into the network via SOP;
+/// `input_of` maps an atom to its CR-bit input.
+fn expr_to_net<F: Fn(&str) -> NodeId>(expr: &Expr, net: &mut LogicNet, input_of: &F) -> NodeId {
     let sop = expr.to_sop();
     let mut terms = Vec::with_capacity(sop.len());
     for term in sop {
         let mut lits = Vec::with_capacity(term.len());
         for (atom, negated) in term {
-            let inp = net.input(cr_input_name(bit_of(&atom)));
+            let inp = input_of(&atom);
             lits.push(if negated { net.not(inp) } else { inp });
         }
         terms.push(net.and(lits));
@@ -310,7 +343,12 @@ pub fn static_entry_set(chart: &Chart, tid: TransitionId) -> Vec<StateId> {
 /// completion (the retained value *is* the history).
 pub fn static_entry_set_kinds(chart: &Chart, tid: TransitionId) -> Vec<(StateId, bool)> {
     let t = chart.transition(tid);
-    let scope = chart.transition_scope(t.source, t.target);
+    entry_set_kinds(chart, tid, chart.transition_scope(t.source, t.target))
+}
+
+/// [`static_entry_set_kinds`] for a transition whose scope is known.
+fn entry_set_kinds(chart: &Chart, tid: TransitionId, scope: StateId) -> Vec<(StateId, bool)> {
+    let t = chart.transition(tid);
     let mut entered: Vec<(StateId, bool)> = Vec::new();
 
     let mut path: Vec<StateId> = Vec::new();

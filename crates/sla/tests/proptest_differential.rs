@@ -4,9 +4,16 @@
 //! transitions leave or enter a composite region rather than a leaf, so
 //! outer-first preemption across nested scopes and default/history
 //! re-entry are checked on random charts, not only on the pickup head.
+//!
+//! An inhibition oracle pins the priority chain itself: each `fire[t]`
+//! must be inhibited by exactly the earlier-placed transitions whose
+//! scope is not orthogonal to `t`'s, checked pair by pair on the random
+//! charts, the pickup head, the gang chart and a fixture whose scopes
+//! are exclusive siblings under an OR-state.
 
 use proptest::prelude::*;
 use pscp_motors::pickup_head_chart;
+use pscp_sla::net::{Node, NodeId};
 use pscp_sla::sim::SlaSim;
 use pscp_sla::synth::{synthesize, SlaSynthesis};
 use pscp_sla::CompiledNet;
@@ -132,6 +139,123 @@ fn pickup_head_parts() -> &'static (Chart, CrLayout, SlaSynthesis) {
     })
 }
 
+/// One inhibition literal of a `fire[t]` conjunction: `Neg(f)` is a
+/// pushed `¬f`; `Pos(x)` is what `¬fire[h]` folds to when `fire[h]` is
+/// itself `¬x`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Lit {
+    Pos(NodeId),
+    Neg(NodeId),
+}
+
+/// The inhibition literals `fire[t]` holds: its conjunction's operands
+/// other than `enable[t]`.
+fn inhibition_literals(sla: &SlaSynthesis, t: usize) -> Vec<Lit> {
+    let (fire, enable) = (sla.fire[t], sla.enable[t]);
+    if fire == enable {
+        return Vec::new();
+    }
+    let Node::And(ops) = sla.net.node(fire) else {
+        panic!("fire[{t}] is neither enable[{t}] nor a conjunction");
+    };
+    let mut lits: Vec<Lit> = ops
+        .iter()
+        .filter(|&&o| o != enable)
+        .map(|&o| match sla.net.node(o) {
+            Node::Not(x) => Lit::Neg(*x),
+            _ => Lit::Pos(o),
+        })
+        .collect();
+    lits.sort_unstable();
+    lits
+}
+
+/// The oracle: the pairwise rule, kept as a test-only copy. `fire[t]`
+/// is inhibited by every transition placed before it (in address-table
+/// order) whose scope is not orthogonal to `t`'s — same scope, nested
+/// scopes, or exclusive scopes under an OR-state — normalised the way
+/// `LogicNet::and` folds its operands.
+fn expected_literals(chart: &Chart, sla: &SlaSynthesis, t: usize) -> Vec<Lit> {
+    let scope = |i: usize| {
+        let tr = chart.transition(TransitionId::from_index(i));
+        chart.transition_scope(tr.source, tr.target)
+    };
+    let order: Vec<usize> = sla.table.entries.iter().map(|t| t.index()).collect();
+    let placed = order.iter().position(|&i| i == t).expect("t is in the table");
+    let mut lits: Vec<Lit> = order[..placed]
+        .iter()
+        .filter(|&&h| !chart.orthogonal(scope(t), scope(h)))
+        .map(|&h| match sla.net.node(sla.fire[h]) {
+            Node::Not(x) => Lit::Pos(*x),
+            _ => Lit::Neg(sla.fire[h]),
+        })
+        // `¬¬enable[t]` folds into `enable[t]` itself.
+        .filter(|&l| l != Lit::Pos(sla.enable[t]))
+        .collect();
+    lits.sort_unstable();
+    // Equal folded literals are one operand; every `¬f` is a fresh node.
+    lits.dedup_by(|a, b| a == b && matches!(a, Lit::Pos(_)));
+    lits
+}
+
+/// Checks every transition's inhibition literals against the oracle,
+/// under both encodings.
+fn check_inhibition(chart: &Chart) -> Result<(), TestCaseError> {
+    for style in [EncodingStyle::Exclusivity, EncodingStyle::OneHot] {
+        let sla = synthesize(chart, &CrLayout::new(chart, style));
+        for t in 0..chart.transition_count() {
+            prop_assert_eq!(
+                inhibition_literals(&sla, t),
+                expected_literals(chart, &sla, t),
+                "inhibitors of T{} ({:?})", t, style
+            );
+        }
+    }
+    Ok(())
+}
+
+/// An OR root holding two OR-states, each with an internal ring, plus a
+/// transition across them. The ring scopes `A` and `B` are exclusive
+/// siblings: not orthogonal, yet neither contains the other, so a rule
+/// that only looks at a scope's ancestors and descendants would drop
+/// the inhibition between the rings.
+fn exclusive_scopes_chart() -> Chart {
+    let mut b = ChartBuilder::new("exclusive");
+    b.event("E", None);
+    b.event("F", None);
+    b.state("Top", StateKind::Or).contains(["A", "B"]).default_child("A");
+    b.state("A", StateKind::Or).contains(["A0", "A1", "A2"]).default_child("A0");
+    b.state("B", StateKind::Or).contains(["B0", "B1"]).default_child("B0");
+    b.state("A0", StateKind::Basic).transition("A1", "E").transition("B1", "F");
+    b.state("A1", StateKind::Basic).transition("A2", "E");
+    b.state("A2", StateKind::Basic).transition("A0", "E or F");
+    b.state("B0", StateKind::Basic).transition("B1", "E");
+    b.state("B1", StateKind::Basic).transition("B0", "F");
+    b.build().unwrap()
+}
+
+#[test]
+fn inhibition_matches_pairwise_oracle_on_fixed_charts() {
+    let exclusive = exclusive_scopes_chart();
+    for chart in [pickup_head_chart(), pscp_bench::gang_chart(), exclusive.clone()] {
+        check_inhibition(&chart).unwrap_or_else(|e| panic!("{}: {e}", chart.name()));
+    }
+
+    // The fixture really exercises exclusive sibling scopes: some ring
+    // transition of B is inhibited by a ring transition of A.
+    let sla = synthesize(&exclusive, &CrLayout::new(&exclusive, EncodingStyle::Exclusivity));
+    let in_ring = |t: usize, region: &str| {
+        let tr = exclusive.transition(TransitionId::from_index(t));
+        exclusive.transition_scope(tr.source, tr.target) == exclusive.state_by_name(region).unwrap()
+    };
+    let crossed = (0..exclusive.transition_count()).filter(|&t| in_ring(t, "B")).any(|t| {
+        (0..exclusive.transition_count())
+            .filter(|&h| in_ring(h, "A"))
+            .any(|h| inhibition_literals(&sla, t).contains(&Lit::Neg(sla.fire[h])))
+    });
+    assert!(crossed, "no A-ring literal in a B-ring fire signal");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -228,6 +352,11 @@ proptest! {
             }
             check(&bits)?;
         }
+    }
+
+    #[test]
+    fn inhibition_matches_pairwise_oracle(s in spec()) {
+        check_inhibition(&build(&s))?;
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Structural queries over the state hierarchy.
 //!
 //! All queries are O(depth) or O(subtree) and walk the chart afresh on
-//! every call, some allocating — right for one-off passes (synthesis,
-//! encoding, timing analysis) over charts of tens to hundreds of
-//! states. The executor's per-cycle transition selection does not call
-//! them: [`SelectionTables`](crate::semantics::SelectionTables)
-//! precomputes scopes, preorder subtree spans and outgoing-transition
-//! ranges once per chart, and its tests pin them to these queries.
+//! every call. The ancestor queries ([`Chart::lca`],
+//! [`Chart::transition_scope`], [`Chart::orthogonal`]) allocate nothing;
+//! the subtree queries return a `Vec`. They serve one-off passes over a
+//! chart: SLA synthesis asks for each transition's scope once and for
+//! each pair of distinct scopes' orthogonality once, never per pair of
+//! transitions. The executor's per-cycle transition selection does not
+//! call them: [`SelectionTables`](crate::semantics::SelectionTables)
+//! stores each transition's scope and precomputes preorder subtree
+//! spans and outgoing-transition ranges once per chart, and its tests
+//! pin them to these queries.
 
 use crate::model::{Chart, StateId, StateKind};
 
@@ -36,27 +40,28 @@ impl Chart {
         a == b || self.is_ancestor(a, b)
     }
 
-    /// Least common ancestor of two states (may be one of them).
-    pub fn lca(&self, a: StateId, b: StateId) -> StateId {
-        if a == b {
-            return a;
+    /// Least common ancestor of two states (may be one of them): the
+    /// deeper state walks up to the other's depth, then both walk up in
+    /// step until they meet. O(depth), no allocation.
+    pub fn lca(&self, mut a: StateId, mut b: StateId) -> StateId {
+        let parent = |s: StateId| self.state(s).parent;
+        let (mut da, mut db) = (self.depth(a), self.depth(b));
+        while da > db {
+            a = parent(a).expect("a deeper state has a parent");
+            da -= 1;
         }
-        let mut seen: Vec<StateId> = self.ancestors_inclusive(a).collect();
-        seen.reverse(); // root first
-        let b_chain: Vec<StateId> = {
-            let mut v: Vec<StateId> = self.ancestors_inclusive(b).collect();
-            v.reverse();
-            v
-        };
-        let mut last = self.root();
-        for (x, y) in seen.iter().zip(b_chain.iter()) {
-            if x == y {
-                last = *x;
-            } else {
-                break;
+        while db > da {
+            b = parent(b).expect("a deeper state has a parent");
+            db -= 1;
+        }
+        while a != b {
+            match (parent(a), parent(b)) {
+                (Some(pa), Some(pb)) => (a, b) = (pa, pb),
+                // Separate trees: fall back to the root.
+                _ => return self.root(),
             }
         }
-        last
+        a
     }
 
     /// The *scope* of a transition from `src` to `dst`: the innermost

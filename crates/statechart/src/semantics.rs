@@ -213,7 +213,7 @@ impl SelectionTables {
             .transition_ids()
             .map(|tid| {
                 let t = chart.transition(tid);
-                let scope = scope_of(chart, &depth, t.source, t.target);
+                let scope = chart.transition_scope(t.source, t.target);
                 ResolvedTransition {
                     trigger: t.trigger.as_ref().map(|e| {
                         resolve_expr(&event_names, &condition_names, e, &mut arena)
@@ -306,41 +306,6 @@ impl SelectionTables {
             selected.push(tid);
         }
     }
-}
-
-/// [`Chart::transition_scope`] over precomputed depths: the least
-/// common ancestor by walking the deeper endpoint up first, then both
-/// in step — no allocation — widened exactly as the chart query does.
-fn scope_of(chart: &Chart, depth: &[u32], src: StateId, dst: StateId) -> StateId {
-    let parent = |s: StateId| chart.state(s).parent;
-    let (mut a, mut b) = (src, dst);
-    while depth[a.index()] > depth[b.index()] {
-        a = parent(a).expect("a deeper state has a parent");
-    }
-    while depth[b.index()] > depth[a.index()] {
-        b = parent(b).expect("a deeper state has a parent");
-    }
-    while a != b {
-        match (parent(a), parent(b)) {
-            (Some(pa), Some(pb)) => (a, b) = (pa, pb),
-            // Separate trees: the chart query falls back to the root.
-            _ => {
-                a = chart.root();
-                break;
-            }
-        }
-    }
-    let mut scope = a;
-    while scope == src
-        || scope == dst
-        || chart.state(scope).kind == StateKind::And && scope != chart.root()
-    {
-        match parent(scope) {
-            Some(p) => scope = p,
-            None => break,
-        }
-    }
-    scope
 }
 
 /// A stable snapshot of which states are active.

@@ -73,11 +73,26 @@ cargo test --release -p pscp-bench --test dse_memo -q
 # under both encodings — on random charts whose transitions may leave
 # or enter composite regions, on history re-entry, and on the 560-
 # transition gang chart — and random walks must keep every
-# configuration consistent and conflict-free.
+# configuration consistent and conflict-free. `proptest_differential`
+# also holds the inhibition oracle: every fire signal's inhibitors are
+# exactly the earlier-placed transitions whose scope is not orthogonal
+# (a test-only copy of the pairwise rule), on random charts, the pickup
+# head, the gang chart and an exclusive-sibling-scope fixture.
 cargo test --release -p pscp-sla --test proptest_differential -q
 cargo test --release -p pscp-statechart --test proptest_semantics -q
 cargo test --release --test history_states -q
 cargo test --release -p pscp-bench --test selection_differential -q
+
+# The SLA golden suite is the emitted netlist's spec: the pickup head's
+# BLIF and VHDL text under both encodings, and the gang chart's netlist
+# digests, node and product-term counts, must stay byte-identical to
+# the recorded goldens — synthesis pushes nodes in a fixed order, and
+# that order is the bytes the hardware path consumes.
+cargo test --release -p pscp-bench --test sla_golden -q
+
+# SLA scaling smoke: synthesis on the gang chart at 70 to 2 240
+# transitions runs to completion and prints its table.
+cargo run --release -p pscp-bench --bin sla_scaling > /dev/null
 
 # The benchmark package sits outside the workspace, so nothing above
 # builds it; its tests keep it compiling against the crates' APIs and
