@@ -2,8 +2,9 @@
 //! unset (forced here via `set_flags(0)` so a polluted environment
 //! cannot flip the result), the PR-1 allocation-free steady state still
 //! holds with every obs hook compiled in. A counting global allocator
-//! measures the exact heap traffic of `PscpMachine::step` idle cycles
-//! and `CompiledNet::eval_into` and insists on zero.
+//! measures the exact heap traffic of `PscpMachine::step` idle cycles,
+//! `CompiledNet::eval_into` and the serve writer's per-write counters
+//! and insists on zero.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
 //! and any sibling test's allocations would race the counters.
@@ -101,5 +102,19 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
         eval_allocs, 0,
         "CompiledNet::eval_into allocated {eval_allocs} times over 1000 evals \
          with PSCP_OBS off"
+    );
+
+    // --- the serve writer's per-write counters ---
+    let before = allocs();
+    for conn in 0..100usize {
+        pscp_obs::metrics::SERVE_FRAMES_OUT.add(conn, 2);
+        pscp_obs::metrics::SERVE_WRITES.add(conn, 1);
+    }
+    let counter_allocs = allocs() - before;
+    assert_eq!(counter_allocs, 0, "serve write counters allocated with PSCP_OBS off");
+    assert_eq!(
+        pscp_obs::metrics::SERVE_WRITES.values(),
+        Vec::<u64>::new(),
+        "serve_writes counted with PSCP_OBS off"
     );
 }

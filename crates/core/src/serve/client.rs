@@ -19,9 +19,19 @@ use std::net::{TcpStream, ToSocketAddrs};
 /// shard pool is invisible to callers. Submitting past the granted
 /// credit window blocks (draining incoming frames) until the server
 /// returns a credit.
+///
+/// Submissions are coalesced: [`submit`](Self::submit) encodes into an
+/// outbox, and one socket write sends it — before the client next
+/// reads, ahead of any other frame it writes, when a submit takes the
+/// last credit, or on [`flush`](Self::flush). The outbox therefore
+/// never holds more than one credit window of submissions, and the
+/// bytes on the wire are the same as one write per frame. Dropping the
+/// client discards submissions it has not sent.
 #[derive(Debug)]
 pub struct ScenarioClient {
     stream: TcpStream,
+    /// Encoded frames not yet written.
+    outbox: Vec<u8>,
     cursor: wire::FrameCursor,
     max_frame: u32,
     /// Window granted by the server's Hello.
@@ -87,6 +97,7 @@ impl ScenarioClient {
         wire::write_frame(&mut stream, &Frame::Hello { window, fingerprint, features })?;
         let mut client = ScenarioClient {
             stream,
+            outbox: Vec::new(),
             cursor: wire::FrameCursor::new(),
             max_frame: DEFAULT_MAX_FRAME,
             window: 0,
@@ -127,6 +138,9 @@ impl ScenarioClient {
 
     /// Submits one scripted scenario; returns its sequence number.
     /// Blocks while no credits are available, draining incoming frames.
+    /// The frame waits in the outbox until the next send point (see
+    /// [`ScenarioClient`]); a submit that takes the last credit sends
+    /// at once.
     ///
     /// # Errors
     ///
@@ -145,8 +159,30 @@ impl ScenarioClient {
         self.credits -= 1;
         let seq = self.next_seq;
         self.next_seq += 1;
-        wire::write_frame(&mut self.stream, &Frame::Submit(Submit { seq, limits, script }))?;
+        self.outbox.extend(wire::encode_frame(&Frame::Submit(Submit { seq, limits, script })));
+        if self.credits == 0 {
+            self.flush()?;
+        }
         Ok(seq)
+    }
+
+    /// Writes every buffered submission to the socket in one write.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure.
+    pub fn flush(&mut self) -> Result<(), WireError> {
+        if !self.outbox.is_empty() {
+            self.stream.write_all(&self.outbox)?;
+            self.outbox.clear();
+        }
+        Ok(())
+    }
+
+    /// Sends `frame` behind any buffered submissions, in the same write.
+    fn send(&mut self, frame: &Frame) -> Result<(), WireError> {
+        self.outbox.extend(wire::encode_frame(frame));
+        self.flush()
     }
 
     /// Receives the next outcome **in submission order**, blocking
@@ -156,6 +192,7 @@ impl ScenarioClient {
     ///
     /// I/O failure, a malformed stream, or a typed remote error.
     pub fn recv(&mut self) -> Result<(u64, WireOutcome), WireError> {
+        self.flush()?;
         loop {
             if let Some(outcome) = self.pending.remove(&self.next_deliver) {
                 let seq = self.next_deliver;
@@ -206,10 +243,7 @@ impl ScenarioClient {
         chart: &str,
         actions: &str,
     ) -> Result<(u64, Vec<pscp_diag::Diagnostic>), WireError> {
-        wire::write_frame(
-            &mut self.stream,
-            &Frame::Compile { chart: chart.to_string(), actions: actions.to_string() },
-        )?;
+        self.send(&Frame::Compile { chart: chart.to_string(), actions: actions.to_string() })?;
         loop {
             match self.read_frame()? {
                 Frame::Diagnostics { fingerprint, diagnostics } => {
@@ -243,7 +277,7 @@ impl ScenarioClient {
     /// server running with `PSCP_SERVE_STATS=off` answers
     /// `UNEXPECTED_FRAME`).
     pub fn stats(&mut self) -> Result<(ServeGauges, MetricsSnapshot), WireError> {
-        wire::write_frame(&mut self.stream, &Frame::StatsRequest)?;
+        self.send(&Frame::StatsRequest)?;
         loop {
             match self.read_frame()? {
                 Frame::Stats { gauges, snapshot } => return Ok((gauges, snapshot)),
@@ -276,7 +310,7 @@ impl ScenarioClient {
     /// I/O failure, a malformed stream, a chunk-sequence violation, or
     /// a typed remote error.
     pub fn explore(&mut self, req: &ExploreRequest) -> Result<ExploreReport, WireError> {
-        wire::write_frame(&mut self.stream, &Frame::Explore(req.clone()))?;
+        self.send(&Frame::Explore(req.clone()))?;
         let mut bytes = Vec::new();
         let mut next_chunk = 0u32;
         loop {
@@ -327,13 +361,15 @@ impl ScenarioClient {
         }
     }
 
-    /// Blocking read of the next complete frame.
+    /// Blocking read of the next complete frame; buffered submissions
+    /// are sent first, so the reply they may be waiting for can come.
     fn read_frame(&mut self) -> Result<Frame, WireError> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(frame) = self.cursor.next_frame(self.max_frame)? {
                 return Ok(frame);
             }
+            self.flush()?;
             match self.stream.read(&mut chunk) {
                 Ok(0) => {
                     return Err(if self.cursor.buffered() == 0 {
@@ -349,13 +385,13 @@ impl ScenarioClient {
         }
     }
 
-    /// Sends raw bytes down the connection — test hook for corrupt
-    /// frame injection; not part of the protocol.
+    /// Sends raw bytes down the connection, behind any buffered
+    /// submissions — test hook for corrupt frame injection; not part of
+    /// the protocol.
     #[doc(hidden)]
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), WireError> {
-        self.stream.write_all(bytes)?;
-        self.stream.flush()?;
-        Ok(())
+        self.outbox.extend_from_slice(bytes);
+        self.flush()
     }
 
     /// Reads the next frame regardless of type — test hook for

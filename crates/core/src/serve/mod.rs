@@ -21,7 +21,7 @@
 //! | `PSCP_SERVE_ADDR`   | listen address for the server binary  | `127.0.0.1:7971`  |
 //! | `PSCP_SERVE_WINDOW` | max per-connection credit window      | `32`              |
 //! | `PSCP_THREADS`      | shard worker count (shared with pool) | available cores   |
-//! | `PSCP_GANG`         | per-worker gang width (shared with pool) | `64` (`auto`)  |
+//! | `PSCP_GANG`         | per-worker gang width (shared with pool) | pool `64`, serve `8` |
 //! | `PSCP_SERVE_STATS`  | telemetry scrapes (`off`/`0`/`false` disables) | on        |
 
 pub mod wire;
@@ -54,6 +54,7 @@ pub struct ServeOptions {
     /// scenarios into one bit-sliced gang when queue depth allows
     /// (clamped to `1..=64`; 1 is the scalar path). Outcomes stay
     /// byte-identical either way — the differential suite pins it.
+    /// Defaults to `PSCP_GANG` when set, otherwise [`SERVE_GANG`].
     pub gang: usize,
     /// Answer `StatsRequest` frames (the remote telemetry plane). On
     /// by default; `PSCP_SERVE_STATS=off` disables, after which a
@@ -67,18 +68,31 @@ impl Default for ServeOptions {
             threads: crate::pool::configured_threads(),
             max_window: DEFAULT_WINDOW,
             max_frame: DEFAULT_MAX_FRAME,
-            gang: crate::pool::configured_gang(),
+            gang: serve_gang_from(std::env::var("PSCP_GANG").ok().as_deref()),
             stats: true,
         }
     }
+}
+
+/// A serve worker's lane bound when `PSCP_GANG` is unset. A worker
+/// pops up to this many queued scenarios at once, and a client round
+/// arrives in one piece, so an unbounded worker would grow its gang rig
+/// to the round's width — resident machines the throughput does not
+/// repay (DESIGN.md "Write coalescing").
+pub const SERVE_GANG: usize = 8;
+
+/// Parses `PSCP_GANG` for the server: unset selects [`SERVE_GANG`];
+/// any set value means what it means to the pool
+/// ([`gang_from`](crate::pool::gang_from)).
+fn serve_gang_from(var: Option<&str>) -> usize {
+    var.map_or(SERVE_GANG, |v| crate::pool::gang_from(Some(v)))
 }
 
 impl ServeOptions {
     /// Defaults overridden by `PSCP_SERVE_WINDOW` and
     /// `PSCP_SERVE_STATS` (plus `PSCP_THREADS` via
     /// [`configured_threads`](crate::pool::configured_threads) and
-    /// `PSCP_GANG` via
-    /// [`configured_gang`](crate::pool::configured_gang)).
+    /// `PSCP_GANG`, read by [`Default`]).
     pub fn from_env() -> Self {
         let mut opts = Self::default();
         if let Ok(v) = std::env::var("PSCP_SERVE_WINDOW") {
@@ -175,6 +189,14 @@ mod tests {
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&deep));
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&shared.clone()));
         assert_ne!(system_fingerprint(&shared), system_fingerprint(&toggle_system(101)));
+    }
+
+    #[test]
+    fn serve_lane_bound_defaults_to_eight_unless_pscp_gang_is_set() {
+        assert_eq!(serve_gang_from(None), SERVE_GANG);
+        assert_eq!(serve_gang_from(Some("1")), 1);
+        assert_eq!(serve_gang_from(Some("64")), 64);
+        assert_eq!(serve_gang_from(Some("auto")), crate::pool::gang_from(Some("auto")));
     }
 
     #[test]

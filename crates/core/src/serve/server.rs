@@ -15,7 +15,15 @@
 //! submits past its window is cut off with a typed `Error` frame. A
 //! stalled client (slow to read) blocks only its own connection's
 //! writer thread — outcomes for other connections keep flowing, and
-//! the server buffers at most `W` outcomes for the stalled peer.
+//! the server buffers at most `W` outcomes for a stalled peer that
+//! keeps to its credits (`2W` for one that submits ahead of the credits
+//! it has read: the writer releases a batch's slots before its write).
+//!
+//! Every hop moves a batch, not a frame: the reader queues the
+//! submissions of one socket read under one lock, a worker hands a
+//! connection its outcomes of one gang batch with one wakeup, and the
+//! writer sends everything queued for its connection in one socket
+//! write. The bytes on the wire are those of one write per frame.
 
 use super::wire::{
     self, error_code, feature, ExploreRequest, Frame, OutcomeFrame, OutcomeLatency, ServeGauges,
@@ -30,7 +38,7 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Read timeout on connection sockets, so an idle reader re-checks the
@@ -57,6 +65,15 @@ struct Job {
     enqueued: Option<Instant>,
 }
 
+/// Locks a serve mutex, recovering it if a thread panicked while
+/// holding it. Every critical section here is a single `VecDeque` push,
+/// pop, swap or drain (or nothing at all, for the flow lock), which
+/// leaves no half-done state behind, so a poisoned lock still guards
+/// consistent data: recover it instead of failing every later caller.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The shared job queue all connections feed and all workers drain.
 struct Shared {
     queue: Mutex<VecDeque<Job>>,
@@ -73,58 +90,61 @@ impl Shared {
         }
     }
 
-    fn push(&self, job: Job) {
-        let mut q = self.queue.lock().unwrap();
-        q.push_back(job);
-        pscp_obs::metrics::SERVE_QUEUE_DEPTH.record(q.len() as u64);
+    /// Moves every staged job into the queue under one lock and wakes
+    /// one worker. A worker that leaves jobs behind wakes the next
+    /// (see [`pop_batch`](Self::pop_batch)), so a round wider than one
+    /// worker's lane bound still fans out across the pool.
+    fn push_all(&self, jobs: &mut Vec<Job>) {
+        if jobs.is_empty() {
+            return;
+        }
+        let mut q = lock(&self.queue);
+        for job in jobs.drain(..) {
+            q.push_back(job);
+            pscp_obs::metrics::SERVE_QUEUE_DEPTH.record(q.len() as u64);
+        }
         drop(q);
         self.ready.notify_one();
     }
 
-    /// Blocks for the next job; `None` once the queue is closed and
-    /// drained. Pure condvar wait — [`push`](Self::push) mutates the
-    /// queue and [`close`](Self::close) flips the flag under the same
-    /// lock, so a wakeup can never be missed and an idle worker costs
-    /// nothing until signalled.
-    fn pop(&self) -> Option<Job> {
-        let mut q = self.queue.lock().unwrap();
+    /// Blocks for the next job, then moves it and up to `max - 1` more
+    /// queued jobs into `out` without waiting for lanemates, so a gang
+    /// worker fills its lanes exactly when queue depth allows. Jobs left
+    /// queued wake another worker. Returns `false` once the queue is
+    /// closed and drained. Pure condvar wait — [`push_all`](Self::push_all)
+    /// mutates the queue and [`close`](Self::close) flips the flag under
+    /// the same lock, so a wakeup can never be missed and an idle worker
+    /// costs nothing until signalled.
+    fn pop_batch(&self, max: usize, out: &mut Vec<Job>) -> bool {
+        let mut q = lock(&self.queue);
         loop {
-            if let Some(job) = q.pop_front() {
-                return Some(job);
+            if !q.is_empty() {
+                let n = q.len().min(max.max(1));
+                out.extend(q.drain(..n));
+                let more = !q.is_empty();
+                drop(q);
+                if more {
+                    self.ready.notify_one();
+                }
+                return true;
             }
             if !self.open.load(Ordering::Acquire) {
-                return None;
+                return false;
             }
-            q = self.ready.wait(q).unwrap();
-        }
-    }
-
-    /// Non-blocking: moves up to `max` more queued jobs into `out`, so
-    /// a gang worker fills its lanes exactly when queue depth allows
-    /// and never waits for lanemates.
-    fn pop_extra(&self, max: usize, out: &mut Vec<Job>) {
-        if max == 0 {
-            return;
-        }
-        let mut q = self.queue.lock().unwrap();
-        for _ in 0..max {
-            match q.pop_front() {
-                Some(job) => out.push(job),
-                None => break,
-            }
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Jobs queued right now — the `queue_depth` gauge.
     fn depth(&self) -> usize {
-        self.queue.lock().unwrap().len()
+        lock(&self.queue).len()
     }
 
     fn close(&self) {
         // The flag must flip under the queue lock: a worker that just
         // found the queue empty holds the lock until its wait begins,
         // so this store+notify cannot slip into that gap and strand it.
-        let _q = self.queue.lock().unwrap();
+        let _q = lock(&self.queue);
         self.open.store(false, Ordering::Release);
         self.ready.notify_all();
     }
@@ -140,9 +160,9 @@ enum Msg {
     Frame(Vec<u8>),
     /// A fully encoded `Stats` reply. Like [`Msg::Frame`] it bypasses
     /// the credit window, but it is also **excluded** from
-    /// `SERVE_FRAMES_OUT` — a telemetry scrape must not perturb the
-    /// counters it reports, or a quiesced server could never be
-    /// byte-identical to an in-process snapshot.
+    /// `SERVE_FRAMES_OUT` and `SERVE_WRITES` — a telemetry scrape must
+    /// not perturb the counters it reports, or a quiesced server could
+    /// never be byte-identical to an in-process snapshot.
     Stats(Vec<u8>),
     /// A fatal error frame; the writer sends it and stops.
     Error { code: u16, message: String },
@@ -185,32 +205,41 @@ impl Conn {
     }
 
     fn push(&self, msg: Msg) {
+        self.push_all(std::iter::once(msg));
+    }
+
+    /// Queues messages for the writer, in order, under one lock and
+    /// with one wakeup.
+    fn push_all(&self, msgs: impl IntoIterator<Item = Msg>) {
         if self.dead.load(Ordering::Acquire) {
             return;
         }
-        self.outbound.lock().unwrap().push_back(msg);
+        lock(&self.outbound).extend(msgs);
         self.ready.notify_one();
     }
 
-    /// Blocks for the next outbound message. Pure condvar wait; the
-    /// queue mutates under the lock and [`kill`](Self::kill) flips the
-    /// dead flag under the same lock, so no wakeup is ever missed.
-    fn pop(&self) -> Option<Msg> {
-        let mut q = self.outbound.lock().unwrap();
+    /// Blocks until messages are queued, then swaps the whole queue
+    /// into the empty `batch`; `false` once the connection is dead and
+    /// nothing is left. Pure condvar wait; the queue mutates under the
+    /// lock and [`kill`](Self::kill) flips the dead flag under the same
+    /// lock, so no wakeup is ever missed.
+    fn take_all(&self, batch: &mut VecDeque<Msg>) -> bool {
+        let mut q = lock(&self.outbound);
         loop {
-            if let Some(msg) = q.pop_front() {
-                return Some(msg);
+            if !q.is_empty() {
+                std::mem::swap(&mut *q, batch);
+                return true;
             }
             if self.dead.load(Ordering::Acquire) {
-                return None;
+                return false;
             }
-            q = self.ready.wait(q).unwrap();
+            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// Signals the drain loop that an in-flight slot was released.
     fn notify_drained(&self) {
-        let _g = self.flow.lock().unwrap();
+        let _g = lock(&self.flow);
         self.drained.notify_all();
     }
 
@@ -219,7 +248,7 @@ impl Conn {
         // empty-check and its wait cannot miss the wakeup (same
         // pattern as `Shared::close`).
         {
-            let _q = self.outbound.lock().unwrap();
+            let _q = lock(&self.outbound);
             self.dead.store(true, Ordering::Release);
             self.ready.notify_all();
         }
@@ -273,12 +302,15 @@ enum ReadEvent {
 
 /// Reads the next frame with short timeouts so shutdown is honoured
 /// even on an idle connection. The cursor preserves partial frames
-/// across timeouts.
+/// across timeouts. `before_read` runs whenever the buffered bytes hold
+/// no complete frame, just before the socket read that may block — the
+/// reader flushes its staged jobs there.
 fn next_event(
     stream: &mut TcpStream,
     cursor: &mut wire::FrameCursor,
     max_frame: u32,
     shutdown: &AtomicBool,
+    before_read: &mut dyn FnMut(),
 ) -> Result<ReadEvent, WireError> {
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -288,6 +320,7 @@ fn next_event(
         if shutdown.load(Ordering::Acquire) {
             return Ok(ReadEvent::Shutdown);
         }
+        before_read();
         match stream.read(&mut chunk) {
             Ok(0) => {
                 return if cursor.buffered() == 0 {
@@ -318,7 +351,9 @@ fn next_event(
 /// every lane carries its own environment and limits. Outcomes are
 /// byte-identical either way (the differential suite pins it), so gang
 /// packing is purely a throughput choice. Every machine runs on the
-/// server's one set of selection `tables`.
+/// server's one set of selection `tables`. Each connection gets its
+/// share of a batch's outcomes, in batch order, with one push and one
+/// writer wakeup.
 fn worker(
     w: usize,
     system: &CompiledSystem,
@@ -329,9 +364,8 @@ fn worker(
     let _lane = pscp_obs::trace::worker_lane("serve-worker", w);
     let mut runner = BatchRunner::new(system, tables, gang);
     let mut batch: Vec<Job> = Vec::with_capacity(gang);
-    while let Some(job) = shared.pop() {
-        batch.push(job);
-        shared.pop_extra(gang - 1, &mut batch);
+    let mut replies: Vec<(Arc<Conn>, Vec<Msg>)> = Vec::new();
+    while shared.pop_batch(gang, &mut batch) {
         let timed = batch.iter().any(|j| j.enqueued.is_some());
         let dequeued = timed.then(Instant::now);
         let mut routes = Vec::with_capacity(batch.len());
@@ -359,7 +393,14 @@ fn worker(
                 pscp_obs::metrics::SERVE_ENCODE_NS.record(encode_ns);
             }
             let latency = conn.latency.then_some(OutcomeLatency { queue_ns, sim_ns, encode_ns });
-            conn.push(Msg::Outcome(builder.finish(latency)));
+            let msg = Msg::Outcome(builder.finish(latency));
+            match replies.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
+                Some((_, msgs)) => msgs.push(msg),
+                None => replies.push((conn, vec![msg])),
+            }
+        }
+        for (conn, msgs) in replies.drain(..) {
+            conn.push_all(msgs);
         }
     }
 }
@@ -378,38 +419,64 @@ fn elapsed_ns(start: Option<Instant>, end: Option<Instant>) -> u64 {
 /// The writer half of a connection: drains the outbound queue to the
 /// socket. Only this thread writes after the handshake, so a stalled
 /// peer blocks here — never a worker.
+///
+/// Each wakeup takes every queued message at once and sends them with
+/// one `write_all`: each outcome followed by its `Credit { n: 1 }`,
+/// exactly the bytes per-message writes would produce. An `Error` or
+/// `Close` ends the batch and the connection; anything queued behind it
+/// is dropped.
 fn writer(conn: &Conn, stream: &mut TcpStream) {
-    while let Some(msg) = conn.pop() {
-        let result = match msg {
-            Msg::Outcome(frame_bytes) => stream
-                .write_all(&frame_bytes)
-                .and_then(|()| {
-                    // Release the slot BEFORE the credit hits the wire:
-                    // the client may react to the credit instantly, and
-                    // its next submit must not race a stale count into a
-                    // false violation.
-                    conn.inflight.fetch_sub(1, Ordering::AcqRel);
-                    conn.notify_drained();
-                    stream.write_all(&wire::encode_frame(&Frame::Credit { n: 1 }))
-                })
-                .map(|()| pscp_obs::metrics::SERVE_FRAMES_OUT.add(conn.id, 2)),
-            Msg::Frame(frame_bytes) => stream
-                .write_all(&frame_bytes)
-                .map(|()| pscp_obs::metrics::SERVE_FRAMES_OUT.add(conn.id, 1)),
-            // Deliberately NOT counted in SERVE_FRAMES_OUT — see Msg::Stats.
-            Msg::Stats(frame_bytes) => stream.write_all(&frame_bytes),
-            Msg::Error { code, message } => {
-                let r = stream
-                    .write_all(&wire::encode_frame(&Frame::Error { code, message }));
-                if r.is_ok() {
-                    pscp_obs::metrics::SERVE_FRAMES_OUT.add(conn.id, 1);
+    let credit = wire::encode_frame(&Frame::Credit { n: 1 });
+    let mut batch = VecDeque::new();
+    let mut buf = Vec::new();
+    let mut open = true;
+    while open && conn.take_all(&mut batch) {
+        buf.clear();
+        let (mut frames, mut released) = (0u64, 0u32);
+        let mut fatal = false;
+        for msg in batch.drain(..) {
+            match msg {
+                Msg::Outcome(bytes) => {
+                    buf.extend_from_slice(&bytes);
+                    buf.extend_from_slice(&credit);
+                    frames += 2;
+                    released += 1;
                 }
-                conn.kill();
-                r
+                Msg::Frame(bytes) => {
+                    buf.extend_from_slice(&bytes);
+                    frames += 1;
+                }
+                // Deliberately NOT counted — see Msg::Stats.
+                Msg::Stats(bytes) => buf.extend_from_slice(&bytes),
+                Msg::Error { code, message } => {
+                    buf.extend_from_slice(&wire::encode_frame(&Frame::Error { code, message }));
+                    frames += 1;
+                    fatal = true;
+                    open = false;
+                    break;
+                }
+                Msg::Close => {
+                    open = false;
+                    break;
+                }
             }
-            Msg::Close => break,
-        };
-        if result.is_err() {
+        }
+        // Release the slots BEFORE their credits hit the wire: the
+        // client may react to a credit instantly, and its next submit
+        // must not race a stale count into a false violation.
+        if released > 0 {
+            conn.inflight.fetch_sub(released, Ordering::AcqRel);
+            conn.notify_drained();
+        }
+        // Counted before the write, so a client that has read these
+        // bytes always sees them in a later scrape. A write carrying
+        // only a Stats reply is not counted, like the reply itself.
+        if frames > 0 {
+            pscp_obs::metrics::SERVE_FRAMES_OUT.add(conn.id, frames);
+            pscp_obs::metrics::SERVE_WRITES.add(conn.id, 1);
+        }
+        let written = buf.is_empty() || stream.write_all(&buf).is_ok();
+        if fatal || !written {
             conn.kill();
             break;
         }
@@ -481,8 +548,8 @@ fn handle_connection(
     let mut cursor = wire::FrameCursor::new();
 
     // Handshake: the first frame must be a Hello.
-    let (window, granted) = match next_event(&mut stream, &mut cursor, opts.max_frame, shutdown)
-    {
+    let hello = next_event(&mut stream, &mut cursor, opts.max_frame, shutdown, &mut || {});
+    let (window, granted) = match hello {
         Ok(ReadEvent::Frame(Frame::Hello { window, fingerprint: fp, features })) => {
             pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
             if fp != 0 && fp != fingerprint {
@@ -543,9 +610,19 @@ fn handle_connection(
     let Ok(mut write_stream) = stream.try_clone() else { return };
     let writer_thread = std::thread::spawn(move || writer(&writer_conn, &mut write_stream));
 
-    // Submission loop.
+    // Submission loop. `Submit` jobs decoded from bytes already
+    // buffered are staged and enter the shard queue together, under one
+    // lock: just before the reader would block on the socket, before
+    // any other frame is handled, and on exit.
+    let mut staged: Vec<Job> = Vec::new();
     loop {
-        match next_event(&mut stream, &mut cursor, opts.max_frame, shutdown) {
+        let event = next_event(&mut stream, &mut cursor, opts.max_frame, shutdown, &mut || {
+            shared.push_all(&mut staged)
+        });
+        if !matches!(event, Ok(ReadEvent::Frame(Frame::Submit(_)))) {
+            shared.push_all(&mut staged);
+        }
+        match event {
             Ok(ReadEvent::Frame(Frame::Submit(Submit { seq, limits, script }))) => {
                 pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
                 let inflight = conn.inflight.fetch_add(1, Ordering::AcqRel) + 1;
@@ -558,7 +635,7 @@ fn handle_connection(
                     break;
                 }
                 pscp_obs::metrics::SERVE_INFLIGHT.record(u64::from(inflight));
-                shared.push(Job {
+                staged.push(Job {
                     conn: Arc::clone(&conn),
                     seq,
                     env: ScriptedEnvironment::new(script),
@@ -643,6 +720,8 @@ fn handle_connection(
         }
     }
 
+    shared.push_all(&mut staged);
+
     // Drain: let queued scenarios finish and their outcomes flush, then
     // stop the writer. A dead connection (write failure, protocol
     // error) skips straight to the join. The writer signals `drained`
@@ -650,12 +729,15 @@ fn handle_connection(
     // timeout is only a backstop for the condvar-less external
     // shutdown flag.
     {
-        let mut g = conn.flow.lock().unwrap();
+        let mut g = lock(&conn.flow);
         while conn.inflight.load(Ordering::Acquire) > 0
             && !conn.dead.load(Ordering::Acquire)
             && !shutdown.load(Ordering::Acquire)
         {
-            let (guard, _) = conn.drained.wait_timeout(g, DRAIN_BACKSTOP).unwrap();
+            let (guard, _) = conn
+                .drained
+                .wait_timeout(g, DRAIN_BACKSTOP)
+                .unwrap_or_else(PoisonError::into_inner);
             g = guard;
         }
     }
@@ -791,4 +873,46 @@ pub fn spawn(
     let thread =
         std::thread::spawn(move || serve(&system, listener, &opts, &flag));
     Ok(ServerHandle { addr: local, shutdown, thread: Some(thread) })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn job(conn: &Arc<Conn>, seq: u64) -> Job {
+        Job {
+            conn: Arc::clone(conn),
+            seq,
+            env: ScriptedEnvironment::new(Vec::<Vec<String>>::new()),
+            limits: BatchOptions::default(),
+            enqueued: None,
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_queue_lock_does_not_poison_the_queue() {
+        let shared = Shared::new();
+        let conn = Arc::new(Conn::new(0, false));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _q = shared.queue.lock().unwrap();
+                panic!("poison the shard queue");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(shared.queue.is_poisoned());
+
+        let mut staged: Vec<Job> = (0..3).map(|seq| job(&conn, seq)).collect();
+        shared.push_all(&mut staged);
+        assert!(staged.is_empty());
+        assert_eq!(shared.depth(), 3);
+        let mut batch = Vec::new();
+        assert!(shared.pop_batch(2, &mut batch));
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [0, 1]);
+        batch.clear();
+        assert!(shared.pop_batch(2, &mut batch));
+        assert_eq!(batch.iter().map(|j| j.seq).collect::<Vec<_>>(), [2]);
+        shared.close();
+        assert!(!shared.pop_batch(2, &mut batch));
+    }
 }

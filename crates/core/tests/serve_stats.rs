@@ -255,3 +255,34 @@ fn stats_frames_cross_a_real_socket_intact() {
     drop(client);
     server.stop().unwrap();
 }
+
+#[test]
+fn a_writer_coalesces_frames_into_fewer_socket_writes() {
+    let _g = lock();
+    let _flags = FlagGuard::set(pscp_obs::METRICS);
+    pscp_obs::metrics::reset_all();
+
+    let sys = Arc::new(tiny_system());
+    let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
+    let server = serve::spawn(Arc::clone(&sys), "127.0.0.1:0", opts).unwrap();
+    let mut client = ScenarioClient::connect(server.addr()).unwrap();
+    let n = 12u64;
+    for _ in 0..n {
+        client.submit(script(), LIMITS).unwrap();
+    }
+    for _ in 0..n {
+        client.recv().unwrap();
+    }
+    client.stats().unwrap(); // quiesce (see byte-identity test)
+    let (_, snapshot) = client.stats().unwrap();
+
+    let writes: u64 = snapshot.per_worker_values("serve_writes").iter().sum();
+    let frames_out: u64 = snapshot.per_worker_values("serve_frames_out").iter().sum();
+    assert!(writes >= 1, "outcomes reached the client without a counted write");
+    assert!(writes <= n, "{writes} socket writes for {n} outcomes");
+    // Every outcome still travels with its own credit, plus the Hello.
+    assert_eq!(frames_out, 2 * n + 1);
+
+    drop(client);
+    server.stop().unwrap();
+}

@@ -8,10 +8,12 @@ use proptest::prelude::*;
 use pscp_core::arch::PscpArch;
 use pscp_core::compile::{compile_system, CompiledSystem};
 use pscp_core::explore::{self, ExploreReport, Predicate, Violation, Witness};
-use pscp_core::pool::BatchOptions;
+use pscp_core::machine::ScriptedEnvironment;
+use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_core::serve::wire::{
-    self, error_code, ExploreRequest, Frame, HistogramSnapshot, MetricsSnapshot, OutcomeLatency,
-    ServeGauges, Submit, WireError, WireOutcome, WireReport, WireStats, DEFAULT_MAX_FRAME,
+    self, error_code, ExploreRequest, Frame, HistogramSnapshot, MetricsSnapshot, OutcomeFrame,
+    OutcomeLatency, ServeGauges, Submit, WireError, WireOutcome, WireReport, WireStats,
+    DEFAULT_MAX_FRAME,
 };
 use pscp_core::serve::{self, ScenarioClient, ServeOptions, ServerHandle};
 use pscp_statechart::{ChartBuilder, StateKind};
@@ -702,4 +704,232 @@ fn unknown_predicate_kind_is_malformed() {
     }
     drop(client);
     server.stop().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Socket bytes
+// ---------------------------------------------------------------------
+
+/// The bytes a connection receives do not depend on how the server
+/// batches its work: 24 submissions shipped in one write (more than one
+/// worker batch at the default lane bound) come back as exactly the
+/// in-process outcome frames, each followed by its `Credit { n: 1 }`,
+/// in submission order — byte for byte, whatever the number of socket
+/// writes that carried them.
+#[test]
+fn coalesced_round_is_byte_identical_on_the_socket() {
+    const N: u64 = 24;
+    let sys = Arc::new(tiny_system());
+    let server = live_server();
+    let limits = BatchOptions { deadline: u64::MAX, max_steps: 6 };
+    let scripts: Vec<Vec<Vec<String>>> = (0..N as usize)
+        .map(|i| {
+            (0..i % 5)
+                .map(|row| if (i + row) % 2 == 0 { vec!["TICK".to_string()] } else { vec![] })
+                .collect()
+        })
+        .collect();
+    let in_process = SimPool::with_threads(1).with_gang(1).run_batch(
+        &sys,
+        scripts.iter().cloned().map(ScriptedEnvironment::new).collect(),
+        &limits,
+    );
+    let credit = wire::encode_frame(&Frame::Credit { n: 1 });
+    let mut expected = Vec::new();
+    for (seq, outcome) in in_process.iter().enumerate() {
+        expected.extend(
+            OutcomeFrame::begin(seq as u64, &WireOutcome::from_batch(outcome)).finish(None),
+        );
+        expected.extend_from_slice(&credit);
+    }
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    wire::write_frame(&mut stream, &Frame::Hello { window: N as u32, fingerprint: 0, features: 0 })
+        .unwrap();
+    match wire::read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap() {
+        Frame::Hello { window, .. } => assert_eq!(window, N as u32),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+    let mut round = Vec::new();
+    for (seq, script) in scripts.into_iter().enumerate() {
+        round.extend(wire::encode_frame(&Frame::Submit(Submit {
+            seq: seq as u64,
+            limits,
+            script,
+        })));
+    }
+    stream.write_all(&round).unwrap();
+
+    let mut received = Vec::new();
+    let mut cursor = wire::FrameCursor::new();
+    let (mut outcomes, mut credits) = (0u64, 0u64);
+    let mut chunk = [0u8; 4096];
+    while outcomes < N || credits < N {
+        let n = stream.read(&mut chunk).expect("server went quiet before 24 outcomes");
+        assert!(n > 0, "server closed after {outcomes} outcomes");
+        received.extend_from_slice(&chunk[..n]);
+        cursor.feed(&chunk[..n]);
+        while let Some(frame) = cursor.next_frame(DEFAULT_MAX_FRAME).unwrap() {
+            match frame {
+                Frame::Outcome { .. } => outcomes += 1,
+                Frame::Credit { .. } => credits += 1,
+                other => panic!("unexpected frame: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(received, expected, "socket bytes differ from the in-process frames");
+    drop(stream);
+    server.stop().unwrap();
+}
+
+// ---------------------------------------------------------------------
+// Client send rule
+// ---------------------------------------------------------------------
+
+/// A client connected to a fake server: a raw socket that answers the
+/// `Hello` and then only observes (and, where a call blocks for a
+/// reply, pre-answers) what the client writes.
+fn fake_server(window: u32) -> (ScenarioClient, TcpStream) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let accept = std::thread::spawn(move || {
+        let (mut peer, _) = listener.accept().unwrap();
+        match wire::read_frame(&mut peer, DEFAULT_MAX_FRAME).unwrap() {
+            Frame::Hello { .. } => {}
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        wire::write_frame(&mut peer, &Frame::Hello { window, fingerprint: 0, features: 0 })
+            .unwrap();
+        peer
+    });
+    let client = ScenarioClient::connect_with(addr, window, 0).unwrap();
+    (client, accept.join().unwrap())
+}
+
+/// Every frame that reaches `peer` within a short quiet period.
+fn frames_on_the_wire(peer: &mut TcpStream) -> Vec<Frame> {
+    peer.set_read_timeout(Some(std::time::Duration::from_millis(150))).unwrap();
+    let mut cursor = wire::FrameCursor::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        match peer.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => cursor.feed(&chunk[..n]),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                break
+            }
+            Err(e) => panic!("fake server read failed: {e}"),
+        }
+    }
+    let mut frames = Vec::new();
+    while let Some(frame) = cursor.next_frame(DEFAULT_MAX_FRAME).unwrap() {
+        frames.push(frame);
+    }
+    assert_eq!(cursor.buffered(), 0, "a partial frame reached the wire");
+    frames
+}
+
+fn submit_seqs(frames: &[Frame]) -> Vec<u64> {
+    frames
+        .iter()
+        .map(|f| match f {
+            Frame::Submit(s) => s.seq,
+            other => panic!("expected Submit, got {other:?}"),
+        })
+        .collect()
+}
+
+const SEND_LIMITS: BatchOptions = BatchOptions { deadline: u64::MAX, max_steps: 3 };
+
+fn tick() -> Vec<Vec<String>> {
+    vec![vec!["TICK".to_string()]]
+}
+
+#[test]
+fn a_submit_with_credits_left_waits_for_flush_or_recv() {
+    let (mut client, mut peer) = fake_server(4);
+    client.submit(tick(), SEND_LIMITS).unwrap();
+    assert!(frames_on_the_wire(&mut peer).is_empty(), "submit wrote before a send point");
+    client.flush().unwrap();
+    assert_eq!(submit_seqs(&frames_on_the_wire(&mut peer)), [0]);
+
+    // `recv` sends the buffered submit before it waits; the reply is
+    // already queued, so it does not block.
+    client.submit(tick(), SEND_LIMITS).unwrap();
+    assert!(frames_on_the_wire(&mut peer).is_empty(), "submit wrote before a send point");
+    wire::write_frame(&mut peer, &Frame::Outcome { seq: 0, outcome: WireOutcome::default() })
+        .unwrap();
+    assert_eq!(client.recv().unwrap().0, 0);
+    assert_eq!(submit_seqs(&frames_on_the_wire(&mut peer)), [1]);
+}
+
+#[test]
+fn a_submit_that_takes_the_last_credit_is_sent_at_once() {
+    let (mut client, mut peer) = fake_server(3);
+    client.submit(tick(), SEND_LIMITS).unwrap();
+    client.submit(tick(), SEND_LIMITS).unwrap();
+    assert!(frames_on_the_wire(&mut peer).is_empty(), "submit wrote before a send point");
+    client.submit(tick(), SEND_LIMITS).unwrap();
+    assert_eq!(submit_seqs(&frames_on_the_wire(&mut peer)), [0, 1, 2]);
+}
+
+#[test]
+fn other_frames_send_buffered_submits_ahead_of_themselves() {
+    let (mut client, mut peer) = fake_server(8);
+    let mut next = 0u64;
+    let mut buffer_two = |client: &mut ScenarioClient| {
+        for _ in 0..2 {
+            assert_eq!(client.submit(tick(), SEND_LIMITS).unwrap(), next);
+            next += 1;
+        }
+        vec![next - 2, next - 1]
+    };
+    let split = |frames: Vec<Frame>| {
+        let (last, submits) = frames.split_last().expect("nothing reached the wire");
+        (submit_seqs(submits), last.clone())
+    };
+
+    // compile: the Diagnostics reply is queued before the call.
+    let seqs = buffer_two(&mut client);
+    wire::write_frame(&mut peer, &Frame::Diagnostics { fingerprint: 7, diagnostics: vec![] })
+        .unwrap();
+    assert_eq!(client.compile("chart", "actions").unwrap().0, 7);
+    let (submitted, last) = split(frames_on_the_wire(&mut peer));
+    assert_eq!(submitted, seqs);
+    assert!(matches!(last, Frame::Compile { .. }), "got {last:?}");
+
+    // stats
+    let seqs = buffer_two(&mut client);
+    let stats = Frame::Stats {
+        gauges: ServeGauges::default(),
+        snapshot: MetricsSnapshot::default(),
+    };
+    wire::write_frame(&mut peer, &stats).unwrap();
+    client.stats().unwrap();
+    let (submitted, last) = split(frames_on_the_wire(&mut peer));
+    assert_eq!(submitted, seqs);
+    assert_eq!(last, Frame::StatsRequest);
+
+    // explore
+    let seqs = buffer_two(&mut client);
+    for frame in wire::explore_report_frames(&ExploreReport::default(), 1 << 16) {
+        wire::write_frame(&mut peer, &frame).unwrap();
+    }
+    client.explore(&ExploreRequest::default()).unwrap();
+    let (submitted, last) = split(frames_on_the_wire(&mut peer));
+    assert_eq!(submitted, seqs);
+    assert!(matches!(last, Frame::Explore(_)), "got {last:?}");
+
+    // send_raw
+    let seqs = buffer_two(&mut client);
+    client.send_raw(&wire::encode_frame(&Frame::StatsRequest)).unwrap();
+    let (submitted, last) = split(frames_on_the_wire(&mut peer));
+    assert_eq!(submitted, seqs);
+    assert_eq!(last, Frame::StatsRequest);
 }

@@ -349,6 +349,12 @@ pub static SERVE_COMPILE_ERRORS: Counter = Counter::new();
 pub static SERVE_FRAMES_IN: PerWorker = PerWorker::new();
 /// Frames written by the server, per connection slot.
 pub static SERVE_FRAMES_OUT: PerWorker = PerWorker::new();
+/// Socket writes the server's connection writers issued, per
+/// connection slot. A writer sends everything queued for its connection
+/// in one write, so `serve_frames_out / serve_writes` is the frames each
+/// write carried. Writes that carry only a `Stats` reply are not
+/// counted, like the reply itself.
+pub static SERVE_WRITES: PerWorker = PerWorker::new();
 /// Per-connection in-flight scenario count, sampled at each submit
 /// receipt. Bounded by the negotiated credit window — the backpressure
 /// tests pin every sample at or below it.
@@ -545,6 +551,7 @@ const PER_WORKER: &[(&str, &PerWorker)] = &[
     ("pool_idle_polls", &POOL_IDLE_POLLS),
     ("serve_frames_in", &SERVE_FRAMES_IN),
     ("serve_frames_out", &SERVE_FRAMES_OUT),
+    ("serve_writes", &SERVE_WRITES),
 ];
 
 const HISTOGRAMS: &[(&str, &Histogram)] = &[

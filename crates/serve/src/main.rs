@@ -781,10 +781,12 @@ fn run_top(
                 let ran: u64 = shard.iter().sum();
                 let frames_in: u64 = d.per_worker_values("serve_frames_in").iter().sum();
                 let frames_out: u64 = d.per_worker_values("serve_frames_out").iter().sum();
+                let writes: u64 = d.per_worker_values("serve_writes").iter().sum();
                 println!(
                     "  {:>9.1} scenarios/s   frames +{frames_in}/+{frames_out}   \
-                     credit stalls +{}",
+                     {:.1} frames/write   credit stalls +{}",
                     ran as f64 / secs,
+                    frames_out as f64 / writes.max(1) as f64,
                     d.counter("serve_credit_stalls"),
                 );
                 let cycles = d.counter("machine_steps");

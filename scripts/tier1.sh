@@ -21,9 +21,17 @@ cargo clippy --offline --all-targets --manifest-path pscp-benchmark/Cargo.toml -
 
 # The scenario-server differential suite is the serving layer's spec:
 # wire round-trips must be byte-identical to the in-process SimPool.
+# `serve_wire` also holds the socket-byte pin (a round of submissions
+# sent in one write comes back as exactly the in-process outcome frames,
+# each followed by its credit, however the server batches its writes)
+# and the client send rule (a submit waits in the outbox until the
+# client reads, writes another frame, takes its last credit or flushes).
+# `serve_stats` pins the telemetry plane, including writes that coalesce
+# frames: no more socket writes than outcomes.
 cargo test --release -p pscp-core --test serve_differential -q
 cargo test --release -p pscp-core --test serve_wire -q
 cargo test --release -p pscp-core --test serve_backpressure -q
+cargo test --release -p pscp-core --test serve_stats -q
 
 # The gang differential suite is the bit-sliced path's spec: gang
 # batches must be byte-identical to the scalar oracle at every width ×
