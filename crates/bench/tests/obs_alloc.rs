@@ -1,10 +1,17 @@
 //! The observability layer must be free when it is off: with `PSCP_OBS`
 //! unset (forced here via `set_flags(0)` so a polluted environment
-//! cannot flip the result), the PR-1 allocation-free steady state still
+//! cannot flip the result), the allocation-free steady state still
 //! holds with every obs hook compiled in. A counting global allocator
 //! measures the exact heap traffic of `PscpMachine::step` idle cycles,
 //! `CompiledNet::eval_into` and the serve writer's per-write counters
 //! and insists on zero.
+//!
+//! It also pins the configuration cycle's heap traffic under a script
+//! on the pickup head: once its buffers have grown, a cycle that fires
+//! allocates exactly its `CycleReport`'s vectors (`fired`,
+//! `transition_cycles`, `assigned_tep`, and `raised` when it is not
+//! empty), and a sampled idle cycle, a quiet cycle and
+//! `PscpMachine::reset` allocate nothing.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
 //! and any sibling test's allocations would race the counters.
@@ -14,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pscp_bench::example_system;
 use pscp_core::arch::PscpArch;
-use pscp_core::machine::{NullEnvironment, PscpMachine};
+use pscp_core::machine::{Environment, NullEnvironment, PscpMachine, ScriptedEnvironment};
 use pscp_sla::compiled::CompiledNet;
 use pscp_sla::net::LogicNet;
 
@@ -50,6 +57,61 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Replays a script, counting the cycles it lets the machine complete
+/// quietly. Port writes are dropped: recording them would allocate on
+/// the test's side.
+struct Replay {
+    script: ScriptedEnvironment,
+    quiet: u64,
+}
+
+impl Environment for Replay {
+    fn sample_events(&mut self, now: u64) -> Vec<String> {
+        self.script.sample_events(now)
+    }
+
+    fn quiet_sample(&mut self, now: u64) -> bool {
+        let quiet = self.script.quiet_sample(now);
+        self.quiet += u64::from(quiet);
+        quiet
+    }
+}
+
+/// A seeded pickup-head script: busy stretches where DATA_VALID and the
+/// motor pulses arrive with p = 1/2 (plus rarer commands), then empty
+/// stretches the machine idles through quietly.
+fn pickup_script(rows: usize) -> Replay {
+    const EVENTS: [(&str, u64); 7] = [
+        ("DATA_VALID", 2),
+        ("X_PULSE", 2),
+        ("Y_PULSE", 2),
+        ("PHI_PULSE", 16),
+        ("INIT", 16),
+        ("ALLRESET", 64),
+        ("ERROR", 128),
+    ];
+    let mut seed = 0x5eed_u64;
+    let script: Vec<Vec<&str>> = (0..rows)
+        .map(|r| {
+            if r == 0 {
+                return vec!["POWER"];
+            }
+            if (r / 24) % 2 == 1 {
+                return Vec::new();
+            }
+            EVENTS
+                .iter()
+                .filter(|&&(_, one_in)| {
+                    seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (seed >> 33).is_multiple_of(one_in)
+                })
+                .map(|&(name, _)| name)
+                .collect()
+        })
+        .collect();
+    Replay { script: ScriptedEnvironment::new(script), quiet: 0 }
+}
+
 #[test]
 fn disabled_obs_keeps_hot_paths_allocation_free() {
     // Pin the flags before measuring: lazy env init allocates once
@@ -78,6 +140,51 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
         "PscpMachine::step allocated {step_allocs} times over 200 idle cycles \
          with PSCP_OBS off"
     );
+
+    // --- the configuration cycle under a script ---
+    const ROWS: usize = 600;
+    let system = example_system(&PscpArch::dual_md16(true));
+    let mut machine = PscpMachine::new(&system);
+    // Warm-up: one pass over the script grows every buffer to what the
+    // measured pass needs, which replays the same cycles.
+    let mut env = pickup_script(ROWS);
+    for _ in 0..ROWS {
+        machine.step(&mut env).expect("warm-up cycle");
+    }
+    let before = allocs();
+    machine.reset();
+    let reset_allocs = allocs() - before;
+    assert_eq!(reset_allocs, 0, "PscpMachine::reset allocated {reset_allocs} times");
+
+    let mut env = pickup_script(ROWS);
+    let (mut fired, mut raising, mut sampled_idle, mut quiet) = (0, 0, 0, 0);
+    for cycle in 0..ROWS {
+        let quiet_before = env.quiet;
+        let before = allocs();
+        let report = machine.step(&mut env).expect("scripted cycle");
+        let got = allocs() - before;
+        let expected = if report.fired.is_empty() {
+            if env.quiet > quiet_before {
+                quiet += 1;
+            } else {
+                sampled_idle += 1;
+            }
+            0
+        } else {
+            fired += 1;
+            raising += u64::from(!report.raised.is_empty());
+            3 + u64::from(!report.raised.is_empty())
+        };
+        assert_eq!(
+            got, expected,
+            "cycle {cycle} allocated {got} times, expected {expected}: {report:?}"
+        );
+    }
+    // Every kind of cycle the pin speaks of ran, and often.
+    assert!(fired >= 50, "only {fired} fired cycles");
+    assert!(raising >= 5, "only {raising} fired cycles raised events");
+    assert!(sampled_idle >= 50, "only {sampled_idle} sampled idle cycles");
+    assert!(quiet >= 50, "only {quiet} quiet cycles");
 
     // --- CompiledNet::eval_into with reused scratch ---
     let mut net = LogicNet::new();

@@ -1,7 +1,7 @@
 //! With `PSCP_OBS=trace` multi-worker runs must come back as valid
 //! Chrome `trace_event` documents with one named lane per worker. Runs
 //! the pickup-head example across a 4-worker [`SimPool`] twice — once
-//! on the default gang-packed path, once pinned to the scalar path —
+//! on the gang-packed path, once on the default scalar path —
 //! then through a 2-shard loopback server and a 2-worker exploration,
 //! and checks each exported JSON with the crate's own parser.
 //!
@@ -79,10 +79,10 @@ fn lanes_named(lanes: &[String], prefix: &str) -> usize {
 
 #[test]
 fn batch_trace_exports_worker_lanes() {
-    // Default pool: the gang-packed path. Workers still claim named
-    // lanes, and each chunk shows up as a `gang.run` span with its
-    // per-cycle `gang.step` children.
-    let (lanes, spans) = traced_batch(&SimPool::with_threads(4));
+    // The gang-packed path. Workers still claim named lanes, and each
+    // chunk shows up as a `gang.run` span with its per-cycle
+    // `gang.step` children.
+    let (lanes, spans) = traced_batch(&SimPool::with_threads(4).with_gang(64));
     assert!(
         lanes_named(&lanes, "sim-worker") >= 2,
         "expected >= 2 sim-worker lanes under 4 gang workers, got {lanes:?}"
@@ -93,7 +93,8 @@ fn batch_trace_exports_worker_lanes() {
         "no `gang.run` span in gang-path trace"
     );
 
-    // Scalar path (gang width 1): one `scenario` span per scenario.
+    // The scalar path (gang width 1, the default): one `scenario` span
+    // per scenario.
     let (lanes, spans) = traced_batch(&SimPool::with_threads(4).with_gang(1));
     assert!(
         lanes_named(&lanes, "sim-worker") >= 2,

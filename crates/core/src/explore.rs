@@ -65,7 +65,7 @@ use crate::compile::CompiledSystem;
 use crate::machine::{
     ControlPart, CycleReport, MachineError, NullEnvironment, PscpMachine, SemanticState,
 };
-use crate::pool::{configured_gang, configured_threads, stream_chunks};
+use crate::pool::{configured_threads, stream_chunks};
 use crate::serve::wire::{Dec, Enc, WireError};
 use pscp_statechart::semantics::{ControlState, SelectionTables};
 use pscp_statechart::{EventId, StateId};
@@ -482,7 +482,7 @@ impl Default for ExploreOptions {
             max_depth: u32::MAX,
             max_witnesses: 16,
             threads: configured_threads(),
-            gang: configured_gang(),
+            gang: 1,
             predicates: Vec::new(),
         }
     }

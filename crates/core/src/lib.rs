@@ -23,8 +23,8 @@
 //!   [`SimPool`](pool::SimPool) runs independent scenarios of one
 //!   compiled system across `PSCP_THREADS` workers, byte-identical to
 //!   the sequential run.
-//! * [`gang`] — 64-wide bit-sliced gang simulation: each worker packs
-//!   up to `PSCP_GANG` scenarios into `u64` lane words and evaluates
+//! * [`gang`] — 64-wide bit-sliced gang simulation: a worker packs
+//!   up to its gang width of scenarios into `u64` lane words and evaluates
 //!   the SLA/CR plane for the whole gang in one word-parallel pass,
 //!   byte-identical to the scalar path (idle lanes take a verified
 //!   fast path; firing lanes run the full scalar execute phase).

@@ -24,13 +24,10 @@ use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
 use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
-use pscp_statechart::semantics::{
-    ActionEffects, ActionSite, ControlState, Executor, SelectionTables,
-};
+use pscp_statechart::semantics::{ActionSite, ControlState, EffectSink, Executor, SelectionTables};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
 use pscp_tep::TepDataState;
-use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -209,8 +206,9 @@ impl From<TepError> for MachineError {
 /// [`PscpMachine::step`].
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Events sampled into the CR for this cycle.
-    events: BTreeSet<EventId>,
+    /// Events sampled into the CR for this cycle, ascending and
+    /// duplicate-free.
+    events: Vec<EventId>,
     /// Condition part of the CR at cycle start (the local caches).
     cond_snapshot: Vec<bool>,
     /// Measured execution cycles per chart transition. All zero between
@@ -284,7 +282,7 @@ impl VcdProbe {
         &mut self,
         t: u64,
         exec: &Executor<'_>,
-        sampled: &BTreeSet<EventId>,
+        sampled: &[EventId],
         tep_load: &[u64],
         timers: &[Option<u64>],
         report: &CycleReport,
@@ -294,7 +292,7 @@ impl VcdProbe {
             self.writer.change(sig, exec.configuration().is_active(s) as u64);
         }
         for &(e, sig) in &self.events {
-            self.writer.change(sig, sampled.contains(&e) as u64);
+            self.writer.change(sig, sampled.binary_search(&e).is_ok() as u64);
         }
         for &(c, sig) in &self.conditions {
             self.writer.change(sig, exec.condition(c) as u64);
@@ -408,9 +406,10 @@ impl<'s> PscpMachine<'s> {
     ///
     /// Panics when `tables` were built for a different chart.
     pub fn with_tables(system: &'s CompiledSystem, tables: Arc<SelectionTables>) -> Self {
+        let chart = &system.chart;
         PscpMachine {
             system,
-            exec: Executor::with_tables(&system.chart, tables),
+            exec: Executor::with_tables(chart, tables),
             tep: TepMachine::new(&system.program),
             now: 0,
             stats: MachineStats {
@@ -419,9 +418,12 @@ impl<'s> PscpMachine<'s> {
             },
             timers: vec![None; system.arch.timers.len()],
             pending_timer_events: Vec::new(),
-            event_names: EventNamesRef::new(&system.chart),
-            condition_names: ConditionNamesRef::new(&system.chart),
-            scratch: StepScratch::default(),
+            event_names: EventNamesRef::new(chart),
+            condition_names: ConditionNamesRef::new(chart),
+            scratch: StepScratch {
+                per_transition: vec![0; chart.transition_count()],
+                ..StepScratch::default()
+            },
             quiet: false,
             vcd: None,
         }
@@ -445,10 +447,11 @@ impl<'s> PscpMachine<'s> {
     /// configuration, data memory at reset values, clock and statistics
     /// at zero, timers disarmed — while reusing every allocation (the
     /// executor's selection tables and scratch, the TEP memory image,
-    /// the step scratch buffers). A reset machine is byte-identical in
-    /// behaviour to a freshly constructed one, which lets a
-    /// [`SimPool`](crate::pool::SimPool) worker run many scenarios on
-    /// one machine instead of reconstructing per scenario.
+    /// the step scratch buffers), so resetting allocates nothing. A
+    /// reset machine is byte-identical in behaviour to a freshly
+    /// constructed one, which lets a [`SimPool`](crate::pool::SimPool)
+    /// worker run many scenarios on one machine instead of
+    /// reconstructing per scenario.
     pub fn reset(&mut self) {
         self.exec.reset();
         self.tep.reset();
@@ -545,8 +548,10 @@ impl<'s> PscpMachine<'s> {
     ) -> Result<CycleReport, MachineError> {
         let set = &mut self.scratch.events;
         set.clear();
-        set.extend(events.iter().copied());
-        set.extend(self.pending_timer_events.drain(..));
+        set.extend_from_slice(events);
+        set.append(&mut self.pending_timer_events);
+        set.sort_unstable();
+        set.dedup();
         self.quiet = false;
         self.execute_phase(env)
     }
@@ -617,10 +622,12 @@ impl<'s> PscpMachine<'s> {
         events.clear();
         for name in env.sample_events(self.now) {
             if let Some(e) = self.event_names.get(&name) {
-                events.insert(e);
+                events.push(e);
             }
         }
-        events.extend(self.pending_timer_events.drain(..));
+        events.append(&mut self.pending_timer_events);
+        events.sort_unstable();
+        events.dedup();
         for (name, v) in env.sample_conditions(self.now) {
             if let Some(c) = self.condition_names.get(&name) {
                 self.exec.set_condition(c, v);
@@ -632,7 +639,7 @@ impl<'s> PscpMachine<'s> {
     /// The events sampled by the last [`sample_phase`](Self::sample_phase)
     /// (external + expired timers; raised internal events live in the
     /// executor's pending set, see `Executor::pending_events`).
-    pub(crate) fn sampled_events(&self) -> &BTreeSet<EventId> {
+    pub(crate) fn sampled_events(&self) -> &[EventId] {
         &self.scratch.events
     }
 
@@ -660,9 +667,8 @@ impl<'s> PscpMachine<'s> {
         cond_snapshot.clear();
         cond_snapshot.extend(chart.condition_ids().map(|c| self.exec.condition(c)));
         let cond_snapshot: &[bool] = cond_snapshot;
-        // Sized once; the entries a cycle writes are reset as it reads
-        // them, so the buffer is all zero here.
-        per_transition.resize(chart.transition_count(), 0);
+        // Sized at construction; the entries a cycle writes are reset as
+        // it reads them, so the buffer is all zero here.
         debug_assert!(per_transition.iter().all(|&c| c == 0));
         timer_writes.clear();
         let tep = &mut self.tep;
@@ -671,9 +677,12 @@ impl<'s> PscpMachine<'s> {
         let mut last_site: Option<ActionSite> = None;
         let mut cursor = 0usize;
 
-        let step = self.exec.step_with(&*events, |site, _call| {
+        // A routine's raised events and condition writes go straight to
+        // the executor's sink; on a fault, those it made before faulting
+        // stay, and no later routine runs.
+        let step = self.exec.step_with(events.iter(), |site, _call, effects| {
             if fault.is_some() {
-                return ActionEffects::default();
+                return;
             }
             if last_site != Some(site) {
                 last_site = Some(site);
@@ -695,22 +704,16 @@ impl<'s> PscpMachine<'s> {
                 system,
                 env: &mut *env,
                 cond_snapshot,
-                raised: Vec::new(),
-                cond_writes: Vec::new(),
+                effects,
                 timer_writes: &mut *timer_writes,
                 now,
             };
             let start = tep.cycles();
             if let Err(e) = tep.call_indexed(bound.func, args, &mut host) {
                 fault = Some(MachineError::Tep(e));
-                return ActionEffects::default();
+                return;
             }
             per_transition[site.transition().index()] += tep.cycles() - start;
-            ActionEffects {
-                raise_ids: host.raised,
-                set_condition_ids: host.cond_writes,
-                ..Default::default()
-            }
         });
         if let Some(e) = fault {
             for &tid in &step.fired {
@@ -720,11 +723,13 @@ impl<'s> PscpMachine<'s> {
             return Err(e);
         }
 
-        let mut report = CycleReport::default();
-        for &tid in &step.fired {
+        // The report's vectors are the cycle's only allocations, each
+        // sized exactly; an idle cycle's stay empty and allocate nothing.
+        let fired = step.fired.clone();
+        let mut transition_cycles = Vec::with_capacity(fired.len());
+        for &tid in &fired {
             let cost = std::mem::take(&mut per_transition[tid.index()]);
-            report.transition_cycles.push(cost + overhead::DISPATCH + overhead::WRITEBACK);
-            report.fired.push(tid);
+            transition_cycles.push(cost + overhead::DISPATCH + overhead::WRITEBACK);
         }
 
         // 5. Timing: round-robin makespan over the TEPs, with mutual
@@ -733,15 +738,15 @@ impl<'s> PscpMachine<'s> {
         //    extension; no-op when no events are marked as interrupts).
         let n = system.arch.n_teps.max(1) as usize;
         order.clear();
-        order.extend(0..report.fired.len());
-        order.sort_by_key(|&i| (!tables.interrupt[report.fired[i].index()], i));
+        order.extend(0..fired.len());
+        order.sort_by_key(|&i| (!tables.interrupt[fired[i].index()], i));
 
         tep_load.clear();
         tep_load.resize(n, 0);
-        let mut assigned = vec![0u8; report.fired.len()];
+        let mut assigned_tep = vec![0u8; fired.len()];
         let mut interrupt_latency: Option<u64> = None;
         for (k, &i) in order.iter().enumerate() {
-            let tid = report.fired[i];
+            let tid = fired[i];
             let mut tep = k % n;
             // Mutual exclusion: co-locate with the first earlier
             // conflicting transition.
@@ -749,25 +754,23 @@ impl<'s> PscpMachine<'s> {
                 let partners = &tables.exclusion[tid.index()];
                 if !partners.is_empty() {
                     for &j in &order[..k] {
-                        if partners.binary_search(&(report.fired[j].index() as u32)).is_ok() {
-                            tep = assigned[j] as usize;
+                        if partners.binary_search(&(fired[j].index() as u32)).is_ok() {
+                            tep = assigned_tep[j] as usize;
                             break;
                         }
                     }
                 }
             }
-            tep_load[tep] += report.transition_cycles[i];
-            assigned[i] = tep as u8;
+            tep_load[tep] += transition_cycles[i];
+            assigned_tep[i] = tep as u8;
             if tables.interrupt[tid.index()] {
                 let done = overhead::SLA + tep_load[tep];
                 interrupt_latency =
                     Some(interrupt_latency.map_or(done, |cur| cur.max(done)));
             }
         }
-        report.assigned_tep = assigned;
-        report.interrupt_latency = interrupt_latency;
         let makespan = tep_load.iter().copied().max().unwrap_or(0);
-        report.cycle_length = if report.fired.is_empty() {
+        let cycle_length = if fired.is_empty() {
             overhead::SLA + overhead::IDLE
         } else {
             overhead::SLA + makespan
@@ -775,7 +778,14 @@ impl<'s> PscpMachine<'s> {
 
         // 6. Raised events become visible next cycle (the executor holds
         //    them in the CR's event part).
-        report.raised = step.raised;
+        let report = CycleReport {
+            fired,
+            transition_cycles,
+            assigned_tep,
+            cycle_length,
+            raised: step.raised.clone(),
+            interrupt_latency,
+        };
 
         // 6b. Hardware timers: apply arm/disarm writes; closing the
         //     cycle advances them.
@@ -878,21 +888,21 @@ impl<'s> PscpMachine<'s> {
 /// environment, conditions go through the local condition cache
 /// (snapshot reads, recorded writes), events are recorded for the next
 /// configuration cycle.
-struct PscpHost<'a, 's, E: Environment> {
+struct PscpHost<'a, 's, 'k, E: Environment> {
     system: &'s CompiledSystem,
     env: &'a mut E,
     /// The condition part of the CR at cycle start, copied into the
     /// local caches by the scheduler (§3.1).
     cond_snapshot: &'a [bool],
-    raised: Vec<EventId>,
-    cond_writes: Vec<(ConditionId, bool)>,
+    /// The executor's sink for raised events and condition writes.
+    effects: &'a mut EffectSink<'k>,
     /// Hardware-timer arms `(timer index, reload value)` recorded for
     /// end-of-cycle application.
     timer_writes: &'a mut Vec<(usize, u64)>,
     now: u64,
 }
 
-impl<E: Environment> Host for PscpHost<'_, '_, E> {
+impl<E: Environment> Host for PscpHost<'_, '_, '_, E> {
     fn port_read(&mut self, port: u32) -> i64 {
         let address = self.system.program.ports[port as usize].address;
         self.env.port_read(address, self.now)
@@ -911,13 +921,13 @@ impl<E: Environment> Host for PscpHost<'_, '_, E> {
 
     fn raise_event(&mut self, event: u32) {
         if let Some(e) = self.system.tables.program_event[event as usize] {
-            self.raised.push(e);
+            self.effects.raise(e);
         }
     }
 
     fn set_condition(&mut self, cond: u32, value: bool) {
         if let Some(c) = self.system.tables.program_condition[cond as usize] {
-            self.cond_writes.push((c, value));
+            self.effects.set_condition(c, value);
         }
     }
 

@@ -27,11 +27,15 @@
 //! streams them with a bounded lookahead, one scalar machine per
 //! worker.
 //!
-//! On top of the thread pool, each batch worker packs up to
-//! `PSCP_GANG` scenarios (default 64) into one bit-sliced gang
-//! ([`crate::gang`]) whose SLA/CR plane evaluates word-parallel — also
-//! byte-identical, for any gang width. `PSCP_GANG=1` keeps the scalar
-//! loop verbatim as the differential oracle. Exploration does not use
+//! Each batch worker runs its scenarios one after another on one scalar
+//! [`PscpMachine`], claiming several scenarios per chunk so workers
+//! take the stream lock a few times per batch, not once per scenario.
+//! [`SimPool::with_gang`] (n > 1) instead packs up to n scenarios into
+//! one bit-sliced gang ([`crate::gang`]) whose SLA/CR plane evaluates
+//! word-parallel — also byte-identical, for any gang width. Since
+//! indexed selection and quiet cycles, the scalar machine is as fast or
+//! faster on every simulation workload (DESIGN.md, "Gang simulation"),
+//! so the gang is only reachable from code. Exploration does not use
 //! the gang.
 
 use crate::compile::CompiledSystem;
@@ -55,27 +59,6 @@ pub fn threads_from(var: Option<&str>) -> usize {
 /// otherwise the available hardware parallelism.
 pub fn configured_threads() -> usize {
     threads_from(std::env::var("PSCP_THREADS").ok().as_deref())
-}
-
-/// Parses a `PSCP_GANG`-style value: the number of scenarios packed
-/// into one bit-sliced gang per worker. Unset, empty, `auto`,
-/// unparsable or zero select the full machine-word width
-/// ([`GANG_WIDTH`]); explicit values clamp to `1..=64`. Width 1 is the
-/// scalar path, kept verbatim as the differential oracle.
-pub fn gang_from(var: Option<&str>) -> usize {
-    match var.map(str::trim) {
-        Some("") | Some("auto") | None => GANG_WIDTH,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n.min(GANG_WIDTH),
-            _ => GANG_WIDTH,
-        },
-    }
-}
-
-/// The gang width configured for this process via `PSCP_GANG`
-/// (default: the full 64-lane word).
-pub fn configured_gang() -> usize {
-    gang_from(std::env::var("PSCP_GANG").ok().as_deref())
 }
 
 /// Run limits for one scenario of a batch.
@@ -262,20 +245,20 @@ pub struct SimPool {
 
 impl SimPool {
     /// A pool sized by `PSCP_THREADS` (default: available parallelism)
-    /// with the `PSCP_GANG` gang width (default: 64).
+    /// that runs each worker's scenarios on one scalar machine.
     pub fn new() -> Self {
-        SimPool { threads: configured_threads(), gang: configured_gang() }
+        SimPool::with_threads(configured_threads())
     }
 
-    /// A pool with an explicit worker count (minimum 1); gang width
-    /// still comes from `PSCP_GANG`.
+    /// A pool with an explicit worker count (minimum 1) that runs each
+    /// worker's scenarios on one scalar machine.
     pub fn with_threads(threads: usize) -> Self {
-        SimPool { threads: threads.max(1), gang: configured_gang() }
+        SimPool { threads: threads.max(1), gang: 1 }
     }
 
     /// Overrides the gang width: how many scenarios each worker packs
     /// into one bit-sliced gang (clamped to `1..=64`; 1 selects the
-    /// scalar differential-oracle path).
+    /// scalar machine, the default).
     pub fn with_gang(mut self, width: usize) -> Self {
         self.gang = width.clamp(1, GANG_WIDTH);
         self
@@ -326,12 +309,17 @@ impl SimPool {
         // One set of selection tables for the whole batch, shared by
         // every worker's machines.
         let tables = Arc::new(SelectionTables::new(&system.chart));
-        // Scenarios run in chunks of the gang width (1 on the scalar
-        // path), shrunk when the batch is too small to keep every worker
-        // busy at the configured width: parallel workers beat wide gangs
-        // until each worker has a full gang of its own. Deterministic in
-        // (envs, threads), so outcomes stay pinned.
-        let width = self.gang.min(envs.len().div_ceil(self.threads)).max(1);
+        // A scalar worker claims a few chunks of the batch, enough to
+        // balance the workers without a lock round trip per scenario.
+        // A gang runs in chunks of its width, shrunk when the batch is
+        // too small to keep every worker busy at that width: parallel
+        // workers beat wide gangs until each worker has a full gang of
+        // its own. Outcomes do not depend on the chunking.
+        let width = if self.gang <= 1 {
+            envs.len().div_ceil(self.threads * CLAIMS_PER_WORKER)
+        } else {
+            self.gang.min(envs.len().div_ceil(self.threads)).max(1)
+        };
         let mut out = Vec::with_capacity(envs.len());
         stream_chunks(
             envs.into_iter().map(|env| (env, *limits)),
@@ -345,6 +333,9 @@ impl SimPool {
         out
     }
 }
+
+/// Chunks per worker a scalar batch is cut into.
+const CLAIMS_PER_WORKER: usize = 4;
 
 /// The lookahead of a run whose consumer only collects: every result is
 /// kept anyway, so workers never wait on the consumer and a slow job
@@ -483,7 +474,7 @@ impl Default for SimPool {
 }
 
 /// One worker's scenario engine: a scalar [`PscpMachine`] at gang width
-/// 1 (the differential oracle), otherwise a [`GangRig`]. [`SimPool`]
+/// 1 (the default), otherwise a [`GangRig`]. [`SimPool`]
 /// workers and the scenario server's shard workers ([`crate::serve`])
 /// both run their scenarios through it, which is what keeps served
 /// outcomes byte-identical to an in-process batch.
@@ -667,6 +658,65 @@ mod tests {
                 assert_eq!(&out.stats, stats, "threads={threads}");
                 assert_eq!(&out.clock_cycles, clock, "threads={threads}");
                 assert!(out.error.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_chunks_match_fresh_machines() {
+        // Batches of 1, k-1, k and k+1 scenarios, with k the batch size
+        // at which a scalar chunk grows past one scenario, at 1, 2 and 3
+        // workers. Each scenario ticks on its first and second-to-last
+        // rows and idles between, and `done` stops it halfway through
+        // that quiet stretch.
+        let sys = system();
+        let limits = BatchOptions { deadline: u64::MAX, max_steps: 64 };
+        let envs = |n: usize| -> Vec<ScriptedEnvironment> {
+            (0..n)
+                .map(|i| {
+                    let len = 12 + i % 5;
+                    let script: Vec<Vec<&str>> = (0..len)
+                        .map(|r| if r == 0 || r == len - 2 { vec!["TICK"] } else { vec![] })
+                        .collect();
+                    ScriptedEnvironment::new(script)
+                })
+                .collect()
+        };
+        let done = |m: &PscpMachine<'_>, env: &ScriptedEnvironment, _: &CycleReport| {
+            m.stats().config_cycles as usize == env.script.len() / 2
+        };
+        for threads in [1, 2, 3] {
+            let k = threads * CLAIMS_PER_WORKER;
+            for n in [1, k - 1, k, k + 1] {
+                let reference: Vec<_> = envs(n)
+                    .into_iter()
+                    .map(|mut env| {
+                        let mut m = PscpMachine::new(&sys);
+                        let mut reports = Vec::new();
+                        while reports.len() < limits.max_steps as usize {
+                            let r = m.step(&mut env).unwrap();
+                            let stop = done(&m, &env, &r);
+                            reports.push(r);
+                            if stop {
+                                break;
+                            }
+                        }
+                        (reports, m.stats().clone(), m.now(), env)
+                    })
+                    .collect();
+                let pool = SimPool::with_threads(threads).with_gang(1);
+                let got = pool.run_batch_until(&sys, envs(n), &limits, done);
+                assert_eq!(got.len(), n, "threads={threads} n={n}");
+                for (i, (o, expected)) in got.iter().zip(&reference).enumerate() {
+                    let (reports, stats, clock, env) = expected;
+                    let at = format!("threads={threads} n={n} scenario {i}");
+                    assert_eq!(o.reports.len(), env.script.len() / 2, "{at}: cut by done");
+                    assert_eq!(&o.reports, reports, "{at}");
+                    assert_eq!(&o.stats, stats, "{at}");
+                    assert_eq!(&o.clock_cycles, clock, "{at}");
+                    assert_eq!(o.env.port_writes, env.port_writes, "{at}");
+                    assert!(o.error.is_none(), "{at}");
+                }
             }
         }
     }
@@ -868,21 +918,6 @@ mod tests {
         assert_eq!(threads_from(Some("0")), fallback);
         assert_eq!(threads_from(Some("lots")), fallback);
         assert_eq!(threads_from(None), fallback);
-    }
-
-    #[test]
-    fn gang_from_parses_env_shapes() {
-        assert_eq!(gang_from(None), GANG_WIDTH);
-        assert_eq!(gang_from(Some("")), GANG_WIDTH);
-        assert_eq!(gang_from(Some("auto")), GANG_WIDTH);
-        assert_eq!(gang_from(Some(" auto ")), GANG_WIDTH);
-        assert_eq!(gang_from(Some("0")), GANG_WIDTH);
-        assert_eq!(gang_from(Some("bogus")), GANG_WIDTH);
-        assert_eq!(gang_from(Some("1")), 1);
-        assert_eq!(gang_from(Some("8")), 8);
-        assert_eq!(gang_from(Some(" 63 ")), 63);
-        assert_eq!(gang_from(Some("64")), 64);
-        assert_eq!(gang_from(Some("1000")), GANG_WIDTH, "clamped to the word width");
     }
 
     #[test]

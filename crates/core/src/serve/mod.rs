@@ -21,7 +21,7 @@
 //! | `PSCP_SERVE_ADDR`   | listen address for the server binary  | `127.0.0.1:7971`  |
 //! | `PSCP_SERVE_WINDOW` | max per-connection credit window      | `32`              |
 //! | `PSCP_THREADS`      | shard worker count (shared with pool) | available cores   |
-//! | `PSCP_GANG`         | per-worker gang width (shared with pool) | pool `64`, serve `8` |
+//! | `PSCP_GANG`         | per-worker gang width                 | `8`               |
 //! | `PSCP_SERVE_STATS`  | telemetry scrapes (`off`/`0`/`false` disables) | on        |
 
 pub mod wire;
@@ -54,7 +54,8 @@ pub struct ServeOptions {
     /// scenarios into one bit-sliced gang when queue depth allows
     /// (clamped to `1..=64`; 1 is the scalar path). Outcomes stay
     /// byte-identical either way — the differential suite pins it.
-    /// Defaults to `PSCP_GANG` when set, otherwise [`SERVE_GANG`].
+    /// Defaults to `PSCP_GANG` when that is `auto` or a positive
+    /// integer, otherwise [`SERVE_GANG`].
     pub gang: usize,
     /// Answer `StatsRequest` frames (the remote telemetry plane). On
     /// by default; `PSCP_SERVE_STATS=off` disables, after which a
@@ -74,18 +75,27 @@ impl Default for ServeOptions {
     }
 }
 
-/// A serve worker's lane bound when `PSCP_GANG` is unset. A worker
+/// A serve worker's lane bound unless `PSCP_GANG` sets one. A worker
 /// pops up to this many queued scenarios at once, and a client round
 /// arrives in one piece, so an unbounded worker would grow its gang rig
 /// to the round's width — resident machines the throughput does not
 /// repay (DESIGN.md "Write coalescing").
 pub const SERVE_GANG: usize = 8;
 
-/// Parses `PSCP_GANG` for the server: unset selects [`SERVE_GANG`];
-/// any set value means what it means to the pool
-/// ([`gang_from`](crate::pool::gang_from)).
+/// Parses `PSCP_GANG` for the server: `auto` selects the full
+/// machine-word width ([`GANG_WIDTH`](pscp_sla::gang::GANG_WIDTH)), a
+/// positive integer clamps to `1..=64`, and anything else (unset,
+/// empty, zero, unparsable) selects [`SERVE_GANG`].
 fn serve_gang_from(var: Option<&str>) -> usize {
-    var.map_or(SERVE_GANG, |v| crate::pool::gang_from(Some(v)))
+    use pscp_sla::gang::GANG_WIDTH;
+    match var.map(str::trim) {
+        Some("auto") => GANG_WIDTH,
+        Some(v) => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => n.min(GANG_WIDTH),
+            _ => SERVE_GANG,
+        },
+        None => SERVE_GANG,
+    }
 }
 
 impl ServeOptions {
@@ -193,10 +203,17 @@ mod tests {
 
     #[test]
     fn serve_lane_bound_defaults_to_eight_unless_pscp_gang_is_set() {
+        use pscp_sla::gang::GANG_WIDTH;
         assert_eq!(serve_gang_from(None), SERVE_GANG);
         assert_eq!(serve_gang_from(Some("1")), 1);
         assert_eq!(serve_gang_from(Some("64")), 64);
-        assert_eq!(serve_gang_from(Some("auto")), crate::pool::gang_from(Some("auto")));
+        assert_eq!(serve_gang_from(Some("auto")), GANG_WIDTH);
+        assert_eq!(serve_gang_from(Some(" auto ")), GANG_WIDTH);
+        assert_eq!(serve_gang_from(Some(" 63 ")), 63);
+        assert_eq!(serve_gang_from(Some("1000")), GANG_WIDTH, "clamped to the word width");
+        for unset_alike in ["", " ", "0", "bogus"] {
+            assert_eq!(serve_gang_from(Some(unset_alike)), SERVE_GANG, "{unset_alike:?}");
+        }
     }
 
     #[test]

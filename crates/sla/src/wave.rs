@@ -92,7 +92,7 @@ mod tests {
         let tick = chart.event_by_name("TICK").unwrap();
         let mut frames = vec![layout.encode(&chart, exec.configuration())];
         for _ in 0..3 {
-            exec.step(&[tick].into_iter().collect(), |_| Default::default());
+            exec.step(&[tick], |_| Default::default());
             frames.push(layout.encode(&chart, exec.configuration()));
         }
         let vcd = cr_waveform(&chart, &layout, &frames);

@@ -366,7 +366,8 @@ impl Configuration {
 }
 
 /// Side effects requested by an action routine during reference
-/// execution. The full PSCP machine runs compiled TEP code instead; this
+/// execution, by name. The full PSCP machine runs compiled TEP code
+/// instead and reports effects by id through an [`EffectSink`]; this
 /// hook exists so functional tests and co-simulations can model the same
 /// effects.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -376,14 +377,50 @@ pub struct ActionEffects {
     /// Condition assignments, applied at end of cycle (condition-cache
     /// write-back).
     pub set_conditions: Vec<(String, bool)>,
-    /// Events raised by id — same semantics as [`raise`](Self::raise)
-    /// without the name resolution. Hosts that already hold chart ids
-    /// (the PSCP machine) use these to keep the cycle loop free of
-    /// string lookups.
-    pub raise_ids: Vec<EventId>,
-    /// Condition assignments by id — same semantics as
-    /// [`set_conditions`](Self::set_conditions).
-    pub set_condition_ids: Vec<(ConditionId, bool)>,
+}
+
+/// Where an action routine's side effects go during
+/// [`Executor::step_with`]: raised events become pending for the next
+/// cycle, condition writes are applied at the end of this one. The
+/// sink writes into buffers the executor keeps, so reporting an effect
+/// allocates nothing once they have grown.
+#[derive(Debug)]
+pub struct EffectSink<'a> {
+    chart: &'a Chart,
+    pending: &'a mut Vec<EventId>,
+    raised: &'a mut Vec<EventId>,
+    cond_writes: &'a mut Vec<(ConditionId, bool)>,
+}
+
+impl EffectSink<'_> {
+    /// Raises `e`: it is visible in the *next* configuration cycle.
+    pub fn raise(&mut self, e: EventId) {
+        // The pending set stays ascending and duplicate-free.
+        if let Err(at) = self.pending.binary_search(&e) {
+            self.pending.insert(at, e);
+        }
+        self.raised.push(e);
+    }
+
+    /// Assigns condition `c`, written back at the end of the cycle.
+    pub fn set_condition(&mut self, c: ConditionId, value: bool) {
+        self.cond_writes.push((c, value));
+    }
+
+    /// Applies effects given by name; names the chart does not declare
+    /// are ignored.
+    fn apply(&mut self, effects: ActionEffects) {
+        for name in effects.raise {
+            if let Some(e) = self.chart.event_by_name(&name) {
+                self.raise(e);
+            }
+        }
+        for (name, v) in effects.set_conditions {
+            if let Some(c) = self.chart.condition_by_name(&name) {
+                self.set_condition(c, v);
+            }
+        }
+    }
 }
 
 /// Where an action call originated, for [`Executor::step_with`].
@@ -421,7 +458,8 @@ impl ActionSite {
     }
 }
 
-/// What happened during one configuration cycle.
+/// What happened during one configuration cycle. The executor keeps
+/// one and refills it every step, so stepping reuses its buffers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepReport {
     /// Transitions that fired, in execution order.
@@ -430,8 +468,6 @@ pub struct StepReport {
     pub exited: Vec<StateId>,
     /// States entered this cycle.
     pub entered: Vec<StateId>,
-    /// Action calls dispatched, in order.
-    pub actions: Vec<ActionCall>,
     /// Events raised by actions (become visible next cycle).
     pub raised: Vec<EventId>,
 }
@@ -466,24 +502,31 @@ struct StepScratch {
     selected: Vec<TransitionId>,
     /// Entry path from a scope down to a target.
     path: Vec<StateId>,
+    /// Condition assignments of the cycle, written back at its end.
+    cond_writes: Vec<(ConditionId, bool)>,
 }
 
 impl StepScratch {
-    /// Loads the event bitmap with `external` plus `pending`. Ids
-    /// beyond the chart's events match no trigger, as in a set lookup.
-    fn load_events(
+    /// Selects the cycle's transitions into `selected` for the
+    /// configuration `active`, the `conditions` and the cycle's
+    /// `events`, which load the event bitmap. Ids beyond the chart's
+    /// events match no trigger, as in a set lookup.
+    fn select(
         &mut self,
-        event_count: usize,
-        external: &BTreeSet<EventId>,
-        pending: &BTreeSet<EventId>,
+        tables: &SelectionTables,
+        active: &[bool],
+        conditions: &[bool],
+        events: impl IntoIterator<Item = EventId>,
     ) {
         self.events.clear();
-        self.events.resize(event_count, false);
-        for e in external.iter().chain(pending) {
+        self.events.resize(tables.event_count, false);
+        for e in events {
             if let Some(bit) = self.events.get_mut(e.index()) {
                 *bit = true;
             }
         }
+        let StepScratch { events, enabled, claimed, selected, .. } = self;
+        tables.select(active, conditions, events, enabled, claimed, selected);
     }
 }
 
@@ -534,12 +577,15 @@ pub struct Executor<'c> {
     tables: Arc<SelectionTables>,
     config: Configuration,
     conditions: Vec<bool>,
-    /// Events raised by actions during the previous cycle.
-    pending_internal: BTreeSet<EventId>,
+    /// Events raised by actions during the previous cycle, ascending
+    /// and duplicate-free.
+    pending_internal: Vec<EventId>,
     /// Shallow-history memory: last active child of each history
     /// OR-state.
     history_memory: Vec<Option<StateId>>,
     scratch: StepScratch,
+    /// The last step's report, refilled by every step.
+    report: StepReport,
     cycle: u64,
 }
 
@@ -561,37 +607,34 @@ impl<'c> Executor<'c> {
     /// number of states, transitions or events.
     pub fn with_tables(chart: &'c Chart, tables: Arc<SelectionTables>) -> Self {
         assert!(tables.fits(chart), "selection tables built for a different chart");
-        let mut active = vec![false; chart.state_count()];
-        let history_memory = vec![None; chart.state_count()];
-        enter_with_defaults(chart, chart.root(), &mut active, &mut Vec::new(), &history_memory);
-        Executor {
+        let mut exec = Executor {
             chart,
             tables,
-            config: Configuration { active },
-            conditions: chart.conditions().map(|c| c.initial).collect(),
-            pending_internal: BTreeSet::new(),
-            history_memory,
+            config: Configuration { active: vec![false; chart.state_count()] },
+            conditions: Vec::new(),
+            pending_internal: Vec::new(),
+            history_memory: vec![None; chart.state_count()],
             scratch: StepScratch::default(),
+            report: StepReport::default(),
             cycle: 0,
-        }
+        };
+        exec.reset();
+        exec
     }
 
     /// Returns the executor to its post-construction state — default
     /// configuration, conditions at their declared reset values, no
     /// pending internal events, history memory cleared — while keeping
     /// the shared selection tables and scratch buffers. A reset executor
-    /// behaves byte-identically to a freshly constructed one.
+    /// behaves byte-identically to a freshly constructed one, and
+    /// resetting allocates nothing.
     pub fn reset(&mut self) {
         let chart = self.chart;
         self.config.active.iter_mut().for_each(|a| *a = false);
         self.history_memory.iter_mut().for_each(|h| *h = None);
-        enter_with_defaults(
-            chart,
-            chart.root(),
-            &mut self.config.active,
-            &mut Vec::new(),
-            &self.history_memory,
-        );
+        let (active, entered) = (&mut self.config.active, &mut self.scratch.path);
+        enter_with_defaults(chart, chart.root(), active, entered, &self.history_memory);
+        entered.clear();
         self.conditions.clear();
         self.conditions.extend(chart.conditions().map(|c| c.initial));
         self.pending_internal.clear();
@@ -605,25 +648,29 @@ impl<'c> Executor<'c> {
 
     /// Snapshots the semantic control state: active configuration,
     /// condition values, pending internal events (sorted), and history
-    /// memory. The cycle counter, selection tables and scratch buffers
-    /// are excluded — they never influence transition selection.
+    /// memory. The cycle counter, selection tables, scratch buffers and
+    /// the last step's report are excluded — they never influence
+    /// transition selection.
     pub fn control_state(&self) -> ControlState {
         ControlState {
             active: self.config.active.clone(),
             conditions: self.conditions.clone(),
-            pending_internal: self.pending_internal.iter().copied().collect(),
+            pending_internal: self.pending_internal.clone(),
             history: self.history_memory.clone(),
         }
     }
 
     /// Restores a [`control_state`](Executor::control_state) snapshot
     /// taken from an executor over the same chart. The cycle counter is
-    /// left untouched.
+    /// left untouched. Pending internal events need not be sorted or
+    /// unique; they are restored as a set.
     pub fn restore_control_state(&mut self, s: &ControlState) {
         self.config.active.copy_from_slice(&s.active);
         self.conditions.copy_from_slice(&s.conditions);
         self.pending_internal.clear();
-        self.pending_internal.extend(s.pending_internal.iter().copied());
+        self.pending_internal.extend_from_slice(&s.pending_internal);
+        self.pending_internal.sort_unstable();
+        self.pending_internal.dedup();
         self.history_memory.copy_from_slice(&s.history);
     }
 
@@ -648,7 +695,7 @@ impl<'c> Executor<'c> {
     }
 
     /// Internal events raised by actions last cycle, still pending
-    /// delivery in the next step.
+    /// delivery in the next step, in ascending order.
     pub fn pending_events(&self) -> impl Iterator<Item = EventId> + '_ {
         self.pending_internal.iter().copied()
     }
@@ -656,37 +703,45 @@ impl<'c> Executor<'c> {
     /// Computes the enabled, conflict-resolved transition set for a given
     /// event set without executing anything. This is exactly the set of
     /// addresses the SLA would emit into the Transition Address Table.
-    pub fn select_transitions(&self, events: &BTreeSet<EventId>) -> Vec<TransitionId> {
+    pub fn select_transitions<'e>(
+        &self,
+        events: impl IntoIterator<Item = &'e EventId>,
+    ) -> Vec<TransitionId> {
         let mut scratch = StepScratch::default();
-        scratch.load_events(self.tables.event_count, events, &BTreeSet::new());
-        self.tables.select(
-            &self.config.active,
-            &self.conditions,
-            &scratch.events,
-            &mut scratch.enabled,
-            &mut scratch.claimed,
-            &mut scratch.selected,
-        );
+        let events = events.into_iter().copied();
+        scratch.select(&self.tables, &self.config.active, &self.conditions, events);
         scratch.selected
     }
 
     /// Runs one configuration cycle with the given external events, using
-    /// `effects` to model the action routines.
-    pub fn step<F>(&mut self, external: &BTreeSet<EventId>, mut effects: F) -> StepReport
+    /// `effects` to model the action routines by name.
+    pub fn step<'e, F>(
+        &mut self,
+        external: impl IntoIterator<Item = &'e EventId>,
+        mut effects: F,
+    ) -> &StepReport
     where
         F: FnMut(&ActionCall) -> ActionEffects,
     {
-        self.step_with(external, |_, call| effects(call))
+        self.step_with(external, |_, call, sink| sink.apply(effects(call)))
     }
 
     /// Like [`Executor::step`], but the callback also learns *where* each
     /// action comes from — a state's exit action, the transition's own
-    /// label, or a state's entry action — and which transition caused it.
+    /// label, or a state's entry action — and which transition caused it,
+    /// and reports the action's effects by id into an [`EffectSink`].
     /// The full PSCP machine uses this to execute compiled routines in
     /// exactly the reference order and attribute their cycle costs.
-    pub fn step_with<F>(&mut self, external: &BTreeSet<EventId>, mut effects: F) -> StepReport
+    ///
+    /// The returned report lives in the executor and is refilled by the
+    /// next step; once its buffers have grown, a step allocates nothing.
+    pub fn step_with<'e, F>(
+        &mut self,
+        external: impl IntoIterator<Item = &'e EventId>,
+        mut effects: F,
+    ) -> &StepReport
     where
-        F: FnMut(ActionSite, &ActionCall) -> ActionEffects,
+        F: FnMut(ActionSite, &ActionCall, &mut EffectSink<'_>),
     {
         let Executor {
             chart,
@@ -696,29 +751,28 @@ impl<'c> Executor<'c> {
             pending_internal,
             history_memory,
             scratch,
+            report,
             cycle,
         } = self;
         let chart: &Chart = chart;
         let active = &mut config.active;
-
-        scratch.load_events(tables.event_count, external, pending_internal);
+        let cycle_events = external.into_iter().copied().chain(pending_internal.iter().copied());
+        scratch.select(tables, active, conditions, cycle_events);
         pending_internal.clear();
-        tables.select(
-            active,
-            conditions,
-            &scratch.events,
-            &mut scratch.enabled,
-            &mut scratch.claimed,
-            &mut scratch.selected,
-        );
-        let mut report = StepReport::default();
-        let mut cond_writes: Vec<(ConditionId, bool)> = Vec::new();
+        let StepScratch { selected, path, cond_writes, .. } = scratch;
+        let StepReport { fired, exited, entered, raised } = &mut *report;
+        fired.clear();
+        exited.clear();
+        entered.clear();
+        raised.clear();
+        cond_writes.clear();
+        let mut sink = EffectSink { chart, pending: pending_internal, raised, cond_writes };
 
-        for &tid in &scratch.selected {
+        for &tid in selected.iter() {
             let t = chart.transition(tid);
             let scope = tables.scope(tid);
-            let exit_start = report.exited.len();
-            let entry_start = report.entered.len();
+            let exit_start = exited.len();
+            let entry_start = entered.len();
 
             // Exit: deactivate everything strictly inside the scope that
             // is on the active path, recording shallow-history memory.
@@ -730,14 +784,13 @@ impl<'c> Executor<'c> {
                             history_memory[p.index()] = Some(s);
                         }
                     }
-                    report.exited.push(s);
+                    exited.push(s);
                 }
             }
 
             // Enter: activate the path scope -> target, then default
             // completion below the target; sibling AND components entered
             // along the way get their defaults too.
-            let path = &mut scratch.path;
             path.clear();
             let mut cur = t.target;
             while cur != scope {
@@ -756,14 +809,14 @@ impl<'c> Executor<'c> {
                 let first_on_path = path.first().copied();
                 for &c in &scope_state.children {
                     if Some(c) != first_on_path && !active[c.index()] {
-                        enter_with_defaults(chart, c, active, &mut report.entered, history_memory);
+                        enter_with_defaults(chart, c, active, entered, history_memory);
                     }
                 }
             }
             for (i, &s) in path.iter().enumerate() {
                 if !active[s.index()] {
                     active[s.index()] = true;
-                    report.entered.push(s);
+                    entered.push(s);
                 }
                 // When entering an AND-state on the way down, its other
                 // children must be default-entered as well.
@@ -772,20 +825,14 @@ impl<'c> Executor<'c> {
                 if st.kind == StateKind::And {
                     for &c in &st.children {
                         if Some(c) != next_on_path && !active[c.index()] {
-                            enter_with_defaults(
-                                chart,
-                                c,
-                                active,
-                                &mut report.entered,
-                                history_memory,
-                            );
+                            enter_with_defaults(chart, c, active, entered, history_memory);
                         }
                     }
                 }
             }
             // Default completion below the target itself.
             if !active[t.target.index()] {
-                enter_with_defaults(chart, t.target, active, &mut report.entered, history_memory);
+                enter_with_defaults(chart, t.target, active, entered, history_memory);
             } else {
                 let st = chart.state(t.target);
                 let child;
@@ -805,7 +852,7 @@ impl<'c> Executor<'c> {
                 };
                 for &c in completion {
                     if !active[c.index()] {
-                        enter_with_defaults(chart, c, active, &mut report.entered, history_memory);
+                        enter_with_defaults(chart, c, active, entered, history_memory);
                     }
                 }
             }
@@ -815,73 +862,24 @@ impl<'c> Executor<'c> {
             // actions of the entered states. (The configuration bits were
             // already flipped above, which is unobservable to actions —
             // their effects are deferred to end of cycle.)
-            let apply = |site: ActionSite,
-                             call: &ActionCall,
-                             effects: &mut F,
-                             pending: &mut BTreeSet<EventId>,
-                             report: &mut StepReport,
-                             cond_writes: &mut Vec<(ConditionId, bool)>| {
-                let eff = effects(site, call);
-                for name in eff.raise {
-                    if let Some(e) = chart.event_by_name(&name) {
-                        pending.insert(e);
-                        report.raised.push(e);
-                    }
-                }
-                for e in eff.raise_ids {
-                    pending.insert(e);
-                    report.raised.push(e);
-                }
-                for (name, v) in eff.set_conditions {
-                    if let Some(c) = chart.condition_by_name(&name) {
-                        cond_writes.push((c, v));
-                    }
-                }
-                cond_writes.extend(eff.set_condition_ids);
-                report.actions.push(call.clone());
-            };
-
-            for i in exit_start..report.exited.len() {
-                let s = report.exited[i];
+            for &s in &exited[exit_start..] {
                 for call in &chart.state(s).exit_actions {
-                    apply(
-                        ActionSite::Exit { state: s, transition: tid },
-                        call,
-                        &mut effects,
-                        pending_internal,
-                        &mut report,
-                        &mut cond_writes,
-                    );
+                    effects(ActionSite::Exit { state: s, transition: tid }, call, &mut sink);
                 }
             }
             for call in &t.actions {
-                apply(
-                    ActionSite::Transition { transition: tid },
-                    call,
-                    &mut effects,
-                    pending_internal,
-                    &mut report,
-                    &mut cond_writes,
-                );
+                effects(ActionSite::Transition { transition: tid }, call, &mut sink);
             }
-            for i in entry_start..report.entered.len() {
-                let s = report.entered[i];
+            for &s in &entered[entry_start..] {
                 for call in &chart.state(s).entry_actions {
-                    apply(
-                        ActionSite::Entry { state: s, transition: tid },
-                        call,
-                        &mut effects,
-                        pending_internal,
-                        &mut report,
-                        &mut cond_writes,
-                    );
+                    effects(ActionSite::Entry { state: s, transition: tid }, call, &mut sink);
                 }
             }
-            report.fired.push(tid);
+            fired.push(tid);
         }
 
         // Condition-cache write-back at end of cycle.
-        for (c, v) in cond_writes {
+        for &(c, v) in sink.cond_writes.iter() {
             conditions[c.index()] = v;
         }
 
@@ -893,20 +891,21 @@ impl<'c> Executor<'c> {
     /// Runs one configuration cycle that the caller has already proven
     /// idle — no transition is enabled for `external` plus the pending
     /// internal events. The gang simulator uses this after its
-    /// bit-sliced SLA pass reports no fire bit for a lane: the cycle
-    /// still consumes the events (they live exactly one cycle, so the
-    /// pending set clears) and advances the cycle counter, but skips
-    /// transition selection entirely. Debug builds re-check the idle
-    /// claim against [`select_transitions`](Self::select_transitions).
-    pub fn step_idle(&mut self, external: &BTreeSet<EventId>) {
-        debug_assert!(
-            {
-                let mut events = external.clone();
-                events.extend(self.pending_internal.iter().copied());
-                self.select_transitions(&events).is_empty()
-            },
-            "step_idle called on a cycle with enabled transitions"
-        );
+    /// bit-sliced SLA pass reports no fire bit for a lane, and the PSCP
+    /// machine for quiet cycles: the cycle still consumes the events
+    /// (they live exactly one cycle, so the pending set clears) and
+    /// advances the cycle counter, but skips transition selection
+    /// entirely. Debug builds re-check the idle claim by selecting on
+    /// the executor's own scratch, so they allocate nothing either.
+    pub fn step_idle(&mut self, external: &[EventId]) {
+        if cfg!(debug_assertions) {
+            let events = external.iter().chain(&self.pending_internal).copied();
+            self.scratch.select(&self.tables, &self.config.active, &self.conditions, events);
+            assert!(
+                self.scratch.selected.is_empty(),
+                "step_idle called on a cycle with enabled transitions"
+            );
+        }
         self.pending_internal.clear();
         self.cycle += 1;
         debug_assert!(
@@ -916,7 +915,7 @@ impl<'c> Executor<'c> {
     }
 
     /// Convenience wrapper: step with events given by name.
-    pub fn step_named<I, S, F>(&mut self, events: I, effects: F) -> StepReport
+    pub fn step_named<I, S, F>(&mut self, events: I, effects: F) -> &StepReport
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
@@ -1029,6 +1028,19 @@ mod tests {
     }
 
     #[test]
+    fn restore_normalises_pending_internal_events() {
+        let c = motorish();
+        let go = c.event_by_name("GO").unwrap();
+        let stop = c.event_by_name("STOP_ALL").unwrap();
+        let mut e = Executor::new(&c);
+        let mut snap = e.control_state();
+        snap.pending_internal = vec![stop, go, stop];
+        e.restore_control_state(&snap);
+        snap.pending_internal = vec![go, stop];
+        assert_eq!(e.control_state(), snap);
+    }
+
+    #[test]
     fn tables_agree_with_chart_queries() {
         for c in [motorish(), nested()] {
             let tables = SelectionTables::new(&c);
@@ -1114,9 +1126,13 @@ mod tests {
         let c = motorish();
         let mut e = Executor::new(&c);
         e.step_named(["GO"], no_effects);
-        let r = e.step_named(["X_PULSE", "Y_PULSE"], no_effects);
+        let mut calls = 0;
+        let r = e.step_named(["X_PULSE", "Y_PULSE"], |_| {
+            calls += 1;
+            ActionEffects::default()
+        });
         assert_eq!(r.fired.len(), 2, "both orthogonal self-loops fire");
-        assert_eq!(r.actions.len(), 2);
+        assert_eq!(calls, 2);
     }
 
     #[test]
@@ -1254,8 +1270,12 @@ mod tests {
         let mut e = Executor::new(&c);
         e.step_named(["GO"], no_effects);
         assert!(e.configuration().is_active(c.state_by_name("Start").unwrap()));
-        let r = e.step_named(Vec::<&str>::new(), no_effects);
-        assert_eq!(r.actions.len(), 1);
+        let mut calls = 0;
+        e.step_named(Vec::<&str>::new(), |_| {
+            calls += 1;
+            ActionEffects::default()
+        });
+        assert_eq!(calls, 1);
         assert!(e.configuration().is_active(c.state_by_name("Run").unwrap()));
     }
 

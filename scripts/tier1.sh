@@ -75,6 +75,15 @@ cargo test --release -p pscp-core --test explore_differential -q
 cargo test --release -p pscp-bench --test dse_golden -q
 cargo test --release -p pscp-bench --test dse_memo -q
 
+# The allocation pin is the configuration cycle's heap spec, run here in
+# release as well (the workspace run above is a debug build): with obs
+# off, a fired cycle of the pickup head under a script allocates exactly
+# its `CycleReport`'s vectors (`fired`, `transition_cycles`,
+# `assigned_tep`, and `raised` when it is not empty); sampled idle
+# cycles, quiet cycles, `PscpMachine::reset`, `CompiledNet::eval_into`
+# and the serve writer's counters allocate nothing.
+cargo test --release -p pscp-bench --test obs_alloc -q
+
 # The selection-oracle suites are the executor's transition-selection
 # spec: the indexed selection (per-chart tables, claimed-state conflict
 # check) must equal the synthesised SLA's fire set, cycle by cycle,
