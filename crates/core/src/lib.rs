@@ -36,8 +36,9 @@
 //!   reachability over (configuration × CR × storage) semantic states
 //!   with canonical-key dedup, deadlock/unreachability reporting and
 //!   bounded safety predicates with replayable minimal
-//!   counterexamples; expansion rides the same pool/gang fabric and is
-//!   byte-identical across worker counts and gang widths.
+//!   counterexamples; expansion rides the pool's worker loop on one
+//!   scalar machine per worker and is byte-identical across worker
+//!   counts.
 //! * [`area`] — PSCP area accounting on the FPGA substrate, with a
 //!   block breakdown for the floorplanner (Fig. 8).
 //! * [`report`] — plain-text table rendering for the experiment

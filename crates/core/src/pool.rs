@@ -473,12 +473,9 @@ impl Default for SimPool {
     }
 }
 
-/// One worker's scenario engine: a scalar [`PscpMachine`] at gang width
-/// 1 (the default), otherwise a [`GangRig`]. [`SimPool`]
-/// workers and the scenario server's shard workers ([`crate::serve`])
-/// both run their scenarios through it, which is what keeps served
-/// outcomes byte-identical to an in-process batch.
-pub(crate) enum BatchRunner<'s> {
+/// One [`SimPool`] worker's scenario engine: a scalar [`PscpMachine`]
+/// at gang width 1 (the default), otherwise a [`GangRig`].
+enum BatchRunner<'s> {
     Scalar(Box<PscpMachine<'s>>),
     Gang(Box<GangRig<'s>>),
 }
@@ -486,7 +483,7 @@ pub(crate) enum BatchRunner<'s> {
 impl<'s> BatchRunner<'s> {
     /// The engine for `gang`-wide batches of `system`, its machines on
     /// `tables` (built for `system.chart`).
-    pub(crate) fn new(
+    fn new(
         system: &'s CompiledSystem,
         tables: &Arc<SelectionTables>,
         gang: usize,
@@ -502,7 +499,7 @@ impl<'s> BatchRunner<'s> {
     /// and returns the outcomes in job order, counting them against
     /// `worker`. The scalar engine runs the jobs one after another; the
     /// gang runs up to [`GANG_WIDTH`] of them in lock-step.
-    pub(crate) fn run<E, F>(
+    fn run<E, F>(
         &mut self,
         worker: usize,
         jobs: Vec<(E, BatchOptions)>,
@@ -522,9 +519,11 @@ impl<'s> BatchRunner<'s> {
     }
 }
 
-/// Runs one scenario on a (dirty) machine after resetting it: the
-/// scalar [`BatchRunner`]'s loop.
-fn run_scenario<E, F>(
+/// Runs one scenario on a (dirty) machine after resetting it: the one
+/// scalar scenario loop, shared by the scalar [`BatchRunner`] and the
+/// scenario server's shard workers ([`crate::serve`]), which is what
+/// keeps served outcomes byte-identical to an in-process batch.
+pub(crate) fn run_scenario<E, F>(
     worker: usize,
     machine: &mut PscpMachine<'_>,
     mut env: E,

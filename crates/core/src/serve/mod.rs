@@ -21,7 +21,6 @@
 //! | `PSCP_SERVE_ADDR`   | listen address for the server binary  | `127.0.0.1:7971`  |
 //! | `PSCP_SERVE_WINDOW` | max per-connection credit window      | `32`              |
 //! | `PSCP_THREADS`      | shard worker count (shared with pool) | available cores   |
-//! | `PSCP_GANG`         | per-worker gang width                 | `8`               |
 //! | `PSCP_SERVE_STATS`  | telemetry scrapes (`off`/`0`/`false` disables) | on        |
 
 pub mod wire;
@@ -50,13 +49,6 @@ pub struct ServeOptions {
     pub max_window: u32,
     /// Largest accepted frame in bytes.
     pub max_frame: u32,
-    /// Gang width: each shard worker packs up to this many queued
-    /// scenarios into one bit-sliced gang when queue depth allows
-    /// (clamped to `1..=64`; 1 is the scalar path). Outcomes stay
-    /// byte-identical either way — the differential suite pins it.
-    /// Defaults to `PSCP_GANG` when that is `auto` or a positive
-    /// integer, otherwise [`SERVE_GANG`].
-    pub gang: usize,
     /// Answer `StatsRequest` frames (the remote telemetry plane). On
     /// by default; `PSCP_SERVE_STATS=off` disables, after which a
     /// scrape gets a typed `UNEXPECTED_FRAME` error.
@@ -69,40 +61,16 @@ impl Default for ServeOptions {
             threads: crate::pool::configured_threads(),
             max_window: DEFAULT_WINDOW,
             max_frame: DEFAULT_MAX_FRAME,
-            gang: serve_gang_from(std::env::var("PSCP_GANG").ok().as_deref()),
             stats: true,
         }
-    }
-}
-
-/// A serve worker's lane bound unless `PSCP_GANG` sets one. A worker
-/// pops up to this many queued scenarios at once, and a client round
-/// arrives in one piece, so an unbounded worker would grow its gang rig
-/// to the round's width — resident machines the throughput does not
-/// repay (DESIGN.md "Write coalescing").
-pub const SERVE_GANG: usize = 8;
-
-/// Parses `PSCP_GANG` for the server: `auto` selects the full
-/// machine-word width ([`GANG_WIDTH`](pscp_sla::gang::GANG_WIDTH)), a
-/// positive integer clamps to `1..=64`, and anything else (unset,
-/// empty, zero, unparsable) selects [`SERVE_GANG`].
-fn serve_gang_from(var: Option<&str>) -> usize {
-    use pscp_sla::gang::GANG_WIDTH;
-    match var.map(str::trim) {
-        Some("auto") => GANG_WIDTH,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n.min(GANG_WIDTH),
-            _ => SERVE_GANG,
-        },
-        None => SERVE_GANG,
     }
 }
 
 impl ServeOptions {
     /// Defaults overridden by `PSCP_SERVE_WINDOW` and
     /// `PSCP_SERVE_STATS` (plus `PSCP_THREADS` via
-    /// [`configured_threads`](crate::pool::configured_threads) and
-    /// `PSCP_GANG`, read by [`Default`]).
+    /// [`configured_threads`](crate::pool::configured_threads), read by
+    /// [`Default`]).
     pub fn from_env() -> Self {
         let mut opts = Self::default();
         if let Ok(v) = std::env::var("PSCP_SERVE_WINDOW") {
@@ -199,21 +167,6 @@ mod tests {
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&deep));
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&shared.clone()));
         assert_ne!(system_fingerprint(&shared), system_fingerprint(&toggle_system(101)));
-    }
-
-    #[test]
-    fn serve_lane_bound_defaults_to_eight_unless_pscp_gang_is_set() {
-        use pscp_sla::gang::GANG_WIDTH;
-        assert_eq!(serve_gang_from(None), SERVE_GANG);
-        assert_eq!(serve_gang_from(Some("1")), 1);
-        assert_eq!(serve_gang_from(Some("64")), 64);
-        assert_eq!(serve_gang_from(Some("auto")), GANG_WIDTH);
-        assert_eq!(serve_gang_from(Some(" auto ")), GANG_WIDTH);
-        assert_eq!(serve_gang_from(Some(" 63 ")), 63);
-        assert_eq!(serve_gang_from(Some("1000")), GANG_WIDTH, "clamped to the word width");
-        for unset_alike in ["", " ", "0", "bogus"] {
-            assert_eq!(serve_gang_from(Some(unset_alike)), SERVE_GANG, "{unset_alike:?}");
-        }
     }
 
     #[test]

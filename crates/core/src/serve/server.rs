@@ -2,10 +2,9 @@
 //!
 //! One loaded [`CompiledSystem`], many concurrent client connections.
 //! Work is sharded across a persistent pool of scenario workers — one
-//! [`PscpMachine`](crate::machine::PscpMachine) (or one gang rig) per
-//! worker, reused across scenarios exactly like a
-//! [`SimPool`](crate::pool::SimPool) worker. Every scenario runs
-//! through the same `BatchRunner` the in-process pool uses, which is
+//! scalar [`PscpMachine`] per worker, reused across scenarios exactly
+//! like a [`SimPool`](crate::pool::SimPool) worker. Every scenario runs
+//! through the same scenario loop the in-process pool uses, which is
 //! what makes server round-trips byte-identical to
 //! `SimPool::run_batch` (the differential suite pins this).
 //!
@@ -21,7 +20,7 @@
 //!
 //! Every hop moves a batch, not a frame: the reader queues the
 //! submissions of one socket read under one lock, a worker hands a
-//! connection its outcomes of one gang batch with one wakeup, and the
+//! connection its outcomes of one popped batch with one wakeup, and the
 //! writer sends everything queued for its connection in one socket
 //! write. The bytes on the wire are those of one write per frame.
 
@@ -31,8 +30,8 @@ use super::wire::{
 };
 use super::ServeOptions;
 use crate::compile::CompiledSystem;
-use crate::machine::ScriptedEnvironment;
-use crate::pool::{BatchOptions, BatchRunner};
+use crate::machine::{PscpMachine, ScriptedEnvironment};
+use crate::pool::{run_scenario, BatchOptions};
 use pscp_statechart::semantics::SelectionTables;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -45,6 +44,13 @@ use std::time::{Duration, Instant};
 /// shutdown flag. Reads with data pending return immediately; this
 /// bounds only how long a *quiet* connection takes to notice shutdown.
 const POLL: Duration = Duration::from_millis(5);
+
+/// Jobs a worker pops from the shared queue at once. A client round
+/// arrives in one piece, so popping several jobs per lock round trip
+/// and handing each connection its outcomes with one wakeup is what
+/// keeps a coalesced round cheap; the bound keeps one worker from
+/// taking a whole wide round while the others idle.
+const POP_BATCH: usize = 8;
 
 /// Backstop for the drain wait: the external shutdown flag has no
 /// condvar, so the drain loop re-checks it at this period. Completion
@@ -108,9 +114,8 @@ impl Shared {
     }
 
     /// Blocks for the next job, then moves it and up to `max - 1` more
-    /// queued jobs into `out` without waiting for lanemates, so a gang
-    /// worker fills its lanes exactly when queue depth allows. Jobs left
-    /// queued wake another worker. Returns `false` once the queue is
+    /// queued jobs into `out` without waiting for more to arrive. Jobs
+    /// left queued wake another worker. Returns `false` once the queue is
     /// closed and drained. Pure condvar wait — [`push_all`](Self::push_all)
     /// mutates the queue and [`close`](Self::close) flips the flag under
     /// the same lock, so a wakeup can never be missed and an idle worker
@@ -343,60 +348,42 @@ fn next_event(
 }
 
 /// One scenario worker serving the shared queue. It pops one job
-/// (blocking), then opportunistically drains up to `gang - 1` more
-/// without waiting, and runs the batch on its [`BatchRunner`]: at
-/// `gang <= 1` the classic scalar shard, one persistent machine and one
-/// scenario at a time; wider, one lock-step [`GangRig`](crate::gang)
-/// pass — scenarios from different connections can share a gang, since
-/// every lane carries its own environment and limits. Outcomes are
-/// byte-identical either way (the differential suite pins it), so gang
-/// packing is purely a throughput choice. Every machine runs on the
+/// (blocking), then up to [`POP_BATCH`]` - 1` more without waiting, and
+/// runs them one after another on its one scalar machine, on the
 /// server's one set of selection `tables`. Each connection gets its
 /// share of a batch's outcomes, in batch order, with one push and one
 /// writer wakeup.
-fn worker(
-    w: usize,
-    system: &CompiledSystem,
-    tables: &Arc<SelectionTables>,
-    shared: &Shared,
-    gang: usize,
-) {
+///
+/// A timed job (see [`Job::enqueued`]) reports its own latency: it
+/// queued from its enqueue to its own start, which includes the jobs
+/// of its batch run before it, simulated from its start to its end, and
+/// then encoded. An untimed job reads no clock.
+fn worker(w: usize, system: &CompiledSystem, tables: &Arc<SelectionTables>, shared: &Shared) {
     let _lane = pscp_obs::trace::worker_lane("serve-worker", w);
-    let mut runner = BatchRunner::new(system, tables, gang);
-    let mut batch: Vec<Job> = Vec::with_capacity(gang);
+    let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
+    let mut batch: Vec<Job> = Vec::with_capacity(POP_BATCH);
     let mut replies: Vec<(Arc<Conn>, Vec<Msg>)> = Vec::new();
-    while shared.pop_batch(gang, &mut batch) {
-        let timed = batch.iter().any(|j| j.enqueued.is_some());
-        let dequeued = timed.then(Instant::now);
-        let mut routes = Vec::with_capacity(batch.len());
-        let mut jobs = Vec::with_capacity(batch.len());
+    while shared.pop_batch(POP_BATCH, &mut batch) {
         for job in batch.drain(..) {
-            routes.push((job.conn, job.seq, elapsed_ns(job.enqueued, dequeued)));
-            jobs.push((job.env, job.limits));
-        }
-        let outcomes = runner.run(w, jobs, &|_, _, _| false);
-        let sim_end = dequeued.map(|_| Instant::now());
-        // Every scenario of a batch reports the batch's shared wall
-        // time: gang lanes simulate lock-step, so this is the honest
-        // decomposition of server residency for a ganged scenario, and
-        // a one-job batch's own simulation time.
-        let sim_ns = elapsed_ns(dequeued, sim_end);
-        if pscp_obs::metrics_enabled() {
-            pscp_obs::metrics::SERVE_SIM_NS.record(w, sim_ns);
-        }
-        for ((conn, seq, queue_ns), outcome) in routes.into_iter().zip(outcomes) {
-            let enc_start = dequeued.map(|_| Instant::now());
-            let builder = OutcomeFrame::begin(seq, &WireOutcome::from_batch(&outcome));
-            let encode_ns = elapsed_ns(enc_start, enc_start.map(|_| Instant::now()));
+            let start = job.enqueued.map(|_| Instant::now());
+            let outcome = run_scenario(w, &mut machine, job.env, &job.limits, &|_, _, _| false);
+            let sim_end = start.map(|_| Instant::now());
+            let builder = OutcomeFrame::begin(job.seq, &WireOutcome::from_batch(&outcome));
+            let enc_end = start.map(|_| Instant::now());
+            let queue_ns = elapsed_ns(job.enqueued, start);
+            let sim_ns = elapsed_ns(start, sim_end);
+            let encode_ns = elapsed_ns(sim_end, enc_end);
             if pscp_obs::metrics_enabled() {
                 pscp_obs::metrics::SERVE_QUEUE_NS.record(w, queue_ns);
+                pscp_obs::metrics::SERVE_SIM_NS.record(w, sim_ns);
                 pscp_obs::metrics::SERVE_ENCODE_NS.record(encode_ns);
             }
-            let latency = conn.latency.then_some(OutcomeLatency { queue_ns, sim_ns, encode_ns });
+            let latency =
+                job.conn.latency.then_some(OutcomeLatency { queue_ns, sim_ns, encode_ns });
             let msg = Msg::Outcome(builder.finish(latency));
-            match replies.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &conn)) {
+            match replies.iter_mut().find(|(c, _)| Arc::ptr_eq(c, &job.conn)) {
                 Some((_, msgs)) => msgs.push(msg),
-                None => replies.push((conn, vec![msg])),
+                None => replies.push((job.conn, vec![msg])),
             }
         }
         for (conn, msgs) in replies.drain(..) {
@@ -684,7 +671,6 @@ fn handle_connection(
                     live_connections: stats.live.load(Ordering::Acquire),
                     queue_depth: shared.depth() as u32,
                     workers: opts.threads.max(1) as u32,
-                    gang: opts.gang.clamp(1, pscp_sla::gang::GANG_WIDTH) as u32,
                 };
                 conn.push(Msg::Stats(wire::encode_frame(&Frame::Stats { gauges, snapshot })));
             }
@@ -774,14 +760,13 @@ pub fn serve(
     let shared = Shared::new();
     let stats = ServerStats::new(fingerprint);
     let threads = opts.threads.max(1);
-    let gang = opts.gang.clamp(1, pscp_sla::gang::GANG_WIDTH);
     // Every worker's machines share one set of selection tables.
     let tables = Arc::new(SelectionTables::new(&system.chart));
     std::thread::scope(|s| {
         for w in 0..threads {
             let shared = &shared;
             let tables = &tables;
-            s.spawn(move || worker(w, system, tables, shared, gang));
+            s.spawn(move || worker(w, system, tables, shared));
         }
         let mut next_conn = 0usize;
         let result = loop {

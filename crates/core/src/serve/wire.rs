@@ -81,7 +81,7 @@ use std::fmt;
 use std::io::{Read, Write};
 
 /// Version byte every frame carries; bumped on incompatible change.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Default cap on one frame's payload length (16 MiB).
 pub const DEFAULT_MAX_FRAME: u32 = 16 * 1024 * 1024;
@@ -411,20 +411,17 @@ pub struct ServeGauges {
     pub queue_depth: u32,
     /// Shard worker threads.
     pub workers: u32,
-    /// Gang width (1 = scalar).
-    pub gang: u32,
 }
 
 impl ServeGauges {
     /// `(name, value)` rows in canonical order, for report rendering.
-    pub fn rows(&self) -> [(&'static str, u64); 6] {
+    pub fn rows(&self) -> [(&'static str, u64); 5] {
         [
             ("uptime_ns", self.uptime_ns),
             ("registered_systems", u64::from(self.registered_systems)),
             ("live_connections", u64::from(self.live_connections)),
             ("queue_depth", u64::from(self.queue_depth)),
             ("workers", u64::from(self.workers)),
-            ("gang", u64::from(self.gang)),
         ]
     }
 }
@@ -438,10 +435,11 @@ impl ServeGauges {
 /// round-trip is wire + client time).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeLatency {
-    /// Time the submission waited in the shard queue.
+    /// Time from the submission's enqueue to the start of its
+    /// simulation: its wait in the shard queue plus the scenarios its
+    /// worker ran before it from the same popped batch.
     pub queue_ns: u64,
-    /// Time simulating (for gang lanes: the gang rig's shared wall
-    /// time, since lanes simulate together).
+    /// Time simulating this scenario, from its start to its end.
     pub sim_ns: u64,
     /// Time encoding the outcome frame body.
     pub encode_ns: u64,
@@ -1181,7 +1179,6 @@ fn enc_gauges(e: &mut Enc, g: &ServeGauges) {
     e.u32(g.live_connections);
     e.u32(g.queue_depth);
     e.u32(g.workers);
-    e.u32(g.gang);
 }
 
 fn dec_gauges(d: &mut Dec<'_>) -> Result<ServeGauges, WireError> {
@@ -1191,7 +1188,6 @@ fn dec_gauges(d: &mut Dec<'_>) -> Result<ServeGauges, WireError> {
         live_connections: d.u32()?,
         queue_depth: d.u32()?,
         workers: d.u32()?,
-        gang: d.u32()?,
     })
 }
 
@@ -1619,7 +1615,6 @@ mod tests {
                     live_connections: 1,
                     queue_depth: 4,
                     workers: 3,
-                    gang: 64,
                 },
                 snapshot: sample_snapshot(),
             },

@@ -7,6 +7,8 @@
 //! - **Version gating**: latency trailers appear only on connections
 //!   that negotiated `feature::LATENCY`; a default (PR-8-shaped)
 //!   client sees byte-identical outcomes with no trailer.
+//! - **Per-scenario latency**: scenarios a worker pops together each
+//!   report their own simulation time.
 //! - **Off switch**: `ServeOptions { stats: false }` answers scrapes
 //!   with a typed error.
 //! - **Deltas**: two scrapes bracketing traffic compose into the
@@ -148,6 +150,42 @@ fn latency_trailers_are_gated_on_the_negotiated_feature() {
     stripped.latency = None;
     assert_eq!(stripped.encode(), outcome.encode());
     drop(timed);
+    server.stop().unwrap();
+}
+
+/// A worker runs the jobs it pops one after another, so each outcome
+/// reports its own simulation time, not its batch's: one long scenario
+/// and seven short ones sent in one write reach a one-worker server as
+/// one popped batch, and every short scenario must report less
+/// simulation time than the long one, and a queue time that covers the
+/// long one it waited behind.
+#[test]
+fn latency_is_per_scenario_within_a_popped_batch() {
+    let _g = lock();
+    let _flags = FlagGuard::set(0);
+
+    let sys = Arc::new(tiny_system());
+    let opts = ServeOptions { threads: 1, ..ServeOptions::default() };
+    let server = serve::spawn(Arc::clone(&sys), "127.0.0.1:0", opts).unwrap();
+    let mut client = ScenarioClient::connect_latency(server.addr(), DEFAULT_WINDOW, 0).unwrap();
+    assert_eq!(client.features() & feature::LATENCY, feature::LATENCY);
+    let long = BatchOptions { deadline: u64::MAX, max_steps: 200_000 };
+    let short = BatchOptions { deadline: u64::MAX, max_steps: 1 };
+    // Submissions wait in the client's outbox; the first `recv` sends
+    // all eight in one write.
+    client.submit(script(), long).unwrap();
+    for _ in 0..7 {
+        client.submit(script(), short).unwrap();
+    }
+    let lat: Vec<_> = (0..8)
+        .map(|_| client.recv().unwrap().1.latency.expect("negotiated latency trailer"))
+        .collect();
+    let long_sim = lat[0].sim_ns;
+    for (i, l) in lat.iter().enumerate().skip(1) {
+        assert!(l.sim_ns < long_sim, "short scenario {i} reports {l:?}, long sim_ns {long_sim}");
+        assert!(l.queue_ns >= long_sim, "short scenario {i} reports {l:?}, long sim_ns {long_sim}");
+    }
+    drop(client);
     server.stop().unwrap();
 }
 

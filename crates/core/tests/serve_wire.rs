@@ -127,17 +127,15 @@ fn arb_snapshot() -> impl Strategy<Value = MetricsSnapshot> {
 }
 
 fn arb_gauges() -> impl Strategy<Value = ServeGauges> {
-    (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>())
-        .prop_map(|(uptime_ns, registered_systems, live_connections, queue_depth, workers, gang)| {
-            ServeGauges {
-                uptime_ns,
-                registered_systems,
-                live_connections,
-                queue_depth,
-                workers,
-                gang,
-            }
-        })
+    (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()).prop_map(
+        |(uptime_ns, registered_systems, live_connections, queue_depth, workers)| ServeGauges {
+            uptime_ns,
+            registered_systems,
+            live_connections,
+            queue_depth,
+            workers,
+        },
+    )
 }
 
 fn arb_predicate() -> impl Strategy<Value = Predicate> {

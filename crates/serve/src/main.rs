@@ -764,13 +764,12 @@ fn run_top(
             print!("\x1b[2J\x1b[H"); // clear screen, cursor home
         }
         println!(
-            "pscp-serve top — uptime {:.1}s  systems {}  conns {}  queue {}  workers {}  gang {}",
+            "pscp-serve top — uptime {:.1}s  systems {}  conns {}  queue {}  workers {}",
             gauges.uptime_ns as f64 / 1e9,
             gauges.registered_systems,
             gauges.live_connections,
             gauges.queue_depth,
             gauges.workers,
-            gauges.gang,
         );
         match &prev {
             None => println!("  collecting baseline delta…"),

@@ -21,13 +21,18 @@ cargo clippy --offline --all-targets --manifest-path pscp-benchmark/Cargo.toml -
 
 # The scenario-server differential suite is the serving layer's spec:
 # wire round-trips must be byte-identical to the in-process SimPool.
+# Shard workers are scalar: each pops up to 8 queued jobs and runs them
+# one after another on its one machine, through the pool's scenario
+# loop; `batched_shards_are_byte_identical` pins multi-job pops at 1, 2
+# and 4 workers.
 # `serve_wire` also holds the socket-byte pin (a round of submissions
 # sent in one write comes back as exactly the in-process outcome frames,
 # each followed by its credit, however the server batches its writes)
 # and the client send rule (a submit waits in the outbox until the
 # client reads, writes another frame, takes its last credit or flushes).
 # `serve_stats` pins the telemetry plane, including writes that coalesce
-# frames: no more socket writes than outcomes.
+# frames (no more socket writes than outcomes) and per-scenario latency
+# within a popped batch.
 cargo test --release -p pscp-core --test serve_differential -q
 cargo test --release -p pscp-core --test serve_wire -q
 cargo test --release -p pscp-core --test serve_backpressure -q
@@ -130,14 +135,16 @@ cargo test --release -p pscp-statechart --test diagnostics -q
 cargo test --release -p pscp-action-lang --test diagnostics -q
 cargo test --release -p pscp-core --test diagnostics -q
 
-# Serving smoke: a loopback server + 4-client pickup-head session. The
-# session now opens with a Compile → Diagnostics round-trip (wire
-# report byte-identical to the in-process sink, then a scenario on the
-# same connection); every outcome is differentially checked against the
-# in-process pool, and the per-connection metrics snapshot must be
-# valid JSON.
+# Serving smoke: a loopback server + 4-client pickup-head session, 8
+# scenarios per client. The session opens with a Compile → Diagnostics
+# round-trip (wire report byte-identical to the in-process sink, then a
+# scenario on the same connection); every outcome is differentially
+# checked against the in-process pool, and the closing telemetry comes
+# over a Stats scrape. It exits non-zero on a failed compile round-trip,
+# a failed scrape or any mismatch, and the per-connection metrics
+# snapshot must be valid JSON.
 PSCP_OBS_DIR=target/obs \
-    cargo run --release -p pscp-serve -- session --clients 4 > /dev/null
+    cargo run --release -p pscp-serve -- session --clients 4 --scenarios 8 > /dev/null
 python3 -m json.tool target/obs/serve_metrics.json > /dev/null
 
 # Exploration smoke: a loopback `pscp-serve explore` run must report
