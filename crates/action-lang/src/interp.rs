@@ -183,16 +183,6 @@ impl<'p> Interp<'p> {
             .map(|i| self.globals[i])
     }
 
-    /// Writes one global slot by diagnostic name.
-    pub fn set_global(&mut self, name: &str, value: i64) -> bool {
-        if let Some(i) = self.program.globals.iter().position(|g| g.name == name) {
-            self.globals[i] = self.program.globals[i].ty.wrap(value);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Instructions executed so far.
     pub fn steps(&self) -> u64 {
         self.steps

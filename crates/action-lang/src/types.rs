@@ -105,11 +105,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// True for types a plain value can have.
-    pub fn is_value(&self) -> bool {
-        matches!(self, Type::Scalar(_) | Type::Enum(_))
-    }
 }
 
 impl fmt::Display for Type {

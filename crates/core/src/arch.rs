@@ -98,11 +98,6 @@ impl PscpArch {
         }
     }
 
-    /// True when `event` is handled with interrupt priority.
-    pub fn is_interrupt(&self, event: &str) -> bool {
-        self.interrupt_events.contains(event)
-    }
-
     /// Table 4 row 2: one 16-bit M/D TEP, unoptimised code.
     pub fn md16_unoptimized() -> Self {
         PscpArch {
@@ -147,11 +142,6 @@ impl PscpArch {
             .mutual_exclusion
             .iter()
             .any(|class| class.contains(&a) && class.contains(&b))
-    }
-
-    /// Clock period in nanoseconds.
-    pub fn clock_period_ns(&self) -> f64 {
-        1000.0 / self.clock_mhz
     }
 }
 

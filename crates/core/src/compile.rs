@@ -14,10 +14,12 @@ use pscp_sla::synth::{synthesize, SlaSynthesis};
 use pscp_sla::TransitionAddressTable;
 use pscp_statechart::encoding::{CrLayout, EncodingStyle};
 use pscp_statechart::model::PortDirection;
+use pscp_statechart::semantics::SelectionTables;
 use pscp_statechart::{Chart, ConditionId, EventId, TransitionId};
 use pscp_tep::codegen::{
     compile_program, compile_program_cached, CodegenCache, CodegenOptions, TepProgram,
 };
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// How one textual action argument is produced at dispatch time.
@@ -123,13 +125,13 @@ impl SchedulerTables {
 
 /// The complete compiled system.
 ///
-/// The chart-derived members (`chart`, `layout`, `sla`) are immutable
-/// once built and identical for every candidate of a DSE run, so they
-/// are `Arc`-shared: cloning a system (or building many candidates from
-/// one [`SystemArtifacts`]) copies three pointers, not three deep
-/// structures. `Arc<T>` hashes as `T`, so sharing never changes the
-/// system's fingerprint.
-#[derive(Debug, Clone, PartialEq, Hash)]
+/// The chart-derived members (`chart`, `layout`, `sla`, `selection`)
+/// are immutable once built and identical for every candidate of a DSE
+/// run, so they are `Arc`-shared: cloning a system (or building many
+/// candidates from one [`SystemArtifacts`]) copies four pointers, not
+/// four deep structures. `Arc<T>` hashes and compares as `T`, so sharing
+/// never changes the system's equality or fingerprint.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSystem {
     /// The chart.
     pub chart: Arc<Chart>,
@@ -137,6 +139,9 @@ pub struct CompiledSystem {
     pub layout: Arc<CrLayout>,
     /// Synthesised SLA.
     pub sla: Arc<SlaSynthesis>,
+    /// The chart's transition-selection and name tables, which every
+    /// machine over the system runs on.
+    pub selection: Arc<SelectionTables>,
     /// Compiled TEP program (shared by all TEPs — they execute different
     /// transitions of the same program memory image).
     pub program: TepProgram,
@@ -150,6 +155,36 @@ pub struct CompiledSystem {
     pub arch: PscpArch,
     /// Precomputed scheduler tables (see [`SchedulerTables`]).
     pub tables: SchedulerTables,
+}
+
+/// Hashes every member but `selection`, in declaration order. The
+/// selection tables are a function of the chart, which is hashed, so
+/// leaving them out keeps the hash a function of content and equal to
+/// the hash of a system without them.
+impl Hash for CompiledSystem {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let CompiledSystem {
+            chart,
+            layout,
+            sla,
+            selection: _,
+            program,
+            bindings,
+            entry_bindings,
+            exit_bindings,
+            arch,
+            tables,
+        } = self;
+        chart.hash(state);
+        layout.hash(state);
+        sla.hash(state);
+        program.hash(state);
+        bindings.hash(state);
+        entry_bindings.hash(state);
+        exit_bindings.hash(state);
+        arch.hash(state);
+        tables.hash(state);
+    }
 }
 
 impl CompiledSystem {
@@ -205,18 +240,21 @@ pub fn compile_system(
 
 /// The chart-derived compile artifacts that are identical for every
 /// candidate architecture of a DSE run: the chart itself, its CR
-/// layout, and the synthesised SLA. Built once per (chart, encoding)
-/// and shared by `Arc` into every [`CompiledSystem`] compiled from it.
+/// layout, the synthesised SLA, and the selection tables the machine's
+/// executor runs on. Built once per (chart, encoding) and shared by
+/// `Arc` into every [`CompiledSystem`] compiled from it.
 #[derive(Debug, Clone)]
 pub struct SystemArtifacts {
     chart: Arc<Chart>,
     layout: Arc<CrLayout>,
     sla: Arc<SlaSynthesis>,
+    selection: Arc<SelectionTables>,
     encoding: EncodingStyle,
 }
 
 impl SystemArtifacts {
-    /// Encodes the chart and synthesises the SLA for one encoding style.
+    /// Encodes the chart, synthesises the SLA and builds the selection
+    /// tables for one encoding style.
     pub fn build(chart: &Chart, encoding: EncodingStyle) -> Self {
         let layout = CrLayout::new(chart, encoding);
         let sla = synthesize(chart, &layout);
@@ -224,6 +262,7 @@ impl SystemArtifacts {
             chart: Arc::new(chart.clone()),
             layout: Arc::new(layout),
             sla: Arc::new(sla),
+            selection: Arc::new(SelectionTables::new(chart)),
             encoding,
         }
     }
@@ -256,9 +295,9 @@ pub fn compile_system_from_ir(
 
 /// Compiles a system against prebuilt [`SystemArtifacts`], optionally
 /// serving routine bodies from a [`CodegenCache`]. This is the DSE
-/// inner-loop entry point: the chart/layout/SLA are shared, codegen
-/// reuses unchanged routines, and only bindings + scheduler tables are
-/// rebuilt per candidate. The output is identical to
+/// inner-loop entry point: the chart, layout, SLA and selection tables
+/// are shared, codegen reuses unchanged routines, and only bindings +
+/// scheduler tables are rebuilt per candidate. The output is identical to
 /// [`compile_system_from_ir`] for the same inputs.
 ///
 /// If `arch.encoding` differs from the artifacts' encoding style, fresh
@@ -379,6 +418,7 @@ pub(crate) fn compile_system_collect(
         chart: Arc::clone(&artifacts.chart),
         layout: Arc::clone(&artifacts.layout),
         sla: Arc::clone(&artifacts.sla),
+        selection: Arc::clone(&artifacts.selection),
         program,
         bindings,
         entry_bindings,

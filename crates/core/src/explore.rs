@@ -26,7 +26,8 @@
 //! `(frontier index, symbol index)` jobs that reference the layer
 //! instead of copying it, and the pool's worker loop
 //! (`pool::stream_chunks`) fans them out in `EXPAND_CHUNK`-job chunks
-//! to workers that each restore-and-step one scalar [`PscpMachine`]. A
+//! to workers that each restore-and-step one scalar [`PscpMachine`], on
+//! the selection tables compiled into the system. A
 //! worker restores a data plane only when its TEP memory does not
 //! already hold it untouched ([`pscp_tep::TepMachine::data_touched`]),
 //! so the jobs of one source — consecutive in a chunk — load its plane
@@ -67,7 +68,7 @@ use crate::machine::{
 };
 use crate::pool::{configured_threads, stream_chunks};
 use crate::serve::wire::{Dec, Enc, WireError};
-use pscp_statechart::semantics::{ControlState, SelectionTables};
+use pscp_statechart::semantics::ControlState;
 use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
 use std::collections::hash_map::{Entry, HashMap};
@@ -567,8 +568,8 @@ struct Expander<'s> {
 }
 
 impl<'s> Expander<'s> {
-    fn new(system: &'s CompiledSystem, tables: &Arc<SelectionTables>) -> Self {
-        Expander { machine: PscpMachine::with_tables(system, Arc::clone(tables)), loaded: None }
+    fn new(system: &'s CompiledSystem) -> Self {
+        Expander { machine: PscpMachine::new(system), loaded: None }
     }
 
     /// Restores `src`, injects `symbol` and runs one configuration
@@ -634,9 +635,6 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let chart = &system.chart;
     let alphabet = alphabet(system);
     let threads = opts.threads.max(1);
-    // One set of selection tables for the whole run: every layer's
-    // workers share it.
-    let tables = Arc::new(SelectionTables::new(chart));
 
     let mut report = ExploreReport::default();
     // The data planes of the visited states, each interned once under
@@ -656,7 +654,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let mut violations: Vec<(usize, Witness)> = Vec::new();
 
     let root = {
-        let machine = PscpMachine::with_tables(system, Arc::clone(&tables));
+        let machine = PscpMachine::new(system);
         let key = StateKey { part: machine.capture_control(), data: 0 };
         Node { key, plane: Arc::new(machine.tep().data_state()) }
     };
@@ -706,7 +704,7 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
                 .map(|(f, si)| expander.expand(&frontier[f as usize], &alphabet[si as usize]))
                 .collect()
         };
-        let workers = |_| Expander::new(system, &tables);
+        let workers = |_| Expander::new(system);
         let merge = |result: Result<Successor, MachineError>| {
             let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
             merged += 1;

@@ -48,16 +48,12 @@ use crate::compile::CompiledSystem;
 use crate::machine::{CycleReport, Environment, MachineError, PscpMachine};
 use crate::pool::{BatchOptions, BatchOutcome, CycleLog};
 use pscp_sla::gang::{GangScratch, GangSim, GANG_WIDTH};
-use pscp_statechart::semantics::SelectionTables;
-use std::sync::Arc;
 
 /// A reusable gang of scalar machines with a shared bit-sliced SLA.
 /// Build once per worker, feed it successive job chunks via
 /// [`GangRig::run`].
 pub(crate) struct GangRig<'s> {
     system: &'s CompiledSystem,
-    /// Selection tables every lane's executor runs on.
-    tables: Arc<SelectionTables>,
     sim: GangSim<'s>,
     machines: Vec<PscpMachine<'s>>,
     /// CR lane words: one `u64` per CR bit, bit `l` = lane `l`.
@@ -74,11 +70,11 @@ pub(crate) struct GangRig<'s> {
 }
 
 impl<'s> GangRig<'s> {
-    /// A rig whose lanes share `tables` (built for `system.chart`).
-    pub(crate) fn new(system: &'s CompiledSystem, tables: &Arc<SelectionTables>) -> Self {
+    /// A rig for `system`; its lanes run on the system's selection
+    /// tables.
+    pub(crate) fn new(system: &'s CompiledSystem) -> Self {
         GangRig {
             system,
-            tables: Arc::clone(tables),
             sim: GangSim::new(&system.chart, &system.layout, &system.sla),
             machines: Vec::new(),
             words: Vec::new(),
@@ -105,7 +101,7 @@ impl<'s> GangRig<'s> {
         let _span = pscp_obs::trace::span("gang.run");
         let n = jobs.len();
         while self.machines.len() < n {
-            self.machines.push(PscpMachine::with_tables(self.system, Arc::clone(&self.tables)));
+            self.machines.push(PscpMachine::new(self.system));
         }
         let layout = &self.system.layout;
         let chart = &self.system.chart;

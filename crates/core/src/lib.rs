@@ -8,11 +8,13 @@
 //! * [`library`] — the component library with its space/time trade-offs
 //!   ("a spectrum of space/time trade-off alternatives", abstract).
 //! * [`compile`] — the end-to-end flow: textual chart + extended-C
-//!   actions → encoded CR, synthesised SLA, compiled TEP program,
-//!   transition bindings.
+//!   actions → encoded CR, synthesised SLA, transition-selection
+//!   tables, compiled TEP program, transition bindings. The
+//!   chart-derived parts are built once per chart and encoding and
+//!   shared by every system compiled from them.
 //! * [`machine`] — the full-system cycle-level simulator: scheduler,
 //!   configuration register, condition caches, round-robin TEP dispatch
-//!   (§3.1).
+//!   (§3.1); every machine runs on its system's selection tables.
 //! * [`timing`] — the heuristic static timing validation of §4:
 //!   parallel-sibling upper bounds, event-cycle DFS, constraint checks
 //!   (Tables 2 and 3).

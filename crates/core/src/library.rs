@@ -126,17 +126,6 @@ impl fmt::Display for Component {
     }
 }
 
-/// Storage alternatives with their qualitative trade-off, for reports.
-/// "Fast, but more expensive registers, moderately fast and moderately
-/// expensive internal RAM, and slower, but cheaper external RAM." (§3.3)
-pub fn storage_tradeoffs() -> Vec<(&'static str, &'static str, &'static str)> {
-    vec![
-        ("registers", "fast", "expensive"),
-        ("internal RAM", "moderate", "moderate"),
-        ("external RAM", "slow", "cheap"),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,8 +23,7 @@
 use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
-use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
-use pscp_statechart::semantics::{ActionSite, ControlState, EffectSink, Executor, SelectionTables};
+use pscp_statechart::semantics::{ActionSite, ControlState, EffectSink, Executor};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
 use pscp_tep::TepDataState;
@@ -363,10 +362,6 @@ pub struct PscpMachine<'s> {
     timers: Vec<Option<u64>>,
     /// Timer events that expired during the previous cycle.
     pending_timer_events: Vec<EventId>,
-    /// Interned name → id tables for environment-supplied names,
-    /// borrowing the chart's own strings.
-    event_names: EventNamesRef<'s>,
-    condition_names: ConditionNamesRef<'s>,
     scratch: StepScratch,
     /// Set after a cycle that started with no sampled or pending
     /// internal events, fired nothing and left no timer expiry pending:
@@ -391,25 +386,14 @@ impl fmt::Debug for PscpMachine<'_> {
 
 impl<'s> PscpMachine<'s> {
     /// Creates a machine in the chart's default configuration with data
-    /// memory at reset values, building the chart's selection tables.
+    /// memory at reset values. The executor runs on the system's
+    /// selection tables, so building a machine derives nothing from the
+    /// chart.
     pub fn new(system: &'s CompiledSystem) -> Self {
-        PscpMachine::with_tables(system, Arc::new(SelectionTables::new(&system.chart)))
-    }
-
-    /// Like [`PscpMachine::new`], but the executor runs on `tables` —
-    /// built once for `system.chart` and shared — instead of building
-    /// its own. Anything that builds many machines for one system (gang
-    /// lanes, pool and explorer workers, server workers) builds the
-    /// tables once and hands each machine a clone of the `Arc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `tables` were built for a different chart.
-    pub fn with_tables(system: &'s CompiledSystem, tables: Arc<SelectionTables>) -> Self {
         let chart = &system.chart;
         PscpMachine {
             system,
-            exec: Executor::with_tables(chart, tables),
+            exec: Executor::with_tables(chart, Arc::clone(&system.selection)),
             tep: TepMachine::new(&system.program),
             now: 0,
             stats: MachineStats {
@@ -418,8 +402,6 @@ impl<'s> PscpMachine<'s> {
             },
             timers: vec![None; system.arch.timers.len()],
             pending_timer_events: Vec::new(),
-            event_names: EventNamesRef::new(chart),
-            condition_names: ConditionNamesRef::new(chart),
             scratch: StepScratch {
                 per_transition: vec![0; chart.transition_count()],
                 ..StepScratch::default()
@@ -621,7 +603,7 @@ impl<'s> PscpMachine<'s> {
         let events = &mut self.scratch.events;
         events.clear();
         for name in env.sample_events(self.now) {
-            if let Some(e) = self.event_names.get(&name) {
+            if let Some(e) = self.system.selection.event_names().get(&name) {
                 events.push(e);
             }
         }
@@ -629,7 +611,7 @@ impl<'s> PscpMachine<'s> {
         events.sort_unstable();
         events.dedup();
         for (name, v) in env.sample_conditions(self.now) {
-            if let Some(c) = self.condition_names.get(&name) {
+            if let Some(c) = self.system.selection.condition_names().get(&name) {
                 self.exec.set_condition(c, v);
             }
         }

@@ -246,21 +246,6 @@ fn dec_states(d: &mut Dec<'_>) -> Result<Vec<StateId>, WireError> {
     (0..n).map(|_| Ok(StateId::from_index(d.u32()? as usize))).collect()
 }
 
-/// The conventional memo location: `target/pscp-memo.bin` under the
-/// enclosing workspace (found by walking up to `Cargo.lock`), falling
-/// back to the current directory.
-pub fn default_memo_path() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.join("target").join("pscp-memo.bin");
-        }
-        if !dir.pop() {
-            return PathBuf::from("target").join("pscp-memo.bin");
-        }
-    }
-}
-
 /// Hash of the per-run-constant evaluation inputs: chart, action IR,
 /// timing options. Ties persisted entries to the problem they were
 /// computed for, so one memo file can serve many systems.

@@ -218,17 +218,17 @@ pub fn optimize(
     let mut arch = start.clone();
     let mut codegen = CodegenOptions::default();
 
-    // Chart/layout/SLA are identical for every candidate: build them
-    // once and share by Arc. The per-routine codegen cache makes each
-    // candidate's compile a delta — the base compile below seeds it, so
-    // a candidate that flips one flag or promotes one global only
-    // re-lowers the routines that flag/placement can reach. The cache
-    // rides the `incremental` switch (and `PSCP_COMPILE_CACHE`), so the
-    // full path stays available as the differential baseline.
+    // Chart/layout/SLA/selection tables are identical for every
+    // candidate: build them once and share by Arc. The per-routine
+    // codegen cache makes each candidate's compile a delta — the base
+    // compile below warms it, so a candidate that flips one flag or
+    // promotes one global only re-lowers the routines that
+    // flag/placement can reach. The cache rides the `incremental`
+    // switch, so the full path stays available as the differential
+    // baseline.
     let artifacts = SystemArtifacts::build(chart, start.encoding);
     let compile_cache = CodegenCache::new();
-    let cache: Option<&CodegenCache> =
-        if options.incremental && compile_cache.is_enabled() { Some(&compile_cache) } else { None };
+    let cache = options.incremental.then_some(&compile_cache);
     let system = compile_system_with(&artifacts, ir, &arch, &codegen, cache)?;
 
     // The timing IR: one structural build shared by every candidate.

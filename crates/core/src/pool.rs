@@ -30,6 +30,8 @@
 //! Each batch worker runs its scenarios one after another on one scalar
 //! [`PscpMachine`], claiming several scenarios per chunk so workers
 //! take the stream lock a few times per batch, not once per scenario.
+//! Every machine runs on the selection tables compiled into the system,
+//! so a batch builds none.
 //! [`SimPool::with_gang`] (n > 1) instead packs up to n scenarios into
 //! one bit-sliced gang ([`crate::gang`]) whose SLA/CR plane evaluates
 //! word-parallel — also byte-identical, for any gang width. Since
@@ -42,8 +44,7 @@ use crate::compile::CompiledSystem;
 use crate::gang::GangRig;
 use crate::machine::{CycleReport, Environment, MachineError, MachineStats, PscpMachine};
 use pscp_sla::gang::GANG_WIDTH;
-use pscp_statechart::semantics::SelectionTables;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
 /// back to the machine's available parallelism.
@@ -306,9 +307,6 @@ impl SimPool {
         if envs.is_empty() {
             return Vec::new();
         }
-        // One set of selection tables for the whole batch, shared by
-        // every worker's machines.
-        let tables = Arc::new(SelectionTables::new(&system.chart));
         // A scalar worker claims a few chunks of the batch, enough to
         // balance the workers without a lock round trip per scenario.
         // A gang runs in chunks of its width, shrunk when the batch is
@@ -326,7 +324,7 @@ impl SimPool {
             width,
             self.threads,
             COLLECT_AHEAD,
-            |w| (w, BatchRunner::new(system, &tables, self.gang)),
+            |w| (w, BatchRunner::new(system, self.gang)),
             |(w, runner), chunk| runner.run(*w, chunk, &done),
             |outcome| out.push(outcome),
         );
@@ -481,17 +479,12 @@ enum BatchRunner<'s> {
 }
 
 impl<'s> BatchRunner<'s> {
-    /// The engine for `gang`-wide batches of `system`, its machines on
-    /// `tables` (built for `system.chart`).
-    fn new(
-        system: &'s CompiledSystem,
-        tables: &Arc<SelectionTables>,
-        gang: usize,
-    ) -> Self {
+    /// The engine for `gang`-wide batches of `system`.
+    fn new(system: &'s CompiledSystem, gang: usize) -> Self {
         if gang <= 1 {
-            BatchRunner::Scalar(Box::new(PscpMachine::with_tables(system, Arc::clone(tables))))
+            BatchRunner::Scalar(Box::new(PscpMachine::new(system)))
         } else {
-            BatchRunner::Gang(Box::new(GangRig::new(system, tables)))
+            BatchRunner::Gang(Box::new(GangRig::new(system)))
         }
     }
 

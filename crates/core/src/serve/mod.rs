@@ -161,9 +161,12 @@ mod tests {
             chart: Arc::new((*shared.chart).clone()),
             layout: Arc::new((*shared.layout).clone()),
             sla: Arc::new((*shared.sla).clone()),
+            selection: Arc::new((*shared.selection).clone()),
             ..shared.clone()
         };
         assert!(!Arc::ptr_eq(&shared.chart, &deep.chart));
+        assert!(!Arc::ptr_eq(&shared.selection, &deep.selection));
+        assert_eq!(shared, deep);
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&deep));
         assert_eq!(system_fingerprint(&shared), system_fingerprint(&shared.clone()));
         assert_ne!(system_fingerprint(&shared), system_fingerprint(&toggle_system(101)));

@@ -3,7 +3,8 @@
 //! One loaded [`CompiledSystem`], many concurrent client connections.
 //! Work is sharded across a persistent pool of scenario workers — one
 //! scalar [`PscpMachine`] per worker, reused across scenarios exactly
-//! like a [`SimPool`](crate::pool::SimPool) worker. Every scenario runs
+//! like a [`SimPool`](crate::pool::SimPool) worker, every machine on
+//! the system's one set of selection tables. Every scenario runs
 //! through the same scenario loop the in-process pool uses, which is
 //! what makes server round-trips byte-identical to
 //! `SimPool::run_batch` (the differential suite pins this).
@@ -32,7 +33,6 @@ use super::ServeOptions;
 use crate::compile::CompiledSystem;
 use crate::machine::{PscpMachine, ScriptedEnvironment};
 use crate::pool::{run_scenario, BatchOptions};
-use pscp_statechart::semantics::SelectionTables;
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
@@ -349,18 +349,17 @@ fn next_event(
 
 /// One scenario worker serving the shared queue. It pops one job
 /// (blocking), then up to [`POP_BATCH`]` - 1` more without waiting, and
-/// runs them one after another on its one scalar machine, on the
-/// server's one set of selection `tables`. Each connection gets its
-/// share of a batch's outcomes, in batch order, with one push and one
-/// writer wakeup.
+/// runs them one after another on its one scalar machine. Each
+/// connection gets its share of a batch's outcomes, in batch order,
+/// with one push and one writer wakeup.
 ///
 /// A timed job (see [`Job::enqueued`]) reports its own latency: it
 /// queued from its enqueue to its own start, which includes the jobs
 /// of its batch run before it, simulated from its start to its end, and
 /// then encoded. An untimed job reads no clock.
-fn worker(w: usize, system: &CompiledSystem, tables: &Arc<SelectionTables>, shared: &Shared) {
+fn worker(w: usize, system: &CompiledSystem, shared: &Shared) {
     let _lane = pscp_obs::trace::worker_lane("serve-worker", w);
-    let mut machine = PscpMachine::with_tables(system, Arc::clone(tables));
+    let mut machine = PscpMachine::new(system);
     let mut batch: Vec<Job> = Vec::with_capacity(POP_BATCH);
     let mut replies: Vec<(Arc<Conn>, Vec<Msg>)> = Vec::new();
     while shared.pop_batch(POP_BATCH, &mut batch) {
@@ -760,13 +759,10 @@ pub fn serve(
     let shared = Shared::new();
     let stats = ServerStats::new(fingerprint);
     let threads = opts.threads.max(1);
-    // Every worker's machines share one set of selection tables.
-    let tables = Arc::new(SelectionTables::new(&system.chart));
     std::thread::scope(|s| {
         for w in 0..threads {
             let shared = &shared;
-            let tables = &tables;
-            s.spawn(move || worker(w, system, tables, shared));
+            s.spawn(move || worker(w, system, shared));
         }
         let mut next_conn = 0usize;
         let result = loop {

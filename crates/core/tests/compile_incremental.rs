@@ -1,7 +1,8 @@
 //! Property-based differential test for function-granularity
 //! incremental compilation: for random action programs and random
-//! single-knob perturbations, [`recompile_delta`] must produce a
-//! `TepProgram` byte-identical to a fresh full compile, with an
+//! single-knob perturbations, a cached recompile on the cache that
+//! compiled the base program — the path `optimize` runs — must produce
+//! a `TepProgram` byte-identical to a fresh full compile, with an
 //! identical `WcetReport`. Also pins the cache-poisoning defence and
 //! the system-level cached == full differential.
 
@@ -10,12 +11,10 @@ use pscp_action_lang::ProgramEnv;
 use pscp_core::arch::PscpArch;
 use pscp_core::compile::{chart_env, compile_system_from_ir, compile_system_with, SystemArtifacts};
 use pscp_statechart::{Chart, ChartBuilder, StateKind};
-use pscp_tep::codegen::{
-    compile_program, compile_program_cached, recompile_delta, CodegenCache, CodegenDelta,
-    CodegenOptions,
-};
+use pscp_tep::codegen::{compile_program, compile_program_cached, CodegenCache, CodegenOptions};
 use pscp_tep::isa::{AsmFunction, AsmInst, Instr};
 use pscp_tep::{StorageClass, TepArch, WcetAnalysis};
+use std::sync::Arc;
 
 /// A random program shape: a couple of globals plus a subset of
 /// routine templates covering the op classes the routine key tracks
@@ -162,9 +161,10 @@ fn base_arch(which: u8) -> TepArch {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The core differential: delta-compile after one perturbation is
-    /// byte-identical to a from-scratch compile, with an identical
-    /// WCET report.
+    /// The core differential: a cached recompile after one
+    /// perturbation, on the cache the base compile warmed, is
+    /// byte-identical to a from-scratch compile, with an identical WCET
+    /// report.
     #[test]
     fn delta_compile_is_byte_identical_to_full(
         spec in prog_spec(),
@@ -178,17 +178,15 @@ proptest! {
         .unwrap();
         let arch0 = base_arch(which_arch);
         let opts0 = CodegenOptions::default();
-        let prev = compile_program(&ir, &arch0, &opts0);
+        let cache = CodegenCache::with_enabled(true);
+        let prev = compile_program_cached(&ir, &arch0, &opts0, &cache);
+        let base_misses = cache.stats().misses;
 
         let mut arch1 = arch0.clone();
         let mut opts1 = opts0.clone();
         p.apply(&mut arch1, &mut opts1, spec.n_globals as u32);
 
-        let cache = CodegenCache::with_enabled(true);
-        let delta = recompile_delta(
-            &prev,
-            &CodegenDelta { ir: &ir, arch: &arch1, options: &opts1, cache: Some(&cache) },
-        );
+        let delta = compile_program_cached(&ir, &arch1, &opts1, &cache);
         let full = compile_program(&ir, &arch1, &opts1);
 
         prop_assert_eq!(delta, full, "program diverged for {:?}", p);
@@ -214,10 +212,13 @@ proptest! {
             "incremental WCET diverged for {:?}", p
         );
 
-        // Cost-model-only knobs must reuse every seeded routine.
+        // Cost-model-only knobs must reuse every routine the base
+        // compile cached.
         if p.is_cost_only() {
             let stats = cache.stats();
-            prop_assert_eq!(stats.misses, 0, "cost-only knob recompiled: {:?}", stats);
+            prop_assert_eq!(
+                stats.misses - base_misses, 0, "cost-only knob recompiled: {:?}", stats
+            );
         }
     }
 
@@ -296,6 +297,13 @@ fn cached_system_compile_matches_full() {
         );
 
         let warm = compile_system_with(&artifacts, &ir, &arch, &opts, Some(&cache)).unwrap();
+        assert!(
+            Arc::ptr_eq(&cold.chart, &warm.chart)
+                && Arc::ptr_eq(&cold.layout, &warm.layout)
+                && Arc::ptr_eq(&cold.sla, &warm.sla)
+                && Arc::ptr_eq(&cold.selection, &warm.selection),
+            "systems from one set of artifacts must share its chart, layout, SLA and tables"
+        );
         assert_eq!(
             warm,
             full,

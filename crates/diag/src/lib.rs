@@ -190,11 +190,6 @@ impl Diagnostic {
         self
     }
 
-    pub fn with_note(mut self, note: impl Into<String>) -> Self {
-        self.notes.push(note.into());
-        self
-    }
-
     /// The sort key used for the final report: position first, then
     /// severity (errors ahead of warnings at the same spot), then code
     /// and text so equal-position findings order deterministically.

@@ -53,11 +53,6 @@ impl GangNet {
         GangNet { compiled: CompiledNet::compile(net) }
     }
 
-    /// Wraps an already-compiled network (identical node order).
-    pub fn from_compiled(compiled: CompiledNet) -> Self {
-        GangNet { compiled }
-    }
-
     /// Compiles only the transitive fan-in of `roots`, with node ids
     /// remapped to the compacted order. Returns the pruned net plus
     /// each root's position in it. Evaluating the pruned net gives the

@@ -43,11 +43,9 @@ pub mod net;
 pub mod sim;
 pub mod synth;
 pub mod vhdl;
-pub mod wave;
 
 pub use compiled::CompiledNet;
 pub use gang::{GangNet, GangScratch, GangSim, GANG_WIDTH};
 pub use net::{LogicNet, NodeId};
 pub use sim::{SlaScratch, SlaSim};
 pub use synth::{SlaSynthesis, TransitionAddressTable};
-pub use wave::cr_waveform;

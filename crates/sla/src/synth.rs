@@ -21,7 +21,7 @@
 
 use crate::net::{LogicNet, NodeId};
 use pscp_statechart::encoding::CrLayout;
-use pscp_statechart::intern::{ConditionNamesRef, EventNamesRef};
+use pscp_statechart::intern::{ConditionNames, EventNames};
 use pscp_statechart::trigger::Expr;
 use pscp_statechart::{Chart, StateId, StateKind, TransitionId};
 use std::collections::BTreeMap;
@@ -98,8 +98,8 @@ pub fn synthesize(chart: &Chart, layout: &CrLayout) -> SlaSynthesis {
     // indexes these instead of looking inputs up by name.
     let cr: Vec<NodeId> = (0..layout.width()).map(|bit| net.input(cr_input_name(bit))).collect();
 
-    let events = EventNamesRef::new(chart);
-    let conditions = ConditionNamesRef::new(chart);
+    let events = EventNames::new(chart);
+    let conditions = ConditionNames::new(chart);
     let atom_node = |atom: &str| -> NodeId {
         let bit = match events.get(atom) {
             Some(e) => layout.event_bit(e),

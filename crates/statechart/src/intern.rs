@@ -4,8 +4,9 @@
 //! scans over the declaration arrays — fine while building a chart,
 //! wasteful when a co-simulation resolves the same environment-supplied
 //! names every configuration cycle. A [`NameIndex`] is built once from
-//! the declarations and answers lookups by binary search with no
-//! hashing or allocation.
+//! the declarations — a chart's pair lives in its
+//! [`SelectionTables`](crate::semantics::SelectionTables) — and answers
+//! lookups by binary search with no hashing or allocation.
 //!
 //! [`Chart::event_by_name`]: crate::Chart::event_by_name
 //! [`Chart::condition_by_name`]: crate::Chart::condition_by_name
@@ -13,34 +14,30 @@
 use crate::model::{Chart, ConditionId, EventId};
 
 /// A sorted name → index table for O(log n) allocation-free lookup.
-///
-/// Generic over the name storage: `NameIndex<String>` owns its names,
-/// `NameIndex<&str>` borrows them (e.g. from the chart declarations) and
-/// costs only one `Vec` to build.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NameIndex<S = String> {
+pub struct NameIndex {
     /// `(name, declaration index)`, sorted by name.
-    entries: Vec<(S, u32)>,
+    entries: Vec<(String, u32)>,
 }
 
-impl<S: AsRef<str>> NameIndex<S> {
+impl NameIndex {
     /// Builds an index from `(name, index)` pairs. When a name occurs
     /// more than once the lowest index wins, matching the first-match
     /// behaviour of a linear scan.
     pub fn new<I>(pairs: I) -> Self
     where
-        I: IntoIterator<Item = (S, u32)>,
+        I: IntoIterator<Item = (String, u32)>,
     {
-        let mut entries: Vec<(S, u32)> = pairs.into_iter().collect();
-        entries.sort_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()).then(a.1.cmp(&b.1)));
-        entries.dedup_by(|b, a| a.0.as_ref() == b.0.as_ref());
+        let mut entries: Vec<(String, u32)> = pairs.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        entries.dedup_by(|b, a| a.0 == b.0);
         NameIndex { entries }
     }
 
     /// Looks up a name.
     pub fn get(&self, name: &str) -> Option<u32> {
         self.entries
-            .binary_search_by(|(n, _)| n.as_ref().cmp(name))
+            .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| self.entries[i].1)
     }
@@ -94,45 +91,6 @@ impl ConditionNames {
     }
 }
 
-/// An event-name table borrowing its names from the chart — buildable
-/// per simulation run without cloning a single `String`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventNamesRef<'c>(NameIndex<&'c str>);
-
-impl<'c> EventNamesRef<'c> {
-    /// Builds the table from a chart's event declarations.
-    pub fn new(chart: &'c Chart) -> Self {
-        EventNamesRef(NameIndex::new(
-            chart.events().enumerate().map(|(i, e)| (e.name.as_str(), i as u32)),
-        ))
-    }
-
-    /// Resolves an event name; equivalent to
-    /// [`Chart::event_by_name`](crate::Chart::event_by_name).
-    pub fn get(&self, name: &str) -> Option<EventId> {
-        self.0.get(name).map(EventId)
-    }
-}
-
-/// A condition-name table borrowing its names from the chart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConditionNamesRef<'c>(NameIndex<&'c str>);
-
-impl<'c> ConditionNamesRef<'c> {
-    /// Builds the table from a chart's condition declarations.
-    pub fn new(chart: &'c Chart) -> Self {
-        ConditionNamesRef(NameIndex::new(
-            chart.conditions().enumerate().map(|(i, c)| (c.name.as_str(), i as u32)),
-        ))
-    }
-
-    /// Resolves a condition name; equivalent to
-    /// [`Chart::condition_by_name`](crate::Chart::condition_by_name).
-    pub fn get(&self, name: &str) -> Option<ConditionId> {
-        self.0.get(name).map(ConditionId)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,20 +111,14 @@ mod tests {
 
         let evs = EventNames::new(&chart);
         let conds = ConditionNames::new(&chart);
-        let evs_ref = EventNamesRef::new(&chart);
-        let conds_ref = ConditionNamesRef::new(&chart);
         for e in chart.events() {
             assert_eq!(evs.get(&e.name), chart.event_by_name(&e.name));
-            assert_eq!(evs_ref.get(&e.name), chart.event_by_name(&e.name));
         }
         for c in chart.conditions() {
             assert_eq!(conds.get(&c.name), chart.condition_by_name(&c.name));
-            assert_eq!(conds_ref.get(&c.name), chart.condition_by_name(&c.name));
         }
         assert_eq!(evs.get("NO_SUCH_EVENT"), None);
         assert_eq!(conds.get("NO_SUCH_COND"), None);
-        assert_eq!(evs_ref.get("NO_SUCH_EVENT"), None);
-        assert_eq!(conds_ref.get("NO_SUCH_COND"), None);
     }
 
     #[test]

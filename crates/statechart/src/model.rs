@@ -136,13 +136,6 @@ pub struct State {
     pub exit_actions: Vec<ActionCall>,
 }
 
-impl State {
-    /// True for leaf states.
-    pub fn is_basic(&self) -> bool {
-        self.kind == StateKind::Basic
-    }
-}
-
 /// Direction of an external port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PortDirection {

@@ -27,6 +27,7 @@
 //! resolves conflicts with a claimed-state bitmap, the software shadow
 //! of the SLA's single combinational pass.
 
+use crate::intern::{ConditionNames, EventNames};
 use crate::model::{ActionCall, Chart, ConditionId, EventId, StateId, StateKind, TransitionId};
 use crate::trigger::Expr;
 use std::collections::BTreeSet;
@@ -60,8 +61,8 @@ enum ResolvedOp {
 /// Appends the resolved form of `expr` to the arena; returns the root's
 /// arena index.
 fn resolve_expr(
-    events: &crate::intern::EventNamesRef<'_>,
-    conditions: &crate::intern::ConditionNamesRef<'_>,
+    events: &EventNames,
+    conditions: &ConditionNames,
     expr: &Expr,
     arena: &mut Vec<ResolvedOp>,
 ) -> u32 {
@@ -110,7 +111,7 @@ fn eval_resolved(arena: &[ResolvedOp], root: u32, events: &[bool], conditions: &
 }
 
 /// Precomputed per-transition selection data.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ResolvedTransition {
     /// Arena root of the resolved trigger.
     trigger: Option<u32>,
@@ -133,7 +134,10 @@ struct ResolvedTransition {
 /// transition's scope, and the chart in preorder with every state's
 /// subtree span — so the strict descendants of a scope are one slice,
 /// listed in exactly the order [`Chart::descendants_inclusive`] gives.
-#[derive(Debug, Clone)]
+/// The chart's event and condition name tables, which resolve the
+/// triggers and guards, stay here for resolving environment-supplied
+/// names too.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionTables {
     /// Arena backing the resolved expressions.
     arena: Vec<ResolvedOp>,
@@ -149,6 +153,10 @@ pub struct SelectionTables {
     span: Vec<(u32, u32)>,
     /// Number of declared events (the width of the event bitmap).
     event_count: usize,
+    /// Event names → ids.
+    event_names: EventNames,
+    /// Condition names → ids.
+    condition_names: ConditionNames,
 }
 
 impl SelectionTables {
@@ -206,8 +214,8 @@ impl SelectionTables {
             *slot += 1;
         }
 
-        let event_names = crate::intern::EventNamesRef::new(chart);
-        let condition_names = crate::intern::ConditionNamesRef::new(chart);
+        let event_names = EventNames::new(chart);
+        let condition_names = ConditionNames::new(chart);
         let mut arena = Vec::new();
         let transitions = chart
             .transition_ids()
@@ -235,7 +243,19 @@ impl SelectionTables {
             preorder,
             span,
             event_count: chart.event_ids().len(),
+            event_names,
+            condition_names,
         }
+    }
+
+    /// The chart's event-name table.
+    pub fn event_names(&self) -> &EventNames {
+        &self.event_names
+    }
+
+    /// The chart's condition-name table.
+    pub fn condition_names(&self) -> &ConditionNames {
+        &self.condition_names
     }
 
     /// The scope of transition `t` — equal to
@@ -535,8 +555,8 @@ impl StepScratch {
 /// Selection data lives in [`SelectionTables`] behind an `Arc`:
 /// [`Executor::new`] builds them for its chart, and
 /// [`Executor::with_tables`] takes a set built once and shared by many
-/// executors over the same chart — the gang lanes, pool workers and
-/// explorer workers of one system all run on one set. The executor's
+/// executors over the same chart — a compiled PSCP system builds its
+/// set once, and every machine over the system runs on it. The executor's
 /// own state is the control state plus reusable scratch buffers, so a
 /// cycle allocates nothing for selection.
 ///
@@ -562,7 +582,7 @@ impl StepScratch {
 /// exec.step_named(["TICK"], |_| Default::default());
 /// assert!(exec.configuration().is_active(on));
 ///
-/// // Executors over one chart can share one set of tables.
+/// // Executors over one chart can share one set of tables, built once.
 /// let tables = Arc::new(SelectionTables::new(&chart));
 /// let lanes: Vec<Executor> =
 ///     (0..4).map(|_| Executor::with_tables(&chart, Arc::clone(&tables))).collect();
@@ -639,11 +659,6 @@ impl<'c> Executor<'c> {
         self.conditions.extend(chart.conditions().map(|c| c.initial));
         self.pending_internal.clear();
         self.cycle = 0;
-    }
-
-    /// The remembered child of a shallow-history OR-state, if any.
-    pub fn history_of(&self, s: StateId) -> Option<StateId> {
-        self.history_memory[s.index()]
     }
 
     /// Snapshots the semantic control state: active configuration,

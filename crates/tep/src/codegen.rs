@@ -126,39 +126,6 @@ pub fn compile_program_cached(
     compile_with(ir, arch, options, Some(cache))
 }
 
-/// The inputs of one delta recompile: the (unchanged) IR plus the
-/// perturbed architecture / placement options, and an optional cache
-/// carrying warmth across candidates.
-#[derive(Debug, Clone, Copy)]
-pub struct CodegenDelta<'a> {
-    /// The IR program — must be the one `prev` was compiled from.
-    pub ir: &'a Program,
-    /// The architecture to compile for now.
-    pub arch: &'a TepArch,
-    /// The placement options to compile with now.
-    pub options: &'a CodegenOptions,
-    /// Cache shared across recompiles; `None` falls back to a full
-    /// compile.
-    pub cache: Option<&'a CodegenCache>,
-}
-
-/// Recompiles after a delta, reusing every routine of `prev` whose
-/// content key is unchanged: the previous program's bodies are seeded
-/// into the cache under keys computed from its own architecture
-/// snapshot and placement, then a cached compile runs with the new
-/// parameters. Routines the delta cannot reach hit; everything else is
-/// lowered fresh. The result is byte-identical to
-/// [`compile_program`]`(changed.ir, changed.arch, changed.options)`.
-pub fn recompile_delta(prev: &TepProgram, changed: &CodegenDelta) -> TepProgram {
-    match changed.cache {
-        Some(cache) if cache.is_enabled() => {
-            cache.seed_from(prev, changed.ir);
-            compile_with(changed.ir, changed.arch, changed.options, Some(cache))
-        }
-        _ => compile_program(changed.ir, changed.arch, changed.options),
-    }
-}
-
 fn compile_with(
     ir: &Program,
     arch: &TepArch,
@@ -547,7 +514,6 @@ pub struct CacheStats {
 /// routine's shape (name, arity, frame extent) so a stale or corrupted
 /// entry is detected and recompiled instead of served. The compiled
 /// software-runtime library is memoized per [`RuntimeSet`] as well.
-/// `PSCP_COMPILE_CACHE=off` (or `0`/`false`) disables everything.
 #[derive(Debug)]
 pub struct CodegenCache {
     enabled: bool,
@@ -565,16 +531,13 @@ impl Default for CodegenCache {
 }
 
 impl CodegenCache {
-    /// An empty cache, enabled unless `PSCP_COMPILE_CACHE` says `off`.
+    /// An empty, enabled cache.
     pub fn new() -> Self {
-        let enabled = !matches!(
-            std::env::var("PSCP_COMPILE_CACHE").as_deref(),
-            Ok("off") | Ok("0") | Ok("false")
-        );
-        Self::with_enabled(enabled)
+        Self::with_enabled(true)
     }
 
-    /// An empty cache with the gate forced (ignores the environment).
+    /// An empty cache; a disabled one stores nothing, so every compile
+    /// through it is a full one.
     pub fn with_enabled(enabled: bool) -> Self {
         CodegenCache {
             enabled,
@@ -669,67 +632,6 @@ impl CodegenCache {
     fn insert_body(&self, key: u128, body: &AsmFunction) {
         if self.enabled {
             self.bodies.lock().unwrap().insert(key, body.clone());
-        }
-    }
-
-    /// Seeds the cache with `prev`'s routine bodies, keyed by the
-    /// context `prev` was compiled under (its own architecture snapshot,
-    /// placement, and frame layout, all recoverable from the program).
-    /// Entries whose shape cannot be re-derived are skipped — a skipped
-    /// seed is just a future miss, never a wrong body.
-    fn seed_from(&self, prev: &TepProgram, ir: &Program) {
-        if !self.enabled {
-            return;
-        }
-        let user_n = ir.functions.len();
-        if prev.functions.len() < user_n
-            || prev.globals.len() != ir.globals.len()
-            || ir.functions.iter().zip(&prev.functions).any(|(f, af)| f.name != af.name)
-        {
-            return;
-        }
-        let runtime = RuntimeSet::required(ir, &prev.arch);
-        let runtime_ir = self.runtime_program(&runtime);
-        let rt_fns: Vec<(&ir::Function, Option<u64>)> = runtime_ir
-            .iter()
-            .flat_map(|rt| rt.functions.iter().map(|f| (f, runtime_loop_bound(&f.name))))
-            .collect();
-        if user_n + rt_fns.len() != prev.functions.len()
-            || rt_fns.iter().any(|(f, _)| !prev.entry.contains_key(&f.name))
-        {
-            return;
-        }
-        let frame_bases: Vec<u16> = prev
-            .functions
-            .iter()
-            .map(|af| match af.frame.first() {
-                Some(Storage::Internal(b)) => *b,
-                _ => 0,
-            })
-            .collect();
-        let plan = CompilePlan {
-            runtime,
-            runtime_ir: None,
-            entry: prev.entry.clone(),
-            runtime_base: user_n as u32,
-            globals: prev.globals.clone(),
-            frame_bases,
-            internal_words: prev.internal_words_used,
-            external_words: prev.external_words_used,
-        };
-        let all: Vec<(&ir::Function, Option<u64>)> =
-            ir.functions.iter().map(|f| (f, None)).chain(rt_fns).collect();
-        for (i, (f, loop_bound)) in all.iter().enumerate() {
-            let af = &prev.functions[i];
-            if af.name != f.name
-                || af.param_count as usize != f.params.len()
-                || af.frame.len() != f.vreg_count()
-                || af.loop_bound != *loop_bound
-            {
-                continue;
-            }
-            let key = routine_key(&plan, &prev.arch, f, i, *loop_bound);
-            self.bodies.lock().unwrap().entry(key).or_insert_with(|| af.clone());
         }
     }
 
@@ -1677,7 +1579,7 @@ mod tests {
     }
 
     #[test]
-    fn recompile_delta_matches_full_compile() {
+    fn cached_recompile_matches_full_compile() {
         let src = r#"
             int:16 g;
             int:16 f(int:16 a) { g = a * g; return g; }
@@ -1686,7 +1588,7 @@ mod tests {
         let ir = compile_with_env(src, &ProgramEnv::default()).unwrap();
         let cache = CodegenCache::with_enabled(true);
         let base_arch = TepArch::md16_unoptimized();
-        let prev = compile_program(&ir, &base_arch, &CodegenOptions::default());
+        compile_program_cached(&ir, &base_arch, &CodegenOptions::default(), &cache);
         for (arch, opts) in [
             (TepArch::md16_optimized(), CodegenOptions::default()),
             (TepArch::minimal(), CodegenOptions::default()),
@@ -1696,11 +1598,9 @@ mod tests {
                 o
             }),
         ] {
-            let delta =
-                CodegenDelta { ir: &ir, arch: &arch, options: &opts, cache: Some(&cache) };
-            let got = recompile_delta(&prev, &delta);
+            let got = compile_program_cached(&ir, &arch, &opts, &cache);
             let want = compile_program(&ir, &arch, &opts);
-            assert_eq!(got, want, "delta compile diverged for {arch:?}");
+            assert_eq!(got, want, "cached recompile diverged for {arch:?}");
         }
     }
 

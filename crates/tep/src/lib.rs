@@ -35,8 +35,8 @@ pub mod timing;
 
 pub use arch::{CalcUnit, StorageClass, TepArch};
 pub use codegen::{
-    compile_program, compile_program_cached, recompile_delta, CacheStats, CodegenCache,
-    CodegenDelta, CodegenOptions, KeyHasher, TepProgram,
+    compile_program, compile_program_cached, CacheStats, CodegenCache, CodegenOptions,
+    KeyHasher, TepProgram,
 };
 pub use machine::{TepDataState, TepMachine};
 pub use timing::{CostModel, WcetAnalysis};

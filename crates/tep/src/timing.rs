@@ -139,11 +139,6 @@ impl CostModel {
             _ => base * limbs,
         }
     }
-
-    /// Total cost of a straight-line instruction slice (no control flow).
-    pub fn straight_line(&self, code: &[AsmInst]) -> u64 {
-        code.iter().map(|i| self.cost(i)).sum()
-    }
 }
 
 /// Result of analysing a whole program.

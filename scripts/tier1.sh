@@ -90,16 +90,17 @@ cargo test --release -p pscp-bench --test dse_memo -q
 cargo test --release -p pscp-bench --test obs_alloc -q
 
 # The selection-oracle suites are the executor's transition-selection
-# spec: the indexed selection (per-chart tables, claimed-state conflict
-# check) must equal the synthesised SLA's fire set, cycle by cycle,
-# under both encodings — on random charts whose transitions may leave
-# or enter composite regions, on history re-entry, and on the 560-
-# transition gang chart — and random walks must keep every
-# configuration consistent and conflict-free. `proptest_differential`
-# also holds the inhibition oracle: every fire signal's inhibitors are
-# exactly the earlier-placed transitions whose scope is not orthogonal
-# (a test-only copy of the pairwise rule), on random charts, the pickup
-# head, the gang chart and an exclusive-sibling-scope fixture.
+# spec: the indexed selection (tables built once per compiled system,
+# claimed-state conflict check) must equal the synthesised SLA's fire
+# set, cycle by cycle, under both encodings — on random charts whose
+# transitions may leave or enter composite regions, on history
+# re-entry, and on the 560-transition gang chart — and random walks
+# must keep every configuration consistent and conflict-free.
+# `proptest_differential` also holds the inhibition oracle: every fire
+# signal's inhibitors are exactly the earlier-placed transitions whose
+# scope is not orthogonal (a test-only copy of the pairwise rule), on
+# random charts, the pickup head, the gang chart and an
+# exclusive-sibling-scope fixture.
 cargo test --release -p pscp-sla --test proptest_differential -q
 cargo test --release -p pscp-statechart --test proptest_semantics -q
 cargo test --release --test history_states -q
@@ -122,9 +123,10 @@ cargo run --release -p pscp-bench --bin sla_scaling > /dev/null
 cargo test --release --offline --manifest-path pscp-benchmark/Cargo.toml -q
 
 # The incremental-compilation differential suite is the codegen cache's
-# spec: delta compiles must be byte-identical to full compiles across
-# random charts x random arch/placement perturbations, and a poisoned
-# cache entry must be detected, never served.
+# spec: cached recompiles on one shared cache, as `optimize` runs them,
+# must be byte-identical to full compiles across random charts x random
+# arch/placement perturbations, and a poisoned cache entry must be
+# detected, never served.
 cargo test --release -p pscp-core --test compile_incremental -q
 
 # The diagnostics suites are the recovering frontends' spec: every
