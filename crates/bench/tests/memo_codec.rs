@@ -5,16 +5,22 @@
 //! of `u64::MAX`. Every file the codec cannot read — any truncation,
 //! trailing bytes, a wrong magic or version, a declared entry count
 //! larger than the file, or a memo written in the old JSON format — must
-//! be a cold start that counts one corrupt-file recovery.
+//! be a cold start that counts one corrupt-file recovery. The bytes a
+//! hand-built store saves are pinned by length and FNV-1a64 digest, so
+//! a layout change that moves encoder and decoder together still fails.
 //!
 //! One `#[test]` in its own binary, because it reads a process-wide
 //! metric counter.
 
 use pscp_bench::{example_system, example_timing};
 use pscp_core::arch::PscpArch;
+use pscp_core::explore::FnvHasher;
 use pscp_core::optimize::memo::MEMO_FORMAT_VERSION;
 use pscp_core::optimize::{MemoEntry, MemoStore};
+use pscp_core::timing::{EventCycle, TimingReport, Violation};
 use pscp_obs::metrics::MEMO_CORRUPT_RECOVERIES;
+use pscp_statechart::{StateId, TransitionId};
+use std::hash::Hasher;
 use std::path::Path;
 
 /// Opens `bytes` as a memo file and checks it is a counted cold start.
@@ -77,5 +83,41 @@ fn memo_file_round_trips_and_unreadable_files_start_cold() {
     store.insert(7, entries[0].1.clone());
     store.save();
     assert_eq!(MemoStore::at(&path).loaded(), 1);
+
+    // The saved bytes of a hand-built store are pinned.
+    let _ = std::fs::remove_file(&path);
+    let states = |ids: &[usize]| ids.iter().map(|&i| StateId::from_index(i)).collect();
+    let timing = TimingReport {
+        cycles: vec![
+            EventCycle {
+                event: "DATA_VALID".into(),
+                path: states(&[0, 4, 2]),
+                transitions: vec![TransitionId::from_index(3), TransitionId::from_index(1)],
+                length: 96,
+            },
+            EventCycle { event: String::new(), path: vec![], transitions: vec![], length: 0 },
+        ],
+        violations: vec![Violation {
+            event: "PULSE".into(),
+            period: 40,
+            worst: u64::MAX,
+            path: states(&[1]),
+        }],
+    };
+    let mut store = MemoStore::at(&path);
+    store.insert(u128::MAX - 5, MemoEntry { timing, area: 268 });
+    store.insert(
+        9,
+        MemoEntry { timing: TimingReport { cycles: vec![], violations: vec![] }, area: 0 },
+    );
+    store.save();
+    let bytes = std::fs::read(&path).unwrap();
+    let mut h = FnvHasher::default();
+    h.write(&bytes);
+    assert_eq!(
+        (bytes.len(), h.finish()),
+        (175, 15_862_779_054_035_832_407),
+        "memo file bytes moved"
+    );
     let _ = std::fs::remove_file(&path);
 }
