@@ -67,7 +67,7 @@ use crate::machine::{
     ControlPart, CycleReport, MachineError, NullEnvironment, PscpMachine, SemanticState,
 };
 use crate::pool::{configured_threads, stream_chunks};
-use crate::serve::wire::{Dec, Enc, WireError};
+use crate::serve::wire::{self, wire_struct, Dec, Enc, Wire, WireError};
 use pscp_statechart::semantics::ControlState;
 use pscp_statechart::{EventId, StateId};
 use pscp_tep::TepDataState;
@@ -210,48 +210,48 @@ impl BuildHasher for BuildWordHasher {
 
 // --- Canonical state encoding ------------------------------------------------
 
-fn enc_bitmap(e: &mut Enc, bits: &[bool]) {
-    e.u32(bits.len() as u32);
-    let mut byte = 0u8;
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            byte |= 1 << (i % 8);
+/// Each bitmap is its `u32` length, then one bit per flag packed
+/// low-bit first; `history` stores each entry as its index plus one,
+/// with 0 for `None`.
+impl Wire for ControlState {
+    const MIN_BYTES: usize = 4 + 4 + <Vec<EventId>>::MIN_BYTES + 4;
+    fn enc(&self, e: &mut Enc) {
+        for bits in [&self.active, &self.conditions] {
+            e.u32(bits.len() as u32);
+            for byte in bits.chunks(8) {
+                e.u8(byte.iter().rev().fold(0, |acc, &b| acc << 1 | u8::from(b)));
+            }
         }
-        if i % 8 == 7 {
-            e.u8(byte);
-            byte = 0;
+        self.pending_internal.enc(e);
+        e.u32(self.history.len() as u32);
+        for h in &self.history {
+            e.u32(h.map_or(0, |st| st.index() as u32 + 1));
         }
     }
-    if !bits.len().is_multiple_of(8) {
-        e.u8(byte);
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut bitmap = || -> Result<Vec<bool>, WireError> {
+            let n = u32::dec(d)? as usize;
+            let bytes = d.take(n.div_ceil(8))?;
+            Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
+        };
+        let (active, conditions) = (bitmap()?, bitmap()?);
+        let pending_internal = Wire::dec(d)?;
+        let n = d.count(u32::MIN_BYTES)?;
+        let mut history = Vec::with_capacity(n);
+        for _ in 0..n {
+            history.push(u32::dec(d)?.checked_sub(1).map(|i| StateId::from_index(i as usize)));
+        }
+        Ok(ControlState { active, conditions, pending_internal, history })
     }
 }
 
-fn dec_bitmap(d: &mut Dec<'_>) -> Result<Vec<bool>, WireError> {
-    let n = d.u32()? as usize;
-    let bytes = d.take(n.div_ceil(8))?;
-    Ok((0..n).map(|i| bytes[i / 8] & (1 << (i % 8)) != 0).collect())
-}
-
-/// Writes a length-prefixed `i64` plane in one pass over a reserved
-/// region instead of one `extend_from_slice` per word.
-fn enc_i64s(e: &mut Enc, vs: &[i64]) {
-    e.u32(vs.len() as u32);
-    let start = e.buf.len();
-    e.buf.resize(start + 8 * vs.len(), 0);
-    for (dst, v) in e.buf[start..].chunks_exact_mut(8).zip(vs) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn dec_i64s(d: &mut Dec<'_>) -> Result<Vec<i64>, WireError> {
-    let n = d.count(8)?;
-    let mut vs = Vec::with_capacity(n);
-    for _ in 0..n {
-        vs.push(d.i64()?);
-    }
-    Ok(vs)
-}
+wire_struct!(TepDataState { acc: i64, op: i64, regs: Vec<i64>, iram: Vec<i64>, xram: Vec<i64> });
+wire_struct!(SemanticState [STATE_KEY_VERSION, "unknown state-key version"] {
+    control: ControlState,
+    timers: Vec<Option<u64>>,
+    pending_timer_events: Vec<EventId>,
+    data: TepDataState,
+});
 
 /// Canonical, injective serialisation of a [`SemanticState`] — the
 /// *state key* witnesses carry and the wire transports. Injective by
@@ -259,53 +259,8 @@ fn dec_i64s(d: &mut Dec<'_>) -> Result<Vec<i64>, WireError> {
 /// unambiguously, so [`decode_state`]∘`encode_state` is the identity
 /// (pinned by proptest), and distinct states can never share bytes —
 /// which is why the explorer may dedup on state equality instead.
-/// The output is allocated once at its exact length.
 pub fn encode_state(s: &SemanticState) -> Vec<u8> {
-    let c = &s.control;
-    let d = &s.data;
-    let len = 1
-        + (4 + c.active.len().div_ceil(8))
-        + (4 + c.conditions.len().div_ceil(8))
-        + (4 + 4 * c.pending_internal.len())
-        + (4 + 4 * c.history.len())
-        + (4 + s.timers.iter().map(|t| if t.is_some() { 9 } else { 1 }).sum::<usize>())
-        + (4 + 4 * s.pending_timer_events.len())
-        + 8
-        + 8
-        + (12 + 8 * (d.regs.len() + d.iram.len() + d.xram.len()));
-    let mut e = Enc { buf: Vec::with_capacity(len) };
-    e.u8(STATE_KEY_VERSION);
-    enc_bitmap(&mut e, &s.control.active);
-    enc_bitmap(&mut e, &s.control.conditions);
-    e.u32(s.control.pending_internal.len() as u32);
-    for &ev in &s.control.pending_internal {
-        e.u32(ev.index() as u32);
-    }
-    e.u32(s.control.history.len() as u32);
-    for h in &s.control.history {
-        e.u32(h.map_or(0, |st| st.index() as u32 + 1));
-    }
-    e.u32(s.timers.len() as u32);
-    for t in &s.timers {
-        match t {
-            Some(rem) => {
-                e.u8(1);
-                e.u64(*rem);
-            }
-            None => e.u8(0),
-        }
-    }
-    e.u32(s.pending_timer_events.len() as u32);
-    for &ev in &s.pending_timer_events {
-        e.u32(ev.index() as u32);
-    }
-    e.i64(s.data.acc);
-    e.i64(s.data.op);
-    enc_i64s(&mut e, &s.data.regs);
-    enc_i64s(&mut e, &s.data.iram);
-    enc_i64s(&mut e, &s.data.xram);
-    debug_assert_eq!(e.buf.len(), len, "reserved length must be exact");
-    e.buf
+    wire::encode(s)
 }
 
 /// Decodes a canonical state key back into a [`SemanticState`].
@@ -315,51 +270,7 @@ pub fn encode_state(s: &SemanticState) -> Vec<u8> {
 /// Returns [`WireError`] on an unknown version, truncation, or
 /// trailing bytes.
 pub fn decode_state(bytes: &[u8]) -> Result<SemanticState, WireError> {
-    let mut d = Dec::new(bytes);
-    if d.u8()? != STATE_KEY_VERSION {
-        return Err(WireError::Malformed("unknown state-key version"));
-    }
-    let active = dec_bitmap(&mut d)?;
-    let conditions = dec_bitmap(&mut d)?;
-    let n = d.count(4)?;
-    let mut pending_internal = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending_internal.push(EventId::from_index(d.u32()? as usize));
-    }
-    let n = d.count(4)?;
-    let mut history = Vec::with_capacity(n);
-    for _ in 0..n {
-        history.push(match d.u32()? {
-            0 => None,
-            i => Some(StateId::from_index(i as usize - 1)),
-        });
-    }
-    let n = d.count(1)?;
-    let mut timers = Vec::with_capacity(n);
-    for _ in 0..n {
-        timers.push(match d.u8()? {
-            0 => None,
-            1 => Some(d.u64()?),
-            _ => return Err(WireError::Malformed("bad timer tag")),
-        });
-    }
-    let n = d.count(4)?;
-    let mut pending_timer_events = Vec::with_capacity(n);
-    for _ in 0..n {
-        pending_timer_events.push(EventId::from_index(d.u32()? as usize));
-    }
-    let acc = d.i64()?;
-    let op = d.i64()?;
-    let regs = dec_i64s(&mut d)?;
-    let iram = dec_i64s(&mut d)?;
-    let xram = dec_i64s(&mut d)?;
-    d.finish()?;
-    Ok(SemanticState {
-        control: ControlState { active, conditions, pending_internal, history },
-        timers,
-        pending_timer_events,
-        data: TepDataState { acc, op, regs, iram, xram },
-    })
+    wire::decode(bytes)
 }
 
 // --- Predicates, witnesses, report --------------------------------------------

@@ -19,7 +19,7 @@
 //! an error, and saving is best-effort (write to a temp file, then
 //! rename).
 
-use crate::serve::wire::{Dec, Enc, WireError};
+use crate::serve::wire::{expect_version, wire_struct, Dec, Enc, Wire};
 use crate::timing::{EventCycle, TimingReport, Violation};
 use pscp_statechart::{StateId, TransitionId};
 use pscp_tep::KeyHasher;
@@ -30,8 +30,8 @@ use std::path::{Path, PathBuf};
 /// written by other versions are ignored (cold start).
 pub const MEMO_FORMAT_VERSION: u32 = 2;
 
-/// First bytes of every memo file.
-const MEMO_MAGIC: &[u8; 8] = b"PSCPMEMO";
+/// First bytes of every memo file, `PSCPMEMO`.
+const MEMO_MAGIC: u64 = u64::from_le_bytes(*b"PSCPMEMO");
 
 /// Environment variable controlling default persistence: unset, `off`
 /// or `0` keeps the memo in memory; any other value is the file path.
@@ -148,103 +148,39 @@ impl MemoStore {
         if !self.dirty {
             return;
         }
-        let bytes = encode_entries(&self.entries);
+        let mut e = Enc::new();
+        MEMO_MAGIC.enc(&mut e);
+        MEMO_FORMAT_VERSION.enc(&mut e);
+        self.entries.enc(&mut e);
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, bytes).is_ok() {
+        if std::fs::write(&tmp, e.buf).is_ok() {
             let _ = std::fs::rename(&tmp, path);
         }
     }
 }
 
 fn load_entries(path: &Path) -> Option<BTreeMap<u128, MemoEntry>> {
-    decode_entries(&std::fs::read(path).ok()?).ok()
+    let bytes = std::fs::read(path).ok()?;
+    let mut d = Dec::new(&bytes);
+    expect_version(&mut d, MEMO_MAGIC, "not a memo file").ok()?;
+    expect_version(&mut d, MEMO_FORMAT_VERSION, "memo format version").ok()?;
+    let entries = Wire::dec(&mut d).ok()?;
+    d.finish().ok()?;
+    Some(entries)
 }
 
-fn encode_entries(entries: &BTreeMap<u128, MemoEntry>) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.buf.extend_from_slice(MEMO_MAGIC);
-    e.u32(MEMO_FORMAT_VERSION);
-    e.u32(entries.len() as u32);
-    for (&key, entry) in entries {
-        e.u64((key >> 64) as u64);
-        e.u64(key as u64);
-        e.u32(entry.area);
-        e.u32(entry.timing.cycles.len() as u32);
-        for c in &entry.timing.cycles {
-            e.str(&c.event);
-            enc_states(&mut e, &c.path);
-            e.u32(c.transitions.len() as u32);
-            for t in &c.transitions {
-                e.u32(t.index() as u32);
-            }
-            e.u64(c.length);
-        }
-        e.u32(entry.timing.violations.len() as u32);
-        for v in &entry.timing.violations {
-            e.str(&v.event);
-            e.u64(v.period);
-            e.u64(v.worst);
-            enc_states(&mut e, &v.path);
-        }
-    }
-    e.buf
-}
-
-fn decode_entries(bytes: &[u8]) -> Result<BTreeMap<u128, MemoEntry>, WireError> {
-    let mut d = Dec::new(bytes);
-    if d.take(MEMO_MAGIC.len())? != MEMO_MAGIC {
-        return Err(WireError::Malformed("not a memo file"));
-    }
-    if d.u32()? != MEMO_FORMAT_VERSION {
-        return Err(WireError::Malformed("memo format version"));
-    }
-    let mut entries = BTreeMap::new();
-    // Smallest entry: key, area and two empty counts.
-    for _ in 0..d.count(28)? {
-        let key = u128::from(d.u64()?) << 64 | u128::from(d.u64()?);
-        let area = d.u32()?;
-        // Smallest cycle: empty event, two empty lists and the length.
-        let n = d.count(20)?;
-        let cycles = (0..n).map(|_| dec_cycle(&mut d)).collect::<Result<_, _>>()?;
-        // Smallest violation: empty event, period, worst, empty path.
-        let n = d.count(24)?;
-        let violations = (0..n).map(|_| dec_violation(&mut d)).collect::<Result<_, _>>()?;
-        entries.insert(key, MemoEntry { timing: TimingReport { cycles, violations }, area });
-    }
-    d.finish()?;
-    Ok(entries)
-}
-
-fn dec_cycle(d: &mut Dec<'_>) -> Result<EventCycle, WireError> {
-    let event = d.str()?;
-    let path = dec_states(d)?;
-    let n = d.count(4)?;
-    let transitions = (0..n)
-        .map(|_| Ok(TransitionId::from_index(d.u32()? as usize)))
-        .collect::<Result<_, WireError>>()?;
-    Ok(EventCycle { event, path, transitions, length: d.u64()? })
-}
-
-fn dec_violation(d: &mut Dec<'_>) -> Result<Violation, WireError> {
-    let event = d.str()?;
-    let (period, worst) = (d.u64()?, d.u64()?);
-    Ok(Violation { event, period, worst, path: dec_states(d)? })
-}
-
-fn enc_states(e: &mut Enc, states: &[StateId]) {
-    e.u32(states.len() as u32);
-    for s in states {
-        e.u32(s.index() as u32);
-    }
-}
-
-fn dec_states(d: &mut Dec<'_>) -> Result<Vec<StateId>, WireError> {
-    let n = d.count(4)?;
-    (0..n).map(|_| Ok(StateId::from_index(d.u32()? as usize))).collect()
-}
+wire_struct!(MemoEntry { area: u32, timing: TimingReport });
+wire_struct!(TimingReport { cycles: Vec<EventCycle>, violations: Vec<Violation> });
+wire_struct!(EventCycle {
+    event: String,
+    path: Vec<StateId>,
+    transitions: Vec<TransitionId>,
+    length: u64,
+});
+wire_struct!(Violation { event: String, period: u64, worst: u64, path: Vec<StateId> });
 
 /// Hash of the per-run-constant evaluation inputs: chart, action IR,
 /// timing options. Ties persisted entries to the problem they were

@@ -6,13 +6,17 @@
 //! ```text
 //! +---------------+---------+--------+----------+-------------------+
 //! | len: u32 LE   | version | type   | body ... | checksum: u32 LE  |
-//! | (payload len) | u8 = 1  | u8     |          | FNV-1a over       |
+//! | (payload len) | u8 = 2  | u8     |          | FNV-1a over       |
 //! |               |         |        |          | version..body     |
 //! +---------------+---------+--------+----------+-------------------+
 //! ```
 //!
-//! All integers are little-endian. Strings are `u32` length + UTF-8
-//! bytes. The length prefix counts everything after itself (version,
+//! The version byte is [`PROTOCOL_VERSION`]. All integers are
+//! little-endian. Strings are `u32` length + UTF-8 bytes; sequences are
+//! a `u32` count + each element; an option is a `0`/`1` tag + the
+//! value. Each layout is one impl of the crate-private `Wire` trait,
+//! whose `MIN_BYTES` (a layout's smallest encoding) bounds every
+//! declared count. The length prefix counts everything after itself (version,
 //! type, body, checksum), and is capped at [`DEFAULT_MAX_FRAME`] by
 //! default — an oversized prefix is rejected *before* any allocation,
 //! so a corrupt or hostile peer cannot balloon memory.
@@ -77,6 +81,8 @@ use crate::machine::{CycleReport, MachineStats, ScriptedEnvironment};
 use crate::pool::{BatchOptions, BatchOutcome};
 use pscp_diag::{Diagnostic, Pos, Severity, Source, Span};
 pub use pscp_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
+use pscp_statechart::{EventId, StateId, TransitionId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{Read, Write};
 
@@ -553,9 +559,7 @@ impl WireOutcome {
     /// Canonical body bytes (no framing). Never includes the
     /// [`latency`](WireOutcome::latency) trailer.
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_outcome(&mut e, self);
-        e.buf
+        encode(self)
     }
 
     /// Decodes canonical body bytes.
@@ -564,14 +568,11 @@ impl WireOutcome {
     ///
     /// Returns [`WireError`] on truncation or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut d = Dec::new(bytes);
-        let o = dec_outcome(&mut d)?;
-        d.finish()?;
-        Ok(o)
+        decode(bytes)
     }
 }
 
-// --- Primitive encoder/decoder ---------------------------------------------
+// --- The codec -----------------------------------------------------------------
 
 pub(crate) struct Enc {
     pub(crate) buf: Vec<u8>,
@@ -584,21 +585,23 @@ impl Enc {
     pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
-    pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    pub(crate) fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     pub(crate) fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+    /// A sequence: `u32` count, then each element.
+    pub(crate) fn seq<T: Wire>(&mut self, items: &[T]) {
+        self.buf.reserve(4 + T::MIN_BYTES * items.len());
+        self.u32(items.len() as u32);
+        for x in items {
+            x.enc(self);
+        }
     }
 }
 
@@ -625,32 +628,23 @@ impl<'a> Dec<'a> {
     pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
-    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    pub(crate) fn str(&mut self) -> Result<String, WireError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("bad UTF-8"))
-    }
     /// A declared element count, sanity-bounded by the bytes left
     /// (every element costs at least `min_elem_bytes`), so a corrupt
     /// count can never drive a huge allocation.
     pub(crate) fn count(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
+        let n = u32::dec(self)? as usize;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(WireError::Truncated);
         }
         Ok(n)
+    }
+    /// `n` values of `T`, in one allocation. Callers bound `n` first.
+    pub(crate) fn many<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::dec(self)?);
+        }
+        Ok(v)
     }
     pub(crate) fn finish(&self) -> Result<(), WireError> {
         if self.remaining() != 0 {
@@ -660,71 +654,270 @@ impl<'a> Dec<'a> {
     }
 }
 
-fn enc_script(e: &mut Enc, script: &[Vec<String>]) {
-    e.u32(script.len() as u32);
-    for row in script {
-        e.u32(row.len() as u32);
-        for ev in row {
-            e.str(ev);
+/// One byte layout. Every layout the crate writes — frame bodies,
+/// outcomes, diagnostics, stats and explore reports, state keys and the
+/// memo file — is exactly one impl, so its encoder and decoder are
+/// written side by side and a new type gets a layout through
+/// [`wire_struct!`].
+pub(crate) trait Wire: Sized {
+    /// The fewest bytes any value encodes to: the smallest value's
+    /// length (all collections empty, `None`, zeros). `Vec<Self>`
+    /// bounds a declared count with it, so a corrupt count cannot
+    /// allocate more than the input can back.
+    const MIN_BYTES: usize;
+    fn enc(&self, e: &mut Enc);
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError>;
+}
+
+/// `T::MIN_BYTES` of a value, for version prefixes in [`wire_struct!`].
+pub(crate) const fn min_bytes_of<T: Wire>(_: &T) -> usize {
+    T::MIN_BYTES
+}
+
+/// Reads a version (or magic) prefix and rejects any other value.
+pub(crate) fn expect_version<T: Wire + PartialEq>(
+    d: &mut Dec<'_>,
+    want: T,
+    what: &'static str,
+) -> Result<(), WireError> {
+    if T::dec(d)? == want {
+        Ok(())
+    } else {
+        Err(WireError::Malformed(what))
+    }
+}
+
+/// A value's bytes.
+pub(crate) fn encode<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Enc::new();
+    v.enc(&mut e);
+    e.buf
+}
+
+/// Decodes exactly one value: trailing bytes are malformed.
+pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut d = Dec::new(bytes);
+    let v = T::dec(&mut d)?;
+    d.finish()?;
+    Ok(v)
+}
+
+/// `(type, size_of, MIN_BYTES)` of every element a decoder collects
+/// into a `Vec` or map. A count guard admits one element per
+/// `MIN_BYTES` input bytes, so no decode requests more heap than its
+/// input length times the largest `size_of / MIN_BYTES` here, plus the
+/// constant cost of a map's first node; the arbitrary-input suite
+/// holds every decoder to that bound. A bitmap packs eight `bool`s
+/// into a byte, and a `history` entry is a `u32`.
+#[doc(hidden)]
+pub const DECODED_ELEMENTS: &[(&str, usize, usize)] = {
+    use std::mem::size_of;
+    macro_rules! rows {
+        ($($t:ty),*) => { &[
+            $((stringify!($t), size_of::<$t>(), <$t as Wire>::MIN_BYTES),)*
+            ("bitmap bit", 8 * size_of::<bool>(), 1),
+            ("history entry", size_of::<Option<StateId>>(), u32::MIN_BYTES),
+        ] };
+    }
+    rows![
+        u8, u32, u64, i64, String, Vec<u32>, Vec<String>, Option<u64>, EventId, StateId,
+        TransitionId, Diagnostic, WireReport, (u16, i64, u64), (String, u64), (String, Vec<u64>),
+        HistogramSnapshot, (u64, u64, u64), Predicate, Witness, Violation, (String, Witness),
+        crate::timing::EventCycle, crate::timing::Violation, (u128, crate::optimize::MemoEntry)
+    ]
+};
+
+/// Writes a struct's [`Wire`] impl from its fields in wire order. Each
+/// field uses its own impl, and `MIN_BYTES` is the sum of theirs. An
+/// optional `[VERSION, "error"]` writes and checks a version prefix
+/// first; a trailing `..expr` fills the fields that do not travel.
+macro_rules! wire_struct {
+    ($ty:ident $([$ver:expr, $what:literal])? { $($field:ident: $fty:ty),* $(,)? }
+     $(.. $rest:expr)?) => {
+        impl $crate::serve::wire::Wire for $ty {
+            const MIN_BYTES: usize = 0
+                $(+ $crate::serve::wire::min_bytes_of(&$ver))?
+                $(+ <$fty as $crate::serve::wire::Wire>::MIN_BYTES)*;
+            fn enc(&self, e: &mut $crate::serve::wire::Enc) {
+                $($crate::serve::wire::Wire::enc(&$ver, e);)?
+                $($crate::serve::wire::Wire::enc(&self.$field, e);)*
+            }
+            fn dec(
+                d: &mut $crate::serve::wire::Dec<'_>,
+            ) -> Result<Self, $crate::serve::wire::WireError> {
+                $($crate::serve::wire::expect_version(d, $ver, $what)?;)?
+                Ok($ty { $($field: <$fty as $crate::serve::wire::Wire>::dec(d)?,)* $(..$rest)? })
+            }
+        }
+    };
+}
+pub(crate) use wire_struct;
+
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            fn enc(&self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(d.take(Self::MIN_BYTES)?.try_into().expect("sized take")))
+            }
+        }
+    )*};
+}
+wire_int!(u8, u16, u32, u64, i64);
+
+/// A 128-bit content key: high half first.
+impl Wire for u128 {
+    const MIN_BYTES: usize = 16;
+    fn enc(&self, e: &mut Enc) {
+        e.u64((self >> 64) as u64);
+        e.u64(*self as u64);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(u128::from(u64::dec(d)?) << 64 | u128::from(u64::dec(d)?))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        e.u8(u8::from(*self));
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Malformed("bad bool byte")),
         }
     }
 }
 
-fn dec_script(d: &mut Dec<'_>) -> Result<Vec<Vec<String>>, WireError> {
-    let rows = d.count(4)?;
-    let mut script = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let events = d.count(4)?;
-        let mut row = Vec::with_capacity(events);
-        for _ in 0..events {
-            row.push(d.str()?);
+/// `u32` length, then UTF-8 bytes.
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn enc(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let n = u32::dec(d)? as usize;
+        String::from_utf8(d.take(n)?.to_vec()).map_err(|_| WireError::Malformed("bad UTF-8"))
+    }
+}
+
+/// `u32` count, then each element.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn enc(&self, e: &mut Enc) {
+        e.seq(self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let n = d.count(T::MIN_BYTES)?;
+        d.many(n)
+    }
+}
+
+/// `u32` count, then each `(key, value)` in key order.
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 4;
+    fn enc(&self, e: &mut Enc) {
+        e.u32(self.len() as u32);
+        for (k, v) in self {
+            k.enc(e);
+            v.enc(e);
         }
-        script.push(row);
     }
-    Ok(script)
-}
-
-fn enc_pos(e: &mut Enc, p: Pos) {
-    e.u32(p.line);
-    e.u32(p.column);
-    e.u32(p.offset);
-}
-
-fn dec_pos(d: &mut Dec<'_>) -> Result<Pos, WireError> {
-    Ok(Pos { line: d.u32()?, column: d.u32()?, offset: d.u32()? })
-}
-
-fn enc_diagnostic(e: &mut Enc, diag: &Diagnostic) {
-    e.u8(diag.severity.code());
-    e.u8(diag.source.code());
-    e.str(&diag.code);
-    enc_pos(e, diag.span.start);
-    enc_pos(e, diag.span.end);
-    e.str(&diag.message);
-    e.u32(diag.notes.len() as u32);
-    for note in &diag.notes {
-        e.str(note);
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut map = BTreeMap::new();
+        for _ in 0..d.count(<(K, V)>::MIN_BYTES)? {
+            let (k, v) = Wire::dec(d)?;
+            map.insert(k, v);
+        }
+        Ok(map)
     }
 }
 
-/// Fixed bytes every encoded diagnostic costs at least: severity,
-/// source, three length prefixes, and two 12-byte positions.
-const MIN_DIAG_BYTES: usize = 1 + 1 + 4 + 12 + 12 + 4 + 4;
-
-fn dec_diagnostic(d: &mut Dec<'_>) -> Result<Diagnostic, WireError> {
-    let severity =
-        Severity::from_code(d.u8()?).ok_or(WireError::Malformed("bad severity byte"))?;
-    let source = Source::from_code(d.u8()?).ok_or(WireError::Malformed("bad source byte"))?;
-    let code = d.str()?;
-    let span = Span::new(dec_pos(d)?, dec_pos(d)?);
-    let message = d.str()?;
-    let n_notes = d.count(4)?;
-    let mut notes = Vec::with_capacity(n_notes);
-    for _ in 0..n_notes {
-        notes.push(d.str()?);
+/// Tag byte `0` (absent) or `1` followed by the value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            Some(v) => {
+                e.u8(1);
+                v.enc(e);
+            }
+            None => e.u8(0),
+        }
     }
-    Ok(Diagnostic { severity, source, code, span, message, notes })
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::dec(d)?)),
+            _ => Err(WireError::Malformed("bad option tag")),
+        }
+    }
 }
+
+macro_rules! wire_tuple {
+    ($($t:ident $v:ident),+) => {
+        impl<$($t: Wire),+> Wire for ($($t,)+) {
+            const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            fn enc(&self, e: &mut Enc) {
+                let ($($v,)+) = self;
+                $($v.enc(e);)+
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok(($($t::dec(d)?,)+))
+            }
+        }
+    };
+}
+wire_tuple!(A a, B b);
+wire_tuple!(A a, B b, C c);
+
+/// An index newtype travels as its `u32` index.
+macro_rules! wire_id {
+    ($($id:ident),*) => {$(
+        impl Wire for $id {
+            const MIN_BYTES: usize = 4;
+            fn enc(&self, e: &mut Enc) {
+                e.u32(self.index() as u32);
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                Ok($id::from_index(u32::dec(d)? as usize))
+            }
+        }
+    )*};
+}
+wire_id!(EventId, StateId, TransitionId);
+
+/// A diagnostic enum travels as its stable code byte.
+macro_rules! wire_code {
+    ($($ty:ident $what:literal),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn enc(&self, e: &mut Enc) {
+                e.u8(self.code());
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+                $ty::from_code(d.u8()?).ok_or(WireError::Malformed($what))
+            }
+        }
+    )*};
+}
+wire_code!(Severity "bad severity byte", Source "bad source byte");
+
+wire_struct!(Pos { line: u32, column: u32, offset: u32 });
+wire_struct!(Span { start: Pos, end: Pos });
+wire_struct!(Diagnostic {
+    severity: Severity,
+    source: Source,
+    code: String,
+    span: Span,
+    message: String,
+    notes: Vec<String>,
+});
 
 /// Canonical body bytes of a diagnostic list (count + each
 /// diagnostic, no framing). The byte-identity contract hangs off this:
@@ -733,7 +926,7 @@ fn dec_diagnostic(d: &mut Dec<'_>) -> Result<Diagnostic, WireError> {
 /// sources.
 pub fn encode_diagnostics(diags: &[Diagnostic]) -> Vec<u8> {
     let mut e = Enc::new();
-    enc_diagnostics(&mut e, diags);
+    e.seq(diags);
     e.buf
 }
 
@@ -744,168 +937,59 @@ pub fn encode_diagnostics(diags: &[Diagnostic]) -> Vec<u8> {
 /// Returns [`WireError`] on truncation, trailing bytes or invalid
 /// severity/source bytes.
 pub fn decode_diagnostics(bytes: &[u8]) -> Result<Vec<Diagnostic>, WireError> {
-    let mut d = Dec::new(bytes);
-    let diags = dec_diagnostics(&mut d)?;
-    d.finish()?;
-    Ok(diags)
+    decode(bytes)
 }
 
-fn enc_diagnostics(e: &mut Enc, diags: &[Diagnostic]) {
-    e.u32(diags.len() as u32);
-    for diag in diags {
-        enc_diagnostic(e, diag);
-    }
-}
+// --- Outcomes ------------------------------------------------------------------
 
-fn dec_diagnostics(d: &mut Dec<'_>) -> Result<Vec<Diagnostic>, WireError> {
-    let n = d.count(MIN_DIAG_BYTES)?;
-    let mut diags = Vec::with_capacity(n);
-    for _ in 0..n {
-        diags.push(dec_diagnostic(d)?);
+/// The three per-transition arrays share one count.
+impl Wire for WireReport {
+    const MIN_BYTES: usize = 4 + u64::MIN_BYTES + <Vec<u32>>::MIN_BYTES + <Option<u64>>::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        e.u32(self.fired.len() as u32);
+        self.fired.iter().for_each(|t| t.enc(e));
+        self.transition_cycles.iter().for_each(|c| c.enc(e));
+        self.assigned_tep.iter().for_each(|t| t.enc(e));
+        self.cycle_length.enc(e);
+        self.raised.enc(e);
+        self.interrupt_latency.enc(e);
     }
-    Ok(diags)
-}
-
-fn enc_outcome(e: &mut Enc, o: &WireOutcome) {
-    e.u32(o.reports.len() as u32);
-    for r in &o.reports {
-        e.u32(r.fired.len() as u32);
-        for &t in &r.fired {
-            e.u32(t);
-        }
-        for &c in &r.transition_cycles {
-            e.u64(c);
-        }
-        for &t in &r.assigned_tep {
-            e.u8(t);
-        }
-        e.u64(r.cycle_length);
-        e.u32(r.raised.len() as u32);
-        for &ev in &r.raised {
-            e.u32(ev);
-        }
-        match r.interrupt_latency {
-            Some(l) => {
-                e.u8(1);
-                e.u64(l);
-            }
-            None => e.u8(0),
-        }
-    }
-    e.u64(o.stats.config_cycles);
-    e.u64(o.stats.transitions);
-    e.u64(o.stats.clock_cycles);
-    e.u64(o.stats.max_cycle_length);
-    e.u32(o.stats.tep_busy.len() as u32);
-    for &b in &o.stats.tep_busy {
-        e.u64(b);
-    }
-    e.u64(o.clock_cycles);
-    enc_script(e, &o.leftover_script);
-    e.u32(o.port_writes.len() as u32);
-    for &(addr, value, cycle) in &o.port_writes {
-        e.u16(addr);
-        e.i64(value);
-        e.u64(cycle);
-    }
-    match &o.error {
-        Some(msg) => {
-            e.u8(1);
-            e.str(msg);
-        }
-        None => e.u8(0),
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let n = d.count(<(u32, u64, u8)>::MIN_BYTES)?;
+        Ok(WireReport {
+            fired: d.many(n)?,
+            transition_cycles: d.many(n)?,
+            assigned_tep: d.many(n)?,
+            cycle_length: Wire::dec(d)?,
+            raised: Wire::dec(d)?,
+            interrupt_latency: Wire::dec(d)?,
+        })
     }
 }
 
-fn dec_outcome(d: &mut Dec<'_>) -> Result<WireOutcome, WireError> {
-    let n_reports = d.count(14)?;
-    let mut reports = Vec::with_capacity(n_reports);
-    for _ in 0..n_reports {
-        let fired_n = d.count(13)?;
-        let mut fired = Vec::with_capacity(fired_n);
-        for _ in 0..fired_n {
-            fired.push(d.u32()?);
-        }
-        let mut transition_cycles = Vec::with_capacity(fired_n);
-        for _ in 0..fired_n {
-            transition_cycles.push(d.u64()?);
-        }
-        let mut assigned_tep = Vec::with_capacity(fired_n);
-        for _ in 0..fired_n {
-            assigned_tep.push(d.u8()?);
-        }
-        let cycle_length = d.u64()?;
-        let raised_n = d.count(4)?;
-        let mut raised = Vec::with_capacity(raised_n);
-        for _ in 0..raised_n {
-            raised.push(d.u32()?);
-        }
-        let interrupt_latency = match d.u8()? {
-            0 => None,
-            1 => Some(d.u64()?),
-            _ => return Err(WireError::Malformed("bad option tag")),
-        };
-        reports.push(WireReport {
-            fired,
-            transition_cycles,
-            assigned_tep,
-            cycle_length,
-            raised,
-            interrupt_latency,
-        });
-    }
-    let stats = WireStats {
-        config_cycles: d.u64()?,
-        transitions: d.u64()?,
-        clock_cycles: d.u64()?,
-        max_cycle_length: d.u64()?,
-        tep_busy: {
-            let n = d.count(8)?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(d.u64()?);
-            }
-            v
-        },
-    };
-    let clock_cycles = d.u64()?;
-    let leftover_script = dec_script(d)?;
-    let n_writes = d.count(18)?;
-    let mut port_writes = Vec::with_capacity(n_writes);
-    for _ in 0..n_writes {
-        port_writes.push((d.u16()?, d.i64()?, d.u64()?));
-    }
-    let error = match d.u8()? {
-        0 => None,
-        1 => Some(d.str()?),
-        _ => return Err(WireError::Malformed("bad option tag")),
-    };
-    Ok(WireOutcome {
-        reports,
-        stats,
-        clock_cycles,
-        leftover_script,
-        port_writes,
-        error,
-        latency: None,
-    })
-}
+wire_struct!(WireStats {
+    config_cycles: u64,
+    transitions: u64,
+    clock_cycles: u64,
+    max_cycle_length: u64,
+    tep_busy: Vec<u64>,
+});
+wire_struct!(WireOutcome {
+    reports: Vec<WireReport>,
+    stats: WireStats,
+    clock_cycles: u64,
+    leftover_script: Vec<Vec<String>>,
+    port_writes: Vec<(u16, i64, u64)>,
+    error: Option<String>,
+} ..WireOutcome::default());
+wire_struct!(OutcomeLatency { queue_ns: u64, sim_ns: u64, encode_ns: u64 });
 
-fn enc_latency(e: &mut Enc, l: &OutcomeLatency) {
-    e.u8(1); // trailer tag
-    e.u64(l.queue_ns);
-    e.u64(l.sim_ns);
-    e.u64(l.encode_ns);
-}
-
-fn dec_latency_trailer(d: &mut Dec<'_>) -> Result<Option<OutcomeLatency>, WireError> {
-    if d.remaining() == 0 {
-        return Ok(None);
+/// The optional latency trailer of an `Outcome` frame: nothing when
+/// absent, else tag `1` and the three durations.
+fn latency_trailer(e: &mut Enc, latency: Option<OutcomeLatency>) {
+    if latency.is_some() {
+        latency.enc(e);
     }
-    if d.u8()? != 1 {
-        return Err(WireError::Malformed("bad latency trailer tag"));
-    }
-    Ok(Some(OutcomeLatency { queue_ns: d.u64()?, sim_ns: d.u64()?, encode_ns: d.u64()? }))
 }
 
 // --- Stats snapshot codec ----------------------------------------------------
@@ -914,14 +998,27 @@ fn dec_latency_trailer(d: &mut Dec<'_>) -> Result<Option<OutcomeLatency>, WireEr
 /// the snapshot layout changes (independently of [`PROTOCOL_VERSION`]).
 pub const STATS_VERSION: u16 = 1;
 
+wire_struct!(HistogramSnapshot { name: String, count: u64, sum: u64, buckets: Vec<(u64, u64, u64)> });
+wire_struct!(MetricsSnapshot [STATS_VERSION, "unknown stats version"] {
+    counters: Vec<(String, u64)>,
+    per_worker: Vec<(String, Vec<u64>)>,
+    tep_instr: Vec<(String, u64)>,
+    histograms: Vec<HistogramSnapshot>,
+});
+wire_struct!(ServeGauges {
+    uptime_ns: u64,
+    registered_systems: u32,
+    live_connections: u32,
+    queue_depth: u32,
+    workers: u32,
+});
+
 /// Canonical body bytes of a metrics snapshot (no framing). The
 /// telemetry byte-identity contract hangs off this: encoding an
 /// in-process [`pscp_obs::metrics::snapshot`] equals the snapshot
 /// portion of the `Stats` frame a quiesced server produces.
 pub fn encode_stats(s: &MetricsSnapshot) -> Vec<u8> {
-    let mut e = Enc::new();
-    enc_stats(&mut e, s);
-    e.buf
+    encode(s)
 }
 
 /// Decodes canonical stats-snapshot bytes.
@@ -931,86 +1028,7 @@ pub fn encode_stats(s: &MetricsSnapshot) -> Vec<u8> {
 /// Returns [`WireError`] on an unknown stats version, truncation or
 /// trailing bytes.
 pub fn decode_stats(bytes: &[u8]) -> Result<MetricsSnapshot, WireError> {
-    let mut d = Dec::new(bytes);
-    let s = dec_stats(&mut d)?;
-    d.finish()?;
-    Ok(s)
-}
-
-fn enc_stats(e: &mut Enc, s: &MetricsSnapshot) {
-    e.u16(STATS_VERSION);
-    e.u32(s.counters.len() as u32);
-    for (name, v) in &s.counters {
-        e.str(name);
-        e.u64(*v);
-    }
-    e.u32(s.per_worker.len() as u32);
-    for (name, slots) in &s.per_worker {
-        e.str(name);
-        e.u32(slots.len() as u32);
-        for &v in slots {
-            e.u64(v);
-        }
-    }
-    e.u32(s.tep_instr.len() as u32);
-    for (name, v) in &s.tep_instr {
-        e.str(name);
-        e.u64(*v);
-    }
-    e.u32(s.histograms.len() as u32);
-    for h in &s.histograms {
-        e.str(&h.name);
-        e.u64(h.count);
-        e.u64(h.sum);
-        e.u32(h.buckets.len() as u32);
-        for &(lo, hi, n) in &h.buckets {
-            e.u64(lo);
-            e.u64(hi);
-            e.u64(n);
-        }
-    }
-}
-
-fn dec_stats(d: &mut Dec<'_>) -> Result<MetricsSnapshot, WireError> {
-    let version = d.u16()?;
-    if version != STATS_VERSION {
-        return Err(WireError::Malformed("unknown stats version"));
-    }
-    let n = d.count(12)?;
-    let mut counters = Vec::with_capacity(n);
-    for _ in 0..n {
-        counters.push((d.str()?, d.u64()?));
-    }
-    let n = d.count(8)?;
-    let mut per_worker = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = d.str()?;
-        let slots_n = d.count(8)?;
-        let mut slots = Vec::with_capacity(slots_n);
-        for _ in 0..slots_n {
-            slots.push(d.u64()?);
-        }
-        per_worker.push((name, slots));
-    }
-    let n = d.count(12)?;
-    let mut tep_instr = Vec::with_capacity(n);
-    for _ in 0..n {
-        tep_instr.push((d.str()?, d.u64()?));
-    }
-    let n = d.count(24)?;
-    let mut histograms = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = d.str()?;
-        let count = d.u64()?;
-        let sum = d.u64()?;
-        let buckets_n = d.count(24)?;
-        let mut buckets = Vec::with_capacity(buckets_n);
-        for _ in 0..buckets_n {
-            buckets.push((d.u64()?, d.u64()?, d.u64()?));
-        }
-        histograms.push(HistogramSnapshot { name, count, sum, buckets });
-    }
-    Ok(MetricsSnapshot { counters, per_worker, tep_instr, histograms })
+    decode(bytes)
 }
 
 // --- Explore report codec ----------------------------------------------------
@@ -1019,37 +1037,40 @@ fn dec_stats(d: &mut Dec<'_>) -> Result<MetricsSnapshot, WireError> {
 /// the report layout changes (independently of [`PROTOCOL_VERSION`]).
 pub const EXPLORE_REPORT_VERSION: u16 = 1;
 
-fn enc_witness(e: &mut Enc, w: &Witness) {
-    e.u32(w.state_key.len() as u32);
-    e.buf.extend_from_slice(&w.state_key);
-    e.u32(w.trace.len() as u32);
-    for step in &w.trace {
-        e.u32(step.len() as u32);
-        for &ev in step {
-            e.u32(ev);
-        }
+/// Kind byte, then the watched name.
+impl Wire for Predicate {
+    const MIN_BYTES: usize = 1 + String::MIN_BYTES;
+    fn enc(&self, e: &mut Enc) {
+        e.u8(self.kind());
+        e.str(self.name());
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let kind = d.u8()?;
+        Predicate::from_parts(kind, String::dec(d)?)
+            .ok_or(WireError::Malformed("unknown predicate kind"))
     }
 }
 
-/// Fixed bytes every encoded witness costs at least: two length
-/// prefixes (state key, trace).
-const MIN_WITNESS_BYTES: usize = 4 + 4;
-
-fn dec_witness(d: &mut Dec<'_>) -> Result<Witness, WireError> {
-    let key_len = d.count(1)?;
-    let state_key = d.take(key_len)?.to_vec();
-    let n_steps = d.count(4)?;
-    let mut trace = Vec::with_capacity(n_steps);
-    for _ in 0..n_steps {
-        let n_events = d.count(4)?;
-        let mut step = Vec::with_capacity(n_events);
-        for _ in 0..n_events {
-            step.push(d.u32()?);
-        }
-        trace.push(step);
-    }
-    Ok(Witness { state_key, trace })
-}
+wire_struct!(Witness { state_key: Vec<u8>, trace: Vec<Vec<u32>> });
+wire_struct!(Violation { predicate: Predicate, witness: Witness });
+wire_struct!(ExploreReport [EXPLORE_REPORT_VERSION, "unknown explore-report version"] {
+    states: u64,
+    edges: u64,
+    dedup_hits: u64,
+    depth: u32,
+    truncated: bool,
+    deadlocks: Vec<Witness>,
+    unreachable_states: Vec<String>,
+    unreachable_transitions: Vec<u32>,
+    violations: Vec<Violation>,
+    faults: Vec<(String, Witness)>,
+});
+wire_struct!(ExploreRequest {
+    max_states: u64,
+    max_depth: u32,
+    max_witnesses: u32,
+    predicates: Vec<Predicate>,
+});
 
 /// Canonical body bytes of an [`ExploreReport`] (no framing). The
 /// exploration byte-identity contract hangs off this: the differential
@@ -1057,37 +1078,7 @@ fn dec_witness(d: &mut Dec<'_>) -> Result<Witness, WireError> {
 /// these bytes, and the concatenated [`Frame::ExploreResult`] chunks a
 /// server sends are exactly this encoding of its report.
 pub fn encode_explore_report(r: &ExploreReport) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u16(EXPLORE_REPORT_VERSION);
-    e.u64(r.states);
-    e.u64(r.edges);
-    e.u64(r.dedup_hits);
-    e.u32(r.depth);
-    e.u8(u8::from(r.truncated));
-    e.u32(r.deadlocks.len() as u32);
-    for w in &r.deadlocks {
-        enc_witness(&mut e, w);
-    }
-    e.u32(r.unreachable_states.len() as u32);
-    for name in &r.unreachable_states {
-        e.str(name);
-    }
-    e.u32(r.unreachable_transitions.len() as u32);
-    for &t in &r.unreachable_transitions {
-        e.u32(t);
-    }
-    e.u32(r.violations.len() as u32);
-    for v in &r.violations {
-        e.u8(v.predicate.kind());
-        e.str(v.predicate.name());
-        enc_witness(&mut e, &v.witness);
-    }
-    e.u32(r.faults.len() as u32);
-    for (message, w) in &r.faults {
-        e.str(message);
-        enc_witness(&mut e, w);
-    }
-    e.buf
+    encode(r)
 }
 
 /// Decodes canonical explore-report bytes.
@@ -1097,62 +1088,7 @@ pub fn encode_explore_report(r: &ExploreReport) -> Vec<u8> {
 /// Returns [`WireError`] on an unknown report version, truncation,
 /// trailing bytes, or an unknown predicate kind.
 pub fn decode_explore_report(bytes: &[u8]) -> Result<ExploreReport, WireError> {
-    let mut d = Dec::new(bytes);
-    let version = d.u16()?;
-    if version != EXPLORE_REPORT_VERSION {
-        return Err(WireError::Malformed("unknown explore-report version"));
-    }
-    let states = d.u64()?;
-    let edges = d.u64()?;
-    let dedup_hits = d.u64()?;
-    let depth = d.u32()?;
-    let truncated = match d.u8()? {
-        0 => false,
-        1 => true,
-        _ => return Err(WireError::Malformed("bad truncated flag")),
-    };
-    let n = d.count(MIN_WITNESS_BYTES)?;
-    let mut deadlocks = Vec::with_capacity(n);
-    for _ in 0..n {
-        deadlocks.push(dec_witness(&mut d)?);
-    }
-    let n = d.count(4)?;
-    let mut unreachable_states = Vec::with_capacity(n);
-    for _ in 0..n {
-        unreachable_states.push(d.str()?);
-    }
-    let n = d.count(4)?;
-    let mut unreachable_transitions = Vec::with_capacity(n);
-    for _ in 0..n {
-        unreachable_transitions.push(d.u32()?);
-    }
-    let n = d.count(1 + 4 + MIN_WITNESS_BYTES)?;
-    let mut violations = Vec::with_capacity(n);
-    for _ in 0..n {
-        let kind = d.u8()?;
-        let name = d.str()?;
-        let predicate = Predicate::from_parts(kind, name)
-            .ok_or(WireError::Malformed("unknown predicate kind"))?;
-        violations.push(Violation { predicate, witness: dec_witness(&mut d)? });
-    }
-    let n = d.count(4 + MIN_WITNESS_BYTES)?;
-    let mut faults = Vec::with_capacity(n);
-    for _ in 0..n {
-        faults.push((d.str()?, dec_witness(&mut d)?));
-    }
-    d.finish()?;
-    Ok(ExploreReport {
-        states,
-        edges,
-        dedup_hits,
-        depth,
-        truncated,
-        deadlocks,
-        unreachable_states,
-        unreachable_transitions,
-        violations,
-        faults,
-    })
+    decode(bytes)
 }
 
 /// Splits a report's canonical bytes into [`Frame::ExploreResult`]
@@ -1173,115 +1109,143 @@ pub fn explore_report_frames(report: &ExploreReport, max_chunk: usize) -> Vec<Fr
         .collect()
 }
 
-fn enc_gauges(e: &mut Enc, g: &ServeGauges) {
-    e.u64(g.uptime_ns);
-    e.u32(g.registered_systems);
-    e.u32(g.live_connections);
-    e.u32(g.queue_depth);
-    e.u32(g.workers);
-}
-
-fn dec_gauges(d: &mut Dec<'_>) -> Result<ServeGauges, WireError> {
-    Ok(ServeGauges {
-        uptime_ns: d.u64()?,
-        registered_systems: d.u32()?,
-        live_connections: d.u32()?,
-        queue_depth: d.u32()?,
-        workers: d.u32()?,
-    })
-}
-
 // --- Frame encode/decode -----------------------------------------------------
+
+wire_struct!(BatchOptions { deadline: u64, max_steps: u64 });
+wire_struct!(Submit { seq: u64, limits: BatchOptions, script: Vec<Vec<String>> });
+
+/// Type tag, then the body. `Hello`'s feature word and `Outcome`'s
+/// latency trailer are optional tails, so a frame is decoded from a
+/// [`Dec`] that ends where its body ends.
+impl Wire for Frame {
+    const MIN_BYTES: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            Frame::Hello { window, fingerprint, features } => {
+                e.u8(T_HELLO);
+                window.enc(e);
+                fingerprint.enc(e);
+                // A zero feature word is omitted: byte-identical to the
+                // pre-feature layout, so old peers decode it unchanged.
+                if *features != 0 {
+                    features.enc(e);
+                }
+            }
+            Frame::Submit(s) => {
+                e.u8(T_SUBMIT);
+                s.enc(e);
+            }
+            Frame::Outcome { seq, outcome } => {
+                e.u8(T_OUTCOME);
+                seq.enc(e);
+                outcome.enc(e);
+                latency_trailer(e, outcome.latency);
+            }
+            Frame::Credit { n } => {
+                e.u8(T_CREDIT);
+                n.enc(e);
+            }
+            Frame::Error { code, message } => {
+                e.u8(T_ERROR);
+                code.enc(e);
+                message.enc(e);
+            }
+            Frame::Compile { chart, actions } => {
+                e.u8(T_COMPILE);
+                chart.enc(e);
+                actions.enc(e);
+            }
+            Frame::Diagnostics { fingerprint, diagnostics } => {
+                e.u8(T_DIAGNOSTICS);
+                fingerprint.enc(e);
+                diagnostics.enc(e);
+            }
+            Frame::StatsRequest => e.u8(T_STATS_REQUEST),
+            Frame::Stats { gauges, snapshot } => {
+                e.u8(T_STATS);
+                gauges.enc(e);
+                snapshot.enc(e);
+            }
+            Frame::Explore(req) => {
+                e.u8(T_EXPLORE);
+                req.enc(e);
+            }
+            Frame::ExploreResult { seq, last, chunk } => {
+                e.u8(T_EXPLORE_RESULT);
+                seq.enc(e);
+                last.enc(e);
+                chunk.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        Ok(match d.u8()? {
+            T_HELLO => Frame::Hello {
+                window: Wire::dec(d)?,
+                fingerprint: Wire::dec(d)?,
+                // Absent feature word (a PR-8 peer) decodes as zero.
+                features: if d.remaining() > 0 { Wire::dec(d)? } else { 0 },
+            },
+            T_SUBMIT => Frame::Submit(Wire::dec(d)?),
+            T_OUTCOME => {
+                let seq = Wire::dec(d)?;
+                let mut outcome = WireOutcome::dec(d)?;
+                if d.remaining() > 0 {
+                    if d.u8()? != 1 {
+                        return Err(WireError::Malformed("bad latency trailer tag"));
+                    }
+                    outcome.latency = Some(Wire::dec(d)?);
+                }
+                Frame::Outcome { seq, outcome }
+            }
+            T_CREDIT => Frame::Credit { n: Wire::dec(d)? },
+            T_ERROR => Frame::Error { code: Wire::dec(d)?, message: Wire::dec(d)? },
+            T_COMPILE => Frame::Compile { chart: Wire::dec(d)?, actions: Wire::dec(d)? },
+            T_DIAGNOSTICS => {
+                Frame::Diagnostics { fingerprint: Wire::dec(d)?, diagnostics: Wire::dec(d)? }
+            }
+            T_STATS_REQUEST => Frame::StatsRequest,
+            T_STATS => Frame::Stats { gauges: Wire::dec(d)?, snapshot: Wire::dec(d)? },
+            T_EXPLORE => Frame::Explore(Wire::dec(d)?),
+            T_EXPLORE_RESULT => Frame::ExploreResult {
+                seq: Wire::dec(d)?,
+                last: Wire::dec(d)?,
+                chunk: Wire::dec(d)?,
+            },
+            tag => return Err(WireError::UnknownFrame { tag }),
+        })
+    }
+}
+
+/// Starts a frame: room for the length prefix, then the version byte.
+fn open_frame() -> Enc {
+    let mut e = Enc { buf: vec![0; LEN_PREFIX] };
+    e.u8(PROTOCOL_VERSION);
+    e
+}
+
+/// Seals a frame begun by [`open_frame`]: appends the checksum over
+/// version..body and fills in the length prefix. The one place a
+/// frame's framing is written.
+fn seal_frame(mut e: Enc) -> Vec<u8> {
+    let checksum = fnv1a32(&e.buf[LEN_PREFIX..]);
+    e.u32(checksum);
+    let len = (e.buf.len() - LEN_PREFIX) as u32;
+    e.buf[..LEN_PREFIX].copy_from_slice(&len.to_le_bytes());
+    e.buf
+}
 
 /// Encodes a frame's payload (version, type, body, checksum — no
 /// length prefix).
 pub fn encode_payload(frame: &Frame) -> Vec<u8> {
-    let mut e = Enc::new();
-    e.u8(PROTOCOL_VERSION);
-    match frame {
-        Frame::Hello { window, fingerprint, features } => {
-            e.u8(T_HELLO);
-            e.u32(*window);
-            e.u64(*fingerprint);
-            // A zero feature word is omitted: byte-identical to the
-            // pre-feature layout, so old peers decode it unchanged.
-            if *features != 0 {
-                e.u32(*features);
-            }
-        }
-        Frame::Submit(s) => {
-            e.u8(T_SUBMIT);
-            e.u64(s.seq);
-            e.u64(s.limits.deadline);
-            e.u64(s.limits.max_steps);
-            enc_script(&mut e, &s.script);
-        }
-        Frame::Outcome { seq, outcome } => {
-            e.u8(T_OUTCOME);
-            e.u64(*seq);
-            enc_outcome(&mut e, outcome);
-            if let Some(l) = &outcome.latency {
-                enc_latency(&mut e, l);
-            }
-        }
-        Frame::Credit { n } => {
-            e.u8(T_CREDIT);
-            e.u32(*n);
-        }
-        Frame::Error { code, message } => {
-            e.u8(T_ERROR);
-            e.u16(*code);
-            e.str(message);
-        }
-        Frame::Compile { chart, actions } => {
-            e.u8(T_COMPILE);
-            e.str(chart);
-            e.str(actions);
-        }
-        Frame::Diagnostics { fingerprint, diagnostics } => {
-            e.u8(T_DIAGNOSTICS);
-            e.u64(*fingerprint);
-            enc_diagnostics(&mut e, diagnostics);
-        }
-        Frame::StatsRequest => {
-            e.u8(T_STATS_REQUEST);
-        }
-        Frame::Stats { gauges, snapshot } => {
-            e.u8(T_STATS);
-            enc_gauges(&mut e, gauges);
-            enc_stats(&mut e, snapshot);
-        }
-        Frame::Explore(req) => {
-            e.u8(T_EXPLORE);
-            e.u64(req.max_states);
-            e.u32(req.max_depth);
-            e.u32(req.max_witnesses);
-            e.u32(req.predicates.len() as u32);
-            for p in &req.predicates {
-                e.u8(p.kind());
-                e.str(p.name());
-            }
-        }
-        Frame::ExploreResult { seq, last, chunk } => {
-            e.u8(T_EXPLORE_RESULT);
-            e.u32(*seq);
-            e.u8(u8::from(*last));
-            e.u32(chunk.len() as u32);
-            e.buf.extend_from_slice(chunk);
-        }
-    }
-    let checksum = fnv1a32(&e.buf);
-    e.u32(checksum);
-    e.buf
+    encode_frame(frame).split_off(LEN_PREFIX)
 }
 
 /// Encodes a complete frame, length prefix included.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = encode_payload(frame);
-    let mut out = Vec::with_capacity(LEN_PREFIX + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    let mut e = open_frame();
+    frame.enc(&mut e);
+    seal_frame(e)
 }
 
 /// Two-phase `Outcome` frame builder for the serve workers.
@@ -1300,26 +1264,18 @@ impl OutcomeFrame {
     /// Any `latency` already on `outcome` is ignored — the trailer
     /// comes from [`finish`](OutcomeFrame::finish).
     pub fn begin(seq: u64, outcome: &WireOutcome) -> Self {
-        let mut e = Enc::new();
-        e.u8(PROTOCOL_VERSION);
+        let mut e = open_frame();
         e.u8(T_OUTCOME);
-        e.u64(seq);
-        enc_outcome(&mut e, outcome);
+        seq.enc(&mut e);
+        outcome.enc(&mut e);
         OutcomeFrame { e }
     }
 
     /// Appends the optional latency trailer, checksums, and returns the
     /// complete frame bytes (length prefix included).
     pub fn finish(mut self, latency: Option<OutcomeLatency>) -> Vec<u8> {
-        if let Some(l) = latency {
-            enc_latency(&mut self.e, &l);
-        }
-        let checksum = fnv1a32(&self.e.buf);
-        self.e.u32(checksum);
-        let mut out = Vec::with_capacity(LEN_PREFIX + self.e.buf.len());
-        out.extend_from_slice(&(self.e.buf.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.e.buf);
-        out
+        latency_trailer(&mut self.e, latency);
+        seal_frame(self.e)
     }
 }
 
@@ -1342,65 +1298,7 @@ pub fn decode_payload(payload: &[u8]) -> Result<Frame, WireError> {
     if fnv1a32(body) != declared {
         return Err(WireError::BadChecksum);
     }
-    let mut d = Dec::new(&body[1..]);
-    let tag = d.u8()?;
-    let frame = match tag {
-        T_HELLO => Frame::Hello {
-            window: d.u32()?,
-            fingerprint: d.u64()?,
-            // Absent feature word (a PR-8 peer) decodes as zero.
-            features: if d.remaining() > 0 { d.u32()? } else { 0 },
-        },
-        T_SUBMIT => {
-            let seq = d.u64()?;
-            let limits = BatchOptions { deadline: d.u64()?, max_steps: d.u64()? };
-            Frame::Submit(Submit { seq, limits, script: dec_script(&mut d)? })
-        }
-        T_OUTCOME => {
-            let seq = d.u64()?;
-            let mut outcome = dec_outcome(&mut d)?;
-            outcome.latency = dec_latency_trailer(&mut d)?;
-            Frame::Outcome { seq, outcome }
-        }
-        T_CREDIT => Frame::Credit { n: d.u32()? },
-        T_ERROR => Frame::Error { code: d.u16()?, message: d.str()? },
-        T_COMPILE => Frame::Compile { chart: d.str()?, actions: d.str()? },
-        T_DIAGNOSTICS => Frame::Diagnostics {
-            fingerprint: d.u64()?,
-            diagnostics: dec_diagnostics(&mut d)?,
-        },
-        T_STATS_REQUEST => Frame::StatsRequest,
-        T_STATS => Frame::Stats { gauges: dec_gauges(&mut d)?, snapshot: dec_stats(&mut d)? },
-        T_EXPLORE => {
-            let max_states = d.u64()?;
-            let max_depth = d.u32()?;
-            let max_witnesses = d.u32()?;
-            let n = d.count(5)?;
-            let mut predicates = Vec::with_capacity(n);
-            for _ in 0..n {
-                let kind = d.u8()?;
-                let name = d.str()?;
-                predicates.push(
-                    Predicate::from_parts(kind, name)
-                        .ok_or(WireError::Malformed("unknown predicate kind"))?,
-                );
-            }
-            Frame::Explore(ExploreRequest { max_states, max_depth, max_witnesses, predicates })
-        }
-        T_EXPLORE_RESULT => {
-            let seq = d.u32()?;
-            let last = match d.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(WireError::Malformed("bad last flag")),
-            };
-            let n = d.count(1)?;
-            Frame::ExploreResult { seq, last, chunk: d.take(n)?.to_vec() }
-        }
-        tag => return Err(WireError::UnknownFrame { tag }),
-    };
-    d.finish()?;
-    Ok(frame)
+    decode(&body[1..])
 }
 
 /// Incremental frame parser: feed raw bytes in, pull complete frames
@@ -1552,6 +1450,82 @@ mod tests {
                 notes: vec!["declared here".into(), "never read".into()],
             },
         ]
+    }
+
+    /// `MIN_BYTES` is each layout's smallest encoding: the value with
+    /// every collection empty, every option `None` and every number 0.
+    /// The hand-written impls are the ones that can drift.
+    #[test]
+    fn min_bytes_is_the_smallest_encoding() {
+        use crate::machine::SemanticState;
+        use crate::optimize::MemoEntry;
+        use crate::timing::{EventCycle, TimingReport};
+        use pscp_statechart::semantics::ControlState;
+        use pscp_tep::TepDataState;
+
+        fn check<T: Wire>(smallest: T) {
+            let name = std::any::type_name::<T>();
+            assert_eq!(encode(&smallest).len(), T::MIN_BYTES, "{name}");
+        }
+        let control = || ControlState {
+            active: vec![],
+            conditions: vec![],
+            pending_internal: vec![],
+            history: vec![],
+        };
+        let data = || TepDataState { acc: 0, op: 0, regs: vec![], iram: vec![], xram: vec![] };
+        let timing = || TimingReport { cycles: vec![], violations: vec![] };
+        check(0u8);
+        check(0u16);
+        check(0u32);
+        check(0u64);
+        check(0i64);
+        check(0u128);
+        check(false);
+        check(String::new());
+        check(Vec::<WireReport>::new());
+        check(BTreeMap::<u128, MemoEntry>::new());
+        check(None::<u64>);
+        check((0u64, String::new()));
+        check((0u16, 0i64, 0u64));
+        check(EventId::from_index(0));
+        check(StateId::from_index(0));
+        check(TransitionId::from_index(0));
+        check(Severity::Error);
+        check(Source::Chart);
+        check(Span::NONE);
+        check(Diagnostic::error(Source::Chart, "", ""));
+        check(WireReport::default());
+        check(WireStats::default());
+        check(WireOutcome::default());
+        check(OutcomeLatency::default());
+        check(HistogramSnapshot { name: String::new(), count: 0, sum: 0, buckets: vec![] });
+        check(MetricsSnapshot::default());
+        check(ServeGauges::default());
+        check(Predicate::EventNeverRaised(String::new()));
+        check(Witness::default());
+        let predicate = Predicate::StateNeverActive(String::new());
+        check(Violation { predicate, witness: Witness::default() });
+        check(ExploreReport::default());
+        check(ExploreRequest { max_states: 0, max_depth: 0, max_witnesses: 0, predicates: vec![] });
+        check(Submit {
+            seq: 0,
+            limits: BatchOptions { deadline: 0, max_steps: 0 },
+            script: vec![],
+        });
+        check(Frame::StatsRequest);
+        check(control());
+        check(data());
+        check(SemanticState {
+            control: control(),
+            timers: vec![],
+            pending_timer_events: vec![],
+            data: data(),
+        });
+        check(EventCycle { event: String::new(), path: vec![], transitions: vec![], length: 0 });
+        check(crate::timing::Violation { event: String::new(), period: 0, worst: 0, path: vec![] });
+        check(timing());
+        check(MemoEntry { timing: timing(), area: 0 });
     }
 
     #[test]

@@ -13,6 +13,13 @@ if grep -n 'serde' Cargo.toml crates/*/Cargo.toml; then
     exit 1
 fi
 
+# A decoder's count guard comes from the element type's `Wire::MIN_BYTES`,
+# never from a hand-counted literal, which can drift from the layout.
+if grep -rnE '\.count\([[:space:]]*[0-9]' crates/*/src; then
+    echo "tier1: a count guard takes a literal; use the element's MIN_BYTES" >&2
+    exit 1
+fi
+
 cargo build --release
 cargo test -q
 cargo test --workspace -q
@@ -34,6 +41,16 @@ cargo clippy --offline --all-targets --manifest-path pscp-benchmark/Cargo.toml -
 # frames (no more socket writes than outcomes) and per-scenario latency
 # within a popped batch.
 cargo test --release -p pscp-core --test serve_differential -q
+# The wire codec's spec: `wire_golden` pins the bytes of every layout
+# (each frame variant, the outcome, diagnostics, stats and explore-report
+# bodies, a state key) by length and FNV-1a64 digest, and `memo_codec`
+# pins the memo file's; `wire_fuzz` feeds every decoder arbitrary and
+# bit-flipped input, which must decode to a value or a typed error,
+# never panic, and request no more heap than the input length times the
+# largest `size_of / MIN_BYTES` of the element types it collects.
+cargo test --release -p pscp-core --test wire_golden -q
+cargo test --release -p pscp-core --test wire_fuzz -q
+cargo test --release -p pscp-bench --test memo_codec -q
 cargo test --release -p pscp-core --test serve_wire -q
 cargo test --release -p pscp-core --test serve_backpressure -q
 cargo test --release -p pscp-core --test serve_stats -q
