@@ -260,7 +260,12 @@ wire_struct!(SemanticState [STATE_KEY_VERSION, "unknown state-key version"] {
 /// (pinned by proptest), and distinct states can never share bytes —
 /// which is why the explorer may dedup on state equality instead.
 pub fn encode_state(s: &SemanticState) -> Vec<u8> {
-    wire::encode(s)
+    // The data planes dominate a key: reserve them up front so the
+    // buffer is not regrown while they are copied in.
+    let planes = s.data.regs.len() + s.data.iram.len() + s.data.xram.len();
+    let mut e = Enc { buf: Vec::with_capacity(8 * planes + 64) };
+    s.enc(&mut e);
+    e.buf
 }
 
 /// Decodes a canonical state key back into a [`SemanticState`].
@@ -287,29 +292,10 @@ pub enum Predicate {
 }
 
 impl Predicate {
-    /// Stable wire tag (`0` = event-never-raised, `1` =
-    /// state-never-active).
-    pub fn kind(&self) -> u8 {
-        match self {
-            Predicate::EventNeverRaised(_) => 0,
-            Predicate::StateNeverActive(_) => 1,
-        }
-    }
-
     /// The event/state name the predicate watches.
     pub fn name(&self) -> &str {
         match self {
             Predicate::EventNeverRaised(n) | Predicate::StateNeverActive(n) => n,
-        }
-    }
-
-    /// Rebuilds a predicate from its wire parts; `None` on an unknown
-    /// kind tag.
-    pub fn from_parts(kind: u8, name: String) -> Option<Self> {
-        match kind {
-            0 => Some(Predicate::EventNeverRaised(name)),
-            1 => Some(Predicate::StateNeverActive(name)),
-            _ => None,
         }
     }
 }

@@ -599,9 +599,7 @@ impl Enc {
     pub(crate) fn seq<T: Wire>(&mut self, items: &[T]) {
         self.buf.reserve(4 + T::MIN_BYTES * items.len());
         self.u32(items.len() as u32);
-        for x in items {
-            x.enc(self);
-        }
+        T::enc_slice(items, self);
     }
 }
 
@@ -624,9 +622,6 @@ impl<'a> Dec<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
     }
     /// A declared element count, sanity-bounded by the bytes left
     /// (every element costs at least `min_elem_bytes`), so a corrupt
@@ -667,6 +662,14 @@ pub(crate) trait Wire: Sized {
     const MIN_BYTES: usize;
     fn enc(&self, e: &mut Enc);
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError>;
+    /// Writes each value in turn. Integers override it with one pass
+    /// over a reserved region, which keeps a state key's `i64` planes
+    /// cheap to encode.
+    fn enc_slice(items: &[Self], e: &mut Enc) {
+        for x in items {
+            x.enc(e);
+        }
+    }
 }
 
 /// `T::MIN_BYTES` of a value, for version prefixes in [`wire_struct!`].
@@ -711,7 +714,6 @@ pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 /// into a byte, and a `history` entry is a `u32`.
 #[doc(hidden)]
 pub const DECODED_ELEMENTS: &[(&str, usize, usize)] = {
-    use std::mem::size_of;
     macro_rules! rows {
         ($($t:ty),*) => { &[
             $((stringify!($t), size_of::<$t>(), <$t as Wire>::MIN_BYTES),)*
@@ -763,6 +765,13 @@ macro_rules! wire_int {
             fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
                 Ok(<$t>::from_le_bytes(d.take(Self::MIN_BYTES)?.try_into().expect("sized take")))
             }
+            fn enc_slice(items: &[Self], e: &mut Enc) {
+                let start = e.buf.len();
+                e.buf.resize(start + Self::MIN_BYTES * items.len(), 0);
+                for (dst, v) in e.buf[start..].chunks_exact_mut(Self::MIN_BYTES).zip(items) {
+                    dst.copy_from_slice(&v.to_le_bytes());
+                }
+            }
         }
     )*};
 }
@@ -786,7 +795,7 @@ impl Wire for bool {
         e.u8(u8::from(*self));
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        match d.u8()? {
+        match u8::dec(d)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(WireError::Malformed("bad bool byte")),
@@ -851,7 +860,7 @@ impl<T: Wire> Wire for Option<T> {
         }
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        match d.u8()? {
+        match u8::dec(d)? {
             0 => Ok(None),
             1 => Ok(Some(T::dec(d)?)),
             _ => Err(WireError::Malformed("bad option tag")),
@@ -901,7 +910,7 @@ macro_rules! wire_code {
                 e.u8(self.code());
             }
             fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-                $ty::from_code(d.u8()?).ok_or(WireError::Malformed($what))
+                $ty::from_code(u8::dec(d)?).ok_or(WireError::Malformed($what))
             }
         }
     )*};
@@ -947,9 +956,9 @@ impl Wire for WireReport {
     const MIN_BYTES: usize = 4 + u64::MIN_BYTES + <Vec<u32>>::MIN_BYTES + <Option<u64>>::MIN_BYTES;
     fn enc(&self, e: &mut Enc) {
         e.u32(self.fired.len() as u32);
-        self.fired.iter().for_each(|t| t.enc(e));
-        self.transition_cycles.iter().for_each(|c| c.enc(e));
-        self.assigned_tep.iter().for_each(|t| t.enc(e));
+        u32::enc_slice(&self.fired, e);
+        u64::enc_slice(&self.transition_cycles, e);
+        u8::enc_slice(&self.assigned_tep, e);
         self.cycle_length.enc(e);
         self.raised.enc(e);
         self.interrupt_latency.enc(e);
@@ -1037,17 +1046,24 @@ pub fn decode_stats(bytes: &[u8]) -> Result<MetricsSnapshot, WireError> {
 /// the report layout changes (independently of [`PROTOCOL_VERSION`]).
 pub const EXPLORE_REPORT_VERSION: u16 = 1;
 
-/// Kind byte, then the watched name.
+/// Kind byte (`0` event-never-raised, `1` state-never-active), then
+/// the watched name.
 impl Wire for Predicate {
     const MIN_BYTES: usize = 1 + String::MIN_BYTES;
     fn enc(&self, e: &mut Enc) {
-        e.u8(self.kind());
+        e.u8(match self {
+            Predicate::EventNeverRaised(_) => 0,
+            Predicate::StateNeverActive(_) => 1,
+        });
         e.str(self.name());
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let kind = d.u8()?;
-        Predicate::from_parts(kind, String::dec(d)?)
-            .ok_or(WireError::Malformed("unknown predicate kind"))
+        let kind = u8::dec(d)?;
+        match (kind, String::dec(d)?) {
+            (0, name) => Ok(Predicate::EventNeverRaised(name)),
+            (1, name) => Ok(Predicate::StateNeverActive(name)),
+            _ => Err(WireError::Malformed("unknown predicate kind")),
+        }
     }
 }
 
@@ -1179,7 +1195,7 @@ impl Wire for Frame {
         }
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        Ok(match d.u8()? {
+        Ok(match u8::dec(d)? {
             T_HELLO => Frame::Hello {
                 window: Wire::dec(d)?,
                 fingerprint: Wire::dec(d)?,
@@ -1191,7 +1207,7 @@ impl Wire for Frame {
                 let seq = Wire::dec(d)?;
                 let mut outcome = WireOutcome::dec(d)?;
                 if d.remaining() > 0 {
-                    if d.u8()? != 1 {
+                    if u8::dec(d)? != 1 {
                         return Err(WireError::Malformed("bad latency trailer tag"));
                     }
                     outcome.latency = Some(Wire::dec(d)?);

@@ -97,7 +97,7 @@ enum Codec {
     Memo,
 }
 
-const LAYOUTS: [Codec; 7] = [
+const CODECS: [Codec; 7] = [
     Codec::Frame,
     Codec::Outcome,
     Codec::Diagnostics,
@@ -137,44 +137,46 @@ fn memo_path() -> PathBuf {
 
 /// Runs one decoder on `bytes`, checks it ends in a value or a typed
 /// error, and returns the heap bytes it requested and the input length
-/// the bound scales with.
-fn decode(layout: Codec, bytes: &[u8]) -> (usize, usize) {
-    let typed = |r: Result<(), WireError>| match r {
-        Ok(()) | Err(WireError::Truncated | WireError::Malformed(_)) => {}
-        Err(WireError::UnknownFrame { .. }) if matches!(layout, Codec::Frame) => {}
-        Err(e) => panic!("{layout:?}: unexpected error {e:?}"),
-    };
-    if let Codec::Memo = layout {
-        let path = memo_path();
-        std::fs::write(&path, bytes).unwrap();
-        let before = REQUESTED.with(Cell::get);
-        let store = MemoStore::at(&path);
-        let requested = REQUESTED.with(Cell::get) - before;
-        drop(store);
-        let _ = std::fs::remove_file(&path);
-        return (requested, bytes.len());
-    }
+/// the bound scales with (a frame's whole payload).
+fn decode(codec: Codec, bytes: &[u8]) -> (usize, usize) {
     let payload = payload(bytes);
-    let before = REQUESTED.with(Cell::get);
-    match layout {
-        Codec::Frame => typed(decode_payload(&payload).map(drop)),
-        Codec::Outcome => typed(WireOutcome::decode(bytes).map(drop)),
-        Codec::Diagnostics => typed(decode_diagnostics(bytes).map(drop)),
-        Codec::Stats => typed(decode_stats(bytes).map(drop)),
-        Codec::ExploreReport => typed(decode_explore_report(bytes).map(drop)),
-        Codec::StateKey => typed(decode_state(bytes).map(drop)),
-        Codec::Memo => unreachable!(),
+    let path = memo_path();
+    if let Codec::Memo = codec {
+        std::fs::write(&path, bytes).unwrap();
     }
-    let len = if let Codec::Frame = layout { payload.len() } else { bytes.len() };
-    (REQUESTED.with(Cell::get) - before, len)
+    let before = REQUESTED.with(Cell::get);
+    let result = match codec {
+        Codec::Frame => decode_payload(&payload).map(drop),
+        Codec::Outcome => WireOutcome::decode(bytes).map(drop),
+        Codec::Diagnostics => decode_diagnostics(bytes).map(drop),
+        Codec::Stats => decode_stats(bytes).map(drop),
+        Codec::ExploreReport => decode_explore_report(bytes).map(drop),
+        Codec::StateKey => decode_state(bytes).map(drop),
+        // The loader turns every failure into a cold start.
+        Codec::Memo => {
+            drop(MemoStore::at(&path));
+            Ok(())
+        }
+    };
+    let requested = REQUESTED.with(Cell::get) - before;
+    match result {
+        Ok(()) | Err(WireError::Truncated | WireError::Malformed(_)) => {}
+        Err(WireError::UnknownFrame { .. }) if matches!(codec, Codec::Frame) => {}
+        Err(e) => panic!("{codec:?}: unexpected error {e:?}"),
+    }
+    if let Codec::Memo = codec {
+        let _ = std::fs::remove_file(&path);
+    }
+    let len = if let Codec::Frame = codec { payload.len() } else { bytes.len() };
+    (requested, len)
 }
 
-fn check_bound(layout: Codec, bytes: &[u8]) -> Result<(), TestCaseError> {
-    let (requested, len) = decode(layout, bytes);
+fn check_bound(codec: Codec, bytes: &[u8]) -> Result<(), TestCaseError> {
+    let (requested, len) = decode(codec, bytes);
     let bound = len * heap_per_byte() + SLACK;
     prop_assert!(
         requested <= bound,
-        "{layout:?}: {requested} heap bytes from {len} input bytes (bound {bound})"
+        "{codec:?}: {requested} heap bytes from {len} input bytes (bound {bound})"
     );
     Ok(())
 }
@@ -324,7 +326,7 @@ fn memo_file() -> Vec<u8> {
     bytes
 }
 
-/// Every valid sample, as `(layout, bytes)`. Frame samples are bodies
+/// Every valid sample, as `(codec, bytes)`. Frame samples are bodies
 /// from the type tag on: the harness seals them again after damage.
 fn samples() -> Vec<(Codec, Vec<u8>)> {
     let mut out: Vec<(Codec, Vec<u8>)> = frames()
@@ -356,18 +358,18 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_decode_to_a_value_or_a_typed_error(
-        layout in 0..LAYOUTS.len(),
+        codec in 0..CODECS.len(),
         prefixed in any::<bool>(),
         tag in 0u8..12,
         body in arb_bytes(),
     ) {
-        let layout = LAYOUTS[layout];
-        let mut bytes = if prefixed { layout.prefix() } else { vec![] };
-        if let Codec::Frame = layout {
+        let codec = CODECS[codec];
+        let mut bytes = if prefixed { codec.prefix() } else { vec![] };
+        if let Codec::Frame = codec {
             bytes.push(tag);
         }
         bytes.extend_from_slice(&body);
-        check_bound(layout, &bytes)?;
+        check_bound(codec, &bytes)?;
     }
 
     #[test]
@@ -376,11 +378,11 @@ proptest! {
         flips in proptest::collection::vec((any::<usize>(), 0u8..8), 1..4),
     ) {
         let samples = samples();
-        let (layout, mut bytes) = samples[sample % samples.len()].clone();
+        let (codec, mut bytes) = samples[sample % samples.len()].clone();
         for (at, bit) in flips {
             let i = at % bytes.len();
             bytes[i] ^= 1 << bit;
         }
-        check_bound(layout, &bytes)?;
+        check_bound(codec, &bytes)?;
     }
 }
