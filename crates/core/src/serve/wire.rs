@@ -1199,7 +1199,7 @@ impl Wire for Frame {
             T_HELLO => Frame::Hello {
                 window: Wire::dec(d)?,
                 fingerprint: Wire::dec(d)?,
-                // Absent feature word (a PR-8 peer) decodes as zero.
+                // An absent feature word (a pre-feature peer) decodes as zero.
                 features: if d.remaining() > 0 { Wire::dec(d)? } else { 0 },
             },
             T_SUBMIT => Frame::Submit(Wire::dec(d)?),
