@@ -14,29 +14,38 @@
 //! The table is collapse-compressed, as SPIN compresses its state
 //! vectors: a state's TEP data memory — the bulk of it, ~10 KB on a
 //! wide chart — is stored once per distinct content in a plane table,
-//! and the visited key holds the small control part (configuration,
-//! conditions, timers, pending events) plus that plane's id. Ids are
-//! assigned by content, so key equality is exactly state equality.
+//! and the visited key is the rest of the state packed into words
+//! ([`PscpMachine::capture_words`]: active, condition and
+//! pending-event bitmaps, the memory of `history` states, timers and
+//! pending timer events — three words on the 98-state gang chart)
+//! followed by that plane's id. The layout is fixed per system and ids
+//! are assigned by content, so key equality is exactly state equality.
 //! Most cycles run no routine and leave the plane as it was; such a
 //! successor reuses its source's id without copying or hashing the
 //! plane, and only a cycle in which a routine ran has its plane
 //! interned by content.
 //!
-//! Expansion has one path. A frontier layer is flattened into
-//! `(frontier index, symbol index)` jobs that reference the layer
-//! instead of copying it, and the pool's worker loop
-//! (`pool::stream_chunks`) fans them out in `EXPAND_CHUNK`-job chunks
-//! to workers that each restore-and-step one scalar [`PscpMachine`], on
-//! the selection tables compiled into the system. A
-//! worker restores a data plane only when its TEP memory does not
-//! already hold it untouched ([`pscp_tep::TepMachine::data_touched`]),
+//! Expansion has one path. A frontier layer — its keys back to back in
+//! one buffer — is numbered into `frontier index × symbol` jobs, and
+//! the pool's worker loop (`pool::stream_chunks`) fans them out in
+//! `EXPAND_CHUNK`-job chunks to workers that each restore-and-step one
+//! scalar [`PscpMachine`], on the selection tables compiled into the
+//! system. A worker restores a data plane only when its TEP memory does
+//! not already hold it untouched ([`pscp_tep::TepMachine::data_touched`]),
 //! so the jobs of one source — consecutive in a chunk — load its plane
-//! once. Results stream back and are merged *sequentially in job order*
-//! while the workers expand at most `EXPAND_AHEAD` chunks each ahead,
-//! so the successors alive at once are bounded by the pool, not by the
-//! layer, and the report is byte-identical for any worker count; the
-//! explore differential suite pins that against the one-worker run and
-//! a brute-force enumeration. `ExploreOptions::gang` is ignored.
+//! once. A worker appends each edge's successor key, fired transitions
+//! and raised events to its chunk's flat buffers and drops the cycle
+//! report where it was made, so no per-edge allocation crosses threads;
+//! the merge looks each successor up by the slice its chunk holds, and
+//! only an admitted state allocates a key of its own. Chunks are merged
+//! *sequentially in job order* while the workers expand at most
+//! `EXPAND_AHEAD` chunks each ahead, so the successors alive at once
+//! are bounded by the pool, not by the layer, and the report is
+//! byte-identical for any worker count; the explore differential suite
+//! pins that against the one-worker run and a brute-force enumeration.
+//! `ExploreOptions::gang` is ignored. Predicates are resolved against
+//! the chart once, before the search, and read the packed active bits
+//! through [`Executor::packed_active`].
 //!
 //! The report covers:
 //!
@@ -54,24 +63,22 @@
 //! claims to reach; [`replay`] re-executes the trace on a fresh machine
 //! and returns the key it actually lands on, so witnesses are checkable
 //! byte-for-byte. Canonical keys — and the full states they encode,
-//! rebuilt from a visited key and its plane — are built only for
-//! witnesses (and so for the wire), never per edge: `encode_state` is
-//! injective, so deduplicating on state equality is deduplicating on
-//! key equality.
+//! rebuilt by restoring a visited key and its plane into the merge's
+//! own machine — are built only for witnesses (and so for the wire),
+//! never per edge: the packed key and `encode_state` are both
+//! injective, so deduplicating on one is deduplicating on the other.
 //! This is sound because [`SemanticState`] captures *everything* the
 //! next cycle's behaviour depends on — clock and statistics are
 //! excluded precisely because they cannot influence it.
 
 use crate::compile::CompiledSystem;
-use crate::machine::{
-    ControlPart, CycleReport, MachineError, NullEnvironment, PscpMachine, SemanticState,
-};
+use crate::machine::{MachineError, NullEnvironment, PscpMachine, SemanticState};
 use crate::pool::{configured_threads, stream_chunks};
 use crate::serve::wire::{self, wire_struct, Dec, Enc, Wire, WireError};
-use pscp_statechart::semantics::ControlState;
-use pscp_statechart::{EventId, StateId};
+use pscp_statechart::semantics::{ControlState, Executor};
+use pscp_statechart::{Chart, EventId, StateId, TransitionId};
 use pscp_tep::TepDataState;
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
@@ -211,10 +218,15 @@ impl BuildHasher for BuildWordHasher {
 // --- Canonical state encoding ------------------------------------------------
 
 /// Each bitmap is its `u32` length, then one bit per flag packed
-/// low-bit first; `history` stores each entry as its index plus one,
-/// with 0 for `None`.
+/// low-bit first, so an input byte decodes to eight `bool`s; `history`
+/// stores each entry as its index plus one, with 0 for `None`.
 impl Wire for ControlState {
     const MIN_BYTES: usize = 4 + 4 + <Vec<EventId>>::MIN_BYTES + 4;
+    const HEAP_PER_BYTE: usize = wire::most(&[
+        8 * size_of::<bool>(),
+        size_of::<Option<StateId>>().div_ceil(u32::MIN_BYTES),
+        <Vec<EventId>>::HEAP_PER_BYTE,
+    ]);
     fn enc(&self, e: &mut Enc) {
         for bits in [&self.active, &self.conditions] {
             e.u32(bits.len() as u32);
@@ -411,36 +423,83 @@ impl ExploreOptions {
 
 // --- The explorer --------------------------------------------------------------
 
-/// What the visited table is keyed on: a state's control part and the
-/// id of its interned data plane. Planes are interned by content, so
-/// two keys are equal exactly when their [`SemanticState`]s are.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct StateKey {
-    part: ControlPart,
-    data: u32,
+/// A visited key: a state's packed control words
+/// ([`PscpMachine::capture_words`]) followed by the id of its interned
+/// data plane. Planes are interned by content, so two keys are equal
+/// exactly when their [`SemanticState`]s are.
+type Key = [u64];
+
+/// Splits a key into its packed control words and its plane id.
+fn split_key(key: &Key) -> (&[u64], u32) {
+    let (&data, words) = key.split_last().expect("a key ends in its plane id");
+    (words, data as u32)
 }
 
-/// A discovered state in a frontier layer: its key, plus the data plane
-/// the key's id stands for, shared with the plane table.
-struct Node {
-    key: StateKey,
-    plane: Arc<TepDataState>,
+/// A BFS layer: its states' keys back to back, and per state the end of
+/// its key and the data plane the key's id stands for, shared with the
+/// plane table.
+#[derive(Default)]
+struct Layer {
+    keys: Vec<u64>,
+    nodes: Vec<(usize, Arc<TepDataState>)>,
 }
 
-impl Node {
-    /// The full state, for a witness.
-    fn state(&self) -> SemanticState {
-        self.key.part.with_data(&self.plane)
+impl Layer {
+    fn push(&mut self, key: &Key, plane: Arc<TepDataState>) {
+        self.keys.extend_from_slice(key);
+        self.nodes.push((self.keys.len(), plane));
+    }
+
+    /// State `i`'s key and data plane.
+    fn node(&self, i: usize) -> (&Key, &Arc<TepDataState>) {
+        let start = i.checked_sub(1).map_or(0, |p| self.nodes[p].0);
+        let (end, plane) = &self.nodes[i];
+        (&self.keys[start..*end], plane)
+    }
+
+    fn len(&self) -> usize {
+        self.nodes.len()
     }
 }
 
-/// One expanded edge: the successor's control part, its data plane
-/// when a routine ran (`None`: the source's plane, untouched), and the
-/// cycle's report.
-struct Successor {
-    part: ControlPart,
-    plane: Option<TepDataState>,
-    report: CycleReport,
+/// How an expanded edge ended.
+#[derive(Clone, Copy)]
+enum Outcome {
+    /// No routine ran: the successor holds its source's data plane,
+    /// whose id already ends its key.
+    Untouched,
+    /// A routine ran: the successor's plane is the chunk's next one,
+    /// and the merge writes its id into the key's last word.
+    Touched,
+    /// A routine faulted: the chunk's next fault. The edge has no key.
+    Fault,
+}
+
+/// Where one edge's entries end in its chunk's buffers.
+#[derive(Clone, Copy)]
+struct EdgeEnd {
+    key: usize,
+    fired: usize,
+    raised: usize,
+    outcome: Outcome,
+}
+
+/// One chunk's expanded edges, edge after edge in flat buffers, so a
+/// chunk crosses from its worker to the merge in a fixed handful of
+/// allocations whatever its edge count.
+#[derive(Default)]
+struct Expanded {
+    edges: Vec<EdgeEnd>,
+    /// Successor keys.
+    keys: Vec<u64>,
+    /// Transitions each edge fired.
+    fired: Vec<TransitionId>,
+    /// Events each edge's routines raised.
+    raised: Vec<EventId>,
+    /// Data planes of the `Touched` edges, in edge order.
+    planes: Vec<TepDataState>,
+    /// Faults of the `Fault` edges, in edge order.
+    faults: Vec<MachineError>,
 }
 
 /// Jobs per expansion chunk: a worker's unit of claiming and of handing
@@ -469,20 +528,80 @@ impl<'s> Expander<'s> {
         Expander { machine: PscpMachine::new(system), loaded: None }
     }
 
-    /// Restores `src`, injects `symbol` and runs one configuration
-    /// cycle. The data plane is restored only when the memory does not
-    /// already hold it untouched, and captured only when a routine ran.
-    fn expand(&mut self, src: &Node, symbol: &[EventId]) -> Result<Successor, MachineError> {
+    /// Restores the state `key` over `plane`, injects `symbol`, runs one
+    /// configuration cycle and appends the edge to `out`; the cycle's
+    /// report is dropped here. The data plane is restored only when the
+    /// memory does not already hold it untouched, and captured only
+    /// when a routine ran.
+    fn expand(&mut self, key: &Key, plane: &TepDataState, symbol: &[EventId], out: &mut Expanded) {
+        let (words, data) = split_key(key);
         let m = &mut self.machine;
-        m.restore_control(&src.key.part);
-        if self.loaded != Some(src.key.data) || m.tep().data_touched() {
-            m.restore_data(&src.plane);
-            self.loaded = Some(src.key.data);
+        m.restore_words(words);
+        if self.loaded != Some(data) || m.tep().data_touched() {
+            m.restore_data(plane);
+            self.loaded = Some(data);
         }
-        let report = m.step_injected(symbol, &mut NullEnvironment)?;
-        let plane = m.tep().data_touched().then(|| m.tep().data_state());
-        Ok(Successor { part: m.capture_control(), plane, report })
+        let outcome = match m.step_injected(symbol, &mut NullEnvironment) {
+            Err(e) => {
+                out.faults.push(e);
+                Outcome::Fault
+            }
+            Ok(report) => {
+                m.capture_words(&mut out.keys);
+                out.fired.extend_from_slice(&report.fired);
+                out.raised.extend_from_slice(&report.raised);
+                if m.tep().data_touched() {
+                    out.planes.push(m.tep().data_state());
+                    out.keys.push(0);
+                    Outcome::Touched
+                } else {
+                    out.keys.push(u64::from(data));
+                    Outcome::Untouched
+                }
+            }
+        };
+        out.edges.push(EdgeEnd {
+            key: out.keys.len(),
+            fired: out.fired.len(),
+            raised: out.raised.len(),
+            outcome,
+        });
     }
+}
+
+/// A predicate resolved against the chart once, before the search:
+/// the event or state it watches, `None` for a name the chart lacks,
+/// which never hits.
+#[derive(Clone, Copy)]
+enum Watch {
+    Raised(Option<EventId>),
+    Active(Option<StateId>),
+}
+
+impl Watch {
+    fn new(chart: &Chart, p: &Predicate) -> Self {
+        match p {
+            Predicate::EventNeverRaised(name) => Watch::Raised(chart.event_by_name(name)),
+            Predicate::StateNeverActive(name) => Watch::Active(chart.state_by_name(name)),
+        }
+    }
+
+    /// Whether an edge whose routines raised `raised` into the state
+    /// packed as `words` violates the predicate.
+    fn hit(self, raised: &[EventId], words: &[u64]) -> bool {
+        match self {
+            Watch::Raised(e) => e.is_some_and(|e| raised.contains(&e)),
+            Watch::Active(s) => s.is_some_and(|s| Executor::packed_active(words, s)),
+        }
+    }
+}
+
+/// The canonical key ([`encode_state`]) of the state `key` over `plane`,
+/// rebuilt by restoring it into `canon`.
+fn state_key(canon: &mut PscpMachine<'_>, key: &Key, plane: &TepDataState) -> Vec<u8> {
+    canon.restore_words(split_key(key).0);
+    canon.restore_data(plane);
+    encode_state(&canon.capture())
 }
 
 /// Reconstructs the trace to `idx` by walking the parent chain, then
@@ -506,10 +625,11 @@ fn trace_to(
         .collect()
 }
 
-/// Folds a state's active-state bitmap into the running union.
-fn mark_active(union: &mut [bool], active: &[bool]) {
-    for (u, &a) in union.iter_mut().zip(active) {
-        *u |= a;
+/// Folds the active states of the state `key` into the running union.
+fn mark_active(union: &mut [bool], key: &Key) {
+    let words = split_key(key).0;
+    for (s, u) in union.iter_mut().enumerate() {
+        *u |= Executor::packed_active(words, StateId::from_index(s));
     }
 }
 
@@ -532,15 +652,16 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let chart = &system.chart;
     let alphabet = alphabet(system);
     let threads = opts.threads.max(1);
+    let watches: Vec<Watch> = opts.predicates.iter().map(|p| Watch::new(chart, p)).collect();
 
     let mut report = ExploreReport::default();
     // The data planes of the visited states, each interned once under
     // an id assigned in discovery order.
     let mut planes: HashMap<Arc<TepDataState>, u32, BuildWordHasher> = HashMap::default();
-    // Every visited state, deduplicated by key equality — a set that
-    // uses the map's entry API so an edge costs one hash. Canonical
-    // keys are encoded only where a witness needs one.
-    let mut visited: HashMap<StateKey, (), BuildWordHasher> = HashMap::default();
+    // Every visited state's key. An edge looks its successor up by the
+    // slice its chunk holds, so only an admitted state allocates.
+    // Canonical keys are encoded only where a witness needs one.
+    let mut visited: HashSet<Box<Key>, BuildWordHasher> = HashSet::default();
     // Parent pointers: `parents[i]` = (parent state index, alphabet
     // symbol index) of the BFS tree edge that discovered state `i`.
     let mut parents: Vec<(u32, u32)> = Vec::new();
@@ -550,165 +671,159 @@ pub fn explore(system: &CompiledSystem, opts: &ExploreOptions) -> ExploreReport 
     let mut violated = vec![false; opts.predicates.len()];
     let mut violations: Vec<(usize, Witness)> = Vec::new();
 
-    let root = {
-        let machine = PscpMachine::new(system);
-        let key = StateKey { part: machine.capture_control(), data: 0 };
-        Node { key, plane: Arc::new(machine.tep().data_state()) }
-    };
-    planes.insert(Arc::clone(&root.plane), 0);
-    parents.push((0, 0));
-    let root_active = &root.key.part.control.active;
-    mark_active(&mut active_union, root_active);
-    for (pi, p) in opts.predicates.iter().enumerate() {
-        if let Predicate::StateNeverActive(name) = p {
-            if chart.state_by_name(name).is_some_and(|s| root_active[s.index()]) {
+    // The merge's own machine: it packs the root and rebuilds the full
+    // state of every witness.
+    let mut canon = PscpMachine::new(system);
+    let mut frontier = Layer::default();
+    {
+        let mut root = Vec::new();
+        canon.capture_words(&mut root);
+        root.push(0);
+        let plane = Arc::new(canon.tep().data_state());
+        planes.insert(Arc::clone(&plane), 0);
+        parents.push((0, 0));
+        mark_active(&mut active_union, &root);
+        for (pi, w) in watches.iter().enumerate() {
+            if w.hit(&[], split_key(&root).0) {
                 violated[pi] = true;
-                let state_key = encode_state(&root.state());
+                let state_key = state_key(&mut canon, &root, &plane);
                 violations.push((pi, Witness { state_key, trace: Vec::new() }));
             }
         }
+        visited.insert(root.as_slice().into());
+        frontier.push(&root, plane);
     }
-    visited.insert(root.key.clone(), ());
 
     // The BFS layer being expanded: its states carry the consecutive
     // discovery indices `base..base + frontier.len()`.
-    let mut frontier: Vec<Node> = vec![root];
     let mut base: u32 = 0;
     let mut layer: u32 = 0;
 
-    while !frontier.is_empty() {
+    while frontier.len() > 0 {
         if layer >= opts.max_depth {
             report.truncated = true;
             break;
         }
         pscp_obs::metrics::EXPLORE_FRONTIER.record(frontier.len() as u64);
 
-        // Flatten the layer into `(frontier index, symbol index)` jobs:
-        // every frontier state × every alphabet symbol, in order — the
-        // merge below consumes results in this exact order, which is
-        // what pins determinism.
-        let jobs: Vec<(u32, u32)> = (0..frontier.len() as u32)
-            .flat_map(|f| (0..alphabet.len() as u32).map(move |si| (f, si)))
-            .collect();
+        // Job `j` expands frontier state `j / alphabet.len()` under
+        // symbol `j % alphabet.len()`: every frontier state × every
+        // alphabet symbol, in order — the merge below consumes results
+        // in this exact order, which is what pins determinism.
+        let jobs = 0..frontier.len() * alphabet.len();
 
         let next_base = visited.len() as u32;
-        let mut next: Vec<Node> = Vec::new();
+        let mut next = Layer::default();
         let mut merged = 0usize;
         let mut all_self = true;
-        let expand = |expander: &mut Expander<'_>, chunk: Vec<(u32, u32)>| -> Vec<_> {
-            chunk
-                .into_iter()
-                .map(|(f, si)| expander.expand(&frontier[f as usize], &alphabet[si as usize]))
-                .collect()
+        let expand = |expander: &mut Expander<'_>, chunk: Vec<usize>| -> Expanded {
+            let mut out = Expanded::default();
+            for j in chunk {
+                let (key, plane) = frontier.node(j / alphabet.len());
+                expander.expand(key, plane, &alphabet[j % alphabet.len()], &mut out);
+            }
+            out
         };
         let workers = |_| Expander::new(system);
-        let merge = |result: Result<Successor, MachineError>| {
-            let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
-            merged += 1;
-            let src = &frontier[f];
-            let src_idx = base + f as u32;
-            if si == 0 {
-                all_self = true;
-            }
-            report.edges += 1;
-            match result {
-                Err(e) => {
-                    all_self = false;
-                    if (report.faults.len() as u32) < opts.max_witnesses {
-                        report.faults.push((
-                            e.to_string(),
-                            Witness {
-                                state_key: encode_state(&src.state()),
-                                trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
-                            },
-                        ));
-                    }
+        let merge = |chunk: Expanded| {
+            let Expanded { edges, mut keys, fired, raised, planes: touched, faults } = chunk;
+            let (mut touched, mut faults) = (touched.into_iter(), faults.into_iter());
+            let (mut key_at, mut fired_at, mut raised_at) = (0, 0, 0);
+            for end in edges {
+                let (f, si) = (merged / alphabet.len(), merged % alphabet.len());
+                merged += 1;
+                let (src_key, src_plane) = frontier.node(f);
+                let src_idx = base + f as u32;
+                if si == 0 {
+                    all_self = true;
                 }
-                Ok(Successor { part, plane, report: cycle }) => {
-                    for &t in &cycle.fired {
-                        fired_union[t.index()] = true;
+                report.edges += 1;
+                let key = &mut keys[key_at..end.key];
+                let (edge_fired, edge_raised) =
+                    (&fired[fired_at..end.fired], &raised[raised_at..end.raised]);
+                (key_at, fired_at, raised_at) = (end.key, end.fired, end.raised);
+                // The successor's plane: the source's when no routine
+                // ran, else the interned plane with the content the
+                // routines left. A plane no visited state holds is new;
+                // it is interned, under the next id, only if the state
+                // is admitted.
+                let (plane, new_plane) = match end.outcome {
+                    Outcome::Fault => {
+                        all_self = false;
+                        let e = faults.next().expect("a fault per faulted edge");
+                        if (report.faults.len() as u32) < opts.max_witnesses {
+                            report.faults.push((
+                                e.to_string(),
+                                Witness {
+                                    state_key: state_key(&mut canon, src_key, src_plane),
+                                    trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
+                                },
+                            ));
+                        }
+                        (None, false)
                     }
-                    // The successor's plane: the source's when no
-                    // routine ran, else the interned plane with the
-                    // content the routines left. A plane no visited
-                    // state holds is new; it is interned, under the
-                    // next id, only if the state is admitted.
-                    let (data, plane, new_plane) = match plane {
-                        None => (src.key.data, Arc::clone(&src.plane), false),
-                        Some(p) => match planes.get_key_value(&p) {
+                    Outcome::Untouched => (Some(Arc::clone(src_plane)), false),
+                    Outcome::Touched => {
+                        let p = touched.next().expect("a plane per touched edge");
+                        let (id, plane, new_plane) = match planes.get_key_value(&p) {
                             Some((known, &id)) => (id, Arc::clone(known), false),
                             None => (planes.len() as u32, Arc::new(p), true),
-                        },
-                    };
-                    let key = StateKey { part, data };
-                    if all_self && key != src.key {
+                        };
+                        key[key.len() - 1] = u64::from(id);
+                        (Some(plane), new_plane)
+                    }
+                };
+                if let Some(plane) = plane {
+                    let key: &Key = key;
+                    for &t in edge_fired {
+                        fired_union[t.index()] = true;
+                    }
+                    if all_self && key != src_key {
                         all_self = false;
                     }
                     // Predicates see every edge, including ones into
                     // truncated or already-visited states; BFS order
                     // makes this edge the end of a minimal trace either
                     // way.
-                    for (pi, p) in opts.predicates.iter().enumerate() {
-                        if violated[pi] {
-                            continue;
-                        }
-                        let hit = match p {
-                            Predicate::EventNeverRaised(name) => chart
-                                .event_by_name(name)
-                                .is_some_and(|e| cycle.raised.contains(&e)),
-                            Predicate::StateNeverActive(name) => chart
-                                .state_by_name(name)
-                                .is_some_and(|s| key.part.control.active[s.index()]),
-                        };
-                        if hit {
+                    for (pi, w) in watches.iter().enumerate() {
+                        if !violated[pi] && w.hit(edge_raised, split_key(key).0) {
                             violated[pi] = true;
                             violations.push((
                                 pi,
                                 Witness {
-                                    state_key: encode_state(&key.part.with_data(&plane)),
+                                    state_key: state_key(&mut canon, key, &plane),
                                     trace: trace_to(&parents, &alphabet, src_idx, Some(si)),
                                 },
                             ));
                         }
                     }
-                    // The key moves into the table; only a newly
-                    // discovered state is cloned, into the next layer.
-                    let room = (visited.len() as u64) < opts.max_states.max(1);
-                    match visited.entry(key) {
-                        Entry::Occupied(_) => report.dedup_hits += 1,
-                        Entry::Vacant(slot) if room => {
-                            if new_plane {
-                                planes.insert(Arc::clone(&plane), data);
-                            }
-                            parents.push((src_idx, si as u32));
-                            mark_active(&mut active_union, &slot.key().part.control.active);
-                            next.push(Node { key: slot.key().clone(), plane });
-                            slot.insert(());
+                    if visited.contains(key) {
+                        report.dedup_hits += 1;
+                    } else if (visited.len() as u64) < opts.max_states.max(1) {
+                        if new_plane {
+                            planes.insert(Arc::clone(&plane), split_key(key).1);
                         }
-                        Entry::Vacant(_) => report.truncated = true,
+                        visited.insert(key.into());
+                        parents.push((src_idx, si as u32));
+                        mark_active(&mut active_union, key);
+                        next.push(key, plane);
+                    } else {
+                        report.truncated = true;
                     }
                 }
-            }
-            if si + 1 == alphabet.len()
-                && all_self
-                && (report.deadlocks.len() as u32) < opts.max_witnesses
-            {
-                report.deadlocks.push(Witness {
-                    state_key: encode_state(&src.state()),
-                    trace: trace_to(&parents, &alphabet, src_idx, None),
-                });
+                if si + 1 == alphabet.len()
+                    && all_self
+                    && (report.deadlocks.len() as u32) < opts.max_witnesses
+                {
+                    report.deadlocks.push(Witness {
+                        state_key: state_key(&mut canon, src_key, src_plane),
+                        trace: trace_to(&parents, &alphabet, src_idx, None),
+                    });
+                }
             }
         };
-        stream_chunks(
-            jobs.into_iter(),
-            EXPAND_CHUNK,
-            threads,
-            EXPAND_AHEAD,
-            workers,
-            expand,
-            merge,
-        );
-        if !next.is_empty() {
+        stream_chunks(jobs, EXPAND_CHUNK, threads, EXPAND_AHEAD, workers, expand, merge);
+        if next.len() > 0 {
             layer += 1;
             report.depth = layer;
         }

@@ -23,7 +23,7 @@
 use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
-use pscp_statechart::semantics::{ActionSite, ControlState, EffectSink, Executor};
+use pscp_statechart::semantics::{ActionSite, EffectSink, Executor};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
 use pscp_tep::TepDataState;
@@ -311,9 +311,10 @@ impl VcdProbe {
 /// memory. Everything the next cycle's behaviour depends on — and
 /// nothing else (clock, statistics and probes are excluded). Captured
 /// by [`PscpMachine::capture`], reinstated by [`PscpMachine::restore`],
-/// canonically serialised by [`crate::explore::encode_state`]. `Hash`
-/// and `Eq` are what the explorer's visited table dedups on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// canonically serialised by [`crate::explore::encode_state`]. The
+/// explorer dedups on the packed words of
+/// [`PscpMachine::capture_words`] and an interned data plane instead.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SemanticState {
     /// Chart control state (configuration, conditions, pending
     /// internal events, history memory).
@@ -324,31 +325,6 @@ pub struct SemanticState {
     pub pending_timer_events: Vec<EventId>,
     /// TEP data memory (ACC, OP, registers, both RAM planes).
     pub data: pscp_tep::TepDataState,
-}
-
-/// A [`SemanticState`] without its TEP data memory: the part of a state
-/// that changes on almost every cycle, and what the explorer keys its
-/// visited table on next to an interned data-plane id.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct ControlPart {
-    /// Chart control state.
-    pub(crate) control: ControlState,
-    /// Remaining cycles of each armed hardware timer.
-    pub(crate) timers: Vec<Option<u64>>,
-    /// Timer events that expired last cycle, pending delivery.
-    pub(crate) pending_timer_events: Vec<EventId>,
-}
-
-impl ControlPart {
-    /// The full state this part forms with the data memory `data`.
-    pub(crate) fn with_data(&self, data: &TepDataState) -> SemanticState {
-        SemanticState {
-            control: self.control.clone(),
-            timers: self.timers.clone(),
-            pending_timer_events: self.pending_timer_events.clone(),
-            data: data.clone(),
-        }
-    }
 }
 
 /// The PSCP machine.
@@ -467,48 +443,81 @@ impl<'s> PscpMachine<'s> {
     /// behaviour depends only on what `capture` records, which is what
     /// makes state-space exploration by capture/restore sound.
     pub fn capture(&self) -> SemanticState {
-        let ControlPart { control, timers, pending_timer_events } = self.capture_control();
-        SemanticState { control, timers, pending_timer_events, data: self.tep.data_state() }
+        SemanticState {
+            control: self.exec.control_state(),
+            timers: self.timers.clone(),
+            pending_timer_events: self.pending_timer_events.clone(),
+            data: self.tep.data_state(),
+        }
     }
 
     /// Restores a [`capture`](Self::capture) snapshot taken from a
     /// machine over the same system. Clock, statistics and probe state
     /// are left untouched.
     pub fn restore(&mut self, s: &SemanticState) {
-        self.restore_fields(&s.control, &s.timers, &s.pending_timer_events);
-        self.tep.restore_data_state(&s.data);
-    }
-
-    /// [`capture`](Self::capture) without the TEP data memory.
-    pub(crate) fn capture_control(&self) -> ControlPart {
-        ControlPart {
-            control: self.exec.control_state(),
-            timers: self.timers.clone(),
-            pending_timer_events: self.pending_timer_events.clone(),
-        }
-    }
-
-    /// [`restore`](Self::restore) without the TEP data memory, which
-    /// keeps its contents; see [`TepMachine::data_touched`].
-    pub(crate) fn restore_control(&mut self, s: &ControlPart) {
-        self.restore_fields(&s.control, &s.timers, &s.pending_timer_events);
-    }
-
-    fn restore_fields(
-        &mut self,
-        control: &ControlState,
-        timers: &[Option<u64>],
-        pending_timer_events: &[EventId],
-    ) {
-        self.exec.restore_control_state(control);
-        self.timers.copy_from_slice(timers);
+        self.exec.restore_control_state(&s.control);
+        self.timers.copy_from_slice(&s.timers);
         self.pending_timer_events.clear();
-        self.pending_timer_events.extend_from_slice(pending_timer_events);
+        self.pending_timer_events.extend_from_slice(&s.pending_timer_events);
+        self.tep.restore_data_state(&s.data);
         self.quiet = false;
     }
 
-    /// Restores only the TEP data memory.
-    pub(crate) fn restore_data(&mut self, data: &TepDataState) {
+    /// Appends [`capture`](Self::capture) without the TEP data memory,
+    /// packed into words: the executor's words
+    /// ([`Executor::pack_control`], so [`Executor::packed_active`]
+    /// reads them), then a bitmap of the armed timers, one word per
+    /// timer with its remaining cycles (`0` when disarmed), and the
+    /// pending timer events two per word, each its index plus one, the
+    /// last word zero-padded. The timer events keep their order and any
+    /// duplicates: the list is in timer order, and two timers may raise
+    /// one event. Two machines over one system pack equal exactly when
+    /// their captures, data aside, are equal.
+    pub fn capture_words(&self, out: &mut Vec<u64>) {
+        self.exec.pack_control(out);
+        let start = out.len();
+        out.resize(start + self.timers.len().div_ceil(64), 0);
+        for (i, t) in self.timers.iter().enumerate() {
+            if t.is_some() {
+                out[start + i / 64] |= 1 << (i % 64);
+            }
+        }
+        out.extend(self.timers.iter().map(|t| t.unwrap_or(0)));
+        out.extend(self.pending_timer_events.chunks(2).map(|pair| {
+            pair.iter().rev().fold(0, |w, e| w << 32 | (e.index() as u64 + 1))
+        }));
+    }
+
+    /// Restores words appended by [`capture_words`](Self::capture_words)
+    /// on a machine over the same system; the TEP data memory keeps its
+    /// contents (see [`TepMachine::data_touched`]). Clock, statistics
+    /// and probe state are left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `words` is shorter than the system's layout.
+    pub fn restore_words(&mut self, words: &[u64]) {
+        let words = self.exec.unpack_control(words);
+        let n = self.timers.len();
+        let (armed, words) = words.split_at(n.div_ceil(64));
+        let (remaining, pending) = words.split_at(n);
+        for (i, (t, &rem)) in self.timers.iter_mut().zip(remaining).enumerate() {
+            *t = (armed[i / 64] >> (i % 64) & 1 != 0).then_some(rem);
+        }
+        self.pending_timer_events.clear();
+        for &w in pending {
+            for half in [w as u32, (w >> 32) as u32] {
+                if let Some(e) = half.checked_sub(1) {
+                    self.pending_timer_events.push(EventId::from_index(e as usize));
+                }
+            }
+        }
+        self.quiet = false;
+    }
+
+    /// Restores only the TEP data memory, which
+    /// [`restore_words`](Self::restore_words) leaves alone.
+    pub fn restore_data(&mut self, data: &TepDataState) {
         self.tep.restore_data_state(data);
     }
 

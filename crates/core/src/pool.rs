@@ -22,7 +22,7 @@
 //! bytes, only wall-clock differs. Every parallel loop of this module
 //! runs on one worker loop, [`stream_chunks`]: scoped workers claim
 //! fixed-width chunks of jobs in order, and the calling thread takes
-//! the results in job order. Batches ([`SimPool::run_batch_until`])
+//! each chunk's results in job order. Batches ([`SimPool::run_batch_until`])
 //! collect every result; state exploration ([`crate::explore`])
 //! streams them with a bounded lookahead, one scalar machine per
 //! worker.
@@ -326,7 +326,7 @@ impl SimPool {
             COLLECT_AHEAD,
             |w| (w, BatchRunner::new(system, self.gang)),
             |(w, runner), chunk| runner.run(*w, chunk, &done),
-            |outcome| out.push(outcome),
+            |outcomes| out.extend(outcomes),
         );
         out
     }
@@ -353,7 +353,7 @@ struct Stream<I, R> {
     /// Chunks the consumer has taken.
     taken: usize,
     /// Finished chunks waiting for the consumer, by chunk index.
-    done: Vec<Option<Vec<R>>>,
+    done: Vec<Option<R>>,
     /// Set when either side panics, so the other stops waiting.
     stopped: bool,
 }
@@ -374,8 +374,8 @@ impl<I, R> Drop for StopOnPanic<'_, I, R> {
 
 /// The pool's one worker loop. Runs `expand` over consecutive
 /// `width`-job chunks of `jobs` on up to `threads` scoped workers and
-/// feeds every result to `consume` on the calling thread, in job order,
-/// while the workers carry on. Each job is taken exactly once, by the
+/// feeds each chunk's result to `consume` on the calling thread, in
+/// chunk order, while the workers carry on. Each job is taken exactly once, by the
 /// worker that claims its chunk, so jobs may be owned values. Workers
 /// stay at most `ahead` chunks each ahead of the consumer. Worker `w`
 /// builds its own state with `make_worker(w)`. A panic on either side
@@ -388,7 +388,7 @@ pub(crate) fn stream_chunks<J, R, W>(
     threads: usize,
     ahead: usize,
     make_worker: impl Fn(usize) -> W + Sync,
-    expand: impl Fn(&mut W, Vec<J>) -> Vec<R> + Sync,
+    expand: impl Fn(&mut W, Vec<J>) -> R + Sync,
     mut consume: impl FnMut(R),
 ) where
     J: Send,
@@ -400,7 +400,7 @@ pub(crate) fn stream_chunks<J, R, W>(
         let mut worker = make_worker(0);
         for _ in 0..chunks {
             let chunk = jobs.by_ref().take(width).collect();
-            expand(&mut worker, chunk).into_iter().for_each(&mut consume);
+            consume(expand(&mut worker, chunk));
         }
         return;
     }
@@ -460,7 +460,7 @@ pub(crate) fn stream_chunks<J, R, W>(
                 }
             };
             cv.notify_all();
-            out.into_iter().for_each(&mut consume);
+            consume(out);
         }
     });
 }
@@ -955,13 +955,13 @@ mod tests {
                         expanded.fetch_add(1, Ordering::SeqCst);
                         chunk.iter().map(|j| j * 10).collect()
                     },
-                    |r| {
+                    |r: Vec<usize>| {
                         let taken = out.len() / width;
                         assert!(
                             expanded.load(Ordering::SeqCst) <= taken + 1 + AHEAD * threads,
                             "workers ran past the lookahead"
                         );
-                        out.push(r);
+                        out.extend(r);
                     },
                 );
                 assert_eq!(out, (0..203).map(|j| j * 10).collect::<Vec<_>>());
@@ -998,7 +998,7 @@ mod tests {
             AHEAD,
             |_| (),
             |_, chunk| chunk.to_vec(),
-            |j| assert!(j != 5, "consumer gave up"),
+            |chunk| assert!(!chunk.contains(&5), "consumer gave up"),
         );
     }
 

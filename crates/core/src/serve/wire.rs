@@ -16,7 +16,8 @@
 //! a `u32` count + each element; an option is a `0`/`1` tag + the
 //! value. Each layout is one impl of the crate-private `Wire` trait,
 //! whose `MIN_BYTES` (a layout's smallest encoding) bounds every
-//! declared count. The length prefix counts everything after itself (version,
+//! declared count, and whose `HEAP_PER_BYTE` bounds the heap a decode
+//! may request per input byte. The length prefix counts everything after itself (version,
 //! type, body, checksum), and is capped at [`DEFAULT_MAX_FRAME`] by
 //! default — an oversized prefix is rejected *before* any allocation,
 //! so a corrupt or hostile peer cannot balloon memory.
@@ -660,6 +661,13 @@ pub(crate) trait Wire: Sized {
     /// bounds a declared count with it, so a corrupt count cannot
     /// allocate more than the input can back.
     const MIN_BYTES: usize;
+    /// The most heap bytes decoding a value requests per input byte.
+    /// A collection's count guard admits one element per `MIN_BYTES`
+    /// input bytes, so a collection of `T` costs at most
+    /// [`per_element::<T>`](per_element), and a composite the most of
+    /// its parts: the bytes behind one part never back another.
+    /// Scalars cost nothing.
+    const HEAP_PER_BYTE: usize;
     fn enc(&self, e: &mut Enc);
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError>;
     /// Writes each value in turn. Integers override it with one pass
@@ -675,6 +683,26 @@ pub(crate) trait Wire: Sized {
 /// `T::MIN_BYTES` of a value, for version prefixes in [`wire_struct!`].
 pub(crate) const fn min_bytes_of<T: Wire>(_: &T) -> usize {
     T::MIN_BYTES
+}
+
+/// The largest of `xs`, `0` for none: the `HEAP_PER_BYTE` of a value
+/// made of parts.
+pub(crate) const fn most(xs: &[usize]) -> usize {
+    let (mut m, mut i) = (0, 0);
+    while i < xs.len() {
+        if xs[i] > m {
+            m = xs[i];
+        }
+        i += 1;
+    }
+    m
+}
+
+/// Heap bytes per input byte of a decoded collection of `T`: the
+/// element itself, `size_of::<T>()` per `T::MIN_BYTES` input bytes, or
+/// what decoding the element requests, whichever is more.
+pub(crate) const fn per_element<T: Wire>() -> usize {
+    most(&[size_of::<T>().div_ceil(most(&[T::MIN_BYTES, 1])), T::HEAP_PER_BYTE])
 }
 
 /// Reads a version (or magic) prefix and rejects any other value.
@@ -705,32 +733,27 @@ pub(crate) fn decode<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(v)
 }
 
-/// `(type, size_of, MIN_BYTES)` of every element a decoder collects
-/// into a `Vec` or map. A count guard admits one element per
-/// `MIN_BYTES` input bytes, so no decode requests more heap than its
-/// input length times the largest `size_of / MIN_BYTES` here, plus the
-/// constant cost of a map's first node; the arbitrary-input suite
-/// holds every decoder to that bound. A bitmap packs eight `bool`s
-/// into a byte, and a `history` entry is a `u32`.
+/// The most heap bytes per input byte any decoder of untrusted bytes
+/// requests: the largest `HEAP_PER_BYTE` of the types they decode —
+/// frames ([`decode_payload`]), outcomes, diagnostics, stats, explore
+/// reports, state keys and the memo file. The types derive it from
+/// their parts, so no element type a decoder collects can escape it;
+/// the arbitrary-input suite holds every decode to its input length
+/// times this, plus the constant cost of a map's first node.
 #[doc(hidden)]
-pub const DECODED_ELEMENTS: &[(&str, usize, usize)] = {
-    macro_rules! rows {
-        ($($t:ty),*) => { &[
-            $((stringify!($t), size_of::<$t>(), <$t as Wire>::MIN_BYTES),)*
-            ("bitmap bit", 8 * size_of::<bool>(), 1),
-            ("history entry", size_of::<Option<StateId>>(), u32::MIN_BYTES),
-        ] };
-    }
-    rows![
-        u8, u32, u64, i64, String, Vec<u32>, Vec<String>, Option<u64>, EventId, StateId,
-        TransitionId, Diagnostic, WireReport, (u16, i64, u64), (String, u64), (String, Vec<u64>),
-        HistogramSnapshot, (u64, u64, u64), Predicate, Witness, Violation, (String, Witness),
-        crate::timing::EventCycle, crate::timing::Violation, (u128, crate::optimize::MemoEntry)
-    ]
-};
+pub const DECODE_HEAP_PER_BYTE: usize = most(&[
+    <Frame as Wire>::HEAP_PER_BYTE,
+    <WireOutcome as Wire>::HEAP_PER_BYTE,
+    <Vec<Diagnostic> as Wire>::HEAP_PER_BYTE,
+    <MetricsSnapshot as Wire>::HEAP_PER_BYTE,
+    <crate::explore::ExploreReport as Wire>::HEAP_PER_BYTE,
+    <crate::machine::SemanticState as Wire>::HEAP_PER_BYTE,
+    <BTreeMap<u128, crate::optimize::MemoEntry> as Wire>::HEAP_PER_BYTE,
+]);
 
 /// Writes a struct's [`Wire`] impl from its fields in wire order. Each
-/// field uses its own impl, and `MIN_BYTES` is the sum of theirs. An
+/// field uses its own impl, `MIN_BYTES` is the sum of theirs and
+/// `HEAP_PER_BYTE` the most of theirs. An
 /// optional `[VERSION, "error"]` writes and checks a version prefix
 /// first; a trailing `..expr` fills the fields that do not travel.
 macro_rules! wire_struct {
@@ -740,6 +763,9 @@ macro_rules! wire_struct {
             const MIN_BYTES: usize = 0
                 $(+ $crate::serve::wire::min_bytes_of(&$ver))?
                 $(+ <$fty as $crate::serve::wire::Wire>::MIN_BYTES)*;
+            const HEAP_PER_BYTE: usize = $crate::serve::wire::most(&[
+                $(<$fty as $crate::serve::wire::Wire>::HEAP_PER_BYTE),*
+            ]);
             fn enc(&self, e: &mut $crate::serve::wire::Enc) {
                 $($crate::serve::wire::Wire::enc(&$ver, e);)?
                 $($crate::serve::wire::Wire::enc(&self.$field, e);)*
@@ -759,6 +785,7 @@ macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             const MIN_BYTES: usize = std::mem::size_of::<$t>();
+            const HEAP_PER_BYTE: usize = 0;
             fn enc(&self, e: &mut Enc) {
                 e.buf.extend_from_slice(&self.to_le_bytes());
             }
@@ -780,6 +807,7 @@ wire_int!(u8, u16, u32, u64, i64);
 /// A 128-bit content key: high half first.
 impl Wire for u128 {
     const MIN_BYTES: usize = 16;
+    const HEAP_PER_BYTE: usize = 0;
     fn enc(&self, e: &mut Enc) {
         e.u64((self >> 64) as u64);
         e.u64(*self as u64);
@@ -791,6 +819,7 @@ impl Wire for u128 {
 
 impl Wire for bool {
     const MIN_BYTES: usize = 1;
+    const HEAP_PER_BYTE: usize = 0;
     fn enc(&self, e: &mut Enc) {
         e.u8(u8::from(*self));
     }
@@ -803,9 +832,10 @@ impl Wire for bool {
     }
 }
 
-/// `u32` length, then UTF-8 bytes.
+/// `u32` length, then UTF-8 bytes: one heap byte per input byte.
 impl Wire for String {
     const MIN_BYTES: usize = 4;
+    const HEAP_PER_BYTE: usize = 1;
     fn enc(&self, e: &mut Enc) {
         e.str(self);
     }
@@ -818,6 +848,7 @@ impl Wire for String {
 /// `u32` count, then each element.
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 4;
+    const HEAP_PER_BYTE: usize = per_element::<T>();
     fn enc(&self, e: &mut Enc) {
         e.seq(self);
     }
@@ -830,6 +861,7 @@ impl<T: Wire> Wire for Vec<T> {
 /// `u32` count, then each `(key, value)` in key order.
 impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
     const MIN_BYTES: usize = 4;
+    const HEAP_PER_BYTE: usize = per_element::<(K, V)>();
     fn enc(&self, e: &mut Enc) {
         e.u32(self.len() as u32);
         for (k, v) in self {
@@ -850,6 +882,7 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
 /// Tag byte `0` (absent) or `1` followed by the value.
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
+    const HEAP_PER_BYTE: usize = T::HEAP_PER_BYTE;
     fn enc(&self, e: &mut Enc) {
         match self {
             Some(v) => {
@@ -872,6 +905,7 @@ macro_rules! wire_tuple {
     ($($t:ident $v:ident),+) => {
         impl<$($t: Wire),+> Wire for ($($t,)+) {
             const MIN_BYTES: usize = 0 $(+ $t::MIN_BYTES)+;
+            const HEAP_PER_BYTE: usize = most(&[$($t::HEAP_PER_BYTE),+]);
             fn enc(&self, e: &mut Enc) {
                 let ($($v,)+) = self;
                 $($v.enc(e);)+
@@ -890,6 +924,7 @@ macro_rules! wire_id {
     ($($id:ident),*) => {$(
         impl Wire for $id {
             const MIN_BYTES: usize = 4;
+            const HEAP_PER_BYTE: usize = 0;
             fn enc(&self, e: &mut Enc) {
                 e.u32(self.index() as u32);
             }
@@ -906,6 +941,7 @@ macro_rules! wire_code {
     ($($ty:ident $what:literal),*) => {$(
         impl Wire for $ty {
             const MIN_BYTES: usize = 1;
+            const HEAP_PER_BYTE: usize = 0;
             fn enc(&self, e: &mut Enc) {
                 e.u8(self.code());
             }
@@ -951,9 +987,15 @@ pub fn decode_diagnostics(bytes: &[u8]) -> Result<Vec<Diagnostic>, WireError> {
 
 // --- Outcomes ------------------------------------------------------------------
 
-/// The three per-transition arrays share one count.
+/// The three per-transition arrays share one count, guarded by the
+/// bytes of one entry of each, which are also its heap.
 impl Wire for WireReport {
     const MIN_BYTES: usize = 4 + u64::MIN_BYTES + <Vec<u32>>::MIN_BYTES + <Option<u64>>::MIN_BYTES;
+    const HEAP_PER_BYTE: usize = most(&[
+        (size_of::<u32>() + size_of::<u64>() + size_of::<u8>())
+            .div_ceil(<(u32, u64, u8)>::MIN_BYTES),
+        <Vec<u32>>::HEAP_PER_BYTE,
+    ]);
     fn enc(&self, e: &mut Enc) {
         e.u32(self.fired.len() as u32);
         u32::enc_slice(&self.fired, e);
@@ -1050,6 +1092,7 @@ pub const EXPLORE_REPORT_VERSION: u16 = 1;
 /// the watched name.
 impl Wire for Predicate {
     const MIN_BYTES: usize = 1 + String::MIN_BYTES;
+    const HEAP_PER_BYTE: usize = String::HEAP_PER_BYTE;
     fn enc(&self, e: &mut Enc) {
         e.u8(match self {
             Predicate::EventNeverRaised(_) => 0,
@@ -1135,6 +1178,17 @@ wire_struct!(Submit { seq: u64, limits: BatchOptions, script: Vec<Vec<String>> }
 /// [`Dec`] that ends where its body ends.
 impl Wire for Frame {
     const MIN_BYTES: usize = 1;
+    const HEAP_PER_BYTE: usize = most(&[
+        Submit::HEAP_PER_BYTE,
+        WireOutcome::HEAP_PER_BYTE,
+        OutcomeLatency::HEAP_PER_BYTE,
+        String::HEAP_PER_BYTE,
+        <Vec<Diagnostic>>::HEAP_PER_BYTE,
+        ServeGauges::HEAP_PER_BYTE,
+        MetricsSnapshot::HEAP_PER_BYTE,
+        ExploreRequest::HEAP_PER_BYTE,
+        <Vec<u8>>::HEAP_PER_BYTE,
+    ]);
     fn enc(&self, e: &mut Enc) {
         match self {
             Frame::Hello { window, fingerprint, features } => {

@@ -376,6 +376,117 @@ fn alternating_writes_from_one_source_match_brute_force() {
 }
 
 // ---------------------------------------------------------------------
+// The packed visited key
+// ---------------------------------------------------------------------
+
+/// Ring length of [`packed_system`]: with the root, the ring and the
+/// mode region the chart has more than 64 states, so its active bitmap
+/// packs into two words.
+const RING: usize = 64;
+
+const PACKED_ACTIONS: &str = r#"
+    event DONE;
+    int:16 flips;
+    void ArmBoth() { TLOAD0 = 3; TLOAD1 = 3; }
+    void ArmOne() { TLOAD0 = 3; }
+    void Flip() { flips = (flips + 1) % 2; FLAG = flips == 1; raise DONE; }
+"#;
+
+/// A chart that reaches every part of the packed key: a ring of [`RING`]
+/// states beside a mode region, so active states sit in both bitmap
+/// words; a `history` OR-state, `Hist`, left by `GO`, so the same
+/// configuration is reached with different history memory; a
+/// routine-raised internal event `DONE` and a condition `FLAG` written
+/// by the same routine; and two timers raising one event `T_EXP`, armed
+/// together or alone, so `Idle` is reached with `T_EXP` pending once
+/// and twice — distinct states whose next cycles are equal.
+fn packed_system() -> CompiledSystem {
+    let mut b = ChartBuilder::new("packed");
+    for e in ["STEP", "GO", "BACK", "ARM"] {
+        b.event(e, None);
+    }
+    b.event("T_EXP", Some(2_000));
+    b.internal_event("DONE");
+    b.condition("FLAG", false);
+    use pscp_statechart::model::PortDirection::Output;
+    b.data_port("TLOAD0", 16, TLOAD_ADDR, Output);
+    b.data_port("TLOAD1", 16, TLOAD_ADDR + 1, Output);
+    b.state("Top", StateKind::And).contains(["Ring", "Mode"]);
+    let ring: Vec<String> = (0..RING).map(|i| format!("S{i}")).collect();
+    b.state("Ring", StateKind::Or).contains(ring.clone()).default_child(&ring[0]);
+    for (i, s) in ring.iter().enumerate() {
+        b.state(s, StateKind::Basic).transition(&ring[(i + 1) % RING], "STEP");
+    }
+    b.state("Mode", StateKind::Or).contains(["Idle", "Hist", "Away"]).default_child("Idle");
+    b.state("Idle", StateKind::Basic)
+        .transition("Hist", "GO")
+        .transition("Idle", "ARM/ArmBoth()")
+        .transition("Idle", "BACK/ArmOne()");
+    b.state("Hist", StateKind::Or)
+        .contains(["H1", "H2"])
+        .default_child("H1")
+        .history()
+        .transition("Away", "GO");
+    b.state("H1", StateKind::Basic).transition("H2", "BACK/Flip()");
+    b.state("H2", StateKind::Basic)
+        .transition("H1", "BACK")
+        .transition("H2", "DONE [FLAG]/ArmOne()");
+    b.state("Away", StateKind::Basic)
+        .transition("Hist", "GO")
+        .transition("Idle", "T_EXP");
+    let chart = b.build().unwrap();
+    let mut arch = PscpArch::dual_md16(true);
+    for (i, addr) in [TLOAD_ADDR, TLOAD_ADDR + 1].into_iter().enumerate() {
+        arch.timers.push(TimerSpec {
+            name: format!("t{i}"),
+            event: "T_EXP".into(),
+            port_address: addr,
+        });
+    }
+    compile_system(&chart, PACKED_ACTIONS, &arch, &CodegenOptions::default()).unwrap()
+}
+
+/// The packed chart's reports match the brute-force enumeration and are
+/// byte-identical at one and four workers, and its witnesses replay —
+/// so no two states the canonical key tells apart share a packed key.
+#[test]
+fn packed_chart_matches_brute_force_at_every_worker_count() {
+    let sys = packed_system();
+    assert!(sys.chart.state_count() > 64, "the active bitmap must take two words");
+    let brute = brute_force(&sys);
+    let run = |threads| {
+        explore(
+            &sys,
+            &ExploreOptions {
+                threads,
+                predicates: vec![
+                    Predicate::StateNeverActive("Away".into()),
+                    Predicate::EventNeverRaised("DONE".into()),
+                    Predicate::StateNeverActive(format!("S{}", RING - 1)),
+                ],
+                ..ExploreOptions::default()
+            },
+        )
+    };
+    let oracle = run(1);
+    assert!(!oracle.truncated);
+    assert_eq!(
+        (oracle.states, oracle.edges, oracle.dedup_hits, oracle.depth),
+        (brute.states, brute.edges, brute.dedup_hits, brute.depth),
+        "the packed chart's exploration diverged from brute force"
+    );
+    assert_eq!(oracle.violations.len(), 3, "every watched name is reachable");
+    for v in &oracle.violations {
+        assert_eq!(replay(&sys, &v.witness.trace).unwrap(), v.witness.state_key);
+    }
+    assert_eq!(
+        encode_explore_report(&run(4)),
+        encode_explore_report(&oracle),
+        "four workers diverged from one"
+    );
+}
+
+// ---------------------------------------------------------------------
 // Golden state keys
 // ---------------------------------------------------------------------
 
@@ -504,6 +615,37 @@ proptest! {
         key[i] ^= 1 << flip_bit;
         if let Ok(decoded) = decode_state(&key) {
             prop_assert_ne!(decoded, state);
+        }
+    }
+
+    /// Along reachable walks on the packed chart, the packed words and
+    /// data plane of a state restore, on a machine holding another
+    /// state, to exactly that state; and two states pack equal exactly
+    /// when their canonical keys are equal.
+    #[test]
+    fn packed_words_are_exact_on_reachable_walks(
+        walk in proptest::collection::vec(any::<usize>(), 1..24),
+    ) {
+        let sys = packed_system();
+        let alpha = alphabet(&sys);
+        let mut machine = PscpMachine::new(&sys);
+        let mut other = PscpMachine::new(&sys);
+        let mut seen: Vec<(Vec<u64>, TepDataState, Vec<u8>)> = Vec::new();
+        for step in &walk {
+            if machine.step_injected(&alpha[step % alpha.len()], &mut NullEnvironment).is_err() {
+                break;
+            }
+            let state = machine.capture();
+            let mut words = Vec::new();
+            machine.capture_words(&mut words);
+            other.restore_words(&words);
+            other.restore_data(&state.data);
+            prop_assert_eq!(&other.capture(), &state);
+            let key = encode_state(&state);
+            for (w, data, k) in &seen {
+                prop_assert_eq!((w, data) == (&words, &state.data), *k == key);
+            }
+            seen.push((words, state.data, key));
         }
     }
 

@@ -11,11 +11,13 @@
 //! recomputed after the damage; otherwise every case would stop at the
 //! checksum before the body is read.
 //!
-//! The heap bound is the input length times the largest
-//! `size_of / MIN_BYTES` over the element types a decoder collects
-//! (`wire::DECODED_ELEMENTS`), plus a small constant. A counting global
-//! allocator measures it, per thread, so this suite has its own test
-//! binary.
+//! The heap bound is the input length times
+//! `wire::DECODE_HEAP_PER_BYTE`, plus a small constant. That ratio is
+//! derived from the decoded types: each layout's `HEAP_PER_BYTE` is the
+//! most of its parts', and a collection's is its element's
+//! `size_of / MIN_BYTES` or more, so no element type a decoder collects
+//! escapes it. A counting global allocator measures the heap, per
+//! thread, so this suite has its own test binary.
 
 use proptest::prelude::*;
 use pscp_core::explore::{
@@ -29,8 +31,8 @@ use pscp_core::serve::wire::{
     decode_diagnostics, decode_explore_report, decode_payload, decode_stats, encode_diagnostics,
     encode_explore_report, encode_payload, encode_stats, fnv1a32, ExploreRequest, Frame,
     HistogramSnapshot, MetricsSnapshot, OutcomeLatency, ServeGauges, Submit, WireError,
-    WireOutcome, WireReport, WireStats, DECODED_ELEMENTS, EXPLORE_REPORT_VERSION, PROTOCOL_VERSION,
-    STATS_VERSION,
+    WireOutcome, WireReport, WireStats, DECODE_HEAP_PER_BYTE, EXPLORE_REPORT_VERSION,
+    PROTOCOL_VERSION, STATS_VERSION,
 };
 use pscp_core::timing::{EventCycle, TimingReport};
 use pscp_diag::{Diagnostic, Pos, Severity, Source, Span};
@@ -74,12 +76,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Heap bytes one decoded element may cost per input byte: the largest
-/// `size_of / MIN_BYTES` over every element type a decoder collects.
-fn heap_per_byte() -> usize {
-    DECODED_ELEMENTS.iter().map(|&(_, size, min)| size.div_ceil(min)).max().unwrap()
-}
 
 /// Constant heap a decode may request beyond its per-byte share: the
 /// memo loader's path and the first node of its entry map.
@@ -173,7 +169,7 @@ fn decode(codec: Codec, bytes: &[u8]) -> (usize, usize) {
 
 fn check_bound(codec: Codec, bytes: &[u8]) -> Result<(), TestCaseError> {
     let (requested, len) = decode(codec, bytes);
-    let bound = len * heap_per_byte() + SLACK;
+    let bound = len * DECODE_HEAP_PER_BYTE + SLACK;
     prop_assert!(
         requested <= bound,
         "{codec:?}: {requested} heap bytes from {len} input bytes (bound {bound})"
@@ -345,6 +341,14 @@ fn samples() -> Vec<(Codec, Vec<u8>)> {
         (Codec::Memo, memo_file()),
     ]);
     out
+}
+
+/// The derived bound is no looser than the hand-kept element list it
+/// replaced, whose largest ratio was 16: a timer's `Option<u64>`, 16
+/// heap bytes from one tag byte.
+#[test]
+fn heap_bound_is_the_timer_entry() {
+    assert_eq!(DECODE_HEAP_PER_BYTE, 16);
 }
 
 /// Bytes with small values over-represented, so declared counts are

@@ -497,7 +497,7 @@ pub struct StepReport {
 /// [`Executor::control_state`], reinstated by
 /// [`Executor::restore_control_state`]; the cycle counter is excluded
 /// (it never influences behaviour).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlState {
     /// Active-state bitmap, indexed by [`StateId`] index.
     pub active: Vec<bool>,
@@ -603,6 +603,9 @@ pub struct Executor<'c> {
     /// Shallow-history memory: last active child of each history
     /// OR-state.
     history_memory: Vec<Option<StateId>>,
+    /// The states declared `history`, ascending: the only entries of
+    /// `history_memory` a step writes, and so the only ones packed.
+    history_states: Vec<StateId>,
     scratch: StepScratch,
     /// The last step's report, refilled by every step.
     report: StepReport,
@@ -634,6 +637,7 @@ impl<'c> Executor<'c> {
             conditions: Vec::new(),
             pending_internal: Vec::new(),
             history_memory: vec![None; chart.state_count()],
+            history_states: chart.state_ids().filter(|&s| chart.state(s).history).collect(),
             scratch: StepScratch::default(),
             report: StepReport::default(),
             cycle: 0,
@@ -687,6 +691,84 @@ impl<'c> Executor<'c> {
         self.pending_internal.sort_unstable();
         self.pending_internal.dedup();
         self.history_memory.copy_from_slice(&s.history);
+    }
+
+    /// Appends the control state packed into words, the form the
+    /// explorer keys its visited table on. The layout is fixed per
+    /// chart, so two states pack equal exactly when their
+    /// [`control_state`](Executor::control_state)s are equal:
+    ///
+    /// 1. the active-state bitmap, the condition bitmap and the
+    ///    pending-internal-event bitmap, 64 flags per word, low bit
+    ///    first (exact for the events, which are kept ascending and
+    ///    duplicate-free);
+    /// 2. the shallow-history memory of each state declared `history`,
+    ///    in state order, two per word: the remembered child's index
+    ///    plus one, `0` for none. A step writes no other entry.
+    ///
+    /// The active bitmap leads, so [`Executor::packed_active`] reads a
+    /// state's activity from the words alone.
+    pub fn pack_control(&self, out: &mut Vec<u64>) {
+        pack_flags(&self.config.active, out);
+        pack_flags(&self.conditions, out);
+        let start = out.len();
+        out.resize(start + self.tables.event_count.div_ceil(64), 0);
+        for e in &self.pending_internal {
+            debug_assert!(e.index() < self.tables.event_count, "pending event outside the chart");
+            if let Some(w) = out.get_mut(start + e.index() / 64) {
+                *w |= 1 << (e.index() % 64);
+            }
+        }
+        debug_assert!(
+            self.history_memory.iter().enumerate().all(|(s, h)| h.is_none()
+                || self.history_states.binary_search(&StateId::from_index(s)).is_ok()),
+            "history memory kept for a state not declared `history`"
+        );
+        for pair in self.history_states.chunks(2) {
+            let entry = |s: &StateId| {
+                self.history_memory[s.index()].map_or(0, |c| c.index() as u64 + 1)
+            };
+            out.push(pair.iter().rev().fold(0, |w, s| w << 32 | entry(s)));
+        }
+    }
+
+    /// Restores a control state packed by
+    /// [`pack_control`](Executor::pack_control) on an executor over the
+    /// same chart, and returns the words after its own. The cycle
+    /// counter is left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `words` is shorter than the chart's layout.
+    pub fn unpack_control<'w>(&mut self, words: &'w [u64]) -> &'w [u64] {
+        let words = unpack_flags(words, &mut self.config.active);
+        let words = unpack_flags(words, &mut self.conditions);
+        let (pending, words) = words.split_at(self.tables.event_count.div_ceil(64));
+        self.pending_internal.clear();
+        for (i, &w) in pending.iter().enumerate() {
+            let mut bits = w;
+            while bits != 0 {
+                let e = 64 * i + bits.trailing_zeros() as usize;
+                self.pending_internal.push(EventId::from_index(e));
+                bits &= bits - 1;
+            }
+        }
+        let (history, words) = words.split_at(self.history_states.len().div_ceil(2));
+        for (pair, &w) in self.history_states.chunks(2).zip(history) {
+            for (k, s) in pair.iter().enumerate() {
+                let entry = (w >> (32 * k)) as u32;
+                self.history_memory[s.index()] =
+                    entry.checked_sub(1).map(|c| StateId::from_index(c as usize));
+            }
+        }
+        words
+    }
+
+    /// Whether state `s` is active in words packed by
+    /// [`pack_control`](Executor::pack_control) — or by anything that
+    /// starts with them.
+    pub fn packed_active(words: &[u64], s: StateId) -> bool {
+        words[s.index() / 64] >> (s.index() % 64) & 1 != 0
     }
 
     /// Current configuration.
@@ -768,6 +850,7 @@ impl<'c> Executor<'c> {
             scratch,
             report,
             cycle,
+            ..
         } = self;
         let chart: &Chart = chart;
         let active = &mut config.active;
@@ -944,6 +1027,23 @@ impl<'c> Executor<'c> {
     }
 }
 
+/// Appends `flags` packed 64 per word, low bit first.
+fn pack_flags(flags: &[bool], out: &mut Vec<u64>) {
+    out.extend(flags.chunks(64).map(|c| c.iter().rev().fold(0, |w, &f| w << 1 | u64::from(f))));
+}
+
+/// Reads `flags` back from the words [`pack_flags`] wrote at the front
+/// of `words`, and returns the words after them.
+fn unpack_flags<'w>(words: &'w [u64], flags: &mut [bool]) -> &'w [u64] {
+    let (packed, rest) = words.split_at(flags.len().div_ceil(64));
+    for (chunk, &w) in flags.chunks_mut(64).zip(packed) {
+        for (i, f) in chunk.iter_mut().enumerate() {
+            *f = w >> i & 1 != 0;
+        }
+    }
+    rest
+}
+
 /// Activates `s` and recursively its default completion. Shallow-history
 /// OR-states re-enter their remembered child instead of the default.
 fn enter_with_defaults(
@@ -1053,6 +1153,44 @@ mod tests {
         e.restore_control_state(&snap);
         snap.pending_internal = vec![go, stop];
         assert_eq!(e.control_state(), snap);
+    }
+
+    #[test]
+    fn packed_control_restores_exactly() {
+        let mut b = ChartBuilder::new("resume");
+        b.event("GO", None);
+        b.event("NEXT", None);
+        b.internal_event("DONE");
+        b.condition("C", true);
+        b.state("Top", StateKind::Or).contains(["Off", "Mode"]).default_child("Off");
+        b.state("Off", StateKind::Basic).transition("Mode", "GO");
+        b.state("Mode", StateKind::Or)
+            .contains(["M1", "M2"])
+            .default_child("M1")
+            .history()
+            .transition("Off", "GO/Note()");
+        b.state("M1", StateKind::Basic).transition("M2", "NEXT");
+        b.basic("M2");
+        let c = b.build().unwrap();
+        let (done, m2) = (c.event_by_name("DONE").unwrap(), c.state_by_name("M2").unwrap());
+        let mut e = Executor::new(&c);
+        let mut other = Executor::new(&c);
+        let raise_done =
+            |_: &ActionCall| ActionEffects { raise: vec!["DONE".into()], ..Default::default() };
+        for step in [&["GO"][..], &["NEXT"], &["GO"]] {
+            e.step_named(step, raise_done);
+        }
+        let state = e.control_state();
+        assert_eq!(state.history[c.state_by_name("Mode").unwrap().index()], Some(m2));
+        assert_eq!(state.pending_internal, vec![done]);
+        let mut words = Vec::new();
+        e.pack_control(&mut words);
+        words.push(7);
+        assert_eq!(other.unpack_control(&words), &[7]);
+        assert_eq!(other.control_state(), state);
+        for s in c.state_ids() {
+            assert_eq!(Executor::packed_active(&words, s), state.active[s.index()]);
+        }
     }
 
     #[test]

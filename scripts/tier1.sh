@@ -46,8 +46,11 @@ cargo test --release -p pscp-core --test serve_differential -q
 # bodies, a state key) by length and FNV-1a64 digest, and `memo_codec`
 # pins the memo file's; `wire_fuzz` feeds every decoder arbitrary and
 # bit-flipped input, which must decode to a value or a typed error,
-# never panic, and request no more heap than the input length times the
-# largest `size_of / MIN_BYTES` of the element types it collects.
+# never panic, and request no more heap than the input length times
+# `DECODE_HEAP_PER_BYTE`. That bound is derived from the decoded types
+# (each layout's `HEAP_PER_BYTE` is the most of its parts', and a
+# collection's covers its element's `size_of / MIN_BYTES`), so a new
+# element type cannot escape it; `wire_fuzz` pins it at 16.
 cargo test --release -p pscp-core --test wire_golden -q
 cargo test --release -p pscp-core --test wire_fuzz -q
 cargo test --release -p pscp-bench --test memo_codec -q
@@ -84,8 +87,17 @@ cargo test --release -p pscp-core --test quiet_differential -q
 # It also pins data-plane interning: a routine that rewrites a global
 # with its own value must dedup against the routine-free edge, and a
 # worker must reload a plane that a previous job from the same source
-# wrote.
+# wrote. And it pins the packed visited key (control words plus a plane
+# id): on a 72-state chart whose active bitmap takes two words, with a
+# `history` OR-state, a routine-raised internal event, a condition and
+# two timers raising one event, the report must match brute force and
+# be byte-identical at 1 and 4 workers; and along random reachable
+# walks, restoring a state's packed words and plane must give back
+# exactly that state, and two states must pack equal exactly when their
+# canonical keys are equal. A pack that drops a history entry or a
+# duplicate pending timer event fails both.
 cargo test --release -p pscp-core --test explore_differential -q
+cargo test --release -p pscp-statechart --lib -q packed_control
 
 # The DSE golden suite is the optimiser's spec: the `Debug` rendering of
 # the chosen history, architecture, placement and timing must stay
