@@ -1,7 +1,7 @@
-//! Bridges the action-language's typed [`CompileError`] onto the
+//! Bridges the action-language's typed `CompileError` onto the
 //! shared [`pscp_diag`] model.
 //!
-//! Every pass reports through an [`Emitter`]: the error is converted to
+//! Every pass reports through an `Emitter`: the error is converted to
 //! a [`Diagnostic`] (stable codes `AL101`/`AL201`/`AL301` for
 //! lex/parse/sema) and pushed into the caller's sink, the one error
 //! path of the crate.

@@ -1,6 +1,6 @@
 //! Gang simulation: up to 64 scenarios in SLA lock-step.
 //!
-//! A [`GangRig`] owns one scalar [`PscpMachine`] per scenario lane plus
+//! A `GangRig` owns one scalar [`PscpMachine`] per scenario lane plus
 //! a bit-sliced [`GangSim`] over the system's synthesised SLA. Each
 //! gang cycle it samples every live lane's environment (after the
 //! lane's quiet stretch, see below), packs the
@@ -9,15 +9,15 @@
 //! route each lane:
 //!
 //! * fire bit clear → the lane takes the machine's idle fast path
-//!   ([`PscpMachine::idle_phase`]): no transition selection, no
+//!   (`PscpMachine::idle_phase`): no transition selection, no
 //!   condition snapshot, no per-transition buffers. This is where the
 //!   gang speedup comes from — the per-lane SLA cost collapses into
 //!   `1/width` of a shared bitwise pass.
 //! * fire bit set → the lane runs the full scalar execute phase
-//!   ([`PscpMachine::execute_phase`]), TEP execution and all, then its
+//!   (`PscpMachine::execute_phase`), TEP execution and all, then its
 //!   state-word column is re-encoded from the executor.
 //!
-//! A lane whose machine is quiet ([`PscpMachine::quiet_step`]: the last
+//! A lane whose machine is quiet (`PscpMachine::quiet_step`: the last
 //! cycle fired nothing on an empty input and the environment's next
 //! sample is empty too) runs its whole quiet stretch, cycle by cycle,
 //! inside one gang iteration, applying its `done` predicate and limits

@@ -22,9 +22,9 @@
 //!   loop of §4, applied "in increasing order of difficulty" (Table 4),
 //!   evaluating only the candidate that order applies next.
 //! * [`pool`] — the batched multi-scenario co-simulation driver:
-//!   [`SimPool`](pool::SimPool) runs independent scenarios of one
-//!   compiled system across `PSCP_THREADS` workers, byte-identical to
-//!   the sequential run.
+//!   [`SimPool`] runs independent scenarios of one compiled system
+//!   across `PSCP_THREADS` workers, byte-identical to the sequential
+//!   run.
 //! * [`gang`] — 64-wide bit-sliced gang simulation: a worker packs
 //!   up to its gang width of scenarios into `u64` lane words and evaluates
 //!   the SLA/CR plane for the whole gang in one word-parallel pass,
@@ -33,11 +33,11 @@
 //! * [`serve`] — the sharded scenario server: streams scripted
 //!   scenarios over a versioned binary TCP protocol with credit-based
 //!   backpressure, byte-identical to an in-process
-//!   [`SimPool`](pool::SimPool) run.
-//! * [`explore`] — exhaustive state-space exploration: breadth-first
-//!   reachability over (configuration × CR × storage) semantic states
-//!   with canonical-key dedup, deadlock/unreachability reporting and
-//!   bounded safety predicates with replayable minimal
+//!   [`SimPool`] run.
+//! * [`explore`](mod@explore) — exhaustive state-space exploration:
+//!   breadth-first reachability over (configuration × CR × storage)
+//!   semantic states with canonical-key dedup, deadlock/unreachability
+//!   reporting and bounded safety predicates with replayable minimal
 //!   counterexamples; expansion rides the pool's worker loop on one
 //!   scalar machine per worker and is byte-identical across worker
 //!   counts.

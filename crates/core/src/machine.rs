@@ -524,10 +524,10 @@ impl<'s> PscpMachine<'s> {
     /// Runs one configuration cycle with an injected external event set
     /// instead of sampling `env` for events/conditions: the given
     /// external events plus any pending timer expiries land in the CR,
-    /// exactly as [`sample_phase`](Self::sample_phase) would deliver
-    /// them. `env` is still consulted for port reads/writes during
-    /// routine execution. The state-space explorer ([`crate::explore`])
-    /// expands a state under an input symbol this way.
+    /// exactly as `sample_phase` would deliver them. `env` is still
+    /// consulted for port reads/writes during routine execution. The
+    /// state-space explorer ([`crate::explore()`]) expands a state under
+    /// an input symbol this way.
     ///
     /// # Errors
     ///

@@ -59,13 +59,12 @@ use crate::compile::{
 };
 use crate::library::Component;
 use crate::timing::{
-    transition_costs, validate_timing_full, wcet_report, wcet_report_incremental,
-    EventCycle, TimingEval, TimingGraph, TimingOptions, TimingReport,
+    transition_costs, validate_timing_full, wcet_report, EventCycle, TimingEval, TimingGraph,
+    TimingOptions, TimingReport,
 };
 use pscp_action_lang::ir::{Inst as IrInst, Program};
 use pscp_diag::Diagnostic;
 use pscp_tep::codegen::{CodegenCache, CodegenOptions};
-use pscp_tep::timing::WcetReport;
 use pscp_tep::StorageClass;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -152,9 +151,10 @@ pub struct OptimizeOptions {
     /// full §4 DFS per candidate. The two are byte-identical; this
     /// switch exists for the differential bench and as an escape hatch.
     pub incremental: bool,
-    /// Run the differential oracle: assert every incremental candidate
-    /// report equals the full DFS. Defaults on for debug builds (so the
-    /// test suite exercises the oracle everywhere) and off for release.
+    /// Run the differential oracles: assert every cached delta compile
+    /// equals a full compile, and every incremental candidate report
+    /// equals the full DFS. Defaults on for debug builds (so the test
+    /// suite exercises the oracles everywhere) and off for release.
     pub verify_incremental: bool,
     /// Candidate memo persistence across runs.
     pub memo: MemoPersistence,
@@ -243,7 +243,7 @@ pub fn optimize(
         validate_timing_full(&system, &options.timing)
     };
     let mut history = vec![record(None, &arch, &system, &timing)];
-    let mut base = Base { system, wcet, eval };
+    let mut base = Base { system, eval };
 
     // Content-keyed memo: a stable hash of (chart, IR, timing options,
     // architecture, storage placement) → (timing report, area). Within
@@ -270,7 +270,6 @@ pub fn optimize(
                     area: entry.area,
                     system: None,
                     eval: None,
-                    wcet: None,
                 });
             }
         }
@@ -291,23 +290,12 @@ pub fn optimize(
         }
         let validate_watch = pscp_obs::StopWatch::start();
         let use_incremental = options.incremental && graph.matches(&sys, &options.timing);
-        let (timing, eval, cand_wcet) = if use_incremental {
-            let wcet = wcet_report_incremental(&sys, &base.system, &base.wcet, &options.timing);
-            if options.verify_incremental {
-                // Differential oracle: per-routine WCET reuse must be
-                // invisible in the report.
-                assert_eq!(
-                    wcet,
-                    wcet_report(&sys, &options.timing),
-                    "incremental WCET diverged from full analysis for '{}'",
-                    cand_arch.label
-                );
-            }
+        let (timing, eval) = if use_incremental {
+            let wcet = wcet_report(&sys, &options.timing);
             let ev = graph.revalidate(&base.eval, transition_costs(&sys, &wcet), cand_arch.n_teps);
-            let report = graph.report(&ev);
-            (report, Some(ev), Some(wcet))
+            (graph.report(&ev), Some(ev))
         } else {
-            (validate_timing_full(&sys, &options.timing), None, None)
+            (validate_timing_full(&sys, &options.timing), None)
         };
         pscp_obs::metrics::OPT_VALIDATE_NS.add(validate_watch.elapsed_ns());
         if use_incremental && options.verify_incremental {
@@ -324,14 +312,14 @@ pub fn optimize(
         if let Some((store, key)) = memo_slot {
             store.insert(key, MemoEntry { timing: timing.clone(), area });
         }
-        Ok(CandidateEval { timing, area, system: Some(sys), eval, wcet: cand_wcet })
+        Ok(CandidateEval { timing, area, system: Some(sys), eval })
     };
 
     // Makes an evaluated candidate the new base and returns its timing.
     // A memo hit carries no system, so the adopted configuration
     // compiles here (it compiled when the entry was created). The
-    // incremental base rolls forward against the outgoing system before
-    // that system is replaced.
+    // incremental base rolls forward to the adopted candidate's graph
+    // evaluation.
     let adopt = |eval: CandidateEval,
                  cand_arch: &mut PscpArch,
                  cand_codegen: &CodegenOptions,
@@ -345,13 +333,10 @@ pub fn optimize(
         // registered fused ops for subsequent area accounting.
         cand_arch.tep.custom_ops = system.arch.tep.custom_ops.clone();
         if options.incremental {
-            let wcet = eval.wcet.unwrap_or_else(|| {
-                wcet_report_incremental(&system, &base.system, &base.wcet, &options.timing)
-            });
             base.eval = eval.eval.unwrap_or_else(|| {
+                let wcet = wcet_report(&system, &options.timing);
                 graph.evaluate(transition_costs(&system, &wcet), cand_arch.n_teps)
             });
-            base.wcet = wcet;
         }
         base.system = system;
         Ok(eval.timing)
@@ -448,25 +433,23 @@ pub fn optimize(
 }
 
 /// The configuration candidates are judged against: the current
-/// system, plus the WCET report and graph evaluation the incremental
-/// path re-prices from (the dirty-set base).
+/// system, plus the graph evaluation the incremental path re-prices
+/// from (the dirty-set base).
 struct Base {
     system: CompiledSystem,
-    wcet: WcetReport,
     eval: TimingEval,
 }
 
 /// One evaluated candidate: its timing report and area, plus the
 /// compiled system when this evaluation actually compiled (memo-cache
-/// hits return `None` and adoption recompiles) and the WCET report and
-/// graph evaluation when the incremental path priced it (an adopted
-/// candidate's become the next dirty-set base).
+/// hits return `None` and adoption recompiles) and the graph
+/// evaluation when the incremental path priced it (an adopted
+/// candidate's becomes the next dirty-set base).
 struct CandidateEval {
     timing: TimingReport,
     area: u32,
     system: Option<CompiledSystem>,
     eval: Option<TimingEval>,
-    wcet: Option<WcetReport>,
 }
 
 /// Applies one improvement to an architecture/placement pair.

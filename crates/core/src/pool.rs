@@ -20,10 +20,10 @@
 //! environment), so the batch output is byte-identical for any worker
 //! count — `PSCP_THREADS=1` and `PSCP_THREADS=16` produce the same
 //! bytes, only wall-clock differs. Every parallel loop of this module
-//! runs on one worker loop, [`stream_chunks`]: scoped workers claim
+//! runs on one worker loop, `stream_chunks`: scoped workers claim
 //! fixed-width chunks of jobs in order, and the calling thread takes
 //! each chunk's results in job order. Batches ([`SimPool::run_batch_until`])
-//! collect every result; state exploration ([`crate::explore`])
+//! collect every result; state exploration ([`crate::explore()`])
 //! streams them with a bounded lookahead, one scalar machine per
 //! worker.
 //!

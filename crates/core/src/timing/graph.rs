@@ -14,11 +14,11 @@
 //! reach:
 //!
 //! * a transition's cost feeds the *length* of exactly the cycles whose
-//!   path contains it ([`TimingGraph::direct_dependents`]), and
+//!   path contains it (`TimingGraph::direct_dependents`), and
 //! * it feeds the *sibling bound* of its source's ancestor chain
-//!   ([`TimingGraph::chain`]); a changed bound re-prices the cycles
+//!   (`TimingGraph::chain`); a changed bound re-prices the cycles
 //!   that charge that subtree as a parallel sibling
-//!   ([`TimingGraph::root_dependents`]).
+//!   (`TimingGraph::root_dependents`).
 //!
 //! Everything else is copied from the base evaluation verbatim, which
 //! is what makes the incremental report byte-identical to the full

@@ -95,6 +95,11 @@ impl TimingReport {
 /// known entry set and the exit actions of the source's ancestor chain
 /// up to the transition scope (the statically guaranteed part of the
 /// exit set).
+///
+/// # Panics
+///
+/// Panics if `wcet` lacks a routine a binding calls, i.e. when it was
+/// not produced from `system`'s program.
 pub fn transition_cost(
     system: &CompiledSystem,
     wcet: &WcetReport,
@@ -109,7 +114,9 @@ pub fn transition_cost(
             .iter()
             .map(|call| {
                 let name = &system.program.functions[call.func as usize].name;
-                wcet.of(name).unwrap_or(0)
+                wcet.of(name).unwrap_or_else(|| {
+                    panic!("WCET report has no entry for called routine '{name}'")
+                })
             })
             .sum()
     };
@@ -139,28 +146,14 @@ pub fn wcet_report(system: &CompiledSystem, options: &TimingOptions) -> WcetRepo
         .analyze(&system.program)
 }
 
-/// Runs the WCET analysis for a system's program incrementally against
-/// a previously-analysed base system: routines with unchanged code,
-/// cost provenance and callees reuse the base report (see
-/// [`WcetAnalysis::analyze_incremental`]). Always identical to a fresh
-/// [`wcet_report`].
-pub fn wcet_report_incremental(
-    system: &CompiledSystem,
-    base_system: &CompiledSystem,
-    base_report: &WcetReport,
-    options: &TimingOptions,
-) -> WcetReport {
-    let prev = WcetAnalysis::new(&base_system.arch.tep)
-        .with_default_loop_bound(options.default_loop_bound);
-    WcetAnalysis::new(&system.arch.tep)
-        .with_default_loop_bound(options.default_loop_bound)
-        .analyze_incremental(&system.program, &prev, &base_system.program, base_report)
-}
-
 /// The full per-transition cost table of a system under one WCET
 /// report, indexed by `TransitionId::index`. This is the only
 /// cost-bearing input of the timing validation — two candidates with
 /// equal tables (and TEP counts) have identical timing reports.
+///
+/// # Panics
+///
+/// Panics under the same condition as [`transition_cost`].
 pub fn transition_costs(system: &CompiledSystem, wcet: &WcetReport) -> Vec<u64> {
     system.chart.transition_ids().map(|t| transition_cost(system, wcet, t)).collect()
 }
@@ -280,6 +273,20 @@ mod tests {
         let wcet = wcet_report(&sys, &TimingOptions::default());
         let t0 = chart.transition_ids().next().unwrap();
         assert_eq!(transition_cost(&sys, &wcet, t0), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "WCET report has no entry for called routine 'Heavy'")]
+    fn transition_costs_reject_a_report_missing_a_routine() {
+        let sys = compile_system(
+            &chain_chart(100_000),
+            ACTIONS,
+            &PscpArch::md16_unoptimized(),
+            &CodegenOptions::default(),
+        )
+        .unwrap();
+        let empty = WcetReport { per_function: Default::default() };
+        transition_costs(&sys, &empty);
     }
 
     #[test]

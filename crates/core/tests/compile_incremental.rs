@@ -2,9 +2,11 @@
 //! incremental compilation: for random action programs and random
 //! single-knob perturbations, a cached recompile on the cache that
 //! compiled the base program — the path `optimize` runs — must produce
-//! a `TepProgram` byte-identical to a fresh full compile, with an
-//! identical `WcetReport`. Also pins the cache-poisoning defence and
-//! the system-level cached == full differential.
+//! a `TepProgram` byte-identical to a fresh full compile, whose full
+//! WCET analysis therefore gives an identical `WcetReport` (WCET has
+//! no incremental path; `tests/wcet_soundness.rs` is its oracle). Also
+//! pins the cache-poisoning defence and the system-level cached == full
+//! differential.
 
 use proptest::prelude::*;
 use pscp_action_lang::ProgramEnv;
@@ -179,7 +181,8 @@ proptest! {
         let arch0 = base_arch(which_arch);
         let opts0 = CodegenOptions::default();
         let cache = CodegenCache::with_enabled(true);
-        let prev = compile_program_cached(&ir, &arch0, &opts0, &cache);
+        // The base compile warms the cache the delta compile reads.
+        compile_program_cached(&ir, &arch0, &opts0, &cache);
         let base_misses = cache.stats().misses;
 
         let mut arch1 = arch0.clone();
@@ -194,22 +197,6 @@ proptest! {
             WcetAnalysis::new(&arch1).analyze(&delta),
             WcetAnalysis::new(&arch1).analyze(&full),
             "WCET report diverged for {:?}", p
-        );
-
-        // The function-granularity incremental WCET must be invisible:
-        // reanalysing the perturbed program against the base program's
-        // report gives the same result as a fresh analysis.
-        let prev_analysis = WcetAnalysis::new(&arch0);
-        let prev_report = prev_analysis.analyze(&prev);
-        prop_assert_eq!(
-            WcetAnalysis::new(&arch1).analyze_incremental(
-                &delta,
-                &prev_analysis,
-                &prev,
-                &prev_report,
-            ),
-            WcetAnalysis::new(&arch1).analyze(&full),
-            "incremental WCET diverged for {:?}", p
         );
 
         // Cost-model-only knobs must reuse every routine the base

@@ -2,10 +2,10 @@
 //! [`pscp_diag`] model.
 //!
 //! Stable codes: `SC101` for textual-format syntax errors; one code per
-//! structural [`ChartError`] variant — `SC201`, `SC204`..`SC209`,
+//! structural `ChartError` variant — `SC201`, `SC204`..`SC209`,
 //! `SC213` and `SC214` (the gaps belong to retired variants and are not
 //! reused); and `SC301`..`SC304` for the non-fatal lint [`Warning`]s.
-//! Every pass reports through an [`Emitter`] into the caller's
+//! Every pass reports through an `Emitter` into the caller's
 //! [`DiagnosticSink`], the one error path of the crate.
 
 use crate::error::{ChartError, ParseError};

@@ -406,14 +406,13 @@ impl std::hash::Hasher for KeyHasher {
 /// Content key of one routine's compiled body.
 ///
 /// The key mirrors exactly what [`FnCodegen`] reads while lowering this
-/// routine — the provenance idea behind `WcetReport`'s per-routine
-/// instruction-kind sets, applied to codegen: an architecture knob
-/// enters the key only when the routine contains an operation that knob
-/// can change. `calc.muldiv` (plus the resolved runtime routine indices
-/// and frame bases) only when the routine multiplies or divides,
-/// `calc.comparator` only when it compares, `calc.twos_complement` only
-/// when it negates, global placements only for the slots it actually
-/// touches, callee frame bases only for its actual callees.
+/// routine: an architecture knob enters the key only when the routine
+/// contains an operation that knob can change. `calc.muldiv` (plus the
+/// resolved runtime routine indices and frame bases) only when the
+/// routine multiplies or divides, `calc.comparator` only when it
+/// compares, `calc.twos_complement` only when it negates, global
+/// placements only for the slots it actually touches, callee frame
+/// bases only for its actual callees.
 /// `calc.width`, `shifter`, `pipelined` and the storage budget knobs
 /// never reach lowering, so changing them invalidates nothing.
 fn routine_key(
@@ -509,11 +508,11 @@ pub struct CacheStats {
 /// In-process per-routine codegen cache.
 ///
 /// Keys are content hashes of everything lowering reads for one routine
-/// (see [`routine_key`]); values are finished [`AsmFunction`] bodies
+/// (see `routine_key`); values are finished [`AsmFunction`] bodies
 /// (post-peephole). A hit is additionally validated against the
 /// routine's shape (name, arity, frame extent) so a stale or corrupted
 /// entry is detected and recompiled instead of served. The compiled
-/// software-runtime library is memoized per [`RuntimeSet`] as well.
+/// software-runtime library is memoized per `RuntimeSet` as well.
 #[derive(Debug)]
 pub struct CodegenCache {
     enabled: bool,

@@ -18,7 +18,7 @@ use crate::arch::TepArch;
 use crate::codegen::TepProgram;
 use crate::isa::{AsmFunction, AsmInst, Instr};
 use crate::microcode::{micro_len, InstrKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Per-instruction cycle-cost model for one architecture.
 #[derive(Debug, Clone)]
@@ -39,11 +39,6 @@ impl CostModel {
             *slot = Self::compute_effective_base(arch, kind);
         }
         CostModel { arch: arch.clone(), base }
-    }
-
-    /// The architecture this model describes.
-    pub fn arch(&self) -> &TepArch {
-        &self.arch
     }
 
     /// Base cycle count of one instruction kind before the width/limb
@@ -67,47 +62,6 @@ impl CostModel {
             base = base.saturating_sub(1).max(1);
         }
         base
-    }
-
-    /// Whether a kind's cost scales with the operand width (via the
-    /// bus-limb count). Mirrors the `match` in [`CostModel::cost`].
-    fn width_scaled(kind: InstrKind) -> bool {
-        !matches!(
-            kind,
-            InstrKind::Nop
-                | InstrKind::Jump
-                | InstrKind::JumpCond
-                | InstrKind::Call
-                | InstrKind::Return
-                | InstrKind::ReadCond
-                | InstrKind::SetCond
-                | InstrKind::RaiseEvent
-                | InstrKind::Custom
-                | InstrKind::Halt
-                | InstrKind::PortRead
-                | InstrKind::PortWrite
-        )
-    }
-
-    /// The instruction kinds whose per-instruction cost differs between
-    /// `self` and `prev` for *some* operand width. `cost` is a function
-    /// of (kind, width) only — the base microprogram length plus, for
-    /// width-scaled kinds, the bus-limb multiplier — so a kind is
-    /// unchanged exactly when its effective base matches and (if
-    /// width-scaled) the bus width does too. This is the cost-model
-    /// side of `WcetReport` provenance: routines whose kind sets are
-    /// disjoint from this set cannot change WCET between the two
-    /// models unless their instruction stream changed.
-    pub fn changed_kinds(&self, prev: &CostModel) -> BTreeSet<InstrKind> {
-        let width_changed = self.arch.calc.width != prev.arch.calc.width;
-        InstrKind::ALL
-            .iter()
-            .copied()
-            .filter(|&k| {
-                self.effective_base(k) != prev.effective_base(k)
-                    || (Self::width_scaled(k) && width_changed)
-            })
-            .collect()
     }
 
     /// Cycles consumed by one instruction (excluding callee time for
@@ -146,56 +100,12 @@ impl CostModel {
 pub struct WcetReport {
     /// Per-function worst-case cycles (including callees).
     pub per_function: BTreeMap<String, u64>,
-    /// Cost provenance: the instruction kinds each routine's WCET
-    /// depends on, callees included. A routine's WCET can only change
-    /// between two architectures/code generations if the per-cycle cost
-    /// of one of these kinds changes or the routine's instruction
-    /// stream itself changes — incremental consumers use this to reason
-    /// about which architectural knobs touch which routines.
-    pub provenance: BTreeMap<String, BTreeSet<InstrKind>>,
 }
 
 impl WcetReport {
     /// WCET of a routine by name.
     pub fn of(&self, name: &str) -> Option<u64> {
         self.per_function.get(name).copied()
-    }
-
-    /// The instruction kinds a routine's WCET depends on (callees
-    /// included), if the routine exists.
-    pub fn depends_on(&self, name: &str) -> Option<&BTreeSet<InstrKind>> {
-        self.provenance.get(name)
-    }
-
-    /// Routines whose WCET may be affected by a cost change to any of
-    /// `kinds`, in name order.
-    pub fn affected_by<'a>(
-        &'a self,
-        kinds: &'a BTreeSet<InstrKind>,
-    ) -> impl Iterator<Item = &'a str> + 'a {
-        self.provenance
-            .iter()
-            .filter(|(_, deps)| !deps.is_disjoint(kinds))
-            .map(|(name, _)| name.as_str())
-    }
-
-    /// Routines present in either report whose WCET differs between
-    /// `self` and `other`.
-    pub fn changed_routines<'a>(
-        &'a self,
-        other: &'a WcetReport,
-    ) -> impl Iterator<Item = &'a str> + 'a {
-        self.per_function
-            .iter()
-            .filter(move |(name, w)| other.of(name) != Some(**w))
-            .map(|(name, _)| name.as_str())
-            .chain(
-                other
-                    .per_function
-                    .keys()
-                    .filter(|name| !self.per_function.contains_key(*name))
-                    .map(|name| name.as_str()),
-            )
     }
 }
 
@@ -230,10 +140,7 @@ impl WcetAnalysis {
     /// programs).
     pub fn analyze(&self, program: &TepProgram) -> WcetReport {
         let mut per_function: BTreeMap<String, u64> = BTreeMap::new();
-        let mut provenance: BTreeMap<String, BTreeSet<InstrKind>> = BTreeMap::new();
         let mut done: Vec<Option<u64>> = vec![None; program.functions.len()];
-        let mut kinds_done: Vec<Option<BTreeSet<InstrKind>>> =
-            vec![None; program.functions.len()];
 
         // Iterate to fixpoint in bounded passes (call graph is a DAG, so
         // |functions| passes suffice).
@@ -243,12 +150,9 @@ impl WcetAnalysis {
                 if done[fi].is_some() {
                     continue;
                 }
-                if let Some(w) = self.function_wcet(f, &done, program) {
+                if let Some(w) = self.function_wcet(f, &done) {
                     done[fi] = Some(w);
                     per_function.insert(f.name.clone(), w);
-                    let kinds = function_kinds(f, &kinds_done);
-                    provenance.insert(f.name.clone(), kinds.clone());
-                    kinds_done[fi] = Some(kinds);
                     progressed = true;
                 }
             }
@@ -260,145 +164,12 @@ impl WcetAnalysis {
             done.iter().all(Option::is_some),
             "call graph not a DAG or dangling callee"
         );
-        WcetReport { per_function, provenance }
-    }
-
-    /// Incremental re-analysis against a previous run.
-    ///
-    /// A routine reuses its previous WCET and provenance when its
-    /// instruction stream is byte-identical to the previous program's
-    /// routine of the same name, none of the kinds it (transitively)
-    /// depends on changed cost between the two models
-    /// ([`CostModel::changed_kinds`]), and every callee's WCET is
-    /// unchanged. Everything else — and everything downstream of a
-    /// change — is re-analysed with the usual fixpoint. The result is
-    /// always identical to a fresh [`WcetAnalysis::analyze`]; the
-    /// previous run only short-circuits work, never changes answers.
-    pub fn analyze_incremental(
-        &self,
-        program: &TepProgram,
-        prev_analysis: &WcetAnalysis,
-        prev_program: &TepProgram,
-        prev: &WcetReport,
-    ) -> WcetReport {
-        if self.default_loop_bound != prev_analysis.default_loop_bound {
-            return self.analyze(program);
-        }
-        let changed_kinds = self.cost.changed_kinds(&prev_analysis.cost);
-        // A global cost change (pipelined fetch, peephole, bus width)
-        // invalidates every data-bearing routine; skip the per-function
-        // reuse bookkeeping instead of paying for it and reusing
-        // nothing.
-        if changed_kinds.len() >= InstrKind::ALL.len() / 2 {
-            return self.analyze(program);
-        }
-
-        let mut per_function: BTreeMap<String, u64> = BTreeMap::new();
-        let mut provenance: BTreeMap<String, BTreeSet<InstrKind>> = BTreeMap::new();
-        let mut done: Vec<Option<u64>> = vec![None; program.functions.len()];
-        let mut kinds_done: Vec<Option<BTreeSet<InstrKind>>> =
-            vec![None; program.functions.len()];
-        // `unchanged[i]`: function i is decided and its WCET equals the
-        // previous report's — callers may then reuse their own result.
-        let mut unchanged: Vec<bool> = vec![false; program.functions.len()];
-
-        for _ in 0..=program.functions.len() {
-            let mut progressed = false;
-            for (fi, f) in program.functions.iter().enumerate() {
-                if done[fi].is_some() {
-                    continue;
-                }
-                // All callees must be decided first, both to reuse
-                // (their `unchanged` verdicts) and to recompute (their
-                // WCETs).
-                let callees_decided = f.code.iter().all(|inst| {
-                    if let Instr::Call(t) = inst.instr {
-                        done.get(t as usize).copied().flatten().is_some()
-                    } else {
-                        true
-                    }
-                });
-                if !callees_decided {
-                    continue;
-                }
-
-                let reusable = prev_program
-                    .function_index(&f.name)
-                    .map(|pi| &prev_program.functions[pi as usize])
-                    .filter(|pf| pf.code == f.code && pf.loop_bound == f.loop_bound)
-                    .and_then(|_| {
-                        let deps = prev.provenance.get(&f.name)?;
-                        let w = prev.per_function.get(&f.name)?;
-                        (deps.is_disjoint(&changed_kinds)
-                            && f.code.iter().all(|inst| match inst.instr {
-                                // The callee index must still name the
-                                // same routine — equal code bytes don't
-                                // guarantee that across runtime-set
-                                // changes.
-                                Instr::Call(t) => {
-                                    unchanged[t as usize]
-                                        && prev_program
-                                            .functions
-                                            .get(t as usize)
-                                            .map(|pf| pf.name.as_str())
-                                            == program
-                                                .functions
-                                                .get(t as usize)
-                                                .map(|nf| nf.name.as_str())
-                                }
-                                _ => true,
-                            }))
-                        .then(|| (*w, deps.clone()))
-                    });
-
-                let (w, kinds) = match reusable {
-                    Some((w, kinds)) => {
-                        unchanged[fi] = true;
-                        (w, kinds)
-                    }
-                    None => {
-                        let Some(w) = self.function_wcet(f, &done, program) else {
-                            continue;
-                        };
-                        let kinds = function_kinds(f, &kinds_done);
-                        // Callers reuse both the previous value and the
-                        // previous provenance, so "unchanged" must mean
-                        // both coincide (code equality keeps transitive
-                        // kind sets honest too).
-                        unchanged[fi] = prev_program
-                            .function_index(&f.name)
-                            .map(|pi| &prev_program.functions[pi as usize])
-                            .is_some_and(|pf| pf.code == f.code)
-                            && prev.per_function.get(&f.name) == Some(&w)
-                            && prev.provenance.get(&f.name) == Some(&kinds);
-                        (w, kinds)
-                    }
-                };
-                done[fi] = Some(w);
-                per_function.insert(f.name.clone(), w);
-                provenance.insert(f.name.clone(), kinds.clone());
-                kinds_done[fi] = Some(kinds);
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        assert!(
-            done.iter().all(Option::is_some),
-            "call graph not a DAG or dangling callee"
-        );
-        WcetReport { per_function, provenance }
+        WcetReport { per_function }
     }
 
     /// WCET of a single function given already-computed callees; `None`
     /// when a callee is not yet resolved.
-    fn function_wcet(
-        &self,
-        f: &AsmFunction,
-        callees: &[Option<u64>],
-        program: &TepProgram,
-    ) -> Option<u64> {
+    fn function_wcet(&self, f: &AsmFunction, callees: &[Option<u64>]) -> Option<u64> {
         // Per-instruction cost including callee WCET for calls.
         let mut costs = Vec::with_capacity(f.code.len());
         for inst in &f.code {
@@ -409,26 +180,8 @@ impl WcetAnalysis {
             costs.push(c);
         }
         let bound = f.loop_bound.unwrap_or(self.default_loop_bound).max(1);
-        let _ = program;
         Some(range_wcet(&f.code, &costs, 0, f.code.len(), bound))
     }
-}
-
-/// The instruction kinds a function's WCET depends on: its own
-/// instructions plus (transitively) those of every callee. Callees are
-/// resolved in the same fixpoint order as the WCET itself, so a
-/// function's kinds are only computed once all its callees' are known.
-fn function_kinds(f: &AsmFunction, callees: &[Option<BTreeSet<InstrKind>>]) -> BTreeSet<InstrKind> {
-    let mut kinds = BTreeSet::new();
-    for inst in &f.code {
-        kinds.insert(InstrKind::of(&inst.instr));
-        if let Instr::Call(target) = inst.instr {
-            if let Some(Some(callee)) = callees.get(target as usize) {
-                kinds.extend(callee.iter().copied());
-            }
-        }
-    }
-    kinds
 }
 
 /// Longest-path cost of `code[lo..hi)` with back edges collapsed into
@@ -683,71 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn provenance_tracks_instruction_kinds() {
-        let arch = TepArch::md16_unoptimized();
-        let code = vec![
-            inst(Instr::Ldi(1)),
-            inst(Instr::Tao),
-            inst(Instr::Alu(AluOp::Mul)),
-            inst(Instr::Return),
-        ];
-        let program = TepProgram::for_tests(vec![func(code, None)], arch.clone());
-        let report = WcetAnalysis::new(&arch).analyze(&program);
-        let deps = report.depends_on("t").expect("provenance recorded");
-        for k in [InstrKind::Ldi, InstrKind::Tao, InstrKind::AluMul, InstrKind::Return] {
-            assert!(deps.contains(&k), "missing {k:?} in {deps:?}");
-        }
-        assert!(!deps.contains(&InstrKind::AluDiv));
-        // affected_by finds the routine through any of its kinds.
-        let probe: std::collections::BTreeSet<InstrKind> = [InstrKind::AluMul].into();
-        assert_eq!(report.affected_by(&probe).collect::<Vec<_>>(), vec!["t"]);
-        let miss: std::collections::BTreeSet<InstrKind> = [InstrKind::AluShift].into();
-        assert_eq!(report.affected_by(&miss).count(), 0);
-    }
-
-    #[test]
-    fn provenance_includes_callee_kinds() {
-        let arch = TepArch::md16_unoptimized();
-        let leaf = AsmFunction {
-            name: "leaf".into(),
-            param_count: 0,
-            frame: Vec::new(),
-            code: vec![inst(Instr::Alu(AluOp::Div)), inst(Instr::Return)],
-            loop_bound: None,
-        };
-        let top = AsmFunction {
-            name: "top".into(),
-            param_count: 0,
-            frame: Vec::new(),
-            code: vec![inst(Instr::Call(0)), inst(Instr::Return)],
-            loop_bound: None,
-        };
-        let program = TepProgram::for_tests(vec![leaf, top], arch.clone());
-        let report = WcetAnalysis::new(&arch).analyze(&program);
-        let top_deps = report.depends_on("top").unwrap();
-        assert!(top_deps.contains(&InstrKind::AluDiv), "callee kinds propagate");
-        assert!(top_deps.contains(&InstrKind::Call));
-        assert!(!report.depends_on("leaf").unwrap().contains(&InstrKind::Call));
-    }
-
-    #[test]
-    fn changed_routines_diffs_reports() {
-        let unopt = TepArch::md16_unoptimized();
-        let opt = TepArch::md16_optimized();
-        let code = vec![
-            inst(Instr::Load(Storage::Internal(0))),
-            inst(Instr::Alu(AluOp::Add)),
-            inst(Instr::Return),
-        ];
-        let pu = TepProgram::for_tests(vec![func(code.clone(), None)], unopt.clone());
-        let po = TepProgram::for_tests(vec![func(code, None)], opt.clone());
-        let ru = WcetAnalysis::new(&unopt).analyze(&pu);
-        let ro = WcetAnalysis::new(&opt).analyze(&po);
-        assert_eq!(ru.changed_routines(&ro).collect::<Vec<_>>(), vec!["t"]);
-        assert_eq!(ru.changed_routines(&ru).count(), 0);
-    }
-
-    #[test]
     fn calls_include_callee_wcet() {
         let arch = TepArch::md16_unoptimized();
         let leaf = AsmFunction {
@@ -772,84 +460,6 @@ mod tests {
             report.of("leaf").unwrap()
                 + cm.cost(&inst(Instr::Call(0)))
                 + cm.cost(&inst(Instr::Return))
-        );
-    }
-
-    #[test]
-    fn changed_kinds_tracks_cost_model_knobs() {
-        let base = CostModel::new(&TepArch::md16_unoptimized());
-        assert!(base.changed_kinds(&base).is_empty());
-
-        // Calculation-unit flips (M/D, shifter, ...) change what the code
-        // generator *emits*, not what an instruction kind costs — the
-        // cost model is a function of (kind, width) only, so they must
-        // not show up here. The codegen cache catches them via the code
-        // bytes instead.
-        let mut no_md = TepArch::md16_unoptimized();
-        no_md.calc.muldiv = false;
-        assert!(CostModel::new(&no_md).changed_kinds(&base).is_empty());
-
-        // A bus-width change rescales every width-scaled kind but leaves
-        // control flow alone.
-        let mut w8 = TepArch::md16_unoptimized();
-        w8.calc.width = 8;
-        let diff = CostModel::new(&w8).changed_kinds(&base);
-        assert!(diff.contains(&InstrKind::AluSimple), "{diff:?}");
-        assert!(!diff.contains(&InstrKind::Jump), "{diff:?}");
-
-        // Pipelining shaves a cycle off nearly every microprogram — the
-        // global invalidation the analyze_incremental early-out keys on.
-        let mut piped = TepArch::md16_unoptimized();
-        piped.pipelined = true;
-        let diff = CostModel::new(&piped).changed_kinds(&base);
-        assert!(diff.len() >= InstrKind::ALL.len() / 2, "{diff:?}");
-    }
-
-    #[test]
-    fn incremental_analysis_matches_full() {
-        let arch = TepArch::md16_unoptimized();
-        let leaf = AsmFunction {
-            name: "leaf".into(),
-            param_count: 0,
-            frame: Vec::new(),
-            code: vec![inst(Instr::Alu(AluOp::Add)), inst(Instr::Return)],
-            loop_bound: None,
-        };
-        let top = AsmFunction {
-            name: "top".into(),
-            param_count: 0,
-            frame: Vec::new(),
-            code: vec![inst(Instr::Call(0)), inst(Instr::Return)],
-            loop_bound: None,
-        };
-        let prev_prog = TepProgram::for_tests(vec![leaf.clone(), top.clone()], arch.clone());
-        let prev_an = WcetAnalysis::new(&arch);
-        let prev_rep = prev_an.analyze(&prev_prog);
-
-        // Nothing changed: the previous report is reproduced verbatim
-        // (value *and* provenance — callers reuse both).
-        assert_eq!(
-            prev_an.analyze_incremental(&prev_prog, &prev_an, &prev_prog, &prev_rep),
-            prev_rep
-        );
-
-        // Editing the leaf must propagate into its (byte-identical)
-        // caller rather than reusing the caller's stale WCET.
-        let mut leaf2 = leaf.clone();
-        leaf2.code.insert(0, inst(Instr::Alu(AluOp::Mul)));
-        let edited = TepProgram::for_tests(vec![leaf2, top], arch.clone());
-        let inc = prev_an.analyze_incremental(&edited, &prev_an, &prev_prog, &prev_rep);
-        assert_eq!(inc, prev_an.analyze(&edited));
-        assert!(inc.of("top").unwrap() > prev_rep.of("top").unwrap());
-
-        // A pipelining flip invalidates the cost model globally (the
-        // early-out path) and still agrees with a fresh analysis.
-        let mut piped_arch = arch.clone();
-        piped_arch.pipelined = true;
-        let piped_an = WcetAnalysis::new(&piped_arch);
-        assert_eq!(
-            piped_an.analyze_incremental(&prev_prog, &prev_an, &prev_prog, &prev_rep),
-            piped_an.analyze(&prev_prog)
         );
     }
 }

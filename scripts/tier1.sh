@@ -2,7 +2,7 @@
 # Tier-1 gate: what CI runs on every PR. Build + facade tests, then the
 # full workspace suite, then clippy (warnings are errors) on every
 # workspace crate and on the benchmark package, which sits outside the
-# workspace.
+# workspace, then rustdoc (warnings are errors) on the workspace.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +25,9 @@ cargo test -q
 cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --offline --all-targets --manifest-path pscp-benchmark/Cargo.toml -- -D warnings
+# Rustdoc warnings are errors too: a public doc that links a private,
+# deleted or ambiguous item fails here instead of landing unnoticed.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The scenario-server differential suite is the serving layer's spec:
 # wire round-trips must be byte-identical to the in-process SimPool.
