@@ -76,7 +76,6 @@ fn measured_cycles_never_exceed_wcet() {
                 }
             }
         }
-        eprintln!("{}: {checked} routine calls checked", sys.arch.label);
         assert!(checked > 0, "{}: no routine call ran to completion", sys.arch.label);
     }
 }
