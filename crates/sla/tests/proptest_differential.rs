@@ -4,6 +4,12 @@
 //! transitions leave or enter a composite region rather than a leaf, so
 //! outer-first preemption across nested scopes and default/history
 //! re-entry are checked on random charts, not only on the pickup head.
+//! Random labels take every shape the executor's event-keyed selection
+//! treats differently — a plain, negated, conjoined or disjoined
+//! trigger, an event or condition guard with or without a trigger, and
+//! the empty label — over events and two constant conditions (`C0`
+//! false, `C1` true), so a transition filed under the wrong key event,
+//! or under none when it needs one, shows up as a fire-set divergence.
 //!
 //! An inhibition oracle pins the priority chain itself: each `fire[t]`
 //! must be inhibited by exactly the earlier-placed transitions whose
@@ -31,7 +37,8 @@ struct Spec {
 }
 
 /// One random transition between leaves `from` and `to` (indices taken
-/// modulo the leaf count) on event `event`, possibly negated. Either
+/// modulo the leaf count), labelled `shape` over events `event` and
+/// `other` and condition `cond` (each taken modulo its count). Either
 /// endpoint may be lifted to the leaf's enclosing region: a region
 /// source is the composite-source case, whose Top-level scope must
 /// preempt every leaf transition inside it (outer-first priority); a
@@ -41,17 +48,82 @@ struct Edge {
     from: usize,
     to: usize,
     event: usize,
-    negated: bool,
+    other: usize,
+    cond: usize,
+    shape: Shape,
     from_region: bool,
     to_region: bool,
 }
 
+/// A transition label's shape, written with `a` and `b` for the edge's
+/// events and `c` for its condition.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// `a`
+    Event,
+    /// `not a`
+    NotEvent,
+    /// `a and b`
+    And,
+    /// `a or b`
+    Or,
+    /// `not (a or b)`
+    NotOr,
+    /// `a [c]`
+    GuardedEvent,
+    /// `[a]`
+    EventGuard,
+    /// `[c]`
+    ConditionGuard,
+    /// The empty label: always enabled while its source is active.
+    Empty,
+}
+
+impl Shape {
+    const ALL: [Shape; 9] = [
+        Shape::Event,
+        Shape::NotEvent,
+        Shape::And,
+        Shape::Or,
+        Shape::NotOr,
+        Shape::GuardedEvent,
+        Shape::EventGuard,
+        Shape::ConditionGuard,
+        Shape::Empty,
+    ];
+}
+
+impl Edge {
+    fn label(&self) -> String {
+        let a = format!("E{}", self.event % N_EVENTS);
+        let b = format!("E{}", self.other % N_EVENTS);
+        let c = format!("C{}", self.cond % N_CONDITIONS);
+        match self.shape {
+            Shape::Event => a,
+            Shape::NotEvent => format!("not {a}"),
+            Shape::And => format!("{a} and {b}"),
+            Shape::Or => format!("{a} or {b}"),
+            Shape::NotOr => format!("not ({a} or {b})"),
+            Shape::GuardedEvent => format!("{a} [{c}]"),
+            Shape::EventGuard => format!("[{a}]"),
+            Shape::ConditionGuard => format!("[{c}]"),
+            Shape::Empty => String::new(),
+        }
+    }
+}
+
 const N_EVENTS: usize = 3;
+/// Conditions `C0` (reset false) and `C1` (reset true); no action
+/// writes them.
+const N_CONDITIONS: usize = 2;
 
 fn build(spec: &Spec) -> Chart {
     let mut b = ChartBuilder::new("rnd");
     for e in 0..N_EVENTS {
         b.event(format!("E{e}"), None);
+    }
+    for c in 0..N_CONDITIONS {
+        b.condition(format!("C{c}"), c == 1);
     }
     let names: Vec<String> = (0..spec.regions.len()).map(|r| format!("R{r}")).collect();
     b.state("Top", StateKind::And).contains(names.iter().map(String::as_str));
@@ -70,8 +142,7 @@ fn build(spec: &Spec) -> Chart {
             let (tr, tl) = leaves[e.to % leaves.len()];
             let from = if e.from_region { format!("R{fr}") } else { format!("L{fr}_{fl}") };
             let to = if e.to_region { format!("R{tr}") } else { format!("L{tr}_{tl}") };
-            let not = if e.negated { "not " } else { "" };
-            (from, to, format!("{not}E{}", e.event % N_EVENTS))
+            (from, to, e.label())
         })
         .collect();
     let leaving = |source: &str| {
@@ -105,7 +176,15 @@ fn spec() -> impl Strategy<Value = Spec> {
     (
         proptest::collection::vec((1usize..=4, proptest::bool::ANY), 1..=3),
         proptest::collection::vec(
-            (0usize..32, 0usize..32, 0usize..N_EVENTS, any::<bool>(), 0u8..8),
+            (
+                0usize..32,
+                0usize..32,
+                0usize..N_EVENTS,
+                0usize..N_EVENTS,
+                0usize..N_CONDITIONS,
+                0usize..Shape::ALL.len(),
+                0u8..8,
+            ),
             0..8,
         ),
     )
@@ -115,11 +194,13 @@ fn spec() -> impl Strategy<Value = Spec> {
                 .into_iter()
                 // Mostly leaf-to-leaf; one edge in four has a composite
                 // endpoint (source, target or both).
-                .map(|(from, to, event, negated, kind)| Edge {
+                .map(|(from, to, event, other, cond, shape, kind)| Edge {
                     from,
                     to,
                     event,
-                    negated,
+                    other,
+                    cond,
+                    shape: Shape::ALL[shape],
                     from_region: kind == 0 || kind == 2,
                     to_region: kind == 1 || kind == 2,
                 })
@@ -257,7 +338,7 @@ fn inhibition_matches_pairwise_oracle_on_fixed_charts() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn sla_matches_executor(s in spec(), script in proptest::collection::vec(any::<u8>(), 0..24)) {
@@ -271,7 +352,7 @@ proptest! {
             // the real registers. (Re-encoding each cycle would hide
             // history-retention bugs.)
             let mut hw_bits =
-                sim.cr_bits(exec.configuration(), &BTreeSet::new(), &|_| false);
+                sim.cr_bits(exec.configuration(), &BTreeSet::new(), &|c| exec.condition(c));
 
             for &mask in &script {
                 let events: BTreeSet<EventId> = (0..N_EVENTS)
@@ -280,6 +361,9 @@ proptest! {
                     .collect();
                 for e in chart.event_ids() {
                     hw_bits[layout.event_bit(e) as usize] = events.contains(&e);
+                }
+                for c in chart.condition_ids() {
+                    hw_bits[layout.condition_bit(c) as usize] = exec.condition(c);
                 }
                 let expected: BTreeSet<TransitionId> =
                     exec.select_transitions(&events).into_iter().collect();
@@ -300,6 +384,10 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn compiled_net_matches_reference_on_pickup_head(masks in proptest::collection::vec(any::<u32>(), 0..12)) {

@@ -9,8 +9,9 @@
 //! transitions. The executor's per-cycle transition selection does not
 //! call them: [`SelectionTables`](crate::semantics::SelectionTables)
 //! stores each transition's scope and precomputes preorder subtree
-//! spans and outgoing-transition ranges once per chart, and its tests
-//! pin them to these queries.
+//! spans once per chart, and its tests pin them to these queries.
+//! Selection itself finds its candidates through the tables' key-event
+//! lists, not by walking the hierarchy.
 
 use crate::model::{Chart, StateId, StateKind};
 

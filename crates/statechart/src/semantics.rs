@@ -20,12 +20,14 @@
 //! by declaration order between equals.
 //!
 //! Everything selection needs from the chart — resolved triggers and
-//! guards, priority keys, per-state outgoing transitions, transition
+//! guards, priority keys, each transition's key event, transition
 //! scopes and the states inside each scope — is computed once per chart
-//! into [`SelectionTables`] and shared by every executor over it, so a
-//! cycle visits only the active states' outgoing transitions and
-//! resolves conflicts with a claimed-state bitmap, the software shadow
-//! of the SLA's single combinational pass.
+//! into [`SelectionTables`] and shared by every executor over it. A
+//! transition whose trigger (or, lacking one, guard) requires an event
+//! in its top-level conjunction is filed under that event, so a cycle
+//! evaluates only the transitions its present events can enable plus
+//! the few no event gates, and resolves conflicts with a claimed-state
+//! bitmap, the software shadow of the SLA's single combinational pass.
 
 use crate::intern::{ConditionNames, EventNames};
 use crate::model::{ActionCall, Chart, ConditionId, EventId, StateId, StateKind, TransitionId};
@@ -110,9 +112,28 @@ fn eval_resolved(arena: &[ResolvedOp], root: u32, events: &[bool], conditions: &
     }
 }
 
+/// The key event of the expression rooted at `root`: the first
+/// positive event atom of its top-level conjunction, found by walking
+/// `And` nodes only. The expression is false whenever that event is
+/// absent. `None` under a negation, a disjunction, a condition or an
+/// unknown atom.
+fn key_event(arena: &[ResolvedOp], root: u32) -> Option<EventId> {
+    match arena[root as usize] {
+        ResolvedOp::Event(e) => Some(e),
+        ResolvedOp::And(a, b) => key_event(arena, a).or_else(|| key_event(arena, b)),
+        ResolvedOp::Condition(_)
+        | ResolvedOp::Unknown
+        | ResolvedOp::Not(_)
+        | ResolvedOp::Or(..) => None,
+    }
+}
+
 /// Precomputed per-transition selection data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ResolvedTransition {
+    /// The source state: the transition is a candidate only while it is
+    /// active.
+    source: StateId,
     /// Arena root of the resolved trigger.
     trigger: Option<u32>,
     /// Arena root of the resolved guard.
@@ -129,24 +150,35 @@ struct ResolvedTransition {
 /// [`SelectionTables::new`] and shared by `Arc` among every
 /// [`Executor`] over the chart (see [`Executor::with_tables`]).
 ///
-/// Holds the resolved trigger/guard arena and priority keys, each
-/// state's outgoing transitions as a contiguous range, each
-/// transition's scope, and the chart in preorder with every state's
-/// subtree span — so the strict descendants of a scope are one slice,
-/// listed in exactly the order [`Chart::descendants_inclusive`] gives.
-/// The chart's event and condition name tables, which resolve the
-/// triggers and guards, stay here for resolving environment-supplied
-/// names too.
+/// Holds the resolved trigger/guard arena and priority keys, the
+/// transitions grouped by key event, each transition's scope, and the
+/// chart in preorder with every state's subtree span — so the strict
+/// descendants of a scope are one slice, listed in exactly the order
+/// [`Chart::descendants_inclusive`] gives. The chart's event and
+/// condition name tables, which resolve the triggers and guards, stay
+/// here for resolving environment-supplied names too.
+///
+/// A transition's key event is a positive event atom of its resolved
+/// trigger's top-level conjunction or, when the trigger has none, of
+/// its guard's. The transition cannot be enabled in a cycle without
+/// that event, so selection evaluates only the keyed transitions of the
+/// cycle's present events plus the unkeyed rest: triggerless ones and
+/// those gated only by conditions, negations or disjunctions. Each
+/// transition sits in exactly one list and the priority key is a total
+/// order, so the selected set is exactly that of evaluating every
+/// transition of every active state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectionTables {
     /// Arena backing the resolved expressions.
     arena: Vec<ResolvedOp>,
     /// Per transition, indexed by [`TransitionId::index`].
     transitions: Vec<ResolvedTransition>,
-    /// `outgoing[out_start[s]..out_start[s + 1]]` are the transitions
-    /// leaving state `s`, in declaration order.
-    out_start: Vec<u32>,
-    outgoing: Vec<TransitionId>,
+    /// `keyed[key_start[e]..key_start[e + 1]]` are the transitions whose
+    /// key event is `e`, in declaration order.
+    key_start: Vec<u32>,
+    keyed: Vec<TransitionId>,
+    /// The transitions without a key event, in declaration order.
+    unkeyed: Vec<TransitionId>,
     /// Every state, preorder, children in declaration order.
     preorder: Vec<StateId>,
     /// Per state: its position in `preorder` and one past its subtree.
@@ -197,23 +229,6 @@ impl SelectionTables {
             sp.1 += sp.0;
         }
 
-        // Outgoing ranges: a counting sort of transitions by source,
-        // stable in declaration order.
-        let mut out_start = vec![0u32; n + 1];
-        for t in chart.transitions() {
-            out_start[t.source.index() + 1] += 1;
-        }
-        for i in 0..n {
-            out_start[i + 1] += out_start[i];
-        }
-        let mut fill = out_start.clone();
-        let mut outgoing = vec![TransitionId::from_index(0); chart.transition_count()];
-        for tid in chart.transition_ids() {
-            let slot = &mut fill[chart.transition(tid).source.index()];
-            outgoing[*slot as usize] = tid;
-            *slot += 1;
-        }
-
         let event_names = EventNames::new(chart);
         let condition_names = ConditionNames::new(chart);
         let mut arena = Vec::new();
@@ -223,6 +238,7 @@ impl SelectionTables {
                 let t = chart.transition(tid);
                 let scope = chart.transition_scope(t.source, t.target);
                 ResolvedTransition {
+                    source: t.source,
                     trigger: t.trigger.as_ref().map(|e| {
                         resolve_expr(&event_names, &condition_names, e, &mut arena)
                     }),
@@ -233,16 +249,48 @@ impl SelectionTables {
                     priority: u64::from(depth[scope.index()]) << 32 | tid.index() as u64,
                 }
             })
+            .collect::<Vec<_>>();
+
+        // Key-event lists: a counting sort of the keyed transitions by
+        // key event, stable in declaration order.
+        let event_count = chart.event_ids().len();
+        let keys: Vec<Option<EventId>> = transitions
+            .iter()
+            .map(|rt| {
+                let key = |root: Option<u32>| root.and_then(|r| key_event(&arena, r));
+                key(rt.trigger).or_else(|| key(rt.guard))
+            })
             .collect();
+        let mut key_start = vec![0u32; event_count + 1];
+        for e in keys.iter().flatten() {
+            key_start[e.index() + 1] += 1;
+        }
+        for i in 0..event_count {
+            key_start[i + 1] += key_start[i];
+        }
+        let mut fill = key_start.clone();
+        let mut keyed = vec![TransitionId::from_index(0); key_start[event_count] as usize];
+        let mut unkeyed = Vec::new();
+        for (tid, key) in chart.transition_ids().zip(&keys) {
+            match key {
+                Some(e) => {
+                    let slot = &mut fill[e.index()];
+                    keyed[*slot as usize] = tid;
+                    *slot += 1;
+                }
+                None => unkeyed.push(tid),
+            }
+        }
 
         SelectionTables {
             arena,
             transitions,
-            out_start,
-            outgoing,
+            key_start,
+            keyed,
+            unkeyed,
             preorder,
             span,
-            event_count: chart.event_ids().len(),
+            event_count,
             event_names,
             condition_names,
         }
@@ -271,9 +319,10 @@ impl SelectionTables {
         &self.preorder[start as usize + 1..end as usize]
     }
 
-    /// The transitions leaving `s`, in declaration order.
-    fn outgoing(&self, s: usize) -> &[TransitionId] {
-        &self.outgoing[self.out_start[s] as usize..self.out_start[s + 1] as usize]
+    /// The transitions whose key event is `e`, in declaration order.
+    fn keyed(&self, e: EventId) -> &[TransitionId] {
+        let i = e.index();
+        &self.keyed[self.key_start[i] as usize..self.key_start[i + 1] as usize]
     }
 
     /// True when these tables were built for a chart of `chart`'s shape.
@@ -284,26 +333,24 @@ impl SelectionTables {
     }
 
     /// The enabled, conflict-resolved transition set of one cycle,
-    /// written to `selected` (ascending priority). `events` is the
-    /// cycle's event bitmap; `enabled` and `claimed` are scratch.
-    fn select(
-        &self,
-        active: &[bool],
-        conditions: &[bool],
-        events: &[bool],
-        enabled: &mut Vec<TransitionId>,
-        claimed: &mut Vec<bool>,
-        selected: &mut Vec<TransitionId>,
-    ) {
+    /// written to `scratch.selected` (ascending priority), for the
+    /// cycle's event bitmap and present events already loaded into
+    /// `scratch`.
+    fn select(&self, active: &[bool], conditions: &[bool], scratch: &mut StepScratch) {
+        let StepScratch { events, present, enabled, claimed, selected, .. } = scratch;
         let holds =
             |root: Option<u32>| root.is_none_or(|r| eval_resolved(&self.arena, r, events, conditions));
+        let is_enabled = |&tid: &TransitionId| {
+            let rt = &self.transitions[tid.index()];
+            active[rt.source.index()] && holds(rt.trigger) && holds(rt.guard)
+        };
+        // Only the present events' keyed transitions and the unkeyed
+        // ones can be enabled; each is considered once.
         enabled.clear();
-        for (s, _) in active.iter().enumerate().filter(|(_, &a)| a) {
-            enabled.extend(self.outgoing(s).iter().copied().filter(|&tid| {
-                let rt = &self.transitions[tid.index()];
-                holds(rt.trigger) && holds(rt.guard)
-            }));
+        for &e in present.iter() {
+            enabled.extend(self.keyed(e).iter().copied().filter(is_enabled));
         }
+        enabled.extend(self.unkeyed.iter().copied().filter(is_enabled));
 
         // Outer-first priority: sort by scope depth, then declaration
         // order; then greedily keep a transition iff none of the active
@@ -514,6 +561,8 @@ pub struct ControlState {
 struct StepScratch {
     /// The cycle's event bitmap, indexed by [`EventId::index`].
     events: Vec<bool>,
+    /// The cycle's distinct in-range events: the set bits of `events`.
+    present: Vec<EventId>,
     /// Enabled transitions before conflict resolution.
     enabled: Vec<TransitionId>,
     /// Per-state claimed bitmap of the conflict check.
@@ -540,13 +589,16 @@ impl StepScratch {
     ) {
         self.events.clear();
         self.events.resize(tables.event_count, false);
+        self.present.clear();
         for e in events {
             if let Some(bit) = self.events.get_mut(e.index()) {
-                *bit = true;
+                if !*bit {
+                    *bit = true;
+                    self.present.push(e);
+                }
             }
         }
-        let StepScratch { events, enabled, claimed, selected, .. } = self;
-        tables.select(active, conditions, events, enabled, claimed, selected);
+        tables.select(active, conditions, self);
     }
 }
 
@@ -1193,6 +1245,48 @@ mod tests {
         }
     }
 
+    /// The place `tid` sits in `tables`: its key event's list, or
+    /// `None` for the unkeyed list. Panics unless it sits in exactly
+    /// one place.
+    fn key_of(c: &Chart, tables: &SelectionTables, tid: TransitionId) -> Option<EventId> {
+        let mut places: Vec<Option<EventId>> =
+            c.event_ids().filter(|&e| tables.keyed(e).contains(&tid)).map(Some).collect();
+        places.extend(tables.unkeyed.iter().filter(|&&t| t == tid).map(|_| None));
+        assert_eq!(places.len(), 1, "T{} sits in {places:?}", tid.index());
+        places[0]
+    }
+
+    /// Checks that every transition sits in exactly one place and that
+    /// a keyed transition's trigger ∧ guard, evaluated by name on the
+    /// chart's own expressions, is false on every event/condition
+    /// assignment that lacks its key.
+    fn check_keys(c: &Chart) {
+        let tables = SelectionTables::new(c);
+        assert_eq!(tables.keyed.len() + tables.unkeyed.len(), c.transition_count());
+        let (n_events, n_conds) = (c.event_ids().len(), c.condition_ids().len());
+        for tid in c.transition_ids() {
+            let Some(key) = key_of(c, &tables, tid) else { continue };
+            let t = c.transition(tid);
+            for bits in 0u32..1 << (n_events + n_conds) {
+                if bits >> key.index() & 1 == 1 {
+                    continue;
+                }
+                let truth = |a: &str| match (c.event_by_name(a), c.condition_by_name(a)) {
+                    (Some(e), _) => bits >> e.index() & 1 == 1,
+                    (None, Some(k)) => bits >> (n_events + k.index()) & 1 == 1,
+                    (None, None) => false,
+                };
+                let holds = |x: &Option<Expr>| x.as_ref().is_none_or(|x| x.eval(truth));
+                assert!(
+                    !(holds(&t.trigger) && holds(&t.guard)),
+                    "T{} keyed under {} holds without it (assignment {bits:#b})",
+                    tid.index(),
+                    c.event(key).name
+                );
+            }
+        }
+    }
+
     #[test]
     fn tables_agree_with_chart_queries() {
         for c in [motorish(), nested()] {
@@ -1203,10 +1297,108 @@ mod tests {
             }
             for s in c.state_ids() {
                 assert_eq!(tables.strict_descendants(s), &c.descendants_inclusive(s)[1..]);
-                let out: Vec<TransitionId> = c.outgoing(s).collect();
-                assert_eq!(tables.outgoing(s.index()), out.as_slice());
+            }
+            check_keys(&c);
+        }
+    }
+
+    #[test]
+    fn event_keys_follow_the_top_level_conjunction() {
+        let shapes = [
+            ("Ea", Some("Ea")),
+            ("not Ea", None),
+            ("Ea and Eb", Some("Ea")),
+            ("Cc and Eb", Some("Eb")),
+            ("Ea or Eb", None),
+            ("not (Ea or Eb)", None),
+            ("Ea [Cc]", Some("Ea")),
+            ("[Ea]", Some("Ea")),
+            ("not Ea [Eb and Cc]", Some("Eb")),
+            ("[Cc]", None),
+            ("", None),
+        ];
+        let mut b = ChartBuilder::new("shapes");
+        b.event("Ea", None);
+        b.event("Eb", None);
+        b.condition("Cc", true);
+        b.state("Top", StateKind::Or).contains(["S", "T"]).default_child("S");
+        {
+            let mut s = b.state("S", StateKind::Basic);
+            for (label, _) in shapes {
+                s.transition("T", label);
             }
         }
+        b.basic("T");
+        let c = b.build().unwrap();
+        let tables = SelectionTables::new(&c);
+        for ((label, key), tid) in shapes.into_iter().zip(c.transition_ids()) {
+            let found = key_of(&c, &tables, tid).map(|e| c.event(e).name.as_str());
+            assert_eq!(found, key, "key of `{label}`");
+        }
+        check_keys(&c);
+
+        // Keyed and unkeyed shapes alike are enabled exactly when their
+        // label holds: `Cc` is set and only `Eb` is present (twice).
+        let e = Executor::new(&c);
+        let eb = c.event_by_name("Eb").unwrap();
+        let mut scratch = StepScratch::default();
+        scratch.select(&e.tables, &e.config.active, &e.conditions, [eb, eb]);
+        assert_eq!(scratch.present, [eb], "a repeated event is present once");
+        let mut enabled: Vec<&str> =
+            scratch.enabled.iter().map(|&t| shapes[t.index()].0).collect();
+        enabled.sort_unstable();
+        assert_eq!(enabled, ["", "Cc and Eb", "Ea or Eb", "[Cc]", "not Ea", "not Ea [Eb and Cc]"]);
+    }
+
+    #[test]
+    fn event_keys_cover_every_rotor_transition() {
+        // A small rotor chart in the gang chart's shape: each region
+        // rotates on its own event and on probe events shared across
+        // regions. Every transition is keyed, so a cycle without
+        // events evaluates nothing.
+        let (regions, states, probes) = (3, 4, 2);
+        let mut b = ChartBuilder::new("rotor");
+        for r in 0..regions {
+            b.event(format!("E{r}"), None);
+        }
+        for p in 0..probes {
+            b.event(format!("P{p}"), None);
+        }
+        let names: Vec<String> = (0..regions).map(|r| format!("R{r}")).collect();
+        b.state("Run", StateKind::And).contains(names.iter().map(String::as_str));
+        for (r, region) in names.iter().enumerate() {
+            let ring: Vec<String> = (0..states).map(|s| format!("R{r}S{s}")).collect();
+            b.state(region, StateKind::Or)
+                .contains(ring.iter().map(String::as_str))
+                .default_child(&ring[0]);
+            for s in 0..states {
+                let next = &ring[(s + 1) % states];
+                b.state(&ring[s], StateKind::Basic)
+                    .transition(next, &format!("E{r}"))
+                    .transition(next, &format!("P{}", (r + s) % probes));
+            }
+        }
+        let c = b.build().unwrap();
+        let tables = SelectionTables::new(&c);
+        assert!(tables.unkeyed.is_empty());
+        check_keys(&c);
+        for r in 0..regions {
+            let e = c.event_by_name(&format!("E{r}")).unwrap();
+            assert_eq!(tables.keyed(e).len(), states);
+        }
+        for p in 0..probes {
+            let e = c.event_by_name(&format!("P{p}")).unwrap();
+            assert_eq!(tables.keyed(e).len(), regions * states / probes);
+        }
+
+        let mut e = Executor::new(&c);
+        let mut scratch = StepScratch::default();
+        scratch.select(&e.tables, &e.config.active, &e.conditions, []);
+        assert!(scratch.enabled.is_empty() && scratch.selected.is_empty());
+        // A probe moves the regions whose active state it keys.
+        let p0 = c.event_by_name("P0").unwrap();
+        let fired = e.step(&[p0], no_effects).fired.len();
+        assert_eq!(fired, (0..regions).filter(|r| r % probes == 0).count());
     }
 
     #[test]

@@ -101,6 +101,14 @@ cargo test --release -p pscp-core --test quiet_differential -q
 # duplicate pending timer event fails both.
 cargo test --release -p pscp-core --test explore_differential -q
 cargo test --release -p pscp-statechart --lib -q packed_control
+# The key-event unit tests pin the rule selection is indexed by: each
+# transition sits in exactly one place (its key event's list or the
+# unkeyed list), the key follows a trigger's (else a guard's) top-level
+# conjunction on a fixture with every label shape, and a rotor chart in
+# the gang chart's shape is keyed throughout, so a resolver change that
+# silently unkeys every transition fails here, not only in the
+# benchmark.
+cargo test --release -p pscp-statechart --lib -q event_keys
 
 # The DSE golden suite is the optimiser's spec: the `Debug` rendering of
 # the chosen history, architecture, placement and timing must stay
@@ -122,12 +130,17 @@ cargo test --release -p pscp-bench --test dse_memo -q
 cargo test --release -p pscp-bench --test obs_alloc -q
 
 # The selection-oracle suites are the executor's transition-selection
-# spec: the indexed selection (tables built once per compiled system,
-# claimed-state conflict check) must equal the synthesised SLA's fire
-# set, cycle by cycle, under both encodings — on random charts whose
-# transitions may leave or enter composite regions, on history
-# re-entry, and on the 560-transition gang chart — and random walks
-# must keep every configuration consistent and conflict-free.
+# spec. Selection is event-keyed (tables built once per compiled
+# system): a cycle evaluates only the transitions filed under its
+# present events plus the unkeyed ones, then runs the claimed-state
+# conflict check. Its selected set must equal the synthesised SLA's
+# fire set, cycle by cycle, under both encodings — on random charts
+# whose transitions may leave or enter composite regions and whose
+# labels take every compound shape (negated, conjoined and disjoined
+# triggers, event and condition guards with and without a trigger, the
+# empty label), on history re-entry, and on the 560-transition gang
+# chart — and random walks must keep every configuration consistent
+# and conflict-free.
 # `proptest_differential` also holds the inhibition oracle: every fire
 # signal's inhibitors are exactly the earlier-placed transitions whose
 # scope is not orthogonal (a test-only copy of the pairwise rule), on
