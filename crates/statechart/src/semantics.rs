@@ -25,9 +25,10 @@
 //! into [`SelectionTables`] and shared by every executor over it. A
 //! transition whose trigger (or, lacking one, guard) requires an event
 //! in its top-level conjunction is filed under that event, so a cycle
-//! evaluates only the transitions its present events can enable plus
-//! the few no event gates, and resolves conflicts with a claimed-state
-//! bitmap, the software shadow of the SLA's single combinational pass.
+//! evaluates only the transitions filed under its present events plus
+//! the unkeyed ones no single event gates, and resolves conflicts with
+//! a claimed-state bitmap, the software shadow of the SLA's single
+//! combinational pass.
 
 use crate::intern::{ConditionNames, EventNames};
 use crate::model::{ActionCall, Chart, ConditionId, EventId, StateId, StateKind, TransitionId};
