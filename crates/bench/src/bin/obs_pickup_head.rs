@@ -35,8 +35,8 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create obs dir");
 
     // 1. A design-space exploration: `optimize`, `optimize.step` and
-    // `candidate` spans land in the trace, the OPT_*/REVALIDATE_*
-    // counters in the metrics.
+    // `candidate` spans land in the trace, the OPT_* counters in the
+    // metrics.
     let (chart, ir) = pickup_head_inputs();
     let options = OptimizeOptions {
         verify_incremental: false,

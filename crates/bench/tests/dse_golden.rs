@@ -5,9 +5,10 @@
 //! history, the final architecture, the placement decisions, the timing
 //! report, and the `satisfied` / `budget_exhausted` /
 //! `exhausted_worst_cycles` verdicts — byte-for-byte against checked-in
-//! golden files. Each input runs at one and two workers and on both the
-//! incremental and the full revalidation path; all four runs must
-//! reproduce the same file. The files were recorded in a run whose
+//! golden files. Each input runs at one and two workers, both
+//! incremental (codegen cache, timing graph) and full (from-scratch
+//! compiles, reference DFS); all four runs must reproduce the same
+//! file. The files were recorded in a run whose
 //! results also matched, byte for byte, the serialised JSON goldens
 //! they replace.
 //!

@@ -1,9 +1,10 @@
-//! Fixed-case differential pins for incremental timing revalidation
+//! Fixed-case differential pins for graph-priced timing validation
 //! and the persistent memo store.
 //!
-//! * `optimize()` with incremental dirty-set revalidation must produce
-//!   byte-identical results to the full-DFS-per-candidate path, on the
-//!   paper's pickup-head system and on the small toggle system.
+//! * `optimize()` pricing each candidate on the shared timing graph
+//!   must produce byte-identical results to the full-DFS-per-candidate
+//!   path, on the paper's pickup-head system and on the small toggle
+//!   system.
 //! * The graph-based `validate_timing` must equal the reference walk
 //!   on every Table 4 architecture.
 //! * A warm memo file must reproduce the cold run exactly; a deleted

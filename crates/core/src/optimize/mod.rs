@@ -34,16 +34,14 @@
 //! optional cross-run persistence. Within one run every candidate's
 //! content is new, so an in-memory store is never consulted.
 //!
-//! ## Incremental revalidation
+//! ## One timing evaluation per candidate
 //!
 //! The timing structure — consumer states, enumerated event-cycle
-//! paths, the sibling-bound tree — is identical for every candidate;
-//! only the per-transition costs and the TEP count vary. The loop
-//! builds one [`TimingGraph`] up front and revalidates each candidate
-//! from the *dirty set* (transitions whose cost changed against the
-//! current base), re-pricing only the cycles and bounds that delta can
-//! reach ([`TimingGraph::revalidate`]). The incremental report is
-//! byte-identical to the full §4 DFS; with
+//! paths, the sibling-bound tree, the interrupt flags — is identical
+//! for every candidate; only the per-transition costs and the TEP count
+//! vary. The loop builds one [`TimingGraph`] up front and prices each
+//! candidate with one full [`TimingGraph::evaluate`] of its cost table.
+//! The report is byte-identical to the reference §4 DFS; with
 //! [`OptimizeOptions::verify_incremental`] a differential oracle
 //! asserts exactly that on every candidate.
 
@@ -59,8 +57,8 @@ use crate::compile::{
 };
 use crate::library::Component;
 use crate::timing::{
-    transition_costs, validate_timing_full, wcet_report, EventCycle, TimingEval, TimingGraph,
-    TimingOptions, TimingReport,
+    transition_costs, validate_timing_full, wcet_report, EventCycle, TimingGraph, TimingOptions,
+    TimingReport,
 };
 use pscp_action_lang::ir::{Inst as IrInst, Program};
 use pscp_diag::Diagnostic;
@@ -146,15 +144,16 @@ pub struct OptimizeOptions {
     /// microoperations", §1). Each removal is kept only when the timing
     /// constraints still hold and the area shrank.
     pub shrink: bool,
-    /// Revalidate candidates incrementally from the shared
-    /// [`TimingGraph`] (dirty-set re-pricing) instead of re-running the
-    /// full §4 DFS per candidate. The two are byte-identical; this
-    /// switch exists for the differential bench and as an escape hatch.
+    /// Compile candidates through the shared codegen cache and price
+    /// them on the shared [`TimingGraph`]. Off, every candidate compiles
+    /// from scratch and is validated by the reference §4 DFS
+    /// ([`validate_timing_full`]): the oracle the differential tests
+    /// compare against. The two are byte-identical.
     pub incremental: bool,
     /// Run the differential oracles: assert every cached delta compile
-    /// equals a full compile, and every incremental candidate report
-    /// equals the full DFS. Defaults on for debug builds (so the test
-    /// suite exercises the oracles everywhere) and off for release.
+    /// equals a full compile, and every graph-priced candidate report
+    /// equals the reference DFS. Defaults on for debug builds (so the
+    /// test suite exercises the oracles everywhere) and off for release.
     pub verify_incremental: bool,
     /// Candidate memo persistence across runs.
     pub memo: MemoPersistence,
@@ -229,21 +228,30 @@ pub fn optimize(
     let artifacts = SystemArtifacts::build(chart, start.encoding);
     let compile_cache = CodegenCache::new();
     let cache = options.incremental.then_some(&compile_cache);
-    let system = compile_system_with(&artifacts, ir, &arch, &codegen, cache)?;
+    // The adopted system: the configuration candidates are judged
+    // against.
+    let mut base = compile_system_with(&artifacts, ir, &arch, &codegen, cache)?;
 
-    // The timing IR: one structural build shared by every candidate.
-    // Candidates never change the chart or the interrupt-event set, so
-    // only the cost table and the TEP count vary per evaluation.
-    let graph = TimingGraph::build(&system, &options.timing);
-    let wcet = wcet_report(&system, &options.timing);
-    let eval = graph.evaluate(transition_costs(&system, &wcet), arch.n_teps);
-    let mut timing = if options.incremental {
-        graph.report(&eval)
-    } else {
-        validate_timing_full(&system, &options.timing)
+    // The timing IR: one structural build shared by every candidate. No
+    // improvement or removal changes the chart, the interrupt events or
+    // the depth cap, so only the cost table and the TEP count vary per
+    // evaluation. Without `incremental`, the reference DFS prices every
+    // candidate instead.
+    let graph = options.incremental.then(|| TimingGraph::build(&base, &options.timing));
+    let price = |sys: &CompiledSystem| -> TimingReport {
+        let Some(graph) = &graph else {
+            return validate_timing_full(sys, &options.timing);
+        };
+        assert!(
+            graph.matches(sys, &options.timing),
+            "candidate '{}' changed the timing structure",
+            sys.arch.label
+        );
+        let wcet = wcet_report(sys, &options.timing);
+        graph.report(&graph.evaluate(transition_costs(sys, &wcet), sys.arch.n_teps))
     };
-    let mut history = vec![record(None, &arch, &system, &timing)];
-    let mut base = Base { system, eval };
+    let mut timing = price(&base);
+    let mut history = vec![record(None, &arch, &base, &timing)];
 
     // Content-keyed memo: a stable hash of (chart, IR, timing options,
     // architecture, storage placement) → (timing report, area). Within
@@ -255,8 +263,7 @@ pub fn optimize(
         .is_persistent()
         .then(|| (store, memo::fingerprint(chart, ir, &options.timing)));
     let mut evaluate = |cand_arch: &PscpArch,
-                        cand_codegen: &CodegenOptions,
-                        base: &Base|
+                        cand_codegen: &CodegenOptions|
      -> Result<CandidateEval, Diagnostic> {
         let _cand_span = pscp_obs::trace::span("candidate");
         pscp_obs::metrics::OPT_CANDIDATES.inc();
@@ -269,7 +276,6 @@ pub fn optimize(
                     timing: entry.timing.clone(),
                     area: entry.area,
                     system: None,
-                    eval: None,
                 });
             }
         }
@@ -289,22 +295,15 @@ pub fn optimize(
             );
         }
         let validate_watch = pscp_obs::StopWatch::start();
-        let use_incremental = options.incremental && graph.matches(&sys, &options.timing);
-        let (timing, eval) = if use_incremental {
-            let wcet = wcet_report(&sys, &options.timing);
-            let ev = graph.revalidate(&base.eval, transition_costs(&sys, &wcet), cand_arch.n_teps);
-            (graph.report(&ev), Some(ev))
-        } else {
-            (validate_timing_full(&sys, &options.timing), None)
-        };
+        let timing = price(&sys);
         pscp_obs::metrics::OPT_VALIDATE_NS.add(validate_watch.elapsed_ns());
-        if use_incremental && options.verify_incremental {
-            // Differential oracle: the dirty-set revalidation must be
-            // byte-identical to the full §4 DFS.
+        if graph.is_some() && options.verify_incremental {
+            // Differential oracle: the graph evaluation must be
+            // byte-identical to the reference §4 DFS.
             let full = validate_timing_full(&sys, &options.timing);
             assert_eq!(
                 timing, full,
-                "incremental timing diverged from full DFS for '{}'",
+                "graph timing diverged from the reference DFS for '{}'",
                 cand_arch.label
             );
         }
@@ -312,18 +311,16 @@ pub fn optimize(
         if let Some((store, key)) = memo_slot {
             store.insert(key, MemoEntry { timing: timing.clone(), area });
         }
-        Ok(CandidateEval { timing, area, system: Some(sys), eval })
+        Ok(CandidateEval { timing, area, system: Some(sys) })
     };
 
     // Makes an evaluated candidate the new base and returns its timing.
     // A memo hit carries no system, so the adopted configuration
-    // compiles here (it compiled when the entry was created). The
-    // incremental base rolls forward to the adopted candidate's graph
-    // evaluation.
+    // compiles here (it compiled when the entry was created).
     let adopt = |eval: CandidateEval,
                  cand_arch: &mut PscpArch,
                  cand_codegen: &CodegenOptions,
-                 base: &mut Base|
+                 base: &mut CompiledSystem|
      -> Result<TimingReport, Diagnostic> {
         let system = match eval.system {
             Some(s) => s,
@@ -332,13 +329,7 @@ pub fn optimize(
         // Extraction (when enabled) ran inside the compile; pick up the
         // registered fused ops for subsequent area accounting.
         cand_arch.tep.custom_ops = system.arch.tep.custom_ops.clone();
-        if options.incremental {
-            base.eval = eval.eval.unwrap_or_else(|| {
-                let wcet = wcet_report(&system, &options.timing);
-                graph.evaluate(transition_costs(&system, &wcet), cand_arch.n_teps)
-            });
-        }
-        base.system = system;
+        *base = system;
         Ok(eval.timing)
     };
 
@@ -356,11 +347,11 @@ pub fn optimize(
         let mut cand_arch = arch.clone();
         let mut cand_codegen = codegen.clone();
         apply_improvement(improvement, &mut cand_arch, &mut cand_codegen, ir, options);
-        let eval = evaluate(&cand_arch, &cand_codegen, &base)?;
+        let eval = evaluate(&cand_arch, &cand_codegen)?;
         timing = adopt(eval, &mut cand_arch, &cand_codegen, &mut base)?;
         arch = cand_arch;
         codegen = cand_codegen;
-        history.push(record(Some(improvement.to_string()), &arch, &base.system, &timing));
+        history.push(record(Some(improvement.to_string()), &arch, &base, &timing));
     }
 
     let budget_exhausted = !timing.ok() && steps >= options.max_steps;
@@ -377,7 +368,7 @@ pub fn optimize(
                 v.event,
                 v.worst,
                 v.period,
-                v.path_names(&base.system.chart)
+                v.path_names(&base.chart)
             );
             // Surface the surviving worst cycle itself, not just a log
             // line, so callers can act on the offending path.
@@ -401,8 +392,8 @@ pub fn optimize(
         for removal in shrink_candidates(&arch, ir) {
             let mut cand = arch.clone();
             (removal.apply)(&mut cand.tep);
-            let current_area = pscp_area(&base.system).total().0;
-            let eval = match evaluate(&cand, &codegen, &base) {
+            let current_area = pscp_area(&base).total().0;
+            let eval = match evaluate(&cand, &codegen) {
                 Ok(ev) if ev.timing.ok() && ev.area < current_area => ev,
                 // A failed compile is a rejection like any other.
                 _ => continue,
@@ -411,7 +402,7 @@ pub fn optimize(
             timing = adopt(eval, &mut cand, &codegen, &mut base)?;
             arch = cand;
             let applied = format!("remove {}", removal.name);
-            history.push(record(Some(applied), &arch, &base.system, &timing));
+            history.push(record(Some(applied), &arch, &base, &timing));
         }
     }
 
@@ -423,7 +414,7 @@ pub fn optimize(
     Ok(OptimizationResult {
         arch,
         codegen,
-        system: base.system,
+        system: base,
         timing,
         history,
         satisfied,
@@ -432,24 +423,13 @@ pub fn optimize(
     })
 }
 
-/// The configuration candidates are judged against: the current
-/// system, plus the graph evaluation the incremental path re-prices
-/// from (the dirty-set base).
-struct Base {
-    system: CompiledSystem,
-    eval: TimingEval,
-}
-
 /// One evaluated candidate: its timing report and area, plus the
 /// compiled system when this evaluation actually compiled (memo-cache
-/// hits return `None` and adoption recompiles) and the graph
-/// evaluation when the incremental path priced it (an adopted
-/// candidate's becomes the next dirty-set base).
+/// hits return `None` and adoption recompiles).
 struct CandidateEval {
     timing: TimingReport,
     area: u32,
     system: Option<CompiledSystem>,
-    eval: Option<TimingEval>,
 }
 
 /// Applies one improvement to an architecture/placement pair.
@@ -665,17 +645,10 @@ fn program_histogram(ir: &Program) -> ProgramHistogram {
 /// struct slots accessed through indexed addressing are excluded.
 pub fn hottest_scalar_globals(ir: &Program, limit: usize) -> Vec<u32> {
     let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut indexed_bases: BTreeSet<u32> = BTreeSet::new();
     for f in &ir.functions {
         for inst in &f.insts {
-            match inst {
-                IrInst::LoadGlobal { slot, .. } | IrInst::StoreGlobal { slot, .. } => {
-                    *counts.entry(*slot).or_default() += 1;
-                }
-                IrInst::LoadIndexed { base, .. } | IrInst::StoreIndexed { base, .. } => {
-                    indexed_bases.insert(*base);
-                }
-                _ => {}
+            if let IrInst::LoadGlobal { slot, .. } | IrInst::StoreGlobal { slot, .. } = inst {
+                *counts.entry(*slot).or_default() += 1;
             }
         }
     }
@@ -688,7 +661,6 @@ pub fn hottest_scalar_globals(ir: &Program, limit: usize) -> Vec<u32> {
             !name.contains('[')
         })
         .collect();
-    let _ = indexed_bases;
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked.into_iter().take(limit).map(|(s, _)| s).collect()
 }

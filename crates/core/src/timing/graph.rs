@@ -1,28 +1,19 @@
-//! The timing IR: a dependency-tracked graph built once per compiled
-//! system, evaluated many times.
+//! The timing IR: a graph built once per compiled system, priced once
+//! per cost table.
 //!
 //! §4 validation has two ingredients of very different volatility. The
 //! *structure* — which states consume each constrained event, which
 //! event-cycle paths exist up to `max_depth`, the AND/OR sibling-bound
 //! tree, which transitions preempt their siblings — depends only on the
-//! chart and the interrupt-event set, and is identical for every
-//! candidate of a design-space exploration. The *numbers* — the
-//! per-transition WCET costs and the TEP count — are all a candidate
-//! changes. [`TimingGraph`] captures the structure once;
-//! [`TimingGraph::evaluate`] prices it for one cost table, and
-//! [`TimingGraph::revalidate`] re-prices only what a cost delta can
-//! reach:
-//!
-//! * a transition's cost feeds the *length* of exactly the cycles whose
-//!   path contains it (`TimingGraph::direct_dependents`), and
-//! * it feeds the *sibling bound* of its source's ancestor chain
-//!   (`TimingGraph::chain`); a changed bound re-prices the cycles
-//!   that charge that subtree as a parallel sibling
-//!   (`TimingGraph::root_dependents`).
-//!
-//! Everything else is copied from the base evaluation verbatim, which
-//! is what makes the incremental report byte-identical to the full
-//! walk (pinned by the differential tests).
+//! chart and the interrupt flags, and is identical for every candidate
+//! of a design-space exploration. The *numbers* — the per-transition
+//! WCET costs and the TEP count — are all a candidate changes.
+//! [`TimingGraph`] captures the structure once, and
+//! [`TimingGraph::evaluate`] prices all of it for one cost table: every
+//! subtree bound bottom-up, then every cycle length. The optimiser
+//! prices each candidate with one such evaluation; the reference DFS
+//! ([`validate_timing_full`](crate::timing::validate_timing_full)) is
+//! pinned byte-identical to it by the differential tests.
 
 use crate::compile::CompiledSystem;
 use crate::timing::cycles::{
@@ -30,7 +21,6 @@ use crate::timing::cycles::{
 };
 use crate::timing::{TimingOptions, TimingReport, Violation};
 use pscp_statechart::{StateId, StateKind, TransitionId};
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 /// One constrained event and the slice of enumerated cycles feeding it.
@@ -52,13 +42,10 @@ struct CycleRow {
 /// The structural timing IR of one compiled system.
 ///
 /// Valid for any candidate architecture sharing the chart and the
-/// interrupt-event set ([`TimingGraph::matches`]); candidates vary only
-/// the cost table and `n_teps` passed to [`TimingGraph::evaluate`] /
-/// [`TimingGraph::revalidate`].
+/// interrupt flags ([`TimingGraph::matches`]); candidates vary only the
+/// cost table and `n_teps` passed to [`TimingGraph::evaluate`].
 #[derive(Debug, Clone)]
 pub struct TimingGraph {
-    /// The interrupt events the preempt flags were computed against.
-    interrupt_events: BTreeSet<String>,
     /// The DFS depth cap the cycles were enumerated with.
     max_depth: usize,
     /// Constrained events, in chart declaration order.
@@ -66,7 +53,8 @@ pub struct TimingGraph {
     /// Enumerated cycle paths, grouped per event.
     cycles: Vec<CycleRow>,
     /// Per transition: the step pays only its own routine (§6
-    /// interrupt-priority preemption of the parallel siblings).
+    /// interrupt-priority preemption of the parallel siblings); the
+    /// compiled system's `SchedulerTables::interrupt`.
     preempts: Vec<bool>,
     /// Per state: the parallel sibling roots charged by a step taken
     /// there (Fig. 4).
@@ -79,32 +67,13 @@ pub struct TimingGraph {
     own_out: Vec<Vec<TransitionId>>,
     /// All states, children before parents (bottom-up bound order).
     postorder: Vec<StateId>,
-    /// Per state: nesting depth (root = 0).
-    depth: Vec<usize>,
-    /// Per transition: the source and its ancestors — exactly the
-    /// states whose subtree bound can change when this transition's
-    /// cost does.
-    chain: Vec<Vec<StateId>>,
-    /// Per transition: indices of cycles whose path takes it.
-    direct_dependents: Vec<Vec<u32>>,
-    /// Per state: indices of cycles with a non-preempting step that
-    /// charges this state as a parallel sibling root.
-    root_dependents: Vec<Vec<u32>>,
 }
 
-/// One priced evaluation of a [`TimingGraph`]: the cost table it was
-/// priced with, the resulting subtree bounds and cycle lengths, and the
-/// TEP count the makespans were distributed over.
+/// One priced evaluation of a [`TimingGraph`]: the length of every
+/// enumerated cycle, in graph cycle order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TimingEval {
-    /// Per-transition costs (indexed by `TransitionId::index`).
-    pub costs: Vec<u64>,
-    /// Per-state subtree bounds (indexed by `StateId::index`).
-    bounds: Vec<u64>,
-    /// Per-cycle lengths (graph cycle order).
     lengths: Vec<u64>,
-    /// TEPs the sibling work was distributed over.
-    n_teps: u8,
 }
 
 impl TimingGraph {
@@ -113,100 +82,60 @@ impl TimingGraph {
     pub fn build(system: &CompiledSystem, options: &TimingOptions) -> TimingGraph {
         let chart = &system.chart;
         let n_states = chart.state_ids().len();
-        let n_transitions = chart.transition_ids().len();
-
-        let preempts: Vec<bool> = chart
-            .transition_ids()
-            .map(|t| {
-                let tr = chart.transition(t);
-                system.arch.interrupt_events.iter().any(|ev| {
-                    tr.trigger.as_ref().is_some_and(|e| e.mentions_positively(ev))
-                        || tr.guard.as_ref().is_some_and(|e| e.mentions_positively(ev))
-                })
-            })
-            .collect();
 
         let mut kind = Vec::with_capacity(n_states);
         let mut children = Vec::with_capacity(n_states);
         let mut own_out = Vec::with_capacity(n_states);
         let mut sib_roots = Vec::with_capacity(n_states);
-        let mut depth = Vec::with_capacity(n_states);
         for s in chart.state_ids() {
             let st = chart.state(s);
             kind.push(st.kind);
             children.push(st.children.clone());
             own_out.push(chart.outgoing(s).collect());
             sib_roots.push(chart.parallel_siblings(s));
-            depth.push(chart.depth(s));
         }
 
         // Children before parents: states sorted by depth descending
         // give a valid bottom-up order for the bound recursion.
         let mut postorder: Vec<StateId> = chart.state_ids().collect();
-        postorder.sort_by(|&a, &b| depth[b.index()].cmp(&depth[a.index()]));
-
-        let chain: Vec<Vec<StateId>> = chart
-            .transition_ids()
-            .map(|t| chart.ancestors_inclusive(chart.transition(t).source).collect())
-            .collect();
+        postorder.sort_by_cached_key(|&s| std::cmp::Reverse(chart.depth(s)));
 
         let mut events = Vec::new();
         let mut cycles: Vec<CycleRow> = Vec::new();
-        let mut direct_dependents = vec![Vec::new(); n_transitions];
-        let mut root_dependents = vec![Vec::new(); n_states];
         for ev in chart.events() {
             let Some(period) = ev.period else { continue };
             let start = cycles.len();
-            for p in enumerate_event_cycles(chart, &ev.name, options.max_depth) {
-                let ci = cycles.len() as u32;
-                for (&s, &t) in p.states.iter().zip(&p.transitions) {
-                    direct_dependents[t.index()].push(ci);
-                    if !preempts[t.index()] {
-                        // A non-preempting step charges its sibling
-                        // roots' bounds; registration is structural —
-                        // a bound of 0 today can grow tomorrow.
-                        for &root in &sib_roots[s.index()] {
-                            root_dependents[root.index()].push(ci);
-                        }
-                    }
-                }
-                cycles.push(CycleRow { states: p.states, transitions: p.transitions });
-            }
+            cycles.extend(
+                enumerate_event_cycles(chart, &ev.name, options.max_depth)
+                    .into_iter()
+                    .map(|p| CycleRow { states: p.states, transitions: p.transitions }),
+            );
             events.push(EventRow {
                 name: ev.name.clone(),
                 period,
                 cycles: start..cycles.len(),
             });
         }
-        for deps in direct_dependents.iter_mut().chain(root_dependents.iter_mut()) {
-            deps.dedup();
-        }
 
         TimingGraph {
-            interrupt_events: system.arch.interrupt_events.clone(),
             max_depth: options.max_depth,
             events,
             cycles,
-            preempts,
+            preempts: system.tables.interrupt.clone(),
             sib_roots,
             kind,
             children,
             own_out,
             postorder,
-            depth,
-            chain,
-            direct_dependents,
-            root_dependents,
         }
     }
 
     /// True when the graph's structure is valid for this system/options
-    /// pair: same shape, same interrupt events, same depth cap.
+    /// pair: same state count, same interrupt flags, same depth cap.
     pub fn matches(&self, system: &CompiledSystem, options: &TimingOptions) -> bool {
-        self.interrupt_events == system.arch.interrupt_events
-            && self.max_depth == options.max_depth
+        self.max_depth == options.max_depth
             && self.kind.len() == system.chart.state_ids().len()
-            && self.preempts.len() == system.chart.transition_ids().len()
+            && self.preempts == system.tables.interrupt
     }
 
     /// Prices the graph for one cost table: all subtree bounds bottom-up,
@@ -220,82 +149,17 @@ impl TimingGraph {
         let lengths = (0..self.cycles.len())
             .map(|c| self.cycle_length(c, &costs, &bounds, n_teps))
             .collect();
-        TimingEval { costs, bounds, lengths, n_teps }
+        TimingEval { lengths }
     }
 
-    /// Re-prices a base evaluation for a new cost table, recomputing
-    /// only the bounds and cycle lengths the dirty set (transitions
-    /// whose cost changed) can reach. Byte-identical to
-    /// [`TimingGraph::evaluate`] on the same inputs.
-    pub fn revalidate(&self, base: &TimingEval, costs: Vec<u64>, n_teps: u8) -> TimingEval {
-        pscp_obs::metrics::REVALIDATE_CALLS.inc();
-        if n_teps != base.n_teps {
-            // A TEP-count change re-prices every distributed step; no
-            // locality to exploit.
-            pscp_obs::metrics::REVALIDATE_FULL_FALLBACKS.inc();
-            return self.evaluate(costs, n_teps);
-        }
-        debug_assert_eq!(costs.len(), base.costs.len());
-        let dirty: Vec<usize> =
-            (0..costs.len()).filter(|&t| costs[t] != base.costs[t]).collect();
-        pscp_obs::metrics::REVALIDATE_DIRTY.record(dirty.len() as u64);
-        if dirty.is_empty() {
-            pscp_obs::metrics::CYCLES_COPIED.add(base.lengths.len() as u64);
-            return TimingEval {
-                costs,
-                bounds: base.bounds.clone(),
-                lengths: base.lengths.clone(),
-                n_teps,
-            };
-        }
-
-        // Bounds can change only along the dirty transitions' source
-        // ancestor chains. Recompute deepest-first so children are
-        // final before their parents read them.
-        let mut bounds = base.bounds.clone();
-        let mut touched: Vec<StateId> =
-            dirty.iter().flat_map(|&t| self.chain[t].iter().copied()).collect();
-        touched.sort_by(|&a, &b| {
-            self.depth[b.index()].cmp(&self.depth[a.index()]).then(a.cmp(&b))
-        });
-        touched.dedup();
-        let mut changed_states = Vec::new();
-        for &s in &touched {
-            let nb = self.bound_of(s, &costs, &bounds);
-            if nb != bounds[s.index()] {
-                bounds[s.index()] = nb;
-                changed_states.push(s);
-            }
-        }
-
-        // Affected cycles: those taking a dirty transition, plus those
-        // charging a changed subtree as a parallel sibling.
-        let mut stamp = vec![false; self.cycles.len()];
-        let mut affected = Vec::new();
-        for &t in &dirty {
-            for &c in &self.direct_dependents[t] {
-                if !stamp[c as usize] {
-                    stamp[c as usize] = true;
-                    affected.push(c as usize);
-                }
-            }
-        }
-        for &s in &changed_states {
-            for &c in &self.root_dependents[s.index()] {
-                if !stamp[c as usize] {
-                    stamp[c as usize] = true;
-                    affected.push(c as usize);
-                }
-            }
-        }
-        let mut lengths = base.lengths.clone();
-        for &c in &affected {
-            lengths[c] = self.cycle_length(c, &costs, &bounds, n_teps);
-        }
-        pscp_obs::metrics::CYCLES_REPRICED.add(affected.len() as u64);
-        pscp_obs::metrics::CYCLES_COPIED.add((lengths.len() - affected.len()) as u64);
-        TimingEval { costs, bounds, lengths, n_teps }
+    /// [`TimingGraph::evaluate`] under its old name; `_base` is ignored.
+    /// Nothing in the workspace calls it. It stays only because the
+    /// benchmark's `stage.revalidate_us` probe does, and goes once that
+    /// probe times `evaluate` itself.
+    pub fn revalidate(&self, _base: &TimingEval, costs: Vec<u64>, n_teps: u8) -> TimingEval {
+        self.evaluate(costs, n_teps)
     }
+
 
     /// Renders an evaluation as the public [`TimingReport`] — same
     /// sorting, dedup and worst-cycle selection as the reference walk.
@@ -378,6 +242,7 @@ impl TimingGraph {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,84 +296,22 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_equals_evaluate_on_perturbed_costs() {
-        let chart = fig4_chart();
-        let sys = system(&chart, PscpArch::md16_unoptimized());
-        let options = TimingOptions::default();
-        let graph = TimingGraph::build(&sys, &options);
-        let base_costs = explicit_costs(&sys);
-        let base = graph.evaluate(base_costs.clone(), 1);
-
-        // Perturb each transition alone, then several together.
-        let n = base_costs.len();
-        let mut perturbations: Vec<Vec<u64>> = (0..n)
-            .map(|i| {
-                let mut c = base_costs.clone();
-                c[i] = c[i] * 3 + 17;
-                c
-            })
-            .collect();
-        let mut all = base_costs.clone();
-        for (i, c) in all.iter_mut().enumerate() {
-            *c = (*c + 7) * (i as u64 + 1);
-        }
-        perturbations.push(all);
-        perturbations.push(vec![0; n]); // everything drops to zero
-
-        for costs in perturbations {
-            let inc = graph.revalidate(&base, costs.clone(), 1);
-            let full = graph.evaluate(costs, 1);
-            assert_eq!(inc, full);
-            assert_eq!(graph.report(&inc), graph.report(&full));
-        }
-    }
-
-    #[test]
-    fn revalidate_with_changed_teps_falls_back_to_full() {
-        let chart = fig4_chart();
-        let sys = system(&chart, PscpArch::md16_unoptimized());
-        let options = TimingOptions::default();
-        let graph = TimingGraph::build(&sys, &options);
-        let costs = explicit_costs(&sys);
-        let base = graph.evaluate(costs.clone(), 1);
-        let inc = graph.revalidate(&base, costs.clone(), 2);
-        assert_eq!(inc, graph.evaluate(costs, 2));
-    }
-
-    #[test]
     fn sibling_bound_growth_reaches_dependent_cycles() {
-        // The E-cycle lives in DP; a cost change in Motion (the sibling)
-        // must still re-price it through the root-dependents index.
+        // The E-cycle lives in DP; a cost rise in Motion (the parallel
+        // sibling) must lengthen it through Motion's subtree bound.
         let chart = fig4_chart();
         let sys = system(&chart, PscpArch::md16_unoptimized());
-        let options = TimingOptions::default();
-        let graph = TimingGraph::build(&sys, &options);
+        let graph = TimingGraph::build(&sys, &TimingOptions::default());
         let base_costs = explicit_costs(&sys);
-        let base = graph.evaluate(base_costs.clone(), 1);
+        let base = graph.report(&graph.evaluate(base_costs.clone(), 1));
 
         let runx = sys.chart.state_by_name("RunX").unwrap();
         let t_runx = sys.chart.outgoing(runx).next().unwrap();
-        let mut costs = base_costs.clone();
+        let mut costs = base_costs;
         costs[t_runx.index()] = 5000; // Motion's bound jumps 300 → 5000
-        let inc = graph.revalidate(&base, costs.clone(), 1);
-        let full = graph.evaluate(costs, 1);
-        assert_eq!(inc, full);
-        assert_ne!(
-            inc.lengths, base.lengths,
-            "sibling growth must change the DP cycle length"
-        );
-    }
-
-    #[test]
-    fn zero_delta_reuses_everything() {
-        let chart = fig4_chart();
-        let sys = system(&chart, PscpArch::md16_unoptimized());
-        let options = TimingOptions::default();
-        let graph = TimingGraph::build(&sys, &options);
-        let costs = explicit_costs(&sys);
-        let base = graph.evaluate(costs.clone(), 1);
-        let inc = graph.revalidate(&base, costs, 1);
-        assert_eq!(inc, base);
+        let grown = graph.report(&graph.evaluate(costs, 1));
+        let (before, after) = (base.worst_for("E").unwrap(), grown.worst_for("E").unwrap());
+        assert_eq!(after - before, 2 * (5000 - 300), "both DP steps pay Motion's new bound");
     }
 
     #[test]

@@ -162,8 +162,8 @@ pub fn transition_costs(system: &CompiledSystem, wcet: &WcetReport) -> Vec<u64> 
 ///
 /// Builds the [`TimingGraph`] timing IR and prices it once. Callers
 /// validating many cost variants of one structure (the optimiser)
-/// should build the graph themselves and use
-/// [`TimingGraph::revalidate`] between candidates.
+/// should build the graph once themselves and call
+/// [`TimingGraph::evaluate`] per cost table.
 pub fn validate_timing(system: &CompiledSystem, options: &TimingOptions) -> TimingReport {
     let graph = TimingGraph::build(system, options);
     let wcet = wcet_report(system, options);

@@ -279,18 +279,6 @@ pub static MEMO_MISSES: Counter = Counter::new();
 /// stale-versioned and were discarded for a cold start.
 pub static MEMO_CORRUPT_RECOVERIES: Counter = Counter::new();
 
-/// `TimingGraph::revalidate` invocations (including full fallbacks).
-pub static REVALIDATE_CALLS: Counter = Counter::new();
-/// Revalidations that fell back to a full evaluation (TEP count
-/// changed).
-pub static REVALIDATE_FULL_FALLBACKS: Counter = Counter::new();
-/// Event cycles re-priced by dirty-set revalidation.
-pub static CYCLES_REPRICED: Counter = Counter::new();
-/// Event cycles copied unchanged from the base evaluation.
-pub static CYCLES_COPIED: Counter = Counter::new();
-/// Dirty-set size per incremental revalidation.
-pub static REVALIDATE_DIRTY: Histogram = Histogram::new();
-
 /// Improvement steps taken by `optimize()`.
 pub static OPT_STEPS: Counter = Counter::new();
 /// Candidates evaluated by `optimize()`: one per evaluation, improvement
@@ -514,10 +502,6 @@ const SCALARS: &[(&str, &Counter)] = &[
     ("memo_hits", &MEMO_HITS),
     ("memo_misses", &MEMO_MISSES),
     ("memo_corrupt_recoveries", &MEMO_CORRUPT_RECOVERIES),
-    ("revalidate_calls", &REVALIDATE_CALLS),
-    ("revalidate_full_fallbacks", &REVALIDATE_FULL_FALLBACKS),
-    ("cycles_repriced", &CYCLES_REPRICED),
-    ("cycles_copied", &CYCLES_COPIED),
     ("opt_steps", &OPT_STEPS),
     ("opt_candidates", &OPT_CANDIDATES),
     ("opt_compile_ns", &OPT_COMPILE_NS),
@@ -555,7 +539,6 @@ const PER_WORKER: &[(&str, &PerWorker)] = &[
 ];
 
 const HISTOGRAMS: &[(&str, &Histogram)] = &[
-    ("revalidate_dirty", &REVALIDATE_DIRTY),
     ("opt_step_candidates", &OPT_STEP_CANDIDATES),
     ("opt_candidate_compile_ns", &OPT_CANDIDATE_COMPILE_NS),
     ("serve_inflight", &SERVE_INFLIGHT),
@@ -943,7 +926,7 @@ mod tests {
         crate::set_flags(crate::METRICS);
         reset_all();
         MEMO_HITS.add(3);
-        REVALIDATE_DIRTY.record(5);
+        OPT_STEP_CANDIDATES.record(5);
         flush_tep_instr(&{
             let mut a = [0u64; TEP_KINDS];
             a[1] = 9; // ldi
@@ -959,7 +942,7 @@ mod tests {
             doc.get("tep_instr").and_then(|c| c.get("ldi")).and_then(|v| v.as_u64()),
             Some(9)
         );
-        assert!(doc.get("histograms").and_then(|h| h.get("revalidate_dirty")).is_some());
+        assert!(doc.get("histograms").and_then(|h| h.get("opt_step_candidates")).is_some());
         reset_all();
         crate::set_flags(prev);
     }

@@ -120,6 +120,14 @@ cargo test --release -p pscp-statechart --lib -q event_keys
 cargo test --release -p pscp-bench --test dse_golden -q
 cargo test --release -p pscp-bench --test dse_memo -q
 
+# The timing-graph property suite is the timing graph's spec: a graph
+# built from one random chart's system, priced with another system's
+# cost table and TEP count (what every DSE candidate is, an `AddTep`
+# step included), must render a report byte-identical to the reference
+# §4 DFS of that other system, and `validate_timing` must equal the
+# reference walk on every random chart.
+cargo test --release -p pscp-core --test proptest_incremental -q
+
 # The allocation pin is the configuration cycle's heap spec, run here in
 # release as well (the workspace run above is a debug build): with obs
 # off, a fired cycle of the pickup head under a script allocates exactly
