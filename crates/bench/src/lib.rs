@@ -362,8 +362,8 @@ pub const GANG_PROBES: usize = 8;
 /// six shared probe events per state that also advance the ring.
 /// With 560 transitions (112 of them on active sources every cycle)
 /// and a wide CR, per-cycle cost is dominated by transition selection /
-/// SLA evaluation rather than TEP execution — exactly the plane the
-/// bit-sliced gang collapses to `1/64` of a word-parallel pass. One
+/// SLA evaluation rather than TEP execution — the plane the bit-sliced
+/// gang probe (`pscp_sla::gang`) evaluates for 64 lanes at once. One
 /// rotor carries a counting action so the TEP path is still exercised
 /// on firing cycles.
 pub fn gang_chart() -> Chart {
@@ -424,8 +424,8 @@ pub fn gang_system() -> CompiledSystem {
 /// Deterministic sparse scripts for [`gang_system`]: scenario `i` gets
 /// `cycles` script steps with roughly 3% of them carrying one region
 /// event and a rare probe event (~0.2%, firing every region at once),
-/// so gang lanes idle most cycles and fire out of phase — the regime
-/// the bit-sliced fast path is built for.
+/// so scenarios idle most cycles and fire out of phase — the regime
+/// the bit-sliced gang was built for.
 pub fn gang_scripts(scenarios: usize, cycles: usize) -> Vec<Vec<Vec<String>>> {
     (0..scenarios)
         .map(|i| {

@@ -3,11 +3,10 @@
 //! The PR-2 worker pools (`optimize` candidate evaluation, `SimPool`
 //! batch co-simulation) promise byte-identical output for every worker
 //! count. These tests pin that promise on the paper's pickup-head
-//! system and on a small toggle system, comparing the parallel runs
-//! against the one-worker path — which spawns no threads at all and is
-//! therefore literally the sequential loop. The bit-sliced gang path
-//! makes the same promise for every gang width, pinned here on the
-//! 560-transition gang system against the width-1 scalar run.
+//! system, on a small toggle system and on the 560-transition gang
+//! system, comparing the parallel runs against the one-worker path —
+//! which spawns no threads at all and is therefore literally the
+//! sequential loop.
 
 use pscp_bench::pickup_head_inputs;
 use pscp_core::arch::PscpArch;
@@ -173,41 +172,35 @@ fn sim_pool_scripted_batch_matches_across_worker_counts() {
     }
 }
 
-/// Gang width and worker count must not change a single outcome on the
-/// SLA-bound gang system: 256 sparse scenarios of 256 cycles, the
-/// workload whose speedup the gang path exists for.
+/// The worker count must not change a single outcome on the SLA-bound
+/// gang system: 256 sparse scenarios of 256 cycles.
 #[test]
-fn gang_system_is_identical_across_gang_widths_and_worker_counts() {
+fn gang_system_is_identical_across_worker_counts() {
     const SCENARIOS: usize = 256;
     const CYCLES: usize = 256;
     let sys = pscp_bench::gang_system();
     let scripts = pscp_bench::gang_scripts(SCENARIOS, CYCLES);
     let limits = BatchOptions { deadline: u64::MAX, max_steps: CYCLES as u64 };
-    let run = |gang: usize, threads: usize| {
-        SimPool::with_threads(threads).with_gang(gang).run_batch(
+    let run = |threads: usize| {
+        SimPool::with_threads(threads).run_batch(
             &sys,
             scripts.iter().cloned().map(ScriptedEnvironment::new).collect(),
             &limits,
         )
     };
-    let reference = run(1, 1);
+    let reference = run(1);
     assert_eq!(reference.len(), SCENARIOS);
     assert!(
         reference.iter().any(|o| o.stats.transitions > 0),
         "the sparse scripts must fire somewhere"
     );
-    for gang in [1, 8, 64] {
-        for threads in [1, 2] {
-            let got = run(gang, threads);
-            assert_eq!(got.len(), reference.len(), "gang={gang} threads={threads}");
-            for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
-                assert_eq!(a.reports, b.reports, "scenario {i}: gang={gang} threads={threads}");
-                assert_eq!(a.stats, b.stats, "scenario {i}: gang={gang} threads={threads}");
-                assert_eq!(
-                    a.clock_cycles, b.clock_cycles,
-                    "scenario {i}: gang={gang} threads={threads}"
-                );
-            }
+    for threads in WORKER_COUNTS {
+        let got = run(threads);
+        assert_eq!(got.len(), reference.len(), "threads={threads}");
+        for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+            assert_eq!(a.reports, b.reports, "scenario {i}: threads={threads}");
+            assert_eq!(a.stats, b.stats, "scenario {i}: threads={threads}");
+            assert_eq!(a.clock_cycles, b.clock_cycles, "scenario {i}: threads={threads}");
         }
     }
 }

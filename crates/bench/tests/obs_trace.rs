@@ -1,9 +1,8 @@
 //! With `PSCP_OBS=trace` multi-worker runs must come back as valid
 //! Chrome `trace_event` documents with one named lane per worker. Runs
-//! the pickup-head example across a 4-worker [`SimPool`] twice — once
-//! on the gang-packed path, once on the default scalar path —
-//! then through a 2-shard loopback server and a 2-worker exploration,
-//! and checks each exported JSON with the crate's own parser.
+//! the pickup-head example across a 4-worker [`SimPool`], then through
+//! a 2-shard loopback server and a 2-worker exploration, and checks
+//! each exported JSON with the crate's own parser.
 //!
 //! Single `#[test]`: the trace collector is process-global, and a
 //! sibling test running concurrently would add lanes of its own.
@@ -79,32 +78,14 @@ fn lanes_named(lanes: &[String], prefix: &str) -> usize {
 
 #[test]
 fn batch_trace_exports_worker_lanes() {
-    // The gang-packed path. Workers still claim named lanes, and each
-    // chunk shows up as a `gang.run` span with its per-cycle
-    // `gang.step` children.
-    let (lanes, spans) = traced_batch(&SimPool::with_threads(4).with_gang(64));
+    // A batch: one `scenario` span per scenario.
+    let (lanes, spans) = traced_batch(&SimPool::with_threads(4));
     assert!(
         lanes_named(&lanes, "sim-worker") >= 2,
-        "expected >= 2 sim-worker lanes under 4 gang workers, got {lanes:?}"
+        "expected >= 2 sim-worker lanes under 4 workers, got {lanes:?}"
     );
     assert!(spans.len() >= 8, "expected >= 8 spans, got {}", spans.len());
-    assert!(
-        spans.iter().any(|s| s == "gang.run"),
-        "no `gang.run` span in gang-path trace"
-    );
-
-    // The scalar path (gang width 1, the default): one `scenario` span
-    // per scenario.
-    let (lanes, spans) = traced_batch(&SimPool::with_threads(4).with_gang(1));
-    assert!(
-        lanes_named(&lanes, "sim-worker") >= 2,
-        "expected >= 2 sim-worker lanes under 4 scalar workers, got {lanes:?}"
-    );
-    assert!(spans.len() >= 8, "expected >= 8 spans, got {}", spans.len());
-    assert!(
-        spans.iter().any(|s| s == "scenario"),
-        "no `scenario` span in scalar-path trace"
-    );
+    assert!(spans.iter().any(|s| s == "scenario"), "no `scenario` span in the batch trace");
 
     // A 2-shard loopback server, stopped before the export: the shard
     // workers' spans must be collected by the time `stop` has joined

@@ -956,10 +956,7 @@ mod tests {
     #[test]
     fn toggle_chart_has_two_states() {
         let system = toggle_system();
-        let report = explore(
-            &system,
-            &ExploreOptions { threads: 1, gang: 1, ..ExploreOptions::default() },
-        );
+        let report = explore(&system, &ExploreOptions { threads: 1, ..ExploreOptions::default() });
         assert_eq!(report.states, 2);
         assert!(!report.truncated);
         assert!(report.deadlocks.is_empty());
@@ -974,7 +971,6 @@ mod tests {
             &system,
             &ExploreOptions {
                 threads: 1,
-                gang: 1,
                 predicates: vec![Predicate::StateNeverActive("On".into())],
                 ..ExploreOptions::default()
             },
@@ -988,8 +984,7 @@ mod tests {
     #[test]
     fn max_states_truncates_deterministically() {
         let system = toggle_system();
-        let opts =
-            ExploreOptions { threads: 1, gang: 1, max_states: 0, ..ExploreOptions::default() };
+        let opts = ExploreOptions { threads: 1, max_states: 0, ..ExploreOptions::default() };
         let report = explore(&system, &opts);
         assert!(report.truncated);
         assert_eq!(report.states, 1);

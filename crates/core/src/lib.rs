@@ -23,13 +23,8 @@
 //!   evaluating only the candidate that order applies next.
 //! * [`pool`] — the batched multi-scenario co-simulation driver:
 //!   [`SimPool`] runs independent scenarios of one compiled system
-//!   across `PSCP_THREADS` workers, byte-identical to the sequential
-//!   run.
-//! * [`gang`] — 64-wide bit-sliced gang simulation: a worker packs
-//!   up to its gang width of scenarios into `u64` lane words and evaluates
-//!   the SLA/CR plane for the whole gang in one word-parallel pass,
-//!   byte-identical to the scalar path (idle lanes take a verified
-//!   fast path; firing lanes run the full scalar execute phase).
+//!   across `PSCP_THREADS` workers, each on one scalar machine,
+//!   byte-identical to the sequential run.
 //! * [`serve`] — the sharded scenario server: streams scripted
 //!   scenarios over a versioned binary TCP protocol with credit-based
 //!   backpressure, byte-identical to an in-process
@@ -55,7 +50,6 @@ pub mod area;
 pub mod compile;
 pub mod diag;
 pub mod explore;
-pub mod gang;
 pub mod library;
 pub mod machine;
 pub mod optimize;

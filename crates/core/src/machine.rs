@@ -589,7 +589,7 @@ impl<'s> PscpMachine<'s> {
     /// idle and completes by [`idle_phase`](Self::idle_phase) without
     /// sampling, name resolution or transition selection. Returns
     /// `None`, having touched nothing, when the cycle must be sampled.
-    pub(crate) fn quiet_step<E: Environment>(&mut self, env: &mut E) -> Option<CycleReport> {
+    fn quiet_step<E: Environment>(&mut self, env: &mut E) -> Option<CycleReport> {
         if !(self.quiet && env.quiet_sample(self.now)) {
             return None;
         }
@@ -601,14 +601,13 @@ impl<'s> PscpMachine<'s> {
     }
 
     /// Phase 1 of a configuration cycle: sample external events,
-    /// expired hardware timers and condition ports into the CR. Split
-    /// out so the gang runner ([`crate::gang`]) can sample every lane
-    /// *before* its shared bit-sliced SLA pass decides which lanes
-    /// fire. Sampling consumes environment state (scripted rows are
-    /// taken exactly once), so a sampled cycle must be completed by
-    /// exactly one of [`execute_phase`](Self::execute_phase) or
-    /// [`idle_phase`](Self::idle_phase).
-    pub(crate) fn sample_phase<E: Environment>(&mut self, env: &mut E) {
+    /// expired hardware timers and condition ports into the CR, for
+    /// [`step`](Self::step). Split from
+    /// [`execute_phase`](Self::execute_phase) so that
+    /// [`step_injected`](Self::step_injected) can take its events from
+    /// the caller instead. Sampling consumes environment state
+    /// (scripted rows are taken exactly once).
+    fn sample_phase<E: Environment>(&mut self, env: &mut E) {
         let events = &mut self.scratch.events;
         events.clear();
         for name in env.sample_events(self.now) {
@@ -627,18 +626,11 @@ impl<'s> PscpMachine<'s> {
         self.quiet = events.is_empty() && self.exec.pending_events().next().is_none();
     }
 
-    /// The events sampled by the last [`sample_phase`](Self::sample_phase)
-    /// (external + expired timers; raised internal events live in the
-    /// executor's pending set, see `Executor::pending_events`).
-    pub(crate) fn sampled_events(&self) -> &[EventId] {
-        &self.scratch.events
-    }
-
     /// Phases 2–7 of a configuration cycle, operating on the events
-    /// captured by [`sample_phase`](Self::sample_phase). Behaviour of
-    /// `sample_phase` + `execute_phase` is bit-identical to the
-    /// original monolithic step.
-    pub(crate) fn execute_phase<E: Environment>(
+    /// in the step scratch: those captured by
+    /// [`sample_phase`](Self::sample_phase) for [`step`](Self::step),
+    /// or those injected by [`step_injected`](Self::step_injected).
+    fn execute_phase<E: Environment>(
         &mut self,
         env: &mut E,
     ) -> Result<CycleReport, MachineError> {
@@ -789,17 +781,14 @@ impl<'s> PscpMachine<'s> {
         Ok(report)
     }
 
-    /// Completes a sampled cycle that the gang's bit-sliced SLA pass
-    /// has proven idle — no transition fires for the sampled events
-    /// plus the pending internal ones. Bit-identical to
+    /// Completes a quiet cycle ([`quiet_step`](Self::quiet_step)),
+    /// which is idle by construction. Bit-identical to
     /// [`execute_phase`](Self::execute_phase) on an idle cycle (same
     /// report, clock advance, timer decrement, statistics and VCD
     /// sample) but skips transition selection, the condition snapshot
-    /// and the per-transition buffers entirely — the source of the
-    /// gang speedup. The executor re-checks the idle claim in debug
-    /// builds (`Executor::step_idle`). Quiet cycles
-    /// ([`quiet_step`](Self::quiet_step)) complete here too.
-    pub(crate) fn idle_phase(&mut self) -> CycleReport {
+    /// and the per-transition buffers entirely. The executor re-checks
+    /// the idle claim in debug builds (`Executor::step_idle`).
+    fn idle_phase(&mut self) -> CycleReport {
         self.exec.step_idle(&self.scratch.events);
 
         let report = CycleReport {

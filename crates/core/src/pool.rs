@@ -31,19 +31,11 @@
 //! [`PscpMachine`], claiming several scenarios per chunk so workers
 //! take the stream lock a few times per batch, not once per scenario.
 //! Every machine runs on the selection tables compiled into the system,
-//! so a batch builds none.
-//! [`SimPool::with_gang`] (n > 1) instead packs up to n scenarios into
-//! one bit-sliced gang ([`crate::gang`]) whose SLA/CR plane evaluates
-//! word-parallel — also byte-identical, for any gang width. Since
-//! indexed selection and quiet cycles, the scalar machine is as fast or
-//! faster on every simulation workload (DESIGN.md, "Gang simulation"),
-//! so the gang is only reachable from code. Exploration does not use
-//! the gang.
+//! so a batch builds none. Pool workers and the scenario server's shard
+//! workers run every scenario through one loop, `run_scenario`.
 
 use crate::compile::CompiledSystem;
-use crate::gang::GangRig;
 use crate::machine::{CycleReport, Environment, MachineError, MachineStats, PscpMachine};
-use pscp_sla::gang::GANG_WIDTH;
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -241,7 +233,6 @@ pub struct BatchOutcome<E> {
 #[derive(Debug, Clone)]
 pub struct SimPool {
     threads: usize,
-    gang: usize,
 }
 
 impl SimPool {
@@ -254,25 +245,20 @@ impl SimPool {
     /// A pool with an explicit worker count (minimum 1) that runs each
     /// worker's scenarios on one scalar machine.
     pub fn with_threads(threads: usize) -> Self {
-        SimPool { threads: threads.max(1), gang: 1 }
+        SimPool { threads: threads.max(1) }
     }
 
-    /// Overrides the gang width: how many scenarios each worker packs
-    /// into one bit-sliced gang (clamped to `1..=64`; 1 selects the
-    /// scalar machine, the default).
-    pub fn with_gang(mut self, width: usize) -> Self {
-        self.gang = width.clamp(1, GANG_WIDTH);
+    /// Returns the pool unchanged: `width` is ignored. Every worker runs
+    /// its scenarios on one scalar machine; the bit-sliced gang engine
+    /// this once selected is deleted. Kept only because the benchmark
+    /// package still calls it.
+    pub fn with_gang(self, _width: usize) -> Self {
         self
     }
 
     /// The worker count this pool dispatches on.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The gang width this pool packs scenarios with.
-    pub fn gang_width(&self) -> usize {
-        self.gang
     }
 
     /// Runs every scenario to its [`BatchOptions`] limits. Results come
@@ -307,32 +293,27 @@ impl SimPool {
         if envs.is_empty() {
             return Vec::new();
         }
-        // A scalar worker claims a few chunks of the batch, enough to
-        // balance the workers without a lock round trip per scenario.
-        // A gang runs in chunks of its width, shrunk when the batch is
-        // too small to keep every worker busy at that width: parallel
-        // workers beat wide gangs until each worker has a full gang of
-        // its own. Outcomes do not depend on the chunking.
-        let width = if self.gang <= 1 {
-            envs.len().div_ceil(self.threads * CLAIMS_PER_WORKER)
-        } else {
-            self.gang.min(envs.len().div_ceil(self.threads)).max(1)
-        };
+        // A worker claims a few chunks of the batch, enough to balance
+        // the workers without a lock round trip per scenario. Outcomes
+        // do not depend on the chunking.
+        let width = envs.len().div_ceil(self.threads * CLAIMS_PER_WORKER);
         let mut out = Vec::with_capacity(envs.len());
         stream_chunks(
-            envs.into_iter().map(|env| (env, *limits)),
+            envs.into_iter(),
             width,
             self.threads,
             COLLECT_AHEAD,
-            |w| (w, BatchRunner::new(system, self.gang)),
-            |(w, runner), chunk| runner.run(*w, chunk, &done),
-            |outcomes| out.extend(outcomes),
+            |w| (w, PscpMachine::new(system)),
+            |(w, machine), chunk| {
+                chunk.into_iter().map(|env| run_scenario(*w, machine, env, limits, &done)).collect()
+            },
+            |outcomes: Vec<_>| out.extend(outcomes),
         );
         out
     }
 }
 
-/// Chunks per worker a scalar batch is cut into.
+/// Chunks per worker a batch is cut into.
 const CLAIMS_PER_WORKER: usize = 4;
 
 /// The lookahead of a run whose consumer only collects: every result is
@@ -471,51 +452,10 @@ impl Default for SimPool {
     }
 }
 
-/// One [`SimPool`] worker's scenario engine: a scalar [`PscpMachine`]
-/// at gang width 1 (the default), otherwise a [`GangRig`].
-enum BatchRunner<'s> {
-    Scalar(Box<PscpMachine<'s>>),
-    Gang(Box<GangRig<'s>>),
-}
-
-impl<'s> BatchRunner<'s> {
-    /// The engine for `gang`-wide batches of `system`.
-    fn new(system: &'s CompiledSystem, gang: usize) -> Self {
-        if gang <= 1 {
-            BatchRunner::Scalar(Box::new(PscpMachine::new(system)))
-        } else {
-            BatchRunner::Gang(Box::new(GangRig::new(system)))
-        }
-    }
-
-    /// Runs every job — an environment and its limits — to completion
-    /// and returns the outcomes in job order, counting them against
-    /// `worker`. The scalar engine runs the jobs one after another; the
-    /// gang runs up to [`GANG_WIDTH`] of them in lock-step.
-    fn run<E, F>(
-        &mut self,
-        worker: usize,
-        jobs: Vec<(E, BatchOptions)>,
-        done: &F,
-    ) -> Vec<BatchOutcome<E>>
-    where
-        E: Environment,
-        F: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool,
-    {
-        match self {
-            BatchRunner::Scalar(machine) => jobs
-                .into_iter()
-                .map(|(env, limits)| run_scenario(worker, machine, env, &limits, done))
-                .collect(),
-            BatchRunner::Gang(rig) => rig.run(worker, jobs, done),
-        }
-    }
-}
-
 /// Runs one scenario on a (dirty) machine after resetting it: the one
-/// scalar scenario loop, shared by the scalar [`BatchRunner`] and the
-/// scenario server's shard workers ([`crate::serve`]), which is what
-/// keeps served outcomes byte-identical to an in-process batch.
+/// scenario loop, shared by [`SimPool`] workers and the scenario
+/// server's shard workers ([`crate::serve`]), which is what keeps
+/// served outcomes byte-identical to an in-process batch.
 pub(crate) fn run_scenario<E, F>(
     worker: usize,
     machine: &mut PscpMachine<'_>,
@@ -696,7 +636,7 @@ mod tests {
                         (reports, m.stats().clone(), m.now(), env)
                     })
                     .collect();
-                let pool = SimPool::with_threads(threads).with_gang(1);
+                let pool = SimPool::with_threads(threads);
                 let got = pool.run_batch_until(&sys, envs(n), &limits, done);
                 assert_eq!(got.len(), n, "threads={threads} n={n}");
                 for (i, (o, expected)) in got.iter().zip(&reference).enumerate() {
@@ -829,6 +769,148 @@ mod tests {
         }
     }
 
+    /// Timer reload port address (must match the `TLOAD` data port).
+    const TLOAD_ADDR: u16 = 0x40;
+
+    /// A chart whose `Arm` routine loads a hardware timer by a port
+    /// write with enough clock cycles that its countdown runs across
+    /// idle cycles before the expiry raises `T_EXP`.
+    fn timer_system() -> crate::compile::CompiledSystem {
+        let mut b = ChartBuilder::new("timed");
+        b.event("TICK", Some(400));
+        b.event("PING", None);
+        b.event("T_EXP", Some(2_000));
+        b.condition("OVER", false);
+        use pscp_statechart::model::PortDirection::Output;
+        b.data_port("TLOAD", 16, TLOAD_ADDR, Output);
+        b.state("Top", StateKind::Or)
+            .contains(["Idle", "Armed", "Fired", "Done"])
+            .default_child("Idle");
+        b.state("Idle", StateKind::Basic).transition("Armed", "TICK/Arm(60)");
+        b.state("Armed", StateKind::Basic)
+            .transition("Fired", "T_EXP/Note(1)")
+            .transition("Idle", "PING/Disarm()");
+        b.state("Fired", StateKind::Basic)
+            .transition("Idle", "TICK [not OVER]/Note(2)")
+            .transition("Done", "TICK [OVER]");
+        b.basic("Done");
+        let actions = r#"
+            int:16 fired;
+            void Arm(int:16 n) { TLOAD = n; }
+            void Disarm() { TLOAD = 0; }
+            void Note(int:16 k) { fired = fired + k; OVER = fired >= 6; }
+        "#;
+        let mut arch = PscpArch::dual_md16(true);
+        arch.timers.push(crate::arch::TimerSpec {
+            name: "t0".into(),
+            event: "T_EXP".into(),
+            port_address: TLOAD_ADDR,
+        });
+        compile_system(&b.build().unwrap(), actions, &arch, &CodegenOptions::default()).unwrap()
+    }
+
+    /// Scenario `i`'s script: external events, direct timer-expiry
+    /// injections and empty rows, out of phase across scenarios.
+    fn timer_script(i: usize) -> Vec<Vec<&'static str>> {
+        const MENU: [&[&str]; 6] =
+            [&["TICK"], &["PING"], &["T_EXP"], &["TICK", "T_EXP"], &["TICK", "PING"], &[]];
+        (0..2 + (i * 5) % 9).map(|k| MENU[(i * 7 + k * 3) % MENU.len()].to_vec()).collect()
+    }
+
+    /// Each scenario on a fresh machine, outside the pool: the reference
+    /// the pool's reused, chunk-claiming workers must reproduce.
+    fn fresh_runs<F>(
+        sys: &crate::compile::CompiledSystem,
+        envs: Vec<ScriptedEnvironment>,
+        limits: &BatchOptions,
+        done: F,
+    ) -> Vec<BatchOutcome<ScriptedEnvironment>>
+    where
+        F: Fn(&PscpMachine<'_>, &ScriptedEnvironment, &CycleReport) -> bool,
+    {
+        envs.into_iter()
+            .map(|mut env| {
+                let mut m = PscpMachine::new(sys);
+                let mut reports = CycleLog::new();
+                let mut error = None;
+                while m.now() < limits.deadline && (reports.len() as u64) < limits.max_steps {
+                    match m.step(&mut env) {
+                        Ok(r) => {
+                            let stop = done(&m, &env, &r);
+                            reports.push(r);
+                            if stop {
+                                break;
+                            }
+                        }
+                        Err(e) => {
+                            error = Some(e);
+                            break;
+                        }
+                    }
+                }
+                BatchOutcome { reports, stats: m.stats().clone(), clock_cycles: m.now(), env, error }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timer_scenarios_match_fresh_machines() {
+        // Mixed scripts, empty scripts, a zero step limit and a `done`
+        // predicate that stops each scenario on its first firing cycle,
+        // at batch sizes around the chunk widths and 1, 2 and 4 workers.
+        let sys = timer_system();
+        let mixed = |n: usize| (0..n).map(|i| ScriptedEnvironment::new(timer_script(i))).collect();
+        let empty = |n: usize| {
+            (0..n).map(|_| ScriptedEnvironment::new(Vec::<Vec<&str>>::new())).collect()
+        };
+        let never = |_: &PscpMachine<'_>, _: &ScriptedEnvironment, _: &CycleReport| false;
+        let first_fire =
+            |_: &PscpMachine<'_>, _: &ScriptedEnvironment, r: &CycleReport| !r.fired.is_empty();
+        type Envs = fn(usize) -> Vec<ScriptedEnvironment>;
+        type Done = fn(&PscpMachine<'_>, &ScriptedEnvironment, &CycleReport) -> bool;
+        let cases: [(&str, Envs, u64, Done); 4] = [
+            ("mixed", mixed, 16, never),
+            ("empty", empty, 7, never),
+            ("zero limit", mixed, 0, never),
+            ("done on first fire", mixed, 24, first_fire),
+        ];
+        for (what, envs, max_steps, done) in cases {
+            let limits = BatchOptions { deadline: u64::MAX, max_steps };
+            for n in [1, 7, 8, 9, 70] {
+                let want = fresh_runs(&sys, envs(n), &limits, done);
+                for threads in [1, 2, 4] {
+                    let got = SimPool::with_threads(threads).run_batch_until(
+                        &sys,
+                        envs(n),
+                        &limits,
+                        done,
+                    );
+                    assert_eq!(got.len(), n);
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let at = format!("{what}: n={n} threads={threads} scenario {i}");
+                        assert_eq!(g.reports, w.reports, "{at}");
+                        assert_eq!(g.stats, w.stats, "{at}");
+                        assert_eq!(g.clock_cycles, w.clock_cycles, "{at}");
+                        assert_eq!(g.error, w.error, "{at}");
+                        assert_eq!(g.env.port_writes, w.env.port_writes, "{at}");
+                        assert_eq!(g.env.script, w.env.script, "{at}");
+                    }
+                }
+            }
+        }
+        // The mixed scripts leave a timer counting down across idle
+        // cycles, so the cases above cover its carried state.
+        let counting = AtomicUsize::new(0);
+        let limits = BatchOptions { deadline: u64::MAX, max_steps: 16 };
+        fresh_runs(&sys, mixed(70), &limits, |m, _, r| {
+            if r.fired.is_empty() && m.timer_remaining(0).is_some() {
+                counting.fetch_add(1, Ordering::Relaxed);
+            }
+            false
+        });
+        assert!(counting.into_inner() > 0, "no timer counted down across an idle cycle");
+    }
+
     /// An idle report of `len` clock cycles.
     fn idle(len: u64) -> CycleReport {
         CycleReport { cycle_length: len, ..Default::default() }
@@ -913,29 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn gang_widths_match_scalar_oracle() {
-        // The scalar path (width 1) is the oracle; every other width
-        // and thread count must reproduce it byte-for-byte.
-        let sys = system();
-        let limits = BatchOptions { deadline: u64::MAX, max_steps: 12 };
-        let reference = SimPool::with_threads(1).with_gang(1).run_batch(&sys, scenarios(7), &limits);
-        for gang in [2, 8, 64] {
-            for threads in [1, 4] {
-                let got = SimPool::with_threads(threads)
-                    .with_gang(gang)
-                    .run_batch(&sys, scenarios(7), &limits);
-                assert_eq!(got.len(), reference.len());
-                for (a, b) in got.iter().zip(&reference) {
-                    assert_eq!(a.reports, b.reports, "gang={gang} threads={threads}");
-                    assert_eq!(a.stats, b.stats, "gang={gang} threads={threads}");
-                    assert_eq!(a.clock_cycles, b.clock_cycles, "gang={gang} threads={threads}");
-                    assert!(a.error.is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn stream_chunks_consumes_in_job_order_within_the_lookahead() {
         let jobs: Vec<usize> = (0..203).collect();
         for threads in [1, 2, 5] {
@@ -1016,22 +1075,20 @@ mod tests {
     fn a_panicking_scenario_panics_the_caller() {
         // The batch collects through a Condvar wait: a worker's panic
         // must wake the caller and unwind it, never leave it waiting.
-        for gang in [1, 64] {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let sys = system();
-                let envs: Vec<_> = (0..8).map(|i| Tripwire(i == 5)).collect();
-                let limits = BatchOptions { deadline: u64::MAX, max_steps: 4 };
-                let pool = SimPool::with_threads(2).with_gang(gang);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    pool.run_batch(&sys, envs, &limits).len()
-                }));
-                let _ = tx.send(result.is_err());
-            });
-            let panicked = rx
-                .recv_timeout(std::time::Duration::from_secs(60))
-                .unwrap_or_else(|_| panic!("gang={gang}: the batch hung"));
-            assert!(panicked, "gang={gang}: the batch swallowed a scenario panic");
-        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sys = system();
+            let envs: Vec<_> = (0..8).map(|i| Tripwire(i == 5)).collect();
+            let limits = BatchOptions { deadline: u64::MAX, max_steps: 4 };
+            let pool = SimPool::with_threads(2);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_batch(&sys, envs, &limits).len()
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("the batch hung"));
+        assert!(panicked, "the batch swallowed a scenario panic");
     }
 }

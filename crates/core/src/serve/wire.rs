@@ -258,10 +258,10 @@ pub struct Submit {
 
 /// A state-space exploration request, carried by [`Frame::Explore`].
 ///
-/// Thread count and gang width are deliberately *not* on the wire:
-/// exploration is byte-identical across both (pinned by the explore
-/// differential suite), so they are the server's scaling choice, not
-/// part of the request's meaning.
+/// The thread count is deliberately *not* on the wire: exploration is
+/// byte-identical across worker counts (pinned by the explore
+/// differential suite), so it is the server's scaling choice, not part
+/// of the request's meaning.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExploreRequest {
     /// Stop discovering new states past this many.
@@ -275,8 +275,8 @@ pub struct ExploreRequest {
 }
 
 impl ExploreRequest {
-    /// The wire request for a set of [`ExploreOptions`] (threads and
-    /// gang width stay local).
+    /// The wire request for a set of [`ExploreOptions`] (the thread
+    /// count stays local).
     pub fn from_options(opts: &ExploreOptions) -> Self {
         ExploreRequest {
             max_states: opts.max_states,
@@ -287,8 +287,8 @@ impl ExploreRequest {
     }
 
     /// Server-side [`ExploreOptions`]: the request's bounds and
-    /// predicates, expanded with the given worker count. The inert
-    /// [`ExploreOptions::gang`] field is set to 1.
+    /// predicates, expanded with the given worker count.
+    /// [`ExploreOptions::gang`], which exploration ignores, is set to 1.
     pub fn to_options(&self, threads: usize) -> ExploreOptions {
         ExploreOptions {
             max_states: self.max_states,
@@ -1133,9 +1133,9 @@ wire_struct!(ExploreRequest {
 
 /// Canonical body bytes of an [`ExploreReport`] (no framing). The
 /// exploration byte-identity contract hangs off this: the differential
-/// suite compares reports across worker counts and gang widths through
-/// these bytes, and the concatenated [`Frame::ExploreResult`] chunks a
-/// server sends are exactly this encoding of its report.
+/// suite compares reports across worker counts through these bytes,
+/// and the concatenated [`Frame::ExploreResult`] chunks a server sends
+/// are exactly this encoding of its report.
 pub fn encode_explore_report(r: &ExploreReport) -> Vec<u8> {
     encode(r)
 }

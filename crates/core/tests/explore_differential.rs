@@ -1,13 +1,13 @@
 //! Differential harness for state-space exploration (ISSUE 10): the
 //! explorer's report must be **byte-identical** — through the canonical
-//! [`encode_explore_report`] encoding — across worker counts {1,4} ×
-//! gang widths {1,8,64}, against the one-worker scalar oracle; every
+//! [`encode_explore_report`] encoding — across worker counts {1,4},
+//! against the one-worker oracle; every
 //! witness it emits must replay on a fresh machine to the exact
 //! claimed state key; and on a hand-enumerable chart the exhaustive
 //! state count must match an independent brute-force enumeration that
 //! shares no code with the BFS engine.
 //!
-//! The chart reuses the gang-differential timer pattern (§6 hardware
+//! The chart reuses the serve-differential timer pattern (§6 hardware
 //! timer armed by a port write, expiry raising a chart event) so the
 //! state key exercises every field: configuration bitmaps, chart
 //! conditions, armed-timer countdowns, pending timer events and TEP
@@ -81,10 +81,9 @@ fn toggle_system() -> CompiledSystem {
         .unwrap()
 }
 
-fn opts(threads: usize, gang: usize) -> ExploreOptions {
+fn opts(threads: usize) -> ExploreOptions {
     ExploreOptions {
         threads,
-        gang,
         max_states: 100_000,
         predicates: vec![
             Predicate::StateNeverActive("Done".into()),
@@ -101,15 +100,10 @@ fn opts(threads: usize, gang: usize) -> ExploreOptions {
 #[test]
 fn explore_grid_matches_scalar_oracle() {
     let sys = timer_system();
-    let oracle = encode_explore_report(&explore(&sys, &opts(1, 1)));
-    for gang in [1usize, 8, 64] {
-        for workers in [1usize, 4] {
-            let got = encode_explore_report(&explore(&sys, &opts(workers, gang)));
-            assert_eq!(
-                got, oracle,
-                "gang={gang} workers={workers} diverged from scalar oracle"
-            );
-        }
+    let oracle = encode_explore_report(&explore(&sys, &opts(1)));
+    for workers in [1usize, 4] {
+        let got = encode_explore_report(&explore(&sys, &opts(workers)));
+        assert_eq!(got, oracle, "workers={workers} diverged from the one-worker oracle");
     }
 }
 
@@ -120,21 +114,14 @@ fn explore_grid_matches_scalar_oracle() {
 fn truncated_explores_stay_deterministic()  {
     let sys = timer_system();
     for (max_states, max_depth) in [(7, u32::MAX), (100_000, 3), (13, 5)] {
-        let limited = |threads, gang| ExploreOptions {
-            max_states,
-            max_depth,
-            ..opts(threads, gang)
-        };
-        let oracle = encode_explore_report(&explore(&sys, &limited(1, 1)));
-        for gang in [8usize, 64] {
-            for workers in [1usize, 4] {
-                let got = encode_explore_report(&explore(&sys, &limited(workers, gang)));
-                assert_eq!(
-                    got, oracle,
-                    "max_states={max_states} max_depth={max_depth} \
-                     gang={gang} workers={workers} diverged"
-                );
-            }
+        let limited = |threads| ExploreOptions { max_states, max_depth, ..opts(threads) };
+        let oracle = encode_explore_report(&explore(&sys, &limited(1)));
+        for workers in [1usize, 4] {
+            let got = encode_explore_report(&explore(&sys, &limited(workers)));
+            assert_eq!(
+                got, oracle,
+                "max_states={max_states} max_depth={max_depth} workers={workers} diverged"
+            );
         }
     }
 }
@@ -146,7 +133,7 @@ fn truncated_explores_stay_deterministic()  {
 #[test]
 fn every_witness_replays_to_its_claimed_state() {
     let sys = timer_system();
-    let report = explore(&sys, &opts(4, 64));
+    let report = explore(&sys, &opts(4));
     assert!(!report.truncated, "timer chart must close without truncation");
     assert!(!report.violations.is_empty(), "Done is reachable — predicate must fire");
 
@@ -171,7 +158,7 @@ fn every_witness_replays_to_its_claimed_state() {
 #[test]
 fn violation_witnesses_are_minimal_length() {
     let sys = timer_system();
-    let report = explore(&sys, &opts(1, 1));
+    let report = explore(&sys, &opts(1));
     let alpha = alphabet(&sys);
     let done = "Done";
     let witness = &report
@@ -257,7 +244,7 @@ fn exhaustive_count_matches_brute_force_enumeration() {
         let brute = brute_force(&sys);
         let report = explore(
             &sys,
-            &ExploreOptions { threads: 4, gang: 64, ..ExploreOptions::default() },
+            &ExploreOptions { threads: 4, ..ExploreOptions::default() },
         );
         assert!(!report.truncated);
         assert_eq!(report.states, brute.states, "state count diverged from brute force");
@@ -314,7 +301,7 @@ fn rewritten_plane_dedups_against_the_untouched_one() {
     assert_eq!(brute.states, 2, "A and B, each with the one data plane");
     for threads in [1usize, 4] {
         let report =
-            explore(&sys, &ExploreOptions { threads, gang: 1, ..ExploreOptions::default() });
+            explore(&sys, &ExploreOptions { threads, ..ExploreOptions::default() });
         assert!(!report.truncated);
         assert_eq!(
             (report.states, report.edges, report.dedup_hits, report.depth),
@@ -356,7 +343,7 @@ fn alternating_writes_from_one_source_match_brute_force() {
     // the argument `k`'s frame slot.
     assert!(brute.states >= 10, "only {} states", brute.states);
     let run = |threads| {
-        explore(&sys, &ExploreOptions { threads, gang: 1, ..ExploreOptions::default() })
+        explore(&sys, &ExploreOptions { threads, ..ExploreOptions::default() })
     };
     let oracle = encode_explore_report(&run(1));
     for threads in [1usize, 4] {
@@ -534,14 +521,13 @@ fn exploration_leaves_scripted_runs_bit_identical() {
         let envs: Vec<_> =
             (0..8).map(|_| ScriptedEnvironment::new(script.clone())).collect();
         SimPool::with_threads(2)
-            .with_gang(8)
             .run_batch(&sys, envs, &limits)
             .iter()
             .map(|o| WireOutcome::from_batch(o).encode())
             .collect()
     };
     let before = run();
-    let _ = explore(&sys, &opts(4, 64));
+    let _ = explore(&sys, &opts(4));
     assert_eq!(run(), before, "exploration perturbed the scripted path");
 }
 

@@ -10,10 +10,10 @@
 //! granted, so no comparison below passes vacuously. Both run the SMD
 //! pickup head against the `SmdHead` plant and sparse scripted
 //! scenarios on a chart with a hardware timer and a negated internal
-//! trigger, at gang widths {1, 8, 64} × workers {1, 2}. Reports,
-//! statistics, clock, faults and everything the environment recorded
-//! must match, including when a `done` predicate, a step limit or a
-//! deadline ends a scenario in the middle of a quiet stretch.
+//! trigger, at workers {1, 2}. Reports, statistics, clock, faults and
+//! everything the environment recorded must match, including when a
+//! `done` predicate, a step limit or a deadline ends a scenario in the
+//! middle of a quiet stretch.
 
 use pscp_core::arch::{PscpArch, TimerSpec};
 use pscp_core::compile::{compile_system, CompiledSystem};
@@ -79,8 +79,8 @@ impl<E: Environment> Environment for Counted<E> {
     }
 }
 
-/// The (gang width, workers) grid every scenario runs at.
-const GRID: [(usize, usize); 6] = [(1, 1), (1, 2), (8, 1), (8, 2), (64, 1), (64, 2)];
+/// The worker counts every scenario runs at.
+const GRID: [usize; 2] = [1, 2];
 
 type Done<E> = fn(&PscpMachine<'_>, &E, &CycleReport) -> bool;
 
@@ -100,15 +100,15 @@ where
     E: Environment + Clone + Send,
     D: Fn(&PscpMachine<'_>, &E, &CycleReport) -> bool + Sync,
 {
-    let oracle = SimPool::with_threads(1).with_gang(1).run_batch_until(
+    let oracle = SimPool::with_threads(1).run_batch_until(
         sys,
         envs.iter().cloned().map(Sampling).collect(),
         limits,
         |m, env: &Sampling<E>, r| done(m, &env.0, r),
     );
     let mut quiet_cycles = None;
-    for (gang, workers) in GRID {
-        let got = SimPool::with_threads(workers).with_gang(gang).run_batch_until(
+    for workers in GRID {
+        let got = SimPool::with_threads(workers).run_batch_until(
             sys,
             envs.iter().cloned().map(|env| Counted { env, quiet: 0 }).collect(),
             limits,
@@ -116,7 +116,7 @@ where
         );
         assert_eq!(got.len(), oracle.len());
         for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-            let at = format!("scenario {i}, gang {gang} × workers {workers}");
+            let at = format!("scenario {i}, workers {workers}");
             assert_eq!(g.reports.len(), o.reports.len(), "{at}: cycle count");
             assert!(g.reports == o.reports, "{at}: reports diverged");
             assert_eq!(g.stats, o.stats, "{at}: stats");
@@ -301,7 +301,8 @@ fn same_script(got: &ScriptedEnvironment, want: &ScriptedEnvironment, at: &str) 
     assert_eq!(got.script, want.script, "{at}: leftover script");
 }
 
-/// 130 sparse scenarios fill 64-lane gangs at both worker counts.
+/// 130 sparse scenarios, split into several chunks at both worker
+/// counts.
 #[test]
 fn sparse_scripts_match_the_sampling_oracle() {
     let sys = timer_system();

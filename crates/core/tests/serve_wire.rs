@@ -727,7 +727,7 @@ fn coalesced_round_is_byte_identical_on_the_socket() {
                 .collect()
         })
         .collect();
-    let in_process = SimPool::with_threads(1).with_gang(1).run_batch(
+    let in_process = SimPool::with_threads(1).run_batch(
         &sys,
         scripts.iter().cloned().map(ScriptedEnvironment::new).collect(),
         &limits,

@@ -352,8 +352,8 @@ pub static SERVE_QUEUE_DEPTH: Histogram = Histogram::new();
 /// Nanoseconds a scenario sat in the shared queue before a shard
 /// worker dequeued it, per worker slot.
 pub static SERVE_QUEUE_NS: PerWorkerHist = PerWorkerHist::new();
-/// Nanoseconds a shard worker spent simulating a scenario (gang lanes
-/// share their rig's wall time), per worker slot.
+/// Nanoseconds a shard worker spent simulating a scenario, per worker
+/// slot.
 pub static SERVE_SIM_NS: PerWorkerHist = PerWorkerHist::new();
 /// Nanoseconds spent projecting and encoding one outcome frame.
 pub static SERVE_ENCODE_NS: Histogram = Histogram::new();

@@ -1,13 +1,13 @@
-//! Bit-sliced gang evaluation: 64 scenarios per `u64` word.
+//! Bit-sliced gang evaluation: 64 CR snapshots per `u64` word.
 //!
 //! The paper's SLA is a combinational network precisely so the hardware
 //! evaluates every transition condition in parallel each cycle. The
 //! software analogue of that parallelism across *scenarios* is
 //! bit-slicing: [`GangNet`] holds one `u64` word per net node, where
-//! bit `l` of every word belongs to scenario lane `l`, and each gate
-//! becomes a single bitwise AND/OR/NOT over the whole gang. One pass
-//! over the instruction list therefore evaluates the SLA for up to
-//! [`GANG_WIDTH`] scenarios at once.
+//! bit `l` of every word belongs to lane `l`, and each gate becomes a
+//! single bitwise AND/OR/NOT over the whole gang. One pass over the
+//! instruction list therefore evaluates the SLA for up to
+//! [`GANG_WIDTH`] lanes at once.
 //!
 //! [`GangNet`] is built from the exact same flattened instruction list
 //! as [`CompiledNet`] — same node order (topological because
@@ -15,24 +15,27 @@
 //! missing-input and out-of-range semantics (those lanes read 0). This
 //! makes the scalar path the differential oracle: for every node,
 //! lane `l` of the gang scratch must equal the scalar scratch of
-//! lane `l`'s bits, which the tests below pin for both encodings.
+//! lane `l`'s bits, which the tests below pin.
 //!
-//! [`GangSim`] layers the `SlaSim` contract on top: gang `fired` (one
-//! fire word per transition) and gang `next_cr` (event lanes cleared,
-//! next-state functions written per bit), again word-for-word against
-//! the scalar simulator.
+//! No simulator runs on the gang any more: the scalar machine beat it
+//! on every batch workload, and the batch pool's gang engine is
+//! deleted. What remains is [`GangSim::any_fire_words`], the per-lane
+//! "does any transition fire" probe, which the benchmark still times
+//! against the scalar [`SlaSim`](crate::SlaSim); the tests below pin
+//! its mask to the scalar fire set under both encodings.
 
 use crate::compiled::{CompiledNet, Op};
 use crate::net::{LogicNet, NodeId};
 use crate::synth::SlaSynthesis;
 use pscp_statechart::encoding::CrLayout;
-use pscp_statechart::{Chart, TransitionId};
+use pscp_statechart::Chart;
 
 /// Number of scenario lanes in one gang word.
 pub const GANG_WIDTH: usize = 64;
 
-/// Reusable buffers for gang evaluation. Construct once, pass to the
-/// `_into` methods every cycle; capacity is retained across calls.
+/// Reusable buffers for gang evaluation. Construct once, pass to
+/// [`GangSim::any_fire_words`] every call; capacity is retained across
+/// calls.
 #[derive(Debug, Clone, Default)]
 pub struct GangScratch {
     vals: Vec<u64>,
@@ -167,172 +170,43 @@ impl GangNet {
             scratch[i] = w;
         }
     }
-
-    /// Word of one node in a scratch filled by
-    /// [`eval_into`](Self::eval_into).
-    pub fn value(scratch: &[u64], id: NodeId) -> u64 {
-        scratch[id.0 as usize]
-    }
 }
 
-/// Gang evaluator for a synthesised SLA: the `SlaSim` contract over
-/// `u64` lane words.
+/// The gang any-fire probe over a synthesised SLA.
 #[derive(Debug, Clone)]
-pub struct GangSim<'a> {
-    sla: &'a SlaSynthesis,
-    net: GangNet,
-    /// Fire-only pruned net: just the fan-in of the fire nodes, for
-    /// per-transition fire words (see [`GangNet::compile_for_roots`]).
-    fire_net: GangNet,
-    /// Position of each transition's fire node in `fire_net`, in
-    /// `TransitionId` index order.
-    fire_roots: Vec<u32>,
-    /// Enable-only pruned net for the any-fire probe: source activity ∧
-    /// trigger ∧ guard per transition, without the O(T²) priority
-    /// inhibitions. Some transition is enabled iff some transition
-    /// fires (the highest-priority enabled one is never inhibited), so
-    /// this evaluates the same any-fire mask at a fraction of the cost.
+pub struct GangSim {
+    /// Enable-only pruned net: source activity ∧ trigger ∧ guard per
+    /// transition, without the O(T²) priority inhibitions. Some
+    /// transition is enabled iff some transition fires (the
+    /// highest-priority enabled one is never inhibited), so this
+    /// evaluates the any-fire mask at a fraction of the fire net's
+    /// cost.
     enable_net: GangNet,
     enable_roots: Vec<u32>,
-    /// CR bit index of every event (event lanes reset each cycle).
-    event_bits: Vec<u32>,
-    /// `(bit, node)` pairs of the next-state functions in bit order.
-    next_state: Vec<(u32, NodeId)>,
-    cr_width: usize,
 }
 
-impl<'a> GangSim<'a> {
-    /// Creates a gang simulator from the same synthesis products as
-    /// `SlaSim::new`.
-    pub fn new(chart: &'a Chart, layout: &'a CrLayout, sla: &'a SlaSynthesis) -> Self {
-        let net = GangNet::compile(&sla.net);
-        let (fire_net, fire_roots) = GangNet::compile_for_roots(&sla.net, &sla.fire);
+impl GangSim {
+    /// Creates the probe from the same synthesis products as
+    /// `SlaSim::new`; it reads only `sla`.
+    pub fn new(_chart: &Chart, _layout: &CrLayout, sla: &SlaSynthesis) -> Self {
         let (enable_net, enable_roots) = GangNet::compile_for_roots(&sla.net, &sla.enable);
-        let event_bits = chart.event_ids().map(|e| layout.event_bit(e)).collect();
-        let next_state = sla.next_state_bits.iter().map(|(&b, &n)| (b, n)).collect();
-        GangSim {
-            sla,
-            net,
-            fire_net,
-            fire_roots,
-            enable_net,
-            enable_roots,
-            event_bits,
-            next_state,
-            cr_width: layout.width() as usize,
-        }
+        GangSim { enable_net, enable_roots }
     }
 
-    /// CR width in bits — the expected length of the lane-word slice.
-    pub fn cr_width(&self) -> usize {
-        self.cr_width
-    }
-
-    /// The underlying gang network.
-    pub fn net(&self) -> &GangNet {
-        &self.net
-    }
-
-    /// Gang variant of `SlaSim::fired`: clears and fills `fired` with
-    /// one fire word per transition (index = `TransitionId` index; bit
-    /// `l` set when lane `l` fires that transition). Returns the OR of
-    /// all fire words — the "any transition fires" lane mask.
-    ///
-    /// Evaluates the pruned fire-only net, so callers polling for
-    /// firing lanes each cycle skip the next-state majority of the
-    /// synthesised network.
-    pub fn fired_words_into(
-        &self,
-        words: &[u64],
-        scratch: &mut GangScratch,
-        fired: &mut Vec<u64>,
-    ) -> u64 {
-        self.fire_net.eval_into(words, &mut scratch.vals);
-        fired.clear();
-        let mut any = 0u64;
-        for &root in &self.fire_roots {
-            let w = scratch.vals[root as usize];
-            fired.push(w);
-            any |= w;
-        }
-        any
-    }
-
-    /// The "does any transition fire" lane mask, without the fire
-    /// words themselves — evaluates only the enable plane (source
-    /// activity ∧ trigger ∧ guard per transition). A transition fires
-    /// iff it is enabled and no conflicting higher-priority transition
-    /// fires; the highest-priority enabled transition is never
-    /// inhibited, so *some* transition is enabled in a lane exactly
-    /// when *some* transition fires there. Skipping the priority
-    /// inhibitions drops the bulk of the fire net on wide charts,
-    /// which is what makes the gang's per-cycle probe cheap.
+    /// The "does any transition fire" lane mask of `words` (one `u64`
+    /// per CR bit, bit `l` = lane `l`): bit `l` is set exactly when
+    /// `SlaSim::fired` is non-empty for lane `l`'s bits. Evaluates only
+    /// the enable plane (source activity ∧ trigger ∧ guard per
+    /// transition): a transition fires iff it is enabled and no
+    /// conflicting higher-priority transition fires, and the
+    /// highest-priority enabled transition is never inhibited, so
+    /// *some* transition is enabled in a lane exactly when *some*
+    /// transition fires there.
     pub fn any_fire_words(&self, words: &[u64], scratch: &mut GangScratch) -> u64 {
         self.enable_net.eval_into(words, &mut scratch.vals);
         self.enable_roots
             .iter()
             .fold(0u64, |acc, &r| acc | scratch.vals[r as usize])
-    }
-
-    /// Gang variant of `SlaSim::next_cr`: clears and fills `next` with
-    /// the successor CR lane words (event lanes cleared in every lane,
-    /// next-state functions written, condition lanes held).
-    pub fn next_cr_words_into(
-        &self,
-        words: &[u64],
-        scratch: &mut GangScratch,
-        next: &mut Vec<u64>,
-    ) {
-        self.net.eval_into(words, &mut scratch.vals);
-        next.clear();
-        next.extend_from_slice(words);
-        // Event part resets every cycle, in every lane.
-        for &bit in &self.event_bits {
-            next[bit as usize] = 0;
-        }
-        for &(bit, node) in &self.next_state {
-            next[bit as usize] = scratch.vals[node.0 as usize];
-        }
-    }
-
-    /// One full gang SLA cycle — fire words and successor CR words —
-    /// from a single network evaluation. Returns the any-fire mask.
-    pub fn step_words_into(
-        &self,
-        words: &[u64],
-        scratch: &mut GangScratch,
-        fired: &mut Vec<u64>,
-        next: &mut Vec<u64>,
-    ) -> u64 {
-        self.net.eval_into(words, &mut scratch.vals);
-        fired.clear();
-        let mut any = 0u64;
-        for f in &self.sla.fire {
-            let w = scratch.vals[f.0 as usize];
-            fired.push(w);
-            any |= w;
-        }
-        next.clear();
-        next.extend_from_slice(words);
-        for &bit in &self.event_bits {
-            next[bit as usize] = 0;
-        }
-        for &(bit, node) in &self.next_state {
-            next[bit as usize] = scratch.vals[node.0 as usize];
-        }
-        any
-    }
-
-    /// Decodes one lane of a fire-word vector into transition ids in
-    /// chart order.
-    pub fn lane_fired(fired: &[u64], lane: usize) -> Vec<TransitionId> {
-        let mask = 1u64 << lane;
-        fired
-            .iter()
-            .enumerate()
-            .filter(|(_, &w)| w & mask != 0)
-            .map(|(i, _)| TransitionId::from_index(i))
-            .collect()
     }
 }
 
@@ -352,12 +226,6 @@ pub fn pack_lanes(lanes: &[&[bool]]) -> Vec<u64> {
         }
     }
     words
-}
-
-/// Extracts one lane from gang words as a bit vector.
-pub fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
-    assert!(lane < GANG_WIDTH);
-    words.iter().map(|&w| w & (1 << lane) != 0).collect()
 }
 
 #[cfg(test)]
@@ -392,6 +260,11 @@ mod tests {
         b.state("Y1", StateKind::Basic).transition("Y2", "Y");
         b.state("Y2", StateKind::Basic).transition("Y1", "Y");
         b.build().unwrap()
+    }
+
+    /// Extracts one lane from gang words as a bit vector.
+    fn unpack_lane(words: &[u64], lane: usize) -> Vec<bool> {
+        words.iter().map(|&w| w & (1 << lane) != 0).collect()
     }
 
     fn xorshift(seed: &mut u64) -> u64 {
@@ -463,25 +336,22 @@ mod tests {
     }
 
     /// Drives 64 independent executors through distinct random scripts
-    /// and pins the gang's fire words and next-CR words lane-for-lane
-    /// against the scalar `SlaSim`.
+    /// and pins the any-fire probe's mask lane-for-lane: bit `l` is set
+    /// exactly when the scalar `SlaSim` fires something on lane `l`.
     fn gang_differential(style: EncodingStyle) {
         let chart = parallel_chart();
         let layout = CrLayout::new(&chart, style);
         let sla = synthesize(&chart, &layout);
         let scalar = SlaSim::new(&chart, &layout, &sla);
         let gang = GangSim::new(&chart, &layout, &sla);
-        assert_eq!(gang.cr_width(), layout.width() as usize);
 
         let names = ["GO", "X", "Y", "STOP"];
         let mut execs: Vec<Executor> = (0..GANG_WIDTH).map(|_| Executor::new(&chart)).collect();
         let mut seed = 0x9e3779b97f4a7c15u64;
         let mut sla_scratch = SlaScratch::default();
         let mut gang_scratch = GangScratch::default();
-        let mut fired_words = Vec::new();
-        let mut next_words = Vec::new();
-        let mut fired_buf = Vec::new();
-        let mut next_buf = Vec::new();
+        let mut fired = Vec::new();
+        let (mut firing, mut idle) = (0, 0);
 
         for cycle in 0..50 {
             // Per-lane event sets and CR bits.
@@ -499,42 +369,24 @@ mod tests {
                 lane_events.push(events);
             }
             let lane_refs: Vec<&[bool]> = lane_bits.iter().map(|l| l.as_slice()).collect();
-            let words = pack_lanes(&lane_refs);
-
-            let any =
-                gang.step_words_into(&words, &mut gang_scratch, &mut fired_words, &mut next_words);
-            // step == fired + next_cr from one eval.
-            let mut fired2 = Vec::new();
-            let any2 = gang.fired_words_into(&words, &mut gang_scratch, &mut fired2);
-            assert_eq!(fired_words, fired2);
-            assert_eq!(any, any2);
-            // The enable-plane probe must agree exactly with the fire
-            // plane's any-fire mask (any-enable ⟺ any-fire).
-            assert_eq!(gang.any_fire_words(&words, &mut gang_scratch), any);
-            let mut next2 = Vec::new();
-            gang.next_cr_words_into(&words, &mut gang_scratch, &mut next2);
-            assert_eq!(next_words, next2);
+            let any = gang.any_fire_words(&pack_lanes(&lane_refs), &mut gang_scratch);
 
             for (l, exec) in execs.iter_mut().enumerate() {
-                scalar.step_into(&lane_bits[l], &mut sla_scratch, &mut fired_buf, &mut next_buf);
-                assert_eq!(
-                    GangSim::lane_fired(&fired_words, l),
-                    fired_buf,
-                    "cycle {cycle} lane {l} fired ({style:?})"
-                );
-                assert_eq!(
-                    unpack_lane(&next_words, l),
-                    next_buf,
-                    "cycle {cycle} lane {l} next_cr ({style:?})"
-                );
+                scalar.fired_into(&lane_bits[l], &mut sla_scratch, &mut fired);
                 assert_eq!(
                     any & (1 << l) != 0,
-                    !fired_buf.is_empty(),
+                    !fired.is_empty(),
                     "cycle {cycle} lane {l} any-fire ({style:?})"
                 );
+                if fired.is_empty() {
+                    idle += 1;
+                } else {
+                    firing += 1;
+                }
                 exec.step(&lane_events[l], no_fx);
             }
         }
+        assert!(firing > 0 && idle > 0, "both mask values occur ({style:?})");
     }
 
     #[test]

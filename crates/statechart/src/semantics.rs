@@ -1041,13 +1041,12 @@ impl<'c> Executor<'c> {
 
     /// Runs one configuration cycle that the caller has already proven
     /// idle — no transition is enabled for `external` plus the pending
-    /// internal events. The gang simulator uses this after its
-    /// bit-sliced SLA pass reports no fire bit for a lane, and the PSCP
-    /// machine for quiet cycles: the cycle still consumes the events
-    /// (they live exactly one cycle, so the pending set clears) and
-    /// advances the cycle counter, but skips transition selection
-    /// entirely. Debug builds re-check the idle claim by selecting on
-    /// the executor's own scratch, so they allocate nothing either.
+    /// internal events. The PSCP machine uses this for quiet cycles:
+    /// the cycle still consumes the events (they live exactly one
+    /// cycle, so the pending set clears) and advances the cycle
+    /// counter, but skips transition selection entirely. Debug builds
+    /// re-check the idle claim by selecting on the executor's own
+    /// scratch, so they allocate nothing either.
     pub fn step_idle(&mut self, external: &[EventId]) {
         if cfg!(debug_assertions) {
             let events = external.iter().chain(&self.pending_internal).copied();

@@ -61,15 +61,10 @@ cargo test --release -p pscp-core --test serve_wire -q
 cargo test --release -p pscp-core --test serve_backpressure -q
 cargo test --release -p pscp-core --test serve_stats -q
 
-# The gang differential suite is the bit-sliced path's spec: gang
-# batches must be byte-identical to the scalar oracle at every width ×
-# worker combination, including mid-scenario lane retirement.
-cargo test --release -p pscp-core --test gang_differential -q
-
-# The determinism suite is the worker pools' spec: parallelism and gang
-# width never change results — DSE histories at every worker count,
-# SimPool batches at every worker count, and the 560-transition gang
-# system under sparse scripts at every gang width × worker combination.
+# The determinism suite is the worker pools' spec: parallelism never
+# changes results — DSE histories at every worker count, SimPool
+# batches at every worker count, and the 560-transition gang system
+# under sparse scripts at every worker count.
 cargo test --release -p pscp-bench --test determinism -q
 
 # The quiet-cycle differential suite is the quiet path's spec: a machine
@@ -77,15 +72,14 @@ cargo test --release -p pscp-bench --test determinism -q
 # transition selection must be byte-identical — reports, stats, clock,
 # faults and the plant's recorded run — to an oracle environment that
 # samples every cycle, on the pickup head against the SmdHead plant and
-# on sparse timer scripts, at every gang width × worker combination,
-# when a `done` predicate, step limit or deadline cuts a quiet stretch,
-# and in the VCD waveform.
+# on sparse timer scripts, at one and two workers, when a `done`
+# predicate, step limit or deadline cuts a quiet stretch, and in the
+# VCD waveform.
 cargo test --release -p pscp-core --test quiet_differential -q
 
 # The explore differential suite is the reachability engine's spec:
 # reports must be byte-identical across worker counts against the
-# one-worker run (its grid still names gang widths, but exploration
-# ignores them), every witness must replay to its claimed state key,
+# one-worker run, every witness must replay to its claimed state key,
 # and the exhaustive state count must match a brute-force enumeration.
 # It also pins data-plane interning: a routine that rewrites a global
 # with its own value must dedup against the routine-free edge, and a
