@@ -248,10 +248,9 @@ impl SimPool {
         SimPool { threads: threads.max(1) }
     }
 
-    /// Returns the pool unchanged: `width` is ignored. Every worker runs
-    /// its scenarios on one scalar machine; the bit-sliced gang engine
-    /// this once selected is deleted. Kept only because the benchmark
-    /// package still calls it.
+    /// Returns the pool unchanged: `width` is ignored, and every worker
+    /// runs its scenarios on one scalar machine. Kept only because the
+    /// benchmark package still calls it.
     pub fn with_gang(self, _width: usize) -> Self {
         self
     }
@@ -620,34 +619,18 @@ mod tests {
         for threads in [1, 2, 3] {
             let k = threads * CLAIMS_PER_WORKER;
             for n in [1, k - 1, k, k + 1] {
-                let reference: Vec<_> = envs(n)
-                    .into_iter()
-                    .map(|mut env| {
-                        let mut m = PscpMachine::new(&sys);
-                        let mut reports = Vec::new();
-                        while reports.len() < limits.max_steps as usize {
-                            let r = m.step(&mut env).unwrap();
-                            let stop = done(&m, &env, &r);
-                            reports.push(r);
-                            if stop {
-                                break;
-                            }
-                        }
-                        (reports, m.stats().clone(), m.now(), env)
-                    })
-                    .collect();
+                let reference = fresh_runs(&sys, envs(n), &limits, done);
                 let pool = SimPool::with_threads(threads);
                 let got = pool.run_batch_until(&sys, envs(n), &limits, done);
                 assert_eq!(got.len(), n, "threads={threads} n={n}");
-                for (i, (o, expected)) in got.iter().zip(&reference).enumerate() {
-                    let (reports, stats, clock, env) = expected;
+                for (i, (o, want)) in got.iter().zip(&reference).enumerate() {
                     let at = format!("threads={threads} n={n} scenario {i}");
-                    assert_eq!(o.reports.len(), env.script.len() / 2, "{at}: cut by done");
-                    assert_eq!(&o.reports, reports, "{at}");
-                    assert_eq!(&o.stats, stats, "{at}");
-                    assert_eq!(&o.clock_cycles, clock, "{at}");
-                    assert_eq!(o.env.port_writes, env.port_writes, "{at}");
-                    assert!(o.error.is_none(), "{at}");
+                    assert_eq!(o.reports.len(), want.env.script.len() / 2, "{at}: cut by done");
+                    assert_eq!(o.reports, want.reports, "{at}");
+                    assert_eq!(o.stats, want.stats, "{at}");
+                    assert_eq!(o.clock_cycles, want.clock_cycles, "{at}");
+                    assert_eq!(o.env.port_writes, want.env.port_writes, "{at}");
+                    assert!(o.error.is_none() && want.error.is_none(), "{at}");
                 }
             }
         }
@@ -848,7 +831,8 @@ mod tests {
                         }
                     }
                 }
-                BatchOutcome { reports, stats: m.stats().clone(), clock_cycles: m.now(), env, error }
+                let (stats, clock_cycles) = (m.stats().clone(), m.now());
+                BatchOutcome { reports, stats, clock_cycles, env, error }
             })
             .collect()
     }

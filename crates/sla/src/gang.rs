@@ -17,12 +17,10 @@
 //! lane `l` of the gang scratch must equal the scalar scratch of
 //! lane `l`'s bits, which the tests below pin.
 //!
-//! No simulator runs on the gang any more: the scalar machine beat it
-//! on every batch workload, and the batch pool's gang engine is
-//! deleted. What remains is [`GangSim::any_fire_words`], the per-lane
-//! "does any transition fire" probe, which the benchmark still times
-//! against the scalar [`SlaSim`](crate::SlaSim); the tests below pin
-//! its mask to the scalar fire set under both encodings.
+//! Its one user is [`GangSim::any_fire_words`], the per-lane "does any
+//! transition fire" probe, which the benchmark times against the scalar
+//! [`SlaSim`](crate::SlaSim); the tests below pin its mask to the
+//! scalar fire set under both encodings.
 
 use crate::compiled::{CompiledNet, Op};
 use crate::net::{LogicNet, NodeId};

@@ -30,9 +30,8 @@
 //! * [`gang`] — 64-wide bit-sliced evaluation: one `u64` word per net
 //!   node, bit `l` = lane `l`, so one pass over the same instruction
 //!   list evaluates the SLA for 64 CR snapshots (the software analogue
-//!   of the SLA's hardware parallelism). Only its any-fire probe
-//!   remains, which the benchmark times against [`SlaSim`]; no
-//!   simulator runs on it.
+//!   of the SLA's hardware parallelism). Its one user is the any-fire
+//!   probe the benchmark times against [`SlaSim`].
 //! * [`blif`] — Berkeley Logic Interchange Format export ("generates a
 //!   BLIF description of the SLA").
 //! * [`vhdl`] — structural VHDL export ("converted to VHDL, and can be
