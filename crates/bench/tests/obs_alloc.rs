@@ -11,7 +11,8 @@
 //! allocates exactly its `CycleReport`'s vectors (`fired`,
 //! `transition_cycles`, `assigned_tep`, and `raised` when it is not
 //! empty), and a sampled idle cycle, a quiet cycle and
-//! `PscpMachine::reset` allocate nothing.
+//! `PscpMachine::reset` allocate nothing. A `SimPool` batch allocates
+//! the same whether its quiet stretches last 1 000 or 100 000 cycles.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
 //! and any sibling test's allocations would race the counters.
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pscp_bench::example_system;
 use pscp_core::arch::PscpArch;
 use pscp_core::machine::{Environment, NullEnvironment, PscpMachine, ScriptedEnvironment};
+use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_sla::compiled::CompiledNet;
 use pscp_sla::net::LogicNet;
 
@@ -112,6 +114,15 @@ fn pickup_script(rows: usize) -> Replay {
     Replay { script: ScriptedEnvironment::new(script), quiet: 0 }
 }
 
+/// Scenario `i` of the quiet-stretch batch: a few busy rows of the
+/// seeded pickup script, `quiet_rows` empty rows, then busy rows again.
+fn quiet_stretch(i: usize, quiet_rows: usize) -> Replay {
+    let busy = pickup_script(48 + 24 * i).script.script;
+    let (head, tail) = busy.split_at(24);
+    let rows = head.iter().cloned().chain(vec![Vec::new(); quiet_rows]).chain(tail.iter().cloned());
+    Replay { script: ScriptedEnvironment::new(rows.collect::<Vec<_>>()), quiet: 0 }
+}
+
 #[test]
 fn disabled_obs_keeps_hot_paths_allocation_free() {
     // Pin the flags before measuring: lazy env init allocates once
@@ -185,6 +196,30 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
     assert!(raising >= 5, "only {raising} fired cycles raised events");
     assert!(sampled_idle >= 50, "only {sampled_idle} sampled idle cycles");
     assert!(quiet >= 50, "only {quiet} quiet cycles");
+
+    // --- a batch's quiet stretches ---
+    // The pool's scenario loop completes quiet cycles in place and logs
+    // them by count, so a batch allocates the same whatever the length
+    // of its quiet stretches. One worker: nothing is spawned.
+    let pool = SimPool::with_threads(1);
+    let batch = |quiet_rows: usize| {
+        let envs: Vec<_> = (0..4).map(|i| quiet_stretch(i, quiet_rows)).collect();
+        let limits = BatchOptions { deadline: u64::MAX, max_steps: quiet_rows as u64 + 64 };
+        let before = allocs();
+        let out = pool.run_batch(&system, envs, &limits);
+        let got = allocs() - before;
+        let quiet: u64 = out.iter().map(|o| o.env.quiet).sum();
+        assert!(quiet >= 4 * quiet_rows as u64, "only {quiet} quiet cycles");
+        assert!(out.iter().all(|o| o.error.is_none() && o.stats.transitions > 0));
+        got
+    };
+    batch(1_000); // warm-up
+    let (short, long) = (batch(1_000), batch(100_000));
+    assert_eq!(
+        short, long,
+        "a batch allocated {short} times with 1 000-cycle quiet stretches \
+         but {long} times with 100 000-cycle ones"
+    );
 
     // --- CompiledNet::eval_into with reused scratch ---
     let mut net = LogicNet::new();

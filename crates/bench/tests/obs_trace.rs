@@ -2,14 +2,16 @@
 //! Chrome `trace_event` documents with one named lane per worker. Runs
 //! the pickup-head example across a 4-worker [`SimPool`], then through
 //! a 2-shard loopback server and a 2-worker exploration, and checks
-//! each exported JSON with the crate's own parser.
+//! each exported JSON with the crate's own parser. At a sampling period
+//! of 1 a batch must record exactly one `step` span per simulated
+//! cycle, quiet or sampled.
 //!
 //! Single `#[test]`: the trace collector is process-global, and a
 //! sibling test running concurrently would add lanes of its own.
 
 use pscp_core::arch::PscpArch;
 use pscp_core::explore::{self, ExploreOptions};
-use pscp_core::machine::ScriptedEnvironment;
+use pscp_core::machine::{Environment, ScriptedEnvironment};
 use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_core::serve::{self, ScenarioClient, ServeOptions};
 use pscp_obs::json;
@@ -72,6 +74,24 @@ fn traced_batch(pool: &SimPool) -> (Vec<String>, Vec<String>) {
     })
 }
 
+/// Replays a script, counting the quiet samples it grants.
+struct Counted {
+    script: ScriptedEnvironment,
+    quiet: u64,
+}
+
+impl Environment for Counted {
+    fn sample_events(&mut self, now: u64) -> Vec<String> {
+        self.script.sample_events(now)
+    }
+
+    fn quiet_sample(&mut self, now: u64) -> bool {
+        let quiet = self.script.quiet_sample(now);
+        self.quiet += u64::from(quiet);
+        quiet
+    }
+}
+
 fn lanes_named(lanes: &[String], prefix: &str) -> usize {
     lanes.iter().filter(|l| l.starts_with(prefix)).count()
 }
@@ -86,6 +106,27 @@ fn batch_trace_exports_worker_lanes() {
     );
     assert!(spans.len() >= 8, "expected >= 8 spans, got {}", spans.len());
     assert!(spans.iter().any(|s| s == "scenario"), "no `scenario` span in the batch trace");
+
+    // At a sampling period of 1, every simulated cycle opens exactly one
+    // `step` span, whether it completes quietly or samples.
+    let period = pscp_obs::sample_every();
+    pscp_obs::set_sample(1);
+    let (mut cycles, mut quiet) = (0, 0);
+    let (_, spans) = traced(|| {
+        let system = pscp_bench::example_system(&PscpArch::md16_optimized());
+        let envs = scripts()
+            .into_iter()
+            .map(|s| Counted { script: ScriptedEnvironment::new(s), quiet: 0 })
+            .collect();
+        for o in SimPool::with_threads(2).run_batch(&system, envs, &LIMITS) {
+            cycles += o.stats.config_cycles;
+            quiet += o.env.quiet;
+        }
+    });
+    pscp_obs::set_sample(period);
+    let steps = spans.iter().filter(|s| *s == "step").count() as u64;
+    assert!(quiet > 0 && quiet < cycles, "{quiet} of {cycles} cycles were quiet");
+    assert_eq!(steps, cycles, "`step` spans against simulated cycles");
 
     // A 2-shard loopback server, stopped before the export: the shard
     // workers' spans must be collected by the time `stop` has joined

@@ -18,7 +18,17 @@
 //! the configuration-cycle length is the makespan of the round-robin
 //! assignment of the fired transitions' measured execution times onto
 //! `n_teps` processors, with mutually-exclusive routines forced onto the
-//! same TEP (the "additional decode logic" of §4).
+//! same TEP (the "additional decode logic" of §4). That dealing rule is
+//! one pure function, `schedule`, which the cycle calls and which unit
+//! tests pin.
+//!
+//! Most co-simulation cycles are quiet: nothing was sampled or pending,
+//! nothing fired, and the environment grants an empty sample
+//! ([`Environment::quiet_sample`]). Such a cycle completes in place: it
+//! advances the clock, timers, statistics, counters and VCD probe
+//! exactly as an idle sampled cycle does, but builds no report. Its
+//! report is the shared [`IDLE_REPORT`]; [`PscpMachine::step`] returns a
+//! copy, and the pool's scenario loop logs it by count.
 
 use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
@@ -162,6 +172,19 @@ pub struct CycleReport {
     pub interrupt_latency: Option<u64>,
 }
 
+/// The report of every idle configuration cycle: nothing fired, raised
+/// or interrupted, and the cycle took `SLA + IDLE` clock cycles. A quiet
+/// cycle completes in place and builds no report; this one stands for
+/// it (see [`PscpMachine::step`]).
+pub static IDLE_REPORT: CycleReport = CycleReport {
+    fired: Vec::new(),
+    transition_cycles: Vec::new(),
+    assigned_tep: Vec::new(),
+    cycle_length: overhead::SLA + overhead::IDLE,
+    raised: Vec::new(),
+    interrupt_latency: None,
+};
+
 /// Aggregate statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MachineStats {
@@ -276,7 +299,6 @@ impl VcdProbe {
         VcdProbe { writer, states, events, conditions, teps, timers, cycle_len }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
         t: u64,
@@ -284,7 +306,7 @@ impl VcdProbe {
         sampled: &[EventId],
         tep_load: &[u64],
         timers: &[Option<u64>],
-        report: &CycleReport,
+        cycle_length: u64,
     ) {
         self.writer.set_time(t);
         for &(s, sig) in &self.states {
@@ -302,7 +324,7 @@ impl VcdProbe {
         for (i, &sig) in self.timers.iter().enumerate() {
             self.writer.change(sig, timers.get(i).copied().flatten().unwrap_or(0));
         }
-        self.writer.change(self.cycle_len, report.cycle_length);
+        self.writer.change(self.cycle_len, cycle_length);
     }
 }
 
@@ -342,7 +364,7 @@ pub struct PscpMachine<'s> {
     /// Set after a cycle that started with no sampled or pending
     /// internal events, fired nothing and left no timer expiry pending:
     /// the chart's inputs are then unchanged, so an empty sample makes
-    /// the next cycle idle too ([`PscpMachine::quiet_step`]). Between
+    /// the next cycle idle too ([`PscpMachine::quiet_cycle`]). Between
     /// [`sample_phase`](Self::sample_phase) and the cycle's completion
     /// it holds the first half of that test.
     quiet: bool,
@@ -567,37 +589,58 @@ impl<'s> PscpMachine<'s> {
         &self.stats
     }
 
-    /// Runs one configuration cycle against the environment.
+    /// Runs one configuration cycle against the environment. A quiet
+    /// cycle completes in place and returns a copy of [`IDLE_REPORT`],
+    /// which allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`MachineError`] when a routine faults (divide by zero,
     /// memory fault, cycle-limit).
     pub fn step<E: Environment>(&mut self, env: &mut E) -> Result<CycleReport, MachineError> {
-        let _step_span = pscp_obs::trace::span_sampled("step", self.stats.config_cycles);
-        if let Some(report) = self.quiet_step(env) {
-            return Ok(report);
-        }
-        self.sample_phase(env);
-        self.execute_phase(env)
+        Ok(self.step_in_place(env)?.unwrap_or_else(|| IDLE_REPORT.clone()))
     }
 
-    /// Runs the next configuration cycle as a quiet one, if it is: the
-    /// machine is quiet and `env` takes an empty sample
+    /// Runs one configuration cycle like [`step`](Self::step), but a
+    /// quiet cycle yields `None` instead of a report: its report is
+    /// [`IDLE_REPORT`], and the caller need not build one. The pool's
+    /// scenario loop steps this way. Every cycle opens one sampled
+    /// `step` span, whichever way it completes.
+    pub(crate) fn step_in_place<E: Environment>(
+        &mut self,
+        env: &mut E,
+    ) -> Result<Option<CycleReport>, MachineError> {
+        let _step_span = pscp_obs::trace::span_sampled("step", self.stats.config_cycles);
+        if self.quiet_cycle(env) {
+            return Ok(None);
+        }
+        self.sample_phase(env);
+        self.execute_phase(env).map(Some)
+    }
+
+    /// Completes the next configuration cycle in place if it is quiet:
+    /// the machine is quiet and `env` takes an empty sample
     /// ([`Environment::quiet_sample`]). The chart then sees exactly the
     /// inputs of the last cycle, which fired nothing, so the cycle is
-    /// idle and completes by [`idle_phase`](Self::idle_phase) without
-    /// sampling, name resolution or transition selection. Returns
-    /// `None`, having touched nothing, when the cycle must be sampled.
-    fn quiet_step<E: Environment>(&mut self, env: &mut E) -> Option<CycleReport> {
+    /// idle. It closes like an idle cycle of
+    /// [`execute_phase`](Self::execute_phase) (same clock advance, timer
+    /// decrement, statistics, counters and VCD sample), without
+    /// sampling, name resolution, the condition snapshot, transition
+    /// selection or a report. The executor re-checks the idle claim in
+    /// debug builds (`Executor::step_idle`). Returns `false`, having
+    /// touched nothing, when the cycle must be sampled.
+    fn quiet_cycle<E: Environment>(&mut self, env: &mut E) -> bool {
         if !(self.quiet && env.quiet_sample(self.now)) {
-            return None;
+            return false;
         }
-        // Quiet implies the last cycle's event set, which `idle_phase`
-        // re-reads for the VCD probe, was empty and nothing is pending.
+        // Quiet implies the last cycle's event set, which the VCD probe
+        // re-reads, was empty and nothing is pending.
         debug_assert!(self.scratch.events.is_empty() && self.pending_timer_events.is_empty());
         pscp_obs::metrics::MACHINE_QUIET_CYCLES.inc();
-        Some(self.idle_phase())
+        self.exec.step_idle(&self.scratch.events);
+        // No routine ran, so no timer was armed or disarmed.
+        self.close_cycle(IDLE_REPORT.cycle_length, 0);
+        true
     }
 
     /// Phase 1 of a configuration cycle: sample external events,
@@ -715,44 +758,18 @@ impl<'s> PscpMachine<'s> {
             transition_cycles.push(cost + overhead::DISPATCH + overhead::WRITEBACK);
         }
 
-        // 5. Timing: round-robin makespan over the TEPs, with mutual
-        //    exclusion forcing conflicting transitions onto one TEP and
-        //    interrupt-priority transitions dispatched first (§6
-        //    extension; no-op when no events are marked as interrupts).
-        let n = system.arch.n_teps.max(1) as usize;
-        order.clear();
-        order.extend(0..fired.len());
-        order.sort_by_key(|&i| (!tables.interrupt[fired[i].index()], i));
-
-        tep_load.clear();
-        tep_load.resize(n, 0);
-        let mut assigned_tep = vec![0u8; fired.len()];
-        let mut interrupt_latency: Option<u64> = None;
-        for (k, &i) in order.iter().enumerate() {
-            let tid = fired[i];
-            let mut tep = k % n;
-            // Mutual exclusion: co-locate with the first earlier
-            // conflicting transition.
-            if n > 1 {
-                let partners = &tables.exclusion[tid.index()];
-                if !partners.is_empty() {
-                    for &j in &order[..k] {
-                        if partners.binary_search(&(fired[j].index() as u32)).is_ok() {
-                            tep = assigned_tep[j] as usize;
-                            break;
-                        }
-                    }
-                }
-            }
-            tep_load[tep] += transition_cycles[i];
-            assigned_tep[i] = tep as u8;
-            if tables.interrupt[tid.index()] {
-                let done = overhead::SLA + tep_load[tep];
-                interrupt_latency =
-                    Some(interrupt_latency.map_or(done, |cur| cur.max(done)));
-            }
-        }
-        let makespan = tep_load.iter().copied().max().unwrap_or(0);
+        // 5. Timing: the scheduler deals the fired transitions to the
+        //    TEPs (`schedule`); the cycle lasts the SLA plus the busiest
+        //    TEP's load.
+        let Schedule { assigned_tep, makespan, interrupt_latency } = schedule(
+            &fired,
+            &transition_cycles,
+            &tables.interrupt,
+            &tables.exclusion,
+            system.arch.n_teps.max(1) as usize,
+            order,
+            tep_load,
+        );
         let cycle_length = if fired.is_empty() {
             overhead::SLA + overhead::IDLE
         } else {
@@ -777,68 +794,50 @@ impl<'s> PscpMachine<'s> {
         }
 
         // 7. Book-keeping.
-        self.close_cycle(&report);
+        for (&t, &cycles) in report.assigned_tep.iter().zip(&report.transition_cycles) {
+            self.stats.tep_busy[t as usize] += cycles;
+        }
+        self.close_cycle(cycle_length, report.fired.len());
         Ok(report)
     }
 
-    /// Completes a quiet cycle ([`quiet_step`](Self::quiet_step)),
-    /// which is idle by construction. Bit-identical to
-    /// [`execute_phase`](Self::execute_phase) on an idle cycle (same
-    /// report, clock advance, timer decrement, statistics and VCD
-    /// sample) but skips transition selection, the condition snapshot
-    /// and the per-transition buffers entirely. The executor re-checks
-    /// the idle claim in debug builds (`Executor::step_idle`).
-    fn idle_phase(&mut self) -> CycleReport {
-        self.exec.step_idle(&self.scratch.events);
-
-        let report = CycleReport {
-            cycle_length: overhead::SLA + overhead::IDLE,
-            ..Default::default()
-        };
-
-        // No routine ran, so no timer was armed or disarmed.
-        self.close_cycle(&report);
-        report
-    }
-
-    /// Closes a completed cycle, whichever phase completed it: timers
+    /// Closes a completed cycle of `cycle_length` clock cycles that
+    /// fired `fired` transitions, whichever way it completed: timers
     /// advance by the cycle just spent (expiries fire next cycle), the
     /// quiet flag, clock, statistics and counters take the cycle in,
-    /// and an attached VCD probe samples it.
-    fn close_cycle(&mut self, report: &CycleReport) {
+    /// and an attached VCD probe samples it. The per-TEP busy time is
+    /// the caller's, as only a cycle that fired has any.
+    fn close_cycle(&mut self, cycle_length: u64, fired: usize) {
         let tables = &self.system.tables;
         for (i, t) in self.timers.iter_mut().enumerate() {
             if let Some(rem) = t {
-                if *rem <= report.cycle_length {
+                if *rem <= cycle_length {
                     if let Some(e) = tables.timer_event[i] {
                         self.pending_timer_events.push(e);
                     }
                     *t = None;
                 } else {
-                    *rem -= report.cycle_length;
+                    *rem -= cycle_length;
                 }
             }
         }
 
-        self.quiet &= report.fired.is_empty() && self.pending_timer_events.is_empty();
-        self.now += report.cycle_length;
+        self.quiet &= fired == 0 && self.pending_timer_events.is_empty();
+        self.now += cycle_length;
         self.stats.config_cycles += 1;
-        self.stats.transitions += report.fired.len() as u64;
-        self.stats.clock_cycles += report.cycle_length;
-        self.stats.max_cycle_length = self.stats.max_cycle_length.max(report.cycle_length);
-        for (i, &t) in report.assigned_tep.iter().enumerate() {
-            self.stats.tep_busy[t as usize] += report.transition_cycles[i];
-        }
+        self.stats.transitions += fired as u64;
+        self.stats.clock_cycles += cycle_length;
+        self.stats.max_cycle_length = self.stats.max_cycle_length.max(cycle_length);
         pscp_obs::metrics::MACHINE_STEPS.inc();
-        pscp_obs::metrics::MACHINE_TRANSITIONS.add(report.fired.len() as u64);
+        pscp_obs::metrics::MACHINE_TRANSITIONS.add(fired as u64);
         if let Some(probe) = self.vcd.as_deref_mut() {
             let StepScratch { events, tep_load, .. } = &mut self.scratch;
-            if report.fired.is_empty() {
-                // Every TEP idled; an idle phase never sized the loads.
+            if fired == 0 {
+                // Every TEP idled; a quiet cycle never sized the loads.
                 tep_load.clear();
                 tep_load.resize(self.system.arch.n_teps.max(1) as usize, 0);
             }
-            probe.record(self.now, &self.exec, events, tep_load, &self.timers, report);
+            probe.record(self.now, &self.exec, events, tep_load, &self.timers, cycle_length);
         }
     }
 
@@ -862,6 +861,72 @@ impl<'s> PscpMachine<'s> {
         }
         Ok(out)
     }
+}
+
+/// The TEP schedule of one configuration cycle ([`schedule`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Schedule {
+    /// The TEP each fired transition runs on, in firing order.
+    pub(crate) assigned_tep: Vec<u8>,
+    /// The busiest TEP's load in clock cycles.
+    pub(crate) makespan: u64,
+    /// Cycles from cycle start (SLA included) until every
+    /// interrupt-priority transition completed; `None` when none fired.
+    pub(crate) interrupt_latency: Option<u64>,
+}
+
+/// The scheduler's dealing rule (§3.1, §4, §6 extension): deals the
+/// fired transitions (`costs[i]` clock cycles for `fired[i]`) to
+/// `n_teps` TEPs round-robin, the `k`-th dealt to TEP `k % n_teps`.
+/// Interrupt-priority transitions (`interrupt`, per chart transition)
+/// are dealt first, each group in firing order. A transition with
+/// mutual-exclusion partners (`exclusion`, per chart transition:
+/// sorted partner indices) runs on the TEP of the first partner dealt
+/// before it instead. Routines never split, so the makespan is the
+/// largest per-TEP sum. `order` and `tep_load` are working buffers; on
+/// return `tep_load` holds each TEP's load.
+pub(crate) fn schedule(
+    fired: &[TransitionId],
+    costs: &[u64],
+    interrupt: &[bool],
+    exclusion: &[Vec<u32>],
+    n_teps: usize,
+    order: &mut Vec<usize>,
+    tep_load: &mut Vec<u64>,
+) -> Schedule {
+    order.clear();
+    order.extend(0..fired.len());
+    order.sort_by_key(|&i| (!interrupt[fired[i].index()], i));
+
+    tep_load.clear();
+    tep_load.resize(n_teps, 0);
+    let mut assigned_tep = vec![0u8; fired.len()];
+    let mut interrupt_latency: Option<u64> = None;
+    for (k, &i) in order.iter().enumerate() {
+        let tid = fired[i];
+        let mut tep = k % n_teps;
+        // Mutual exclusion: co-locate with the first earlier
+        // conflicting transition.
+        if n_teps > 1 {
+            let partners = &exclusion[tid.index()];
+            if !partners.is_empty() {
+                for &j in &order[..k] {
+                    if partners.binary_search(&(fired[j].index() as u32)).is_ok() {
+                        tep = assigned_tep[j] as usize;
+                        break;
+                    }
+                }
+            }
+        }
+        tep_load[tep] += costs[i];
+        assigned_tep[i] = tep as u8;
+        if interrupt[tid.index()] {
+            let done = overhead::SLA + tep_load[tep];
+            interrupt_latency = Some(interrupt_latency.map_or(done, |cur| cur.max(done)));
+        }
+    }
+    let makespan = tep_load.iter().copied().max().unwrap_or(0);
+    Schedule { assigned_tep, makespan, interrupt_latency }
 }
 
 /// Host bridging TEP execution into the PSCP: ports go to the
@@ -1113,6 +1178,64 @@ mod tests {
         assert_eq!(reused.now(), 0);
         assert_eq!(reused.stats().config_cycles, 0);
         assert_eq!(run(&mut reused), reference);
+    }
+
+    /// Deals transitions `0..costs.len()`, fired in index order, to
+    /// `n_teps` TEPs.
+    fn deal(costs: &[u64], interrupt: &[bool], exclusion: &[Vec<u32>], n_teps: usize) -> Schedule {
+        let fired: Vec<_> = (0..costs.len()).map(TransitionId::from_index).collect();
+        schedule(&fired, costs, interrupt, exclusion, n_teps, &mut Vec::new(), &mut Vec::new())
+    }
+
+    #[test]
+    fn schedule_deals_round_robin_and_never_splits_a_routine() {
+        let free = vec![Vec::new(); 3];
+        let s = deal(&[492, 36, 492], &[false; 3], &free, 2);
+        assert_eq!(s.assigned_tep, [0, 1, 0]);
+        assert_eq!(s.makespan, 984, "both long routines land on TEP 0");
+        assert_eq!(s.interrupt_latency, None);
+        let s = deal(&[492, 492, 36], &[false; 3], &free, 2);
+        assert_eq!(s.assigned_tep, [0, 1, 0]);
+        assert_eq!(s.makespan, 528, "more than half the 1 020 total");
+        let s = deal(&[492, 36, 492], &[false; 3], &free, 1);
+        assert_eq!((s.assigned_tep, s.makespan), (vec![0, 0, 0], 1_020));
+        let s = deal(&[], &[], &[], 2);
+        assert_eq!((s.assigned_tep, s.makespan, s.interrupt_latency), (vec![], 0, None));
+    }
+
+    #[test]
+    fn schedule_deals_interrupt_transitions_first() {
+        let free = vec![Vec::new(); 4];
+        // Transitions 1 and 3 are interrupt-priority: dealt first, in
+        // firing order, then 0 and 2.
+        let s = deal(&[10, 20, 30, 40], &[false, true, false, true], &free, 2);
+        assert_eq!(s.assigned_tep, [0, 0, 1, 1]);
+        assert_eq!(s.makespan, 70);
+        // Every interrupt routine has completed once TEP 1's 40 has run.
+        assert_eq!(s.interrupt_latency, Some(overhead::SLA + 40));
+        let s = deal(&[10, 20, 30, 40], &[false, true, false, true], &free, 1);
+        assert_eq!(s.interrupt_latency, Some(overhead::SLA + 60), "20 then 40 on one TEP");
+    }
+
+    #[test]
+    fn schedule_co_locates_exclusion_partners() {
+        // 0 and 3 exclude each other; round-robin alone would put 3 on
+        // TEP 1.
+        let exclusion = vec![vec![3], vec![], vec![], vec![0]];
+        let s = deal(&[5, 6, 7, 8], &[false; 4], &exclusion, 2);
+        assert_eq!(s.assigned_tep, [0, 1, 0, 0]);
+        assert_eq!(s.makespan, 20);
+        // The partner dealt first decides: with 3 interrupt-priority,
+        // the deal is 3, 0, 1, 2, and 0 follows 3 onto TEP 0 although
+        // its turn was TEP 1.
+        let mut interrupt = [false; 4];
+        interrupt[3] = true;
+        let s = deal(&[5, 6, 7, 8], &interrupt, &exclusion, 2);
+        assert_eq!(s.assigned_tep, [0, 0, 1, 0]);
+        assert_eq!(s.makespan, 19);
+        // On one TEP there is nothing to co-locate.
+        let s = deal(&[5, 6, 7, 8], &[false; 4], &exclusion, 1);
+        assert_eq!(s.makespan, 26);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! run of idle cycles is stored as one report and a count, so a
 //! scenario that idles for millions of cycles between firings keeps
 //! memory proportional to its firings. The wire still encodes one
-//! report per cycle.
+//! report per cycle. The scenario loop takes a quiet cycle in place: the
+//! machine builds no report, the `done` predicate sees the shared
+//! [`IDLE_REPORT`], and the log only bumps its idle run's count.
 //!
 //! Scenarios are fully independent (separate machine state, separate
 //! environment), so the batch output is byte-identical for any worker
@@ -25,7 +27,9 @@
 //! each chunk's results in job order. Batches ([`SimPool::run_batch_until`])
 //! collect every result; state exploration ([`crate::explore()`])
 //! streams them with a bounded lookahead, one scalar machine per
-//! worker.
+//! worker. The loop joins every worker before it returns, so a worker
+//! thread has exited, and handed its malloc arena back, before the next
+//! batch spawns its own; peak RSS then stays flat over many batches.
 //!
 //! Each batch worker runs its scenarios one after another on one scalar
 //! [`PscpMachine`], claiming several scenarios per chunk so workers
@@ -35,7 +39,9 @@
 //! workers run every scenario through one loop, `run_scenario`.
 
 use crate::compile::CompiledSystem;
-use crate::machine::{CycleReport, Environment, MachineError, MachineStats, PscpMachine};
+use crate::machine::{
+    CycleReport, Environment, MachineError, MachineStats, PscpMachine, IDLE_REPORT,
+};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -102,16 +108,33 @@ impl CycleLog {
 
     /// Appends one cycle's report.
     pub fn push(&mut self, report: CycleReport) {
-        self.len += 1;
-        if is_idle(&report) {
-            if let Some((last, count)) = self.runs.last_mut() {
-                if is_idle(last) && last.cycle_length == report.cycle_length {
-                    *count += 1;
-                    return;
-                }
-            }
+        if is_idle(&report) && self.extend_idle_run(report.cycle_length) {
+            return;
         }
+        self.len += 1;
         self.runs.push((report, 1));
+    }
+
+    /// Appends one cycle whose report is [`IDLE_REPORT`], as
+    /// `push(IDLE_REPORT.clone())` would, without building the report:
+    /// after a run of such cycles it only bumps the run's count.
+    pub(crate) fn push_idle(&mut self) {
+        if !self.extend_idle_run(IDLE_REPORT.cycle_length) {
+            self.push(IDLE_REPORT.clone());
+        }
+    }
+
+    /// Counts one more cycle into the last run if that run is idle with
+    /// `cycle_length`; returns whether it did.
+    fn extend_idle_run(&mut self, cycle_length: u64) -> bool {
+        match self.runs.last_mut() {
+            Some((last, count)) if is_idle(last) && last.cycle_length == cycle_length => {
+                *count += 1;
+                self.len += 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Cycles logged.
@@ -397,10 +420,11 @@ pub(crate) fn stream_chunks<J, R, W>(
     );
     let (lock, cv) = &shared;
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for w in 0..threads {
             let shared = &shared;
             let (make_worker, expand) = (&make_worker, &expand);
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 let _lane = pscp_obs::trace::worker_lane("sim-worker", w);
                 let _stop = StopOnPanic(shared);
                 let mut worker = make_worker(w);
@@ -424,7 +448,7 @@ pub(crate) fn stream_chunks<J, R, W>(
                     lock.lock().expect(UNPOISONED).done[i] = Some(out);
                     cv.notify_all();
                 }
-            });
+            }));
         }
         let _stop = StopOnPanic(&shared);
         for i in 0..chunks {
@@ -441,6 +465,16 @@ pub(crate) fn stream_chunks<J, R, W>(
             };
             cv.notify_all();
             consume(out);
+        }
+        // Join each worker before the scope ends: the scope itself
+        // returns once the workers' closures finish, before the threads
+        // exit and hand back their malloc arenas, so the next batch's
+        // workers would open new ones and peak RSS would creep with the
+        // batch count.
+        for worker in workers {
+            if let Err(panic) = worker.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
 }
@@ -482,18 +516,25 @@ where
     let mut error = None;
     let mut steps = 0u64;
     while machine.now() < limits.deadline && steps < limits.max_steps {
-        match machine.step(&mut env) {
-            Ok(report) => {
+        // A quiet cycle completes in place: `done` sees the shared idle
+        // report and the log bumps a count, so no report is built.
+        let stop = match machine.step_in_place(&mut env) {
+            Ok(None) => {
+                reports.push_idle();
+                done(machine, &env, &IDLE_REPORT)
+            }
+            Ok(Some(report)) => {
                 let stop = done(machine, &env, &report);
                 reports.push(report);
-                if stop {
-                    break;
-                }
+                stop
             }
             Err(e) => {
                 error = Some(e);
                 break;
             }
+        };
+        if stop {
+            break;
         }
         steps += 1;
     }
@@ -955,6 +996,34 @@ mod tests {
         assert_eq!(log.runs[0].1, 3);
         assert!(log.runs.iter().filter(|(r, _)| !is_idle(r)).all(|&(_, n)| n == 1));
         assert!(log != vec[..12].to_vec(), "a shorter sequence differs");
+    }
+
+    #[test]
+    fn push_idle_logs_what_pushing_the_idle_report_logs() {
+        // Each prefix: an empty log, one after a fired report, and one
+        // after an idle run of another cycle length; then idle cycles
+        // appended both ways, and a fired report after them.
+        let prefixes: [&[CycleReport]; 3] =
+            [&[], &[idle(4), fired(0, 30)], &[fired(1, 12), idle(9), idle(9)]];
+        for prefix in prefixes {
+            let (mut by_push, mut by_idle) = (CycleLog::new(), CycleLog::new());
+            for r in prefix {
+                by_push.push(r.clone());
+                by_idle.push(r.clone());
+            }
+            for _ in 0..3 {
+                by_push.push(IDLE_REPORT.clone());
+                by_idle.push_idle();
+                assert_eq!(by_idle, by_push, "after {prefix:?}");
+                assert_eq!(by_idle.runs, by_push.runs, "after {prefix:?}");
+            }
+            by_push.push(fired(2, 20));
+            by_idle.push(fired(2, 20));
+            by_idle.push_idle();
+            by_push.push(IDLE_REPORT.clone());
+            assert_eq!(by_idle.runs, by_push.runs, "after {prefix:?}");
+            assert_eq!(by_idle.len(), prefix.len() + 5);
+        }
     }
 
     #[test]

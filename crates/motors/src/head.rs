@@ -206,24 +206,31 @@ impl Environment for SmdHead {
 
     /// Takes an empty sample in place of [`sample_events`](Self::sample_events):
     /// only when the head is powered, no completion event is pending,
-    /// no motor — the silent Z axis included — pulses within the time
-    /// since the last sample and no `DATA_VALID` is due. Without a
-    /// pulse, advancing every motor by the elapsed time is exactly what
-    /// the sample would have done.
+    /// no motor — the silent Z axis included — pulses by `now` and no
+    /// `DATA_VALID` is due. Without a pulse, skipping every motor over
+    /// the elapsed time is exactly what the sample's `advance` calls
+    /// would have done.
     fn quiet_sample(&mut self, now: u64) -> bool {
-        let elapsed = now.saturating_sub(self.last_sample);
-        let motors = [&self.motor_x, &self.motor_y, &self.motor_phi, &self.motor_z];
+        let last = self.last_sample;
+        let next_pulse = self
+            .motor_x
+            .next_pulse_at(last)
+            .min(self.motor_y.next_pulse_at(last))
+            .min(self.motor_phi.next_pulse_at(last))
+            .min(self.motor_z.next_pulse_at(last));
         if !self.powered
             || !self.pending_steps_events.is_empty()
-            || motors.iter().any(|m| m.pulses_within(elapsed))
+            || next_pulse <= now
             || (now >= self.next_data_valid && self.byte_ready())
         {
             return false;
         }
+        let elapsed = now.saturating_sub(last);
         self.last_sample = now;
-        for m in [&mut self.motor_x, &mut self.motor_y, &mut self.motor_phi, &mut self.motor_z] {
-            m.advance(elapsed);
-        }
+        self.motor_x.skip(elapsed);
+        self.motor_y.skip(elapsed);
+        self.motor_phi.skip(elapsed);
+        self.motor_z.skip(elapsed);
         true
     }
 

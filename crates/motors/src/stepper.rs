@@ -175,11 +175,27 @@ impl StepperMotor {
         }
     }
 
-    /// True when [`advance`](Self::advance)`(cycles)` would issue at
-    /// least one pulse. Without a pulse, advancing is additive:
-    /// `advance(a); advance(b)` leaves the motor as `advance(a + b)`.
-    pub fn pulses_within(&self, cycles: u64) -> bool {
-        self.running() && self.period != 0 && cycles > 0 && self.remaining <= cycles
+    /// The absolute cycle of the next pulse, for a motor last advanced
+    /// at cycle `last`; `u64::MAX` when it is not running.
+    /// [`advance`](Self::advance) up to any earlier cycle issues no
+    /// pulse, and is then exactly [`skip`](Self::skip).
+    pub fn next_pulse_at(&self, last: u64) -> u64 {
+        if self.running() && self.period != 0 {
+            last.saturating_add(self.remaining)
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Advances the motor by `cycles` clock cycles that issue no pulse:
+    /// the caller has checked that they end before
+    /// [`next_pulse_at`](Self::next_pulse_at). Leaves the motor exactly
+    /// as [`advance`](Self::advance)`(cycles)` would.
+    pub fn skip(&mut self, cycles: u64) {
+        if self.running() && self.period != 0 {
+            debug_assert!(self.remaining > cycles, "skip over a pulse");
+            self.remaining -= cycles;
+        }
     }
 
     /// Advances the motor by `cycles` clock cycles; returns the number
@@ -304,21 +320,48 @@ mod tests {
     }
 
     #[test]
-    fn pulses_within_predicts_advance() {
+    fn next_pulse_at_predicts_advance() {
         let mut m = StepperMotor::new(AxisLimits::xy(CLOCK));
-        assert!(!m.pulses_within(u64::MAX), "an idle motor never pulses");
+        assert_eq!(m.next_pulse_at(7), u64::MAX, "an idle motor never pulses");
         m.start(2, 1, 500);
+        assert_eq!(m.next_pulse_at(1_000), 1_500);
         for window in [0, 1, 250, 499, 500, 501, 2_000] {
             let mut probe = m.clone();
-            assert_eq!(m.pulses_within(window), probe.advance(window) > 0, "window {window}");
+            let pulses = probe.advance(window) > 0;
+            assert_eq!(m.next_pulse_at(0) <= window, pulses, "window {window}");
         }
         m.advance(499);
-        assert!(m.pulses_within(1));
-        assert!(!m.pulses_within(0));
+        assert_eq!(m.next_pulse_at(499), 500);
         m.advance(1);
+        assert_eq!(m.next_pulse_at(500), 1_000, "the counter reloads its period");
         m.advance(500);
         assert!(!m.running());
-        assert!(!m.pulses_within(u64::MAX), "a finished move never pulses");
+        assert_eq!(m.next_pulse_at(1_000), u64::MAX, "a finished move never pulses");
+    }
+
+    #[test]
+    fn skip_is_advance_without_a_pulse() {
+        let mut idle = StepperMotor::new(AxisLimits::zphi(CLOCK));
+        let before = idle.clone();
+        idle.skip(1_000_000);
+        assert_eq!(idle, before, "skipping leaves an idle motor alone");
+        let mut m = StepperMotor::new(AxisLimits::xy(CLOCK));
+        m.start(3, -1, 400);
+        m.advance(400);
+        m.set_period(350);
+        for window in [0, 1, 200, 399] {
+            let (mut skipped, mut advanced) = (m.clone(), m.clone());
+            skipped.skip(window);
+            assert_eq!(advanced.advance(window), 0);
+            assert_eq!(skipped, advanced, "window {window}");
+        }
+        // Skips add up like advances.
+        let mut skipped = m.clone();
+        skipped.skip(150);
+        skipped.skip(249);
+        m.advance(399);
+        assert_eq!(skipped, m);
+        assert_eq!(skipped.next_pulse_at(0), 1);
     }
 
     #[test]

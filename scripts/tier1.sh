@@ -76,6 +76,15 @@ cargo test --release -p pscp-bench --test determinism -q
 # predicate, step limit or deadline cuts a quiet stretch, and in the
 # VCD waveform.
 cargo test --release -p pscp-core --test quiet_differential -q
+# The plant's quiet contract is the other half of that spec:
+# `quiet_contract` walks `SmdHead` through random port writes, command
+# reads and sample times (motors arming, ramping and stopping, frame
+# handshakes), and at every step `quiet_sample(now)` must be granted
+# exactly when `sample_events(now)` is empty and pulses no motor (the
+# silent Z axis included), leave the head equal to the sampled one
+# when granted and unchanged when refused; the stepper unit tests pin
+# `next_pulse_at` and `skip` against `advance`.
+cargo test --release -p pscp-motors -q
 
 # The explore differential suite is the reachability engine's spec:
 # reports must be byte-identical across worker counts against the
