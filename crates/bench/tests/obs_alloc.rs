@@ -11,7 +11,9 @@
 //! allocates exactly its `CycleReport`'s vectors (`fired`,
 //! `transition_cycles`, `assigned_tep`, and `raised` when it is not
 //! empty), and a sampled idle cycle, a quiet cycle and
-//! `PscpMachine::reset` allocate nothing. A `SimPool` batch allocates
+//! `PscpMachine::reset` allocate nothing. Sampling a scripted row by
+//! event id allocates nothing, its first row (which resolves the
+//! script's names) included. A `SimPool` batch allocates
 //! the same whether its quiet stretches last 1 000 or 100 000 cycles.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
@@ -26,6 +28,9 @@ use pscp_core::machine::{Environment, NullEnvironment, PscpMachine, ScriptedEnvi
 use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_sla::compiled::CompiledNet;
 use pscp_sla::net::LogicNet;
+use pscp_statechart::semantics::SelectionTables;
+use pscp_statechart::EventId;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
@@ -59,9 +64,10 @@ fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-/// Replays a script, counting the cycles it lets the machine complete
-/// quietly. Port writes are dropped: recording them would allocate on
-/// the test's side.
+/// Replays a script by event id, as the machine samples a bare
+/// `ScriptedEnvironment`, counting the cycles it lets the machine
+/// complete quietly. Port writes are dropped: recording them would
+/// allocate on the test's side.
 struct Replay {
     script: ScriptedEnvironment,
     quiet: u64,
@@ -70,6 +76,15 @@ struct Replay {
 impl Environment for Replay {
     fn sample_events(&mut self, now: u64) -> Vec<String> {
         self.script.sample_events(now)
+    }
+
+    fn sample_event_ids(
+        &mut self,
+        now: u64,
+        tables: &Arc<SelectionTables>,
+        out: &mut Vec<EventId>,
+    ) {
+        self.script.sample_event_ids(now, tables, out)
     }
 
     fn quiet_sample(&mut self, now: u64) -> bool {
@@ -117,7 +132,7 @@ fn pickup_script(rows: usize) -> Replay {
 /// Scenario `i` of the quiet-stretch batch: a few busy rows of the
 /// seeded pickup script, `quiet_rows` empty rows, then busy rows again.
 fn quiet_stretch(i: usize, quiet_rows: usize) -> Replay {
-    let busy = pickup_script(48 + 24 * i).script.script;
+    let busy = pickup_script(48 + 24 * i).script.script();
     let (head, tail) = busy.split_at(24);
     let rows = head.iter().cloned().chain(vec![Vec::new(); quiet_rows]).chain(tail.iter().cloned());
     Replay { script: ScriptedEnvironment::new(rows.collect::<Vec<_>>()), quiet: 0 }
@@ -196,6 +211,24 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
     assert!(raising >= 5, "only {raising} fired cycles raised events");
     assert!(sampled_idle >= 50, "only {sampled_idle} sampled idle cycles");
     assert!(quiet >= 50, "only {quiet} quiet cycles");
+
+    // --- sampling scripted rows by event id ---
+    let mut script = pickup_script(ROWS).script;
+    let mut ids = Vec::with_capacity(64);
+    let (mut busy_rows, mut sampled) = (0, 0);
+    let before = allocs();
+    for now in 0..ROWS as u64 {
+        ids.clear();
+        script.sample_event_ids(now, &system.selection, &mut ids);
+        busy_rows += usize::from(!ids.is_empty());
+        sampled += ids.len();
+    }
+    let sample_allocs = allocs() - before;
+    assert_eq!(
+        sample_allocs, 0,
+        "sampling {busy_rows} scripted rows allocated {sample_allocs} times"
+    );
+    assert!(busy_rows >= 100 && sampled > busy_rows, "{busy_rows} rows, {sampled} events");
 
     // --- a batch's quiet stretches ---
     // The pool's scenario loop completes quiet cycles in place and logs

@@ -29,15 +29,24 @@
 //! exactly as an idle sampled cycle does, but builds no report. Its
 //! report is the shared [`IDLE_REPORT`]; [`PscpMachine::step`] returns a
 //! copy, and the pool's scenario loop logs it by count.
+//!
+//! A sampled cycle takes its external events as ids
+//! ([`Environment::sample_event_ids`]). The default resolves the names
+//! of [`Environment::sample_events`] through the system's name table;
+//! [`ScriptedEnvironment`] keeps its script interned, resolves each
+//! distinct name once per table, and hands each row over without
+//! allocating, its string method serving as the oracle.
 
 use crate::compile::{ArgSpec, CompiledSystem};
 use pscp_action_lang::interp::Host;
 use pscp_obs::vcd::{SignalId, VcdWriter};
-use pscp_statechart::semantics::{ActionSite, EffectSink, Executor};
+use pscp_statechart::semantics::{ActionSite, EffectSink, Executor, SelectionTables};
 use pscp_statechart::{ConditionId, EventId, StateId, TransitionId};
 use pscp_tep::machine::{TepError, TepMachine};
 use pscp_tep::TepDataState;
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Scheduler overhead constants, in clock cycles.
@@ -58,6 +67,29 @@ pub trait Environment {
     /// External events arriving for the configuration cycle starting at
     /// absolute cycle `now`, by name.
     fn sample_events(&mut self, now: u64) -> Vec<String>;
+
+    /// Appends to `out` the ids of the external events arriving for the
+    /// configuration cycle starting at `now`: the names
+    /// [`sample_events`](Self::sample_events) returns, resolved by
+    /// `tables`' event names, in order; names the chart does not
+    /// declare are dropped. The machine samples events through this
+    /// method.
+    ///
+    /// The default resolves `sample_events` by name. An environment
+    /// that holds its events interned overrides it to sample without
+    /// allocating; it must append what the default appends and leave
+    /// itself as `sample_events` would, which makes `sample_events` the
+    /// oracle of the override. One environment may be sampled against
+    /// several systems' tables.
+    fn sample_event_ids(
+        &mut self,
+        now: u64,
+        tables: &Arc<SelectionTables>,
+        out: &mut Vec<EventId>,
+    ) {
+        let names = tables.event_names();
+        out.extend(self.sample_events(now).iter().filter_map(|name| names.get(name)));
+    }
 
     /// External condition-port values, by name (applied before the SLA
     /// evaluates).
@@ -103,42 +135,150 @@ impl Environment for NullEnvironment {
 
 /// An environment replaying a fixed per-cycle event script.
 ///
-/// The script is consumed as it is replayed: each cycle's entry is
-/// handed to the machine by move, leaving an empty `Vec` behind.
+/// The script is stored interned: its distinct names once, and per row
+/// the indices of the names it raises. The `i`-th sample consumes row
+/// `i`; [`script`](Self::script) shows consumed rows as empty.
 /// Re-running a script requires a fresh environment.
+///
+/// The machine samples it through
+/// [`sample_event_ids`](Environment::sample_event_ids): the distinct
+/// names are resolved once per name table, and each row is then handed
+/// over as event ids, with no allocation, free or string compare.
+/// [`sample_events`](Environment::sample_events) builds the row's names
+/// instead; it is the oracle the id path is checked against.
 #[derive(Debug, Clone, Default)]
 pub struct ScriptedEnvironment {
-    /// `script[i]` = events for the i-th configuration cycle.
-    pub script: Vec<Vec<String>>,
+    /// The distinct event names, in order of first appearance.
+    names: Vec<String>,
+    /// `row_end[i]` is where row `i` ends in `row_syms`; it starts where
+    /// row `i - 1` ends.
+    row_end: Vec<u32>,
+    /// Every row's name indices, row after row.
+    row_syms: Vec<u32>,
+    /// Rows sampled so far; it runs past the script's end when a run
+    /// outlasts it.
     cursor: usize,
+    /// `names` resolved against the last name table sampled with.
+    resolved: Resolved,
     /// Recorded port writes `(address, value, cycle)`.
     pub port_writes: Vec<(u16, i64, u64)>,
 }
 
+/// A scripted environment's names resolved against one system's event
+/// names.
+#[derive(Clone, Default)]
+struct Resolved {
+    /// The tables `ids` were resolved against, `None` before the first
+    /// non-empty sample. Holding the `Arc` keeps those tables alive, so
+    /// a pointer-equal `Arc` is the same table, never another one at a
+    /// reused address.
+    tables: Option<Arc<SelectionTables>>,
+    /// `ids[s]` is the event name `s` denotes in `tables`, `None` when
+    /// the chart does not declare it. Sized when the script is built,
+    /// so resolving again allocates nothing.
+    ids: Vec<Option<EventId>>,
+}
+
+impl Resolved {
+    /// The ids of `names` in `tables`, resolved when `tables` is not
+    /// the table they were last resolved against.
+    fn ids(&mut self, tables: &Arc<SelectionTables>, names: &[String]) -> &[Option<EventId>] {
+        if !self.tables.as_ref().is_some_and(|t| Arc::ptr_eq(t, tables)) {
+            let events = tables.event_names();
+            for (id, name) in self.ids.iter_mut().zip(names) {
+                *id = events.get(name);
+            }
+            self.tables = Some(Arc::clone(tables));
+        }
+        &self.ids
+    }
+}
+
+impl fmt::Debug for Resolved {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Resolved").field("ids", &self.ids).finish_non_exhaustive()
+    }
+}
+
 impl ScriptedEnvironment {
-    /// Creates a scripted environment.
+    /// Creates a scripted environment: `script`'s `i`-th row holds the
+    /// event names of the `i`-th configuration cycle. Interning takes
+    /// time linear in the number of names.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the script holds more than `u32::MAX` names.
     pub fn new<I, S>(script: I) -> Self
     where
         I: IntoIterator,
         I::Item: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        let mut index: HashMap<String, u32> = HashMap::new();
+        let mut row_end = Vec::new();
+        let mut row_syms = Vec::new();
+        for row in script {
+            for name in row {
+                let next = u32::try_from(index.len()).expect("at most u32::MAX names");
+                row_syms.push(*index.entry(name.into()).or_insert(next));
+            }
+            row_end.push(u32::try_from(row_syms.len()).expect("at most u32::MAX names"));
+        }
+        let mut names = vec![String::new(); index.len()];
+        for (name, sym) in index {
+            names[sym as usize] = name;
+        }
         ScriptedEnvironment {
-            script: script
-                .into_iter()
-                .map(|evs| evs.into_iter().map(Into::into).collect())
-                .collect(),
+            resolved: Resolved { tables: None, ids: vec![None; names.len()] },
+            names,
+            row_end,
+            row_syms,
             cursor: 0,
             port_writes: Vec::new(),
         }
+    }
+
+    /// The script as it stands: one row of event names per
+    /// configuration cycle, the rows already sampled empty.
+    pub fn script(&self) -> Vec<Vec<String>> {
+        (0..self.row_end.len())
+            .map(|i| if i < self.cursor { Vec::new() } else { self.row_names(i) })
+            .collect()
+    }
+
+    /// Where row `i`'s name indices lie in `row_syms`; empty past the
+    /// script's end.
+    fn span(&self, i: usize) -> Range<usize> {
+        let Some(&end) = self.row_end.get(i) else { return 0..0 };
+        let start = i.checked_sub(1).map_or(0, |p| self.row_end[p]);
+        start as usize..end as usize
+    }
+
+    fn row_names(&self, i: usize) -> Vec<String> {
+        self.row_syms[self.span(i)].iter().map(|&s| self.names[s as usize].clone()).collect()
     }
 }
 
 impl Environment for ScriptedEnvironment {
     fn sample_events(&mut self, _now: u64) -> Vec<String> {
-        let out = self.script.get_mut(self.cursor).map(std::mem::take).unwrap_or_default();
+        let out = self.row_names(self.cursor);
         self.cursor += 1;
         out
+    }
+
+    fn sample_event_ids(
+        &mut self,
+        _now: u64,
+        tables: &Arc<SelectionTables>,
+        out: &mut Vec<EventId>,
+    ) {
+        let span = self.span(self.cursor);
+        self.cursor += 1;
+        if span.is_empty() {
+            return;
+        }
+        let ids = self.resolved.ids(tables, &self.names);
+        out.extend(self.row_syms[span].iter().filter_map(|&s| ids[s as usize]));
     }
 
     fn port_write(&mut self, address: u16, value: i64, now: u64) {
@@ -146,7 +286,7 @@ impl Environment for ScriptedEnvironment {
     }
 
     fn quiet_sample(&mut self, _now: u64) -> bool {
-        if self.script.get(self.cursor).is_some_and(|row| !row.is_empty()) {
+        if !self.span(self.cursor).is_empty() {
             return false;
         }
         self.cursor += 1;
@@ -653,11 +793,7 @@ impl<'s> PscpMachine<'s> {
     fn sample_phase<E: Environment>(&mut self, env: &mut E) {
         let events = &mut self.scratch.events;
         events.clear();
-        for name in env.sample_events(self.now) {
-            if let Some(e) = self.system.selection.event_names().get(&name) {
-                events.push(e);
-            }
-        }
+        env.sample_event_ids(self.now, &self.system.selection, events);
         events.append(&mut self.pending_timer_events);
         events.sort_unstable();
         events.dedup();

@@ -655,7 +655,7 @@ mod tests {
                 .collect()
         };
         let done = |m: &PscpMachine<'_>, env: &ScriptedEnvironment, _: &CycleReport| {
-            m.stats().config_cycles as usize == env.script.len() / 2
+            m.stats().config_cycles as usize == env.script().len() / 2
         };
         for threads in [1, 2, 3] {
             let k = threads * CLAIMS_PER_WORKER;
@@ -666,7 +666,7 @@ mod tests {
                 assert_eq!(got.len(), n, "threads={threads} n={n}");
                 for (i, (o, want)) in got.iter().zip(&reference).enumerate() {
                     let at = format!("threads={threads} n={n} scenario {i}");
-                    assert_eq!(o.reports.len(), want.env.script.len() / 2, "{at}: cut by done");
+                    assert_eq!(o.reports.len(), want.env.script().len() / 2, "{at}: cut by done");
                     assert_eq!(o.reports, want.reports, "{at}");
                     assert_eq!(o.stats, want.stats, "{at}");
                     assert_eq!(o.clock_cycles, want.clock_cycles, "{at}");
@@ -918,7 +918,7 @@ mod tests {
                         assert_eq!(g.clock_cycles, w.clock_cycles, "{at}");
                         assert_eq!(g.error, w.error, "{at}");
                         assert_eq!(g.env.port_writes, w.env.port_writes, "{at}");
-                        assert_eq!(g.env.script, w.env.script, "{at}");
+                        assert_eq!(g.env.script(), w.env.script(), "{at}");
                     }
                 }
             }

@@ -550,7 +550,7 @@ impl WireOutcome {
             reports: o.reports.iter().map(WireReport::from_report).collect(),
             stats: WireStats::from_stats(&o.stats),
             clock_cycles: o.clock_cycles,
-            leftover_script: o.env.script.clone(),
+            leftover_script: o.env.script(),
             port_writes: o.env.port_writes.clone(),
             error: o.error.as_ref().map(|e| e.to_string()),
             latency: None,

@@ -21,8 +21,10 @@ use pscp_core::machine::{CycleReport, Environment, PscpMachine, ScriptedEnvironm
 use pscp_core::pool::{BatchOptions, BatchOutcome, SimPool};
 use pscp_motors::head::{Move, SmdHead};
 use pscp_motors::{pickup_head_actions, pickup_head_chart};
-use pscp_statechart::{Chart, ChartBuilder, StateKind};
+use pscp_statechart::semantics::SelectionTables;
+use pscp_statechart::{Chart, ChartBuilder, EventId, StateKind};
 use pscp_tep::codegen::CodegenOptions;
+use std::sync::Arc;
 
 /// The oracle: forwards sampling and ports, keeps the default
 /// `quiet_sample`, so every cycle samples.
@@ -47,8 +49,9 @@ impl<E: Environment> Environment for Sampling<E> {
     }
 }
 
-/// The subject: forwards everything, `quiet_sample` included, and
-/// counts the quiet samples the environment granted.
+/// The subject: forwards everything, `quiet_sample` and
+/// `sample_event_ids` included, and counts the quiet samples the
+/// environment granted.
 #[derive(Debug, Clone)]
 struct Counted<E> {
     env: E,
@@ -58,6 +61,15 @@ struct Counted<E> {
 impl<E: Environment> Environment for Counted<E> {
     fn sample_events(&mut self, now: u64) -> Vec<String> {
         self.env.sample_events(now)
+    }
+
+    fn sample_event_ids(
+        &mut self,
+        now: u64,
+        tables: &Arc<SelectionTables>,
+        out: &mut Vec<EventId>,
+    ) {
+        self.env.sample_event_ids(now, tables, out)
     }
 
     fn sample_conditions(&mut self, now: u64) -> Vec<(String, bool)> {
@@ -298,7 +310,7 @@ fn scripts(n: usize) -> Vec<ScriptedEnvironment> {
 
 fn same_script(got: &ScriptedEnvironment, want: &ScriptedEnvironment, at: &str) {
     assert_eq!(got.port_writes, want.port_writes, "{at}: port writes");
-    assert_eq!(got.script, want.script, "{at}: leftover script");
+    assert_eq!(got.script(), want.script(), "{at}: leftover script");
 }
 
 /// 130 sparse scenarios, split into several chunks at both worker

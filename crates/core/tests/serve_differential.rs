@@ -307,3 +307,43 @@ fn fingerprint_mismatch_is_refused() {
     drop(ok);
     server.stop().unwrap();
 }
+
+/// An untrusted script interns in time linear in its names: one
+/// `Submit` carrying 100 000 distinct names (the chart declares none of
+/// them; every seventh row also carries `TICK` or `T_EXP`) completes
+/// well inside a fixed bound that scanning the name list once per name
+/// would not meet, and its outcome is byte-identical to the in-process
+/// pool's, the remaining script included.
+#[test]
+fn a_script_of_many_distinct_names_is_served_in_linear_time() {
+    const ROWS: usize = 1_000;
+    const NAMES_PER_ROW: usize = 100;
+    let sys = Arc::new(timer_system());
+    let script: Vec<Vec<String>> = (0..ROWS)
+        .map(|r| {
+            let known = ["TICK", "T_EXP"][r / 7 % 2].to_string();
+            (0..NAMES_PER_ROW)
+                .map(|k| format!("N{}", r * NAMES_PER_ROW + k))
+                .chain((r % 7 == 0).then_some(known))
+                .collect()
+        })
+        .collect();
+    // The run stops before the script ends, so the outcome carries most
+    // of the names back.
+    let limits = BatchOptions { deadline: u64::MAX, max_steps: (ROWS - 100) as u64 };
+    let scenario = Scenario { script, limits };
+    let want = reference_bytes(&sys, std::slice::from_ref(&scenario)).remove(0);
+
+    let server = serve::spawn(Arc::clone(&sys), "127.0.0.1:0", ServeOptions::default()).unwrap();
+    let mut client = ScenarioClient::connect(server.addr()).unwrap();
+    let start = std::time::Instant::now();
+    client.submit(scenario.script, limits).unwrap();
+    let (seq, got) = client.recv().unwrap();
+    let took = start.elapsed();
+    assert_eq!(seq, 0);
+    assert_eq!(got.encode(), want, "outcome diverged from the pool");
+    assert!(got.reports.iter().any(|r| !r.fired.is_empty()), "nothing fired");
+    assert!(took < std::time::Duration::from_secs(5), "one submit took {took:?}");
+    drop(client);
+    server.stop().unwrap();
+}

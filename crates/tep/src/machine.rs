@@ -2,7 +2,10 @@
 //!
 //! The machine executes assembler-level instructions; each one advances
 //! the cycle counter by its microprogram length (scaled for limb
-//! expansion) from [`crate::timing::CostModel`]. Ports, conditions and
+//! expansion) from [`crate::timing::CostModel`]. [`TepMachine::new`]
+//! prices every instruction of the program once into a table that
+//! clones share, so execution reads a cost instead of computing it; the
+//! WCET analysis calls the model itself. Ports, conditions and
 //! events go through the same [`Host`] trait the IR interpreter uses, so
 //! the two can be compared instruction-for-effect in differential tests.
 
@@ -12,6 +15,7 @@ use crate::isa::{AluOp, AsmInst, CmpOp, Instr, Storage};
 use crate::timing::CostModel;
 use pscp_action_lang::interp::Host;
 use std::fmt;
+use std::sync::Arc;
 
 /// Runtime errors of the TEP machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +97,11 @@ pub struct TepDataState {
 #[derive(Debug, Clone)]
 pub struct TepMachine<'p> {
     program: &'p TepProgram,
-    cost: CostModel,
+    /// Cycles of every instruction, priced once by [`CostModel::cost`]:
+    /// routine `f`'s instruction `pc` costs `costs[cost_start[f] + pc]`.
+    costs: Arc<[u32]>,
+    /// Where each routine's instructions start in `costs`.
+    cost_start: Arc<[u32]>,
     /// Accumulator.
     acc: i64,
     /// Second operand register.
@@ -126,9 +134,19 @@ impl<'p> TepMachine<'p> {
     /// Creates a machine with globals initialised to their reset values.
     pub fn new(program: &'p TepProgram) -> Self {
         let arch = &program.arch;
+        let model = CostModel::new(arch);
+        let mut cost_start = Vec::with_capacity(program.functions.len());
+        let mut costs = Vec::with_capacity(program.instruction_count());
+        for f in &program.functions {
+            cost_start.push(u32::try_from(costs.len()).expect("program fits u32 instructions"));
+            costs.extend(f.code.iter().map(|inst| {
+                u32::try_from(model.cost(inst)).expect("an instruction costs under u32::MAX cycles")
+            }));
+        }
         let mut m = TepMachine {
             program,
-            cost: CostModel::new(arch),
+            costs: costs.into(),
+            cost_start: cost_start.into(),
             acc: 0,
             op: 0,
             regs: vec![0; arch.register_file.max(1) as usize],
@@ -221,6 +239,19 @@ impl<'p> TepMachine<'p> {
                 Storage::External(a) => self.xram[a as usize] = v,
             }
         }
+    }
+
+    /// The cycles executing instruction `pc` of routine `fi` charges
+    /// (callee time excluded): its entry in the machine's cost table,
+    /// which [`TepMachine::new`] priced with [`CostModel::cost`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the routine or instruction does not exist.
+    pub fn instruction_cost(&self, fi: u32, pc: usize) -> u64 {
+        let f = &self.program.functions[fi as usize];
+        assert!(pc < f.code.len(), "`{}` has no instruction {pc}", f.name);
+        u64::from(self.costs[self.cost_start[fi as usize] as usize + pc])
     }
 
     /// Total cycles consumed so far.
@@ -355,10 +386,11 @@ impl<'p> TepMachine<'p> {
         // Borrowed, not cloned: the name is only materialised on the
         // error paths below.
         let fname = f.name.as_str();
+        let base = self.cost_start[fi as usize] as usize;
         let mut pc = 0usize;
         while pc < f.code.len() {
             let inst: &AsmInst = &f.code[pc];
-            self.cycles += self.cost.cost(inst);
+            self.cycles += u64::from(self.costs[base + pc]);
             self.retired += 1;
             if self.cycles > self.cycle_limit {
                 return Err(TepError::CycleLimit { limit: self.cycle_limit });

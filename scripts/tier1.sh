@@ -76,6 +76,17 @@ cargo test --release -p pscp-bench --test determinism -q
 # predicate, step limit or deadline cuts a quiet stretch, and in the
 # VCD waveform.
 cargo test --release -p pscp-core --test quiet_differential -q
+# The sampling differential suite is the id path's spec: a
+# `ScriptedEnvironment` sampled by event id (its interned script,
+# names resolved once per name table) must be byte-identical —
+# reports, stats, clock, faults, port writes and the remaining script —
+# to the same script sampled by name through a wrapper that keeps the
+# default `sample_event_ids`, on seeded scripts with undeclared names,
+# repeated names and empty rows, on runs longer than the script, on
+# the default environment, at one and two workers, and when one
+# environment or its clone is sampled by machines over two systems
+# that number the same names differently.
+cargo test --release -p pscp-core --test sample_differential -q
 # The plant's quiet contract is the other half of that spec:
 # `quiet_contract` walks `SmdHead` through random port writes, command
 # reads and sample times (motors arming, ramping and stopping, frame
@@ -136,9 +147,16 @@ cargo test --release -p pscp-core --test proptest_incremental -q
 # off, a fired cycle of the pickup head under a script allocates exactly
 # its `CycleReport`'s vectors (`fired`, `transition_cycles`,
 # `assigned_tep`, and `raised` when it is not empty); sampled idle
-# cycles, quiet cycles, `PscpMachine::reset`, `CompiledNet::eval_into`
-# and the serve writer's counters allocate nothing.
+# cycles, quiet cycles, sampling a scripted row by event id,
+# `PscpMachine::reset`, `CompiledNet::eval_into` and the serve
+# writer's counters allocate nothing.
 cargo test --release -p pscp-bench --test obs_alloc -q
+# The TEP's cost table is priced once by `CostModel::cost`, which the
+# WCET analysis also calls: for every instruction of every routine the
+# machine's table entry must equal the model, on the pickup head for
+# each Table 4 architecture and on the gang system, multi-limb
+# instructions included.
+cargo test --release -p pscp-bench --test cost_table -q
 
 # The selection-oracle suites are the executor's transition-selection
 # spec. Selection is event-keyed (tables built once per compiled
