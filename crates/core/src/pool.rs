@@ -13,10 +13,12 @@
 //! A stream is a [`CycleLog`]: it reads as one report per cycle, but a
 //! run of idle cycles is stored as one report and a count, so a
 //! scenario that idles for millions of cycles between firings keeps
-//! memory proportional to its firings. The wire still encodes one
-//! report per cycle. The scenario loop takes a quiet cycle in place: the
-//! machine builds no report, the `done` predicate sees the shared
-//! [`IDLE_REPORT`], and the log only bumps its idle run's count.
+//! memory proportional to its firings, and the reports' lists share a
+//! few buffers per log instead of owning a `Vec` each. The wire still
+//! encodes one report per cycle. The scenario loop takes a quiet cycle
+//! in place: the machine builds no report, the `done` predicate sees
+//! the shared [`IDLE_REPORT`], and the log only bumps its idle run's
+//! count.
 //!
 //! Scenarios are fully independent (separate machine state, separate
 //! environment), so the batch output is byte-identical for any worker
@@ -42,6 +44,7 @@ use crate::compile::CompiledSystem;
 use crate::machine::{
     CycleReport, Environment, MachineError, MachineStats, PscpMachine, IDLE_REPORT,
 };
+use pscp_statechart::{EventId, TransitionId};
 use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Parses a `PSCP_THREADS`-style value; `None`/unparsable/zero fall
@@ -75,29 +78,66 @@ impl Default for BatchOptions {
     }
 }
 
-/// A scenario's per-configuration-cycle reports, run-length encoded.
+/// A scenario's per-configuration-cycle reports, run-length encoded
+/// and stored flat.
 ///
 /// It reads like a `Vec<CycleReport>` — one report per cycle in
 /// execution order through [`len`](CycleLog::len),
-/// [`iter`](CycleLog::iter) and indexing — but stores a run of equal
-/// idle reports (nothing fired, raised or interrupted, same cycle
-/// length) as one report and a count. Reports of cycles that fired are
-/// stored in full and never merged. A co-simulation that idles on
-/// almost every cycle then keeps a few bytes per idle stretch instead
-/// of a report per cycle.
+/// [`iter`](CycleLog::iter) and [`report`](CycleLog::report) — but
+/// stores a run of equal idle reports (nothing fired, raised or
+/// interrupted, same cycle length) as one entry and a count. Reports of
+/// cycles that fired are stored in full and never merged. A
+/// co-simulation that idles on almost every cycle then keeps a few
+/// bytes per idle stretch instead of a report per cycle.
+///
+/// A report's lists are not kept as a `Vec` each: [`push`](CycleLog::push)
+/// appends them to four buffers the whole log shares, and a report
+/// reads back as a [`CycleReportRef`] whose lists borrow those buffers.
+/// A log owns five allocations however many of its cycles fired, not
+/// three more per fired cycle, so a batch's outcomes hold a few blocks
+/// per scenario instead of hundreds of thousands of small ones spread
+/// over the pool workers' malloc arenas (see DESIGN.md, "Quiescent
+/// cycles").
 ///
 /// Runs are merged by emptiness checks and the cycle length, never by
 /// comparing whole reports: `==` on an empty `Vec` is far slower than
 /// those checks on the hot path (see DESIGN.md, "Quiescent cycles").
 /// The merge rule is deterministic, so equal report sequences have
-/// equal runs and the derived equality is sequence equality.
+/// equal runs and buffers, and the derived equality is sequence
+/// equality.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct CycleLog {
-    /// `(report, count)` in execution order; `count > 1` only for idle
-    /// reports, and no two adjacent runs hold equal idle reports.
-    runs: Vec<(CycleReport, usize)>,
+    /// The runs in execution order; no two adjacent runs hold equal
+    /// idle reports.
+    runs: Vec<Run>,
+    /// The stored reports' lists, one report after another: run `i`'s
+    /// end at `runs[i].ends` and start where run `i - 1`'s end.
+    fired: Vec<TransitionId>,
+    transition_cycles: Vec<u64>,
+    assigned_tep: Vec<u8>,
+    raised: Vec<EventId>,
     /// Total cycles: the sum of the counts.
     len: usize,
+}
+
+/// `count` consecutive cycles of a [`CycleLog`] with one report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    cycle_length: u64,
+    interrupt_latency: Option<u64>,
+    /// Where the report's lists end in the log's buffers.
+    ends: Ends,
+    /// More than 1 only for an idle report.
+    count: usize,
+}
+
+/// Positions in a [`CycleLog`]'s four list buffers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Ends {
+    fired: u32,
+    transition_cycles: u32,
+    assigned_tep: u32,
+    raised: u32,
 }
 
 impl CycleLog {
@@ -107,12 +147,32 @@ impl CycleLog {
     }
 
     /// Appends one cycle's report.
+    ///
+    /// # Panics
+    ///
+    /// Panics when one of the log's list buffers would hold more than
+    /// `u32::MAX` entries.
     pub fn push(&mut self, report: CycleReport) {
         if is_idle(&report) && self.extend_idle_run(report.cycle_length) {
             return;
         }
+        self.fired.extend_from_slice(&report.fired);
+        self.transition_cycles.extend_from_slice(&report.transition_cycles);
+        self.assigned_tep.extend_from_slice(&report.assigned_tep);
+        self.raised.extend_from_slice(&report.raised);
+        let ends = Ends {
+            fired: end(&self.fired),
+            transition_cycles: end(&self.transition_cycles),
+            assigned_tep: end(&self.assigned_tep),
+            raised: end(&self.raised),
+        };
+        self.runs.push(Run {
+            cycle_length: report.cycle_length,
+            interrupt_latency: report.interrupt_latency,
+            ends,
+            count: 1,
+        });
         self.len += 1;
-        self.runs.push((report, 1));
     }
 
     /// Appends one cycle whose report is [`IDLE_REPORT`], as
@@ -127,13 +187,42 @@ impl CycleLog {
     /// Counts one more cycle into the last run if that run is idle with
     /// `cycle_length`; returns whether it did.
     fn extend_idle_run(&mut self, cycle_length: u64) -> bool {
-        match self.runs.last_mut() {
-            Some((last, count)) if is_idle(last) && last.cycle_length == cycle_length => {
-                *count += 1;
+        match self.runs.len().checked_sub(1) {
+            Some(last) if self.run_is_idle(last) && self.runs[last].cycle_length == cycle_length => {
+                self.runs[last].count += 1;
                 self.len += 1;
                 true
             }
             _ => false,
+        }
+    }
+
+    /// Whether run `i`'s report is idle: its lists are empty and it
+    /// holds no interrupt latency.
+    fn run_is_idle(&self, i: usize) -> bool {
+        self.runs[i].ends == self.starts(i) && self.runs[i].interrupt_latency.is_none()
+    }
+
+    /// Where run `i`'s lists start: where run `i - 1`'s end.
+    fn starts(&self, i: usize) -> Ends {
+        i.checked_sub(1).map_or(Ends::default(), |p| self.runs[p].ends)
+    }
+
+    /// Run `i`'s report.
+    fn run_report(&self, i: usize) -> CycleReportRef<'_> {
+        let (s, run) = (self.starts(i), &self.runs[i]);
+        let e = run.ends;
+        CycleReportRef {
+            fired: LogSlice(&self.fired[s.fired as usize..e.fired as usize]),
+            transition_cycles: LogSlice(
+                &self.transition_cycles[s.transition_cycles as usize..e.transition_cycles as usize],
+            ),
+            assigned_tep: LogSlice(
+                &self.assigned_tep[s.assigned_tep as usize..e.assigned_tep as usize],
+            ),
+            cycle_length: run.cycle_length,
+            raised: LogSlice(&self.raised[s.raised as usize..e.raised as usize]),
+            interrupt_latency: run.interrupt_latency,
         }
     }
 
@@ -149,8 +238,31 @@ impl CycleLog {
 
     /// The reports, one per cycle, in execution order.
     pub fn iter(&self) -> CycleLogIter<'_> {
-        CycleLogIter { runs: self.runs.iter(), current: None, repeat: 0, left: self.len }
+        CycleLogIter { log: self, next_run: 0, current: None, repeat: 0, left: self.len }
     }
+
+    /// The report of cycle `i`, found by a walk over the runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is not below [`len`](CycleLog::len), as indexing
+    /// a `Vec` past its end does.
+    pub fn report(&self, i: usize) -> CycleReportRef<'_> {
+        assert!(i < self.len, "cycle {i} out of range for a log of {} cycles", self.len);
+        let mut start = 0;
+        for (r, run) in self.runs.iter().enumerate() {
+            if i < start + run.count {
+                return self.run_report(r);
+            }
+            start += run.count;
+        }
+        unreachable!("the run counts sum to the length")
+    }
+}
+
+/// A list buffer's length as a position.
+fn end<T>(buffer: &[T]) -> u32 {
+    u32::try_from(buffer.len()).expect("a cycle log's list buffer holds at most u32::MAX entries")
 }
 
 /// Whether `r` is an idle cycle's report: only such reports merge.
@@ -168,31 +280,14 @@ impl std::fmt::Debug for CycleLog {
     }
 }
 
-impl std::ops::Index<usize> for CycleLog {
-    type Output = CycleReport;
-
-    /// The report of cycle `i`, found by a walk over the runs.
-    fn index(&self, i: usize) -> &CycleReport {
-        assert!(i < self.len, "cycle {i} out of range for a log of {} cycles", self.len);
-        let mut start = 0;
-        for (report, count) in &self.runs {
-            if i < start + count {
-                return report;
-            }
-            start += count;
-        }
-        unreachable!("the run counts sum to the length")
-    }
-}
-
 impl PartialEq<Vec<CycleReport>> for CycleLog {
     fn eq(&self, other: &Vec<CycleReport>) -> bool {
-        self.len == other.len() && self.iter().eq(other)
+        self.len == other.len() && self.iter().zip(other).all(|(a, b)| a == *b)
     }
 }
 
 impl<'a> IntoIterator for &'a CycleLog {
-    type Item = &'a CycleReport;
+    type Item = CycleReportRef<'a>;
     type IntoIter = CycleLogIter<'a>;
 
     fn into_iter(self) -> CycleLogIter<'a> {
@@ -200,26 +295,126 @@ impl<'a> IntoIterator for &'a CycleLog {
     }
 }
 
+/// A [`CycleReport`] as a [`CycleLog`] stores it: the same fields, with
+/// the lists borrowed from the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CycleReportRef<'a> {
+    /// Transitions that fired, in execution order.
+    pub fired: LogSlice<'a, TransitionId>,
+    /// Measured execution cycles per fired transition (same order).
+    pub transition_cycles: LogSlice<'a, u64>,
+    /// Which TEP each transition ran on (same order).
+    pub assigned_tep: LogSlice<'a, u8>,
+    /// Length of this configuration cycle in clock cycles.
+    pub cycle_length: u64,
+    /// Events raised by routines (visible next cycle).
+    pub raised: LogSlice<'a, EventId>,
+    /// Cycles from cycle start until every interrupt-priority transition
+    /// completed (`None` when no interrupt fired).
+    pub interrupt_latency: Option<u64>,
+}
+
+impl CycleReportRef<'_> {
+    /// The report as an owned [`CycleReport`].
+    pub fn to_report(&self) -> CycleReport {
+        CycleReport {
+            fired: self.fired.to_vec(),
+            transition_cycles: self.transition_cycles.to_vec(),
+            assigned_tep: self.assigned_tep.to_vec(),
+            cycle_length: self.cycle_length,
+            raised: self.raised.to_vec(),
+            interrupt_latency: self.interrupt_latency,
+        }
+    }
+}
+
+impl PartialEq<CycleReport> for CycleReportRef<'_> {
+    fn eq(&self, r: &CycleReport) -> bool {
+        self.cycle_length == r.cycle_length
+            && self.interrupt_latency == r.interrupt_latency
+            && *self.fired == r.fired[..]
+            && *self.transition_cycles == r.transition_cycles[..]
+            && *self.assigned_tep == r.assigned_tep[..]
+            && *self.raised == r.raised[..]
+    }
+}
+
+/// One list of a [`CycleReportRef`]: a slice of its log's buffer. It
+/// derefs to the slice, and it and a reference to it iterate the
+/// slice's elements by reference, as `&Vec` does.
+pub struct LogSlice<'a, T>(&'a [T]);
+
+impl<T> Clone for LogSlice<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for LogSlice<'_, T> {}
+
+impl<T> std::ops::Deref for LogSlice<'_, T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        self.0
+    }
+}
+
+impl<'a, T> IntoIterator for LogSlice<'a, T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> std::slice::Iter<'a, T> {
+        self.0.iter()
+    }
+}
+
+impl<'a, T> IntoIterator for &LogSlice<'a, T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> std::slice::Iter<'a, T> {
+        self.0.iter()
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for LogSlice<'_, T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<T: PartialEq> PartialEq for LogSlice<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl<T: Eq> Eq for LogSlice<'_, T> {}
+
 /// Iterator over a [`CycleLog`]'s reports, one per cycle.
 #[derive(Debug, Clone)]
 pub struct CycleLogIter<'a> {
-    runs: std::slice::Iter<'a, (CycleReport, usize)>,
+    log: &'a CycleLog,
+    /// The run after the one being repeated.
+    next_run: usize,
     /// The run being repeated, and how many more times.
-    current: Option<&'a CycleReport>,
+    current: Option<CycleReportRef<'a>>,
     repeat: usize,
     /// Reports still to yield.
     left: usize,
 }
 
 impl<'a> Iterator for CycleLogIter<'a> {
-    type Item = &'a CycleReport;
+    type Item = CycleReportRef<'a>;
 
     #[inline]
-    fn next(&mut self) -> Option<&'a CycleReport> {
+    fn next(&mut self) -> Option<CycleReportRef<'a>> {
         if self.repeat == 0 {
-            let (report, count) = self.runs.next()?;
-            self.current = Some(report);
-            self.repeat = *count;
+            let run = self.log.runs.get(self.next_run)?;
+            self.current = Some(self.log.run_report(self.next_run));
+            self.repeat = run.count;
+            self.next_run += 1;
         }
         self.repeat -= 1;
         self.left -= 1;
@@ -738,7 +933,7 @@ mod tests {
         for o in &reference {
             assert_eq!(o.reports.len(), 1, "stop at step 0 keeps the first report");
             assert_eq!(o.stats.config_cycles, 1);
-            assert_eq!(o.clock_cycles, o.reports[0].cycle_length);
+            assert_eq!(o.clock_cycles, o.reports.report(0).cycle_length);
         }
         for threads in [2, 4, 8] {
             let got = SimPool::with_threads(threads).run_batch_until(
@@ -977,10 +1172,10 @@ mod tests {
             vec.push(r);
             assert_eq!(log.len(), vec.len());
             assert!(log == vec);
-            assert!(log.iter().eq(&vec));
+            assert!(log.iter().eq(vec.iter().cloned()));
             assert_eq!(log.iter().len(), vec.len());
             for (i, r) in vec.iter().enumerate() {
-                assert_eq!(&log[i], r, "cycle {i}");
+                assert_eq!(log.report(i).to_report(), *r, "cycle {i}");
             }
         }
         assert_eq!((&log).into_iter().count(), vec.len());
@@ -993,8 +1188,8 @@ mod tests {
         // idle(9)×2, the raising and the interrupted ones apart from
         // the idle(9) between them, the last fired, idle(4).
         assert_eq!(log.runs.len(), 10);
-        assert_eq!(log.runs[0].1, 3);
-        assert!(log.runs.iter().filter(|(r, _)| !is_idle(r)).all(|&(_, n)| n == 1));
+        assert_eq!(log.runs[0].count, 3);
+        assert!((0..log.runs.len()).all(|i| log.run_is_idle(i) || log.runs[i].count == 1));
         assert!(log != vec[..12].to_vec(), "a shorter sequence differs");
     }
 
@@ -1032,7 +1227,7 @@ mod tests {
         let mut log = CycleLog::new();
         log.push(idle(4));
         log.push(idle(4));
-        let _ = &log[2];
+        let _ = log.report(2);
     }
 
     #[test]

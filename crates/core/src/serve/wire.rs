@@ -78,8 +78,8 @@
 //! [`WireOutcome::encode`].
 
 use crate::explore::{ExploreOptions, ExploreReport, Predicate, Violation, Witness};
-use crate::machine::{CycleReport, MachineStats, ScriptedEnvironment};
-use crate::pool::{BatchOptions, BatchOutcome};
+use crate::machine::{MachineStats, ScriptedEnvironment};
+use crate::pool::{BatchOptions, BatchOutcome, CycleReportRef};
 use pscp_diag::{Diagnostic, Pos, Severity, Source, Span};
 pub use pscp_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use pscp_statechart::{EventId, StateId, TransitionId};
@@ -452,7 +452,7 @@ pub struct OutcomeLatency {
     pub encode_ns: u64,
 }
 
-/// One configuration cycle on the wire — [`CycleReport`] with ids
+/// One configuration cycle on the wire — [`CycleReport`](crate::machine::CycleReport) with ids
 /// flattened to indices.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireReport {
@@ -471,12 +471,12 @@ pub struct WireReport {
 }
 
 impl WireReport {
-    /// Flattens a [`CycleReport`].
-    pub fn from_report(r: &CycleReport) -> Self {
+    /// Flattens a report of a [`CycleLog`](crate::pool::CycleLog).
+    pub fn from_report(r: CycleReportRef<'_>) -> Self {
         WireReport {
             fired: r.fired.iter().map(|t| t.index() as u32).collect(),
-            transition_cycles: r.transition_cycles.clone(),
-            assigned_tep: r.assigned_tep.clone(),
+            transition_cycles: r.transition_cycles.to_vec(),
+            assigned_tep: r.assigned_tep.to_vec(),
             cycle_length: r.cycle_length,
             raised: r.raised.iter().map(|e| e.index() as u32).collect(),
             interrupt_latency: r.interrupt_latency,

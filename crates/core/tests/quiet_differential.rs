@@ -210,7 +210,7 @@ fn pickup_head_runs_to_completion_identically() {
 /// ended inside an idle stretch, not on a firing cycle.
 fn ends_mid_stretch<E>(o: &BatchOutcome<E>) -> bool {
     let n = o.reports.len();
-    n >= 2 && o.reports[n - 1].fired.is_empty() && o.reports[n - 2].fired.is_empty()
+    n >= 2 && o.reports.report(n - 1).fired.is_empty() && o.reports.report(n - 2).fired.is_empty()
 }
 
 /// A `done` predicate reading the clock, a step limit and a deadline,
