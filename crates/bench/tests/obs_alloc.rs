@@ -14,7 +14,10 @@
 //! `PscpMachine::reset` allocate nothing. Sampling a scripted row by
 //! event id allocates nothing, its first row (which resolves the
 //! script's names) included. A `SimPool` batch allocates
-//! the same whether its quiet stretches last 1 000 or 100 000 cycles.
+//! the same whether its quiet stretches last 1 000 or 100 000 cycles,
+//! and with four times the fired cycles it allocates more only by its
+//! cycle logs' buffers doubling: the scenario loop logs the machine's
+//! report in place, so a fired cycle there allocates nothing.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
 //! and any sibling test's allocations would race the counters.
@@ -252,6 +255,36 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
         short, long,
         "a batch allocated {short} times with 1 000-cycle quiet stretches \
          but {long} times with 100 000-cycle ones"
+    );
+
+    // --- a batch's fired cycles ---
+    // Each scenario's first `rows` rows are the same at both lengths,
+    // so the longer batch repeats the shorter one's allocations and then
+    // only grows its logs. A log keeps five buffers (its runs and four
+    // lists), and four times the entries take each at most three more
+    // doublings: two for the growth, one for where the shorter run's
+    // capacity stood. The worker's machine may meet a cycle that fires
+    // more transitions than any before and grow one of its report's
+    // four lists once more.
+    const SCENARIOS: usize = 4;
+    let fired_batch = |rows: usize| {
+        let envs: Vec<_> = (0..SCENARIOS).map(|_| pickup_script(rows)).collect();
+        let limits = BatchOptions { deadline: u64::MAX, max_steps: rows as u64 };
+        let before = allocs();
+        let out = pool.run_batch(&system, envs, &limits);
+        let got = allocs() - before;
+        assert!(out.iter().all(|o| o.error.is_none() && o.reports.len() == rows));
+        let fired = out.iter().flat_map(|o| o.reports.iter()).filter(|r| !r.fired.is_empty());
+        (got, fired.count())
+    };
+    fired_batch(ROWS); // warm-up
+    let ((short, short_fired), (long, long_fired)) = (fired_batch(ROWS), fired_batch(4 * ROWS));
+    assert!(short_fired >= 200 && long_fired >= 3 * short_fired, "{short_fired} vs {long_fired}");
+    let doublings = (SCENARIOS * 5 * 3 + 4) as u64;
+    assert!(
+        long <= short + doublings,
+        "a batch allocated {short} times over {short_fired} fired cycles but {long} times \
+         over {long_fired}; the logs' doublings account for at most {doublings} more"
     );
 
     // --- CompiledNet::eval_into with reused scratch ---

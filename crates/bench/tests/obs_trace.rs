@@ -15,6 +15,8 @@ use pscp_core::machine::{Environment, ScriptedEnvironment};
 use pscp_core::pool::{BatchOptions, SimPool};
 use pscp_core::serve::{self, ScenarioClient, ServeOptions};
 use pscp_obs::json;
+use pscp_statechart::semantics::SelectionTables;
+use pscp_statechart::EventId;
 use std::sync::Arc;
 
 fn scripts() -> Vec<Vec<Vec<String>>> {
@@ -74,7 +76,8 @@ fn traced_batch(pool: &SimPool) -> (Vec<String>, Vec<String>) {
     })
 }
 
-/// Replays a script, counting the quiet samples it grants.
+/// Replays a script by event id, as the machine samples a bare
+/// `ScriptedEnvironment`, counting the quiet samples it grants.
 struct Counted {
     script: ScriptedEnvironment,
     quiet: u64,
@@ -83,6 +86,15 @@ struct Counted {
 impl Environment for Counted {
     fn sample_events(&mut self, now: u64) -> Vec<String> {
         self.script.sample_events(now)
+    }
+
+    fn sample_event_ids(
+        &mut self,
+        now: u64,
+        tables: &Arc<SelectionTables>,
+        out: &mut Vec<EventId>,
+    ) {
+        self.script.sample_event_ids(now, tables, out);
     }
 
     fn quiet_sample(&mut self, now: u64) -> bool {

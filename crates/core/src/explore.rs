@@ -34,8 +34,8 @@
 //! not already hold it untouched ([`pscp_tep::TepMachine::data_touched`]),
 //! so the jobs of one source — consecutive in a chunk — load its plane
 //! once. A worker appends each edge's successor key, fired transitions
-//! and raised events to its chunk's flat buffers and drops the cycle
-//! report where it was made, so no per-edge allocation crosses threads;
+//! and raised events to its chunk's flat buffers, reading the last two
+//! off its machine's report, so no per-edge allocation crosses threads;
 //! the merge looks each successor up by the slice its chunk holds, and
 //! only an admitted state allocates a key of its own. Chunks are merged
 //! *sequentially in job order* while the workers expand at most
@@ -529,10 +529,10 @@ impl<'s> Expander<'s> {
     }
 
     /// Restores the state `key` over `plane`, injects `symbol`, runs one
-    /// configuration cycle and appends the edge to `out`; the cycle's
-    /// report is dropped here. The data plane is restored only when the
-    /// memory does not already hold it untouched, and captured only
-    /// when a routine ran.
+    /// configuration cycle and appends the edge to `out`, copying what
+    /// it needs from the machine's report, which stays in the machine.
+    /// The data plane is restored only when the memory does not already
+    /// hold it untouched, and captured only when a routine ran.
     fn expand(&mut self, key: &Key, plane: &TepDataState, symbol: &[EventId], out: &mut Expanded) {
         let (words, data) = split_key(key);
         let m = &mut self.machine;
@@ -541,15 +541,15 @@ impl<'s> Expander<'s> {
             m.restore_data(plane);
             self.loaded = Some(data);
         }
-        let outcome = match m.step_injected(symbol, &mut NullEnvironment) {
+        let outcome = match m.step_injected_in_place(symbol, &mut NullEnvironment) {
             Err(e) => {
                 out.faults.push(e);
                 Outcome::Fault
             }
-            Ok(report) => {
+            Ok(()) => {
                 m.capture_words(&mut out.keys);
-                out.fired.extend_from_slice(&report.fired);
-                out.raised.extend_from_slice(&report.raised);
+                out.fired.extend_from_slice(&m.report().fired);
+                out.raised.extend_from_slice(&m.report().raised);
                 if m.tep().data_touched() {
                     out.planes.push(m.tep().data_state());
                     out.keys.push(0);
@@ -874,7 +874,7 @@ pub fn replay(system: &CompiledSystem, trace: &[Vec<u32>]) -> Result<Vec<u8>, Ma
     for step in trace {
         events.clear();
         events.extend(step.iter().map(|&i| EventId::from_index(i as usize)));
-        machine.step_injected(&events, &mut NullEnvironment)?;
+        machine.step_injected_in_place(&events, &mut NullEnvironment)?;
     }
     Ok(encode_state(&machine.capture()))
 }

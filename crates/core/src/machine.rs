@@ -19,16 +19,19 @@
 //! assignment of the fired transitions' measured execution times onto
 //! `n_teps` processors, with mutually-exclusive routines forced onto the
 //! same TEP (the "additional decode logic" of §4). That dealing rule is
-//! one pure function, `schedule`, which the cycle calls and which unit
-//! tests pin.
+//! one function, `schedule`, which the cycle calls and which unit tests
+//! pin.
 //!
+//! A machine keeps one [`CycleReport`] ([`PscpMachine::report`]), which
+//! every completed cycle leaves describing itself: a sampled or injected
+//! cycle refills its lists in place. [`PscpMachine::step`] returns a
+//! copy; the pool's scenario loop and the explorer read it in place.
 //! Most co-simulation cycles are quiet: nothing was sampled or pending,
 //! nothing fired, and the environment grants an empty sample
 //! ([`Environment::quiet_sample`]). Such a cycle completes in place: it
 //! advances the clock, timers, statistics, counters and VCD probe
-//! exactly as an idle sampled cycle does, but builds no report. Its
-//! report is the shared [`IDLE_REPORT`]; [`PscpMachine::step`] returns a
-//! copy, and the pool's scenario loop logs it by count.
+//! exactly as an idle sampled cycle does, but leaves the report alone,
+//! which the cycle before, having fired nothing, left [`IDLE_REPORT`].
 //!
 //! A sampled cycle takes its external events as ids
 //! ([`Environment::sample_event_ids`]). The default resolves the names
@@ -312,10 +315,22 @@ pub struct CycleReport {
     pub interrupt_latency: Option<u64>,
 }
 
+impl CycleReport {
+    /// Whether the lists are empty and there is no interrupt latency;
+    /// cheaper than `==` on empty `Vec`s (DESIGN.md, "Quiescent cycles").
+    pub(crate) fn is_idle(&self) -> bool {
+        self.fired.is_empty()
+            && self.transition_cycles.is_empty()
+            && self.assigned_tep.is_empty()
+            && self.raised.is_empty()
+            && self.interrupt_latency.is_none()
+    }
+}
+
 /// The report of every idle configuration cycle: nothing fired, raised
-/// or interrupted, and the cycle took `SLA + IDLE` clock cycles. A quiet
-/// cycle completes in place and builds no report; this one stands for
-/// it (see [`PscpMachine::step`]).
+/// or interrupted, and the cycle took `SLA + IDLE` clock cycles. A fresh
+/// or reset machine's report equals it, and so does a quiet cycle's
+/// (see [`PscpMachine::report`]).
 pub static IDLE_REPORT: CycleReport = CycleReport {
     fired: Vec::new(),
     transition_cycles: Vec::new(),
@@ -501,6 +516,8 @@ pub struct PscpMachine<'s> {
     /// Timer events that expired during the previous cycle.
     pending_timer_events: Vec<EventId>,
     scratch: StepScratch,
+    /// The last completed cycle's report ([`PscpMachine::report`]).
+    report: CycleReport,
     /// Set after a cycle that started with no sampled or pending
     /// internal events, fired nothing and left no timer expiry pending:
     /// the chart's inputs are then unchanged, so an empty sample makes
@@ -544,6 +561,7 @@ impl<'s> PscpMachine<'s> {
                 per_transition: vec![0; chart.transition_count()],
                 ..StepScratch::default()
             },
+            report: IDLE_REPORT.clone(),
             quiet: false,
             vcd: None,
         }
@@ -565,9 +583,10 @@ impl<'s> PscpMachine<'s> {
 
     /// Returns the machine to its power-on state — default chart
     /// configuration, data memory at reset values, clock and statistics
-    /// at zero, timers disarmed — while reusing every allocation (the
-    /// executor's selection tables and scratch, the TEP memory image,
-    /// the step scratch buffers), so resetting allocates nothing. A
+    /// at zero, timers disarmed, the report [`IDLE_REPORT`] — while
+    /// reusing every allocation (the executor's selection tables and
+    /// scratch, the TEP memory image, the step scratch buffers, the
+    /// report's lists), so resetting allocates nothing. A
     /// reset machine is byte-identical in behaviour to a freshly
     /// constructed one, which lets a [`SimPool`](crate::pool::SimPool)
     /// worker run many scenarios on one machine instead of
@@ -583,6 +602,13 @@ impl<'s> PscpMachine<'s> {
         self.stats.tep_busy.iter_mut().for_each(|b| *b = 0);
         self.timers.iter_mut().for_each(|t| *t = None);
         self.pending_timer_events.clear();
+        let r = &mut self.report;
+        r.fired.clear();
+        r.transition_cycles.clear();
+        r.assigned_tep.clear();
+        r.raised.clear();
+        r.cycle_length = IDLE_REPORT.cycle_length;
+        r.interrupt_latency = None;
         self.quiet = false;
         // A reset starts a new run at time zero; a probe's timestamps
         // must stay monotonic, so capture does not survive reset.
@@ -687,9 +713,8 @@ impl<'s> PscpMachine<'s> {
     /// instead of sampling `env` for events/conditions: the given
     /// external events plus any pending timer expiries land in the CR,
     /// exactly as `sample_phase` would deliver them. `env` is still
-    /// consulted for port reads/writes during routine execution. The
-    /// state-space explorer ([`crate::explore()`]) expands a state under
-    /// an input symbol this way.
+    /// consulted for port reads/writes during routine execution.
+    /// Returns a copy of the cycle's [`report`](Self::report).
     ///
     /// # Errors
     ///
@@ -699,6 +724,18 @@ impl<'s> PscpMachine<'s> {
         events: &[EventId],
         env: &mut E,
     ) -> Result<CycleReport, MachineError> {
+        self.step_injected_in_place(events, env)?;
+        Ok(self.report.clone())
+    }
+
+    /// [`step_injected`](Self::step_injected), leaving the report in
+    /// [`report`](Self::report) instead of copying it out. The explorer
+    /// ([`crate::explore()`]) expands a state under a symbol this way.
+    pub(crate) fn step_injected_in_place<E: Environment>(
+        &mut self,
+        events: &[EventId],
+        env: &mut E,
+    ) -> Result<(), MachineError> {
         let set = &mut self.scratch.events;
         set.clear();
         set.extend_from_slice(events);
@@ -729,33 +766,41 @@ impl<'s> PscpMachine<'s> {
         &self.stats
     }
 
-    /// Runs one configuration cycle against the environment. A quiet
-    /// cycle completes in place and returns a copy of [`IDLE_REPORT`],
-    /// which allocates nothing.
+    /// The report of the last completed configuration cycle;
+    /// [`IDLE_REPORT`] before the first. A cycle a routine fault cut
+    /// short leaves the report of the cycle before it.
+    pub fn report(&self) -> &CycleReport {
+        &self.report
+    }
+
+    /// Runs one configuration cycle against the environment and returns
+    /// a copy of its [`report`](Self::report). A quiet cycle's copy is
+    /// [`IDLE_REPORT`]'s, which allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`MachineError`] when a routine faults (divide by zero,
     /// memory fault, cycle-limit).
     pub fn step<E: Environment>(&mut self, env: &mut E) -> Result<CycleReport, MachineError> {
-        Ok(self.step_in_place(env)?.unwrap_or_else(|| IDLE_REPORT.clone()))
+        self.step_in_place(env)?;
+        Ok(self.report.clone())
     }
 
-    /// Runs one configuration cycle like [`step`](Self::step), but a
-    /// quiet cycle yields `None` instead of a report: its report is
-    /// [`IDLE_REPORT`], and the caller need not build one. The pool's
-    /// scenario loop steps this way. Every cycle opens one sampled
-    /// `step` span, whichever way it completes.
+    /// [`step`](Self::step), leaving the report in
+    /// [`report`](Self::report) instead of copying it out; returns
+    /// whether the cycle was quiet. The pool's scenario loop steps this
+    /// way. Every cycle opens one sampled `step` span, quiet or not.
     pub(crate) fn step_in_place<E: Environment>(
         &mut self,
         env: &mut E,
-    ) -> Result<Option<CycleReport>, MachineError> {
+    ) -> Result<bool, MachineError> {
         let _step_span = pscp_obs::trace::span_sampled("step", self.stats.config_cycles);
         if self.quiet_cycle(env) {
-            return Ok(None);
+            return Ok(true);
         }
         self.sample_phase(env);
-        self.execute_phase(env).map(Some)
+        self.execute_phase(env)?;
+        Ok(false)
     }
 
     /// Completes the next configuration cycle in place if it is quiet:
@@ -766,16 +811,20 @@ impl<'s> PscpMachine<'s> {
     /// [`execute_phase`](Self::execute_phase) (same clock advance, timer
     /// decrement, statistics, counters and VCD sample), without
     /// sampling, name resolution, the condition snapshot, transition
-    /// selection or a report. The executor re-checks the idle claim in
-    /// debug builds (`Executor::step_idle`). Returns `false`, having
-    /// touched nothing, when the cycle must be sampled.
+    /// selection or touching the report, which the last cycle left
+    /// idle. The executor re-checks the idle claim in debug builds
+    /// (`Executor::step_idle`). Returns `false`, having touched nothing,
+    /// when the cycle must be sampled.
     fn quiet_cycle<E: Environment>(&mut self, env: &mut E) -> bool {
         if !(self.quiet && env.quiet_sample(self.now)) {
             return false;
         }
         // Quiet implies the last cycle's event set, which the VCD probe
-        // re-reads, was empty and nothing is pending.
+        // re-reads, was empty, nothing is pending, and the last cycle
+        // fired nothing, so its report is idle.
         debug_assert!(self.scratch.events.is_empty() && self.pending_timer_events.is_empty());
+        let r = &self.report;
+        debug_assert!(r.is_idle() && r.cycle_length == IDLE_REPORT.cycle_length);
         pscp_obs::metrics::MACHINE_QUIET_CYCLES.inc();
         self.exec.step_idle(&self.scratch.events);
         // No routine ran, so no timer was armed or disarmed.
@@ -809,10 +858,9 @@ impl<'s> PscpMachine<'s> {
     /// in the step scratch: those captured by
     /// [`sample_phase`](Self::sample_phase) for [`step`](Self::step),
     /// or those injected by [`step_injected`](Self::step_injected).
-    fn execute_phase<E: Environment>(
-        &mut self,
-        env: &mut E,
-    ) -> Result<CycleReport, MachineError> {
+    /// The only writer of the machine's report, which it refills in
+    /// place; a fault leaves the report as it was.
+    fn execute_phase<E: Environment>(&mut self, env: &mut E) -> Result<(), MachineError> {
         let system = self.system;
         let chart = &system.chart;
         let tables = &system.tables;
@@ -885,46 +933,27 @@ impl<'s> PscpMachine<'s> {
             return Err(e);
         }
 
-        // The report's vectors are the cycle's only allocations, each
-        // sized exactly; an idle cycle's stay empty and allocate nothing.
-        let fired = step.fired.clone();
-        let mut transition_cycles = Vec::with_capacity(fired.len());
-        for &tid in &fired {
-            let cost = std::mem::take(&mut per_transition[tid.index()]);
-            transition_cycles.push(cost + overhead::DISPATCH + overhead::WRITEBACK);
-        }
+        // The report is refilled in place, so once its lists have grown
+        // a cycle allocates nothing. Raised events become visible next
+        // cycle (the executor holds them in the CR's event part).
+        let report = &mut self.report;
+        report.fired.clone_from(&step.fired);
+        report.transition_cycles.clear();
+        report.transition_cycles.extend(step.fired.iter().map(|tid| {
+            std::mem::take(&mut per_transition[tid.index()])
+                + overhead::DISPATCH
+                + overhead::WRITEBACK
+        }));
+        report.raised.clone_from(&step.raised);
 
         // 5. Timing: the scheduler deals the fired transitions to the
         //    TEPs (`schedule`); the cycle lasts the SLA plus the busiest
         //    TEP's load.
-        let Schedule { assigned_tep, makespan, interrupt_latency } = schedule(
-            &fired,
-            &transition_cycles,
-            &tables.interrupt,
-            &tables.exclusion,
-            system.arch.n_teps.max(1) as usize,
-            order,
-            tep_load,
-        );
-        let cycle_length = if fired.is_empty() {
-            overhead::SLA + overhead::IDLE
-        } else {
-            overhead::SLA + makespan
-        };
+        let n_teps = system.arch.n_teps.max(1) as usize;
+        schedule(report, &tables.interrupt, &tables.exclusion, n_teps, order, tep_load);
 
-        // 6. Raised events become visible next cycle (the executor holds
-        //    them in the CR's event part).
-        let report = CycleReport {
-            fired,
-            transition_cycles,
-            assigned_tep,
-            cycle_length,
-            raised: step.raised.clone(),
-            interrupt_latency,
-        };
-
-        // 6b. Hardware timers: apply arm/disarm writes; closing the
-        //     cycle advances them.
+        // 6. Hardware timers: apply arm/disarm writes; closing the
+        //    cycle advances them.
         for &(i, v) in timer_writes.iter() {
             self.timers[i] = if v == 0 { None } else { Some(v) };
         }
@@ -933,8 +962,8 @@ impl<'s> PscpMachine<'s> {
         for (&t, &cycles) in report.assigned_tep.iter().zip(&report.transition_cycles) {
             self.stats.tep_busy[t as usize] += cycles;
         }
-        self.close_cycle(cycle_length, report.fired.len());
-        Ok(report)
+        self.close_cycle(self.report.cycle_length, self.report.fired.len());
+        Ok(())
     }
 
     /// Closes a completed cycle of `cycle_length` clock cycles that
@@ -999,45 +1028,38 @@ impl<'s> PscpMachine<'s> {
     }
 }
 
-/// The TEP schedule of one configuration cycle ([`schedule`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Schedule {
-    /// The TEP each fired transition runs on, in firing order.
-    pub(crate) assigned_tep: Vec<u8>,
-    /// The busiest TEP's load in clock cycles.
-    pub(crate) makespan: u64,
-    /// Cycles from cycle start (SLA included) until every
-    /// interrupt-priority transition completed; `None` when none fired.
-    pub(crate) interrupt_latency: Option<u64>,
-}
-
-/// The scheduler's dealing rule (§3.1, §4, §6 extension): deals the
-/// fired transitions (`costs[i]` clock cycles for `fired[i]`) to
-/// `n_teps` TEPs round-robin, the `k`-th dealt to TEP `k % n_teps`.
-/// Interrupt-priority transitions (`interrupt`, per chart transition)
-/// are dealt first, each group in firing order. A transition with
-/// mutual-exclusion partners (`exclusion`, per chart transition:
-/// sorted partner indices) runs on the TEP of the first partner dealt
-/// before it instead. Routines never split, so the makespan is the
-/// largest per-TEP sum. `order` and `tep_load` are working buffers; on
-/// return `tep_load` holds each TEP's load.
+/// The scheduler's dealing rule (§3.1, §4, §6 extension): deals
+/// `report`'s fired transitions (`transition_cycles[i]` clock cycles
+/// for `fired[i]`) to `n_teps` TEPs round-robin, the `k`-th dealt to
+/// TEP `k % n_teps`, and writes the report's `assigned_tep`,
+/// `interrupt_latency` and `cycle_length`. Interrupt-priority
+/// transitions (`interrupt`, per chart transition) are dealt first,
+/// each group in firing order. A transition with mutual-exclusion
+/// partners (`exclusion`, per chart transition: sorted partner indices)
+/// runs on the TEP of the first partner dealt before it instead.
+/// Routines never split, so the cycle lasts the SLA plus the largest
+/// per-TEP sum, or the SLA plus an idle cycle when nothing fired. The
+/// interrupt latency runs from cycle start (SLA included) until every
+/// interrupt-priority transition completed. `order` and `tep_load` are
+/// working buffers; on return `tep_load` holds each TEP's load.
 pub(crate) fn schedule(
-    fired: &[TransitionId],
-    costs: &[u64],
+    report: &mut CycleReport,
     interrupt: &[bool],
     exclusion: &[Vec<u32>],
     n_teps: usize,
     order: &mut Vec<usize>,
     tep_load: &mut Vec<u64>,
-) -> Schedule {
+) {
+    let CycleReport { fired, transition_cycles: costs, assigned_tep, .. } = report;
     order.clear();
     order.extend(0..fired.len());
     order.sort_by_key(|&i| (!interrupt[fired[i].index()], i));
 
     tep_load.clear();
     tep_load.resize(n_teps, 0);
-    let mut assigned_tep = vec![0u8; fired.len()];
-    let mut interrupt_latency: Option<u64> = None;
+    assigned_tep.clear();
+    assigned_tep.resize(fired.len(), 0);
+    report.interrupt_latency = None;
     for (k, &i) in order.iter().enumerate() {
         let tid = fired[i];
         let mut tep = k % n_teps;
@@ -1058,11 +1080,12 @@ pub(crate) fn schedule(
         assigned_tep[i] = tep as u8;
         if interrupt[tid.index()] {
             let done = overhead::SLA + tep_load[tep];
-            interrupt_latency = Some(interrupt_latency.map_or(done, |cur| cur.max(done)));
+            let latency = report.interrupt_latency.map_or(done, |cur| cur.max(done));
+            report.interrupt_latency = Some(latency);
         }
     }
     let makespan = tep_load.iter().copied().max().unwrap_or(0);
-    Schedule { assigned_tep, makespan, interrupt_latency }
+    report.cycle_length = overhead::SLA + if fired.is_empty() { overhead::IDLE } else { makespan };
 }
 
 /// Host bridging TEP execution into the PSCP: ports go to the
@@ -1310,17 +1333,133 @@ mod tests {
         let reference = run(&mut fresh);
         let mut reused = PscpMachine::new(&sys);
         run(&mut reused); // dirty it
+        let capacity = reused.report.fired.capacity();
         reused.reset();
         assert_eq!(reused.now(), 0);
         assert_eq!(reused.stats().config_cycles, 0);
+        assert_eq!(reused.report(), PscpMachine::new(&sys).report());
+        assert!(capacity > 0 && reused.report.fired.capacity() == capacity, "reset kept the lists");
         assert_eq!(run(&mut reused), reference);
     }
 
+    /// A scripted environment that counts the cycles it grants quietly.
+    struct CountQuiet {
+        script: ScriptedEnvironment,
+        granted: u64,
+    }
+
+    impl Environment for CountQuiet {
+        fn sample_events(&mut self, now: u64) -> Vec<String> {
+            self.script.sample_events(now)
+        }
+
+        fn sample_event_ids(
+            &mut self,
+            now: u64,
+            tables: &Arc<SelectionTables>,
+            out: &mut Vec<EventId>,
+        ) {
+            self.script.sample_event_ids(now, tables, out);
+        }
+
+        fn quiet_sample(&mut self, now: u64) -> bool {
+            let quiet = self.script.quiet_sample(now);
+            self.granted += u64::from(quiet);
+            quiet
+        }
+    }
+
+    #[test]
+    fn report_holds_the_last_completed_cycle() {
+        // The counter chart, plus a BOOM event whose routine divides by
+        // zero in either state.
+        let mut b = ChartBuilder::new("counter");
+        b.event("TICK", Some(400));
+        b.event("BOOM", None);
+        b.condition("OVER", false);
+        b.state("Top", StateKind::Or).contains(["Run", "Stop"]).default_child("Run");
+        b.state("Run", StateKind::Basic)
+            .transition("Run", "TICK [not OVER]/Bump(5)")
+            .transition("Stop", "TICK [OVER]")
+            .transition("Run", "BOOM/Crash()");
+        b.state("Stop", StateKind::Basic).transition("Stop", "BOOM/Crash()");
+        let chart = b.build().unwrap();
+        let actions = format!("{COUNTER_ACTIONS} int:16 zero; void Crash() {{ total = total / zero; }}");
+        let arch = PscpArch::dual_md16(true);
+        let sys = compile_system(&chart, &actions, &arch, &CodegenOptions::default()).unwrap();
+        let mut m = PscpMachine::new(&sys);
+        assert_eq!(*m.report(), IDLE_REPORT, "a fresh machine's report");
+
+        // Each firing row is followed by empty rows: the first samples
+        // (the cycle after a firing is never quiet) and leaves the report
+        // idle, and the rest complete quietly.
+        let rows: [&[&str]; 9] = [&["TICK"], &[], &[], &[], &["TICK"], &[], &[], &[], &["TICK"]];
+        let mut env = CountQuiet { script: ScriptedEnvironment::new(rows.map(<[_]>::to_vec)), granted: 0 };
+        let (mut fired, mut sampled_idle, mut quiet, mut after_fired) = (0, 0, 0, false);
+        for (cycle, row) in rows.iter().enumerate() {
+            let granted = env.granted;
+            let r = m.step(&mut env).unwrap();
+            assert_eq!(*m.report(), r, "cycle {cycle}");
+            if env.granted > granted {
+                assert!(!after_fired, "cycle {cycle}: quiet right after a firing");
+                quiet += 1;
+            } else if r.fired.is_empty() {
+                sampled_idle += 1;
+            } else {
+                fired += 1;
+            }
+            assert_eq!(r.fired.is_empty(), row.is_empty(), "cycle {cycle}");
+            after_fired = !r.fired.is_empty();
+        }
+        assert_eq!((fired, sampled_idle, quiet), (3, 2, 4));
+
+        // Injected cycles, firing and idle, then a sampled idle cycle and
+        // a quiet one.
+        let event = |name| sys.chart.event_by_name(name).unwrap();
+        let (tick, boom) = (event("TICK"), event("BOOM"));
+        for events in [&[tick][..], &[]] {
+            let r = m.step_injected(events, &mut NullEnvironment).unwrap();
+            assert_eq!(*m.report(), r, "injected {events:?}");
+        }
+        let mut env = CountQuiet { script: ScriptedEnvironment::new([[""; 0]; 2]), granted: 0 };
+        for _ in 0..2 {
+            assert_eq!(m.step(&mut env).unwrap(), *m.report());
+        }
+        assert_eq!((env.granted, m.report()), (1, &IDLE_REPORT));
+
+        // A fault, sampled or injected, leaves the last completed
+        // cycle's report, here one that fired.
+        let last = m.step_injected(&[tick], &mut NullEnvironment).unwrap();
+        assert!(!last.fired.is_empty());
+        assert!(m.step_injected(&[boom], &mut NullEnvironment).is_err());
+        assert_eq!(*m.report(), last);
+        let mut env = ScriptedEnvironment::new([["BOOM"]]);
+        assert!(m.step(&mut env).is_err());
+        assert_eq!(*m.report(), last);
+    }
+
+    /// What [`deal`] reads back from a schedule.
+    struct Dealt {
+        assigned_tep: Vec<u8>,
+        makespan: u64,
+        interrupt_latency: Option<u64>,
+    }
+
     /// Deals transitions `0..costs.len()`, fired in index order, to
-    /// `n_teps` TEPs.
-    fn deal(costs: &[u64], interrupt: &[bool], exclusion: &[Vec<u32>], n_teps: usize) -> Schedule {
-        let fired: Vec<_> = (0..costs.len()).map(TransitionId::from_index).collect();
-        schedule(&fired, costs, interrupt, exclusion, n_teps, &mut Vec::new(), &mut Vec::new())
+    /// `n_teps` TEPs; the makespan is the busiest TEP's load.
+    fn deal(costs: &[u64], interrupt: &[bool], exclusion: &[Vec<u32>], n_teps: usize) -> Dealt {
+        let mut report = CycleReport {
+            fired: (0..costs.len()).map(TransitionId::from_index).collect(),
+            transition_cycles: costs.to_vec(),
+            ..CycleReport::default()
+        };
+        let mut tep_load = Vec::new();
+        schedule(&mut report, interrupt, exclusion, n_teps, &mut Vec::new(), &mut tep_load);
+        Dealt {
+            assigned_tep: report.assigned_tep,
+            makespan: tep_load.iter().copied().max().unwrap_or(0),
+            interrupt_latency: report.interrupt_latency,
+        }
     }
 
     #[test]

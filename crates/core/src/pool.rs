@@ -15,10 +15,9 @@
 //! scenario that idles for millions of cycles between firings keeps
 //! memory proportional to its firings, and the reports' lists share a
 //! few buffers per log instead of owning a `Vec` each. The wire still
-//! encodes one report per cycle. The scenario loop takes a quiet cycle
-//! in place: the machine builds no report, the `done` predicate sees
-//! the shared [`IDLE_REPORT`], and the log only bumps its idle run's
-//! count.
+//! encodes one report per cycle. The scenario loop builds no report: it
+//! logs the machine's own and hands it to `done`; a quiet cycle, whose
+//! report the machine left idle, only bumps the log's idle run count.
 //!
 //! Scenarios are fully independent (separate machine state, separate
 //! environment), so the batch output is byte-identical for any worker
@@ -33,11 +32,10 @@
 //! thread has exited, and handed its malloc arena back, before the next
 //! batch spawns its own; peak RSS then stays flat over many batches.
 //!
-//! Each batch worker runs its scenarios one after another on one scalar
-//! [`PscpMachine`], claiming several scenarios per chunk so workers
-//! take the stream lock a few times per batch, not once per scenario.
-//! Every machine runs on the selection tables compiled into the system,
-//! so a batch builds none. Pool workers and the scenario server's shard
+//! A batch worker claims several scenarios per chunk, so workers take
+//! the stream lock a few times per batch, not once per scenario. Every
+//! machine runs on the selection tables compiled into the system, so a
+//! batch builds none. Pool workers and the scenario server's shard
 //! workers run every scenario through one loop, `run_scenario`.
 
 use crate::compile::CompiledSystem;
@@ -152,8 +150,8 @@ impl CycleLog {
     ///
     /// Panics when one of the log's list buffers would hold more than
     /// `u32::MAX` entries.
-    pub fn push(&mut self, report: CycleReport) {
-        if is_idle(&report) && self.extend_idle_run(report.cycle_length) {
+    pub fn push(&mut self, report: &CycleReport) {
+        if report.is_idle() && self.extend_idle_run(report.cycle_length) {
             return;
         }
         self.fired.extend_from_slice(&report.fired);
@@ -176,11 +174,11 @@ impl CycleLog {
     }
 
     /// Appends one cycle whose report is [`IDLE_REPORT`], as
-    /// `push(IDLE_REPORT.clone())` would, without building the report:
-    /// after a run of such cycles it only bumps the run's count.
+    /// `push(&IDLE_REPORT)` would, without reading a report: after a
+    /// run of such cycles it only bumps the run's count.
     pub(crate) fn push_idle(&mut self) {
         if !self.extend_idle_run(IDLE_REPORT.cycle_length) {
-            self.push(IDLE_REPORT.clone());
+            self.push(&IDLE_REPORT);
         }
     }
 
@@ -263,15 +261,6 @@ impl CycleLog {
 /// A list buffer's length as a position.
 fn end<T>(buffer: &[T]) -> u32 {
     u32::try_from(buffer.len()).expect("a cycle log's list buffer holds at most u32::MAX entries")
-}
-
-/// Whether `r` is an idle cycle's report: only such reports merge.
-fn is_idle(r: &CycleReport) -> bool {
-    r.fired.is_empty()
-        && r.transition_cycles.is_empty()
-        && r.assigned_tep.is_empty()
-        && r.raised.is_empty()
-        && r.interrupt_latency.is_none()
 }
 
 impl std::fmt::Debug for CycleLog {
@@ -700,38 +689,25 @@ where
     thread_local! {
         static SCENARIO_SEQ: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
-    let seq = SCENARIO_SEQ.with(|c| {
-        let v = c.get();
-        c.set(v.wrapping_add(1));
-        v
-    });
+    let seq = SCENARIO_SEQ.with(|c| c.replace(c.get().wrapping_add(1)));
     let _span = pscp_obs::trace::span_sampled("scenario", seq);
     machine.reset();
     let mut reports = CycleLog::new();
     let mut error = None;
-    let mut steps = 0u64;
-    while machine.now() < limits.deadline && steps < limits.max_steps {
-        // A quiet cycle completes in place: `done` sees the shared idle
-        // report and the log bumps a count, so no report is built.
-        let stop = match machine.step_in_place(&mut env) {
-            Ok(None) => {
-                reports.push_idle();
-                done(machine, &env, &IDLE_REPORT)
-            }
-            Ok(Some(report)) => {
-                let stop = done(machine, &env, &report);
-                reports.push(report);
-                stop
-            }
+    while machine.now() < limits.deadline && (reports.len() as u64) < limits.max_steps {
+        // The machine leaves each cycle's report in place. A quiet
+        // cycle's is idle, so the log only bumps a count.
+        match machine.step_in_place(&mut env) {
+            Ok(true) => reports.push_idle(),
+            Ok(false) => reports.push(machine.report()),
             Err(e) => {
                 error = Some(e);
                 break;
             }
-        };
-        if stop {
+        }
+        if done(machine, &env, machine.report()) {
             break;
         }
-        steps += 1;
     }
     pscp_obs::metrics::POOL_SCENARIOS.add(worker, 1);
     pscp_obs::metrics::POOL_STEPS.add(worker, reports.len() as u64);
@@ -1056,7 +1032,7 @@ mod tests {
                     match m.step(&mut env) {
                         Ok(r) => {
                             let stop = done(&m, &env, &r);
-                            reports.push(r);
+                            reports.push(&r);
                             if stop {
                                 break;
                             }
@@ -1168,7 +1144,7 @@ mod tests {
         let mut vec = Vec::new();
         assert!(log.is_empty() && log == vec);
         for r in pushes {
-            log.push(r.clone());
+            log.push(&r);
             vec.push(r);
             assert_eq!(log.len(), vec.len());
             assert!(log == vec);
@@ -1180,9 +1156,9 @@ mod tests {
         }
         assert_eq!((&log).into_iter().count(), vec.len());
         let mut twin = CycleLog::new();
-        vec.iter().for_each(|r| twin.push(r.clone()));
+        vec.iter().for_each(|r| twin.push(r));
         assert_eq!(twin, log, "equal pushes give equal logs");
-        twin.push(idle(4));
+        twin.push(&idle(4));
         assert_ne!(twin, log);
         // Runs: idle(4)×3, the two equal fired reports apart, idle(4),
         // idle(9)×2, the raising and the interrupted ones apart from
@@ -1203,19 +1179,19 @@ mod tests {
         for prefix in prefixes {
             let (mut by_push, mut by_idle) = (CycleLog::new(), CycleLog::new());
             for r in prefix {
-                by_push.push(r.clone());
-                by_idle.push(r.clone());
+                by_push.push(r);
+                by_idle.push(r);
             }
             for _ in 0..3 {
-                by_push.push(IDLE_REPORT.clone());
+                by_push.push(&IDLE_REPORT);
                 by_idle.push_idle();
                 assert_eq!(by_idle, by_push, "after {prefix:?}");
                 assert_eq!(by_idle.runs, by_push.runs, "after {prefix:?}");
             }
-            by_push.push(fired(2, 20));
-            by_idle.push(fired(2, 20));
+            by_push.push(&fired(2, 20));
+            by_idle.push(&fired(2, 20));
             by_idle.push_idle();
-            by_push.push(IDLE_REPORT.clone());
+            by_push.push(&IDLE_REPORT);
             assert_eq!(by_idle.runs, by_push.runs, "after {prefix:?}");
             assert_eq!(by_idle.len(), prefix.len() + 5);
         }
@@ -1225,8 +1201,8 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn cycle_log_index_past_the_end_panics() {
         let mut log = CycleLog::new();
-        log.push(idle(4));
-        log.push(idle(4));
+        log.push(&idle(4));
+        log.push(&idle(4));
         let _ = log.report(2);
     }
 
