@@ -1384,7 +1384,8 @@ mod tests {
             .transition("Run", "BOOM/Crash()");
         b.state("Stop", StateKind::Basic).transition("Stop", "BOOM/Crash()");
         let chart = b.build().unwrap();
-        let actions = format!("{COUNTER_ACTIONS} int:16 zero; void Crash() {{ total = total / zero; }}");
+        let actions =
+            format!("{COUNTER_ACTIONS} int:16 zero; void Crash() {{ total = total / zero; }}");
         let arch = PscpArch::dual_md16(true);
         let sys = compile_system(&chart, &actions, &arch, &CodegenOptions::default()).unwrap();
         let mut m = PscpMachine::new(&sys);
@@ -1394,7 +1395,8 @@ mod tests {
         // (the cycle after a firing is never quiet) and leaves the report
         // idle, and the rest complete quietly.
         let rows: [&[&str]; 9] = [&["TICK"], &[], &[], &[], &["TICK"], &[], &[], &[], &["TICK"]];
-        let mut env = CountQuiet { script: ScriptedEnvironment::new(rows.map(<[_]>::to_vec)), granted: 0 };
+        let script = ScriptedEnvironment::new(rows.map(<[_]>::to_vec));
+        let mut env = CountQuiet { script, granted: 0 };
         let (mut fired, mut sampled_idle, mut quiet, mut after_fired) = (0, 0, 0, false);
         for (cycle, row) in rows.iter().enumerate() {
             let granted = env.granted;
