@@ -17,7 +17,12 @@
 //! the same whether its quiet stretches last 1 000 or 100 000 cycles,
 //! and with four times the fired cycles it allocates more only by its
 //! cycle logs' buffers doubling: the scenario loop logs the machine's
-//! report in place, so a fired cycle there allocates nothing.
+//! report in place, so a fired cycle there allocates nothing. The same
+//! holds for an outcome on the wire: `WireOutcome::from_batch(..)
+//! .encode()` and `WireOutcome::decode` of a scenario with four times
+//! the fired cycles allocate more only by buffers doubling, because the
+//! outcome carries the scenario's `CycleLog` and its codec copies no
+//! report's lists into a block of their own.
 //!
 //! Single `#[test]` on purpose: the harness runs tests on extra threads
 //! and any sibling test's allocations would race the counters.
@@ -29,6 +34,7 @@ use pscp_bench::example_system;
 use pscp_core::arch::PscpArch;
 use pscp_core::machine::{Environment, NullEnvironment, PscpMachine, ScriptedEnvironment};
 use pscp_core::pool::{BatchOptions, SimPool};
+use pscp_core::serve::wire::WireOutcome;
 use pscp_sla::compiled::CompiledNet;
 use pscp_sla::net::LogicNet;
 use pscp_statechart::semantics::SelectionTables;
@@ -285,6 +291,37 @@ fn disabled_obs_keeps_hot_paths_allocation_free() {
         long <= short + doublings,
         "a batch allocated {short} times over {short_fired} fired cycles but {long} times \
          over {long_fired}; the logs' doublings account for at most {doublings} more"
+    );
+
+    // --- an outcome on the wire ---
+    // `from_batch` clones the log, the stats and the environment's
+    // lists, a fixed number of blocks; the encoder writes each cycle
+    // from the log into one buffer, and the decoder pushes each report
+    // from one scratch report into a new log. With four times the fired
+    // cycles, the encoder's buffer and the decoded log's five buffers
+    // take each at most three more doublings, and the scratch report's
+    // four lists at most one more each.
+    let wire_round = |rows: usize| {
+        let envs = vec![pickup_script(rows).script];
+        let limits = BatchOptions { deadline: u64::MAX, max_steps: rows as u64 };
+        let outcome = pool.run_batch(&system, envs, &limits).pop().expect("one outcome");
+        assert!(outcome.error.is_none() && outcome.reports.len() == rows);
+        let before = allocs();
+        let bytes = WireOutcome::from_batch(&outcome).encode();
+        let decoded = WireOutcome::decode(&bytes).expect("an encoded outcome decodes");
+        let got = allocs() - before;
+        assert!(decoded.encode() == bytes, "the decoded outcome encodes to other bytes");
+        let fired = outcome.reports.iter().filter(|r| !r.fired.is_empty()).count();
+        (got, fired)
+    };
+    wire_round(ROWS); // warm-up
+    let ((short, short_fired), (long, long_fired)) = (wire_round(ROWS), wire_round(4 * ROWS));
+    assert!(short_fired >= 50 && long_fired >= 3 * short_fired, "{short_fired} vs {long_fired}");
+    let doublings = (6 * 3 + 4) as u64;
+    assert!(
+        long <= short + doublings,
+        "an outcome's encode and decode allocated {short} times over {short_fired} fired \
+         cycles but {long} times over {long_fired}; doublings account for at most {doublings} more"
     );
 
     // --- CompiledNet::eval_into with reused scratch ---

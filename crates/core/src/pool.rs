@@ -14,8 +14,9 @@
 //! run of idle cycles is stored as one report and a count, so a
 //! scenario that idles for millions of cycles between firings keeps
 //! memory proportional to its firings, and the reports' lists share a
-//! few buffers per log instead of owning a `Vec` each. The wire still
-//! encodes one report per cycle. The scenario loop builds no report: it
+//! few buffers per log instead of owning a `Vec` each. A log is also
+//! what an outcome carries on the wire, in a layout of one report per
+//! cycle (its `Wire` impl below). The scenario loop builds no report: it
 //! logs the machine's own and hands it to `done`; a quiet cycle, whose
 //! report the machine left idle, only bumps the log's idle run count.
 //!
@@ -42,6 +43,7 @@ use crate::compile::CompiledSystem;
 use crate::machine::{
     CycleReport, Environment, MachineError, MachineStats, PscpMachine, IDLE_REPORT,
 };
+use crate::serve::wire::{self, Dec, Enc, Wire, WireError};
 use pscp_statechart::{EventId, TransitionId};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -281,6 +283,67 @@ impl<'a> IntoIterator for &'a CycleLog {
 
     fn into_iter(self) -> CycleLogIter<'a> {
         self.iter()
+    }
+}
+
+/// The fewest bytes one cycle's report encodes to: the shared list
+/// count, the cycle length, the raised-event count and the latency tag.
+const REPORT_MIN_BYTES: usize =
+    u32::MIN_BYTES + u64::MIN_BYTES + <Vec<EventId>>::MIN_BYTES + <Option<u64>>::MIN_BYTES;
+
+/// What a buffer grown by pushes requests in all, per element it ends
+/// with: each request at least doubles the capacity, and the last is at
+/// most twice the length.
+const GROWTH: usize = 4;
+
+/// A `u32` cycle count, then each cycle's report in turn: one count for
+/// the three per-transition lists, those lists, the cycle length, the
+/// raised events and the interrupt latency. Decoding pushes each report
+/// in turn from one scratch report, so a decoded log holds the runs
+/// that pushing the same reports builds.
+impl Wire for CycleLog {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    /// A report's fixed bytes back its run; a list entry's bytes back
+    /// its entry in the log's buffer and in the scratch report, whose
+    /// lists also grow by pushes.
+    const HEAP_PER_BYTE: usize = wire::most(&[
+        (GROWTH * size_of::<Run>()).div_ceil(REPORT_MIN_BYTES),
+        2 * GROWTH
+            * wire::most(&[
+                wire::per_element::<TransitionId>(),
+                wire::per_element::<u64>(),
+                wire::per_element::<u8>(),
+                wire::per_element::<EventId>(),
+            ]),
+    ]);
+    fn enc(&self, e: &mut Enc) {
+        e.buf.reserve(u32::MIN_BYTES + REPORT_MIN_BYTES * self.len);
+        e.u32(self.len as u32);
+        for r in self {
+            e.u32(r.fired.len() as u32);
+            TransitionId::enc_slice(&r.fired, e);
+            u64::enc_slice(&r.transition_cycles, e);
+            u8::enc_slice(&r.assigned_tep, e);
+            r.cycle_length.enc(e);
+            e.seq(&r.raised);
+            r.interrupt_latency.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
+        let mut log = CycleLog::new();
+        let mut r = CycleReport::default();
+        for _ in 0..d.count(REPORT_MIN_BYTES)? {
+            let n = d.count(<(TransitionId, u64, u8)>::MIN_BYTES)?;
+            d.refill(&mut r.fired, n)?;
+            d.refill(&mut r.transition_cycles, n)?;
+            d.refill(&mut r.assigned_tep, n)?;
+            r.cycle_length = Wire::dec(d)?;
+            let n = d.count(EventId::MIN_BYTES)?;
+            d.refill(&mut r.raised, n)?;
+            r.interrupt_latency = Wire::dec(d)?;
+            log.push(&r);
+        }
+        Ok(log)
     }
 }
 

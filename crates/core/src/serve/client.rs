@@ -249,18 +249,7 @@ impl ScenarioClient {
                 Frame::Diagnostics { fingerprint, diagnostics } => {
                     return Ok((fingerprint, diagnostics));
                 }
-                Frame::Outcome { seq, outcome } => {
-                    self.pending.insert(seq, outcome);
-                }
-                Frame::Credit { n } => {
-                    self.credits = (self.credits + n).min(self.window);
-                }
-                Frame::Error { code, message } => return Err(WireError::Remote { code, message }),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+                other => self.absorb(other)?,
             }
         }
     }
@@ -281,18 +270,7 @@ impl ScenarioClient {
         loop {
             match self.read_frame()? {
                 Frame::Stats { gauges, snapshot } => return Ok((gauges, snapshot)),
-                Frame::Outcome { seq, outcome } => {
-                    self.pending.insert(seq, outcome);
-                }
-                Frame::Credit { n } => {
-                    self.credits = (self.credits + n).min(self.window);
-                }
-                Frame::Error { code, message } => return Err(WireError::Remote { code, message }),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+                other => self.absorb(other)?,
             }
         }
     }
@@ -327,25 +305,22 @@ impl ScenarioClient {
                         return wire::decode_explore_report(&bytes);
                     }
                 }
-                Frame::Outcome { seq, outcome } => {
-                    self.pending.insert(seq, outcome);
-                }
-                Frame::Credit { n } => {
-                    self.credits = (self.credits + n).min(self.window);
-                }
-                Frame::Error { code, message } => return Err(WireError::Remote { code, message }),
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "unexpected frame from server: {other:?}"
-                    )));
-                }
+                other => self.absorb(other)?,
             }
         }
     }
 
     /// Reads one frame and folds it into the client state.
     fn pump(&mut self) -> Result<(), WireError> {
-        match self.read_frame()? {
+        let frame = self.read_frame()?;
+        self.absorb(frame)
+    }
+
+    /// Folds a frame that is not the reply a call waits for into the
+    /// client state: an outcome is buffered and a credit returns to the
+    /// window. A remote error or any other frame ends the call.
+    fn absorb(&mut self, frame: Frame) -> Result<(), WireError> {
+        match frame {
             Frame::Outcome { seq, outcome } => {
                 self.pending.insert(seq, outcome);
                 Ok(())
@@ -355,9 +330,7 @@ impl ScenarioClient {
                 Ok(())
             }
             Frame::Error { code, message } => Err(WireError::Remote { code, message }),
-            other => Err(WireError::Protocol(format!(
-                "unexpected frame from server: {other:?}"
-            ))),
+            other => Err(WireError::Protocol(format!("unexpected frame from server: {other:?}"))),
         }
     }
 

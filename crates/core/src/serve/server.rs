@@ -296,43 +296,32 @@ impl Drop for LiveGuard<'_> {
     }
 }
 
-/// What the reader loop saw next.
-enum ReadEvent {
-    Frame(Frame),
-    /// Clean EOF at a frame boundary.
-    Eof,
-    /// The server is shutting down.
-    Shutdown,
-}
-
 /// Reads the next frame with short timeouts so shutdown is honoured
-/// even on an idle connection. The cursor preserves partial frames
-/// across timeouts. `before_read` runs whenever the buffered bytes hold
-/// no complete frame, just before the socket read that may block — the
-/// reader flushes its staged jobs there.
+/// even on an idle connection; `None` when the connection ends cleanly,
+/// at EOF on a frame boundary or because the server is shutting down.
+/// The cursor preserves partial frames across timeouts. `before_read`
+/// runs whenever the buffered bytes hold no complete frame, just before
+/// the socket read that may block — the reader flushes its staged jobs
+/// there.
 fn next_event(
     stream: &mut TcpStream,
     cursor: &mut wire::FrameCursor,
     max_frame: u32,
     shutdown: &AtomicBool,
     before_read: &mut dyn FnMut(),
-) -> Result<ReadEvent, WireError> {
+) -> Result<Option<Frame>, WireError> {
     let mut chunk = [0u8; 16 * 1024];
     loop {
         if let Some(frame) = cursor.next_frame(max_frame)? {
-            return Ok(ReadEvent::Frame(frame));
+            return Ok(Some(frame));
         }
         if shutdown.load(Ordering::Acquire) {
-            return Ok(ReadEvent::Shutdown);
+            return Ok(None);
         }
         before_read();
         match stream.read(&mut chunk) {
             Ok(0) => {
-                return if cursor.buffered() == 0 {
-                    Ok(ReadEvent::Eof)
-                } else {
-                    Err(WireError::Truncated)
-                };
+                return if cursor.buffered() == 0 { Ok(None) } else { Err(WireError::Truncated) };
             }
             Ok(n) => cursor.feed(&chunk[..n]),
             Err(e)
@@ -536,7 +525,7 @@ fn handle_connection(
     // Handshake: the first frame must be a Hello.
     let hello = next_event(&mut stream, &mut cursor, opts.max_frame, shutdown, &mut || {});
     let (window, granted) = match hello {
-        Ok(ReadEvent::Frame(Frame::Hello { window, fingerprint: fp, features })) => {
+        Ok(Some(Frame::Hello { window, fingerprint: fp, features })) => {
             pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
             if fp != 0 && fp != fingerprint {
                 pscp_obs::metrics::SERVE_ERRORS.inc();
@@ -563,7 +552,7 @@ fn handle_connection(
             }
             (window.clamp(1, opts.max_window.max(1)), features & feature::SUPPORTED)
         }
-        Ok(ReadEvent::Frame(_)) => {
+        Ok(Some(_)) => {
             pscp_obs::metrics::SERVE_ERRORS.inc();
             let _ = wire::write_frame(
                 &mut stream,
@@ -574,7 +563,7 @@ fn handle_connection(
             );
             return;
         }
-        Ok(ReadEvent::Eof) | Ok(ReadEvent::Shutdown) => return,
+        Ok(None) => return,
         Err(e) => {
             pscp_obs::metrics::SERVE_ERRORS.inc();
             let _ = wire::write_frame(
@@ -605,11 +594,11 @@ fn handle_connection(
         let event = next_event(&mut stream, &mut cursor, opts.max_frame, shutdown, &mut || {
             shared.push_all(&mut staged)
         });
-        if !matches!(event, Ok(ReadEvent::Frame(Frame::Submit(_)))) {
+        if !matches!(event, Ok(Some(Frame::Submit(_)))) {
             shared.push_all(&mut staged);
         }
         match event {
-            Ok(ReadEvent::Frame(Frame::Submit(Submit { seq, limits, script }))) => {
+            Ok(Some(Frame::Submit(Submit { seq, limits, script }))) => {
                 pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
                 let inflight = conn.inflight.fetch_add(1, Ordering::AcqRel) + 1;
                 if inflight > window {
@@ -630,12 +619,12 @@ fn handle_connection(
                         .then(Instant::now),
                 });
             }
-            Ok(ReadEvent::Frame(Frame::Compile { chart, actions })) => {
+            Ok(Some(Frame::Compile { chart, actions })) => {
                 pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
                 let reply = handle_compile(system, &chart, &actions);
                 conn.push(Msg::Frame(wire::encode_frame(&reply)));
             }
-            Ok(ReadEvent::Frame(Frame::Explore(req))) => {
+            Ok(Some(Frame::Explore(req))) => {
                 pscp_obs::metrics::SERVE_FRAMES_IN.add(conn_id, 1);
                 // Exploration runs on this connection's reader thread
                 // (its own scenario submissions wait behind it; other
@@ -647,7 +636,7 @@ fn handle_connection(
                     conn.push(Msg::Frame(wire::encode_frame(&frame)));
                 }
             }
-            Ok(ReadEvent::Frame(Frame::StatsRequest)) => {
+            Ok(Some(Frame::StatsRequest)) => {
                 // NOT counted in SERVE_FRAMES_IN: a scrape must leave
                 // the counters it reports untouched (the quiesced
                 // byte-identity pin depends on it).
@@ -673,7 +662,7 @@ fn handle_connection(
                 };
                 conn.push(Msg::Stats(wire::encode_frame(&Frame::Stats { gauges, snapshot })));
             }
-            Ok(ReadEvent::Frame(_)) => {
+            Ok(Some(_)) => {
                 pscp_obs::metrics::SERVE_ERRORS.inc();
                 conn.push(Msg::Error {
                     code: error_code::UNEXPECTED_FRAME,
@@ -683,8 +672,7 @@ fn handle_connection(
                 });
                 break;
             }
-            Ok(ReadEvent::Eof) => break,
-            Ok(ReadEvent::Shutdown) => break,
+            Ok(None) => break,
             // A peer that closes with unread credits in its socket
             // buffer surfaces as a reset, not EOF — still a clean end.
             Err(WireError::Io(e))

@@ -72,14 +72,16 @@
 //! byte-identical to an in-process [`pscp_diag::DiagnosticSink::finish`].
 //!
 //! [`WireOutcome`] is the canonical serialisation of a
-//! [`BatchOutcome`]`<`[`ScriptedEnvironment`]`>`; the differential
-//! harness compares server round-trips against in-process
+//! [`BatchOutcome`]`<`[`ScriptedEnvironment`]`>`. It holds the machine's
+//! own types: the scenario's [`CycleLog`], encoded from the log one
+//! report per cycle, and its [`MachineStats`]. The differential harness
+//! compares server round-trips against in-process
 //! [`SimPool`](crate::pool::SimPool) runs byte-for-byte through
 //! [`WireOutcome::encode`].
 
 use crate::explore::{ExploreOptions, ExploreReport, Predicate, Violation, Witness};
 use crate::machine::{MachineStats, ScriptedEnvironment};
-use crate::pool::{BatchOptions, BatchOutcome, CycleReportRef};
+use crate::pool::{BatchOptions, BatchOutcome, CycleLog};
 use pscp_diag::{Diagnostic, Pos, Severity, Source, Span};
 pub use pscp_obs::metrics::{HistogramSnapshot, MetricsSnapshot};
 use pscp_statechart::{EventId, StateId, TransitionId};
@@ -452,66 +454,6 @@ pub struct OutcomeLatency {
     pub encode_ns: u64,
 }
 
-/// One configuration cycle on the wire — [`CycleReport`](crate::machine::CycleReport) with ids
-/// flattened to indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireReport {
-    /// Fired transition indices, in execution order.
-    pub fired: Vec<u32>,
-    /// Measured cycles per fired transition (same order).
-    pub transition_cycles: Vec<u64>,
-    /// TEP assignment per fired transition (same order).
-    pub assigned_tep: Vec<u8>,
-    /// Configuration-cycle length in clock cycles.
-    pub cycle_length: u64,
-    /// Event indices raised by routines.
-    pub raised: Vec<u32>,
-    /// Interrupt-servicing latency, when an interrupt fired.
-    pub interrupt_latency: Option<u64>,
-}
-
-impl WireReport {
-    /// Flattens a report of a [`CycleLog`](crate::pool::CycleLog).
-    pub fn from_report(r: CycleReportRef<'_>) -> Self {
-        WireReport {
-            fired: r.fired.iter().map(|t| t.index() as u32).collect(),
-            transition_cycles: r.transition_cycles.to_vec(),
-            assigned_tep: r.assigned_tep.to_vec(),
-            cycle_length: r.cycle_length,
-            raised: r.raised.iter().map(|e| e.index() as u32).collect(),
-            interrupt_latency: r.interrupt_latency,
-        }
-    }
-}
-
-/// [`MachineStats`] on the wire.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Configuration cycles executed.
-    pub config_cycles: u64,
-    /// Transitions executed.
-    pub transitions: u64,
-    /// Total clock cycles.
-    pub clock_cycles: u64,
-    /// Longest configuration cycle seen.
-    pub max_cycle_length: u64,
-    /// Busy clock cycles per TEP.
-    pub tep_busy: Vec<u64>,
-}
-
-impl WireStats {
-    /// Copies a [`MachineStats`].
-    pub fn from_stats(s: &MachineStats) -> Self {
-        WireStats {
-            config_cycles: s.config_cycles,
-            transitions: s.transitions,
-            clock_cycles: s.clock_cycles,
-            max_cycle_length: s.max_cycle_length,
-            tep_busy: s.tep_busy.clone(),
-        }
-    }
-}
-
 /// The canonical serialisation of one scenario outcome. Everything a
 /// [`BatchOutcome`]`<`[`ScriptedEnvironment`]`>` observably contains:
 /// per-cycle reports, final statistics, the simulated clock, the
@@ -520,9 +462,9 @@ impl WireStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WireOutcome {
     /// Per-configuration-cycle reports, in execution order.
-    pub reports: Vec<WireReport>,
+    pub reports: CycleLog,
     /// Machine statistics at scenario end.
-    pub stats: WireStats,
+    pub stats: MachineStats,
     /// Final simulated clock.
     pub clock_cycles: u64,
     /// The script rows as the scenario left them (consumed rows are
@@ -547,8 +489,8 @@ impl WireOutcome {
     /// against server bytes.
     pub fn from_batch(o: &BatchOutcome<ScriptedEnvironment>) -> Self {
         WireOutcome {
-            reports: o.reports.iter().map(WireReport::from_report).collect(),
-            stats: WireStats::from_stats(&o.stats),
+            reports: o.reports.clone(),
+            stats: o.stats.clone(),
             clock_cycles: o.clock_cycles,
             leftover_script: o.env.script(),
             port_writes: o.env.port_writes.clone(),
@@ -634,13 +576,15 @@ impl<'a> Dec<'a> {
         }
         Ok(n)
     }
-    /// `n` values of `T`, in one allocation. Callers bound `n` first.
-    pub(crate) fn many<T: Wire>(&mut self, n: usize) -> Result<Vec<T>, WireError> {
-        let mut v = Vec::with_capacity(n);
+    /// Replaces `out`'s values with `n` values of `T`, reusing its
+    /// capacity. Callers bound `n` first.
+    pub(crate) fn refill<T: Wire>(&mut self, out: &mut Vec<T>, n: usize) -> Result<(), WireError> {
+        out.clear();
+        out.reserve(n);
         for _ in 0..n {
-            v.push(T::dec(self)?);
+            out.push(T::dec(self)?);
         }
-        Ok(v)
+        Ok(())
     }
     pub(crate) fn finish(&self) -> Result<(), WireError> {
         if self.remaining() != 0 {
@@ -853,8 +797,9 @@ impl<T: Wire> Wire for Vec<T> {
         e.seq(self);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let n = d.count(T::MIN_BYTES)?;
-        d.many(n)
+        let (n, mut v) = (d.count(T::MIN_BYTES)?, Vec::new());
+        d.refill(&mut v, n)?;
+        Ok(v)
     }
 }
 
@@ -987,38 +932,7 @@ pub fn decode_diagnostics(bytes: &[u8]) -> Result<Vec<Diagnostic>, WireError> {
 
 // --- Outcomes ------------------------------------------------------------------
 
-/// The three per-transition arrays share one count, guarded by the
-/// bytes of one entry of each, which are also its heap.
-impl Wire for WireReport {
-    const MIN_BYTES: usize = 4 + u64::MIN_BYTES + <Vec<u32>>::MIN_BYTES + <Option<u64>>::MIN_BYTES;
-    const HEAP_PER_BYTE: usize = most(&[
-        (size_of::<u32>() + size_of::<u64>() + size_of::<u8>())
-            .div_ceil(<(u32, u64, u8)>::MIN_BYTES),
-        <Vec<u32>>::HEAP_PER_BYTE,
-    ]);
-    fn enc(&self, e: &mut Enc) {
-        e.u32(self.fired.len() as u32);
-        u32::enc_slice(&self.fired, e);
-        u64::enc_slice(&self.transition_cycles, e);
-        u8::enc_slice(&self.assigned_tep, e);
-        self.cycle_length.enc(e);
-        self.raised.enc(e);
-        self.interrupt_latency.enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Self, WireError> {
-        let n = d.count(<(u32, u64, u8)>::MIN_BYTES)?;
-        Ok(WireReport {
-            fired: d.many(n)?,
-            transition_cycles: d.many(n)?,
-            assigned_tep: d.many(n)?,
-            cycle_length: Wire::dec(d)?,
-            raised: Wire::dec(d)?,
-            interrupt_latency: Wire::dec(d)?,
-        })
-    }
-}
-
-wire_struct!(WireStats {
+wire_struct!(MachineStats {
     config_cycles: u64,
     transitions: u64,
     clock_cycles: u64,
@@ -1026,8 +940,8 @@ wire_struct!(WireStats {
     tep_busy: Vec<u64>,
 });
 wire_struct!(WireOutcome {
-    reports: Vec<WireReport>,
-    stats: WireStats,
+    reports: CycleLog,
+    stats: MachineStats,
     clock_cycles: u64,
     leftover_script: Vec<Vec<String>>,
     port_writes: Vec<(u16, i64, u64)>,
@@ -1419,15 +1333,8 @@ impl FrameCursor {
         if avail < LEN_PREFIX {
             return Ok(None);
         }
-        let len_bytes = &self.buf[self.start..self.start + LEN_PREFIX];
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap());
-        if len > max_frame {
-            return Err(WireError::TooLarge { len: u64::from(len), max: max_frame });
-        }
-        if len < MIN_PAYLOAD {
-            return Err(WireError::Truncated);
-        }
-        let total = LEN_PREFIX + len as usize;
+        let prefix = &self.buf[self.start..self.start + LEN_PREFIX];
+        let total = LEN_PREFIX + payload_len(prefix.try_into().unwrap(), max_frame)?;
         if avail < total {
             return Ok(None);
         }
@@ -1436,6 +1343,19 @@ impl FrameCursor {
         self.start += total;
         Ok(Some(frame))
     }
+}
+
+/// The payload length a length prefix declares, checked against the
+/// frame cap before anything is buffered or allocated.
+fn payload_len(prefix: [u8; LEN_PREFIX], max_frame: u32) -> Result<usize, WireError> {
+    let len = u32::from_le_bytes(prefix);
+    if len > max_frame {
+        return Err(WireError::TooLarge { len: u64::from(len), max: max_frame });
+    }
+    if len < MIN_PAYLOAD {
+        return Err(WireError::Truncated);
+    }
+    Ok(len as usize)
 }
 
 /// Writes one frame to a stream.
@@ -1448,32 +1368,32 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), WireError> {
     Ok(())
 }
 
-/// Blocking read of one frame. Returns [`WireError::Closed`] on EOF at
-/// a frame boundary and [`WireError::Truncated`] on EOF mid-frame.
+/// Blocking read of one frame. It reads exactly the frame's bytes, so
+/// the next call reads the frame after it. Returns
+/// [`WireError::Closed`] on EOF at a frame boundary and
+/// [`WireError::Truncated`] on EOF mid-frame.
 ///
 /// # Errors
 ///
 /// Transport and decode failures.
 pub fn read_frame(r: &mut impl Read, max_frame: u32) -> Result<Frame, WireError> {
-    let mut cursor = FrameCursor::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        if let Some(frame) = cursor.next_frame(max_frame)? {
-            return Ok(frame);
-        }
-        match r.read(&mut chunk) {
-            Ok(0) => {
-                return Err(if cursor.buffered() == 0 {
-                    WireError::Closed
-                } else {
-                    WireError::Truncated
-                });
-            }
-            Ok(n) => cursor.feed(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+    let mut prefix = [0u8; LEN_PREFIX];
+    let mut got = 0;
+    while got < LEN_PREFIX {
+        match r.read(&mut prefix[got..]) {
+            Ok(0) if got == 0 => return Err(WireError::Closed),
+            Ok(0) => return Err(WireError::Truncated),
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(WireError::Io(e)),
         }
     }
+    let mut payload = vec![0; payload_len(prefix, max_frame)?];
+    r.read_exact(&mut payload).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => WireError::Truncated,
+        _ => WireError::Io(e),
+    })?;
+    decode_payload(&payload)
 }
 
 #[cfg(test)]
@@ -1481,19 +1401,19 @@ mod tests {
     use super::*;
 
     fn sample_outcome() -> WireOutcome {
+        let mut reports = CycleLog::new();
+        reports.push(&crate::machine::CycleReport {
+            fired: vec![TransitionId::from_index(3), TransitionId::from_index(1)],
+            transition_cycles: vec![40, 17],
+            assigned_tep: vec![0, 1],
+            cycle_length: 46,
+            raised: vec![EventId::from_index(2)],
+            interrupt_latency: Some(12),
+        });
+        reports.push(&crate::machine::CycleReport::default());
         WireOutcome {
-            reports: vec![
-                WireReport {
-                    fired: vec![3, 1],
-                    transition_cycles: vec![40, 17],
-                    assigned_tep: vec![0, 1],
-                    cycle_length: 46,
-                    raised: vec![2],
-                    interrupt_latency: Some(12),
-                },
-                WireReport::default(),
-            ],
-            stats: WireStats {
+            reports,
+            stats: MachineStats {
                 config_cycles: 2,
                 transitions: 2,
                 clock_cycles: 50,
@@ -1553,7 +1473,7 @@ mod tests {
         check(0u128);
         check(false);
         check(String::new());
-        check(Vec::<WireReport>::new());
+        check(Vec::<u32>::new());
         check(BTreeMap::<u128, MemoEntry>::new());
         check(None::<u64>);
         check((0u64, String::new()));
@@ -1565,8 +1485,8 @@ mod tests {
         check(Source::Chart);
         check(Span::NONE);
         check(Diagnostic::error(Source::Chart, "", ""));
-        check(WireReport::default());
-        check(WireStats::default());
+        check(CycleLog::new());
+        check(MachineStats::default());
         check(WireOutcome::default());
         check(OutcomeLatency::default());
         check(HistogramSnapshot { name: String::new(), count: 0, sum: 0, buckets: vec![] });
@@ -1839,6 +1759,17 @@ mod tests {
             read_frame(&mut reader, DEFAULT_MAX_FRAME),
             Err(WireError::Truncated)
         ));
+    }
+
+    #[test]
+    fn read_frame_reads_one_frame_at_a_time() {
+        let mut bytes = encode_frame(&Frame::Credit { n: 1 });
+        bytes.extend(encode_frame(&Frame::Error { code: 3, message: "bad".into() }));
+        let mut reader = std::io::Cursor::new(bytes);
+        let mut next = || read_frame(&mut reader, DEFAULT_MAX_FRAME);
+        assert_eq!(next().unwrap(), Frame::Credit { n: 1 });
+        assert_eq!(next().unwrap(), Frame::Error { code: 3, message: "bad".into() });
+        assert!(matches!(next(), Err(WireError::Closed)));
     }
 
     #[test]

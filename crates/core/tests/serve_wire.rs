@@ -8,15 +8,14 @@ use proptest::prelude::*;
 use pscp_core::arch::PscpArch;
 use pscp_core::compile::{compile_system, CompiledSystem};
 use pscp_core::explore::{self, ExploreReport, Predicate, Violation, Witness};
-use pscp_core::machine::ScriptedEnvironment;
-use pscp_core::pool::{BatchOptions, SimPool};
+use pscp_core::machine::{CycleReport, MachineStats, ScriptedEnvironment};
+use pscp_core::pool::{BatchOptions, CycleLog, SimPool};
 use pscp_core::serve::wire::{
     self, error_code, ExploreRequest, Frame, HistogramSnapshot, MetricsSnapshot, OutcomeFrame,
-    OutcomeLatency, ServeGauges, Submit, WireError, WireOutcome, WireReport, WireStats,
-    DEFAULT_MAX_FRAME,
+    OutcomeLatency, ServeGauges, Submit, WireError, WireOutcome, DEFAULT_MAX_FRAME,
 };
 use pscp_core::serve::{self, ScenarioClient, ServeOptions, ServerHandle};
-use pscp_statechart::{ChartBuilder, StateKind};
+use pscp_statechart::{ChartBuilder, EventId, StateKind, TransitionId};
 use pscp_tep::codegen::CodegenOptions;
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -37,24 +36,54 @@ fn arb_script() -> impl Strategy<Value = Vec<Vec<String>>> {
     proptest::collection::vec(proptest::collection::vec(event, 0..4), 0..6)
 }
 
-fn arb_outcome() -> impl Strategy<Value = WireOutcome> {
+fn arb_events(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<EventId>> {
+    proptest::collection::vec(any::<u32>().prop_map(|i| EventId::from_index(i as usize)), n)
+}
+
+/// One cycle's report, in each shape a `CycleLog` stores apart: idle at
+/// one of two cycle lengths (so idle runs of both lengths meet back to
+/// back), empty lists with an interrupt latency, raised events only,
+/// and anything.
+fn arb_report() -> impl Strategy<Value = CycleReport> {
     // fired / transition_cycles / assigned_tep share one length — the
     // CycleReport invariant the canonical encoding relies on.
-    let report = (
+    let any_report = (
         proptest::collection::vec((any::<u32>(), any::<u64>(), any::<u8>()), 0..4),
         any::<u64>(),
-        proptest::collection::vec(any::<u32>(), 0..3),
-        any::<bool>(),
-        any::<u64>(),
+        arb_events(0..3),
+        proptest::option::of(any::<u64>()),
     )
-        .prop_map(|(firings, len, raised, has_lat, lat)| WireReport {
-            fired: firings.iter().map(|f| f.0).collect(),
+        .prop_map(|(firings, cycle_length, raised, interrupt_latency)| CycleReport {
+            fired: firings.iter().map(|f| TransitionId::from_index(f.0 as usize)).collect(),
             transition_cycles: firings.iter().map(|f| f.1).collect(),
             assigned_tep: firings.iter().map(|f| f.2).collect(),
-            cycle_length: len,
+            cycle_length,
             raised,
-            interrupt_latency: has_lat.then_some(lat),
+            interrupt_latency,
         });
+    prop_oneof![
+        prop_oneof![Just(4u64), Just(9)]
+            .prop_map(|cycle_length| CycleReport { cycle_length, ..CycleReport::default() }),
+        (any::<u64>(), any::<u64>()).prop_map(|(cycle_length, latency)| CycleReport {
+            cycle_length,
+            interrupt_latency: Some(latency),
+            ..CycleReport::default()
+        }),
+        (any::<u64>(), arb_events(1..3)).prop_map(|(cycle_length, raised)| CycleReport {
+            cycle_length,
+            raised,
+            ..CycleReport::default()
+        }),
+        any_report,
+    ]
+}
+
+fn arb_outcome() -> impl Strategy<Value = WireOutcome> {
+    let reports = proptest::collection::vec(arb_report(), 0..8).prop_map(|reports| {
+        let mut log = CycleLog::new();
+        reports.iter().for_each(|r| log.push(r));
+        log
+    });
     let stats = (
         any::<u64>(),
         any::<u64>(),
@@ -62,7 +91,7 @@ fn arb_outcome() -> impl Strategy<Value = WireOutcome> {
         any::<u64>(),
         proptest::collection::vec(any::<u64>(), 0..3),
     )
-        .prop_map(|(c, t, k, m, busy)| WireStats {
+        .prop_map(|(c, t, k, m, busy)| MachineStats {
             config_cycles: c,
             transitions: t,
             clock_cycles: k,
@@ -70,7 +99,7 @@ fn arb_outcome() -> impl Strategy<Value = WireOutcome> {
             tep_busy: busy,
         });
     (
-        proptest::collection::vec(report, 0..4),
+        reports,
         stats,
         any::<u64>(),
         arb_script(),
@@ -235,6 +264,17 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An outcome body survives the wire both ways: its bytes decode
+    /// to the same outcome, its log to the same runs, and the decoded
+    /// outcome encodes to the same bytes.
+    #[test]
+    fn arbitrary_outcomes_round_trip(o in arb_outcome()) {
+        let bytes = o.encode();
+        let back = WireOutcome::decode(&bytes).unwrap();
+        prop_assert_eq!(&back, &o);
+        prop_assert_eq!(back.encode(), bytes);
+    }
 
     /// Every frame survives encode → cursor → decode bit-exactly.
     #[test]

@@ -23,15 +23,15 @@ use proptest::prelude::*;
 use pscp_core::explore::{
     decode_state, encode_state, ExploreReport, Predicate, Violation, Witness, STATE_KEY_VERSION,
 };
-use pscp_core::machine::SemanticState;
+use pscp_core::machine::{CycleReport, MachineStats, SemanticState};
 use pscp_core::optimize::memo::MEMO_FORMAT_VERSION;
 use pscp_core::optimize::{MemoEntry, MemoStore};
-use pscp_core::pool::BatchOptions;
+use pscp_core::pool::{BatchOptions, CycleLog};
 use pscp_core::serve::wire::{
     decode_diagnostics, decode_explore_report, decode_payload, decode_stats, encode_diagnostics,
     encode_explore_report, encode_payload, encode_stats, fnv1a32, ExploreRequest, Frame,
     HistogramSnapshot, MetricsSnapshot, OutcomeLatency, ServeGauges, Submit, WireError,
-    WireOutcome, WireReport, WireStats, DECODE_HEAP_PER_BYTE, EXPLORE_REPORT_VERSION,
+    WireOutcome, DECODE_HEAP_PER_BYTE, EXPLORE_REPORT_VERSION,
     PROTOCOL_VERSION, STATS_VERSION,
 };
 use pscp_core::timing::{EventCycle, TimingReport};
@@ -180,19 +180,19 @@ fn check_bound(codec: Codec, bytes: &[u8]) -> Result<(), TestCaseError> {
 // --- Valid encodings to damage -------------------------------------------------
 
 fn outcome() -> WireOutcome {
+    let mut reports = CycleLog::new();
+    reports.push(&CycleReport {
+        fired: vec![TransitionId::from_index(3), TransitionId::from_index(1)],
+        transition_cycles: vec![40, 17],
+        assigned_tep: vec![0, 1],
+        cycle_length: 46,
+        raised: vec![EventId::from_index(2)],
+        interrupt_latency: Some(12),
+    });
+    reports.push(&CycleReport::default());
     WireOutcome {
-        reports: vec![
-            WireReport {
-                fired: vec![3, 1],
-                transition_cycles: vec![40, 17],
-                assigned_tep: vec![0, 1],
-                cycle_length: 46,
-                raised: vec![2],
-                interrupt_latency: Some(12),
-            },
-            WireReport::default(),
-        ],
-        stats: WireStats { config_cycles: 2, tep_busy: vec![40, 17], ..WireStats::default() },
+        reports,
+        stats: MachineStats { config_cycles: 2, tep_busy: vec![40, 17], ..MachineStats::default() },
         clock_cycles: 50,
         leftover_script: vec![vec![], vec!["TICK".into(), "GO".into()]],
         port_writes: vec![(0x20, -7, 46)],

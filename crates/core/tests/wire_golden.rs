@@ -16,16 +16,16 @@
 use pscp_core::explore::{
     encode_state, ExploreReport, FnvHasher, Predicate, Violation, Witness, STATE_KEY_VERSION,
 };
-use pscp_core::machine::SemanticState;
-use pscp_core::pool::BatchOptions;
+use pscp_core::machine::{CycleReport, MachineStats, SemanticState};
+use pscp_core::pool::{BatchOptions, CycleLog};
 use pscp_core::serve::wire::{
     encode_diagnostics, encode_explore_report, encode_frame, encode_stats, feature, ExploreRequest,
     Frame, HistogramSnapshot, MetricsSnapshot, OutcomeLatency, ServeGauges, Submit, WireOutcome,
-    WireReport, WireStats, EXPLORE_REPORT_VERSION, PROTOCOL_VERSION, STATS_VERSION,
+    EXPLORE_REPORT_VERSION, PROTOCOL_VERSION, STATS_VERSION,
 };
 use pscp_diag::{Diagnostic, Pos, Severity, Source, Span};
 use pscp_statechart::semantics::ControlState;
-use pscp_statechart::{EventId, StateId};
+use pscp_statechart::{EventId, StateId, TransitionId};
 use pscp_tep::TepDataState;
 use std::hash::Hasher;
 
@@ -37,27 +37,31 @@ fn digest(bytes: &[u8]) -> (usize, u64) {
 }
 
 fn outcome() -> WireOutcome {
+    let mut reports = CycleLog::new();
+    for r in [
+        CycleReport {
+            fired: vec![TransitionId::from_index(3), TransitionId::from_index(1)],
+            transition_cycles: vec![40, 17],
+            assigned_tep: vec![0, 1],
+            cycle_length: 46,
+            raised: vec![EventId::from_index(2), EventId::from_index(5)],
+            interrupt_latency: Some(12),
+        },
+        CycleReport::default(),
+        CycleReport {
+            fired: vec![TransitionId::from_index(u32::MAX as usize)],
+            transition_cycles: vec![u64::MAX],
+            assigned_tep: vec![255],
+            cycle_length: 1,
+            raised: vec![],
+            interrupt_latency: None,
+        },
+    ] {
+        reports.push(&r);
+    }
     WireOutcome {
-        reports: vec![
-            WireReport {
-                fired: vec![3, 1],
-                transition_cycles: vec![40, 17],
-                assigned_tep: vec![0, 1],
-                cycle_length: 46,
-                raised: vec![2, 5],
-                interrupt_latency: Some(12),
-            },
-            WireReport::default(),
-            WireReport {
-                fired: vec![u32::MAX],
-                transition_cycles: vec![u64::MAX],
-                assigned_tep: vec![255],
-                cycle_length: 1,
-                raised: vec![],
-                interrupt_latency: None,
-            },
-        ],
-        stats: WireStats {
+        reports,
+        stats: MachineStats {
             config_cycles: 3,
             transitions: 3,
             clock_cycles: 50,

@@ -46,7 +46,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test --release -p pscp-core --test serve_differential -q
 # The wire codec's spec: `wire_golden` pins the bytes of every layout
 # (each frame variant, the outcome, diagnostics, stats and explore-report
-# bodies, a state key) by length and FNV-1a64 digest, and `memo_codec`
+# bodies, a state key) by length and FNV-1a64 digest; an outcome encodes
+# from the scenario's `CycleLog` itself, one report per cycle, and
+# `serve_wire` round-trips logs of every report shape. `memo_codec`
 # pins the memo file's; `wire_fuzz` feeds every decoder arbitrary and
 # bit-flipped input, which must decode to a value or a typed error,
 # never panic, and request no more heap than the input length times
@@ -149,7 +151,9 @@ cargo test --release -p pscp-core --test proptest_incremental -q
 # `assigned_tep`, and `raised` when it is not empty); sampled idle
 # cycles, quiet cycles, sampling a scripted row by event id,
 # `PscpMachine::reset`, `CompiledNet::eval_into` and the serve
-# writer's counters allocate nothing.
+# writer's counters allocate nothing. A pool batch, and an outcome's
+# `WireOutcome::from_batch(..).encode()` and `WireOutcome::decode`, with
+# four times the fired cycles allocate more only by buffers doubling.
 cargo test --release -p pscp-bench --test obs_alloc -q
 # The TEP's cost table is priced once by `CostModel::cost`, which the
 # WCET analysis also calls: for every instruction of every routine the
